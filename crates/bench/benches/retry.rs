@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use offnet_bench::small_world;
-use offnet_core::checkpoint::{CheckpointDriver, CheckpointStore, SnapshotCheckpoint};
+use offnet_core::checkpoint::{CheckpointStore, SnapshotCheckpoint};
 use offnet_core::{study_fingerprint, StudyConfig};
 use scanner::{observe_snapshot, ScanEngine, TransientPolicy};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ fn bench_retry(c: &mut Criterion) {
     };
     let dir = std::env::temp_dir().join(format!("offnet-bench-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fp = study_fingerprint(world, &engine, &config, CheckpointDriver::Sequential);
+    let fp = study_fingerprint(world, &engine, &config);
     let store = CheckpointStore::open(&dir, fp).expect("open store");
 
     let mut group = c.benchmark_group("checkpoint");

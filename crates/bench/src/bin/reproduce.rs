@@ -10,16 +10,18 @@
 //!             <experiment|all>
 //!
 //! With `--csv DIR`, figure series are additionally written as CSV files
-//! for external plotting. Studies run on a snapshot-parallel pipeline with
-//! a shared certificate-validation cache by default; `--threads N` pins
-//! the worker count (default: available parallelism, or `OFFNET_THREADS`)
-//! and `--sequential` restores the single-threaded uncached driver.
+//! for external plotting. `--sequential`, `--threads N` and
+//! `--incremental` choose the study mode (the last one given wins).
+//! Studies run in the snapshot-parallel mode with a shared
+//! certificate-validation cache by default; `--threads N` pins its worker
+//! count (default: available parallelism, or `OFFNET_THREADS`) and
+//! `--sequential` selects the one-snapshot-at-a-time uncached mode.
 //!
-//! `--incremental` runs the studies through the delta engine instead:
-//! snapshot N is diffed against N−1 and only dirty HG×AS cells are
-//! recomputed. The rendered artifacts are byte-identical either way
-//! (pinned by `tests/incremental.rs`); the `quality` experiment
-//! additionally prints the per-snapshot reuse accounting.
+//! `--incremental` selects the incremental mode instead: snapshot N is
+//! diffed against N−1 and only dirty HG×AS cells are recomputed. The
+//! rendered artifacts are byte-identical in every mode (pinned by
+//! `tests/incremental.rs` and `tests/parallel.rs`); the `quality`
+//! experiment additionally prints the per-snapshot reuse accounting.
 //!
 //! `--fault-rate R` corrupts the study scans with every record-level fault
 //! class at rate R (seeded by `--fault-seed`, default 1); the `quality`
@@ -36,10 +38,10 @@
 //! `DIR/<engine>/snap_NNNN.ckpt` as it completes, and (by default) resumes
 //! from whatever completed prefix the directory already holds — so a
 //! killed run continues where it stopped, byte-identical to an
-//! uninterrupted one. `--no-resume` wipes the directory's artifacts first;
-//! `--resume` spells out the default. Checkpointing runs the sequential
-//! driver (or the delta engine under `--incremental`); it is not available
-//! for the snapshot-parallel driver.
+//! uninterrupted one. It works in every study mode. `--no-resume` wipes
+//! the directory's artifacts first; `--resume` spells out the default. A
+//! checkpoint, segment, or artifact failure ends the run with the typed
+//! error's message and exit status 2.
 //!
 //! Experiments: table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //! fig9 fig10 fig11 fig12 fig13 fig14 certlifetimes validate ablation
@@ -74,8 +76,8 @@ use hgsim::{Hg, HgWorld, ScenarioConfig, TOP4};
 use offnet_core::candidates::CandidateOptions;
 use offnet_core::study::learn_reference_fingerprints;
 use offnet_core::{
-    default_thread_count, run_study, run_study_incremental, run_study_parallel, DeltaStudyEngine,
-    PipelineContext, StudyConfig, StudySeries,
+    default_thread_count, run_study, try_run_study, DeltaStudyEngine, PipelineContext, StudyConfig,
+    StudyMode, StudySeries,
 };
 use scanner::ScanEngine;
 use std::collections::BTreeSet;
@@ -86,9 +88,7 @@ struct Cli {
     scale: String,
     seed: u64,
     csv_dir: Option<std::path::PathBuf>,
-    threads: usize,
-    sequential: bool,
-    incremental: bool,
+    mode: StudyMode,
     fault_rate: f64,
     fault_seed: u64,
     transient_rate: f64,
@@ -115,9 +115,9 @@ fn parse_args() -> Cli {
     let mut scale = "paper".to_owned();
     let mut seed = 7u64;
     let mut csv_dir = None;
-    let mut threads = default_thread_count();
-    let mut sequential = false;
-    let mut incremental = false;
+    let mut mode = StudyMode::Parallel {
+        workers: default_thread_count(),
+    };
     let mut fault_rate = 0.0f64;
     let mut fault_seed = 1u64;
     let mut transient_rate = 0.0f64;
@@ -144,15 +144,17 @@ fn parse_args() -> Cli {
                     .expect("seed must be an integer")
             }
             "--threads" => {
-                threads = args
+                let workers: usize = args
                     .next()
                     .expect("--threads needs a value")
                     .parse()
                     .expect("threads must be an integer");
-                threads = threads.max(1);
+                mode = StudyMode::Parallel {
+                    workers: workers.max(1),
+                };
             }
-            "--sequential" => sequential = true,
-            "--incremental" => incremental = true,
+            "--sequential" => mode = StudyMode::Sequential,
+            "--incremental" => mode = StudyMode::Incremental,
             "--fault-rate" => {
                 fault_rate = args
                     .next()
@@ -220,16 +222,11 @@ fn parse_args() -> Cli {
     if experiments.is_empty() {
         experiments.push("all".to_owned());
     }
-    if sequential && incremental {
-        panic!("--sequential and --incremental are mutually exclusive");
-    }
     Cli {
         scale,
         seed,
         csv_dir,
-        threads,
-        sequential,
-        incremental,
+        mode,
         fault_rate,
         fault_seed,
         transient_rate,
@@ -253,9 +250,7 @@ fn emit_csv(cli: &Cli, name: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 struct Fixtures {
     world: HgWorld,
-    threads: usize,
-    sequential: bool,
-    incremental: bool,
+    mode: StudyMode,
     faults: Option<std::sync::Arc<scanner::FaultPlan>>,
     transients: Option<std::sync::Arc<scanner::TransientPolicy>>,
     checkpoint_dir: Option<std::path::PathBuf>,
@@ -269,7 +264,7 @@ struct Fixtures {
     r7: OnceLock<StudySeries>,
     /// Delta-engine reuse accounting for the Rapid7 study; populated only
     /// under `--incremental` (kept beside the series so rendered study
-    /// artifacts stay identical across drivers).
+    /// artifacts stay identical across modes).
     r7_reports: OnceLock<Vec<offnet_core::DeltaReport>>,
     cs: OnceLock<StudySeries>,
     ctx: OnceLock<PipelineContext>,
@@ -320,9 +315,7 @@ impl Fixtures {
         });
         Fixtures {
             world: HgWorld::generate(config),
-            threads: cli.threads,
-            sequential: cli.sequential,
-            incremental: cli.incremental,
+            mode: cli.mode,
             faults,
             transients,
             checkpoint_dir: cli.checkpoint_dir.clone(),
@@ -349,97 +342,39 @@ impl Fixtures {
         }
     }
 
-    /// Open (and under `--no-resume`, clear) the per-engine checkpoint
-    /// store for this run's exact configuration.
-    fn checkpoint_store(
-        &self,
-        dir: &std::path::Path,
-        engine: &ScanEngine,
-        config: &StudyConfig,
-        driver: offnet_core::CheckpointDriver,
-    ) -> offnet_core::CheckpointStore {
-        let fp = offnet_core::study_fingerprint(&self.world, engine, config, driver);
-        let store = or_die(offnet_core::CheckpointStore::open(
-            dir.join(engine.id.name().to_lowercase()),
-            fp,
-        ));
-        if !self.resume {
-            or_die(store.wipe());
-        }
-        store
-    }
-
     fn study(
         &self,
         engine: ScanEngine,
         config: &StudyConfig,
         label: &str,
-    ) -> (StudySeries, Option<Vec<offnet_core::DeltaReport>>) {
+    ) -> (StudySeries, Vec<offnet_core::DeltaReport>) {
+        let engine_name = engine.id.name().to_lowercase();
         let artifact_out = self
             .artifact_dir
             .as_ref()
-            .map(|dir| dir.join(format!("{}.offna", engine.id.name().to_lowercase())));
+            .map(|dir| dir.join(format!("{engine_name}.offna")));
         let config = &StudyConfig {
+            mode: self.mode,
             sharding: self.sharding.clone(),
+            checkpoint_dir: self
+                .checkpoint_dir
+                .as_ref()
+                .map(|dir| dir.join(&engine_name)),
             artifact_out: artifact_out.clone(),
             ..config.clone()
         };
+        if let (Some(dir), false) = (&config.checkpoint_dir, self.resume) {
+            let fp = offnet_core::study_fingerprint(&self.world, &engine, config);
+            or_die(offnet_core::CheckpointStore::open(dir, fp).and_then(|store| store.wipe()));
+        }
         let start = Instant::now();
-        let checkpointed = self.checkpoint_dir.is_some();
-        let (series, reports) = if let Some(dir) = &self.checkpoint_dir {
-            if self.incremental {
-                let store = self.checkpoint_store(
-                    dir,
-                    &engine,
-                    config,
-                    offnet_core::CheckpointDriver::Incremental,
-                );
-                let inc = or_die(offnet_core::run_study_incremental_checkpointed(
-                    &self.world,
-                    &engine,
-                    config,
-                    store,
-                ));
-                (inc.series, Some(inc.reports))
-            } else {
-                // Checkpoints need snapshot-ordered processing; the
-                // snapshot-parallel driver cannot provide it, so a plain
-                // `--checkpoint-dir` runs the sequential driver.
-                let store = self.checkpoint_store(
-                    dir,
-                    &engine,
-                    config,
-                    offnet_core::CheckpointDriver::Sequential,
-                );
-                (
-                    or_die(offnet_core::run_study_checkpointed(
-                        &self.world,
-                        &engine,
-                        config,
-                        &store,
-                    )),
-                    None,
-                )
-            }
-        } else if self.incremental {
-            let inc = run_study_incremental(&self.world, &engine, config);
-            (inc.series, Some(inc.reports))
-        } else if self.sequential {
-            (run_study(&self.world, &engine, config), None)
-        } else {
-            (
-                run_study_parallel(&self.world, &engine, config, self.threads),
-                None,
-            )
+        let run = or_die(try_run_study(&self.world, &engine, config));
+        let mut mode = match self.mode {
+            StudyMode::Sequential => "sequential".to_owned(),
+            StudyMode::Parallel { workers } => format!("{workers} threads + validation cache"),
+            StudyMode::Incremental => "incremental delta engine".to_owned(),
         };
-        let mut mode = if self.incremental {
-            "incremental delta engine".to_owned()
-        } else if self.sequential || checkpointed {
-            "sequential".to_owned()
-        } else {
-            format!("{} threads + validation cache", self.threads)
-        };
-        if checkpointed {
+        if config.checkpoint_dir.is_some() {
             mode.push_str(", checkpointed");
         }
         if let Some(s) = &self.sharding {
@@ -452,7 +387,7 @@ impl Fixtures {
         if let Some(path) = &artifact_out {
             eprintln!("[reproduce] wrote study artifact {}", path.display());
         }
-        (series, reports)
+        (run.series, run.reports)
     }
 
     fn r7(&self) -> &StudySeries {
@@ -463,7 +398,7 @@ impl Fixtures {
                 &StudyConfig::default(),
                 "rapid7",
             );
-            if let Some(reports) = reports {
+            if self.mode == StudyMode::Incremental {
                 let _ = self.r7_reports.set(reports);
             }
             series
@@ -503,14 +438,14 @@ impl Fixtures {
     }
 }
 
-/// Unwrap a checkpoint-layer result, or print the typed error (which
-/// carries its own remediation: delete the checkpoint dir or pass
-/// `--no-resume`) and exit with a distinct status.
-fn or_die<T>(r: Result<T, offnet_core::CheckpointError>) -> T {
+/// Unwrap a study result, or print the typed error (which carries its own
+/// remediation, e.g. delete the checkpoint dir or pass `--no-resume`) and
+/// exit with a distinct status.
+fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("[reproduce] checkpoint error: {e}");
+            eprintln!("[reproduce] study error: {e}");
             std::process::exit(2);
         }
     }

@@ -32,7 +32,7 @@ pub fn small_study() -> &'static StudySeries {
 /// fingerprints, and the study-wide quality table. The equivalence tests
 /// (`tests/incremental.rs`, `tests/transient.rs`, `tests/checkpoint.rs`)
 /// all pin byte-identity through this one renderer, so any divergence
-/// between drivers — full vs incremental, clean vs zero-rate transients,
+/// between study modes — full vs incremental, clean vs zero-rate transients,
 /// uninterrupted vs killed-and-resumed — must surface here.
 pub fn render_study(series: &StudySeries) -> String {
     use std::fmt::Write as _;

@@ -1,15 +1,15 @@
 //! The frozen study-result artifact: the stable boundary between
 //! computation and everything downstream (rendering, queries, serving).
 //!
-//! Every study driver accumulates its per-snapshot results through one
+//! The study driver accumulates its per-snapshot results through one
 //! [`ArtifactBuilder`] and can seal them into a [`StudyArtifact`] — a
 //! versioned, checksummed, columnar file that is a pure function of the
-//! study's output and *identical across drivers* (sequential, parallel,
+//! study's output and *identical across modes* (sequential, parallel,
 //! checkpointed, and incremental runs of the same config produce the same
 //! rendered study, so they share one artifact fingerprint). Rendering a
 //! loaded artifact is byte-identical to rendering the in-memory series;
 //! `tests/artifact.rs` pins this the way `tests/parallel.rs` pins the
-//! parallel driver.
+//! parallel mode.
 //!
 //! Format (same envelope discipline as [`crate::checkpoint`] and
 //! [`crate::shard`]):
@@ -32,7 +32,7 @@
 //! Invalidation: the config fingerprint
 //! ([`artifact_fingerprint`]) digests world scenario, engine identity and
 //! fault/transient plans, and pipeline knobs — but not the snapshot range
-//! (an artifact is appendable) and not the driver (all drivers emit the
+//! (an artifact is appendable) and not the study mode (all modes emit the
 //! same artifact). Mismatches, truncation, and corruption surface as typed
 //! [`ArtifactError`]s with explicit remediation, never a panic.
 
@@ -59,7 +59,7 @@ const MAGIC: &[u8; 8] = b"OFFNARTF";
 const REMEDY: &str = "delete the artifact file or pass --no-resume";
 
 /// Driver-independent salt for [`artifact_fingerprint`] (the checkpoint
-/// driver tags are 1 and 2; this must collide with neither).
+/// tags are 1 and 2; this must collide with neither).
 const ARTIFACT_DRIVER_TAG: u64 = 0xa87f;
 
 /// Why an artifact file could not be used. Mirrors
@@ -177,15 +177,15 @@ impl From<CheckpointError> for ArtifactError {
 /// Digest everything that shapes a study's rendered output — world
 /// scenario, engine identity and plans, pipeline knobs — into the
 /// artifact's config fingerprint. Unlike
-/// [`crate::checkpoint::study_fingerprint`] the driver kind is *not*
-/// mixed in: all four drivers render byte-identically, so their artifacts
+/// [`crate::checkpoint::study_fingerprint`] the study mode is *not*
+/// mixed in: all modes render byte-identically, so their artifacts
 /// are interchangeable. The snapshot range is also excluded, so an
 /// artifact can be appended to under a longer `--snapshots` range.
 pub fn artifact_fingerprint(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> u64 {
     fingerprint_with_tag(world, engine, config, ARTIFACT_DRIVER_TAG)
 }
 
-/// The order-dependent §6.2 Netflix fold, shared by every study driver:
+/// The order-dependent §6.2 Netflix fold, shared by every study mode:
 /// per snapshot it pushes the three footprint variants and grows the
 /// cumulative certificate-history IP set the non-TLS restoration consults.
 #[derive(Debug, Clone, Default)]
@@ -198,8 +198,7 @@ pub(crate) struct NetflixFold {
 
 impl NetflixFold {
     /// Fold one snapshot's result. `origins_of` maps an HTTP-only IP to
-    /// its AS origins at this snapshot (drivers differ only in where that
-    /// lookup lives). Returns the `(initial, with_expired, with_non_tls)`
+    /// its AS origins at this snapshot. Returns the `(initial, with_expired, with_non_tls)`
     /// triple pushed, so checkpoints can record it.
     fn push(
         &mut self,
@@ -264,7 +263,7 @@ pub struct StudyArtifact {
     /// exact.
     pub netflix_ip_history: Vec<u32>,
     pub header_fps: HeaderFingerprints,
-    /// Per-snapshot reuse counters, when an incremental driver wrote the
+    /// Per-snapshot reuse counters, when the incremental mode wrote the
     /// artifact (empty otherwise). Never rendered into the canonical
     /// study output, so artifacts with and without reports render
     /// identically.
@@ -274,7 +273,7 @@ pub struct StudyArtifact {
 impl StudyArtifact {
     /// View the artifact as the in-memory series every renderer consumes.
     /// `render_study(&artifact.to_series())` is byte-identical to
-    /// rendering the series the driver returned directly.
+    /// rendering the series the study returned directly.
     pub fn to_series(&self) -> StudySeries {
         StudySeries {
             engine: self.engine,
@@ -375,11 +374,10 @@ fn read_artifact_envelope(
     Ok((fingerprint, payload))
 }
 
-/// The shared accumulator behind every study driver: snapshot results,
-/// the §6.2 Netflix fold, and (for the incremental driver) reuse
-/// reports, with optional persistence to an artifact path. Replaces the
-/// per-driver `Vec<SnapshotResult>` + fold pairs, so a driver cannot
-/// drift from the artifact it emits.
+/// The shared accumulator behind every study mode: snapshot results,
+/// the §6.2 Netflix fold, and (in the incremental mode) reuse
+/// reports, with optional persistence to an artifact path, so a study
+/// cannot drift from the artifact it emits.
 #[derive(Debug, Clone)]
 pub struct ArtifactBuilder {
     engine: EngineId,
@@ -449,7 +447,7 @@ impl ArtifactBuilder {
         triple
     }
 
-    /// Record an incremental driver's reuse report for the snapshot just
+    /// Record the incremental mode's reuse report for the snapshot just
     /// pushed.
     pub fn push_report(&mut self, report: DeltaReport) {
         self.reports.push(report);
@@ -514,8 +512,8 @@ impl ArtifactBuilder {
         }
     }
 
-    /// Consume the builder into the series every driver returns, plus the
-    /// incremental reuse reports (empty for the batch drivers).
+    /// Consume the builder into the series every mode returns, plus the
+    /// incremental reuse reports (empty for the other modes).
     pub fn finish(self) -> (StudySeries, Vec<DeltaReport>) {
         (
             StudySeries {
@@ -733,7 +731,7 @@ fn encode_payload(
             b.u32(pool.sym(name));
         }
     }
-    // Reuse-counter columns (empty for batch drivers).
+    // Reuse-counter columns (empty outside the incremental mode).
     b.usize(reports.len());
     for r in reports {
         b.usize(r.snapshot_idx);

@@ -1,13 +1,13 @@
 //! Versioned on-disk study checkpoints for crash-resumable runs.
 //!
 //! A 31-snapshot study that dies at snapshot 27 used to lose everything.
-//! The checkpointed drivers ([`run_study_checkpointed`],
-//! [`run_study_incremental_checkpointed`]) instead serialize one artifact
-//! per snapshot — the full [`SnapshotResult`], the §6.2 Netflix fold state,
-//! and (for the incremental driver) the delta engine's
-//! [`SnapshotEvidence`] plus its reuse report — so a relaunched run adopts
-//! the completed prefix and continues from the first missing snapshot,
-//! producing output byte-identical to an uninterrupted run.
+//! With [`StudyConfig::checkpoint_dir`] set, every study mode instead
+//! serializes one artifact per snapshot — the full [`SnapshotResult`],
+//! the §6.2 Netflix fold state, and (in [`StudyMode::Incremental`]) the
+//! delta engine's [`SnapshotEvidence`] plus its reuse report — so a
+//! relaunched run adopts the completed prefix and continues from the
+//! first missing snapshot, producing output byte-identical to an
+//! uninterrupted run.
 //!
 //! Format: every `snap_NNNN.ckpt` file is
 //!
@@ -23,21 +23,18 @@
 //!
 //! Invalidation rules: the config fingerprint digests everything that
 //! shapes study output — world scenario, engine identity and its
-//! fault/transient plans, pipeline knobs, and which driver wrote the
-//! artifact (sequential and incremental checkpoints are not
-//! interchangeable) — but deliberately *not* the snapshot range, so a run
-//! killed at snapshot k resumes under a longer `--snapshots` range.
-//! Mismatches surface as typed [`CheckpointError`]s with explicit
-//! remediation, never a panic.
-//!
-//! [`run_study_checkpointed`]: crate::study::run_study_checkpointed
-//! [`run_study_incremental_checkpointed`]: crate::study::run_study_incremental_checkpointed
+//! fault/transient plans, pipeline knobs, and whether the incremental
+//! mode wrote the artifact (its checkpoints carry delta evidence, so they
+//! are not interchangeable with the other modes') — but deliberately
+//! *not* the snapshot range, so a run killed at snapshot k resumes under
+//! a longer `--snapshots` range. Mismatches surface as typed
+//! [`CheckpointError`]s with explicit remediation, never a panic.
 
 use crate::codec::{self, EnvelopeIssue};
 use crate::delta::{DeltaReport, HgEvidence, SnapshotEvidence};
 use crate::errors::{DataQualityReport, RecordError};
 use crate::pipeline::{HgSnapshotResult, SnapshotResult};
-use crate::study::StudyConfig;
+use crate::study::{StudyConfig, StudyMode};
 use crate::validate::{InvalidReason, ValidationStats};
 use hgsim::{Hg, HgWorld, ALL_HGS};
 use netsim::AsId;
@@ -50,24 +47,6 @@ use x509::ChainError;
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"OFFNCKPT";
-
-/// Which study driver wrote a checkpoint directory. Part of the config
-/// fingerprint: the sequential driver stores no delta evidence, so its
-/// artifacts must not masquerade as resumable incremental state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointDriver {
-    Sequential,
-    Incremental,
-}
-
-impl CheckpointDriver {
-    fn tag(self) -> u64 {
-        match self {
-            CheckpointDriver::Sequential => 1,
-            CheckpointDriver::Incremental => 2,
-        }
-    }
-}
 
 /// Why a checkpoint directory could not be used.
 ///
@@ -88,7 +67,7 @@ pub enum CheckpointError {
         expected: u32,
     },
     /// The file was written under a different study configuration
-    /// (world, engine, fault/transient plans, pipeline knobs, or driver).
+    /// (world, engine, fault/transient plans, pipeline knobs, or mode).
     ConfigMismatch {
         path: PathBuf,
         found: u64,
@@ -190,7 +169,7 @@ pub struct SnapshotCheckpoint {
     pub netflix_with_non_tls: usize,
     /// Cumulative Netflix IP history *after* this snapshot, sorted.
     pub netflix_ip_history: Vec<u32>,
-    /// The delta engine's evidence for this snapshot (incremental driver
+    /// The delta engine's evidence for this snapshot (incremental mode
     /// only): restoring it lets the resumed run diff its next snapshot
     /// instead of falling back to a full compute.
     pub evidence: Option<SnapshotEvidence>,
@@ -302,55 +281,64 @@ impl CheckpointStore {
     }
 }
 
-/// Digest everything that shapes a study's output into one fingerprint:
-/// the world scenario, the engine (identity, coverage windows, attached
-/// fault and transient plans), the pipeline knobs, and the driver kind.
-/// The snapshot *range* is deliberately excluded so a killed run can be
-/// resumed under a longer range.
-pub fn study_fingerprint(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    driver: CheckpointDriver,
-) -> u64 {
-    fingerprint_with_tag(world, engine, config, driver.tag())
+/// Digest everything that shapes a study's checkpoints into one
+/// fingerprint: the world scenario, the engine (identity, coverage
+/// windows, attached fault and transient plans), the pipeline knobs, and
+/// whether the mode is [`StudyMode::Incremental`] — only that mode stores
+/// delta evidence, so its checkpoints must not masquerade as another
+/// mode's, or the other way round. Sequential and parallel checkpoints
+/// are interchangeable. The snapshot *range* is deliberately excluded so
+/// a killed run can be resumed under a longer range; so are the
+/// checkpoint directory, the worker count, and sharding, none of which
+/// changes the output.
+pub fn study_fingerprint(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> u64 {
+    let tag = match config.mode {
+        StudyMode::Sequential | StudyMode::Parallel { .. } => 1,
+        StudyMode::Incremental => 2,
+    };
+    fingerprint_with_tag(world, engine, config, tag)
 }
 
 /// The shared fingerprint chain behind [`study_fingerprint`] and
 /// [`crate::artifact::artifact_fingerprint`]: everything that shapes study
-/// output, salted with a caller-chosen tag (the driver kind for
-/// checkpoints; a driver-independent constant for result artifacts, which
-/// are byte-identical across drivers).
+/// output, salted with a caller-chosen tag (the mode's checkpoint tag for
+/// checkpoints; a mode-independent constant for result artifacts, which
+/// are byte-identical across modes).
 pub(crate) fn fingerprint_with_tag(
     world: &HgWorld,
     engine: &ScanEngine,
     config: &StudyConfig,
-    driver_tag: u64,
+    tag: u64,
 ) -> u64 {
-    let sc = world.config();
     let mut h = mix(0x0ff5_e7c4_ecb9_0a17);
     h = mix(h ^ u64::from(CHECKPOINT_VERSION));
-    h = mix(h ^ driver_tag);
-    // World.
-    h = mix(h ^ sc.seed);
-    h = mix(h ^ sc.footprint_scale.to_bits());
-    h = mix(h ^ sc.ip_scale.to_bits());
-    h = mix(h ^ sc.background_ips.0 ^ sc.background_ips.1.rotate_left(32));
-    h = mix(h ^ sc.countermeasures.len() as u64);
-    h = mix(h ^ world.n_snapshots() as u64);
-    // Engine.
-    h = mix(h ^ engine_tag(engine));
-    h = mix(h ^ engine.active_since as u64);
-    h = mix(h ^ engine.https_headers_since.map_or(u64::MAX, |s| s as u64));
-    h = mix(h ^ engine.faults.as_ref().map_or(0, |p| p.fingerprint()));
-    h = mix(h ^ engine.transients.as_ref().map_or(0, |p| p.fingerprint()));
+    h = mix(h ^ tag);
+    h = mix_world_engine(h, world, engine);
     // Pipeline knobs.
     h = mix(h ^ config.header_reference_snapshot as u64);
     h = mix(h ^ confirm_tag(config) ^ candidate_bits(config) << 8);
     h
 }
 
-pub(crate) fn engine_tag(engine: &ScanEngine) -> u64 {
+/// Fold the world scenario and the engine (identity, coverage windows,
+/// attached fault and transient plans) into `h` — the part every
+/// on-disk fingerprint shares.
+pub(crate) fn mix_world_engine(mut h: u64, world: &HgWorld, engine: &ScanEngine) -> u64 {
+    let sc = world.config();
+    h = mix(h ^ sc.seed);
+    h = mix(h ^ sc.footprint_scale.to_bits());
+    h = mix(h ^ sc.ip_scale.to_bits());
+    h = mix(h ^ sc.background_ips.0 ^ sc.background_ips.1.rotate_left(32));
+    h = mix(h ^ sc.countermeasures.len() as u64);
+    h = mix(h ^ world.n_snapshots() as u64);
+    h = mix(h ^ engine_tag(engine));
+    h = mix(h ^ engine.active_since as u64);
+    h = mix(h ^ engine.https_headers_since.map_or(u64::MAX, |s| s as u64));
+    h = mix(h ^ engine.faults.as_ref().map_or(0, |p| p.fingerprint()));
+    mix(h ^ engine.transients.as_ref().map_or(0, |p| p.fingerprint()))
+}
+
+fn engine_tag(engine: &ScanEngine) -> u64 {
     match engine.id {
         scanner::EngineId::Rapid7 => 1,
         scanner::EngineId::Censys => 2,

@@ -26,7 +26,7 @@ use crate::validation_cache::{validate_records_cached, ValidationCache};
 use hgsim::{Hg, ALL_HGS};
 use intern::{FrozenInterner, HostSym};
 use netsim::{AsId, IpToAsMap};
-use scanner::SnapshotObservations;
+use scanner::{HttpScanSnapshot, SnapshotObservations};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use timebase::Timestamp;
@@ -80,8 +80,6 @@ pub struct SnapshotCorpus {
     /// IPs answering on port 80 but absent from the certificate corpus
     /// (drives the §6.2 Netflix non-TLS restoration).
     pub http_only_ips: Vec<u32>,
-    /// Whether the certificate snapshot carried zero records.
-    pub empty_cert_snapshot: bool,
     /// Scan-layer health merged over the observation's scan passes.
     pub scan_health: scanner::ScanHealth,
     pub memory: CorpusMemoryStats,
@@ -129,33 +127,8 @@ impl SnapshotCorpus {
             san_offsets.push(san_syms.len() as u32);
         }
 
-        // The Cloudflare free-SAN marker is a property of the *name*, so
-        // classify each distinct host once instead of per certificate.
-        let cf_free_host: Vec<bool> = interner
-            .hosts
-            .iter()
-            .map(|(_, name)| is_cloudflare_free_san(name))
-            .collect();
-
-        // Per-HG organization pre-index (one lowercase pass over the
-        // validated set; 23 substring probes per certificate).
-        let mut by_hg_std: HashMap<Hg, Vec<u32>> = HashMap::new();
-        let mut by_hg_all: HashMap<Hg, Vec<u32>> = HashMap::new();
-        for (i, vc) in valids.iter().enumerate() {
-            let Some(org) = vc.leaf.subject().organization() else {
-                continue;
-            };
-            let org_lc = org.to_ascii_lowercase();
-            for hg in ALL_HGS {
-                if org_lc.contains(hg.spec().keyword) {
-                    by_hg_all.entry(hg).or_default().push(i as u32);
-                    if !vc.expiry_exempted {
-                        by_hg_std.entry(hg).or_default().push(i as u32);
-                    }
-                }
-            }
-        }
-
+        let cf_free_host = cloudflare_flags(&interner);
+        let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
         let banners = BannerIndex::build(obs.http80.as_ref(), obs.https443.as_ref(), &interner);
 
         // Corpus-level statistics (previously recomputed by the pipeline).
@@ -179,7 +152,14 @@ impl SnapshotCorpus {
             })
             .unwrap_or_default();
 
-        let memory = measure_memory(obs, &valids, &interner, &banners, &san_syms, &san_offsets);
+        let memory = measure_memory(
+            [obs.http80.as_ref(), obs.https443.as_ref()],
+            &valids,
+            &interner,
+            &banners,
+            &san_syms,
+            &san_offsets,
+        );
 
         Self {
             snapshot_idx: obs.snapshot_idx,
@@ -192,7 +172,6 @@ impl SnapshotCorpus {
             total_ips_with_certs: obs.cert.records.len(),
             n_ases_with_certs: ases_with_certs.len(),
             http_only_ips,
-            empty_cert_snapshot: obs.cert.records.is_empty(),
             scan_health: obs.scan_health(),
             memory,
             san_offsets,
@@ -232,39 +211,50 @@ impl SnapshotCorpus {
     }
 }
 
+/// Per-host-symbol Cloudflare universal-SSL marker flags. The marker is a
+/// property of the *name*, so each distinct host is classified once
+/// instead of per certificate.
+pub(crate) fn cloudflare_flags(interner: &intern::Interner) -> Vec<bool> {
+    interner
+        .hosts
+        .iter()
+        .map(|(_, name)| is_cloudflare_free_san(name))
+        .collect()
+}
+
+/// Per-HG certificate index lists into a corpus's `valids`.
+pub(crate) type HgIndex = HashMap<Hg, Vec<u32>>;
+
+/// The per-HG organization pre-index over `valids`: (`by_hg_std`,
+/// `by_hg_all`). One lowercase pass over the validated set; 23 substring
+/// probes per certificate.
+pub(crate) fn hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
+    let mut by_hg_std = HgIndex::new();
+    let mut by_hg_all = HgIndex::new();
+    for (i, vc) in valids.iter().enumerate() {
+        let Some(org) = vc.leaf.subject().organization() else {
+            continue;
+        };
+        let org_lc = org.to_ascii_lowercase();
+        for hg in ALL_HGS {
+            if org_lc.contains(hg.spec().keyword) {
+                by_hg_all.entry(hg).or_default().push(i as u32);
+                if !vc.expiry_exempted {
+                    by_hg_std.entry(hg).or_default().push(i as u32);
+                }
+            }
+        }
+    }
+    (by_hg_std, by_hg_all)
+}
+
 /// Account the interned corpus model against the string model it
 /// replaced. String-model sizes are reconstructed by resolving every
 /// symbol back to its string, counting each occurrence as an owned
 /// `String` (24-byte header + contents) the old record model would have
 /// held.
-fn measure_memory(
-    obs: &SnapshotObservations,
-    valids: &[ValidatedCert],
-    interner: &intern::Interner,
-    banners: &BannerIndex,
-    san_syms: &[HostSym],
-    san_offsets: &[u32],
-) -> CorpusMemoryStats {
-    let banner_records: Vec<&[scanner::HttpRecord]> = [obs.http80.as_ref(), obs.https443.as_ref()]
-        .into_iter()
-        .flatten()
-        .map(|s| s.records.as_slice())
-        .collect();
-    measure_memory_parts(
-        &banner_records,
-        valids,
-        interner,
-        banners,
-        san_syms,
-        san_offsets,
-    )
-}
-
-/// As [`measure_memory`], but over bare banner-record slices — the shard
-/// loader reconstructs records from a segment and has no
-/// `SnapshotObservations` to hand.
-pub(crate) fn measure_memory_parts(
-    banner_records: &[&[scanner::HttpRecord]],
+pub(crate) fn measure_memory(
+    banner_scans: [Option<&HttpScanSnapshot>; 2],
     valids: &[ValidatedCert],
     interner: &intern::Interner,
     banners: &BannerIndex,
@@ -276,8 +266,8 @@ pub(crate) fn measure_memory_parts(
 
     let mut string_model = 0usize;
     let mut interned_records = 0usize;
-    for records in banner_records {
-        for r in *records {
+    for scan in banner_scans.into_iter().flatten() {
+        for r in &scan.records {
             string_model += STRING_HEADER; // the Vec header
             interned_records += STRING_HEADER + r.headers.len() * PAIR_SYMS;
             for (n, v) in &r.headers {

@@ -32,12 +32,9 @@
 //!
 //! [`stable_digest`]: intern::stable_digest
 
-use crate::confirm::{CompiledFingerprints, Port};
+use crate::confirm::Port;
 use crate::corpus::SnapshotCorpus;
-use crate::parallel::parallel_map_isolated;
-use crate::pipeline::{
-    build_quality_report, process_one_hg, HgSnapshotResult, PipelineContext, SnapshotResult,
-};
+use crate::pipeline::{HgSnapshotResult, SnapshotResult};
 use hgsim::{Hg, ALL_HGS};
 use intern::Digest64;
 use netsim::AsId;
@@ -81,14 +78,50 @@ impl SnapshotEvidence {
     /// Distill a built corpus (plus the scanner's raw chain digests) into
     /// evidence rows.
     pub fn build(corpus: &SnapshotCorpus, chain_rows: Vec<(u32, u64)>) -> Self {
+        let parts = EvidenceParts::of(corpus);
+        let mut acc = EvidenceAccum::default();
+        acc.absorb_rows(parts.cert_rows, parts.banner_rows, chain_rows);
+        for h in parts.per_hg {
+            acc.absorb_hg(
+                h.hg,
+                h.member_digests,
+                &h.banner_flags,
+                h.flagged_banner_digests,
+                h.cells,
+            );
+        }
+        acc.finish(corpus.snapshot_idx)
+    }
+}
+
+/// One HG's slice of a corpus's evidence, before cross-shard merging.
+pub(crate) struct HgParts {
+    pub hg: Hg,
+    /// Per member certificate (`by_hg_all` order): its cert-row digest.
+    pub member_digests: Vec<u64>,
+    /// One byte per member: 1 when the member IP had an indexed banner.
+    pub banner_flags: Vec<u8>,
+    /// Banner digests for exactly the flagged members, in member order.
+    pub flagged_banner_digests: Vec<u64>,
+    pub cells: BTreeSet<AsId>,
+}
+
+/// One corpus's evidence — a whole snapshot or one shard: cert rows in
+/// corpus order, banner rows sorted by IP, and per-HG member streams.
+pub(crate) struct EvidenceParts {
+    pub cert_rows: Vec<(u32, u64)>,
+    pub banner_rows: Vec<(u32, u64)>,
+    pub per_hg: Vec<HgParts>,
+}
+
+impl EvidenceParts {
+    pub(crate) fn of(corpus: &SnapshotCorpus) -> Self {
         // Per-pool stable string digests, once, so row digesting never
         // re-hashes a header string.
         let name_digests = corpus.interner.header_names().digests();
         let value_digests = corpus.interner.header_values().digests();
 
-        // Per-validated-cert digests, in corpus order (shared between the
-        // sorted cert rows and the per-HG membership digests).
-        let cert_digests: Vec<u64> = corpus
+        let cert_rows: Vec<(u32, u64)> = corpus
             .valids
             .iter()
             .map(|vc| {
@@ -101,16 +134,9 @@ impl SnapshotEvidence {
                 for a in ases {
                     d.write_u32(a.0);
                 }
-                d.finish()
+                (vc.ip, d.finish())
             })
             .collect();
-        let mut cert_rows: Vec<(u32, u64)> = corpus
-            .valids
-            .iter()
-            .zip(&cert_digests)
-            .map(|(vc, &dg)| (vc.ip, dg))
-            .collect();
-        cert_rows.sort_unstable_by_key(|&(ip, _)| ip);
 
         // Per-IP banner digest over both ports (an IP appears once even
         // when both ports indexed it).
@@ -118,68 +144,151 @@ impl SnapshotEvidence {
             .iter()
             .flat_map(|&p| corpus.banners.indexed_ips(p))
             .collect();
-        let digest_banner_ip = |ip: u32| -> u64 {
-            let mut d = Digest64::new();
-            for &port in &Port::ALL {
-                match corpus.banners.get(port, ip) {
-                    None => d.write_u8(0),
-                    Some(row) => {
-                        d.write_u8(1);
-                        d.write_u64(row.len() as u64);
-                        for (n, v) in row {
-                            d.write_u64(name_digests[n.index() as usize]);
-                            d.write_u64(value_digests[v.index() as usize]);
+        let banner_rows: Vec<(u32, u64)> = banner_ips
+            .into_iter()
+            .map(|ip| {
+                let mut d = Digest64::new();
+                for &port in &Port::ALL {
+                    match corpus.banners.get(port, ip) {
+                        None => d.write_u8(0),
+                        Some(row) => {
+                            d.write_u8(1);
+                            d.write_u64(row.len() as u64);
+                            for (n, v) in row {
+                                d.write_u64(name_digests[n.index() as usize]);
+                                d.write_u64(value_digests[v.index() as usize]);
+                            }
                         }
                     }
                 }
-            }
-            d.finish()
-        };
-        let banner_map: HashMap<u32, u64> = banner_ips
-            .iter()
-            .map(|&ip| (ip, digest_banner_ip(ip)))
+                (ip, d.finish())
+            })
             .collect();
-        let banner_rows: Vec<(u32, u64)> =
-            banner_ips.iter().map(|&ip| (ip, banner_map[&ip])).collect();
+        let banner_map: HashMap<u32, u64> = banner_rows.iter().copied().collect();
 
-        // Per-HG evidence over the ordered `by_hg_all` member list.
-        let mut per_hg = BTreeMap::new();
+        let mut per_hg = Vec::new();
         for hg in ALL_HGS {
             let members = corpus.hg_all_indices(hg);
             if members.is_empty() {
                 continue;
             }
-            let mut membership = Digest64::new();
-            let mut banners = Digest64::new();
-            let mut cells = BTreeSet::new();
-            membership.write_u64(members.len() as u64);
+            let mut parts = HgParts {
+                hg,
+                member_digests: Vec::with_capacity(members.len()),
+                banner_flags: Vec::with_capacity(members.len()),
+                flagged_banner_digests: Vec::new(),
+                cells: BTreeSet::new(),
+            };
             for &i in members {
-                let ip = corpus.valids[i as usize].ip;
-                membership.write_u64(cert_digests[i as usize]);
+                let (ip, digest) = cert_rows[i as usize];
+                parts.member_digests.push(digest);
                 match banner_map.get(&ip) {
-                    None => banners.write_u8(0),
+                    None => parts.banner_flags.push(0),
                     Some(&dg) => {
-                        banners.write_u8(1);
-                        banners.write_u64(dg);
+                        parts.banner_flags.push(1);
+                        parts.flagged_banner_digests.push(dg);
                     }
                 }
-                cells.extend(corpus.ip_to_as.lookup(ip).iter().copied());
+                parts
+                    .cells
+                    .extend(corpus.ip_to_as.lookup(ip).iter().copied());
             }
-            per_hg.insert(
-                hg,
-                HgEvidence {
-                    membership_digest: membership.finish(),
-                    banner_digest: banners.finish(),
-                    cells,
-                },
-            );
+            per_hg.push(parts);
         }
-
-        SnapshotEvidence {
-            snapshot_idx: corpus.snapshot_idx,
+        Self {
             cert_rows,
             banner_rows,
-            chain_rows,
+            per_hg,
+        }
+    }
+}
+
+/// Per-HG evidence accumulator: member digests are buffered (the
+/// membership digest is length-prefixed); the banner digest streams.
+#[derive(Default)]
+struct HgMemberAccum {
+    member_digests: Vec<u64>,
+    banners: Digest64,
+    cells: BTreeSet<AsId>,
+}
+
+/// Merges evidence parts, in shard order, into one [`SnapshotEvidence`].
+#[derive(Default)]
+pub(crate) struct EvidenceAccum {
+    cert_rows: Vec<(u32, u64)>,
+    banner_rows: Vec<(u32, u64)>,
+    chain_rows: Vec<(u32, u64)>,
+    per_hg: BTreeMap<Hg, HgMemberAccum>,
+}
+
+impl EvidenceAccum {
+    pub(crate) fn absorb_rows(
+        &mut self,
+        cert_rows: impl IntoIterator<Item = (u32, u64)>,
+        banner_rows: impl IntoIterator<Item = (u32, u64)>,
+        chain_rows: impl IntoIterator<Item = (u32, u64)>,
+    ) {
+        self.cert_rows.extend(cert_rows);
+        self.banner_rows.extend(banner_rows);
+        self.chain_rows.extend(chain_rows);
+    }
+
+    pub(crate) fn absorb_hg(
+        &mut self,
+        hg: Hg,
+        member_digests: impl IntoIterator<Item = u64>,
+        banner_flags: &[u8],
+        flagged_banner_digests: impl IntoIterator<Item = u64>,
+        cells: impl IntoIterator<Item = AsId>,
+    ) {
+        let acc = self.per_hg.entry(hg).or_default();
+        acc.member_digests.extend(member_digests);
+        let mut flagged_banner_digests = flagged_banner_digests.into_iter();
+        // Per member: a presence marker, then its banner digest if any.
+        for &flag in banner_flags {
+            if flag == 0 {
+                acc.banners.write_u8(0);
+            } else {
+                acc.banners.write_u8(1);
+                acc.banners.write_u64(
+                    flagged_banner_digests
+                        .next()
+                        .expect("one digest per flagged member"),
+                );
+            }
+        }
+        acc.cells.extend(cells);
+    }
+
+    pub(crate) fn finish(self, snapshot_idx: usize) -> SnapshotEvidence {
+        let sorted = |mut rows: Vec<(u32, u64)>| {
+            rows.sort_unstable_by_key(|&(ip, _)| ip);
+            rows
+        };
+        let per_hg = self
+            .per_hg
+            .into_iter()
+            .map(|(hg, acc)| {
+                let mut membership = Digest64::new();
+                membership.write_u64(acc.member_digests.len() as u64);
+                for &dg in &acc.member_digests {
+                    membership.write_u64(dg);
+                }
+                (
+                    hg,
+                    HgEvidence {
+                        membership_digest: membership.finish(),
+                        banner_digest: acc.banners.finish(),
+                        cells: acc.cells,
+                    },
+                )
+            })
+            .collect();
+        SnapshotEvidence {
+            snapshot_idx,
+            cert_rows: sorted(self.cert_rows),
+            banner_rows: sorted(self.banner_rows),
+            chain_rows: sorted(self.chain_rows),
             per_hg,
         }
     }
@@ -353,6 +462,15 @@ pub struct DeltaReport {
 }
 
 impl DeltaReport {
+    /// A full-compute marker for a snapshot adopted without its report.
+    pub(crate) fn full_compute(t: usize) -> Self {
+        Self {
+            snapshot_idx: t,
+            full_compute: true,
+            ..Default::default()
+        }
+    }
+
     pub fn cells_total(&self) -> usize {
         self.cells_recomputed + self.cells_replayed
     }
@@ -371,29 +489,26 @@ pub(crate) struct DeltaState {
     pub result: SnapshotResult,
 }
 
-/// Process a corpus against the previous snapshot's state: replay clean
-/// HGs' results, recompute dirty ones through the worker pool. With no
-/// (usable) previous state this is exactly `process_corpus`.
-///
-/// Snapshot-level fields (validation stats, quality report, HTTP-only
-/// IPs, corpus totals) are always taken from the current corpus — they
-/// fall out of the §4.1 build that must run regardless.
-pub(crate) fn process_corpus_delta(
-    corpus: &SnapshotCorpus,
-    ctx: &PipelineContext,
-    chain_rows: Vec<(u32, u64)>,
-    prev: Option<&DeltaState>,
-) -> (SnapshotResult, SnapshotEvidence, DeltaReport) {
-    let evidence = SnapshotEvidence::build(corpus, chain_rows);
+/// The HGs a snapshot recomputes, the replayed rest, and the accounting.
+pub(crate) struct DeltaPlan {
+    /// In `ALL_HGS` order.
+    pub dirty: Vec<Hg>,
+    pub replayed: HashMap<Hg, HgSnapshotResult>,
+    pub report: DeltaReport,
+}
 
+/// Plan a snapshot against the previous snapshot's state: clean HGs
+/// replay their previous results, dirty ones are recomputed. With no
+/// (usable) previous state every HG is dirty — a full compute.
+/// Snapshot-level fields never replay; the §4.1 build runs regardless.
+pub(crate) fn plan_delta(evidence: &SnapshotEvidence, prev: Option<&DeltaState>) -> DeltaPlan {
     // A degraded predecessor has unusable per-HG results; treat it as
     // no-previous-snapshot (full recompute keeps replay sound).
     let prev = prev.filter(|p| p.result.quality.degraded_snapshot.is_none());
-    let delta = prev.map(|p| CorpusDelta::diff(&p.evidence, &evidence));
 
     let mut report = DeltaReport {
-        snapshot_idx: corpus.snapshot_idx,
-        full_compute: delta.is_none(),
+        snapshot_idx: evidence.snapshot_idx,
+        full_compute: prev.is_none(),
         hgs_total: ALL_HGS.len(),
         chains_total: evidence.chain_rows.len(),
         ..Default::default()
@@ -403,8 +518,9 @@ pub(crate) fn process_corpus_delta(
     // snapshot degraded: their stored results are placeholders, and
     // recomputing re-fires a deterministic panic hook, keeping hook runs
     // byte-identical too.
-    let dirty: Vec<Hg> = match (&delta, prev) {
-        (Some(delta), Some(p)) => {
+    let dirty: Vec<Hg> = match prev {
+        Some(p) => {
+            let delta = CorpusDelta::diff(&p.evidence, evidence);
             let dirty_set = delta.dirty_hgs();
             report.chains_new = delta.chain.added.len();
             report.chains_rotated = delta.chain.changed.len();
@@ -420,7 +536,7 @@ pub(crate) fn process_corpus_delta(
                 })
                 .collect()
         }
-        _ => {
+        None => {
             report.chains_new = evidence.chain_rows.len();
             report.cert_rows_changed = evidence.cert_rows.len();
             report.banner_rows_changed = evidence.banner_rows.len();
@@ -432,6 +548,7 @@ pub(crate) fn process_corpus_delta(
     // Cell accounting: a dirty HG's recompute invalidates every cell it
     // touches now or touched before; a clean HG replays its cells as-is.
     let empty_cells = BTreeSet::new();
+    let mut replayed: HashMap<Hg, HgSnapshotResult> = HashMap::with_capacity(ALL_HGS.len());
     for hg in ALL_HGS {
         let now = evidence.per_hg.get(&hg).map_or(&empty_cells, |e| &e.cells);
         if dirty_set.contains(&hg) {
@@ -441,56 +558,19 @@ pub(crate) fn process_corpus_delta(
             report.cells_recomputed += now.union(before).count();
         } else {
             report.cells_replayed += now.len();
-        }
-    }
-
-    // Replay clean HGs from the previous result; recompute dirty ones
-    // through the same isolated fan-out `process_corpus` uses.
-    let mut per_hg: HashMap<Hg, HgSnapshotResult> = HashMap::with_capacity(ALL_HGS.len());
-    if let Some(p) = prev {
-        for hg in ALL_HGS {
-            if !dirty_set.contains(&hg) {
-                per_hg.insert(hg, p.result.per_hg[&hg].clone());
+            if let Some(p) = prev {
+                replayed.insert(hg, p.result.per_hg[&hg].clone());
             }
         }
     }
-    report.hgs_replayed = per_hg.len();
+    report.hgs_replayed = replayed.len();
     report.hgs_recomputed = dirty.len();
 
-    let mut degraded_hgs: Vec<(Hg, String)> = Vec::new();
-    if !dirty.is_empty() {
-        let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
-        let outcomes = parallel_map_isolated(&dirty, ctx.threads, 1, |hg: &Hg| {
-            (*hg, process_one_hg(*hg, corpus, ctx, &compiled))
-        });
-        for outcome in outcomes {
-            match outcome {
-                Ok((hg, res)) => {
-                    per_hg.insert(hg, res);
-                }
-                Err(e) => {
-                    let hg = dirty[e.index];
-                    per_hg.insert(hg, Default::default());
-                    degraded_hgs.push((hg, e.message));
-                }
-            }
-        }
-        // The quality report keys degradations by HG name; keep the
-        // insertion order deterministic regardless of fan-out timing.
-        degraded_hgs.sort_by_key(|(hg, _)| *hg);
+    DeltaPlan {
+        dirty,
+        replayed,
+        report,
     }
-
-    let quality = build_quality_report(corpus, &corpus.banners.quality, &degraded_hgs);
-    let result = SnapshotResult {
-        snapshot_idx: corpus.snapshot_idx,
-        total_ips_with_certs: corpus.total_ips_with_certs,
-        n_ases_with_certs: corpus.n_ases_with_certs,
-        validation: corpus.validation.clone(),
-        per_hg,
-        http_only_ips: corpus.http_only_ips.clone(),
-        quality,
-    };
-    (result, evidence, report)
 }
 
 #[cfg(test)]

@@ -15,9 +15,12 @@
 //! 5. [`confirm`] — §4.5: keep the candidates whose banners match the HG's
 //!    header fingerprint; map IPs to ASes.
 //!
-//! [`pipeline`] orchestrates the stages over one snapshot; [`study`] runs a
-//! full longitudinal series (including the Netflix restoration analyses of
-//! §6.2) against a simulated world.
+//! [`pipeline`] orchestrates the stages over one snapshot — an in-memory
+//! corpus, or [`shard`]'s spilled segments — and [`study`] runs a full
+//! longitudinal series (including the Netflix restoration analyses of
+//! §6.2) against a simulated world: one driver, whose [`StudyMode`]
+//! (sequential, parallel, or incremental), sharding, and checkpoint
+//! directory are independent options on [`StudyConfig`].
 //!
 //! ```no_run
 //! use hgsim::{Hg, HgWorld, ScenarioConfig};
@@ -59,8 +62,7 @@ pub use artifact::{
 };
 pub use candidates::{find_candidates, CandidateSet};
 pub use checkpoint::{
-    study_fingerprint, CheckpointDriver, CheckpointError, CheckpointStore, SnapshotCheckpoint,
-    CHECKPOINT_VERSION,
+    study_fingerprint, CheckpointError, CheckpointStore, SnapshotCheckpoint, CHECKPOINT_VERSION,
 };
 pub use confirm::{
     confirm_candidates, BannerIndex, BannerQuality, CompiledFingerprint, CompiledFingerprints,
@@ -75,17 +77,16 @@ pub use parallel::{
     thread_count_from_env, TaskError, ThreadConfigError,
 };
 pub use pipeline::{
-    process_corpus, process_snapshot, process_snapshots_parallel, standard_validate_options,
-    HgSnapshotResult, PipelineContext, SnapshotResult,
+    process_corpus, process_snapshot, standard_validate_options, HgSnapshotResult, PipelineContext,
+    SnapshotResult,
 };
 pub use shard::{
     process_snapshot_sharded, segment_fingerprint, segment_path, ShardLedger, ShardStat,
     ShardingConfig, SEGMENT_VERSION,
 };
 pub use study::{
-    run_study, run_study_checkpointed, run_study_incremental, run_study_incremental_checkpointed,
-    run_study_parallel, DeltaStudyEngine, IncrementalStudy, NetflixVariants, StudyConfig,
-    StudySeries,
+    run_study, try_run_study, DeltaStudyEngine, NetflixVariants, StudyConfig, StudyError,
+    StudyMode, StudyRun, StudySeries,
 };
 pub use tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 pub use validate::{validate_records, InvalidReason, ValidatedCert, ValidationStats};

@@ -175,23 +175,28 @@ where
     // Panics inside scoped workers would otherwise propagate out of
     // `scope` and kill the whole fan-out; catching per task keeps one
     // poisoned item from taking down its siblings.
-    let run_one = |index: usize, item: &T| -> Result<R, TaskError> {
-        let attempts = retries + 1;
-        let mut last = String::new();
-        for _ in 0..attempts {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => last = panic_message(payload.as_ref()),
-            }
-        }
-        Err(TaskError {
-            index,
-            attempts,
-            message: last,
-        })
-    };
     let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
-    parallel_map(&indexed, threads, |&(i, item)| run_one(i, item))
+    parallel_map(&indexed, threads, |&(index, item)| {
+        isolate(retries, || f(item)).map_err(|message| TaskError {
+            index,
+            attempts: retries + 1,
+            message,
+        })
+    })
+}
+
+/// Run `f` with panic isolation: a panicking attempt is retried up to
+/// `retries` more times; when every attempt panics, the last panic
+/// message is the error.
+pub(crate) fn isolate<R>(retries: usize, f: impl Fn() -> R) -> Result<R, String> {
+    let mut last = String::new();
+    for _ in 0..=retries {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
+            Ok(r) => return Ok(r),
+            Err(payload) => last = panic_message(payload.as_ref()),
+        }
+    }
+    Err(last)
 }
 
 /// A counting gate: the bounded-depth admission control of

@@ -7,18 +7,19 @@
 //! the per-HG fan-out, so the 23 parallel HG stages share every table
 //! read-only, without locks.
 
-use crate::candidates::{find_candidates, CandidateOptions};
+use crate::candidates::{find_candidates, CandidateOptions, CandidateSet};
 use crate::confirm::{confirm_candidates, BannerQuality, CompiledFingerprints, ConfirmMode};
 use crate::corpus::SnapshotCorpus;
+use crate::delta::{plan_delta, DeltaReport, DeltaState, SnapshotEvidence};
 use crate::errors::{DataQualityReport, RecordError};
 use crate::headers::HeaderFingerprints;
 use crate::parallel::{default_thread_count, parallel_map_isolated};
-use crate::tls_fingerprint::learn_tls_fingerprints;
+use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidateOptions, ValidationStats};
 use crate::validation_cache::ValidationCache;
 use hgsim::{Hg, ALL_HGS};
 use netsim::{AsId, OrgDb};
-use scanner::SnapshotObservations;
+use scanner::{ScanHealth, SnapshotObservations};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use x509::RootStore;
@@ -183,222 +184,307 @@ pub fn process_snapshot(obs: &SnapshotObservations, ctx: &PipelineContext) -> Sn
 /// shared read-only across the per-HG fan-out; the only per-snapshot
 /// mutable state is each worker's own result.
 pub fn process_corpus(corpus: &SnapshotCorpus, ctx: &PipelineContext) -> SnapshotResult {
-    // Compile the cross-snapshot string fingerprints against this
-    // snapshot's frozen interner, once, before the fan-out (§4.5).
-    let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
-    let process_hg =
-        |hg: &Hg| -> (Hg, HgSnapshotResult) { (*hg, process_one_hg(*hg, corpus, ctx, &compiled)) };
+    process_corpus_with(corpus, ctx, None, None).result
+}
 
-    // The 23 HG stages are independent: fan out across the worker pool,
-    // with per-task panic isolation — one poisoned HG degrades to an empty
-    // result (noted in the quality report) instead of killing the scope.
-    let mut per_hg: HashMap<Hg, HgSnapshotResult> = HashMap::with_capacity(ALL_HGS.len());
-    let mut degraded_hgs: Vec<(Hg, String)> = Vec::new();
-    for outcome in parallel_map_isolated(&ALL_HGS, ctx.threads, 1, process_hg) {
-        match outcome {
-            Ok((hg, res)) => {
-                per_hg.insert(hg, res);
-            }
-            Err(e) => {
-                let hg = ALL_HGS[e.index];
-                per_hg.insert(hg, HgSnapshotResult::default());
-                degraded_hgs.push((hg, e.message));
-            }
+/// [`process_corpus`] with optional delta reuse (see [`finish_snapshot`]).
+pub(crate) fn process_corpus_with(
+    corpus: &SnapshotCorpus,
+    ctx: &PipelineContext,
+    evidence: Option<SnapshotEvidence>,
+    prev: Option<&DeltaState>,
+) -> SnapshotOutcome {
+    let Ok(outcome) = finish_snapshot(CorpusTotals::of(corpus), evidence, prev, |hgs| {
+        // Compile the cross-snapshot string fingerprints against this
+        // snapshot's frozen interner, once, before the fan-out (§4.5).
+        let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
+        // Fan the independent HG stages out with per-task isolation. The
+        // whole corpus is one shard that learns its own §4.2 fingerprint.
+        let outcomes = parallel_map_isolated(hgs, ctx.threads, 1, |&hg| {
+            let fp = learn_tls_fingerprints(
+                hg.spec().keyword,
+                &ctx.hg_ases[&hg],
+                corpus,
+                corpus.hg_std_indices(hg),
+            );
+            accumulate_hg(hg, corpus, ctx, &compiled, &fp).finish()
+        });
+        Ok::<_, std::convert::Infallible>(
+            outcomes
+                .into_iter()
+                .map(|o| o.map_err(|e| e.message))
+                .collect(),
+        )
+    });
+    outcome
+}
+
+/// Snapshot-level fields, from one corpus or merged across shards.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CorpusTotals {
+    pub snapshot_idx: usize,
+    pub total_ips_with_certs: usize,
+    pub n_ases_with_certs: usize,
+    pub validation: ValidationStats,
+    pub banner_quality: BannerQuality,
+    pub http_only_ips: Vec<u32>,
+    pub scan: ScanHealth,
+}
+
+impl CorpusTotals {
+    fn of(corpus: &SnapshotCorpus) -> Self {
+        Self {
+            snapshot_idx: corpus.snapshot_idx,
+            total_ips_with_certs: corpus.total_ips_with_certs,
+            n_ases_with_certs: corpus.n_ases_with_certs,
+            validation: corpus.validation.clone(),
+            banner_quality: corpus.banners.quality,
+            http_only_ips: corpus.http_only_ips.clone(),
+            scan: corpus.scan_health.clone(),
         }
     }
 
-    let quality = build_quality_report(corpus, &corpus.banners.quality, &degraded_hgs);
-
-    SnapshotResult {
-        snapshot_idx: corpus.snapshot_idx,
-        total_ips_with_certs: corpus.total_ips_with_certs,
-        n_ases_with_certs: corpus.n_ases_with_certs,
-        validation: corpus.validation.clone(),
-        per_hg,
-        http_only_ips: corpus.http_only_ips.clone(),
-        quality,
+    /// The snapshot result, with its [`DataQualityReport`]: §4.1
+    /// rejections, banner quarantines, and per-HG degradations.
+    fn into_result(
+        self,
+        per_hg: HashMap<Hg, HgSnapshotResult>,
+        degraded_hgs: &[(Hg, String)],
+    ) -> SnapshotResult {
+        let banners = &self.banner_quality;
+        let mut q = DataQualityReport {
+            cert_records_seen: self.validation.total_records,
+            banners_seen: banners.records_seen,
+            empty_cert_snapshot: self.total_ips_with_certs == 0,
+            scan: self.scan,
+            ..Default::default()
+        };
+        for (&reason, &n) in &self.validation.invalid {
+            q.add(reason.into(), n);
+        }
+        q.add(RecordError::HeaderOversized, banners.oversized);
+        q.add(RecordError::HeaderMojibake, banners.mojibake);
+        q.add(RecordError::DuplicateIp, banners.duplicate_ip);
+        for (hg, msg) in degraded_hgs {
+            q.degraded_hgs.insert(hg.to_string(), msg.clone());
+        }
+        SnapshotResult {
+            snapshot_idx: self.snapshot_idx,
+            total_ips_with_certs: self.total_ips_with_certs,
+            n_ases_with_certs: self.n_ases_with_certs,
+            validation: self.validation,
+            per_hg,
+            http_only_ips: self.http_only_ips,
+            quality: q,
+        }
     }
 }
 
-/// The §4.2–§4.5 stages for one HG over a prepared corpus: a pure
-/// function of the HG's member evidence (certificates, banners, AS
-/// origins) and the static context. Shared by the full fan-out above and
-/// the delta engine's dirty-cell recompute path, which replays a previous
-/// snapshot's result whenever this function's inputs are provably
+/// One processed snapshot, plus its evidence and reuse report (delta).
+#[derive(Debug)]
+pub(crate) struct SnapshotOutcome {
+    pub result: SnapshotResult,
+    pub delta: Option<(SnapshotEvidence, DeltaReport)>,
+}
+
+/// The tail every corpus source shares. Without `evidence` every HG runs;
+/// with it, [`plan_delta`] picks the HGs that changed against `prev` and
+/// replays the rest. `run_hgs` runs the §4.3–§4.5 stages for a non-empty
+/// HG list, each isolated: a panic message degrades that HG to an empty
+/// result, noted in the quality report.
+pub(crate) fn finish_snapshot<E>(
+    totals: CorpusTotals,
+    evidence: Option<SnapshotEvidence>,
+    prev: Option<&DeltaState>,
+    run_hgs: impl FnOnce(&[Hg]) -> Result<Vec<Result<HgSnapshotResult, String>>, E>,
+) -> Result<SnapshotOutcome, E> {
+    let (dirty, mut per_hg, delta) = match evidence {
+        None => (
+            ALL_HGS.to_vec(),
+            HashMap::with_capacity(ALL_HGS.len()),
+            None,
+        ),
+        Some(evidence) => {
+            let plan = plan_delta(&evidence, prev);
+            (plan.dirty, plan.replayed, Some((evidence, plan.report)))
+        }
+    };
+    let outcomes = if dirty.is_empty() {
+        Vec::new()
+    } else {
+        run_hgs(&dirty)?
+    };
+    let mut degraded_hgs: Vec<(Hg, String)> = Vec::new();
+    for (&hg, outcome) in dirty.iter().zip(outcomes) {
+        match outcome {
+            Ok(res) => {
+                per_hg.insert(hg, res);
+            }
+            Err(message) => {
+                per_hg.insert(hg, HgSnapshotResult::default());
+                degraded_hgs.push((hg, message));
+            }
+        }
+    }
+    Ok(SnapshotOutcome {
+        result: totals.into_result(per_hg, &degraded_hgs),
+        delta,
+    })
+}
+
+/// One HG's §4.3–§4.5 results accumulated over a snapshot's shards (the
+/// in-memory path is a single shard).
+#[derive(Default)]
+pub(crate) struct HgAccum {
+    candidate_ases: BTreeSet<AsId>,
+    confirmed_ases: BTreeSet<AsId>,
+    confirmed_and_ases: BTreeSet<AsId>,
+    candidate_ips: Vec<u32>,
+    confirmed_ips: Vec<u32>,
+    /// Per distinct certificate: (IP count, lifetime days) — groups and
+    /// the lifetime median share the covers-all filter and the
+    /// by-fingerprint dedup.
+    certs: HashMap<x509::Fingerprint, (u32, i64)>,
+    onnet_ip_count: usize,
+    with_expired_ases: BTreeSet<AsId>,
+    with_expired_ips: Vec<u32>,
+}
+
+impl HgAccum {
+    /// Fold `other` (a later shard's partial) into this accumulator.
+    /// Called in shard order, so the IP vectors concatenate exactly as
+    /// the serial per-shard loop appended them; sets union and counts add
+    /// commutatively; a certificate fingerprint's lifetime is identical
+    /// in every shard that sees it, so first-write-wins is stable.
+    pub(crate) fn merge(&mut self, other: HgAccum) {
+        self.candidate_ases.extend(other.candidate_ases);
+        self.confirmed_ases.extend(other.confirmed_ases);
+        self.confirmed_and_ases.extend(other.confirmed_and_ases);
+        self.candidate_ips.extend(other.candidate_ips);
+        self.confirmed_ips.extend(other.confirmed_ips);
+        for (fp, (count, lifetime)) in other.certs {
+            self.certs.entry(fp).or_insert((0, lifetime)).0 += count;
+        }
+        self.onnet_ip_count += other.onnet_ip_count;
+        self.with_expired_ases.extend(other.with_expired_ases);
+        self.with_expired_ips.extend(other.with_expired_ips);
+    }
+
+    pub(crate) fn finish(self) -> HgSnapshotResult {
+        // Figure 11 groups: IP counts per distinct certificate, descending.
+        let mut groups: Vec<u32> = self.certs.values().map(|&(n, _)| n).collect();
+        groups.sort_unstable_by(|a, b| b.cmp(a));
+        // App. A.3: median lifetime over distinct HG-owned certificates.
+        let mut lifetimes: Vec<i64> = self.certs.values().map(|&(_, d)| d).collect();
+        lifetimes.sort_unstable();
+        let median_cert_lifetime_days = if lifetimes.is_empty() {
+            None
+        } else {
+            Some(lifetimes[lifetimes.len() / 2] as f64)
+        };
+        HgSnapshotResult {
+            candidate_ases: self.candidate_ases,
+            confirmed_ases: self.confirmed_ases,
+            confirmed_and_ases: self.confirmed_and_ases,
+            candidate_ips: self.candidate_ips,
+            confirmed_ips: self.confirmed_ips,
+            cert_ip_groups: groups,
+            onnet_ip_count: self.onnet_ip_count,
+            median_cert_lifetime_days,
+            with_expired_ases: self.with_expired_ases,
+            with_expired_ips: self.with_expired_ips,
+        }
+    }
+}
+
+/// The §4.3–§4.5 stages for one HG over one corpus (a whole snapshot or
+/// one shard of it): a pure function of the HG's member evidence
+/// (certificates, banners, AS origins), the static context, and the §4.2
+/// fingerprint `fp`. The delta engine replays a previous snapshot's
+/// result whenever these inputs are provably
 /// unchanged.
-pub(crate) fn process_one_hg(
+pub(crate) fn accumulate_hg(
     hg: Hg,
     corpus: &SnapshotCorpus,
     ctx: &PipelineContext,
     compiled: &CompiledFingerprints,
-) -> HgSnapshotResult {
-    {
-        if let Some(hook) = ctx.hg_panic_hook {
-            if hook(hg) {
-                panic!("hg_panic_hook fired for {hg}");
-            }
-        }
-        let keyword = hg.spec().keyword;
-        let hg_ases = &ctx.hg_ases[&hg];
-        let idx_std = corpus.hg_std_indices(hg);
-        // §4.2 — on-net dNSName fingerprint.
-        let fp = learn_tls_fingerprints(keyword, hg_ases, corpus, idx_std);
-        // §4.3 — candidates.
-        let cands = find_candidates(&fp, hg_ases, corpus, idx_std, &ctx.candidate_options);
-        // §4.5 — header confirmation.
-        let confirmed = confirm_candidates(
-            keyword,
-            &cands,
-            compiled,
-            &corpus.banners,
-            &corpus.ip_to_as,
-            ctx.confirm_mode,
-        );
-        let confirmed_and = confirm_candidates(
-            keyword,
-            &cands,
-            compiled,
-            &corpus.banners,
-            &corpus.ip_to_as,
-            ConfirmMode::HttpAndHttps,
-        );
-        let onnet_ip_count = idx_std
-            .iter()
-            .filter(|&&i| {
-                corpus
-                    .ip_to_as
-                    .lookup(corpus.valids[i as usize].ip)
-                    .iter()
-                    .any(|a| hg_ases.contains(a))
-            })
-            .count();
-
-        // App. A.3: median certificate lifetime over *distinct* HG-owned
-        // certificates (SAN-subset-passing; organization-only matches also
-        // catch unrelated keyword-bearing orgs).
-        let median_cert_lifetime_days = {
-            let mut lifetimes: Vec<i64> = {
-                let mut seen = HashSet::new();
-                idx_std
-                    .iter()
-                    .map(|&i| (i, &corpus.valids[i as usize]))
-                    .filter(|(i, _)| fp.covers_all(corpus.sans(*i)))
-                    .filter(|(_, vc)| seen.insert(vc.leaf.fingerprint()))
-                    .map(|(_, vc)| {
-                        (vc.leaf.validity().not_after - vc.leaf.validity().not_before) / 86_400
-                    })
-                    .collect()
-            };
-            lifetimes.sort_unstable();
-            if lifetimes.is_empty() {
-                None
-            } else {
-                Some(lifetimes[lifetimes.len() / 2] as f64)
-            }
-        };
-
-        // §6.2 — the with-expired variant (only meaningful for Netflix).
-        // The fingerprint is always learned from the standard (unexpired)
-        // on-net set; only the candidate pool widens to restored certs.
-        let (with_expired_ases, with_expired_ips) = if hg == Hg::Netflix {
-            let idx_all = corpus.hg_all_indices(hg);
-            let cands_all = find_candidates(&fp, hg_ases, corpus, idx_all, &ctx.candidate_options);
-            let confirmed_all = confirm_candidates(
-                keyword,
-                &cands_all,
-                compiled,
-                &corpus.banners,
-                &corpus.ip_to_as,
-                ctx.confirm_mode,
-            );
-            (confirmed_all.ases, confirmed_all.ips)
-        } else {
-            (BTreeSet::new(), Vec::new())
-        };
-
-        // Figure 11 groups span every IP serving one of the HG's own
-        // certificates (SAN-subset-passing), on-net and off-net alike.
-        let mut group_map: HashMap<x509::Fingerprint, u32> = HashMap::new();
-        for &i in idx_std {
-            if fp.covers_all(corpus.sans(i)) {
-                *group_map
-                    .entry(corpus.valids[i as usize].leaf.fingerprint())
-                    .or_insert(0) += 1;
-            }
-        }
-        let mut groups: Vec<u32> = group_map.into_values().collect();
-        groups.sort_unstable_by(|a, b| b.cmp(a));
-
-        HgSnapshotResult {
-            candidate_ases: cands.ases.clone(),
-            confirmed_ases: confirmed.ases,
-            confirmed_and_ases: confirmed_and.ases,
-            candidate_ips: cands.ips.iter().map(|(ip, _)| *ip).collect(),
-            confirmed_ips: confirmed.ips,
-            cert_ip_groups: groups,
-            onnet_ip_count,
-            median_cert_lifetime_days,
-            with_expired_ases,
-            with_expired_ips,
+    fp: &TlsFingerprint,
+) -> HgAccum {
+    if let Some(hook) = ctx.hg_panic_hook {
+        if hook(hg) {
+            panic!("hg_panic_hook fired for {hg}");
         }
     }
-}
-
-/// Assemble the per-snapshot [`DataQualityReport`] from the stage
-/// counters: §4.1 rejections by mapped reason, banner-index quarantines,
-/// and any per-HG degradations.
-pub(crate) fn build_quality_report(
-    corpus: &SnapshotCorpus,
-    banners: &BannerQuality,
-    degraded_hgs: &[(Hg, String)],
-) -> DataQualityReport {
-    let validation = &corpus.validation;
-    let mut q = DataQualityReport {
-        cert_records_seen: validation.total_records,
-        banners_seen: banners.records_seen,
-        empty_cert_snapshot: corpus.empty_cert_snapshot,
-        scan: corpus.scan_health.clone(),
-        ..Default::default()
+    let keyword = hg.spec().keyword;
+    let hg_ases = &ctx.hg_ases[&hg];
+    let idx_std = corpus.hg_std_indices(hg);
+    // §4.3 — candidates.
+    let cands = find_candidates(fp, hg_ases, corpus, idx_std, &ctx.candidate_options);
+    // §4.5 — header confirmation, under the study's mode and Figure 4's
+    // stricter HTTP-and-HTTPS variant.
+    let confirm = |cands: &CandidateSet, mode: ConfirmMode| {
+        confirm_candidates(
+            keyword,
+            cands,
+            compiled,
+            &corpus.banners,
+            &corpus.ip_to_as,
+            mode,
+        )
     };
-    for (&reason, &n) in &validation.invalid {
-        q.add(reason.into(), n);
-    }
-    q.add(RecordError::HeaderOversized, banners.oversized);
-    q.add(RecordError::HeaderMojibake, banners.mojibake);
-    q.add(RecordError::DuplicateIp, banners.duplicate_ip);
-    for (hg, msg) in degraded_hgs {
-        q.degraded_hgs.insert(hg.to_string(), msg.clone());
-    }
-    q
-}
+    let confirmed = confirm(&cands, ctx.confirm_mode);
+    let confirmed_and = confirm(&cands, ConfirmMode::HttpAndHttps);
 
-/// Process independent snapshots across the worker pool, returning
-/// results in input order.
-///
-/// Each snapshot runs `process_snapshot` with the per-HG fan-out forced
-/// sequential (the parallelism budget is spent at the snapshot level, not
-/// squared), sharing `ctx.validation_cache` if one is attached. Output is
-/// byte-identical to mapping `process_snapshot` sequentially.
-pub fn process_snapshots_parallel(
-    observations: &[SnapshotObservations],
-    ctx: &PipelineContext,
-) -> Vec<SnapshotResult> {
-    let inner = ctx.clone().with_threads(1);
-    parallel_map_isolated(observations, ctx.threads, 1, |obs| {
-        process_snapshot(obs, &inner)
-    })
-    .into_iter()
-    .zip(observations)
-    .map(|(outcome, obs)| match outcome {
-        Ok(result) => result,
-        Err(e) => SnapshotResult::degraded(obs.snapshot_idx, e.message),
-    })
-    .collect()
-}
+    let onnet_ip_count = idx_std
+        .iter()
+        .filter(|&&i| {
+            corpus
+                .ip_to_as
+                .lookup(corpus.valids[i as usize].ip)
+                .iter()
+                .any(|a| hg_ases.contains(a))
+        })
+        .count();
 
-/// Extract each confirmed set (collapsing the result for external use).
-pub fn confirmed_footprint(result: &SnapshotResult, hg: Hg) -> &BTreeSet<AsId> {
-    &result.per_hg[&hg].confirmed_ases
+    // Figure 11 groups and App. A.3 lifetimes span every IP serving one
+    // of the HG's own certificates (SAN-subset-passing; organization-only
+    // matches also catch unrelated keyword-bearing orgs), on-net and
+    // off-net alike.
+    let mut certs: HashMap<x509::Fingerprint, (u32, i64)> = HashMap::new();
+    for &i in idx_std {
+        if fp.covers_all(corpus.sans(i)) {
+            let vc = &corpus.valids[i as usize];
+            let entry = certs.entry(vc.leaf.fingerprint()).or_insert_with(|| {
+                let v = vc.leaf.validity();
+                (0, (v.not_after - v.not_before) / 86_400)
+            });
+            entry.0 += 1;
+        }
+    }
+
+    // §6.2 — the with-expired variant (only meaningful for Netflix). The
+    // fingerprint is always learned from the standard (unexpired) on-net
+    // set; only the candidate pool widens to restored certs.
+    let (with_expired_ases, with_expired_ips) = if hg == Hg::Netflix {
+        let idx_all = corpus.hg_all_indices(hg);
+        let cands_all = find_candidates(fp, hg_ases, corpus, idx_all, &ctx.candidate_options);
+        let confirmed_all = confirm(&cands_all, ctx.confirm_mode);
+        (confirmed_all.ases, confirmed_all.ips)
+    } else {
+        Default::default()
+    };
+
+    HgAccum {
+        candidate_ips: cands.ips.iter().map(|(ip, _)| *ip).collect(),
+        candidate_ases: cands.ases,
+        confirmed_ases: confirmed.ases,
+        confirmed_and_ases: confirmed_and.ases,
+        confirmed_ips: confirmed.ips,
+        certs,
+        onnet_ip_count,
+        with_expired_ases,
+        with_expired_ips,
+    }
 }
 
 #[allow(unused_imports)]

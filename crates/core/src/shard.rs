@@ -52,45 +52,42 @@
 //! buffer (via the shared envelope codec); the corpus body behind it is
 //! touched only by the consumer pass.
 //!
-//! Two deliberate behavioral notes, both invisible at equal inputs:
+//! The consumer runs the in-memory path's per-HG stage body
+//! (`pipeline::accumulate_hg`) under the same per-HG panic isolation: an
+//! HG that panics in any shard degrades to an empty result with the same
+//! `degraded_hgs` entry the in-memory fan-out writes. Delta planning and
+//! result/quality assembly are shared too (`pipeline::finish_snapshot`).
 //!
-//! - The sharded path has no per-HG panic isolation (the monolithic
-//!   fan-out degrades a panicking HG to an empty result). A sharded
-//!   study's `degraded_hgs` is always empty; the test-only
-//!   `hg_panic_hook` is ignored.
-//! - Per-shard corpora carry `Default` scan health; the true merged
-//!   health comes from the producer's streaming sessions and lands in
-//!   the snapshot-level quality report, exactly as the monolithic path's
-//!   merged observation health does.
+//! Per-shard corpora carry `Default` scan health; the true merged health
+//! comes from the producer's streaming sessions and lands in the
+//! snapshot-level quality report, exactly as the monolithic path's merged
+//! observation health does.
 
-use crate::candidates::{find_candidates, is_cloudflare_free_san};
 use crate::checkpoint::{
-    decode_validation, encode_validation, engine_tag, hg_tag, mix, CheckpointError, Dec, Enc,
+    decode_validation, encode_validation, hg_tag, mix, mix_world_engine, CheckpointError, Dec, Enc,
 };
 use crate::codec::{
     self, dec_str_ref, dec_u32_col, dec_u64_col, enc_u32_col, enc_u64_col, EnvelopeIssue, U32Col,
     U64Col,
 };
-use crate::confirm::{
-    confirm_candidates, BannerIndex, BannerQuality, CompiledFingerprints, ConfirmMode, Port,
-};
-use crate::corpus::{measure_memory_parts, SnapshotCorpus};
-use crate::delta::{CorpusDelta, DeltaReport, DeltaState, HgEvidence, SnapshotEvidence};
-use crate::errors::{DataQualityReport, RecordError};
-use crate::parallel::{bounded_pipeline, parallel_map};
+use crate::confirm::{BannerIndex, BannerQuality, CompiledFingerprints};
+use crate::corpus::{cloudflare_flags, hg_org_indices, measure_memory, SnapshotCorpus};
+use crate::delta::{DeltaState, EvidenceAccum, EvidenceParts};
+use crate::parallel::{bounded_pipeline, isolate, parallel_map};
 use crate::pipeline::{
-    standard_validate_options, HgSnapshotResult, PipelineContext, SnapshotResult,
+    accumulate_hg, finish_snapshot, standard_validate_options, CorpusTotals, HgAccum,
+    HgSnapshotResult, PipelineContext, SnapshotOutcome, SnapshotResult,
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidatedCert, ValidationStats};
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
-use intern::{Digest64, HostSym, Interner, SymTable};
+use intern::{HostSym, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
 use scanner::{
     covers_snapshot, CertScanSnapshot, CertScanStream, HttpRecord, HttpScanSnapshot,
     HttpScanStream, ScanEngine, ScanHealth,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,7 +107,7 @@ pub struct ShardingConfig {
     /// with this (times the pipeline depth), not with the snapshot.
     pub shard_size: usize,
     /// Segment directory; per-snapshot subdirectories (`t0007/`) are
-    /// created inside it, so parallel drivers never collide.
+    /// created inside it, so parallel snapshots never collide.
     pub spill_dir: PathBuf,
     /// Shared build/reuse accounting, readable after the run.
     pub ledger: Arc<ShardLedger>,
@@ -177,7 +174,7 @@ pub struct ShardStat {
 }
 
 /// Cross-thread build/reuse ledger for a sharded study (the parallel
-/// driver's workers and the produce pipeline all record into the same
+/// mode's workers and the produce pipeline all record into the same
 /// instance).
 #[derive(Debug, Default)]
 pub struct ShardLedger {
@@ -281,20 +278,9 @@ pub fn segment_fingerprint(
     shard_size: usize,
     shard_idx: usize,
 ) -> u64 {
-    let sc = world.config();
     let mut h = mix(0x5e6_0ff5_e75e_6a11);
     h = mix(h ^ u64::from(SEGMENT_VERSION));
-    h = mix(h ^ sc.seed);
-    h = mix(h ^ sc.footprint_scale.to_bits());
-    h = mix(h ^ sc.ip_scale.to_bits());
-    h = mix(h ^ sc.background_ips.0 ^ sc.background_ips.1.rotate_left(32));
-    h = mix(h ^ sc.countermeasures.len() as u64);
-    h = mix(h ^ world.n_snapshots() as u64);
-    h = mix(h ^ engine_tag(engine));
-    h = mix(h ^ engine.active_since as u64);
-    h = mix(h ^ engine.https_headers_since.map_or(u64::MAX, |s| s as u64));
-    h = mix(h ^ engine.faults.as_ref().map_or(0, |p| p.fingerprint()));
-    h = mix(h ^ engine.transients.as_ref().map_or(0, |p| p.fingerprint()));
+    h = mix_world_engine(h, world, engine);
     h = mix(h ^ snapshot_idx as u64);
     h = mix(h ^ shard_size as u64);
     h = mix(h ^ shard_idx as u64);
@@ -563,35 +549,11 @@ fn decode_shard(
 
     // Rederive the corpus-build byproducts exactly as
     // `SnapshotCorpus::build` computes them.
-    let cf_free_host: Vec<bool> = interner
-        .hosts
-        .iter()
-        .map(|(_, name)| is_cloudflare_free_san(name))
-        .collect();
-    let mut by_hg_std: HashMap<Hg, Vec<u32>> = HashMap::new();
-    let mut by_hg_all: HashMap<Hg, Vec<u32>> = HashMap::new();
-    for (i, vc) in valids.iter().enumerate() {
-        let Some(org) = vc.leaf.subject().organization() else {
-            continue;
-        };
-        let org_lc = org.to_ascii_lowercase();
-        for hg in ALL_HGS {
-            if org_lc.contains(hg.spec().keyword) {
-                by_hg_all.entry(hg).or_default().push(i as u32);
-                if !vc.expiry_exempted {
-                    by_hg_std.entry(hg).or_default().push(i as u32);
-                }
-            }
-        }
-    }
+    let cf_free_host = cloudflare_flags(&interner);
+    let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
     let banners = BannerIndex::build(http80.as_ref(), https443.as_ref(), &interner);
-    let banner_records: Vec<&[HttpRecord]> = [http80.as_ref(), https443.as_ref()]
-        .into_iter()
-        .flatten()
-        .map(|s| s.records.as_slice())
-        .collect();
-    let mut memory = measure_memory_parts(
-        &banner_records,
+    let mut memory = measure_memory(
+        [http80.as_ref(), https443.as_ref()],
         &valids,
         &interner,
         &banners,
@@ -611,7 +573,6 @@ fn decode_shard(
         total_ips_with_certs,
         n_ases_with_certs: as_set.len(),
         http_only_ips,
-        empty_cert_snapshot: total_ips_with_certs == 0,
         scan_health: Default::default(),
         memory,
         san_offsets,
@@ -679,7 +640,7 @@ struct ShardSummaryRef<'a> {
 /// Serialize a built shard's summary section: every cross-shard
 /// accumulator contribution, precomputed at build time so admission never
 /// touches the corpus body. Evidence is *always* encoded (it does not
-/// enter the fingerprint), so plain and delta drivers share segments.
+/// enter the fingerprint), so plain and incremental studies share segments.
 /// Digest recipes are identical to [`SnapshotEvidence::build`].
 fn encode_summary(shard: &Shard, endpoints: usize, ctx: &PipelineContext) -> Vec<u8> {
     let c = &shard.corpus;
@@ -737,92 +698,35 @@ fn encode_summary(shard: &Shard, endpoints: usize, ctx: &PipelineContext) -> Vec
         }
     }
 
-    // Delta evidence, one shard's slice of `SnapshotEvidence::build`.
-    let name_digests = c.interner.header_names().digests();
-    let value_digests = c.interner.header_values().digests();
-    let cert_digests: Vec<u64> = c
-        .valids
-        .iter()
-        .map(|vc| {
-            let mut d = Digest64::new();
-            d.write_u32(vc.ip);
-            d.write(&vc.leaf.fingerprint().0);
-            d.write_u8(u8::from(vc.expiry_exempted));
-            let ases = c.ip_to_as.lookup(vc.ip);
-            d.write_u64(ases.len() as u64);
-            for a in ases {
-                d.write_u32(a.0);
-            }
-            d.finish()
-        })
-        .collect();
-    enc_u32_col(&mut e, c.valids.len(), c.valids.iter().map(|vc| vc.ip));
-    enc_u64_col(&mut e, cert_digests.len(), cert_digests.iter().copied());
-
-    let banner_ips: BTreeSet<u32> = Port::ALL
-        .iter()
-        .flat_map(|&p| c.banners.indexed_ips(p))
-        .collect();
-    let digest_banner_ip = |ip: u32| -> u64 {
-        let mut d = Digest64::new();
-        for &port in &Port::ALL {
-            match c.banners.get(port, ip) {
-                None => d.write_u8(0),
-                Some(row) => {
-                    d.write_u8(1);
-                    d.write_u64(row.len() as u64);
-                    for (n, v) in row {
-                        d.write_u64(name_digests[n.index() as usize]);
-                        d.write_u64(value_digests[v.index() as usize]);
-                    }
-                }
-            }
-        }
-        d.finish()
-    };
-    let banner_map: HashMap<u32, u64> = banner_ips
-        .iter()
-        .map(|&ip| (ip, digest_banner_ip(ip)))
-        .collect();
-    enc_u32_col(&mut e, banner_ips.len(), banner_ips.iter().copied());
+    // Delta evidence: this shard's slice of `SnapshotEvidence::build`.
+    let ev = EvidenceParts::of(c);
+    enc_u32_col(&mut e, ev.cert_rows.len(), ev.cert_rows.iter().map(|r| r.0));
+    enc_u64_col(&mut e, ev.cert_rows.len(), ev.cert_rows.iter().map(|r| r.1));
+    enc_u32_col(
+        &mut e,
+        ev.banner_rows.len(),
+        ev.banner_rows.iter().map(|r| r.0),
+    );
     enc_u64_col(
         &mut e,
-        banner_ips.len(),
-        banner_ips.iter().map(|ip| banner_map[ip]),
+        ev.banner_rows.len(),
+        ev.banner_rows.iter().map(|r| r.1),
     );
-
-    type HgEvidenceRow = (Hg, Vec<u64>, Vec<u8>, Vec<u64>, BTreeSet<AsId>);
-    let mut hg_ev: Vec<HgEvidenceRow> = Vec::new();
-    for hg in ALL_HGS {
-        let members = c.hg_all_indices(hg);
-        if members.is_empty() {
-            continue;
-        }
-        let mut digests = Vec::with_capacity(members.len());
-        let mut flags = Vec::with_capacity(members.len());
-        let mut flagged = Vec::new();
-        let mut cells = BTreeSet::new();
-        for &i in members {
-            let ip = c.valids[i as usize].ip;
-            digests.push(cert_digests[i as usize]);
-            match banner_map.get(&ip) {
-                None => flags.push(0u8),
-                Some(&dg) => {
-                    flags.push(1u8);
-                    flagged.push(dg);
-                }
-            }
-            cells.extend(c.ip_to_as.lookup(ip).iter().copied());
-        }
-        hg_ev.push((hg, digests, flags, flagged, cells));
-    }
-    e.usize(hg_ev.len());
-    for (hg, digests, flags, flagged, cells) in &hg_ev {
-        e.u8(hg_tag(*hg));
-        enc_u64_col(&mut e, digests.len(), digests.iter().copied());
-        e.bytes(flags);
-        enc_u64_col(&mut e, flagged.len(), flagged.iter().copied());
-        enc_u32_col(&mut e, cells.len(), cells.iter().map(|a| a.0));
+    e.usize(ev.per_hg.len());
+    for h in &ev.per_hg {
+        e.u8(hg_tag(h.hg));
+        enc_u64_col(
+            &mut e,
+            h.member_digests.len(),
+            h.member_digests.iter().copied(),
+        );
+        e.bytes(&h.banner_flags);
+        enc_u64_col(
+            &mut e,
+            h.flagged_banner_digests.len(),
+            h.flagged_banner_digests.iter().copied(),
+        );
+        enc_u32_col(&mut e, h.cells.len(), h.cells.iter().map(|a| a.0));
     }
     e.buf
 }
@@ -958,79 +862,31 @@ fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<Vec<u8>> {
 // bounded pipeline, fold the cross-shard summaries in shard order.
 // ---------------------------------------------------------------------------
 
-/// Per-HG evidence accumulator for the sharded delta path. The membership
-/// digest is length-prefixed, so member digests are buffered (8 bytes per
-/// member certificate — small); the banner digest streams.
-struct HgMemberAccum {
-    member_digests: Vec<u64>,
-    banners: Digest64,
-    cells: BTreeSet<AsId>,
-}
-
-impl Default for HgMemberAccum {
-    fn default() -> Self {
-        Self {
-            member_digests: Vec::new(),
-            banners: Digest64::new(),
-            cells: BTreeSet::new(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct EvidenceAccum {
-    cert_rows: Vec<(u32, u64)>,
-    banner_rows: Vec<(u32, u64)>,
-    per_hg: BTreeMap<Hg, HgMemberAccum>,
-}
-
 /// Everything the producer pass leaves behind: segment references for the
 /// consumer pass plus every merged snapshot-level summary.
+#[derive(Default)]
 struct Produced {
     segments: Vec<(PathBuf, u64)>,
-    health: ScanHealth,
-    validation: ValidationStats,
-    banner_quality: BannerQuality,
-    total_ips_with_certs: usize,
+    totals: CorpusTotals,
     as_union: BTreeSet<AsId>,
-    http_only_ips: Vec<u32>,
     /// Study-wide on-net dNSName sets, kept as strings so they bridge the
     /// per-shard symbol spaces.
     hg_names: HashMap<Hg, BTreeSet<String>>,
     hg_onnet_certs: HashMap<Hg, usize>,
-    chain_rows: Vec<(u32, u64)>,
     evidence: Option<EvidenceAccum>,
 }
 
 impl Produced {
-    fn new(want_evidence: bool) -> Self {
-        Self {
-            segments: Vec::new(),
-            health: ScanHealth::default(),
-            validation: ValidationStats::default(),
-            banner_quality: BannerQuality::default(),
-            total_ips_with_certs: 0,
-            as_union: BTreeSet::new(),
-            http_only_ips: Vec::new(),
-            hg_names: HashMap::new(),
-            hg_onnet_certs: HashMap::new(),
-            chain_rows: Vec::new(),
-            evidence: want_evidence.then(EvidenceAccum::default),
-        }
-    }
-
     /// Fold one shard's summary into the cross-shard accumulators. Both
     /// freshly built and admitted shards land here, through the same
     /// decoded representation — one absorption path, so rendered output
     /// cannot depend on which shards were reused.
     fn absorb_summary(&mut self, s: &ShardSummaryRef<'_>) {
-        self.validation.merge(&s.validation);
-        self.banner_quality.merge(&s.banner_quality);
-        self.total_ips_with_certs += s.total_ips_with_certs;
+        self.totals.validation.merge(&s.validation);
+        self.totals.banner_quality.merge(&s.banner_quality);
+        self.totals.total_ips_with_certs += s.total_ips_with_certs;
         self.as_union.extend(s.as_set.iter().map(AsId));
-        self.http_only_ips.extend(s.http_only_ips.iter());
-        self.chain_rows
-            .extend(s.chain_ips.iter().zip(s.chain_digests.iter()));
+        self.totals.http_only_ips.extend(s.http_only_ips.iter());
 
         // §4.2 contributions: the global on-net fingerprint is the union
         // of per-shard on-net name sets (each contributing certificate
@@ -1044,77 +900,29 @@ impl Produced {
         }
 
         if let Some(ev) = &mut self.evidence {
-            ev.cert_rows
-                .extend(s.cert_ips.iter().zip(s.cert_digests.iter()));
-            ev.banner_rows
-                .extend(s.banner_ips.iter().zip(s.banner_digests.iter()));
+            ev.absorb_rows(
+                s.cert_ips.iter().zip(s.cert_digests.iter()),
+                s.banner_ips.iter().zip(s.banner_digests.iter()),
+                s.chain_ips.iter().zip(s.chain_digests.iter()),
+            );
             for h in &s.hg_evidence {
-                let acc = ev.per_hg.entry(h.hg).or_default();
-                acc.member_digests.extend(h.member_digests.iter());
-                // Replay the banner digest write sequence exactly as the
-                // monolithic `SnapshotEvidence::build` emits it.
-                let mut flagged = h.flagged_banner_digests.iter();
-                for &flag in h.banner_flags {
-                    if flag == 0 {
-                        acc.banners.write_u8(0);
-                    } else {
-                        acc.banners.write_u8(1);
-                        acc.banners
-                            .write_u64(flagged.next().expect("flag count validated at decode"));
-                    }
-                }
-                acc.cells.extend(h.cells.iter().map(AsId));
+                ev.absorb_hg(
+                    h.hg,
+                    h.member_digests.iter(),
+                    h.banner_flags,
+                    h.flagged_banner_digests.iter(),
+                    h.cells.iter().map(AsId),
+                );
             }
         }
     }
 }
 
-fn finish_evidence(
-    ev: EvidenceAccum,
-    snapshot_idx: usize,
-    chain_rows: Vec<(u32, u64)>,
-) -> SnapshotEvidence {
-    let mut cert_rows = ev.cert_rows;
-    cert_rows.sort_unstable_by_key(|&(ip, _)| ip);
-    let mut banner_rows = ev.banner_rows;
-    banner_rows.sort_unstable_by_key(|&(ip, _)| ip);
-    let per_hg = ev
-        .per_hg
-        .into_iter()
-        .map(|(hg, acc)| {
-            let mut membership = Digest64::new();
-            membership.write_u64(acc.member_digests.len() as u64);
-            for &dg in &acc.member_digests {
-                membership.write_u64(dg);
-            }
-            (
-                hg,
-                HgEvidence {
-                    membership_digest: membership.finish(),
-                    banner_digest: acc.banners.finish(),
-                    cells: acc.cells,
-                },
-            )
-        })
-        .collect();
-    SnapshotEvidence {
-        snapshot_idx,
-        cert_rows,
-        banner_rows,
-        chain_rows,
-        per_hg,
-    }
-}
-
 /// One unit of pipeline work: a chunk to freeze, or a valid on-disk
-/// segment to admit (passed through so the fold sees shards in order).
+/// segment already admitted (passed through so the fold sees shards in
+/// order).
 enum ShardTask {
-    Admit {
-        summary: Vec<u8>,
-        segment_bytes: usize,
-        path: PathBuf,
-        fingerprint: u64,
-    },
+    Admit(ShardDone),
     Build {
         obs: Box<scanner::SnapshotObservations>,
         endpoints: usize,
@@ -1153,7 +961,14 @@ fn produce(
     let workers = sharding.resolved_workers(ctx);
     let depth = sharding.resolved_depth(workers);
 
-    let mut acc = Produced::new(want_evidence);
+    let mut acc = Produced {
+        totals: CorpusTotals {
+            snapshot_idx: t,
+            ..Default::default()
+        },
+        evidence: want_evidence.then(EvidenceAccum::default),
+        ..Default::default()
+    };
     let mut streams_health: Option<ScanHealth> = None;
 
     // Feeder (caller thread): the order-dependent spine. The streaming
@@ -1190,14 +1005,14 @@ fn produce(
                     if let Some(s) = https443.as_mut() {
                         s.admit_chunk(chunk);
                     }
-                    let segment_bytes = payload.len();
                     chunk.clear();
-                    return push(ShardTask::Admit {
+                    return push(ShardTask::Admit(ShardDone {
                         summary,
-                        segment_bytes,
+                        segment_bytes: payload.len(),
+                        reused: true,
                         path,
                         fingerprint,
-                    });
+                    }));
                 }
             }
 
@@ -1293,18 +1108,7 @@ fn produce(
     // count yields byte-identical segments and summaries.
     let work = |_idx: usize, task: ShardTask| -> Result<ShardDone, CheckpointError> {
         match task {
-            ShardTask::Admit {
-                summary,
-                segment_bytes,
-                path,
-                fingerprint,
-            } => Ok(ShardDone {
-                summary,
-                segment_bytes,
-                reused: true,
-                path,
-                fingerprint,
-            }),
+            ShardTask::Admit(done) => Ok(done),
             ShardTask::Build {
                 obs,
                 endpoints,
@@ -1381,8 +1185,8 @@ fn produce(
 
     bounded_pipeline(workers, depth, feed, work, fold)?;
 
-    acc.health = streams_health.take().unwrap_or_default();
-    acc.chain_rows.sort_unstable_by_key(|&(ip, _)| ip);
+    acc.totals.scan = streams_health.take().unwrap_or_default();
+    acc.totals.n_ases_with_certs = acc.as_union.len();
     Ok(acc)
 }
 
@@ -1391,162 +1195,16 @@ fn produce(
 // per shard, merge the partials in shard order.
 // ---------------------------------------------------------------------------
 
-/// Cross-shard accumulator for one HG's snapshot result.
-#[derive(Default)]
-struct HgAccum {
-    candidate_ases: BTreeSet<AsId>,
-    confirmed_ases: BTreeSet<AsId>,
-    confirmed_and_ases: BTreeSet<AsId>,
-    candidate_ips: Vec<u32>,
-    confirmed_ips: Vec<u32>,
-    /// Per distinct certificate: (IP count, lifetime days) — groups and
-    /// the lifetime median share the covers-all filter and the
-    /// by-fingerprint dedup.
-    certs: HashMap<x509::Fingerprint, (u32, i64)>,
-    onnet_ip_count: usize,
-    with_expired_ases: BTreeSet<AsId>,
-    with_expired_ips: Vec<u32>,
-}
-
-impl HgAccum {
-    /// Fold `other` (a later shard's partial) into this accumulator.
-    /// Called in shard order, so the IP vectors concatenate exactly as
-    /// the serial per-shard loop appended them; sets union and counts add
-    /// commutatively; a certificate fingerprint's lifetime is identical
-    /// in every shard that sees it, so first-write-wins is stable.
-    fn merge(&mut self, other: HgAccum) {
-        self.candidate_ases.extend(other.candidate_ases);
-        self.confirmed_ases.extend(other.confirmed_ases);
-        self.confirmed_and_ases.extend(other.confirmed_and_ases);
-        self.candidate_ips.extend(other.candidate_ips);
-        self.confirmed_ips.extend(other.confirmed_ips);
-        for (fp, (count, lifetime)) in other.certs {
-            self.certs.entry(fp).or_insert((0, lifetime)).0 += count;
-        }
-        self.onnet_ip_count += other.onnet_ip_count;
-        self.with_expired_ases.extend(other.with_expired_ases);
-        self.with_expired_ips.extend(other.with_expired_ips);
-    }
-
-    fn finish(self) -> HgSnapshotResult {
-        let mut groups: Vec<u32> = self.certs.values().map(|&(n, _)| n).collect();
-        groups.sort_unstable_by(|a, b| b.cmp(a));
-        let mut lifetimes: Vec<i64> = self.certs.values().map(|&(_, d)| d).collect();
-        lifetimes.sort_unstable();
-        let median_cert_lifetime_days = if lifetimes.is_empty() {
-            None
-        } else {
-            Some(lifetimes[lifetimes.len() / 2] as f64)
-        };
-        HgSnapshotResult {
-            candidate_ases: self.candidate_ases,
-            confirmed_ases: self.confirmed_ases,
-            confirmed_and_ases: self.confirmed_and_ases,
-            candidate_ips: self.candidate_ips,
-            confirmed_ips: self.confirmed_ips,
-            cert_ip_groups: groups,
-            onnet_ip_count: self.onnet_ip_count,
-            median_cert_lifetime_days,
-            with_expired_ases: self.with_expired_ases,
-            with_expired_ips: self.with_expired_ips,
-        }
-    }
-}
-
-/// Run one HG's §4.3–§4.5 stages over one shard, folding into its
-/// accumulator. Mirrors `process_one_hg` with the fingerprint re-based
-/// into the shard's symbol space: global on-net names absent from the
-/// shard's host pool cannot appear in any shard SAN span, so dropping
-/// them preserves every covers-all verdict.
-fn process_hg_shard(
-    hg: Hg,
-    shard: &SnapshotCorpus,
-    ctx: &PipelineContext,
-    compiled: &CompiledFingerprints,
-    names: Option<&BTreeSet<String>>,
-    onnet_certs: usize,
-    acc: &mut HgAccum,
-) {
-    let keyword = hg.spec().keyword;
-    let hg_ases = &ctx.hg_ases[&hg];
-    let mut syms: Vec<HostSym> = names
-        .map(|ns| {
-            ns.iter()
-                .filter_map(|n| shard.interner.hosts().get(n))
-                .collect()
-        })
-        .unwrap_or_default();
-    syms.sort_unstable();
-    let fp = TlsFingerprint::from_parts(keyword.to_ascii_lowercase(), syms, onnet_certs);
-
-    let idx_std = shard.hg_std_indices(hg);
-    let cands = find_candidates(&fp, hg_ases, shard, idx_std, &ctx.candidate_options);
-    let confirmed = confirm_candidates(
-        keyword,
-        &cands,
-        compiled,
-        &shard.banners,
-        &shard.ip_to_as,
-        ctx.confirm_mode,
-    );
-    let confirmed_and = confirm_candidates(
-        keyword,
-        &cands,
-        compiled,
-        &shard.banners,
-        &shard.ip_to_as,
-        ConfirmMode::HttpAndHttps,
-    );
-
-    acc.onnet_ip_count += idx_std
-        .iter()
-        .filter(|&&i| {
-            shard
-                .ip_to_as
-                .lookup(shard.valids[i as usize].ip)
-                .iter()
-                .any(|a| hg_ases.contains(a))
-        })
-        .count();
-
-    for &i in idx_std {
-        if fp.covers_all(shard.sans(i)) {
-            let vc = &shard.valids[i as usize];
-            let entry = acc.certs.entry(vc.leaf.fingerprint()).or_insert_with(|| {
-                let v = vc.leaf.validity();
-                (0, (v.not_after - v.not_before) / 86_400)
-            });
-            entry.0 += 1;
-        }
-    }
-
-    if hg == Hg::Netflix {
-        let idx_all = shard.hg_all_indices(hg);
-        let cands_all = find_candidates(&fp, hg_ases, shard, idx_all, &ctx.candidate_options);
-        let confirmed_all = confirm_candidates(
-            keyword,
-            &cands_all,
-            compiled,
-            &shard.banners,
-            &shard.ip_to_as,
-            ctx.confirm_mode,
-        );
-        acc.with_expired_ases.extend(confirmed_all.ases);
-        acc.with_expired_ips.extend(confirmed_all.ips);
-    }
-
-    acc.candidate_ases.extend(cands.ases.iter().copied());
-    acc.candidate_ips
-        .extend(cands.ips.iter().map(|(ip, _)| *ip));
-    acc.confirmed_ases.extend(confirmed.ases);
-    acc.confirmed_ips.extend(confirmed.ips);
-    acc.confirmed_and_ases.extend(confirmed_and.ases);
-}
-
 /// Consumer pass: fan segments across the worker pool — each loads once,
-/// runs the requested HGs' stages — then merge the per-shard partials in
-/// shard order (so IP vectors concatenate exactly as the serial loop
-/// appended them).
+/// runs the requested HGs' stages, each HG isolated — then merge the
+/// per-shard partials in shard order (so IP vectors concatenate exactly
+/// as the serial loop appended them). An HG that panicked in any shard
+/// comes back as the first such panic message, in shard order.
+///
+/// Each shard re-bases the global §4.2 fingerprint into its own symbol
+/// space: global on-net names absent from the shard's host pool cannot
+/// appear in any shard SAN span, so dropping them preserves every
+/// covers-all verdict.
 fn consume(
     produced: &Produced,
     t: usize,
@@ -1555,45 +1213,53 @@ fn consume(
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
     hgs: &[Hg],
-) -> Result<HashMap<Hg, HgSnapshotResult>, CheckpointError> {
+) -> Result<Vec<Result<HgSnapshotResult, String>>, CheckpointError> {
+    type Partial = Vec<Result<HgAccum, String>>;
     let workers = sharding.resolved_workers(ctx);
-    let partials: Vec<Result<Vec<HgAccum>, CheckpointError>> =
+    let partials: Vec<Result<Partial, CheckpointError>> =
         parallel_map(&produced.segments, workers, |(path, fingerprint)| {
             let payload = read_segment(path, *fingerprint)?;
             let (_summary, body) = split_segment_payload(&payload, path)?;
             let mut shard = decode_shard(body, t, engine.id, world.ip_to_as(t), path)?;
             shard.corpus.memory.segment_bytes = payload.len();
-            let _resident = sharding
-                .ledger
-                .resident_guard(shard.corpus.memory.interned_bytes);
-            let compiled = CompiledFingerprints::compile(&ctx.header_fps, &shard.corpus.interner);
-            let mut accs: Vec<HgAccum> = hgs.iter().map(|_| HgAccum::default()).collect();
-            for (slot, &hg) in accs.iter_mut().zip(hgs) {
-                process_hg_shard(
-                    hg,
-                    &shard.corpus,
-                    ctx,
-                    &compiled,
-                    produced.hg_names.get(&hg),
-                    produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
-                    slot,
-                );
-            }
-            Ok(accs)
+            let corpus = &shard.corpus;
+            let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
+            let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
+            Ok(hgs
+                .iter()
+                .map(|&hg| {
+                    let mut syms: Vec<HostSym> = produced
+                        .hg_names
+                        .get(&hg)
+                        .map(|ns| {
+                            ns.iter()
+                                .filter_map(|n| corpus.interner.hosts().get(n))
+                                .collect()
+                        })
+                        .unwrap_or_default();
+                    syms.sort_unstable();
+                    let fp = TlsFingerprint::from_parts(
+                        hg.spec().keyword.to_ascii_lowercase(),
+                        syms,
+                        produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
+                    );
+                    isolate(1, || accumulate_hg(hg, corpus, ctx, &compiled, &fp))
+                })
+                .collect())
         });
 
-    let mut merged: Vec<HgAccum> = hgs.iter().map(|_| HgAccum::default()).collect();
+    let mut merged: Vec<Result<HgAccum, String>> =
+        hgs.iter().map(|_| Ok(HgAccum::default())).collect();
     for partial in partials {
         for (into, from) in merged.iter_mut().zip(partial?) {
-            into.merge(from);
+            match (into.as_mut(), from) {
+                (Ok(into), Ok(from)) => into.merge(from),
+                (Ok(_), Err(message)) => *into = Err(message),
+                (Err(_), _) => {}
+            }
         }
     }
-    Ok(hgs
-        .iter()
-        .copied()
-        .zip(merged)
-        .map(|(hg, acc)| (hg, acc.finish()))
-        .collect())
+    Ok(merged.into_iter().map(|r| r.map(HgAccum::finish)).collect())
 }
 
 /// Bench/diagnostic hook: walk snapshot `t`'s on-disk segments in shard
@@ -1632,39 +1298,6 @@ pub fn admit_segments_for_bench(
     }
 }
 
-fn assemble_quality(p: &Produced) -> DataQualityReport {
-    let mut q = DataQualityReport {
-        cert_records_seen: p.validation.total_records,
-        banners_seen: p.banner_quality.records_seen,
-        empty_cert_snapshot: p.total_ips_with_certs == 0,
-        scan: p.health.clone(),
-        ..Default::default()
-    };
-    for (&reason, &n) in &p.validation.invalid {
-        q.add(reason.into(), n);
-    }
-    q.add(RecordError::HeaderOversized, p.banner_quality.oversized);
-    q.add(RecordError::HeaderMojibake, p.banner_quality.mojibake);
-    q.add(RecordError::DuplicateIp, p.banner_quality.duplicate_ip);
-    q
-}
-
-fn assemble_result(
-    t: usize,
-    p: &Produced,
-    per_hg: HashMap<Hg, HgSnapshotResult>,
-) -> SnapshotResult {
-    SnapshotResult {
-        snapshot_idx: t,
-        total_ips_with_certs: p.total_ips_with_certs,
-        n_ases_with_certs: p.as_union.len(),
-        validation: p.validation.clone(),
-        per_hg,
-        http_only_ips: p.http_only_ips.clone(),
-        quality: assemble_quality(p),
-    }
-}
-
 /// The sharded equivalent of observe +
 /// [`process_snapshot`](crate::process_snapshot): returns `None` when
 /// the engine's corpus
@@ -1677,104 +1310,33 @@ pub fn process_snapshot_sharded(
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
 ) -> Result<Option<SnapshotResult>, CheckpointError> {
-    if !covers_snapshot(engine, t) {
-        return Ok(None);
-    }
-    let produced = produce(world, engine, t, ctx, sharding, false)?;
-    let per_hg = consume(&produced, t, world, engine, ctx, sharding, &ALL_HGS)?;
-    Ok(Some(assemble_result(t, &produced, per_hg)))
+    Ok(
+        process_snapshot_sharded_with(world, engine, t, ctx, sharding, false, None)?
+            .map(|outcome| outcome.result),
+    )
 }
 
-/// The sharded equivalent of [`process_corpus_delta`]: build evidence
-/// during the producer pass, diff against the previous snapshot's state,
-/// recompute only the dirty HGs in the consumer pass and replay the rest.
-///
-/// [`process_corpus_delta`]: crate::delta::process_corpus_delta
-pub(crate) fn process_snapshot_sharded_delta(
+/// [`process_snapshot_sharded`] with optional delta reuse: with
+/// `want_evidence`, the producer pass also merges the shards' delta
+/// evidence, and only HGs whose evidence changed against `prev` run in
+/// the consumer pass (see [`finish_snapshot`]).
+pub(crate) fn process_snapshot_sharded_with(
     world: &HgWorld,
     engine: &ScanEngine,
     t: usize,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
+    want_evidence: bool,
     prev: Option<&DeltaState>,
-) -> Result<Option<(SnapshotResult, SnapshotEvidence, DeltaReport)>, CheckpointError> {
+) -> Result<Option<SnapshotOutcome>, CheckpointError> {
     if !covers_snapshot(engine, t) {
         return Ok(None);
     }
-    let mut produced = produce(world, engine, t, ctx, sharding, true)?;
-    let evidence = finish_evidence(
-        produced.evidence.take().expect("evidence requested"),
-        t,
-        produced.chain_rows.clone(),
-    );
-
-    // A degraded predecessor has unusable per-HG results; treat it as
-    // no-previous-snapshot, exactly as `process_corpus_delta` does.
-    let prev = prev.filter(|p| p.result.quality.degraded_snapshot.is_none());
-    let delta = prev.map(|p| CorpusDelta::diff(&p.evidence, &evidence));
-
-    let mut report = DeltaReport {
-        snapshot_idx: t,
-        full_compute: delta.is_none(),
-        hgs_total: ALL_HGS.len(),
-        chains_total: evidence.chain_rows.len(),
-        ..Default::default()
-    };
-
-    let dirty: Vec<Hg> = match (&delta, prev) {
-        (Some(delta), Some(p)) => {
-            let dirty_set = delta.dirty_hgs();
-            report.chains_new = delta.chain.added.len();
-            report.chains_rotated = delta.chain.changed.len();
-            report.chains_vanished = delta.chain.removed.len();
-            report.cert_rows_changed = delta.cert.touched();
-            report.banner_rows_changed = delta.banner.touched();
-            ALL_HGS
-                .iter()
-                .copied()
-                .filter(|hg| {
-                    dirty_set.contains(hg)
-                        || p.result.quality.degraded_hgs.contains_key(&hg.to_string())
-                })
-                .collect()
-        }
-        _ => {
-            report.chains_new = evidence.chain_rows.len();
-            report.cert_rows_changed = evidence.cert_rows.len();
-            report.banner_rows_changed = evidence.banner_rows.len();
-            ALL_HGS.to_vec()
-        }
-    };
-    let dirty_set: std::collections::HashSet<Hg> = dirty.iter().copied().collect();
-
-    let empty_cells = BTreeSet::new();
-    for hg in ALL_HGS {
-        let now = evidence.per_hg.get(&hg).map_or(&empty_cells, |e| &e.cells);
-        if dirty_set.contains(&hg) {
-            let before = prev
-                .and_then(|p| p.evidence.per_hg.get(&hg))
-                .map_or(&empty_cells, |e| &e.cells);
-            report.cells_recomputed += now.union(before).count();
-        } else {
-            report.cells_replayed += now.len();
-        }
-    }
-
-    let mut per_hg: HashMap<Hg, HgSnapshotResult> = HashMap::with_capacity(ALL_HGS.len());
-    if let Some(p) = prev {
-        for hg in ALL_HGS {
-            if !dirty_set.contains(&hg) {
-                per_hg.insert(hg, p.result.per_hg[&hg].clone());
-            }
-        }
-    }
-    report.hgs_replayed = per_hg.len();
-    report.hgs_recomputed = dirty.len();
-
-    if !dirty.is_empty() {
-        per_hg.extend(consume(&produced, t, world, engine, ctx, sharding, &dirty)?);
-    }
-
-    let result = assemble_result(t, &produced, per_hg);
-    Ok(Some((result, evidence, report)))
+    let mut produced = produce(world, engine, t, ctx, sharding, want_evidence)?;
+    let evidence = produced.evidence.take().map(|ev| ev.finish(t));
+    let totals = std::mem::take(&mut produced.totals);
+    finish_snapshot(totals, evidence, prev, |hgs| {
+        consume(&produced, t, world, engine, ctx, sharding, hgs)
+    })
+    .map(Some)
 }

@@ -1,26 +1,53 @@
 //! Longitudinal study driver: the full 2013-10 … 2021-04 analysis over one
 //! scan engine, including the §6.2 Netflix restorations.
+//!
+//! One driver runs every study: [`StudyMode`] schedules the snapshots,
+//! `sharding` keeps each corpus in memory or spills it, and
+//! `checkpoint_dir` makes any of them resumable. Every snapshot goes
+//! through one per-snapshot step and one record path, so rendered output
+//! is byte-identical across all of these options.
 
 use crate::artifact::{artifact_fingerprint, ArtifactBuilder, ArtifactError};
-use crate::checkpoint::{CheckpointError, CheckpointStore, SnapshotCheckpoint};
+use crate::checkpoint::{study_fingerprint, CheckpointError, CheckpointStore, SnapshotCheckpoint};
 use crate::confirm::ConfirmMode;
 use crate::corpus::SnapshotCorpus;
-use crate::delta::{process_corpus_delta, DeltaReport, DeltaState};
+use crate::delta::{DeltaReport, DeltaState, SnapshotEvidence};
 use crate::errors::DataQualityReport;
 use crate::headers::{
-    learn_header_fingerprints, learn_header_fingerprints_from_tallies, GlobalHeaderStats,
-    HeaderFingerprints,
+    learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
 use crate::parallel::parallel_map_isolated;
-use crate::pipeline::{process_corpus, standard_validate_options, PipelineContext, SnapshotResult};
-use crate::shard::{process_snapshot_sharded, process_snapshot_sharded_delta, ShardingConfig};
+use crate::pipeline::{
+    process_corpus_with, standard_validate_options, PipelineContext, SnapshotOutcome,
+    SnapshotResult,
+};
+use crate::shard::{process_snapshot_sharded_with, ShardingConfig};
 use crate::validation_cache::ValidationCache;
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::Interner;
 use netsim::AsId;
 use scanner::{covers_snapshot, observe_snapshot, HttpScanStream, ScanEngine};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::path::PathBuf;
 use std::sync::Arc;
+
+/// How a study schedules its snapshots. Every mode renders
+/// byte-identically; they trade memory for time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StudyMode {
+    /// One snapshot at a time with no cross-snapshot state: the smallest
+    /// memory footprint.
+    #[default]
+    Sequential,
+    /// Snapshots fan out across `workers` threads sharing one
+    /// [`ValidationCache`]; a snapshot whose worker panics degrades to an
+    /// empty placeholder instead of aborting the study.
+    Parallel { workers: usize },
+    /// Only HGs whose evidence changed since the previous snapshot are
+    /// recomputed ([`crate::delta`]), with one shared
+    /// [`ValidationCache`]; reuse reports come back beside the series.
+    Incremental,
+}
 
 /// Study parameters.
 #[derive(Debug, Clone)]
@@ -32,6 +59,8 @@ pub struct StudyConfig {
     pub candidate_options: crate::candidates::CandidateOptions,
     /// Inclusive snapshot range to process.
     pub snapshots: (usize, usize),
+    /// How snapshots are scheduled.
+    pub mode: StudyMode,
     /// When set, snapshots are processed through the streaming sharded
     /// pipeline ([`crate::shard`]): bounded peak memory, spilled segments,
     /// byte-identical rendered output. Shard freezing fans out over the
@@ -40,11 +69,14 @@ pub struct StudyConfig {
     /// `depth × shard` and the output is byte-identical at any worker
     /// count.
     pub sharding: Option<ShardingConfig>,
+    /// When set, each snapshot is checkpointed here ([`crate::checkpoint`])
+    /// and a relaunched study adopts the completed prefix.
+    pub checkpoint_dir: Option<PathBuf>,
     /// When set, the study's results are also sealed into a
-    /// [`crate::artifact::StudyArtifact`] at this path (batch drivers
-    /// write it once at the end; the incremental engine re-persists after
-    /// every append).
-    pub artifact_out: Option<std::path::PathBuf>,
+    /// [`crate::artifact::StudyArtifact`] at this path (written once at
+    /// the end; [`StudyMode::Incremental`] re-persists after every
+    /// snapshot).
+    pub artifact_out: Option<PathBuf>,
 }
 
 impl Default for StudyConfig {
@@ -54,8 +86,50 @@ impl Default for StudyConfig {
             confirm_mode: ConfirmMode::HttpOrHttps,
             candidate_options: Default::default(),
             snapshots: (0, 30),
+            mode: StudyMode::Sequential,
             sharding: None,
+            checkpoint_dir: None,
             artifact_out: None,
+        }
+    }
+}
+
+/// A checkpoint, segment, or artifact failure that stopped a study. Each
+/// message carries its own remediation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StudyError {
+    /// Checkpoint or segment I/O, or an unusable checkpoint directory.
+    Checkpoint(CheckpointError),
+    /// The result artifact could not be adopted or written.
+    Artifact(ArtifactError),
+}
+
+impl From<CheckpointError> for StudyError {
+    fn from(e: CheckpointError) -> Self {
+        StudyError::Checkpoint(e)
+    }
+}
+
+impl From<ArtifactError> for StudyError {
+    fn from(e: ArtifactError) -> Self {
+        StudyError::Artifact(e)
+    }
+}
+
+impl std::fmt::Display for StudyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StudyError::Checkpoint(e) => e.fmt(f),
+            StudyError::Artifact(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for StudyError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StudyError::Checkpoint(e) => Some(e),
+            StudyError::Artifact(e) => Some(e),
         }
     }
 }
@@ -70,33 +144,6 @@ pub struct NetflixVariants {
     /// Additionally restoring IPs that previously served Netflix
     /// certificates and now answer only on HTTP.
     pub with_non_tls: Vec<usize>,
-}
-
-/// One [`ArtifactBuilder`] per study run: every driver accumulates
-/// through it (snapshot results, the §6.2 fold, reuse reports), so the
-/// emitted artifact cannot drift from the in-memory series.
-fn new_builder(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    header_fps: HeaderFingerprints,
-) -> ArtifactBuilder {
-    let mut builder = ArtifactBuilder::new(
-        engine.id,
-        header_fps,
-        artifact_fingerprint(world, engine, config),
-    );
-    if let Some(path) = &config.artifact_out {
-        builder.attach_path(path);
-    }
-    builder
-}
-
-/// Seal a batch driver's builder: persist the artifact (when
-/// `artifact_out` asked for one) and unwrap the series.
-fn seal(builder: ArtifactBuilder) -> StudySeries {
-    builder.persist().expect("study artifact write failed");
-    builder.finish().0
 }
 
 /// The full longitudinal result for one engine.
@@ -152,6 +199,20 @@ impl StudySeries {
     }
 }
 
+/// A study's output: the [`StudySeries`], plus per-snapshot delta-engine
+/// reuse accounting ([`StudyMode::Incremental`] only; empty otherwise).
+/// The reuse counters live *beside* the series, never inside it, so every
+/// rendered study artifact stays byte-identical across modes.
+#[derive(Debug)]
+pub struct StudyRun {
+    pub series: StudySeries,
+    /// One report per processed snapshot, aligned with `series.snapshots`.
+    pub reports: Vec<DeltaReport>,
+}
+
+/// Endpoints the reference learner scans per chunk.
+const REFERENCE_CHUNK: usize = 400;
+
 /// Learn the per-HG header fingerprints from a reference snapshot's on-net
 /// banners (§4.4), using HTTPS banners where available and HTTP otherwise.
 ///
@@ -159,97 +220,42 @@ impl StudySeries {
 /// window, or a dropped-snapshot fault), the nearest available snapshot is
 /// used instead; with no observable snapshot at all, the fingerprints come
 /// back empty and §4.5 simply confirms nothing.
+///
+/// The reference snapshot's banners are scanned in fixed-size chunks and
+/// folded into per-HG and global tallies, never held as one record slice,
+/// so learning streams at any world scale.
 pub fn learn_reference_fingerprints(
     world: &HgWorld,
     engine: &ScanEngine,
     reference_snapshot: usize,
+) -> HeaderFingerprints {
+    learn_reference_fingerprints_chunked(world, engine, reference_snapshot, REFERENCE_CHUNK)
+}
+
+/// [`learn_reference_fingerprints`] at an explicit chunk size. The learned
+/// fingerprints are string-typed and selection is independent of
+/// interning order (pinned by the permutation property test), so the
+/// result does not depend on `chunk`.
+fn learn_reference_fingerprints_chunked(
+    world: &HgWorld,
+    engine: &ScanEngine,
+    reference_snapshot: usize,
+    chunk: usize,
 ) -> HeaderFingerprints {
     let n = world.n_snapshots();
     let t0 = reference_snapshot.min(n - 1);
     // Spiral outward from the requested index: t0, t0-1, t0+1, t0-2, …
     // (earlier-first keeps the learned set closest to the paper's
     // September-2020 reference when the exact month is missing).
-    let mut candidates = vec![t0];
-    for d in 1..n {
-        if let Some(t) = t0.checked_sub(d) {
-            candidates.push(t);
-        }
-        if t0 + d < n {
-            candidates.push(t0 + d);
-        }
-    }
-    let mut obs = None;
-    for t in candidates {
-        if let Some(o) = observe_snapshot(world, engine, t) {
-            obs = Some(o);
-            break;
-        }
-    }
-    let Some(obs) = obs else {
-        return HeaderFingerprints::default();
-    };
-    let banner_snap = obs.https443.as_ref().or(obs.http80.as_ref());
-    let mut fps = HeaderFingerprints::default();
-    let Some(banner_snap) = banner_snap else {
-        return fps;
-    };
-    let global = GlobalHeaderStats::build(&banner_snap.records);
-    for hg in ALL_HGS {
-        let hg_ases: HashSet<AsId> = world
-            .org_db()
-            .ases_matching(hg.spec().keyword)
-            .into_iter()
-            .collect();
-        let onnet: Vec<&scanner::HttpRecord> = banner_snap
-            .records
-            .iter()
-            .filter(|r| {
-                obs.ip_to_as
-                    .lookup(r.ip)
-                    .iter()
-                    .any(|a| hg_ases.contains(a))
-            })
-            .collect();
-        fps.insert(learn_header_fingerprints(
-            hg.spec().keyword,
-            &onnet,
-            &global,
-            &obs.interner,
-        ));
-    }
-    fps
-}
-
-/// Streaming variant of [`learn_reference_fingerprints`]: the reference
-/// snapshot's banners are scanned in `shard_size` chunks and folded into
-/// per-HG and global tallies, never held as a record slice. Because the
-/// learned fingerprints are string-typed and selection is independent of
-/// interning order (pinned by the permutation property test), the result
-/// equals the monolithic learner's.
-pub fn learn_reference_fingerprints_sharded(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    reference_snapshot: usize,
-    shard_size: usize,
-) -> HeaderFingerprints {
-    let n = world.n_snapshots();
-    let t0 = reference_snapshot.min(n - 1);
-    // Same spiral as the monolithic learner: t0, t0-1, t0+1, t0-2, …
-    let mut candidates = vec![t0];
-    for d in 1..n {
-        if let Some(t) = t0.checked_sub(d) {
-            candidates.push(t);
-        }
-        if t0 + d < n {
-            candidates.push(t0 + d);
-        }
-    }
-    let Some(t) = candidates.into_iter().find(|&t| covers_snapshot(engine, t)) else {
+    let mut spiral = std::iter::once(t0).chain(
+        (1..n)
+            .flat_map(|d| [t0.checked_sub(d), Some(t0 + d).filter(|&t| t < n)])
+            .flatten(),
+    );
+    let Some(t) = spiral.find(|&t| covers_snapshot(engine, t)) else {
         return HeaderFingerprints::default();
     };
     let mut fps = HeaderFingerprints::default();
-    // Banner source matches the monolithic picker: HTTPS banners where
-    // available, HTTP otherwise; neither → empty fingerprints.
     let Some(mut stream) =
         HttpScanStream::new(engine, t, 443, n).or_else(|| HttpScanStream::new(engine, t, 80, n))
     else {
@@ -276,29 +282,27 @@ pub fn learn_reference_fingerprints_sharded(
     let mut interner = Interner::default();
     let mut global = GlobalHeaderStats::default();
     let mut onnet: Vec<GlobalHeaderStats> = vec![GlobalHeaderStats::default(); hg_ases.len()];
-    let shard_size = shard_size.max(1);
-    let mut chunk: Vec<Endpoint> = Vec::with_capacity(shard_size);
-    {
-        let mut absorb_chunk = |chunk: &mut Vec<Endpoint>, interner: &mut Interner| {
-            for r in stream.scan_chunk(chunk, interner) {
-                global.absorb(&r);
-                for ((_, ases), tally) in hg_ases.iter().zip(onnet.iter_mut()) {
-                    if ip_to_as.lookup(r.ip).iter().any(|a| ases.contains(a)) {
-                        tally.absorb(&r);
-                    }
+    let chunk_size = chunk.max(1);
+    let mut chunk: Vec<Endpoint> = Vec::new();
+    let mut absorb_chunk = |chunk: &mut Vec<Endpoint>| {
+        for r in stream.scan_chunk(chunk, &mut interner) {
+            global.absorb(&r);
+            for ((_, ases), tally) in hg_ases.iter().zip(onnet.iter_mut()) {
+                if ip_to_as.lookup(r.ip).iter().any(|a| ases.contains(a)) {
+                    tally.absorb(&r);
                 }
             }
-            chunk.clear();
-        };
-        world.for_each_endpoint(t, |ep| {
-            chunk.push(ep);
-            if chunk.len() == shard_size {
-                absorb_chunk(&mut chunk, &mut interner);
-            }
-        });
-        if !chunk.is_empty() {
-            absorb_chunk(&mut chunk, &mut interner);
         }
+        chunk.clear();
+    };
+    world.for_each_endpoint(t, |ep| {
+        chunk.push(ep);
+        if chunk.len() == chunk_size {
+            absorb_chunk(&mut chunk);
+        }
+    });
+    if !chunk.is_empty() {
+        absorb_chunk(&mut chunk);
     }
     stream.finish();
 
@@ -313,338 +317,304 @@ pub fn learn_reference_fingerprints_sharded(
     fps
 }
 
-/// Pick the reference-fingerprint learner the config asks for.
-fn reference_fingerprints(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-) -> HeaderFingerprints {
-    match &config.sharding {
-        Some(s) => learn_reference_fingerprints_sharded(
-            world,
-            engine,
-            config.header_reference_snapshot,
-            s.shard_size,
-        ),
-        None => learn_reference_fingerprints(world, engine, config.header_reference_snapshot),
-    }
-}
-
 /// Run the longitudinal study for `engine` over `world`.
-pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudySeries {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    );
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
-
-    let mut builder = new_builder(world, engine, config, header_fps);
-
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
-        if let Some(sharding) = &config.sharding {
-            let outcome = process_snapshot_sharded(world, engine, t, &ctx, sharding)
-                .expect("sharded snapshot processing failed");
-            let Some(result) = outcome else {
-                continue;
-            };
-            let ip_to_as = world.ip_to_as(t);
-            builder.push_snapshot(result, |ip| ip_to_as.lookup(ip).to_vec());
-            continue;
-        }
-        let Some(obs) = observe_snapshot(world, engine, t) else {
-            continue;
-        };
-        // Observation → corpus → stages, threaded explicitly: the corpus
-        // owns the frozen interner the downstream stages resolve through.
-        let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
-        let result = process_corpus(&corpus, &ctx);
-        builder.push_snapshot(result, |ip| corpus.ip_to_as.lookup(ip).to_vec());
-    }
-
-    seal(builder)
-}
-
-/// Crash-resumable variant of [`run_study`]: after each snapshot
-/// completes, its result and the §6.2 fold state are persisted into
-/// `store`; a relaunched run adopts the contiguous completed prefix and
-/// recomputes only from the first missing snapshot. The returned series
-/// is byte-identical (under [`crate::delta`]-style rendering) to an
-/// uninterrupted [`run_study`] over the same range.
-pub fn run_study_checkpointed(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    store: &CheckpointStore,
-) -> Result<StudySeries, CheckpointError> {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    );
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
-
-    let start = config.snapshots.0;
-    let end = config.snapshots.1.min(world.n_snapshots() - 1);
-
-    let mut builder = new_builder(world, engine, config, header_fps);
-    let mut next = start;
-    for ckpt in adopt_contiguous_prefix(store, start, end)? {
-        builder.adopt_checkpoint(&ckpt);
-        next = ckpt.snapshot_idx + 1;
-    }
-
-    for t in next..=end {
-        let result = if let Some(sharding) = &config.sharding {
-            match process_snapshot_sharded(world, engine, t, &ctx, sharding)? {
-                Some(result) => result,
-                None => {
-                    // Record skips too, so the completed prefix stays
-                    // contiguous in snapshot indices and the resume point
-                    // is unambiguous.
-                    store.save(&SnapshotCheckpoint::skipped(t, builder.netflix_history()))?;
-                    continue;
-                }
-            }
-        } else {
-            let Some(obs) = observe_snapshot(world, engine, t) else {
-                store.save(&SnapshotCheckpoint::skipped(t, builder.netflix_history()))?;
-                continue;
-            };
-            let corpus =
-                SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
-            process_corpus(&corpus, &ctx)
-        };
-        let ip_to_as = world.ip_to_as(t);
-        let (initial, with_expired, with_non_tls) =
-            builder.push_snapshot(result.clone(), |ip| ip_to_as.lookup(ip).to_vec());
-        store.save(&SnapshotCheckpoint {
-            snapshot_idx: t,
-            processed: true,
-            result,
-            netflix_initial: initial,
-            netflix_with_expired: with_expired,
-            netflix_with_non_tls: with_non_tls,
-            netflix_ip_history: builder.netflix_history(),
-            evidence: None,
-            report: None,
-        })?;
-    }
-
-    Ok(seal(builder))
-}
-
-/// Load `store` and keep the contiguous run of checkpoints starting
-/// exactly at `start` (bounded by `end`). Artifacts below `start` are
-/// ignored; the first gap ends adoption — everything past it is
-/// recomputed (and overwritten) rather than trusted out of order.
-fn adopt_contiguous_prefix(
-    store: &CheckpointStore,
-    start: usize,
-    end: usize,
-) -> Result<Vec<SnapshotCheckpoint>, CheckpointError> {
-    let mut adopted: Vec<SnapshotCheckpoint> = Vec::new();
-    for ckpt in store.load_all()? {
-        if ckpt.snapshot_idx < start {
-            continue;
-        }
-        if ckpt.snapshot_idx == start + adopted.len() && ckpt.snapshot_idx <= end {
-            adopted.push(ckpt);
-        } else {
-            break;
-        }
-    }
-    Ok(adopted)
-}
-
-/// Parallel variant of [`run_study`]: snapshots are observed and processed
-/// across `threads` workers sharing one cross-snapshot
-/// [`ValidationCache`], then the order-dependent Netflix non-TLS
-/// restoration is folded sequentially. Produces the same `StudySeries` as
-/// the sequential driver for any thread count.
-pub fn run_study_parallel(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    threads: usize,
-) -> StudySeries {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    )
-    .with_threads(threads)
-    .with_validation_cache(Arc::new(ValidationCache::new()));
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
-
-    // Observe + process each snapshot independently; alongside the result,
-    // record the AS origins of its HTTP-only IPs so the observation bundle
-    // can be dropped before the sequential fold below.
-    let ts: Vec<usize> =
-        (config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1)).collect();
-    let inner = ctx.clone().with_threads(1);
-    type SnapOut = (SnapshotResult, Vec<(u32, Vec<AsId>)>);
-    // Per-snapshot panic isolation: a worker that dies past its retry
-    // degrades that snapshot to an empty placeholder (flagged in its
-    // quality report) instead of aborting the study.
-    let outputs: Vec<Option<SnapOut>> = parallel_map_isolated(&ts, ctx.threads, 1, |&t| {
-        let result = if let Some(sharding) = &config.sharding {
-            // Sharded workers write disjoint per-snapshot spill
-            // subdirectories, so they never contend on segments. An I/O
-            // failure panics here and degrades this snapshot only.
-            process_snapshot_sharded(world, engine, t, &inner, sharding)
-                .expect("sharded snapshot processing failed")?
-        } else {
-            let obs = observe_snapshot(world, engine, t)?;
-            // Build the corpus explicitly so validation shares the
-            // study-wide cache; its frozen interner is what makes the
-            // share-nothing worker safe to run without locks.
-            let corpus = SnapshotCorpus::build(
-                &obs,
-                &inner.roots,
-                &standard_validate_options(),
-                inner.validation_cache.as_deref(),
-            );
-            process_corpus(&corpus, &inner)
-        };
-        let ip_to_as = world.ip_to_as(t);
-        let http_only_origins = result
-            .http_only_ips
-            .iter()
-            .map(|&ip| (ip, ip_to_as.lookup(ip).to_vec()))
-            .collect();
-        Some((result, http_only_origins))
-    })
-    .into_iter()
-    .zip(&ts)
-    .map(|(outcome, &t)| match outcome {
-        Ok(out) => out,
-        Err(e) => Some((SnapshotResult::degraded(t, e.message), Vec::new())),
-    })
-    .collect();
-
-    // The §6.2 non-TLS restoration consults the cumulative IP history, so
-    // it must run in snapshot order — but it is cheap set arithmetic.
-    let mut builder = new_builder(world, engine, config, header_fps);
-    for (result, http_only_origins) in outputs.into_iter().flatten() {
-        let origin_map: std::collections::HashMap<u32, Vec<AsId>> =
-            http_only_origins.into_iter().collect();
-        builder.push_snapshot(result, |ip| {
-            origin_map.get(&ip).cloned().unwrap_or_default()
-        });
-    }
-
-    seal(builder)
-}
-
-/// The incremental study's output: the same [`StudySeries`] `run_study`
-/// produces, plus per-snapshot delta-engine reuse accounting. The reuse
-/// counters live *beside* the series, never inside it, so every rendered
-/// study artifact stays byte-identical to the full recompute.
-#[derive(Debug)]
-pub struct IncrementalStudy {
-    pub series: StudySeries,
-    /// One report per processed snapshot, aligned with `series.snapshots`.
-    pub reports: Vec<DeltaReport>,
-}
-
-/// Append-only incremental study driver: feed it snapshots in order and
-/// it diffs each corpus against its predecessor, replaying clean HGs'
-/// results and recomputing only dirty ones (see [`crate::delta`]). The
-/// first appended snapshot — and any snapshot following a degraded one —
-/// is a full compute.
 ///
-/// Chain validation always runs through a shared [`ValidationCache`], so
-/// §4.1 work on persisted chains is a skeleton replay; the per-snapshot
-/// replay/reverify split lands in each [`DeltaReport`].
+/// Infallible form of [`try_run_study`], for configurations that touch no
+/// disk; panics on a checkpoint, segment, or artifact failure.
+pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudySeries {
+    try_run_study(world, engine, config)
+        .expect("study failed")
+        .series
+}
+
+/// Run the longitudinal study for `engine` over `world` in the config's
+/// [`StudyMode`], returning the series and (incremental mode only) the
+/// per-snapshot reuse reports. With `checkpoint_dir` set, a completed
+/// prefix found there is adopted and only the rest is computed; the
+/// series is byte-identical to an uninterrupted run. Checkpoint, segment,
+/// and artifact failures come back as a typed [`StudyError`].
+pub fn try_run_study(
+    world: &HgWorld,
+    engine: &ScanEngine,
+    config: &StudyConfig,
+) -> Result<StudyRun, StudyError> {
+    let mut driver = Driver::new(world, engine.clone(), config)?;
+    match config.mode {
+        StudyMode::Parallel { workers } => {
+            // Observe + process the pending snapshots independently, with
+            // per-snapshot panic isolation; the record path (the §6.2
+            // fold and checkpoints) then runs in snapshot order.
+            let pending: Vec<usize> = driver
+                .range
+                .clone()
+                .filter(|t| !driver.adopted.contains_key(t))
+                .collect();
+            let outcomes = parallel_map_isolated(&pending, workers, 1, |&t| driver.compute(t));
+            for (&t, outcome) in pending.iter().zip(outcomes) {
+                let outcome = match outcome {
+                    Ok(outcome) => outcome?,
+                    Err(e) => Some(SnapshotOutcome {
+                        result: SnapshotResult::degraded(t, e.message),
+                        delta: None,
+                    }),
+                };
+                driver.record(t, outcome)?;
+            }
+        }
+        StudyMode::Sequential | StudyMode::Incremental => {
+            for t in driver.range.clone() {
+                driver.append(t)?;
+            }
+        }
+    }
+    driver.finish()
+}
+
+/// The one study driver behind [`try_run_study`] and
+/// [`DeltaStudyEngine`]: per-snapshot computation ([`Self::compute`]) and
+/// the record path ([`Self::record`]) every mode shares.
 #[derive(Clone)]
-pub struct DeltaStudyEngine<'w> {
+struct Driver<'w> {
     world: &'w HgWorld,
     engine: ScanEngine,
+    /// The per-snapshot context (one HG thread under `Parallel`).
     ctx: PipelineContext,
-    cache: Arc<ValidationCache>,
-    state: Option<DeltaState>,
-    /// Accumulated results, fold state, and reuse reports — and, when an
-    /// artifact path is attached, the on-disk artifact each append
-    /// re-persists.
-    builder: ArtifactBuilder,
-    /// Cache (hits, misses) totals at the end of the previous append, so
-    /// each report carries per-snapshot deltas.
-    cache_mark: (u64, u64),
-    /// Checkpoint persistence, when attached via [`Self::with_checkpoints`].
-    store: Option<CheckpointStore>,
-    /// Snapshot indices adopted from checkpoints at construction, with the
-    /// `processed` flag each artifact recorded. Appends for these indices
-    /// return the recorded outcome instead of recomputing.
-    adopted: std::collections::BTreeMap<usize, bool>,
-    /// The study range from construction — adoption only trusts a
-    /// contiguous prefix starting exactly at `first_snapshot`.
-    first_snapshot: usize,
-    last_snapshot: usize,
-    /// Streaming sharded processing, when the config asks for it.
+    incremental: bool,
     sharding: Option<ShardingConfig>,
+    /// The last processed snapshot's evidence and result (incremental).
+    state: Option<DeltaState>,
+    /// Results, fold state, reuse reports, and the attached artifact.
+    builder: ArtifactBuilder,
+    /// Cache (hits, misses) after the previous snapshot, so each reuse
+    /// report carries per-snapshot deltas.
+    cache_mark: (u64, u64),
+    store: Option<CheckpointStore>,
+    /// Snapshots adopted from checkpoints or an artifact, with whether
+    /// each was processed; never recomputed.
+    adopted: BTreeMap<usize, bool>,
+    range: std::ops::RangeInclusive<usize>,
 }
 
-impl<'w> DeltaStudyEngine<'w> {
-    pub fn new(world: &'w HgWorld, engine: ScanEngine, config: &StudyConfig) -> Self {
-        let header_fps = reference_fingerprints(world, &engine, config);
-        let cache = Arc::new(ValidationCache::new());
+impl<'w> Driver<'w> {
+    fn new(
+        world: &'w HgWorld,
+        engine: ScanEngine,
+        config: &StudyConfig,
+    ) -> Result<Self, StudyError> {
+        let header_fps =
+            learn_reference_fingerprints(world, &engine, config.header_reference_snapshot);
         let mut ctx = PipelineContext::new(
             world.pki().root_store().clone(),
             world.org_db(),
             header_fps.clone(),
-        )
-        .with_validation_cache(cache.clone());
+        );
         ctx.candidate_options = config.candidate_options.clone();
         ctx.confirm_mode = config.confirm_mode;
-        let builder = new_builder(world, &engine, config, header_fps);
-        Self {
+        match config.mode {
+            StudyMode::Sequential => {}
+            StudyMode::Parallel { .. } => {
+                ctx = ctx
+                    .with_threads(1)
+                    .with_validation_cache(Arc::new(ValidationCache::new()));
+            }
+            StudyMode::Incremental => {
+                ctx = ctx.with_validation_cache(Arc::new(ValidationCache::new()));
+            }
+        }
+
+        let mut builder = ArtifactBuilder::new(
+            engine.id,
+            header_fps,
+            artifact_fingerprint(world, &engine, config),
+        );
+        if let Some(path) = &config.artifact_out {
+            builder.attach_path(path);
+        }
+        let mut driver = Self {
             world,
             engine,
             ctx,
-            cache,
+            incremental: config.mode == StudyMode::Incremental,
+            sharding: config.sharding.clone(),
             state: None,
             builder,
             cache_mark: (0, 0),
             store: None,
-            adopted: std::collections::BTreeMap::new(),
-            first_snapshot: config.snapshots.0,
-            last_snapshot: config.snapshots.1.min(world.n_snapshots() - 1),
-            sharding: config.sharding.clone(),
+            adopted: BTreeMap::new(),
+            range: config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1),
+        };
+        if let Some(dir) = &config.checkpoint_dir {
+            let store =
+                CheckpointStore::open(dir, study_fingerprint(world, &driver.engine, config))?;
+            driver.adopt_checkpoints(&store)?;
+            driver.store = Some(store);
         }
+        Ok(driver)
     }
 
-    /// Attach a checkpoint store and adopt whatever contiguous completed
-    /// prefix it holds: adopted snapshots' results, reuse reports, fold
-    /// state, and the last processed snapshot's delta evidence are
-    /// restored, so the first live append diffs against it exactly as an
-    /// uninterrupted run would. An adopted artifact without evidence (or
-    /// a prefix ending in skips) simply degrades the next append to a
-    /// full compute — correct, just slower.
-    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Result<Self, CheckpointError> {
-        for ckpt in adopt_contiguous_prefix(&store, self.first_snapshot, self.last_snapshot)? {
-            self.adopted.insert(ckpt.snapshot_idx, ckpt.processed);
+    /// Adopt the contiguous run of checkpoints starting exactly at the
+    /// first snapshot — results, fold state and, incremental, reuse
+    /// reports and the last delta evidence, so the first live snapshot
+    /// diffs as an uninterrupted run would. The first gap ends adoption;
+    /// everything past it is recomputed rather than trusted out of order.
+    fn adopt_checkpoints(&mut self, store: &CheckpointStore) -> Result<(), CheckpointError> {
+        for ckpt in store.load_all()? {
+            let t = ckpt.snapshot_idx;
+            if t < *self.range.start() {
+                continue;
+            }
+            if t != self.range.start() + self.adopted.len() || t > *self.range.end() {
+                break;
+            }
+            self.adopted.insert(t, ckpt.processed);
             self.builder.adopt_checkpoint(&ckpt);
-            if ckpt.processed {
-                self.builder.push_report(ckpt.report.unwrap_or(DeltaReport {
-                    snapshot_idx: ckpt.snapshot_idx,
-                    full_compute: true,
-                    ..Default::default()
-                }));
+            if ckpt.processed && self.incremental {
+                self.builder
+                    .push_report(ckpt.report.unwrap_or(DeltaReport::full_compute(t)));
                 self.state = ckpt.evidence.map(|evidence| DeltaState {
                     evidence,
                     result: ckpt.result,
                 });
             }
         }
-        self.store = Some(store);
-        Ok(self)
+        Ok(())
+    }
+
+    /// Compute and record snapshot `t` unless it was adopted; whether the
+    /// engine's corpus covered it.
+    fn append(&mut self, t: usize) -> Result<bool, StudyError> {
+        if let Some(&processed) = self.adopted.get(&t) {
+            return Ok(processed);
+        }
+        let outcome = self.compute(t)?;
+        self.record(t, outcome)
+    }
+
+    /// The per-snapshot step every mode runs: the §4 pipeline over
+    /// snapshot `t`, in memory or sharded, diffing against the previous
+    /// snapshot when incremental. `None` when the corpus misses `t`.
+    fn compute(&self, t: usize) -> Result<Option<SnapshotOutcome>, StudyError> {
+        let prev = self.state.as_ref();
+        if let Some(sharding) = &self.sharding {
+            return Ok(process_snapshot_sharded_with(
+                self.world,
+                &self.engine,
+                t,
+                &self.ctx,
+                sharding,
+                self.incremental,
+                prev,
+            )?);
+        }
+        let Some(obs) = observe_snapshot(self.world, &self.engine, t) else {
+            return Ok(None);
+        };
+        let corpus = SnapshotCorpus::build(
+            &obs,
+            &self.ctx.roots,
+            &standard_validate_options(),
+            self.ctx.validation_cache.as_deref(),
+        );
+        let evidence = self
+            .incremental
+            .then(|| SnapshotEvidence::build(&corpus, obs.cert.chain_digests()));
+        Ok(Some(process_corpus_with(
+            &corpus, &self.ctx, evidence, prev,
+        )))
+    }
+
+    /// The record path every mode shares: the artifact fold (§6.2
+    /// included), the checkpoint save — a skip marker for an uncovered
+    /// snapshot, keeping the completed prefix contiguous — and,
+    /// incremental, the delta state and the artifact re-persist.
+    fn record(&mut self, t: usize, outcome: Option<SnapshotOutcome>) -> Result<bool, StudyError> {
+        let Some(SnapshotOutcome { result, delta }) = outcome else {
+            if let Some(store) = &self.store {
+                store.save(&SnapshotCheckpoint::skipped(
+                    t,
+                    self.builder.netflix_history(),
+                ))?;
+            }
+            return Ok(false);
+        };
+        let delta = delta.map(|(evidence, mut report)| {
+            if let Some(cache) = &self.ctx.validation_cache {
+                let (hits, misses) = cache.hit_stats();
+                report.chains_replayed = hits - self.cache_mark.0;
+                report.chains_revalidated = misses - self.cache_mark.1;
+                self.cache_mark = (hits, misses);
+            }
+            (evidence, report)
+        });
+        let state_result = delta.is_some().then(|| result.clone());
+
+        let ip_to_as = self.world.ip_to_as(t);
+        let (initial, with_expired, with_non_tls) = self
+            .builder
+            .push_snapshot(result, |ip| ip_to_as.lookup(ip).to_vec());
+        if let Some(store) = &self.store {
+            store.save(&SnapshotCheckpoint {
+                snapshot_idx: t,
+                processed: true,
+                result: self
+                    .builder
+                    .snapshots()
+                    .last()
+                    .expect("just pushed")
+                    .clone(),
+                netflix_initial: initial,
+                netflix_with_expired: with_expired,
+                netflix_with_non_tls: with_non_tls,
+                netflix_ip_history: self.builder.netflix_history(),
+                evidence: delta.as_ref().map(|(evidence, _)| evidence.clone()),
+                report: delta.as_ref().map(|&(_, report)| report),
+            })?;
+        }
+        if let (Some((evidence, report)), Some(result)) = (delta, state_result) {
+            self.state = Some(DeltaState { evidence, result });
+            self.builder.push_report(report);
+        }
+        if self.incremental {
+            self.builder.persist()?;
+        }
+        Ok(true)
+    }
+
+    fn finish(self) -> Result<StudyRun, StudyError> {
+        self.builder.persist()?;
+        let (series, reports) = self.builder.finish();
+        Ok(StudyRun { series, reports })
+    }
+}
+
+/// The snapshot-at-a-time form of [`StudyMode::Incremental`]: feed it
+/// snapshots in order and it diffs each corpus against its predecessor,
+/// replaying clean HGs' results and recomputing only dirty ones (see
+/// [`crate::delta`]). The first appended snapshot — and any snapshot
+/// following a degraded one — is a full compute. The config's `mode` is
+/// ignored; everything else applies as in [`try_run_study`].
+#[derive(Clone)]
+pub struct DeltaStudyEngine<'w>(Driver<'w>);
+
+impl<'w> DeltaStudyEngine<'w> {
+    /// Infallible form of [`Self::try_new`]; panics when the config's
+    /// checkpoint directory is unusable.
+    pub fn new(world: &'w HgWorld, engine: ScanEngine, config: &StudyConfig) -> Self {
+        Self::try_new(world, engine, config).expect("checkpoint directory unusable")
+    }
+
+    /// Build the engine, adopting the contiguous completed prefix of the
+    /// config's `checkpoint_dir` (when set).
+    pub fn try_new(
+        world: &'w HgWorld,
+        engine: ScanEngine,
+        config: &StudyConfig,
+    ) -> Result<Self, StudyError> {
+        let config = StudyConfig {
+            mode: StudyMode::Incremental,
+            ..config.clone()
+        };
+        Driver::new(world, engine, &config).map(Self)
     }
 
     /// Attach `path` as the on-disk [`crate::artifact::StudyArtifact`]
@@ -658,27 +628,21 @@ impl<'w> DeltaStudyEngine<'w> {
     /// evidence, so the first live append after adoption is a full
     /// compute — correct, just slower, exactly like resuming from a
     /// checkpoint prefix whose tail has no evidence.
-    pub fn with_artifact(
-        mut self,
-        path: impl Into<std::path::PathBuf>,
-    ) -> Result<Self, ArtifactError> {
-        let adopted = self.builder.adopt_from_path(path)?;
-        let mut missing_reports = Vec::new();
-        for (i, s) in self.builder.snapshots().iter().enumerate().take(adopted) {
-            self.adopted.insert(s.snapshot_idx, true);
-            // An artifact written by a batch driver carries no reuse
+    pub fn with_artifact(mut self, path: impl Into<PathBuf>) -> Result<Self, ArtifactError> {
+        let d = &mut self.0;
+        let adopted = d.builder.adopt_from_path(path)?;
+        let ts: Vec<usize> = d.builder.snapshots()[..adopted]
+            .iter()
+            .map(|s| s.snapshot_idx)
+            .collect();
+        for (i, t) in ts.into_iter().enumerate() {
+            d.adopted.insert(t, true);
+            // An artifact written by a batch mode carries no reuse
             // reports; synthesize full-compute markers so reports stay
             // aligned with snapshots.
-            if i >= self.builder.reports().len() {
-                missing_reports.push(s.snapshot_idx);
+            if i >= d.builder.reports().len() {
+                d.builder.push_report(DeltaReport::full_compute(t));
             }
-        }
-        for snapshot_idx in missing_reports {
-            self.builder.push_report(DeltaReport {
-                snapshot_idx,
-                full_compute: true,
-                ..Default::default()
-            });
         }
         Ok(self)
     }
@@ -688,141 +652,42 @@ impl<'w> DeltaStudyEngine<'w> {
     /// engine's corpus does not cover `t` — the same snapshots
     /// `run_study` skips.
     ///
-    /// With no checkpoint store attached this cannot fail; prefer
-    /// [`Self::try_append_snapshot`] when one is.
+    /// Infallible form of [`Self::try_append_snapshot`], for engines that
+    /// touch no disk; panics on a checkpoint, segment, or artifact
+    /// failure.
     pub fn append_snapshot(&mut self, t: usize) -> bool {
-        self.try_append_snapshot(t)
-            .expect("checkpoint persistence failed")
+        self.try_append_snapshot(t).expect("study snapshot failed")
     }
 
-    /// [`Self::append_snapshot`] with checkpoint persistence surfaced:
-    /// the snapshot's artifact is written (atomically) after processing,
-    /// and appends for snapshots adopted at construction return their
-    /// recorded outcome without recomputing.
-    pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, CheckpointError> {
-        if let Some(&processed) = self.adopted.get(&t) {
-            return Ok(processed);
-        }
-        let outcome = if let Some(sharding) = &self.sharding {
-            process_snapshot_sharded_delta(
-                self.world,
-                &self.engine,
-                t,
-                &self.ctx,
-                sharding,
-                self.state.as_ref(),
-            )?
-        } else if let Some(obs) = observe_snapshot(self.world, &self.engine, t) {
-            let chain_rows = obs.cert.chain_digests();
-            let corpus = SnapshotCorpus::build(
-                &obs,
-                &self.ctx.roots,
-                &standard_validate_options(),
-                self.ctx.validation_cache.as_deref(),
-            );
-            Some(process_corpus_delta(
-                &corpus,
-                &self.ctx,
-                chain_rows,
-                self.state.as_ref(),
-            ))
-        } else {
-            None
-        };
-        let Some((result, evidence, mut report)) = outcome else {
-            if let Some(store) = &self.store {
-                store.save(&SnapshotCheckpoint::skipped(
-                    t,
-                    self.builder.netflix_history(),
-                ))?;
-            }
-            return Ok(false);
-        };
-        let (hits, misses) = self.cache.hit_stats();
-        report.chains_replayed = hits - self.cache_mark.0;
-        report.chains_revalidated = misses - self.cache_mark.1;
-        self.cache_mark = (hits, misses);
-
-        // The §6.2 Netflix fold, identical to `run_study`'s.
-        let ip_to_as = self.world.ip_to_as(t);
-        let (initial, with_expired, with_non_tls) = self
-            .builder
-            .push_snapshot(result.clone(), |ip| ip_to_as.lookup(ip).to_vec());
-
-        if let Some(store) = &self.store {
-            store.save(&SnapshotCheckpoint {
-                snapshot_idx: t,
-                processed: true,
-                result: result.clone(),
-                netflix_initial: initial,
-                netflix_with_expired: with_expired,
-                netflix_with_non_tls: with_non_tls,
-                netflix_ip_history: self.builder.netflix_history(),
-                evidence: Some(evidence.clone()),
-                report: Some(report),
-            })?;
-        }
-
-        self.state = Some(DeltaState { evidence, result });
-        self.builder.push_report(report);
-        // Re-persist after every append, so the on-disk artifact always
-        // reflects the grown prefix.
-        self.builder.persist().expect("study artifact write failed");
-        Ok(true)
+    /// [`Self::append_snapshot`] with persistence failures surfaced. The
+    /// snapshot's checkpoint (when a checkpoint directory is configured)
+    /// and the artifact (when attached) are written atomically after
+    /// processing; appends for snapshots adopted at construction return
+    /// their recorded outcome without recomputing.
+    pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, StudyError> {
+        self.0.append(t)
     }
 
     /// Per-snapshot reuse reports so far.
     pub fn reports(&self) -> &[DeltaReport] {
-        self.builder.reports()
+        self.0.builder.reports()
     }
 
     /// The shared §4.1 validation cache (for its lifetime counters).
     pub fn cache(&self) -> &ValidationCache {
-        &self.cache
+        self.0
+            .ctx
+            .validation_cache
+            .as_deref()
+            .expect("the incremental mode always validates through a cache")
     }
 
-    pub fn finish(self) -> IncrementalStudy {
-        self.builder.persist().expect("study artifact write failed");
-        let (series, reports) = self.builder.finish();
-        IncrementalStudy { series, reports }
+    /// The study so far. Every append already re-persisted the attached
+    /// artifact, so nothing is written here.
+    pub fn finish(self) -> StudyRun {
+        let (series, reports) = self.0.builder.finish();
+        StudyRun { series, reports }
     }
-}
-
-/// Incremental variant of [`run_study`]: the first snapshot is computed
-/// in full, every later one as a delta against its predecessor. The
-/// rendered series is byte-identical to the full recompute
-/// (`tests/incremental.rs` pins this, faults included).
-pub fn run_study_incremental(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-) -> IncrementalStudy {
-    let mut driver = DeltaStudyEngine::new(world, engine.clone(), config);
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
-        driver.append_snapshot(t);
-    }
-    driver.finish()
-}
-
-/// Crash-resumable variant of [`run_study_incremental`]: every appended
-/// snapshot persists its result *and* the delta engine's evidence into
-/// `store`, so a relaunched run adopts the completed prefix and resumes
-/// diffing from the first missing snapshot — still incremental, not a
-/// full recompute. The rendered series is byte-identical to an
-/// uninterrupted run; only the reuse reports' validation-cache counters
-/// differ (the cache restarts cold).
-pub fn run_study_incremental_checkpointed(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    store: CheckpointStore,
-) -> Result<IncrementalStudy, CheckpointError> {
-    let mut driver =
-        DeltaStudyEngine::new(world, engine.clone(), config).with_checkpoints(store)?;
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
-        driver.try_append_snapshot(t)?;
-    }
-    Ok(driver.finish())
 }
 
 #[cfg(test)]
@@ -837,6 +702,24 @@ mod tests {
             let world = HgWorld::generate(ScenarioConfig::small());
             run_study(&world, &ScanEngine::rapid7(), &StudyConfig::default())
         })
+    }
+
+    /// The streaming learner's output must not depend on its chunk size:
+    /// one endpoint per chunk, the default, and one whole snapshot.
+    #[test]
+    fn reference_learner_is_chunk_invariant() {
+        let world = HgWorld::generate(ScenarioConfig::small());
+        let engine = ScanEngine::rapid7();
+        let sorted = |chunk: usize| {
+            let fps = learn_reference_fingerprints_chunked(&world, &engine, 28, chunk);
+            let mut v: Vec<_> = fps.iter().cloned().collect();
+            v.sort_by(|a, b| a.keyword.cmp(&b.keyword));
+            v
+        };
+        let reference = sorted(REFERENCE_CHUNK);
+        assert!(reference.iter().any(|fp| !fp.is_empty()), "learned nothing");
+        assert_eq!(sorted(1), reference, "chunk size 1");
+        assert_eq!(sorted(usize::MAX), reference, "one whole snapshot");
     }
 
     #[test]

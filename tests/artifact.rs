@@ -1,8 +1,7 @@
 //! Study-artifact equivalence: a study frozen to disk and loaded back
-//! must render byte-identical output to the live series, whichever of
-//! the four drivers produced it — sequential, snapshot-parallel,
-//! checkpointed, or the incremental delta engine — clean and under
-//! injected faults alike. The incremental engine must also append to an
+//! must render byte-identical output to the live series, whichever study
+//! mode produced it — sequential, snapshot-parallel, checkpointed, or the
+//! incremental delta engine — clean and under injected faults alike. The incremental engine must also append to an
 //! existing on-disk artifact and land exactly where an uninterrupted
 //! run does.
 //!
@@ -12,8 +11,8 @@
 use hgsim::{HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_bench::render_study;
 use offnet_core::{
-    run_study, run_study_checkpointed, run_study_incremental, run_study_parallel, ArtifactError,
-    CheckpointDriver, CheckpointStore, DeltaStudyEngine, StudyArtifact, StudyConfig,
+    artifact_fingerprint, run_study, study_fingerprint, try_run_study, ArtifactError,
+    DeltaStudyEngine, ShardingConfig, StudyArtifact, StudyConfig, StudyMode,
 };
 use offnet_query::FrozenStudy;
 use scanner::{FaultPlan, ScanEngine};
@@ -65,17 +64,35 @@ fn every_driver_freezes_a_render_identical_artifact() {
     };
 
     let sequential = render_study(&run_study(w, &engine, &config("sequential")));
-    let parallel = render_study(&run_study_parallel(w, &engine, &config("parallel"), 4));
-    let incremental =
-        render_study(&run_study_incremental(w, &engine, &config("incremental")).series);
-    let ckpt_config = config("checkpointed");
-    let store = CheckpointStore::open(
-        dir.join("ckpts"),
-        offnet_core::study_fingerprint(w, &engine, &ckpt_config, CheckpointDriver::Sequential),
-    )
-    .expect("open store");
-    let checkpointed =
-        render_study(&run_study_checkpointed(w, &engine, &ckpt_config, &store).expect("ckpt run"));
+    let parallel = render_study(&run_study(
+        w,
+        &engine,
+        &StudyConfig {
+            mode: StudyMode::Parallel { workers: 4 },
+            ..config("parallel")
+        },
+    ));
+    let incremental = render_study(
+        &try_run_study(
+            w,
+            &engine,
+            &StudyConfig {
+                mode: StudyMode::Incremental,
+                ..config("incremental")
+            },
+        )
+        .expect("incremental run")
+        .series,
+    );
+    let ckpt_config = StudyConfig {
+        checkpoint_dir: Some(dir.join("ckpts")),
+        ..config("checkpointed")
+    };
+    let checkpointed = render_study(
+        &try_run_study(w, &engine, &ckpt_config)
+            .expect("ckpt run")
+            .series,
+    );
 
     for (name, direct) in [
         ("sequential", &sequential),
@@ -121,7 +138,15 @@ fn faulted_artifacts_round_trip_across_drivers() {
         !plan.injected_total().is_empty(),
         "plan injected nothing at rate {rate}; the faulted comparison is vacuous"
     );
-    let inc = run_study_incremental(w, &engine(), &config("incremental"));
+    let inc = try_run_study(
+        w,
+        &engine(),
+        &StudyConfig {
+            mode: StudyMode::Incremental,
+            ..config("incremental")
+        },
+    )
+    .expect("incremental run");
 
     let full_render = render_study(&full);
     assert_eq!(full_render, render_study(&inc.series));
@@ -273,4 +298,73 @@ fn frozen_study_agrees_with_live_series() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An artifact must stay adoptable across modes, so neither fingerprint
+/// may depend on how a study is scheduled, where its corpus lives, or
+/// where it checkpoints — except the checkpoint tag, which separates
+/// incremental checkpoints (they carry delta evidence) from the rest.
+#[test]
+fn fingerprints_ignore_mode_sharding_and_checkpoint_dir() {
+    let w = world();
+    let engine = ScanEngine::rapid7();
+    let base = StudyConfig::default();
+    let variants = [
+        StudyConfig {
+            mode: StudyMode::Parallel { workers: 1 },
+            ..base.clone()
+        },
+        StudyConfig {
+            mode: StudyMode::Parallel { workers: 4 },
+            ..base.clone()
+        },
+        StudyConfig {
+            sharding: Some(ShardingConfig::new(400, "spill-a")),
+            ..base.clone()
+        },
+        StudyConfig {
+            sharding: Some(ShardingConfig::new(7, "spill-b").with_workers(3)),
+            ..base.clone()
+        },
+        StudyConfig {
+            checkpoint_dir: Some(PathBuf::from("ckpt")),
+            ..base.clone()
+        },
+    ];
+    let artifact = artifact_fingerprint(w, &engine, &base);
+    let checkpoint = study_fingerprint(w, &engine, &base);
+    for config in &variants {
+        assert_eq!(
+            artifact_fingerprint(w, &engine, config),
+            artifact,
+            "{config:?}"
+        );
+        assert_eq!(
+            study_fingerprint(w, &engine, config),
+            checkpoint,
+            "{config:?}"
+        );
+    }
+
+    let incremental = StudyConfig {
+        mode: StudyMode::Incremental,
+        ..base.clone()
+    };
+    assert_eq!(artifact_fingerprint(w, &engine, &incremental), artifact);
+    let incremental_ckpt = study_fingerprint(w, &engine, &incremental);
+    assert_ne!(
+        incremental_ckpt, checkpoint,
+        "incremental checkpoints need their own tag"
+    );
+    for config in &variants {
+        let config = StudyConfig {
+            mode: StudyMode::Incremental,
+            ..config.clone()
+        };
+        assert_eq!(
+            study_fingerprint(w, &engine, &config),
+            incremental_ckpt,
+            "{config:?}"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Crash-resumable studies: a run killed mid-study and relaunched over the
 //! same checkpoint directory must render byte-identical output to an
-//! uninterrupted run — for the sequential and the incremental driver,
-//! clean and under injected faults/transients alike — and checkpoint
+//! uninterrupted run — in every study mode, clean and under injected
+//! faults/transients alike — and checkpoint
 //! corruption or configuration drift must surface as typed errors with
 //! remediation, never as silent wrong answers. The sharded pipeline
 //! composes with checkpoints: segments orphaned by a mid-snapshot crash
@@ -14,11 +14,11 @@
 use hgsim::{HgWorld, ScenarioConfig};
 use offnet_bench::render_study;
 use offnet_core::{
-    run_study, run_study_checkpointed, run_study_incremental_checkpointed, study_fingerprint,
-    CheckpointDriver, CheckpointError, CheckpointStore, ShardingConfig, StudyConfig,
+    run_study, study_fingerprint, try_run_study, CheckpointError, CheckpointStore, ShardingConfig,
+    StudyConfig, StudyError, StudyMode, StudyRun,
 };
 use scanner::{FaultPlan, ScanEngine, TransientPolicy};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 fn world() -> &'static HgWorld {
@@ -48,54 +48,58 @@ fn config(range: (usize, usize)) -> StudyConfig {
     }
 }
 
-fn store(
-    dir: &PathBuf,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    driver: CheckpointDriver,
-) -> CheckpointStore {
-    let fp = study_fingerprint(world(), engine, config, driver);
-    CheckpointStore::open(dir, fp).expect("open store")
+/// `config(range)` checkpointing into `dir` under `mode`.
+fn checkpointed(range: (usize, usize), dir: &Path, mode: StudyMode) -> StudyConfig {
+    StudyConfig {
+        mode,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..config(range)
+    }
 }
 
-/// Sequential driver, killed after snapshot 25 and relaunched: the resumed
-/// study renders byte-identical to an uninterrupted run, and the directory
-/// ends up with one artifact per snapshot in the range.
+fn run(engine: &ScanEngine, config: &StudyConfig) -> Result<StudyRun, StudyError> {
+    try_run_study(world(), engine, config)
+}
+
+/// The batch modes whose checkpoints share one tag.
+const BATCH_MODES: [StudyMode; 2] = [StudyMode::Sequential, StudyMode::Parallel { workers: 3 }];
+
+/// Sequential and parallel modes, killed after snapshot 25 and relaunched:
+/// the resumed study renders byte-identical to an uninterrupted run, and
+/// the directory ends up with one artifact per snapshot in the range.
 #[test]
 fn sequential_kill_resume_is_byte_identical() {
     let w = world();
     let engine = ScanEngine::rapid7();
-    let full_cfg = config((20, 30));
-    let uninterrupted = run_study(w, &engine, &full_cfg);
+    let uninterrupted = run_study(w, &engine, &config((20, 30)));
 
-    let dir = temp_dir("seq");
-    // "Kill" after snapshot 25: run the prefix range to completion. The
-    // fingerprint excludes the snapshot range, so the resumed (longer)
-    // run adopts these artifacts.
-    let killed_cfg = config((20, 25));
-    let s = store(&dir, &engine, &killed_cfg, CheckpointDriver::Sequential);
-    run_study_checkpointed(w, &engine, &killed_cfg, &s).expect("killed prefix run");
+    for mode in BATCH_MODES {
+        let dir = temp_dir(&format!("seq-{mode:?}"));
+        // "Kill" after snapshot 25: run the prefix range to completion.
+        // The fingerprint excludes the snapshot range, so the resumed
+        // (longer) run adopts these artifacts.
+        run(&engine, &checkpointed((20, 25), &dir, mode)).expect("killed prefix run");
 
-    let s = store(&dir, &engine, &full_cfg, CheckpointDriver::Sequential);
-    let resumed = run_study_checkpointed(w, &engine, &full_cfg, &s).expect("resumed run");
-    assert_eq!(
-        render_study(&uninterrupted),
-        render_study(&resumed),
-        "resumed sequential study diverged from the uninterrupted run"
-    );
-    let artifacts = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-        .count();
-    assert_eq!(artifacts, 11, "one artifact per snapshot in 20..=30");
+        let full_cfg = checkpointed((20, 30), &dir, mode);
+        let resumed = run(&engine, &full_cfg).expect("resumed run").series;
+        assert_eq!(
+            render_study(&uninterrupted),
+            render_study(&resumed),
+            "resumed {mode:?} study diverged from the uninterrupted run"
+        );
+        let artifacts = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
+            .count();
+        assert_eq!(artifacts, 11, "one artifact per snapshot in 20..=30");
 
-    // Re-running over the complete directory adopts everything and still
-    // renders identically — resume is idempotent.
-    let s = store(&dir, &engine, &full_cfg, CheckpointDriver::Sequential);
-    let again = run_study_checkpointed(w, &engine, &full_cfg, &s).expect("idempotent run");
-    assert_eq!(render_study(&uninterrupted), render_study(&again));
-    let _ = std::fs::remove_dir_all(&dir);
+        // Re-running over the complete directory adopts everything and
+        // still renders identically — resume is idempotent.
+        let again = run(&engine, &full_cfg).expect("idempotent run").series;
+        assert_eq!(render_study(&uninterrupted), render_study(&again));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Incremental driver, killed and relaunched: byte-identical output, and
@@ -109,12 +113,17 @@ fn incremental_kill_resume_stays_incremental() {
     let uninterrupted = run_study(w, &engine, &full_cfg);
 
     let dir = temp_dir("inc");
-    let killed_cfg = config((20, 25));
-    let s = store(&dir, &engine, &killed_cfg, CheckpointDriver::Incremental);
-    run_study_incremental_checkpointed(w, &engine, &killed_cfg, s).expect("killed prefix run");
+    run(
+        &engine,
+        &checkpointed((20, 25), &dir, StudyMode::Incremental),
+    )
+    .expect("killed prefix run");
 
-    let s = store(&dir, &engine, &full_cfg, CheckpointDriver::Incremental);
-    let resumed = run_study_incremental_checkpointed(w, &engine, &full_cfg, s).expect("resumed");
+    let resumed = run(
+        &engine,
+        &checkpointed((20, 30), &dir, StudyMode::Incremental),
+    )
+    .expect("resumed");
     assert_eq!(
         render_study(&uninterrupted),
         render_study(&resumed.series),
@@ -150,40 +159,46 @@ fn kill_resume_is_byte_identical_under_faults_and_transients() {
     let full_cfg = config((22, 30));
     let uninterrupted = run_study(w, &engine(), &full_cfg);
 
-    let dir = temp_dir("faulted");
-    let killed_cfg = config((22, 26));
-    let e = engine();
-    let s = store(&dir, &e, &killed_cfg, CheckpointDriver::Sequential);
-    run_study_checkpointed(w, &e, &killed_cfg, &s).expect("killed prefix run");
+    for mode in BATCH_MODES {
+        let dir = temp_dir(&format!("faulted-{mode:?}"));
+        run(&engine(), &checkpointed((22, 26), &dir, mode)).expect("killed prefix run");
 
-    let e = engine();
-    let s = store(&dir, &e, &full_cfg, CheckpointDriver::Sequential);
-    let resumed = run_study_checkpointed(w, &e, &full_cfg, &s).expect("resumed run");
-    assert_eq!(
-        render_study(&uninterrupted),
-        render_study(&resumed),
-        "faulted resume diverged (fault rate {rate}, transient rate 0.2)"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let resumed = run(&engine(), &checkpointed((22, 30), &dir, mode))
+            .expect("resumed run")
+            .series;
+        assert_eq!(
+            render_study(&uninterrupted),
+            render_study(&resumed),
+            "faulted {mode:?} resume diverged (fault rate {rate}, transient rate 0.2)"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
-/// Sequential artifacts must not be adopted by the incremental driver (or
-/// vice versa): the driver kind is part of the config fingerprint, so the
-/// attempt dies with a typed `ConfigMismatch` carrying remediation.
+/// Sequential artifacts must not be adopted by the incremental mode (or
+/// vice versa): whether the mode is incremental is part of the config
+/// fingerprint, so the attempt dies with a typed `ConfigMismatch`
+/// carrying remediation.
 #[test]
 fn mismatched_driver_checkpoints_are_rejected() {
-    let w = world();
     let engine = ScanEngine::rapid7();
-    let cfg = config((28, 30));
     let dir = temp_dir("mismatch");
-    let s = store(&dir, &engine, &cfg, CheckpointDriver::Sequential);
-    run_study_checkpointed(w, &engine, &cfg, &s).expect("seed the dir");
+    run(
+        &engine,
+        &checkpointed((28, 30), &dir, StudyMode::Sequential),
+    )
+    .expect("seed the dir");
 
-    let s = store(&dir, &engine, &cfg, CheckpointDriver::Incremental);
-    let err = run_study_incremental_checkpointed(w, &engine, &cfg, s)
-        .expect_err("incremental driver adopted sequential artifacts");
+    let err = run(
+        &engine,
+        &checkpointed((28, 30), &dir, StudyMode::Incremental),
+    )
+    .expect_err("incremental mode adopted sequential artifacts");
     assert!(
-        matches!(err, CheckpointError::ConfigMismatch { .. }),
+        matches!(
+            err,
+            StudyError::Checkpoint(CheckpointError::ConfigMismatch { .. })
+        ),
         "wrong error: {err}"
     );
     assert!(
@@ -205,8 +220,8 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
     let uninterrupted = run_study(w, &engine, &cfg);
 
     let dir = temp_dir("corrupt");
-    let s = store(&dir, &engine, &cfg, CheckpointDriver::Sequential);
-    run_study_checkpointed(w, &engine, &cfg, &s).expect("seed the dir");
+    let ckpt_cfg = checkpointed((27, 30), &dir, StudyMode::Sequential);
+    run(&engine, &ckpt_cfg).expect("seed the dir");
 
     // Flip a byte in the middle of the first artifact's payload.
     let victim = dir.join("snap_0027.ckpt");
@@ -215,10 +230,9 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
     bytes[mid] ^= 0xff;
     std::fs::write(&victim, &bytes).unwrap();
 
-    let err =
-        run_study_checkpointed(w, &engine, &cfg, &s).expect_err("resumed over a corrupt artifact");
+    let err = run(&engine, &ckpt_cfg).expect_err("resumed over a corrupt artifact");
     assert!(
-        matches!(err, CheckpointError::Corrupt { .. }),
+        matches!(err, StudyError::Checkpoint(CheckpointError::Corrupt { .. })),
         "wrong error: {err}"
     );
     assert!(
@@ -227,8 +241,11 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
         "error lacks remediation: {err}"
     );
 
-    s.wipe().expect("wipe");
-    let rerun = run_study_checkpointed(w, &engine, &cfg, &s).expect("rerun after wipe");
+    CheckpointStore::open(&dir, study_fingerprint(w, &engine, &ckpt_cfg))
+        .expect("open store")
+        .wipe()
+        .expect("wipe");
+    let rerun = run(&engine, &ckpt_cfg).expect("rerun after wipe").series;
     assert_eq!(render_study(&uninterrupted), render_study(&rerun));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -249,30 +266,17 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     let spill_dir = temp_dir("shard-seq-spill");
     let sharded = |range: (usize, usize)| StudyConfig {
         sharding: Some(ShardingConfig::new(400, spill_dir.clone())),
-        ..config(range)
+        ..checkpointed(range, &ckpt_dir, StudyMode::Sequential)
     };
 
     // "Kill mid-snapshot 24": run the 20..=24 prefix to completion, then
     // delete the t=24 artifact. Its segments stay spilled on disk — the
     // state a crash leaves behind between the spill and the save.
-    let killed_cfg = sharded((20, 24));
-    let s = store(
-        &ckpt_dir,
-        &engine,
-        &killed_cfg,
-        CheckpointDriver::Sequential,
-    );
-    run_study_checkpointed(w, &engine, &killed_cfg, &s).expect("killed prefix run");
+    run(&engine, &sharded((20, 24))).expect("killed prefix run");
     std::fs::remove_file(ckpt_dir.join("snap_0024.ckpt")).expect("drop mid-snapshot artifact");
 
     let resume_cfg = sharded(full_range);
-    let s = store(
-        &ckpt_dir,
-        &engine,
-        &resume_cfg,
-        CheckpointDriver::Sequential,
-    );
-    let resumed = run_study_checkpointed(w, &engine, &resume_cfg, &s).expect("resumed run");
+    let resumed = run(&engine, &resume_cfg).expect("resumed run").series;
     assert_eq!(
         render_study(&uninterrupted),
         render_study(&resumed),
@@ -300,8 +304,7 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     let victim = spill_dir.join("t0024").join("shard_0001.seg");
     std::fs::remove_file(&victim).expect("lose one segment");
     let rerun_cfg = sharded(full_range);
-    let s = store(&ckpt_dir, &engine, &rerun_cfg, CheckpointDriver::Sequential);
-    let rerun = run_study_checkpointed(w, &engine, &rerun_cfg, &s).expect("second resume");
+    let rerun = run(&engine, &rerun_cfg).expect("second resume").series;
     assert_eq!(render_study(&uninterrupted), render_study(&rerun));
     let ledger = rerun_cfg.sharding.as_ref().unwrap().ledger.clone();
     assert_eq!(ledger.segments_built(), 1, "only the lost segment rebuilds");
@@ -324,20 +327,18 @@ fn start_shift_resume_adopts_fold_history() {
     let engine = ScanEngine::rapid7();
     // The range straddles the Netflix expired-certificate window, so the
     // pre-shift snapshots contribute history the shifted tail consults.
-    let full_cfg = config((14, 22));
     let dir = temp_dir("shift");
-    let s = store(&dir, &engine, &full_cfg, CheckpointDriver::Sequential);
-    let full = run_study_checkpointed(w, &engine, &full_cfg, &s).expect("seed the dir");
+    let full_cfg = checkpointed((14, 22), &dir, StudyMode::Sequential);
+    let full = run(&engine, &full_cfg).expect("seed the dir").series;
 
-    let tail_cfg = config((18, 22));
+    let tail_cfg = checkpointed((18, 22), &dir, StudyMode::Sequential);
     // Same fingerprint despite the shifted range — documented behavior.
     assert_eq!(
-        study_fingerprint(w, &engine, &full_cfg, CheckpointDriver::Sequential),
-        study_fingerprint(w, &engine, &tail_cfg, CheckpointDriver::Sequential),
+        study_fingerprint(w, &engine, &full_cfg),
+        study_fingerprint(w, &engine, &tail_cfg),
     );
-    let s = store(&dir, &engine, &tail_cfg, CheckpointDriver::Sequential);
-    let resumed = run_study_checkpointed(w, &engine, &tail_cfg, &s).expect("shifted resume");
-    let fresh = run_study(w, &engine, &tail_cfg);
+    let resumed = run(&engine, &tail_cfg).expect("shifted resume").series;
+    let fresh = run_study(w, &engine, &config((18, 22)));
 
     // Per-snapshot processing is position-independent: identical rows.
     assert_eq!(resumed.snapshots.len(), fresh.snapshots.len());

@@ -9,7 +9,10 @@
 
 use hgsim::{Hg, HgWorld, ScenarioConfig, ALL_HGS, TOP4};
 use offnet_core::study::learn_reference_fingerprints;
-use offnet_core::{process_snapshot, run_study, PipelineContext, RecordError, StudyConfig};
+use offnet_core::{
+    process_snapshot, process_snapshot_sharded, run_study, PipelineContext, RecordError,
+    ShardingConfig, StudyConfig,
+};
 use scanner::{observe_snapshot, FaultClass, FaultPlan, ScanEngine};
 use std::sync::{Arc, OnceLock};
 
@@ -193,33 +196,54 @@ fn panicking_hg_stage_degrades_that_hg_and_spares_the_rest() {
     let obs = observe_snapshot(w, &engine, 30).expect("snapshot in corpus");
     let fps = learn_reference_fingerprints(w, &engine, 28);
     let ctx = PipelineContext::new(w.pki().root_store().clone(), w.org_db(), fps);
-    let baseline = process_snapshot(&obs, &ctx);
+    let spill = std::env::temp_dir().join(format!("offnet-faults-hg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spill);
+    // Both snapshot paths: the in-memory corpus and 400-endpoint shards.
+    let run = |ctx: &PipelineContext, sharded: bool| {
+        if sharded {
+            let sharding = ShardingConfig::new(400, &spill);
+            process_snapshot_sharded(w, &engine, 30, ctx, &sharding)
+                .expect("segment I/O")
+                .expect("snapshot in corpus")
+        } else {
+            process_snapshot(&obs, ctx)
+        }
+    };
+    let baseline = run(&ctx, false);
     assert!(baseline.quality.degraded_hgs.is_empty());
 
     let hooked = ctx.with_hg_panic_hook(|hg| hg == Hg::Google);
-    let result = process_snapshot(&obs, &hooked);
-    assert!(
-        result
-            .quality
-            .degraded_hgs
-            .contains_key(&Hg::Google.to_string()),
-        "degraded HGs: {:?}",
-        result.quality.degraded_hgs
-    );
-    assert_eq!(result.quality.degraded_hgs.len(), 1);
-    assert!(result.per_hg[&Hg::Google].confirmed_ases.is_empty());
-    assert!(result.per_hg[&Hg::Google].candidate_ases.is_empty());
-    for hg in ALL_HGS {
-        if hg == Hg::Google {
-            continue;
-        }
-        assert_eq!(
-            result.per_hg[&hg].confirmed_ases, baseline.per_hg[&hg].confirmed_ases,
-            "{hg} must be untouched by Google's panic"
+    let in_memory = run(&hooked, false);
+    for sharded in [false, true] {
+        let result = run(&hooked, sharded);
+        assert!(
+            result
+                .quality
+                .degraded_hgs
+                .contains_key(&Hg::Google.to_string()),
+            "sharded={sharded} degraded HGs: {:?}",
+            result.quality.degraded_hgs
         );
+        assert_eq!(result.quality.degraded_hgs.len(), 1);
+        assert_eq!(
+            result.quality.degraded_hgs, in_memory.quality.degraded_hgs,
+            "sharded={sharded}: degradation entry differs between paths"
+        );
+        assert!(result.per_hg[&Hg::Google].confirmed_ases.is_empty());
+        assert!(result.per_hg[&Hg::Google].candidate_ases.is_empty());
+        for hg in ALL_HGS {
+            if hg == Hg::Google {
+                continue;
+            }
+            assert_eq!(
+                result.per_hg[&hg].confirmed_ases, baseline.per_hg[&hg].confirmed_ases,
+                "{hg} must be untouched by Google's panic (sharded={sharded})"
+            );
+        }
+        // The snapshot itself completed: validation ran, quality was built.
+        assert_eq!(result.validation, baseline.validation);
     }
-    // The snapshot itself completed: validation ran, quality was built.
-    assert_eq!(result.validation, baseline.validation);
+    let _ = std::fs::remove_dir_all(&spill);
 }
 
 mod parser_hardening {

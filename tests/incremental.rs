@@ -10,8 +10,8 @@
 use hgsim::{HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_bench::render_study;
 use offnet_core::{
-    run_study, run_study_incremental, standard_validate_options, CorpusDelta, DeltaStudyEngine,
-    SnapshotCorpus, SnapshotEvidence, StudyConfig,
+    run_study, standard_validate_options, try_run_study, CorpusDelta, DeltaStudyEngine,
+    SnapshotCorpus, SnapshotEvidence, StudyConfig, StudyMode, StudyRun,
 };
 use scanner::{observe_snapshot, FaultPlan, ScanEngine};
 use std::sync::{Arc, OnceLock};
@@ -19,6 +19,15 @@ use std::sync::{Arc, OnceLock};
 fn world() -> &'static HgWorld {
     static W: OnceLock<HgWorld> = OnceLock::new();
     W.get_or_init(|| HgWorld::generate(ScenarioConfig::small()))
+}
+
+/// `config` run in [`StudyMode::Incremental`].
+fn run_incremental(w: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudyRun {
+    let config = StudyConfig {
+        mode: StudyMode::Incremental,
+        ..config.clone()
+    };
+    try_run_study(w, engine, &config).expect("incremental study")
 }
 
 fn fault_rate() -> f64 {
@@ -34,7 +43,7 @@ fn incremental_matches_full_rendered_output() {
     let engine = ScanEngine::rapid7();
     let config = StudyConfig::default();
     let full = run_study(w, &engine, &config);
-    let inc = run_study_incremental(w, &engine, &config);
+    let inc = run_incremental(w, &engine, &config);
     assert_eq!(
         render_study(&full),
         render_study(&inc.series),
@@ -78,7 +87,7 @@ fn incremental_matches_full_under_faults() {
     let (engine_a, plan_a) = run_engine();
     let full = run_study(w, &engine_a, &config);
     let (engine_b, _) = run_engine();
-    let inc = run_study_incremental(w, &engine_b, &config);
+    let inc = run_incremental(w, &engine_b, &config);
     assert!(
         !plan_a.injected_total().is_empty(),
         "plan injected nothing at rate {rate}; the faulted comparison is vacuous"

@@ -6,8 +6,7 @@
 use hgsim::{Hg, HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_core::study::learn_reference_fingerprints;
 use offnet_core::{
-    process_snapshot, process_snapshots_parallel, run_study, run_study_parallel, PipelineContext,
-    StudyConfig, ValidationCache,
+    process_snapshot, run_study, PipelineContext, StudyConfig, StudyMode, ValidationCache,
 };
 use scanner::{observe_snapshot, ScanEngine};
 use std::sync::{Arc, OnceLock};
@@ -21,6 +20,14 @@ fn base_ctx() -> PipelineContext {
     let w = world();
     let fps = learn_reference_fingerprints(w, &ScanEngine::rapid7(), 28);
     PipelineContext::new(w.pki().root_store().clone(), w.org_db(), fps)
+}
+
+/// `config` run in [`StudyMode::Parallel`].
+fn parallel(config: &StudyConfig, workers: usize) -> StudyConfig {
+    StudyConfig {
+        mode: StudyMode::Parallel { workers },
+        ..config.clone()
+    }
 }
 
 #[test]
@@ -41,7 +48,7 @@ fn parallel_snapshots_match_sequential() {
         .with_validation_cache(Arc::new(ValidationCache::new()));
 
     let seq: Vec<_> = obs.iter().map(|o| process_snapshot(o, &seq_ctx)).collect();
-    let par = process_snapshots_parallel(&obs, &par_ctx);
+    let par: Vec<_> = obs.iter().map(|o| process_snapshot(o, &par_ctx)).collect();
 
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
@@ -81,7 +88,7 @@ fn cached_study_matches_sequential_study() {
         ..Default::default()
     };
     let seq = run_study(w, &engine, &config);
-    let par = run_study_parallel(w, &engine, &config, 4);
+    let par = run_study(w, &engine, &parallel(&config, 4));
 
     assert_eq!(seq.snapshots.len(), par.snapshots.len());
     for (s, p) in seq.snapshots.iter().zip(&par.snapshots) {
@@ -113,13 +120,13 @@ fn cached_study_matches_sequential_study() {
 fn thread_count_does_not_change_results() {
     let w = world();
     let engine = ScanEngine::rapid7();
-    let obs = vec![observe_snapshot(w, &engine, 30).expect("snapshot in corpus")];
+    let obs = observe_snapshot(w, &engine, 30).expect("snapshot in corpus");
     let mut reference: Option<Vec<netsim::AsId>> = None;
     for threads in [1usize, 2, 7] {
         let ctx = base_ctx()
             .with_threads(threads)
             .with_validation_cache(Arc::new(ValidationCache::new()));
-        let result = &process_snapshots_parallel(&obs, &ctx)[0];
+        let result = &process_snapshot(&obs, &ctx);
         let google: Vec<netsim::AsId> = result.per_hg[&Hg::Google]
             .confirmed_ases
             .iter()
@@ -146,7 +153,7 @@ fn faulted_study_parallel_matches_sequential() {
         ScanEngine::rapid7().with_faults(plan)
     };
     let seq = run_study(w, &mk_engine(), &config);
-    let par = run_study_parallel(w, &mk_engine(), &config, 4);
+    let par = run_study(w, &mk_engine(), &parallel(&config, 4));
     assert_eq!(seq.snapshots.len(), par.snapshots.len());
     for (s, p) in seq.snapshots.iter().zip(&par.snapshots) {
         assert_eq!(s.snapshot_idx, p.snapshot_idx);
@@ -181,7 +188,7 @@ fn shared_cache_is_hit_across_snapshots() {
     // sequentially so each stage of that ladder is visible.
     for t in [28usize, 29, 30] {
         let obs = observe_snapshot(w, &engine, t).expect("snapshot in corpus");
-        let _ = process_snapshots_parallel(std::slice::from_ref(&obs), &ctx);
+        let _ = process_snapshot(&obs, &ctx);
         let stats = cache.stats();
         match t {
             28 => {

@@ -1,13 +1,13 @@
 //! Streaming sharded pipeline equivalence: at `--scale small`, a study
 //! processed through bounded-memory spilled segments must render
-//! **byte-identically** to the in-memory path — across the sequential,
-//! parallel, checkpointed, and incremental (delta) drivers, with faults
-//! injected, and when segments are reused from a previous run.
+//! **byte-identically** to the in-memory path — in the sequential,
+//! parallel, checkpointed, and incremental (delta) study modes, with
+//! faults injected, and when segments are reused from a previous run.
 
 use hgsim::{HgWorld, ScenarioConfig};
 use offnet_bench::render_study;
 use offnet_core::{
-    run_study, run_study_incremental, run_study_parallel, ShardingConfig, StudyConfig,
+    run_study, try_run_study, CheckpointError, ShardingConfig, StudyConfig, StudyError, StudyMode,
 };
 use scanner::{FaultPlan, ScanEngine};
 use std::path::{Path, PathBuf};
@@ -166,8 +166,11 @@ fn parallel_driver_sharded_matches_sequential_in_memory() {
     };
     let mono = render_study(&run_study(w, &engine, &base));
     let dir = temp_dir("par");
-    let cfg = sharded_config(&base, 450, &dir);
-    let sharded = render_study(&run_study_parallel(w, &engine, &cfg, 4));
+    let cfg = StudyConfig {
+        mode: StudyMode::Parallel { workers: 4 },
+        ..sharded_config(&base, 450, &dir)
+    };
+    let sharded = render_study(&run_study(w, &engine, &cfg));
     assert_eq!(mono, sharded);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -178,12 +181,13 @@ fn incremental_driver_sharded_matches() {
     let engine = ScanEngine::rapid7();
     let base = StudyConfig {
         snapshots: (16, 22),
+        mode: StudyMode::Incremental,
         ..Default::default()
     };
-    let mono = run_study_incremental(w, &engine, &base);
+    let mono = try_run_study(w, &engine, &base).expect("in-memory run");
     let dir = temp_dir("inc");
     let cfg = sharded_config(&base, 512, &dir);
-    let sharded = run_study_incremental(w, &engine, &cfg);
+    let sharded = try_run_study(w, &engine, &cfg).expect("sharded run");
     assert_eq!(
         render_study(&mono.series),
         render_study(&sharded.series),
@@ -405,5 +409,36 @@ fn shard_memory_accounting_invariants() {
     w.for_each_endpoint(t, |_| expected_endpoints += 1);
     let total: usize = rows.iter().map(|r| r.endpoints).sum();
     assert_eq!(total, expected_endpoints);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment I/O failure is one typed error in every mode — never a
+/// panic in the sequential mode or a silently degraded snapshot in the
+/// parallel one.
+#[test]
+fn segment_io_failure_is_a_typed_error_in_every_mode() {
+    let w = world();
+    let dir = temp_dir("io");
+    // A regular file where the spill directory should be: creating the
+    // per-snapshot segment directory under it fails.
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, b"x").expect("write blocker");
+    for mode in [
+        StudyMode::Sequential,
+        StudyMode::Parallel { workers: 2 },
+        StudyMode::Incremental,
+    ] {
+        let cfg = StudyConfig {
+            snapshots: (28, 29),
+            mode,
+            ..sharded_config(&StudyConfig::default(), 400, &blocker)
+        };
+        let err = try_run_study(w, &ScanEngine::rapid7(), &cfg)
+            .expect_err("segment directory under a file must fail");
+        assert!(
+            matches!(err, StudyError::Checkpoint(CheckpointError::Io { .. })),
+            "{mode:?}: wrong error {err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

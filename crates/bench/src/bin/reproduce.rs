@@ -453,6 +453,14 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
 
 fn main() {
     let cli = parse_args();
+    // The kernel sets how fast §4.1 validation runs; the rendered output
+    // is the same with either.
+    let kernel = if sha2sim::accelerated() {
+        "sha-ni"
+    } else {
+        "portable"
+    };
+    eprintln!("[reproduce] sha256 kernel: {kernel}");
     let fx = Fixtures::new(&cli);
     let all = cli.experiments.iter().any(|e| e == "all");
     let want = |name: &str| all || cli.experiments.iter().any(|e| e == name);

@@ -128,7 +128,7 @@ pub fn validate_records(
 /// expiry exemption fired, or the rejection reason.
 type Verdict = Result<(Arc<Certificate>, bool), InvalidReason>;
 
-pub(crate) fn verify_one(
+fn verify_one(
     rec: &CertScanRecord,
     roots: &RootStore,
     at: Timestamp,

@@ -24,41 +24,54 @@ pub use time::{
 };
 pub use writer::Writer;
 
-/// Well-known object identifiers used by the `x509` crate.
+/// Well-known object identifiers used by the `x509` crate, as DER content
+/// octets (base-128 arcs, first two packed). Parsers compare these against
+/// the borrowed content [`Reader::read_oid_content`] returns, so matching a
+/// well-known OID allocates nothing; `Oid::from_der_content` turns one
+/// into an owned [`Oid`] where an API needs it.
 pub mod oids {
-    use crate::Oid;
-
     /// id-at-commonName (2.5.4.3)
-    pub fn common_name() -> Oid {
-        Oid::from_arcs(&[2, 5, 4, 3]).expect("static OID")
-    }
+    pub const COMMON_NAME: &[u8] = &[0x55, 0x04, 0x03];
     /// id-at-organizationName (2.5.4.10)
-    pub fn organization() -> Oid {
-        Oid::from_arcs(&[2, 5, 4, 10]).expect("static OID")
-    }
+    pub const ORGANIZATION: &[u8] = &[0x55, 0x04, 0x0a];
     /// id-at-countryName (2.5.4.6)
-    pub fn country() -> Oid {
-        Oid::from_arcs(&[2, 5, 4, 6]).expect("static OID")
-    }
+    pub const COUNTRY: &[u8] = &[0x55, 0x04, 0x06];
     /// id-ce-subjectAltName (2.5.29.17)
-    pub fn subject_alt_name() -> Oid {
-        Oid::from_arcs(&[2, 5, 29, 17]).expect("static OID")
-    }
+    pub const SUBJECT_ALT_NAME: &[u8] = &[0x55, 0x1d, 0x11];
     /// id-ce-basicConstraints (2.5.29.19)
-    pub fn basic_constraints() -> Oid {
-        Oid::from_arcs(&[2, 5, 29, 19]).expect("static OID")
-    }
+    pub const BASIC_CONSTRAINTS: &[u8] = &[0x55, 0x1d, 0x13];
     /// id-ce-keyUsage (2.5.29.15)
-    pub fn key_usage() -> Oid {
-        Oid::from_arcs(&[2, 5, 29, 15]).expect("static OID")
-    }
+    pub const KEY_USAGE: &[u8] = &[0x55, 0x1d, 0x0f];
     /// Simulated signature algorithm "simsig-hmac-sha256" parked in a private
     /// enterprise arc (1.3.6.1.4.1.99999.1.1).
-    pub fn simsig_hmac_sha256() -> Oid {
-        Oid::from_arcs(&[1, 3, 6, 1, 4, 1, 99999, 1, 1]).expect("static OID")
-    }
+    pub const SIMSIG_HMAC_SHA256: &[u8] =
+        &[0x2b, 0x06, 0x01, 0x04, 0x01, 0x86, 0x8d, 0x1f, 0x01, 0x01];
     /// Simulated public key algorithm (1.3.6.1.4.1.99999.1.2).
-    pub fn simsig_key() -> Oid {
-        Oid::from_arcs(&[1, 3, 6, 1, 4, 1, 99999, 1, 2]).expect("static OID")
+    pub const SIMSIG_KEY: &[u8] = &[0x2b, 0x06, 0x01, 0x04, 0x01, 0x86, 0x8d, 0x1f, 0x01, 0x02];
+
+    #[cfg(test)]
+    mod tests {
+        use crate::Oid;
+
+        #[test]
+        fn constants_match_their_arcs() {
+            let cases: [(&[u8], &[u64]); 8] = [
+                (super::COMMON_NAME, &[2, 5, 4, 3]),
+                (super::ORGANIZATION, &[2, 5, 4, 10]),
+                (super::COUNTRY, &[2, 5, 4, 6]),
+                (super::SUBJECT_ALT_NAME, &[2, 5, 29, 17]),
+                (super::BASIC_CONSTRAINTS, &[2, 5, 29, 19]),
+                (super::KEY_USAGE, &[2, 5, 29, 15]),
+                (super::SIMSIG_HMAC_SHA256, &[1, 3, 6, 1, 4, 1, 99999, 1, 1]),
+                (super::SIMSIG_KEY, &[1, 3, 6, 1, 4, 1, 99999, 1, 2]),
+            ];
+            for (content, arcs) in cases {
+                assert_eq!(
+                    Oid::from_arcs(arcs).unwrap().der_content(),
+                    content,
+                    "{arcs:?}"
+                );
+            }
+        }
     }
 }

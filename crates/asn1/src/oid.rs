@@ -29,20 +29,7 @@ impl Oid {
 
     /// Wrap raw DER content bytes, validating base-128 structure.
     pub fn from_der_content(bytes: &[u8]) -> Result<Self> {
-        if bytes.is_empty() {
-            return Err(Error::InvalidOid);
-        }
-        // Validate: every subidentifier ends with a byte < 0x80, no leading 0x80.
-        let mut start_of_arc = true;
-        for (i, &b) in bytes.iter().enumerate() {
-            if start_of_arc && b == 0x80 {
-                return Err(Error::InvalidOid); // non-minimal
-            }
-            start_of_arc = b & 0x80 == 0;
-            if i == bytes.len() - 1 && b & 0x80 != 0 {
-                return Err(Error::InvalidOid); // truncated arc
-            }
-        }
+        check_der_content(bytes)?;
         Ok(Self {
             der: bytes.to_vec(),
         })
@@ -72,6 +59,26 @@ impl Oid {
         }
         arcs
     }
+}
+
+/// Validate OID content octets: non-empty, every subidentifier minimal (no
+/// leading 0x80) and terminated (last byte below 0x80).
+#[inline]
+pub(crate) fn check_der_content(bytes: &[u8]) -> Result<()> {
+    let Some(&last) = bytes.last() else {
+        return Err(Error::InvalidOid);
+    };
+    if last & 0x80 != 0 {
+        return Err(Error::InvalidOid); // truncated arc
+    }
+    let mut start_of_arc = true;
+    for &b in bytes {
+        if start_of_arc && b == 0x80 {
+            return Err(Error::InvalidOid); // non-minimal
+        }
+        start_of_arc = b & 0x80 == 0;
+    }
+    Ok(())
 }
 
 fn encode_base128(mut value: u64, out: &mut Vec<u8>) {

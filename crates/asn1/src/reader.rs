@@ -1,5 +1,5 @@
 use crate::writer::{is_printable_char, MAX_LEN};
-use crate::{Error, Oid, Result, Tag};
+use crate::{Error, Result, Tag};
 use timebase::Timestamp;
 
 /// A zero-copy DER reader over a byte slice.
@@ -15,20 +15,24 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    #[inline]
     pub fn new(input: &'a [u8]) -> Self {
         Self { input, pos: 0 }
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Fail unless the input is fully consumed.
+    #[inline]
     pub fn expect_end(&self) -> Result<()> {
         if self.is_empty() {
             Ok(())
@@ -38,6 +42,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Peek at the next element's tag without consuming it.
+    #[inline]
     pub fn peek_tag(&self) -> Result<Tag> {
         if self.pos >= self.input.len() {
             return Err(Error::UnexpectedEof);
@@ -46,6 +51,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next TLV of any tag; returns `(tag, content)`.
+    #[inline]
     pub fn read_any(&mut self) -> Result<(Tag, &'a [u8])> {
         let tag = self.peek_tag()?;
         self.pos += 1;
@@ -60,6 +66,7 @@ impl<'a> Reader<'a> {
 
     /// Read the next TLV including its header, returned as the raw encoded
     /// bytes. Useful for re-hashing the exact `tbsCertificate` encoding.
+    #[inline]
     pub fn read_raw_tlv(&mut self) -> Result<&'a [u8]> {
         let start = self.pos;
         self.read_any()?;
@@ -67,6 +74,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an element with exactly the expected tag; returns its content.
+    #[inline]
     pub fn read_expected(&mut self, expected: Tag) -> Result<&'a [u8]> {
         let tag = self.peek_tag()?;
         if tag != expected {
@@ -80,6 +88,7 @@ impl<'a> Reader<'a> {
     }
 
     /// If the next element has the given tag, read and return it.
+    #[inline]
     pub fn read_optional(&mut self, tag: Tag) -> Result<Option<&'a [u8]>> {
         match self.peek_tag() {
             Ok(t) if t == tag => Ok(Some(self.read_expected(tag)?)),
@@ -88,19 +97,23 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a constructed element and return a reader over its content.
+    #[inline]
     pub fn read_nested(&mut self, tag: Tag) -> Result<Reader<'a>> {
         let content = self.read_expected(tag)?;
         Ok(Reader::new(content))
     }
 
+    #[inline]
     pub fn read_sequence(&mut self) -> Result<Reader<'a>> {
         self.read_nested(Tag::SEQUENCE)
     }
 
+    #[inline]
     pub fn read_set(&mut self) -> Result<Reader<'a>> {
         self.read_nested(Tag::SET)
     }
 
+    #[inline]
     pub fn read_boolean(&mut self) -> Result<bool> {
         let content = self.read_expected(Tag::BOOLEAN)?;
         match content {
@@ -111,6 +124,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a non-negative INTEGER that fits in a `u64`.
+    #[inline]
     pub fn read_integer_u64(&mut self) -> Result<u64> {
         let bytes = self.read_integer_bytes()?;
         if bytes.len() > 8 {
@@ -125,6 +139,7 @@ impl<'a> Reader<'a> {
 
     /// Read an INTEGER's magnitude bytes (leading 0x00 sign byte stripped).
     /// Negative INTEGERs are rejected — X.509 never uses them.
+    #[inline]
     pub fn read_integer_bytes(&mut self) -> Result<&'a [u8]> {
         let content = self.read_expected(Tag::INTEGER)?;
         if content.is_empty() {
@@ -143,6 +158,7 @@ impl<'a> Reader<'a> {
         })
     }
 
+    #[inline]
     pub fn read_null(&mut self) -> Result<()> {
         let content = self.read_expected(Tag::NULL)?;
         if content.is_empty() {
@@ -152,16 +168,23 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn read_oid(&mut self) -> Result<Oid> {
+    /// Read an OBJECT IDENTIFIER as its validated, borrowed content octets
+    /// — compare against the [`crate::oids`] constants without allocating;
+    /// `Oid::from_der_content` makes an owned [`crate::Oid`] of it.
+    #[inline]
+    pub fn read_oid_content(&mut self) -> Result<&'a [u8]> {
         let content = self.read_expected(Tag::OID)?;
-        Oid::from_der_content(content)
+        crate::oid::check_der_content(content)?;
+        Ok(content)
     }
 
+    #[inline]
     pub fn read_octet_string(&mut self) -> Result<&'a [u8]> {
         self.read_expected(Tag::OCTET_STRING)
     }
 
     /// Read a BIT STRING, requiring zero unused bits.
+    #[inline]
     pub fn read_bit_string(&mut self) -> Result<&'a [u8]> {
         let content = self.read_expected(Tag::BIT_STRING)?;
         match content.split_first() {
@@ -171,11 +194,13 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     pub fn read_utf8_string(&mut self) -> Result<&'a str> {
         let content = self.read_expected(Tag::UTF8_STRING)?;
         std::str::from_utf8(content).map_err(|_| Error::InvalidContent("invalid UTF-8"))
     }
 
+    #[inline]
     pub fn read_printable_string(&mut self) -> Result<&'a str> {
         let content = self.read_expected(Tag::PRINTABLE_STRING)?;
         if !content.iter().all(|&b| is_printable_char(b)) {
@@ -184,6 +209,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(content).map_err(|_| Error::InvalidContent("invalid PrintableString"))
     }
 
+    #[inline]
     pub fn read_ia5_string(&mut self) -> Result<&'a str> {
         let content = self.read_expected(Tag::IA5_STRING)?;
         if !content.iter().all(|&b| b < 0x80) {
@@ -193,6 +219,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a directory string: UTF8String or PrintableString.
+    #[inline]
     pub fn read_directory_string(&mut self) -> Result<&'a str> {
         match self.peek_tag()? {
             Tag::UTF8_STRING => self.read_utf8_string(),
@@ -205,6 +232,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a Time: UTCTime or GeneralizedTime.
+    #[inline]
     pub fn read_time(&mut self) -> Result<Timestamp> {
         match self.peek_tag()? {
             Tag::UTC_TIME => {
@@ -222,6 +250,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn read_length(&mut self) -> Result<usize> {
         if self.pos >= self.input.len() {
             return Err(Error::UnexpectedEof);
@@ -260,7 +289,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Writer;
+    use crate::{Oid, Writer};
     use proptest::prelude::*;
 
     #[test]
@@ -352,12 +381,24 @@ mod tests {
             let _ = r.clone().read_any();
             let _ = r.clone().read_sequence();
             let _ = r.clone().read_integer_u64();
-            let _ = r.clone().read_oid();
+            let _ = r.clone().read_oid_content();
             let _ = r.clone().read_bit_string();
             let _ = r.clone().read_time();
             let _ = r.clone().read_printable_string();
             let _ = r.clone().read_ia5_string();
             let _ = r.read_utf8_string();
+        }
+
+        #[test]
+        fn oid_content_accepts_exactly_what_oid_accepts(
+            content in proptest::collection::vec(any::<u8>(), 0..16)
+        ) {
+            let mut w = Writer::new();
+            w.write_primitive(Tag::OID, &content);
+            let der = w.finish();
+            let borrowed = Reader::new(&der).read_oid_content().map(<[u8]>::to_vec);
+            let owned = Oid::from_der_content(&content).map(|o| o.der_content().to_vec());
+            prop_assert_eq!(borrowed, owned);
         }
 
         #[test]

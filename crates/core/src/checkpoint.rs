@@ -558,9 +558,9 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| CheckpointError::corrupt(self.path, "non-UTF-8 string"))
     }
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
     pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
         let n = self.count(4)?;

@@ -8,10 +8,11 @@
 
 use crate::candidates::CandidateSet;
 use crate::headers::HeaderFingerprints;
+use crate::wordhash::{WordMap, WordSet};
 use intern::{FrozenInterner, HeaderNameSym, HeaderValueSym, Interner};
 use netsim::{AsId, IpToAsMap};
 use scanner::HttpScanSnapshot;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Which banner corpuses must match for confirmation (Figure 4's series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +83,7 @@ fn value_is_mojibake(v: &str) -> bool {
 /// built, so the whole table is shared read-only across workers.
 #[derive(Debug)]
 struct PortTable {
-    ip_to_row: HashMap<u32, u32>,
+    ip_to_row: WordMap<u32, u32>,
     /// `pairs[offsets[row] .. offsets[row + 1]]` is row `row`'s headers.
     offsets: Vec<u32>,
     pairs: Vec<(HeaderNameSym, HeaderValueSym)>,
@@ -91,7 +92,7 @@ struct PortTable {
 impl Default for PortTable {
     fn default() -> Self {
         Self {
-            ip_to_row: HashMap::new(),
+            ip_to_row: WordMap::default(),
             offsets: vec![0],
             pairs: Vec::new(),
         }
@@ -180,7 +181,7 @@ impl BannerIndex {
         oversized: &[bool],
         mojibake: &[bool],
     ) {
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen: WordSet<u32> = WordSet::default();
         for r in &snap.records {
             quality.records_seen += 1;
             if !seen.insert(r.ip) {

@@ -7,7 +7,9 @@
 //! SAN sets out as sorted per-certificate spans (so the §4.3
 //! all-SANs-on-net rule is a sorted-merge over integers), indexes the
 //! banner streams columnarly, and pre-computes the per-HG certificate
-//! index lists. The interner is *frozen* at the end of `build` — the
+//! index lists. Work that depends only on the leaf runs once per distinct
+//! leaf (or organization string) and is copied to every record serving
+//! it. The interner is *frozen* at the end of `build` — the
 //! append-only observation phase is over, and a [`FrozenInterner`] has no
 //! `&mut` API, so `parallel_map` workers share the whole corpus by
 //! reference without locks.
@@ -21,16 +23,18 @@
 
 use crate::candidates::is_cloudflare_free_san;
 use crate::confirm::BannerIndex;
-use crate::validate::{validate_records, ValidateOptions, ValidatedCert, ValidationStats};
-use crate::validation_cache::{validate_records_cached, ValidationCache};
+use crate::validate::{validate_snapshot, ValidateOptions, ValidatedCert, ValidationStats};
+use crate::validation_cache::ValidationCache;
+use crate::wordhash::{WordMap, WordSet};
 use hgsim::{Hg, ALL_HGS};
-use intern::{FrozenInterner, HostSym};
+use intern::{FrozenInterner, HostSym, Hosts, SymTable};
 use netsim::{AsId, IpToAsMap};
 use scanner::{HttpScanSnapshot, SnapshotObservations};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 use timebase::Timestamp;
-use x509::RootStore;
+use x509::{Certificate, RootStore};
 
 /// Memory accounting for one snapshot's corpus, interned model vs the
 /// string model it replaced (see `BENCH_intern.json`).
@@ -105,40 +109,20 @@ impl SnapshotCorpus {
         // Validation instant: noon of the snapshot date (§4.1 runs on the
         // scan day; noon sidesteps midnight expiry boundary artifacts).
         let at: Timestamp = obs.cert.date.midnight().plus_seconds(12 * 3600);
-        let (valids, validation) = match cache {
-            Some(cache) => validate_records_cached(&obs.cert.records, roots, at, opts, cache),
-            None => validate_records(&obs.cert.records, roots, at, opts),
-        };
+        let (valids, validation, cert_ips) =
+            validate_snapshot(&obs.cert.records, roots, at, opts, cache);
 
         let mut interner = obs.interner.clone();
-
-        // Columnar SAN spans, sorted + deduplicated per certificate so
-        // the §4.3 subset test is a sorted merge.
-        let mut san_offsets: Vec<u32> = Vec::with_capacity(valids.len() + 1);
-        let mut san_syms: Vec<HostSym> = Vec::new();
-        san_offsets.push(0);
-        let mut scratch: Vec<HostSym> = Vec::new();
-        for vc in &valids {
-            scratch.clear();
-            scratch.extend(vc.leaf.dns_name_strs().map(|n| interner.hosts.intern(n)));
-            scratch.sort_unstable();
-            scratch.dedup();
-            san_syms.extend_from_slice(&scratch);
-            san_offsets.push(san_syms.len() as u32);
-        }
+        let (san_offsets, san_syms) = san_spans(&valids, &mut interner.hosts);
 
         let cf_free_host = cloudflare_flags(&interner);
         let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
         let banners = BannerIndex::build(obs.http80.as_ref(), obs.https443.as_ref(), &interner);
 
         // Corpus-level statistics (previously recomputed by the pipeline).
-        let mut cert_ips: HashSet<u32> = HashSet::with_capacity(obs.cert.records.len());
-        let mut ases_with_certs: HashSet<AsId> = HashSet::new();
+        let mut ases_with_certs: WordSet<AsId> = WordSet::default();
         for r in &obs.cert.records {
-            cert_ips.insert(r.ip);
-            for a in obs.ip_to_as.lookup(r.ip) {
-                ases_with_certs.insert(*a);
-            }
+            ases_with_certs.extend(obs.ip_to_as.lookup(r.ip));
         }
         let http_only_ips: Vec<u32> = obs
             .http80
@@ -222,30 +206,125 @@ pub(crate) fn cloudflare_flags(interner: &intern::Interner) -> Vec<bool> {
         .collect()
 }
 
+/// Columnar SAN spans over `valids` (`san_offsets`, `san_syms`): each
+/// certificate's SANs as host symbols, sorted and deduplicated so the §4.3
+/// subset test is a sorted merge. Validation hands every valid serving the
+/// same leaf DER one shared `Arc`, so each distinct leaf is interned once
+/// and later valids copy its span; interning order, and so every symbol,
+/// is the same as interning per certificate.
+pub(crate) fn san_spans(
+    valids: &[ValidatedCert],
+    hosts: &mut SymTable<Hosts>,
+) -> (Vec<u32>, Vec<HostSym>) {
+    let mut san_offsets: Vec<u32> = Vec::with_capacity(valids.len() + 1);
+    let mut san_syms: Vec<HostSym> = Vec::new();
+    san_offsets.push(0);
+    let mut spans: WordMap<*const Certificate, (usize, usize)> = WordMap::default();
+    let mut scratch: Vec<HostSym> = Vec::new();
+    for vc in valids {
+        match spans.entry(Arc::as_ptr(&vc.leaf)) {
+            Entry::Occupied(e) => {
+                let (start, end) = *e.get();
+                san_syms.extend_from_within(start..end);
+            }
+            Entry::Vacant(e) => {
+                scratch.clear();
+                scratch.extend(vc.leaf.dns_names().iter().map(|n| hosts.intern(n)));
+                scratch.sort_unstable();
+                scratch.dedup();
+                let start = san_syms.len();
+                san_syms.extend_from_slice(&scratch);
+                e.insert((start, san_syms.len()));
+            }
+        }
+        san_offsets.push(san_syms.len() as u32);
+    }
+    (san_offsets, san_syms)
+}
+
 /// Per-HG certificate index lists into a corpus's `valids`.
 pub(crate) type HgIndex = HashMap<Hg, Vec<u32>>;
 
+// `hg_org_indices` keeps one bit per HG in a `u32`.
+const _: () = assert!(ALL_HGS.len() <= u32::BITS as usize);
+
 /// The per-HG organization pre-index over `valids`: (`by_hg_std`,
-/// `by_hg_all`). One lowercase pass over the validated set; 23 substring
-/// probes per certificate.
+/// `by_hg_all`). Each distinct organization string is matched against the
+/// 23 HG keywords once; every certificate then reads its organization's
+/// match bits.
 pub(crate) fn hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
     let mut by_hg_std = HgIndex::new();
     let mut by_hg_all = HgIndex::new();
+    let keywords = KeywordMatcher::new();
+    let mut hg_bits: WordMap<&str, u32> = WordMap::default();
     for (i, vc) in valids.iter().enumerate() {
         let Some(org) = vc.leaf.subject().organization() else {
             continue;
         };
-        let org_lc = org.to_ascii_lowercase();
-        for hg in ALL_HGS {
-            if org_lc.contains(hg.spec().keyword) {
-                by_hg_all.entry(hg).or_default().push(i as u32);
-                if !vc.expiry_exempted {
-                    by_hg_std.entry(hg).or_default().push(i as u32);
-                }
+        let mut bits = *hg_bits.entry(org).or_insert_with(|| keywords.hg_bits(org));
+        while bits != 0 {
+            let hg = ALL_HGS[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+            by_hg_all.entry(hg).or_default().push(i as u32);
+            if !vc.expiry_exempted {
+                by_hg_std.entry(hg).or_default().push(i as u32);
             }
         }
     }
     (by_hg_std, by_hg_all)
+}
+
+/// The §4.2 organization test for all HGs at once.
+struct KeywordMatcher {
+    /// Bit `k` set in entry `b`: `ALL_HGS[k]`'s keyword starts with byte `b`.
+    by_first_byte: [u32; 256],
+    /// HGs whose keyword is empty, which every organization contains.
+    always: u32,
+}
+
+impl KeywordMatcher {
+    fn new() -> Self {
+        let mut by_first_byte = [0u32; 256];
+        let mut always = 0;
+        for (k, hg) in ALL_HGS.iter().enumerate() {
+            match hg.spec().keyword.as_bytes().first() {
+                Some(&b) => by_first_byte[usize::from(b)] |= 1 << k,
+                None => always |= 1 << k,
+            }
+        }
+        Self {
+            by_first_byte,
+            always,
+        }
+    }
+
+    /// Bit `k` set: `ALL_HGS[k]`'s keyword occurs in `org` lowercased
+    /// (ASCII) — `org.to_ascii_lowercase().contains(keyword)` for every HG,
+    /// in one pass over `org` that tries at each position only the keywords
+    /// starting with that position's lowercased byte.
+    fn hg_bits(&self, org: &str) -> u32 {
+        let org = org.as_bytes();
+        let mut bits = self.always;
+        for start in 0..org.len() {
+            let mut candidates =
+                self.by_first_byte[usize::from(org[start].to_ascii_lowercase())] & !bits;
+            while candidates != 0 {
+                let k = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                let keyword = ALL_HGS[k].spec().keyword.as_bytes();
+                let found = org[start..].get(..keyword.len()).is_some_and(|window| {
+                    window
+                        .iter()
+                        .zip(keyword)
+                        .all(|(o, kw)| o.to_ascii_lowercase() == *kw)
+                });
+                if found {
+                    bits |= 1 << k;
+                }
+            }
+        }
+        bits
+    }
 }
 
 /// Account the interned corpus model against the string model it
@@ -277,11 +356,14 @@ pub(crate) fn measure_memory(
             }
         }
     }
+    // A leaf's `Vec<String>` SANs cost the same for every valid serving
+    // it; account each distinct leaf once.
+    let mut san_bytes: WordMap<*const Certificate, usize> = WordMap::default();
     for vc in valids {
-        string_model += STRING_HEADER;
-        for name in vc.leaf.dns_name_strs() {
-            string_model += STRING_HEADER + name.len();
-        }
+        string_model += *san_bytes.entry(Arc::as_ptr(&vc.leaf)).or_insert_with(|| {
+            let names = vc.leaf.dns_names();
+            STRING_HEADER * (1 + names.len()) + names.iter().map(str::len).sum::<usize>()
+        });
     }
 
     let interned = interner.heap_bytes()
@@ -305,6 +387,7 @@ mod tests {
     use super::*;
     use hgsim::{HgWorld, ScenarioConfig};
     use scanner::{observe_snapshot, ScanEngine};
+    use std::collections::HashSet;
     use std::sync::OnceLock;
 
     fn world() -> &'static HgWorld {
@@ -329,7 +412,7 @@ mod tests {
                 span.windows(2).all(|w| w[0] < w[1]),
                 "span not strictly sorted"
             );
-            let names: HashSet<&str> = c.valids[i as usize].leaf.dns_name_strs().collect();
+            let names: HashSet<&str> = c.valids[i as usize].leaf.dns_names().iter().collect();
             assert_eq!(span.len(), names.len());
             for s in span {
                 assert!(names.contains(c.interner.hosts().resolve(*s)));
@@ -345,7 +428,8 @@ mod tests {
         for i in 0..c.valids.len() as u32 {
             let by_string = c.valids[i as usize]
                 .leaf
-                .dns_name_strs()
+                .dns_names()
+                .iter()
                 .any(is_cloudflare_free_san);
             assert_eq!(c.cert_has_cloudflare_free_san(i), by_string, "cert {i}");
         }
@@ -365,6 +449,165 @@ mod tests {
             // std is a subsequence of all.
             let all: HashSet<u32> = all_set.iter().copied().collect();
             assert!(std_set.iter().all(|i| all.contains(i)), "{hg}");
+        }
+    }
+
+    /// A snapshot observed through uniform record faults at rate 0.1
+    /// (what `OFFNET_FAULT_RATE=0.1` selects in the study suites) and its
+    /// corpus under the standard options, so malformed, duplicate and
+    /// expiry-exempted records all occur.
+    fn faulted(t: usize) -> (SnapshotObservations, SnapshotCorpus) {
+        let w = world();
+        let plan = Arc::new(scanner::FaultPlan::uniform_record_faults(11, 0.1));
+        let engine = ScanEngine::rapid7().with_faults(plan);
+        let obs = observe_snapshot(w, &engine, t).unwrap();
+        let corpus = SnapshotCorpus::build(
+            &obs,
+            w.pki().root_store(),
+            &crate::standard_validate_options(),
+            None,
+        );
+        (obs, corpus)
+    }
+
+    /// The per-certificate scan `hg_org_indices` replaced: lowercase every
+    /// organization, probe all 23 keywords.
+    fn naive_hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
+        let mut by_hg_std = HgIndex::new();
+        let mut by_hg_all = HgIndex::new();
+        for (i, vc) in valids.iter().enumerate() {
+            let Some(org) = vc.leaf.subject().organization() else {
+                continue;
+            };
+            let org_lc = org.to_ascii_lowercase();
+            for hg in ALL_HGS {
+                if org_lc.contains(hg.spec().keyword) {
+                    by_hg_all.entry(hg).or_default().push(i as u32);
+                    if !vc.expiry_exempted {
+                        by_hg_std.entry(hg).or_default().push(i as u32);
+                    }
+                }
+            }
+        }
+        (by_hg_std, by_hg_all)
+    }
+
+    #[test]
+    fn hg_org_indices_match_the_per_cert_scan_under_faults() {
+        let mut exempted = 0;
+        for t in [0, 15, 30] {
+            let (_, c) = faulted(t);
+            let (std_naive, all_naive) = naive_hg_org_indices(&c.valids);
+            assert_eq!(c.by_hg_all, all_naive, "snapshot {t}");
+            assert_eq!(c.by_hg_std, std_naive, "snapshot {t}");
+            assert!(c.validation.invalid_total() > 0, "snapshot {t}: no faults");
+            assert!(c.by_hg_all.len() > 5, "snapshot {t}");
+            exempted += c.valids.iter().filter(|v| v.expiry_exempted).count();
+        }
+        assert!(exempted > 0, "no expiry-exempted certificate");
+    }
+
+    #[test]
+    fn an_organization_naming_two_hgs_indexes_under_both() {
+        let key = x509::KeyPair::from_seed("two-hg");
+        let leaf = |org: &str| {
+            Arc::new(
+                x509::CertificateBuilder::new()
+                    .subject(x509::NameBuilder::new().organization(org).build())
+                    .end_entity()
+                    .subject_key(&key)
+                    .self_signed(&key),
+            )
+        };
+        let shared = leaf("Akamai edge for GOOGLE Fiber");
+        let valids = [
+            (shared.clone(), false),
+            (leaf("Unrelated Hosting"), false),
+            (shared, true),
+            (leaf("akamai"), false),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (leaf, expiry_exempted))| ValidatedCert {
+            ip: i as u32,
+            leaf,
+            expiry_exempted,
+        })
+        .collect::<Vec<_>>();
+        let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
+        assert_eq!(by_hg_all[&Hg::Google], [0, 2]);
+        assert_eq!(by_hg_all[&Hg::Akamai], [0, 2, 3]);
+        assert_eq!(by_hg_std[&Hg::Google], [0]);
+        assert_eq!(by_hg_std[&Hg::Akamai], [0, 3]);
+        assert_eq!(by_hg_all.len(), 2);
+        assert_eq!((by_hg_std, by_hg_all), naive_hg_org_indices(&valids));
+    }
+
+    #[test]
+    fn keyword_matcher_agrees_with_lowercase_contains() {
+        let matcher = KeywordMatcher::new();
+        let pieces = [
+            "Google",
+            "AKAMAI",
+            "net",
+            "flix",
+            "Netflix",
+            "cdn7",
+            "cdn77",
+            "Apple",
+            "hul",
+            "u",
+            " ",
+            ", Inc.",
+            "é",
+            "Ü",
+            "cloudflare",
+            "CachEFly",
+            "",
+        ];
+        // Every string of up to three pieces: keywords split across
+        // pieces, repeated, adjacent, cased, next to multi-byte UTF-8.
+        for a in pieces {
+            for b in pieces {
+                for c in pieces {
+                    let org = format!("{a}{b}{c}");
+                    let org_lc = org.to_ascii_lowercase();
+                    let naive = ALL_HGS
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, hg)| org_lc.contains(hg.spec().keyword))
+                        .fold(0, |bits, (k, _)| bits | 1 << k);
+                    assert_eq!(matcher.hg_bits(&org), naive, "{org:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn san_spans_per_leaf_equal_per_cert_interning() {
+        for t in [15, 30] {
+            let (obs, c) = faulted(t);
+            let mut interner = obs.interner.clone();
+            let mut offsets = vec![0u32];
+            let mut syms: Vec<HostSym> = Vec::new();
+            for vc in &c.valids {
+                let mut span: Vec<HostSym> = vc
+                    .leaf
+                    .dns_names()
+                    .iter()
+                    .map(|n| interner.hosts.intern(n))
+                    .collect();
+                span.sort_unstable();
+                span.dedup();
+                syms.extend(span);
+                offsets.push(syms.len() as u32);
+            }
+            assert_eq!(c.san_offsets, offsets, "snapshot {t}");
+            assert_eq!(c.san_syms, syms, "snapshot {t}");
+            assert!(c.interner.hosts().iter().eq(interner.hosts.iter()));
+            let leaves: HashSet<*const Certificate> =
+                c.valids.iter().map(|v| Arc::as_ptr(&v.leaf)).collect();
+            assert!(leaves.len() < c.valids.len(), "no leaf is shared");
         }
     }
 

@@ -55,6 +55,7 @@ pub mod study;
 pub mod tls_fingerprint;
 pub mod validate;
 pub mod validation_cache;
+mod wordhash;
 
 pub use artifact::{
     artifact_fingerprint, read_artifact_payload, ArtifactBuilder, ArtifactError, ArtifactTables,

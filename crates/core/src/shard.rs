@@ -80,6 +80,7 @@ use crate::pipeline::{
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidatedCert, ValidationStats};
+use crate::wordhash::WordMap;
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::{HostSym, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
@@ -87,6 +88,7 @@ use scanner::{
     covers_snapshot, CertScanSnapshot, CertScanStream, HttpRecord, HttpScanSnapshot,
     HttpScanStream, ScanEngine, ScanHealth,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -512,15 +514,25 @@ fn decode_shard(
 
     let n_valids = d.count(13)?;
     let mut valids = Vec::with_capacity(n_valids);
+    // Valids serving the same leaf share one parse and one `Arc`, as
+    // validation hands them out on the in-memory path.
+    let mut leaves: WordMap<&[u8], Arc<Certificate>> = WordMap::default();
     for _ in 0..n_valids {
         let ip = d.u32()?;
         let expiry_exempted = d.bool()?;
         let der = d.bytes()?;
-        let leaf = Certificate::parse(&der)
-            .map_err(|_| CheckpointError::corrupt(path, "stored leaf DER does not parse"))?;
+        let leaf = match leaves.entry(der) {
+            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Vacant(e) => {
+                let leaf = Certificate::parse(der).map_err(|_| {
+                    CheckpointError::corrupt(path, "stored leaf DER does not parse")
+                })?;
+                Arc::clone(e.insert(Arc::new(leaf)))
+            }
+        };
         valids.push(ValidatedCert {
             ip,
-            leaf: Arc::new(leaf),
+            leaf,
             expiry_exempted,
         });
     }
@@ -1339,4 +1351,57 @@ pub(crate) fn process_snapshot_sharded_with(
         consume(&produced, t, world, engine, ctx, sharding, hgs)
     })
     .map(Some)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hgsim::ScenarioConfig;
+    use std::collections::HashSet;
+
+    #[test]
+    fn decoded_shard_shares_one_leaf_per_distinct_der() {
+        let world = HgWorld::generate(ScenarioConfig::small());
+        let engine = ScanEngine::rapid7();
+        let t = 30;
+        let obs = scanner::observe_snapshot(&world, &engine, t).expect("snapshot in corpus");
+        let corpus = SnapshotCorpus::build(
+            &obs,
+            world.pki().root_store(),
+            &standard_validate_options(),
+            None,
+        );
+        let built = Shard {
+            corpus,
+            as_set: BTreeSet::new(),
+            chain_rows: Vec::new(),
+        };
+        let body = encode_shard(&built, 0, obs.http80.as_ref(), obs.https443.as_ref());
+        let path = Path::new("in-memory segment");
+        let decoded = decode_shard(&body, t, engine.id, world.ip_to_as(t), path).unwrap();
+        let (built, decoded) = (&built.corpus, &decoded.corpus);
+
+        assert_eq!(built.valids.len(), decoded.valids.len());
+        for (b, d) in built.valids.iter().zip(&decoded.valids) {
+            assert_eq!((b.ip, b.expiry_exempted), (d.ip, d.expiry_exempted));
+            assert_eq!(b.leaf.der(), d.leaf.der());
+        }
+        let distinct_der: HashSet<&[u8]> = decoded.valids.iter().map(|v| v.leaf.der()).collect();
+        let distinct_arcs = |c: &SnapshotCorpus| {
+            c.valids
+                .iter()
+                .map(|v| Arc::as_ptr(&v.leaf))
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        assert!(distinct_der.len() < decoded.valids.len(), "no shared leaf");
+        assert_eq!(distinct_arcs(decoded), distinct_der.len());
+        assert_eq!(distinct_arcs(built), distinct_der.len());
+        assert_eq!(built.by_hg_std, decoded.by_hg_std);
+        assert_eq!(built.by_hg_all, decoded.by_hg_all);
+        assert_eq!(
+            built.memory.string_model_bytes,
+            decoded.memory.string_model_bytes
+        );
+    }
 }

@@ -5,6 +5,8 @@
 //! untrusted-chain certificates are discarded; the paper reports that more
 //! than a third of hosts returned invalid certificates.
 
+use crate::validation_cache::ValidationCache;
+use crate::wordhash::{WordMap, WordSet};
 use scanner::CertScanRecord;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -87,14 +89,36 @@ pub fn validate_records(
     at: Timestamp,
     options: &ValidateOptions,
 ) -> (Vec<ValidatedCert>, ValidationStats) {
+    let (valids, stats, _) = validate_snapshot(records, roots, at, options, None);
+    (valids, stats)
+}
+
+/// §4.1 over one snapshot's records, through `cache` when given (see
+/// [`crate::validation_cache`]) or by full verification. The first record
+/// per IP wins, and the first record with a given leaf DER decides the
+/// verdict for every record serving that leaf. Also returns the set of IPs
+/// with any record, which the corpus reuses as its certificate-IP set.
+pub(crate) fn validate_snapshot(
+    records: &[CertScanRecord],
+    roots: &RootStore,
+    at: Timestamp,
+    options: &ValidateOptions,
+    cache: Option<&ValidationCache>,
+) -> (Vec<ValidatedCert>, ValidationStats, WordSet<u32>) {
+    // The §6.2 needle, lowercased once per call.
+    let needle = options
+        .ignore_expiry_for_org_containing
+        .as_deref()
+        .map(str::to_ascii_lowercase);
+    let needle = needle.as_deref();
     let mut stats = ValidationStats {
         total_records: records.len(),
         ..Default::default()
     };
     let mut out = Vec::with_capacity(records.len());
-    // Dedup cache keyed by leaf DER bytes.
-    let mut cache: HashMap<&[u8], Verdict> = HashMap::new();
-    let mut seen_ips: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    let mut verdicts: WordMap<&[u8], Verdict> = WordMap::default();
+    let mut seen_ips: WordSet<u32> =
+        WordSet::with_capacity_and_hasher(records.len(), Default::default());
     for rec in records {
         if !seen_ips.insert(rec.ip) {
             *stats.invalid.entry(InvalidReason::DuplicateIp).or_insert(0) += 1;
@@ -104,9 +128,12 @@ pub fn validate_records(
             *stats.invalid.entry(InvalidReason::Malformed).or_insert(0) += 1;
             continue;
         };
-        let verdict = cache
+        let verdict = verdicts
             .entry(leaf_der.as_ref())
-            .or_insert_with(|| verify_one(rec, roots, at, options));
+            .or_insert_with(|| match cache {
+                Some(cache) => cache.verdict_cached(rec, roots, at, needle),
+                None => verify_one(rec, roots, at, needle),
+            });
         match verdict {
             Ok((leaf, exempted)) => {
                 stats.valid += 1;
@@ -121,18 +148,19 @@ pub fn validate_records(
             }
         }
     }
-    (out, stats)
+    (out, stats, seen_ips)
 }
 
-/// A cached validation verdict: the parsed leaf plus whether the §6.2
-/// expiry exemption fired, or the rejection reason.
-type Verdict = Result<(Arc<Certificate>, bool), InvalidReason>;
+/// A validation verdict for one distinct leaf: the parsed leaf plus
+/// whether the §6.2 expiry exemption fired, or the rejection reason.
+pub(crate) type Verdict = Result<(Arc<Certificate>, bool), InvalidReason>;
 
+/// `needle` is the lowercased §6.2 organization needle.
 fn verify_one(
     rec: &CertScanRecord,
     roots: &RootStore,
     at: Timestamp,
-    options: &ValidateOptions,
+    needle: Option<&str>,
 ) -> Verdict {
     let chain: Vec<Certificate> = rec
         .chain_der
@@ -145,16 +173,12 @@ fn verify_one(
         Err(ChainError::Expired) => {
             // The Netflix §6.2 restoration: accept expired certificates for
             // the designated organization if the chain is otherwise sound.
-            if let Some(org_needle) = &options.ignore_expiry_for_org_containing {
+            if let Some(needle) = needle {
                 let leaf = &chain[0];
                 let org_matches = leaf
                     .subject()
                     .organization()
-                    .map(|o| {
-                        o.to_ascii_lowercase()
-                            .contains(&org_needle.to_ascii_lowercase())
-                    })
-                    .unwrap_or(false);
+                    .is_some_and(|o| o.to_ascii_lowercase().contains(needle));
                 if org_matches && verify_chain(&chain, roots, leaf.validity().not_after).is_ok() {
                     return Ok((Arc::new(chain[0].clone()), true));
                 }

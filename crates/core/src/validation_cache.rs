@@ -41,7 +41,10 @@
 //! verification path above; [`crate::validate::validate_records`] stays
 //! the uncached reference.
 
-use crate::validate::{InvalidReason, ValidateOptions, ValidatedCert, ValidationStats};
+use crate::validate::{
+    validate_snapshot, InvalidReason, ValidateOptions, ValidatedCert, ValidationStats, Verdict,
+};
+use crate::wordhash::{fold, for_each_word};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use scanner::CertScanRecord;
@@ -71,23 +74,13 @@ fn chain_key<D: AsRef<[u8]>>(certs: &[D]) -> ChainKey {
     let mut lanes = LANE_SEEDS;
     let mut absorb = |word: u64| {
         for (lane, mul) in lanes.iter_mut().zip(LANE_MULS) {
-            let product = u128::from(*lane ^ word) * u128::from(mul);
-            *lane = (product as u64) ^ ((product >> 64) as u64);
+            *lane = fold(*lane, word, mul);
         }
     };
     for der in certs {
         let der = der.as_ref();
         absorb(der.len() as u64);
-        let mut words = der.chunks_exact(8);
-        for word in &mut words {
-            absorb(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            absorb(u64::from_le_bytes(last));
-        }
+        for_each_word(der, &mut absorb);
     }
     (lanes[0], lanes[1])
 }
@@ -245,22 +238,15 @@ impl ChainSkeleton {
     }
 
     /// The §4.1/§6.2 verdict at `at`: parsed leaf plus whether the expiry
-    /// exemption fired, or the rejection reason. Mirrors
-    /// `validate::verify_one` exactly.
-    fn verdict_at(
-        &self,
-        at: Timestamp,
-        options: &ValidateOptions,
-    ) -> Result<(Arc<Certificate>, bool), InvalidReason> {
+    /// exemption fired, or the rejection reason. `needle` is the
+    /// lowercased §6.2 organization needle. Mirrors `validate::verify_one`
+    /// exactly.
+    fn verdict_at(&self, at: Timestamp, needle: Option<&str>) -> Verdict {
         match self.replay(at) {
             Ok(()) => Ok((self.leaf.clone(), false)),
             Err(ChainError::Expired) => {
-                if let Some(needle) = &options.ignore_expiry_for_org_containing {
-                    let org_matches = self
-                        .org_lc
-                        .as_deref()
-                        .map(|o| o.contains(&needle.to_ascii_lowercase()))
-                        .unwrap_or(false);
+                if let Some(needle) = needle {
+                    let org_matches = self.org_lc.as_deref().is_some_and(|o| o.contains(needle));
                     if org_matches && self.replay(self.ee_not_after).is_ok() {
                         return Ok((self.leaf.clone(), true));
                     }
@@ -376,21 +362,22 @@ impl ValidationCache {
         }
     }
 
-    /// The §4.1/§6.2 verdict for one record at `at`: a skeleton replay
-    /// when this chain already recurred, a fresh skeleton otherwise
-    /// (stored on the second sighting).
+    /// The §4.1/§6.2 verdict for one record at `at` (`needle`: the
+    /// lowercased §6.2 organization needle): a skeleton replay when this
+    /// chain already recurred, a fresh skeleton otherwise (stored on the
+    /// second sighting).
     ///
     /// Counters are exact under single-threaded use (the delta engine's
     /// sequential appends); concurrent snapshot workers can race two
     /// promotions of the same chain, which double-counts a promotion but
     /// stores identical skeletons — verdicts are unaffected.
-    fn verdict_cached(
+    pub(crate) fn verdict_cached(
         &self,
         rec: &CertScanRecord,
         roots: &RootStore,
         at: Timestamp,
-        options: &ValidateOptions,
-    ) -> LeafVerdict {
+        needle: Option<&str>,
+    ) -> Verdict {
         let key = chain_key(&rec.chain_der);
         {
             let guard = self.map.read();
@@ -398,7 +385,7 @@ impl ValidationCache {
                 let c = Arc::clone(c);
                 drop(guard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return cached_verdict(&c, at, options);
+                return cached_verdict(&c, at, needle);
             }
         }
         enum Decision {
@@ -423,20 +410,20 @@ impl ValidationCache {
         match decision {
             Decision::Replay(c) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                cached_verdict(&c, at, options)
+                cached_verdict(&c, at, needle)
             }
             Decision::First => {
                 self.first_sightings.fetch_add(1, Ordering::Relaxed);
-                let skeleton = self.skeleton(&rec.chain_der, roots, false);
-                cached_verdict(&skeleton, at, options)
+                let skeleton = self.skeleton(&rec.chain_der, roots);
+                cached_verdict(&skeleton, at, needle)
             }
             Decision::Promote => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 // Build outside the lock; a racing promoter of the same
                 // chain produces an identical skeleton, so last-write-wins
                 // is fine.
-                let built = Arc::new(self.skeleton(&rec.chain_der, roots, true));
-                let verdict = cached_verdict(&built, at, options);
+                let built = Arc::new(self.skeleton(&rec.chain_der, roots));
+                let verdict = cached_verdict(&built, at, needle);
                 self.map.write().insert(key, Entry::Cached(built));
                 verdict
             }
@@ -444,24 +431,21 @@ impl ValidationCache {
     }
 
     /// Build a chain's skeleton from one leaf parse, one leaf signature
-    /// check and the memoized facts of its issuer suffix. A skeleton the
-    /// cache will `store` gets a cloned leaf: parsing leaves push-growth
-    /// slack in the leaf's name and SAN vectors, and a clone allocates
-    /// them at their exact size, which matters for thousands of leaves
-    /// kept for the cache's lifetime.
-    fn skeleton(&self, chain: &[Bytes], roots: &RootStore, store: bool) -> CachedChain {
+    /// check and the memoized facts of its issuer suffix. A parsed leaf
+    /// holds its names and SANs in exact-size buffers, so a skeleton the
+    /// cache keeps for its lifetime stores the leaf as parsed.
+    fn skeleton(&self, chain: &[Bytes], roots: &RootStore) -> CachedChain {
         // An empty chain has no leaf; `validate_records_cached` screens
         // those out as malformed before they reach the cache.
         let Some((leaf_der, suffix)) = chain.split_first() else {
             return CachedChain::Malformed;
         };
-        let Ok(parsed) = Certificate::parse(leaf_der) else {
+        let Ok(leaf) = Certificate::parse(leaf_der) else {
             return CachedChain::Malformed;
         };
         let Some(issuers) = self.issuer_facts(suffix, roots) else {
             return CachedChain::Malformed;
         };
-        let leaf = if store { parsed.clone() } else { parsed };
         CachedChain::Parsed(ChainSkeleton::build(leaf, issuers, chain.len(), roots))
     }
 
@@ -479,16 +463,12 @@ impl ValidationCache {
     }
 }
 
-fn cached_verdict(c: &CachedChain, at: Timestamp, options: &ValidateOptions) -> LeafVerdict {
+fn cached_verdict(c: &CachedChain, at: Timestamp, needle: Option<&str>) -> Verdict {
     match c {
         CachedChain::Malformed => Err(InvalidReason::Malformed),
-        CachedChain::Parsed(skeleton) => skeleton.verdict_at(at, options),
+        CachedChain::Parsed(skeleton) => skeleton.verdict_at(at, needle),
     }
 }
-
-/// A snapshot-local verdict for one distinct leaf: the parsed leaf and its
-/// expiry-exemption flag, or the rejection reason.
-type LeafVerdict = Result<(Arc<Certificate>, bool), InvalidReason>;
 
 /// Drop-in replacement for [`crate::validate::validate_records`] backed by
 /// a shared [`ValidationCache`]: same verdicts, same `ValidationStats`,
@@ -500,42 +480,8 @@ pub fn validate_records_cached(
     options: &ValidateOptions,
     cache: &ValidationCache,
 ) -> (Vec<ValidatedCert>, ValidationStats) {
-    let mut stats = ValidationStats {
-        total_records: records.len(),
-        ..Default::default()
-    };
-    let mut out = Vec::with_capacity(records.len());
-    // Mirror validate_records' per-snapshot dedup keyed by leaf DER: the
-    // first record with a given leaf decides the verdict for all of them.
-    let mut local: HashMap<&[u8], LeafVerdict> = HashMap::new();
-    let mut seen_ips: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for rec in records {
-        if !seen_ips.insert(rec.ip) {
-            *stats.invalid.entry(InvalidReason::DuplicateIp).or_insert(0) += 1;
-            continue;
-        }
-        let Some(leaf_der) = rec.chain_der.first() else {
-            *stats.invalid.entry(InvalidReason::Malformed).or_insert(0) += 1;
-            continue;
-        };
-        let verdict = local
-            .entry(leaf_der.as_ref())
-            .or_insert_with(|| cache.verdict_cached(rec, roots, at, options));
-        match verdict {
-            Ok((leaf, exempted)) => {
-                stats.valid += 1;
-                out.push(ValidatedCert {
-                    ip: rec.ip,
-                    leaf: leaf.clone(),
-                    expiry_exempted: *exempted,
-                });
-            }
-            Err(reason) => {
-                *stats.invalid.entry(*reason).or_insert(0) += 1;
-            }
-        }
-    }
-    (out, stats)
+    let (valids, stats, _) = validate_snapshot(records, roots, at, options, Some(cache));
+    (valids, stats)
 }
 
 #[cfg(test)]
@@ -675,7 +621,7 @@ mod tests {
             for ders in &chains {
                 let parsed: Option<Vec<Certificate>> =
                     ders.iter().map(|d| Certificate::parse(d).ok()).collect();
-                match (cache.skeleton(ders, roots, false), parsed) {
+                match (cache.skeleton(ders, roots), parsed) {
                     (CachedChain::Parsed(skeleton), Some(parsed)) => {
                         for at in four_ats() {
                             let expect = verify_chain(&parsed, roots, at).map(|_| ());
@@ -943,12 +889,7 @@ mod tests {
                     for _ in 0..3 {
                         for (ip, chain) in chains.iter().enumerate() {
                             let rec = record(chain.clone(), ip as u32);
-                            let v = cache.verdict_cached(
-                                &rec,
-                                pki.root_store(),
-                                t(2019, 6),
-                                &ValidateOptions::default(),
-                            );
+                            let v = cache.verdict_cached(&rec, pki.root_store(), t(2019, 6), None);
                             assert!(v.is_ok());
                         }
                     }

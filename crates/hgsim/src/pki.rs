@@ -25,6 +25,9 @@ struct IssuingCa {
 #[derive(Debug, Clone)]
 pub struct HgPki {
     roots: RootStore,
+    /// The trusted roots' DER: servers omit roots from the chains they
+    /// present, so scans never return these.
+    root_ders: Vec<Bytes>,
     issuers: Vec<IssuingCa>,
     untrusted: IssuingCa,
 }
@@ -42,6 +45,7 @@ impl HgPki {
         let na = Timestamp::from_civil(2045, 1, 1, 0, 0, 0);
         let mut roots = RootStore::new();
         let mut issuers = Vec::new();
+        let mut root_ders = Vec::new();
         for i in 0..4 {
             let root_key = KeyPair::from_seed(&format!("pki:{seed}:root:{i}"));
             let root_name = NameBuilder::new()
@@ -57,6 +61,7 @@ impl HgPki {
                 .subject_key(&root_key)
                 .self_signed(&root_key);
             assert!(roots.add_root(&root), "root must be addable");
+            root_ders.push(Bytes::copy_from_slice(root.der()));
 
             let inter_key = KeyPair::from_seed(&format!("pki:{seed}:inter:{i}"));
             let inter_name = NameBuilder::new()
@@ -102,6 +107,7 @@ impl HgPki {
         };
         Self {
             roots,
+            root_ders,
             issuers,
             untrusted,
         }
@@ -110,6 +116,11 @@ impl HgPki {
     /// The trusted root store ("Common CA Database", §4.1).
     pub fn root_store(&self) -> &RootStore {
         &self.roots
+    }
+
+    /// The DER of every trusted root.
+    pub fn root_ders(&self) -> &[Bytes] {
+        &self.root_ders
     }
 
     /// Issue a trusted end-entity chain `(leaf, intermediate)`.
@@ -223,7 +234,10 @@ mod tests {
         let certs = parse_chain(&chain);
         let v = verify_chain(&certs, pki.root_store(), t(2019, 3)).unwrap();
         assert_eq!(v.end_entity.subject().organization(), Some("Google LLC"));
-        assert_eq!(v.end_entity.dns_names(), &["*.google.com"]);
+        assert_eq!(
+            v.end_entity.dns_names().iter().collect::<Vec<_>>(),
+            ["*.google.com"]
+        );
     }
 
     #[test]

@@ -71,11 +71,9 @@ impl CertificateBuilder {
     pub fn dns_names<I, S>(mut self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        self.extensions
-            .subject_alt_names
-            .extend(names.into_iter().map(Into::into));
+        self.extensions.subject_alt_names.extend(names);
         self
     }
 

@@ -1,8 +1,8 @@
-use crate::{DistinguishedName, Extensions, PublicKey, Signature};
+use crate::{DistinguishedName, DnsNames, Extensions, PublicKey, Signature};
 use asn1::{oids, Error, Reader, Result, Tag, Writer};
 use sha2sim::Sha256;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use timebase::Timestamp;
 
 /// A certificate's validity window (`notBefore`/`notAfter`, inclusive).
@@ -58,7 +58,7 @@ impl TbsCertificate {
             });
             w.write_integer(self.serial);
             // signature AlgorithmIdentifier
-            encode_algorithm(w, &oids::simsig_hmac_sha256());
+            encode_algorithm(w, oids::SIMSIG_HMAC_SHA256);
             self.issuer.encode(w);
             // validity
             w.write_constructed(Tag::SEQUENCE, |w| {
@@ -68,7 +68,7 @@ impl TbsCertificate {
             self.subject.encode(w);
             // subjectPublicKeyInfo
             w.write_constructed(Tag::SEQUENCE, |w| {
-                encode_algorithm(w, &oids::simsig_key());
+                encode_algorithm(w, oids::SIMSIG_KEY);
                 w.write_bit_string(&self.public_key.0);
             });
             self.extensions.encode(w);
@@ -80,14 +80,27 @@ impl TbsCertificate {
 /// A parsed (or freshly built) X.509 certificate together with its exact DER
 /// encoding. Parsing retains the raw bytes so fingerprints and signature
 /// checks operate on what was actually on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every field is a function of the DER, so two certificates are equal
+/// exactly when their DER is.
+#[derive(Debug, Clone)]
 pub struct Certificate {
     tbs: TbsCertificate,
     signature: Signature,
     der: Arc<[u8]>,
     tbs_der_range: (usize, usize),
-    fingerprint: Fingerprint,
+    /// SHA-256 of `der`, hashed on first use: most parsed leaves are
+    /// validated and indexed without ever being fingerprinted.
+    fingerprint: OnceLock<Fingerprint>,
 }
+
+impl PartialEq for Certificate {
+    fn eq(&self, other: &Self) -> bool {
+        self.der == other.der
+    }
+}
+
+impl Eq for Certificate {}
 
 impl Certificate {
     /// Assemble a certificate from a TBS and its signature, producing DER.
@@ -96,7 +109,7 @@ impl Certificate {
         let mut w = Writer::with_capacity(tbs_der.len() + 80);
         w.write_constructed(Tag::SEQUENCE, |w| {
             w.write_raw(&tbs_der);
-            encode_algorithm(w, &oids::simsig_hmac_sha256());
+            encode_algorithm(w, oids::SIMSIG_HMAC_SHA256);
             w.write_bit_string(&signature.0);
         });
         let der: Arc<[u8]> = w.finish().into();
@@ -124,7 +137,7 @@ impl Certificate {
         }
         vr.expect_end()?;
         let serial = tbs.read_integer_u64()?;
-        expect_algorithm(&mut tbs, &oids::simsig_hmac_sha256())?;
+        expect_algorithm(&mut tbs, oids::SIMSIG_HMAC_SHA256)?;
         let issuer = DistinguishedName::decode(&mut tbs)?;
         let mut validity = tbs.read_sequence()?;
         let not_before = validity.read_time()?;
@@ -132,7 +145,7 @@ impl Certificate {
         validity.expect_end()?;
         let subject = DistinguishedName::decode(&mut tbs)?;
         let mut spki = tbs.read_sequence()?;
-        expect_algorithm(&mut spki, &oids::simsig_key())?;
+        expect_algorithm(&mut spki, oids::SIMSIG_KEY)?;
         let key_bits = spki.read_bit_string()?;
         spki.expect_end()?;
         let public_key =
@@ -143,14 +156,13 @@ impl Certificate {
         };
         tbs.expect_end()?;
 
-        expect_algorithm(&mut cert, &oids::simsig_hmac_sha256())?;
+        expect_algorithm(&mut cert, oids::SIMSIG_HMAC_SHA256)?;
         let sig_bits = cert.read_bit_string()?;
         cert.expect_end()?;
         let sig_arr: [u8; 32] = sig_bits
             .try_into()
             .map_err(|_| Error::InvalidContent("bad signature length"))?;
 
-        let fingerprint = Fingerprint(Sha256::digest(der));
         Ok(Self {
             tbs: TbsCertificate {
                 serial,
@@ -166,7 +178,7 @@ impl Certificate {
             signature: Signature(sig_arr),
             der: der.into(),
             tbs_der_range,
-            fingerprint,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -198,20 +210,9 @@ impl Certificate {
         &self.tbs.extensions
     }
 
-    /// The subjectAltName dNSNames (§2 "dNSName").
-    pub fn dns_names(&self) -> &[String] {
+    /// The subjectAltName dNSNames (§2 "dNSName"), in certificate order.
+    pub fn dns_names(&self) -> &DnsNames {
         &self.tbs.extensions.subject_alt_names
-    }
-
-    /// The subjectAltName dNSNames as borrowed `&str`s, in certificate
-    /// order — the allocation-free edge consumers that symbolize or hash
-    /// SANs (the interned corpus model) read from.
-    pub fn dns_name_strs(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.tbs
-            .extensions
-            .subject_alt_names
-            .iter()
-            .map(String::as_str)
     }
 
     pub fn signature(&self) -> &Signature {
@@ -230,7 +231,9 @@ impl Certificate {
 
     /// SHA-256 fingerprint of the full DER.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        *self
+            .fingerprint
+            .get_or_init(|| Fingerprint(Sha256::digest(&self.der)))
     }
 
     /// Whether issuer and subject names are identical (the §4.1 self-signed
@@ -258,17 +261,16 @@ fn cert_remaining(r: &Reader<'_>) -> usize {
     r.remaining()
 }
 
-fn encode_algorithm(w: &mut Writer, oid: &asn1::Oid) {
+fn encode_algorithm(w: &mut Writer, oid: &[u8]) {
     w.write_constructed(Tag::SEQUENCE, |w| {
-        w.write_oid(oid);
+        w.write_primitive(Tag::OID, oid);
         w.write_null();
     });
 }
 
-fn expect_algorithm(r: &mut Reader<'_>, oid: &asn1::Oid) -> Result<()> {
+fn expect_algorithm(r: &mut Reader<'_>, oid: &[u8]) -> Result<()> {
     let mut alg = r.read_sequence()?;
-    let got = alg.read_oid()?;
-    if got != *oid {
+    if alg.read_oid_content()? != oid {
         return Err(Error::InvalidContent("unexpected algorithm identifier"));
     }
     alg.read_null()?;
@@ -307,7 +309,7 @@ mod tests {
                 .build(),
             public_key: KeyPair::from_seed("ee:google").public_key(),
             extensions: Extensions {
-                subject_alt_names: vec!["*.google.com".into(), "google.com".into()],
+                subject_alt_names: ["*.google.com", "google.com"].into_iter().collect(),
                 basic_constraints: Some(Default::default()),
                 key_usage: Some(crate::KeyUsage {
                     digital_signature: true,
@@ -325,7 +327,10 @@ mod tests {
         let cert = Certificate::assemble(tbs.clone(), sig);
         assert_eq!(cert.tbs(), &tbs);
         assert_eq!(cert.subject().organization(), Some("Google LLC"));
-        assert_eq!(cert.dns_names(), &["*.google.com", "google.com"]);
+        assert_eq!(
+            cert.dns_names().iter().collect::<Vec<_>>(),
+            ["*.google.com", "google.com"]
+        );
         assert!(!cert.is_ca());
         assert!(!cert.is_self_issued());
     }

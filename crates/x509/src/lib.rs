@@ -22,7 +22,7 @@ mod verify;
 
 pub use builder::CertificateBuilder;
 pub use cert::{Certificate, Fingerprint, TbsCertificate, Validity};
-pub use extensions::{BasicConstraints, Extensions, KeyUsage};
+pub use extensions::{BasicConstraints, DnsNameIter, DnsNames, Extensions, KeyUsage};
 pub use name::{DistinguishedName, NameBuilder};
 pub use sign::{KeyPair, PublicKey, Signature};
 pub use store::RootStore;

@@ -125,66 +125,30 @@ pub fn quality_table(series: &offnet_core::StudySeries) -> String {
     )
 }
 
-/// Render the incremental engine's per-snapshot reuse accounting: how many
-/// HG cells were replayed from the previous snapshot vs recomputed, and how
-/// the chain population churned. Full recomputes (the first snapshot, or a
-/// snapshot following a degraded one) are flagged so a low reuse rate can
-/// be traced to its cause rather than read as a delta-engine failure.
+/// Render the incremental mode's per-snapshot reuse accounting: how many
+/// chains the shared validation cache replayed from a skeleton and how
+/// many it verified in full, with a study-wide total row.
 pub fn reuse_table(reports: &[offnet_core::DeltaReport]) -> String {
-    let mut rows = Vec::with_capacity(reports.len() + 1);
-    let mut total = offnet_core::DeltaReport::default();
-    for r in reports {
-        total.hgs_total += r.hgs_total;
-        total.hgs_recomputed += r.hgs_recomputed;
-        total.hgs_replayed += r.hgs_replayed;
-        total.cells_recomputed += r.cells_recomputed;
-        total.cells_replayed += r.cells_replayed;
-        total.chains_total += r.chains_total;
-        total.chains_new += r.chains_new;
-        total.chains_rotated += r.chains_rotated;
-        total.chains_vanished += r.chains_vanished;
-        total.chains_replayed += r.chains_replayed;
-        total.chains_revalidated += r.chains_revalidated;
-    }
-    let row = |label: String, r: &offnet_core::DeltaReport, full: &str| -> Vec<String> {
-        let reuse = if r.cells_total() == 0 {
-            "-".to_owned()
-        } else {
-            pct(r.cells_replayed as f64 / r.cells_total() as f64)
-        };
-        vec![
-            label,
-            full.to_owned(),
-            format!("{}/{}", r.hgs_replayed, r.hgs_total),
-            r.cells_replayed.to_string(),
-            r.cells_recomputed.to_string(),
-            reuse,
-            r.chains_new.to_string(),
-            r.chains_rotated.to_string(),
-            r.chains_vanished.to_string(),
-            r.chains_replayed.to_string(),
-            r.chains_revalidated.to_string(),
-        ]
+    let row = |label: String, replayed: u64, revalidated: u64| {
+        vec![label, replayed.to_string(), revalidated.to_string()]
     };
-    for r in reports {
-        let full = if r.full_compute { "full" } else { "delta" };
-        rows.push(row(snapshot_label(r.snapshot_idx), r, full));
-    }
-    rows.push(row("total".to_owned(), &total, "-"));
+    let mut rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
+            row(
+                snapshot_label(r.snapshot_idx),
+                r.chains_replayed,
+                r.chains_revalidated,
+            )
+        })
+        .collect();
+    rows.push(row(
+        "total".to_owned(),
+        reports.iter().map(|r| r.chains_replayed).sum(),
+        reports.iter().map(|r| r.chains_revalidated).sum(),
+    ));
     table(
-        &[
-            "snapshot",
-            "mode",
-            "hgs reused",
-            "cells replayed",
-            "cells recomputed",
-            "reuse",
-            "chains new",
-            "rotated",
-            "vanished",
-            "replayed",
-            "revalidated",
-        ],
+        &["snapshot", "chains replayed", "chains revalidated"],
         &rows,
     )
 }
@@ -241,8 +205,8 @@ pub fn scan_health_table(series: &offnet_core::StudySeries) -> String {
     )
 }
 
-/// [`quality_table`] followed by the delta engine's reuse accounting for
-/// the same snapshots. The quality rows are rendered by the unchanged
+/// [`quality_table`] followed by the incremental mode's reuse accounting
+/// for the same snapshots. The quality rows are rendered by the unchanged
 /// [`quality_table`] so incremental runs stay diffable against full ones;
 /// only this combined view appends the extra section.
 pub fn quality_table_with_reuse(
@@ -295,40 +259,26 @@ mod tests {
 
     #[test]
     fn reuse_table_reports_modes_and_totals() {
-        let full = offnet_core::DeltaReport {
-            snapshot_idx: 0,
-            full_compute: true,
-            hgs_total: 6,
-            hgs_recomputed: 6,
-            cells_recomputed: 40,
-            chains_total: 100,
-            chains_new: 100,
-            chains_revalidated: 100,
-            ..Default::default()
+        let reports = [
+            offnet_core::DeltaReport::new(0, 0, 100),
+            offnet_core::DeltaReport::new(1, 85, 15),
+        ];
+        let out = reuse_table(&reports);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{out}");
+        assert!(lines[0].contains("chains replayed"), "{out}");
+        let cells = |line: &str| {
+            line.split_whitespace()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
         };
-        let delta = offnet_core::DeltaReport {
-            snapshot_idx: 1,
-            hgs_total: 6,
-            hgs_recomputed: 1,
-            hgs_replayed: 5,
-            cells_recomputed: 8,
-            cells_replayed: 32,
-            chains_total: 100,
-            chains_new: 10,
-            chains_rotated: 5,
-            chains_vanished: 15,
-            chains_replayed: 85,
-            chains_revalidated: 15,
-            ..Default::default()
-        };
-        let out = reuse_table(&[full, delta]);
-        assert!(out.contains("2013-10"), "{out}");
-        assert!(out.contains(&snapshot_label(1)), "{out}");
-        assert!(out.contains("full"), "{out}");
-        assert!(out.contains("delta"), "{out}");
-        assert!(out.contains("5/6"), "{out}");
-        assert!(out.contains("80.0%"), "{out}");
-        assert!(out.contains("total"), "{out}");
+        assert_eq!(cells(lines[2]), ["2013-10", "0", "100"], "{out}");
+        assert_eq!(
+            cells(lines[3]),
+            [snapshot_label(1).as_str(), "85", "15"],
+            "{out}"
+        );
+        assert_eq!(cells(lines[4]), ["total", "85", "115"], "{out}");
     }
 
     #[test]

@@ -59,7 +59,6 @@ fn bench_retry(c: &mut Criterion) {
         netflix_with_expired: series.netflix.with_expired.len(),
         netflix_with_non_tls: series.netflix.with_non_tls.len(),
         netflix_ip_history: Vec::new(),
-        evidence: None,
         report: None,
     };
     let dir = std::env::temp_dir().join(format!("offnet-bench-ckpt-{}", std::process::id()));

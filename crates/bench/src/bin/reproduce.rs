@@ -17,11 +17,12 @@
 //! count (default: available parallelism, or `OFFNET_THREADS`) and
 //! `--sequential` selects the one-snapshot-at-a-time uncached mode.
 //!
-//! `--incremental` selects the incremental mode instead: snapshot N is
-//! diffed against N−1 and only dirty HG×AS cells are recomputed. The
-//! rendered artifacts are byte-identical in every mode (pinned by
-//! `tests/incremental.rs` and `tests/parallel.rs`); the `quality`
-//! experiment additionally prints the per-snapshot reuse accounting.
+//! `--incremental` selects the incremental mode instead: snapshots are
+//! appended one at a time, each through the same per-snapshot step, with
+//! one validation cache shared across them. The rendered artifacts are
+//! byte-identical in every mode (pinned by `tests/incremental.rs` and
+//! `tests/parallel.rs`); the `quality` experiment additionally prints the
+//! per-snapshot chain-reuse accounting.
 //!
 //! `--fault-rate R` corrupts the study scans with every record-level fault
 //! class at rate R (seeded by `--fault-seed`, default 1); the `quality`
@@ -65,7 +66,7 @@
 //! straight from the frozen file.
 //!
 //! `corpus-stats` prints the interned-corpus memory accounting,
-//! `cache-stats` the validation-cache and delta-engine reuse counters,
+//! `cache-stats` the validation-cache reuse counters,
 //! and `shard-stats` the sharded pipeline's per-segment spill ledger;
 //! all three are pipeline diagnostics, deliberately not included in
 //! `all`.
@@ -262,7 +263,7 @@ struct Fixtures {
     /// was given.
     artifact_dir: Option<std::path::PathBuf>,
     r7: OnceLock<StudySeries>,
-    /// Delta-engine reuse accounting for the Rapid7 study; populated only
+    /// Reuse accounting for the Rapid7 study; populated only
     /// under `--incremental` (kept beside the series so rendered study
     /// artifacts stay identical across modes).
     r7_reports: OnceLock<Vec<offnet_core::DeltaReport>>,
@@ -372,7 +373,7 @@ impl Fixtures {
         let mut mode = match self.mode {
             StudyMode::Sequential => "sequential".to_owned(),
             StudyMode::Parallel { workers } => format!("{workers} threads + validation cache"),
-            StudyMode::Incremental => "incremental delta engine".to_owned(),
+            StudyMode::Incremental => "incremental + validation cache".to_owned(),
         };
         if config.checkpoint_dir.is_some() {
             mode.push_str(", checkpointed");
@@ -405,7 +406,7 @@ impl Fixtures {
         })
     }
 
-    /// Rapid7 delta-engine reuse reports (only under `--incremental`).
+    /// Rapid7 reuse reports (only under `--incremental`).
     fn r7_reports(&self) -> Option<&[offnet_core::DeltaReport]> {
         self.r7();
         self.r7_reports.get().map(Vec::as_slice)
@@ -580,12 +581,12 @@ fn shard_stats(fx: &Fixtures) {
     );
 }
 
-/// Validation-cache and delta-engine reuse accounting: runs the Rapid7
-/// study through [`DeltaStudyEngine`] regardless of `--incremental`, then
-/// prints the per-snapshot quality + reuse tables and the cache's lifetime
+/// Validation-cache reuse accounting: runs the Rapid7 study through
+/// [`DeltaStudyEngine`] regardless of `--incremental`, then prints the
+/// per-snapshot quality + reuse tables and the cache's lifetime
 /// counters. Run explicitly with `reproduce cache-stats`.
 fn cache_stats(fx: &Fixtures) {
-    heading("Validation cache and incremental reuse (Rapid7 delta engine)");
+    heading("Validation cache reuse (Rapid7 incremental study)");
     let config = StudyConfig::default();
     let mut driver = DeltaStudyEngine::new(&fx.world, fx.engine(ScanEngine::rapid7()), &config);
     let start = Instant::now();
@@ -593,7 +594,7 @@ fn cache_stats(fx: &Fixtures) {
         driver.append_snapshot(t);
     }
     eprintln!(
-        "[reproduce] cache-stats study: {:.2}s (incremental delta engine)",
+        "[reproduce] cache-stats study: {:.2}s (incremental + validation cache)",
         start.elapsed().as_secs_f64()
     );
     let stats = driver.cache().stats();

@@ -27,7 +27,7 @@
 //! series plus the cumulative certificate-history IP set (so an
 //! incremental engine can *append* to an existing artifact and keep the
 //! order-dependent fold exact), the learned header fingerprints, and the
-//! delta engine's per-snapshot reuse counters.
+//! incremental mode's per-snapshot validation-cache counters.
 //!
 //! Invalidation: the config fingerprint
 //! ([`artifact_fingerprint`]) digests world scenario, engine identity and
@@ -41,10 +41,9 @@ use crate::checkpoint::{
     record_error_tag, CheckpointError, Dec, Enc, SnapshotCheckpoint, RECORD_ERRORS,
 };
 use crate::codec::{self, EnvelopeIssue};
-use crate::delta::DeltaReport;
 use crate::headers::{HeaderFingerprint, HeaderFingerprints};
 use crate::pipeline::{HgSnapshotResult, SnapshotResult};
-use crate::study::{NetflixVariants, StudyConfig, StudySeries};
+use crate::study::{DeltaReport, NetflixVariants, StudyConfig, StudySeries};
 use hgsim::{Hg, HgWorld, ALL_HGS};
 use netsim::AsId;
 use scanner::{EngineId, ScanEngine};
@@ -52,14 +51,16 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Current artifact format version. Bump on any payload layout change.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Version 2 keeps only the validation-cache counters of each reuse
+/// report.
+pub const ARTIFACT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
 const REMEDY: &str = "delete the artifact file or pass --no-resume";
 
-/// Driver-independent salt for [`artifact_fingerprint`] (the checkpoint
-/// tags are 1 and 2; this must collide with neither).
+/// Driver-independent salt for [`artifact_fingerprint`] (must differ
+/// from the checkpoint tag, 1).
 const ARTIFACT_DRIVER_TAG: u64 = 0xa87f;
 
 /// Why an artifact file could not be used. Mirrors
@@ -737,42 +738,6 @@ fn encode_payload(
         b.usize(r.snapshot_idx);
     }
     for r in reports {
-        b.bool(r.full_compute);
-    }
-    for r in reports {
-        b.usize(r.hgs_total);
-    }
-    for r in reports {
-        b.usize(r.hgs_recomputed);
-    }
-    for r in reports {
-        b.usize(r.hgs_replayed);
-    }
-    for r in reports {
-        b.usize(r.cells_recomputed);
-    }
-    for r in reports {
-        b.usize(r.cells_replayed);
-    }
-    for r in reports {
-        b.usize(r.chains_total);
-    }
-    for r in reports {
-        b.usize(r.chains_new);
-    }
-    for r in reports {
-        b.usize(r.chains_rotated);
-    }
-    for r in reports {
-        b.usize(r.chains_vanished);
-    }
-    for r in reports {
-        b.usize(r.cert_rows_changed);
-    }
-    for r in reports {
-        b.usize(r.banner_rows_changed);
-    }
-    for r in reports {
         b.u64(r.chains_replayed);
     }
     for r in reports {
@@ -968,46 +933,10 @@ fn decode_payload(payload: &[u8], path: &Path) -> Result<DecodedPayload, Checkpo
             support,
         });
     }
-    let n_reports = d.count(1)?;
-    let mut reports: Vec<DeltaReport> = (0..n_reports).map(|_| DeltaReport::default()).collect();
-    for r in &mut reports {
-        r.snapshot_idx = d.usize()?;
-    }
-    for r in &mut reports {
-        r.full_compute = d.bool()?;
-    }
-    for r in &mut reports {
-        r.hgs_total = d.usize()?;
-    }
-    for r in &mut reports {
-        r.hgs_recomputed = d.usize()?;
-    }
-    for r in &mut reports {
-        r.hgs_replayed = d.usize()?;
-    }
-    for r in &mut reports {
-        r.cells_recomputed = d.usize()?;
-    }
-    for r in &mut reports {
-        r.cells_replayed = d.usize()?;
-    }
-    for r in &mut reports {
-        r.chains_total = d.usize()?;
-    }
-    for r in &mut reports {
-        r.chains_new = d.usize()?;
-    }
-    for r in &mut reports {
-        r.chains_rotated = d.usize()?;
-    }
-    for r in &mut reports {
-        r.chains_vanished = d.usize()?;
-    }
-    for r in &mut reports {
-        r.cert_rows_changed = d.usize()?;
-    }
-    for r in &mut reports {
-        r.banner_rows_changed = d.usize()?;
+    let n_reports = d.count(24)?;
+    let mut reports: Vec<DeltaReport> = Vec::with_capacity(n_reports);
+    for _ in 0..n_reports {
+        reports.push(DeltaReport::new(d.usize()?, 0, 0));
     }
     for r in &mut reports {
         r.chains_replayed = d.u64()?;
@@ -1200,10 +1129,8 @@ impl<'a> ArtifactTables<'a> {
             let names = d.count(4)?;
             d.take(names * 4)?;
         }
-        let n_reports = d.count(1)?;
+        let n_reports = d.count(24)?;
         d.take(n_reports * 8)?; // snapshot_idx column
-        d.take(n_reports)?; // full_compute bools
-        d.take(n_reports * 8 * 11)?; // the 11 usize counter columns
         d.take(n_reports * 16)?; // chains_replayed + chains_revalidated
         d.finish()?;
         Ok(ArtifactTables {
@@ -1357,26 +1284,7 @@ mod tests {
             },
             netflix_ip_history: vec![1, 2, 9],
             header_fps,
-            reports: vec![
-                DeltaReport {
-                    snapshot_idx: 3,
-                    full_compute: true,
-                    hgs_total: 23,
-                    hgs_recomputed: 23,
-                    chains_revalidated: 800,
-                    ..Default::default()
-                },
-                DeltaReport {
-                    snapshot_idx: 4,
-                    hgs_total: 23,
-                    hgs_replayed: 21,
-                    hgs_recomputed: 2,
-                    cells_replayed: 60,
-                    cells_recomputed: 4,
-                    chains_replayed: 700,
-                    ..Default::default()
-                },
-            ],
+            reports: vec![DeltaReport::new(3, 0, 800), DeltaReport::new(4, 700, 100)],
         }
     }
 
@@ -1540,16 +1448,16 @@ mod tests {
             artifact.fingerprint,
         );
         busy.adopt_checkpoint(&SnapshotCheckpoint::skipped(0, vec![1]));
-        busy.push_report(DeltaReport::default());
+        busy.push_report(DeltaReport::new(0, 0, 0));
         let before = busy.reports().len();
         assert_eq!(busy.adopt_from_path(&path).unwrap(), 0);
         assert_eq!(busy.reports().len(), before);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
-    /// Deterministic structured generator in the style of
-    /// `delta.rs`: the shimmed proptest drives scalars, each seed maps to
-    /// one randomized artifact.
+    /// Deterministic structured generator (splitmix64): the shimmed
+    /// proptest drives scalars, each seed maps to one randomized
+    /// artifact.
     struct Gen(u64);
 
     impl Gen {
@@ -1660,14 +1568,7 @@ mod tests {
             }
             let reports = if self.below(2) == 1 {
                 (0..n)
-                    .map(|t| DeltaReport {
-                        snapshot_idx: t,
-                        full_compute: t == 0,
-                        hgs_total: 23,
-                        hgs_replayed: self.below(24) as usize,
-                        chains_replayed: self.below(1000),
-                        ..Default::default()
-                    })
+                    .map(|t| DeltaReport::new(t, self.below(1000), self.below(1000)))
                     .collect()
             } else {
                 Vec::new()

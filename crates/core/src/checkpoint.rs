@@ -3,8 +3,9 @@
 //! A 31-snapshot study that dies at snapshot 27 used to lose everything.
 //! With [`StudyConfig::checkpoint_dir`] set, every study mode instead
 //! serializes one artifact per snapshot — the full [`SnapshotResult`],
-//! the §6.2 Netflix fold state, and (in [`StudyMode::Incremental`]) the
-//! delta engine's [`SnapshotEvidence`] plus its reuse report — so a
+//! the §6.2 Netflix fold state, and (in
+//! [`StudyMode::Incremental`](crate::StudyMode::Incremental)) the
+//! snapshot's validation-cache counters — so a
 //! relaunched run adopts the completed prefix and continues from the
 //! first missing snapshot, producing output byte-identical to an
 //! uninterrupted run.
@@ -23,18 +24,17 @@
 //!
 //! Invalidation rules: the config fingerprint digests everything that
 //! shapes study output — world scenario, engine identity and its
-//! fault/transient plans, pipeline knobs, and whether the incremental
-//! mode wrote the artifact (its checkpoints carry delta evidence, so they
-//! are not interchangeable with the other modes') — but deliberately
+//! fault/transient plans, and pipeline knobs — but deliberately *not*
+//! the study mode (every mode writes the same checkpoints; a mode that
+//! keeps reuse counters reads zeros where another mode wrote none) and
 //! *not* the snapshot range, so a run killed at snapshot k resumes under
 //! a longer `--snapshots` range. Mismatches surface as typed
 //! [`CheckpointError`]s with explicit remediation, never a panic.
 
 use crate::codec::{self, EnvelopeIssue};
-use crate::delta::{DeltaReport, HgEvidence, SnapshotEvidence};
 use crate::errors::{DataQualityReport, RecordError};
 use crate::pipeline::{HgSnapshotResult, SnapshotResult};
-use crate::study::{StudyConfig, StudyMode};
+use crate::study::{DeltaReport, StudyConfig};
 use crate::validate::{InvalidReason, ValidationStats};
 use hgsim::{Hg, HgWorld, ALL_HGS};
 use netsim::AsId;
@@ -44,7 +44,9 @@ use std::path::{Path, PathBuf};
 use x509::ChainError;
 
 /// Current checkpoint format version. Bump on any payload layout change.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version 2 dropped the per-snapshot delta evidence and kept only the
+/// validation-cache counters of the reuse report.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"OFFNCKPT";
 
@@ -67,7 +69,7 @@ pub enum CheckpointError {
         expected: u32,
     },
     /// The file was written under a different study configuration
-    /// (world, engine, fault/transient plans, pipeline knobs, or mode).
+    /// (world, engine, fault/transient plans, or pipeline knobs).
     ConfigMismatch {
         path: PathBuf,
         found: u64,
@@ -169,11 +171,8 @@ pub struct SnapshotCheckpoint {
     pub netflix_with_non_tls: usize,
     /// Cumulative Netflix IP history *after* this snapshot, sorted.
     pub netflix_ip_history: Vec<u32>,
-    /// The delta engine's evidence for this snapshot (incremental mode
-    /// only): restoring it lets the resumed run diff its next snapshot
-    /// instead of falling back to a full compute.
-    pub evidence: Option<SnapshotEvidence>,
-    /// The delta engine's reuse report for this snapshot.
+    /// The snapshot's reuse report (incremental mode only). Only its
+    /// validation-cache counters are stored.
     pub report: Option<DeltaReport>,
 }
 
@@ -188,7 +187,6 @@ impl SnapshotCheckpoint {
             netflix_with_expired: 0,
             netflix_with_non_tls: 0,
             netflix_ip_history,
-            evidence: None,
             report: None,
         }
     }
@@ -283,27 +281,22 @@ impl CheckpointStore {
 
 /// Digest everything that shapes a study's checkpoints into one
 /// fingerprint: the world scenario, the engine (identity, coverage
-/// windows, attached fault and transient plans), the pipeline knobs, and
-/// whether the mode is [`StudyMode::Incremental`] — only that mode stores
-/// delta evidence, so its checkpoints must not masquerade as another
-/// mode's, or the other way round. Sequential and parallel checkpoints
-/// are interchangeable. The snapshot *range* is deliberately excluded so
-/// a killed run can be resumed under a longer range; so are the
-/// checkpoint directory, the worker count, and sharding, none of which
-/// changes the output.
+/// windows, attached fault and transient plans), and the pipeline knobs.
+/// Checkpoints are interchangeable across study modes. The snapshot
+/// *range* is deliberately excluded so a killed run can be resumed under
+/// a longer range; so are the checkpoint directory, the worker count, and
+/// sharding, none of which changes the output.
 pub fn study_fingerprint(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> u64 {
-    let tag = match config.mode {
-        StudyMode::Sequential | StudyMode::Parallel { .. } => 1,
-        StudyMode::Incremental => 2,
-    };
-    fingerprint_with_tag(world, engine, config, tag)
+    fingerprint_with_tag(world, engine, config, CHECKPOINT_TAG)
 }
+
+/// [`study_fingerprint`]'s salt, distinct from the artifact's.
+const CHECKPOINT_TAG: u64 = 1;
 
 /// The shared fingerprint chain behind [`study_fingerprint`] and
 /// [`crate::artifact::artifact_fingerprint`]: everything that shapes study
-/// output, salted with a caller-chosen tag (the mode's checkpoint tag for
-/// checkpoints; a mode-independent constant for result artifacts, which
-/// are byte-identical across modes).
+/// output, salted with a caller-chosen tag, so a checkpoint and an
+/// artifact of the same study never share a fingerprint.
 pub(crate) fn fingerprint_with_tag(
     world: &HgWorld,
     engine: &ScanEngine,
@@ -483,13 +476,6 @@ impl Enc {
             self.u32(v);
         }
     }
-    pub(crate) fn rows(&mut self, rows: &[(u32, u64)]) {
-        self.usize(rows.len());
-        for &(ip, dg) in rows {
-            self.u32(ip);
-            self.u64(dg);
-        }
-    }
     pub(crate) fn as_set(&mut self, set: &BTreeSet<AsId>) {
         self.usize(set.len());
         for a in set {
@@ -566,10 +552,6 @@ impl<'a> Dec<'a> {
         let n = self.count(4)?;
         (0..n).map(|_| self.u32()).collect()
     }
-    pub(crate) fn rows(&mut self) -> Result<Vec<(u32, u64)>, CheckpointError> {
-        let n = self.count(12)?;
-        (0..n).map(|_| Ok((self.u32()?, self.u64()?))).collect()
-    }
     pub(crate) fn as_set(&mut self) -> Result<BTreeSet<AsId>, CheckpointError> {
         let n = self.count(4)?;
         (0..n).map(|_| Ok(AsId(self.u32()?))).collect()
@@ -595,18 +577,12 @@ fn encode_checkpoint(ckpt: &SnapshotCheckpoint) -> Vec<u8> {
     e.usize(ckpt.netflix_with_expired);
     e.usize(ckpt.netflix_with_non_tls);
     e.u32s(&ckpt.netflix_ip_history);
-    match &ckpt.evidence {
-        None => e.u8(0),
-        Some(ev) => {
-            e.u8(1);
-            encode_evidence(&mut e, ev);
-        }
-    }
     match &ckpt.report {
         None => e.u8(0),
         Some(r) => {
             e.u8(1);
-            encode_report(&mut e, r);
+            e.u64(r.chains_replayed);
+            e.u64(r.chains_revalidated);
         }
     }
     e.buf
@@ -625,14 +601,9 @@ fn decode_checkpoint(payload: &[u8], path: &Path) -> Result<SnapshotCheckpoint, 
     let netflix_with_expired = d.usize()?;
     let netflix_with_non_tls = d.usize()?;
     let netflix_ip_history = d.u32s()?;
-    let evidence = match d.u8()? {
-        0 => None,
-        1 => Some(decode_evidence(&mut d)?),
-        v => return Err(CheckpointError::corrupt(path, format!("bad option {v}"))),
-    };
     let report = match d.u8()? {
         0 => None,
-        1 => Some(decode_report(&mut d)?),
+        1 => Some(DeltaReport::new(snapshot_idx, d.u64()?, d.u64()?)),
         v => return Err(CheckpointError::corrupt(path, format!("bad option {v}"))),
     };
     d.finish()?;
@@ -644,7 +615,6 @@ fn decode_checkpoint(payload: &[u8], path: &Path) -> Result<SnapshotCheckpoint, 
         netflix_with_expired,
         netflix_with_non_tls,
         netflix_ip_history,
-        evidence,
         report,
     })
 }
@@ -872,90 +842,6 @@ pub(crate) fn decode_health(d: &mut Dec) -> Result<ScanHealth, CheckpointError> 
     Ok(h)
 }
 
-fn encode_evidence(e: &mut Enc, ev: &SnapshotEvidence) {
-    e.usize(ev.snapshot_idx);
-    e.rows(&ev.cert_rows);
-    e.rows(&ev.banner_rows);
-    e.rows(&ev.chain_rows);
-    e.usize(ev.per_hg.len());
-    for (&hg, hev) in &ev.per_hg {
-        e.u8(hg_tag(hg));
-        e.u64(hev.membership_digest);
-        e.u64(hev.banner_digest);
-        e.as_set(&hev.cells);
-    }
-}
-
-fn decode_evidence(d: &mut Dec) -> Result<SnapshotEvidence, CheckpointError> {
-    let snapshot_idx = d.usize()?;
-    let cert_rows = d.rows()?;
-    let banner_rows = d.rows()?;
-    let chain_rows = d.rows()?;
-    let mut per_hg = std::collections::BTreeMap::new();
-    for _ in 0..d.count(17)? {
-        let tag = d.u8()?;
-        let hg = *ALL_HGS
-            .get(tag as usize)
-            .ok_or_else(|| CheckpointError::corrupt(d.path, format!("bad hg tag {tag}")))?;
-        let membership_digest = d.u64()?;
-        let banner_digest = d.u64()?;
-        let cells = d.as_set()?;
-        per_hg.insert(
-            hg,
-            HgEvidence {
-                membership_digest,
-                banner_digest,
-                cells,
-            },
-        );
-    }
-    Ok(SnapshotEvidence {
-        snapshot_idx,
-        cert_rows,
-        banner_rows,
-        chain_rows,
-        per_hg,
-    })
-}
-
-fn encode_report(e: &mut Enc, r: &DeltaReport) {
-    e.usize(r.snapshot_idx);
-    e.bool(r.full_compute);
-    e.usize(r.hgs_total);
-    e.usize(r.hgs_recomputed);
-    e.usize(r.hgs_replayed);
-    e.usize(r.cells_recomputed);
-    e.usize(r.cells_replayed);
-    e.usize(r.chains_total);
-    e.usize(r.chains_new);
-    e.usize(r.chains_rotated);
-    e.usize(r.chains_vanished);
-    e.usize(r.cert_rows_changed);
-    e.usize(r.banner_rows_changed);
-    e.u64(r.chains_replayed);
-    e.u64(r.chains_revalidated);
-}
-
-fn decode_report(d: &mut Dec) -> Result<DeltaReport, CheckpointError> {
-    Ok(DeltaReport {
-        snapshot_idx: d.usize()?,
-        full_compute: d.bool()?,
-        hgs_total: d.usize()?,
-        hgs_recomputed: d.usize()?,
-        hgs_replayed: d.usize()?,
-        cells_recomputed: d.usize()?,
-        cells_replayed: d.usize()?,
-        chains_total: d.usize()?,
-        chains_new: d.usize()?,
-        chains_rotated: d.usize()?,
-        chains_vanished: d.usize()?,
-        cert_rows_changed: d.usize()?,
-        banner_rows_changed: d.usize()?,
-        chains_replayed: d.u64()?,
-        chains_revalidated: d.u64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -973,8 +859,8 @@ mod tests {
     }
 
     /// A checkpoint exercising every codec branch: populated and absent
-    /// HGs, non-trivial maps, NaN-free but non-integral floats, both
-    /// evidence and report present.
+    /// HGs, non-trivial maps, NaN-free but non-integral floats, a report
+    /// present.
     fn dense_checkpoint() -> SnapshotCheckpoint {
         let mut result = SnapshotResult {
             snapshot_idx: 7,
@@ -1028,15 +914,6 @@ mod tests {
             .insert(TransientClass::RateLimited, 2);
         result.quality.scan.backoff_wait_s = 77;
 
-        let mut per_hg = std::collections::BTreeMap::new();
-        per_hg.insert(
-            Hg::Google,
-            HgEvidence {
-                membership_digest: 0xdead_beef,
-                banner_digest: 0xfeed_f00d,
-                cells: [AsId(10), AsId(20)].into_iter().collect(),
-            },
-        );
         SnapshotCheckpoint {
             snapshot_idx: 7,
             processed: true,
@@ -1045,22 +922,7 @@ mod tests {
             netflix_with_expired: 5,
             netflix_with_non_tls: 6,
             netflix_ip_history: vec![1, 7, 9],
-            evidence: Some(SnapshotEvidence {
-                snapshot_idx: 7,
-                cert_rows: vec![(1, 11), (2, 22)],
-                banner_rows: vec![(1, 33)],
-                chain_rows: vec![(2, 44)],
-                per_hg,
-            }),
-            report: Some(DeltaReport {
-                snapshot_idx: 7,
-                full_compute: false,
-                hgs_total: 23,
-                hgs_replayed: 20,
-                hgs_recomputed: 3,
-                chains_replayed: 9000,
-                ..Default::default()
-            }),
+            report: Some(DeltaReport::new(7, 9000, 40)),
         }
     }
 
@@ -1080,7 +942,7 @@ mod tests {
             loaded.result.per_hg[&Hg::Google].median_cert_lifetime_days,
             Some(89.5)
         );
-        assert_eq!(loaded.report.unwrap().chains_replayed, 9000);
+        assert_eq!(loaded.report, Some(DeltaReport::new(7, 9000, 40)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,7 +11,7 @@
 //! error enums so the per-family variants (and their remedy strings) stay
 //! exactly what they were when each loader was hand-rolled.
 //!
-//! The column views ([`U32Col`], [`U64Col`]) are the segment format's
+//! The column view ([`U32Col`]) is the segment format's
 //! zero-copy primitive: a sorted integer column is written as a count
 //! followed by padding to the element's natural alignment and the raw
 //! little-endian words, and is *read* as a borrowed slice of the one
@@ -132,30 +132,10 @@ pub(crate) fn write_envelope(
 pub(crate) struct U32Col<'a>(&'a [u8]);
 
 impl<'a> U32Col<'a> {
-    pub(crate) fn len(&self) -> usize {
-        self.0.len() / 4
-    }
-
     pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
         self.0
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-    }
-}
-
-/// A borrowed `u64` column.
-#[derive(Clone, Copy)]
-pub(crate) struct U64Col<'a>(&'a [u8]);
-
-impl<'a> U64Col<'a> {
-    pub(crate) fn len(&self) -> usize {
-        self.0.len() / 8
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + 'a {
-        self.0
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
     }
 }
 
@@ -179,18 +159,6 @@ pub(crate) fn enc_u32_col(e: &mut Enc, len: usize, vals: impl IntoIterator<Item 
     debug_assert_eq!(written, len, "u32 column length mismatch");
 }
 
-/// Write a `u64` column: count, alignment padding, raw LE words.
-pub(crate) fn enc_u64_col(e: &mut Enc, len: usize, vals: impl IntoIterator<Item = u64>) {
-    e.usize(len);
-    enc_align(e, 8);
-    let mut written = 0usize;
-    for v in vals {
-        e.u64(v);
-        written += 1;
-    }
-    debug_assert_eq!(written, len, "u64 column length mismatch");
-}
-
 fn dec_align(d: &mut Dec<'_>, n: usize) -> Result<(), CheckpointError> {
     let pad = (n - d.pos % n) % n;
     d.take(pad)?;
@@ -202,13 +170,6 @@ pub(crate) fn dec_u32_col<'a>(d: &mut Dec<'a>) -> Result<U32Col<'a>, CheckpointE
     let n = d.count(4)?;
     dec_align(d, 4)?;
     Ok(U32Col(d.take(n * 4)?))
-}
-
-/// Read a `u64` column as a borrowed view.
-pub(crate) fn dec_u64_col<'a>(d: &mut Dec<'a>) -> Result<U64Col<'a>, CheckpointError> {
-    let n = d.count(8)?;
-    dec_align(d, 8)?;
-    Ok(U64Col(d.take(n * 8)?))
 }
 
 /// Read a length-prefixed string as a borrowed `&str`.
@@ -229,7 +190,7 @@ mod tests {
         let mut e = Enc::default();
         e.u8(7); // deliberately misalign
         enc_u32_col(&mut e, 3, [1u32, 2, 3]);
-        enc_u64_col(&mut e, 2, [u64::MAX, 42]);
+        e.u8(9); // and again before the next column
         enc_u32_col(&mut e, 0, []);
         let dir = std::env::temp_dir().join(format!("offnet-codec-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -248,11 +209,9 @@ mod tests {
         };
         assert_eq!(d.u8().unwrap(), 7);
         let c32 = dec_u32_col(&mut d).unwrap();
-        assert_eq!(c32.len(), 3);
         assert_eq!(c32.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        let c64 = dec_u64_col(&mut d).unwrap();
-        assert_eq!(c64.iter().collect::<Vec<_>>(), vec![u64::MAX, 42]);
-        assert_eq!(dec_u32_col(&mut d).unwrap().len(), 0);
+        assert_eq!(d.u8().unwrap(), 9);
+        assert_eq!(dec_u32_col(&mut d).unwrap().iter().count(), 0);
         d.finish().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -116,10 +116,6 @@ impl PortTable {
         self.ip_to_row.is_empty()
     }
 
-    fn ips(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ip_to_row.keys().copied()
-    }
-
     fn heap_bytes(&self) -> usize {
         self.ip_to_row.len() * (std::mem::size_of::<u32>() * 2 + 4)
             + self.offsets.len() * std::mem::size_of::<u32>()
@@ -206,12 +202,6 @@ impl BannerIndex {
     /// quarantine.
     pub fn get(&self, port: Port, ip: u32) -> Option<&[(HeaderNameSym, HeaderValueSym)]> {
         self.tables[port.idx()].get(ip)
-    }
-
-    /// Every IP with an indexed (post-quarantine) row on `port`, in
-    /// arbitrary order — delta-engine evidence digests sort afterwards.
-    pub fn indexed_ips(&self, port: Port) -> impl Iterator<Item = u32> + '_ {
-        self.tables[port.idx()].ips()
     }
 
     /// Whether any HTTPS banners exist at all (they don't before the

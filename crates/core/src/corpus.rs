@@ -79,8 +79,8 @@ pub struct SnapshotCorpus {
     pub ip_to_as: Arc<IpToAsMap>,
     /// Raw corpus size: IPs with any certificate (before validation).
     pub total_ips_with_certs: usize,
-    /// ASes hosting at least one certificate-bearing IP.
-    pub n_ases_with_certs: usize,
+    /// ASes hosting at least one certificate-bearing IP, sorted.
+    pub ases_with_certs: Vec<AsId>,
     /// IPs answering on port 80 but absent from the certificate corpus
     /// (drives the §6.2 Netflix non-TLS restoration).
     pub http_only_ips: Vec<u32>,
@@ -120,10 +120,12 @@ impl SnapshotCorpus {
         let banners = BannerIndex::build(obs.http80.as_ref(), obs.https443.as_ref(), &interner);
 
         // Corpus-level statistics (previously recomputed by the pipeline).
-        let mut ases_with_certs: WordSet<AsId> = WordSet::default();
+        let mut ases: WordSet<AsId> = WordSet::default();
         for r in &obs.cert.records {
-            ases_with_certs.extend(obs.ip_to_as.lookup(r.ip));
+            ases.extend(obs.ip_to_as.lookup(r.ip));
         }
+        let mut ases_with_certs: Vec<AsId> = ases.into_iter().collect();
+        ases_with_certs.sort_unstable();
         let http_only_ips: Vec<u32> = obs
             .http80
             .as_ref()
@@ -154,7 +156,7 @@ impl SnapshotCorpus {
             by_hg_all,
             ip_to_as: obs.ip_to_as.clone(),
             total_ips_with_certs: obs.cert.records.len(),
-            n_ases_with_certs: ases_with_certs.len(),
+            ases_with_certs,
             http_only_ips,
             scan_health: obs.scan_health(),
             memory,
@@ -163,6 +165,11 @@ impl SnapshotCorpus {
             cf_free_host,
             valids,
         }
+    }
+
+    /// How many ASes host a certificate-bearing IP.
+    pub fn n_ases_with_certs(&self) -> usize {
+        self.ases_with_certs.len()
     }
 
     /// Certificate `i`'s SAN set: sorted, deduplicated host symbols.

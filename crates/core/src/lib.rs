@@ -45,7 +45,6 @@ pub mod checkpoint;
 pub(crate) mod codec;
 pub mod confirm;
 pub mod corpus;
-pub mod delta;
 pub mod errors;
 pub mod headers;
 pub mod parallel;
@@ -70,7 +69,6 @@ pub use confirm::{
     ConfirmMode, ConfirmedSet, Port,
 };
 pub use corpus::{CorpusMemoryStats, SnapshotCorpus};
-pub use delta::{CorpusDelta, DeltaReport, HgEvidence, RowDelta, SnapshotEvidence};
 pub use errors::{DataQualityReport, RecordError};
 pub use headers::{learn_header_fingerprints, HeaderFingerprint, HeaderFingerprints};
 pub use parallel::{
@@ -86,8 +84,8 @@ pub use shard::{
     ShardingConfig, SEGMENT_VERSION,
 };
 pub use study::{
-    run_study, try_run_study, DeltaStudyEngine, NetflixVariants, StudyConfig, StudyError,
-    StudyMode, StudyRun, StudySeries,
+    run_study, try_run_study, DeltaReport, DeltaStudyEngine, NetflixVariants, StudyConfig,
+    StudyError, StudyMode, StudyRun, StudySeries,
 };
 pub use tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 pub use validate::{validate_records, InvalidReason, ValidatedCert, ValidationStats};

@@ -10,7 +10,6 @@
 use crate::candidates::{find_candidates, CandidateOptions, CandidateSet};
 use crate::confirm::{confirm_candidates, BannerQuality, CompiledFingerprints, ConfirmMode};
 use crate::corpus::SnapshotCorpus;
-use crate::delta::{plan_delta, DeltaReport, DeltaState, SnapshotEvidence};
 use crate::errors::{DataQualityReport, RecordError};
 use crate::headers::HeaderFingerprints;
 use crate::parallel::{default_thread_count, parallel_map_isolated};
@@ -184,23 +183,13 @@ pub fn process_snapshot(obs: &SnapshotObservations, ctx: &PipelineContext) -> Sn
 /// shared read-only across the per-HG fan-out; the only per-snapshot
 /// mutable state is each worker's own result.
 pub fn process_corpus(corpus: &SnapshotCorpus, ctx: &PipelineContext) -> SnapshotResult {
-    process_corpus_with(corpus, ctx, None, None).result
-}
-
-/// [`process_corpus`] with optional delta reuse (see [`finish_snapshot`]).
-pub(crate) fn process_corpus_with(
-    corpus: &SnapshotCorpus,
-    ctx: &PipelineContext,
-    evidence: Option<SnapshotEvidence>,
-    prev: Option<&DeltaState>,
-) -> SnapshotOutcome {
-    let Ok(outcome) = finish_snapshot(CorpusTotals::of(corpus), evidence, prev, |hgs| {
+    let Ok(result) = finish_snapshot(CorpusTotals::of(corpus), || {
         // Compile the cross-snapshot string fingerprints against this
         // snapshot's frozen interner, once, before the fan-out (§4.5).
         let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
         // Fan the independent HG stages out with per-task isolation. The
         // whole corpus is one shard that learns its own §4.2 fingerprint.
-        let outcomes = parallel_map_isolated(hgs, ctx.threads, 1, |&hg| {
+        let outcomes = parallel_map_isolated(&ALL_HGS, ctx.threads, 1, |&hg| {
             let fp = learn_tls_fingerprints(
                 hg.spec().keyword,
                 &ctx.hg_ases[&hg],
@@ -216,7 +205,7 @@ pub(crate) fn process_corpus_with(
                 .collect(),
         )
     });
-    outcome
+    result
 }
 
 /// Snapshot-level fields, from one corpus or merged across shards.
@@ -236,7 +225,7 @@ impl CorpusTotals {
         Self {
             snapshot_idx: corpus.snapshot_idx,
             total_ips_with_certs: corpus.total_ips_with_certs,
-            n_ases_with_certs: corpus.n_ases_with_certs,
+            n_ases_with_certs: corpus.n_ases_with_certs(),
             validation: corpus.validation.clone(),
             banner_quality: corpus.banners.quality,
             http_only_ips: corpus.http_only_ips.clone(),
@@ -280,42 +269,18 @@ impl CorpusTotals {
     }
 }
 
-/// One processed snapshot, plus its evidence and reuse report (delta).
-#[derive(Debug)]
-pub(crate) struct SnapshotOutcome {
-    pub result: SnapshotResult,
-    pub delta: Option<(SnapshotEvidence, DeltaReport)>,
-}
-
-/// The tail every corpus source shares. Without `evidence` every HG runs;
-/// with it, [`plan_delta`] picks the HGs that changed against `prev` and
-/// replays the rest. `run_hgs` runs the §4.3–§4.5 stages for a non-empty
-/// HG list, each isolated: a panic message degrades that HG to an empty
-/// result, noted in the quality report.
+/// The tail every corpus source shares. `run_hgs` runs the §4.3–§4.5
+/// stages for every HG, in [`ALL_HGS`] order, each isolated: a panic
+/// message degrades that HG to an empty result, noted in the quality
+/// report.
 pub(crate) fn finish_snapshot<E>(
     totals: CorpusTotals,
-    evidence: Option<SnapshotEvidence>,
-    prev: Option<&DeltaState>,
-    run_hgs: impl FnOnce(&[Hg]) -> Result<Vec<Result<HgSnapshotResult, String>>, E>,
-) -> Result<SnapshotOutcome, E> {
-    let (dirty, mut per_hg, delta) = match evidence {
-        None => (
-            ALL_HGS.to_vec(),
-            HashMap::with_capacity(ALL_HGS.len()),
-            None,
-        ),
-        Some(evidence) => {
-            let plan = plan_delta(&evidence, prev);
-            (plan.dirty, plan.replayed, Some((evidence, plan.report)))
-        }
-    };
-    let outcomes = if dirty.is_empty() {
-        Vec::new()
-    } else {
-        run_hgs(&dirty)?
-    };
+    run_hgs: impl FnOnce() -> Result<Vec<Result<HgSnapshotResult, String>>, E>,
+) -> Result<SnapshotResult, E> {
+    let outcomes = run_hgs()?;
+    let mut per_hg = HashMap::with_capacity(ALL_HGS.len());
     let mut degraded_hgs: Vec<(Hg, String)> = Vec::new();
-    for (&hg, outcome) in dirty.iter().zip(outcomes) {
+    for (&hg, outcome) in ALL_HGS.iter().zip(outcomes) {
         match outcome {
             Ok(res) => {
                 per_hg.insert(hg, res);
@@ -326,10 +291,7 @@ pub(crate) fn finish_snapshot<E>(
             }
         }
     }
-    Ok(SnapshotOutcome {
-        result: totals.into_result(per_hg, &degraded_hgs),
-        delta,
-    })
+    Ok(totals.into_result(per_hg, &degraded_hgs))
 }
 
 /// One HG's §4.3–§4.5 results accumulated over a snapshot's shards (the
@@ -400,9 +362,7 @@ impl HgAccum {
 /// The §4.3–§4.5 stages for one HG over one corpus (a whole snapshot or
 /// one shard of it): a pure function of the HG's member evidence
 /// (certificates, banners, AS origins), the static context, and the §4.2
-/// fingerprint `fp`. The delta engine replays a previous snapshot's
-/// result whenever these inputs are provably
-/// unchanged.
+/// fingerprint `fp`.
 pub(crate) fn accumulate_hg(
     hg: Hg,
     corpus: &SnapshotCorpus,

@@ -9,8 +9,8 @@
 //! chunks of `shard_size`, scans each chunk through the scanner's
 //! streaming sessions, freezes the chunk's interned columnar corpus into a
 //! compact on-disk **segment**, extracts the small cross-shard
-//! accumulators (§4.1 stats, on-net fingerprint names, AS unions, evidence
-//! digests), and drops the shard before the next one is generated. A
+//! accumulators (§4.1 stats, on-net fingerprint names, AS unions), and
+//! drops the shard before the next one is generated. A
 //! consumer pass then maps segments back to run the per-HG §4.3–§4.5
 //! stages, merging per-shard partial results.
 //!
@@ -44,10 +44,10 @@
 //! [`parallel_map`] and merges per-shard
 //! accumulators in shard order for the same byte-identity guarantee.
 //!
-//! **Zero-copy admission.** A v2 segment payload leads with a compact
+//! **Zero-copy admission.** A segment payload leads with a compact
 //! *summary section* — every cross-shard accumulator (validation stats,
-//! AS unions, chain digests, §4.2 on-net names, delta evidence) encoded
-//! as aligned little-endian columns. Warm admission decodes only that
+//! AS unions, §4.2 on-net names) with its integer columns encoded as
+//! aligned little-endian words. Warm admission decodes only that
 //! section, borrowing the integer columns straight from the loaded
 //! buffer (via the shared envelope codec); the corpus body behind it is
 //! touched only by the consumer pass.
@@ -55,8 +55,8 @@
 //! The consumer runs the in-memory path's per-HG stage body
 //! (`pipeline::accumulate_hg`) under the same per-HG panic isolation: an
 //! HG that panics in any shard degrades to an empty result with the same
-//! `degraded_hgs` entry the in-memory fan-out writes. Delta planning and
-//! result/quality assembly are shared too (`pipeline::finish_snapshot`).
+//! `degraded_hgs` entry the in-memory fan-out writes. Result/quality
+//! assembly is shared too (`pipeline::finish_snapshot`).
 //!
 //! Per-shard corpora carry `Default` scan health; the true merged health
 //! comes from the producer's streaming sessions and lands in the
@@ -66,17 +66,13 @@
 use crate::checkpoint::{
     decode_validation, encode_validation, hg_tag, mix, mix_world_engine, CheckpointError, Dec, Enc,
 };
-use crate::codec::{
-    self, dec_str_ref, dec_u32_col, dec_u64_col, enc_u32_col, enc_u64_col, EnvelopeIssue, U32Col,
-    U64Col,
-};
+use crate::codec::{self, dec_str_ref, dec_u32_col, enc_u32_col, EnvelopeIssue, U32Col};
 use crate::confirm::{BannerIndex, BannerQuality, CompiledFingerprints};
 use crate::corpus::{cloudflare_flags, hg_org_indices, measure_memory, SnapshotCorpus};
-use crate::delta::{DeltaState, EvidenceAccum, EvidenceParts};
 use crate::parallel::{bounded_pipeline, isolate, parallel_map};
 use crate::pipeline::{
     accumulate_hg, finish_snapshot, standard_validate_options, CorpusTotals, HgAccum,
-    HgSnapshotResult, PipelineContext, SnapshotOutcome, SnapshotResult,
+    HgSnapshotResult, PipelineContext, SnapshotResult,
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidatedCert, ValidationStats};
@@ -97,8 +93,9 @@ use x509::Certificate;
 
 /// Segment format version. Bumping it invalidates (and silently rebuilds)
 /// every on-disk segment. Version 2 added the summary section in front of
-/// the corpus body (zero-copy admission).
-pub const SEGMENT_VERSION: u32 = 2;
+/// the corpus body (zero-copy admission); version 3 dropped the chain
+/// digest and per-HG evidence columns.
+pub const SEGMENT_VERSION: u32 = 3;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"OFFNSSEG";
 
@@ -320,7 +317,7 @@ fn read_segment(path: &Path, fingerprint: u64) -> Result<Vec<u8>, CheckpointErro
     Ok(payload)
 }
 
-/// v2 payload framing: `u64 summary_len · summary · body`. The summary
+/// Payload framing: `u64 summary_len · summary · body`. The summary
 /// starts 8 bytes in, so its 8-aligned columns stay aligned in the file.
 fn frame_segment(summary: &[u8], body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(8 + summary.len() + body.len());
@@ -355,16 +352,6 @@ fn split_segment_payload<'a>(
 // ---------------------------------------------------------------------------
 // Segment body codec (the full per-shard corpus).
 // ---------------------------------------------------------------------------
-
-/// One resident shard: its corpus plus the shard-scoped summaries the
-/// cross-shard merge consumes.
-struct Shard {
-    corpus: SnapshotCorpus,
-    /// ASes hosting a certificate-bearing IP inside this shard.
-    as_set: BTreeSet<AsId>,
-    /// Raw served-chain digest rows for this shard (sorted by IP).
-    chain_rows: Vec<(u32, u64)>,
-}
 
 fn enc_pool(e: &mut Enc, (buf, spans): (&str, &[(u32, u32)])) {
     e.str(buf);
@@ -444,16 +431,15 @@ fn dec_http(
     }))
 }
 
-/// Serialize one built shard into a segment body. The interner pools
+/// Serialize one shard's corpus into a segment body. The interner pools
 /// are the *corpus* pools (scanner pools plus SAN host interning), so the
 /// stored SAN/banner symbol indices resolve against them on load.
 fn encode_shard(
-    shard: &Shard,
+    c: &SnapshotCorpus,
     endpoints: usize,
     http80: Option<&HttpScanSnapshot>,
     https443: Option<&HttpScanSnapshot>,
 ) -> Vec<u8> {
-    let c = &shard.corpus;
     let mut e = Enc::default();
     e.usize(c.snapshot_idx);
     e.usize(endpoints);
@@ -473,13 +459,13 @@ fn encode_shard(
     enc_http(&mut e, http80);
     enc_http(&mut e, https443);
     e.usize(c.total_ips_with_certs);
-    e.as_set(&shard.as_set);
+    let ases: Vec<u32> = c.ases_with_certs.iter().map(|a| a.0).collect();
+    e.u32s(&ases);
     e.u32s(&c.http_only_ips);
-    e.rows(&shard.chain_rows);
     e.buf
 }
 
-/// Rebuild a shard from a validated segment body. Everything cheap to
+/// Rebuild a shard's corpus from a validated segment body. Everything cheap to
 /// recompute (Cloudflare flags, per-HG org indices, the banner index and
 /// its quality counters, memory stats) is rederived from the decoded
 /// tables rather than stored; chain verification is *not* redone — the
@@ -492,7 +478,7 @@ fn decode_shard(
     engine: scanner::EngineId,
     ip_to_as: Arc<IpToAsMap>,
     path: &Path,
-) -> Result<Shard, CheckpointError> {
+) -> Result<SnapshotCorpus, CheckpointError> {
     let mut d = Dec {
         buf: payload,
         pos: 0,
@@ -554,9 +540,8 @@ fn decode_shard(
     let http80 = dec_http(&mut d, &interner, engine, snapshot_idx, 80, path)?;
     let https443 = dec_http(&mut d, &interner, engine, snapshot_idx, 443, path)?;
     let total_ips_with_certs = d.usize()?;
-    let as_set = d.as_set()?;
+    let ases_with_certs = d.u32s()?.into_iter().map(AsId).collect();
     let http_only_ips = d.u32s()?;
-    let chain_rows = d.rows()?;
     d.finish()?;
 
     // Rederive the corpus-build byproducts exactly as
@@ -574,7 +559,7 @@ fn decode_shard(
     );
     memory.segment_bytes = payload.len();
 
-    let corpus = SnapshotCorpus {
+    Ok(SnapshotCorpus {
         snapshot_idx,
         interner: interner.freeze(),
         validation,
@@ -583,7 +568,7 @@ fn decode_shard(
         by_hg_all,
         ip_to_as,
         total_ips_with_certs,
-        n_ases_with_certs: as_set.len(),
+        ases_with_certs,
         http_only_ips,
         scan_health: Default::default(),
         memory,
@@ -591,11 +576,6 @@ fn decode_shard(
         san_syms,
         cf_free_host,
         valids,
-    };
-    Ok(Shard {
-        corpus,
-        as_set,
-        chain_rows,
     })
 }
 
@@ -611,18 +591,6 @@ struct HgSummaryEntry<'a> {
     names: Vec<&'a str>,
 }
 
-/// One HG's delta-evidence slice, columns borrowed from the summary.
-struct HgEvidenceRef<'a> {
-    hg: Hg,
-    /// Per member certificate (corpus order): its evidence digest.
-    member_digests: U64Col<'a>,
-    /// One byte per member: 1 when the member IP had an indexed banner.
-    banner_flags: &'a [u8],
-    /// Banner digests for exactly the flagged members, in member order.
-    flagged_banner_digests: U64Col<'a>,
-    cells: U32Col<'a>,
-}
-
 /// Borrowed decode of a segment's summary section: everything the
 /// producer's fold absorbs. Integer columns are aligned LE slices viewed
 /// in place — warm admission never re-materializes them.
@@ -636,26 +604,13 @@ struct ShardSummaryRef<'a> {
     banner_quality: BannerQuality,
     as_set: U32Col<'a>,
     http_only_ips: U32Col<'a>,
-    chain_ips: U32Col<'a>,
-    chain_digests: U64Col<'a>,
     hg_entries: Vec<HgSummaryEntry<'a>>,
-    /// Delta evidence: cert rows in corpus (valids) order…
-    cert_ips: U32Col<'a>,
-    cert_digests: U64Col<'a>,
-    /// …banner rows sorted by IP…
-    banner_ips: U32Col<'a>,
-    banner_digests: U64Col<'a>,
-    /// …and per-HG membership/banner/cell streams.
-    hg_evidence: Vec<HgEvidenceRef<'a>>,
 }
 
 /// Serialize a built shard's summary section: every cross-shard
 /// accumulator contribution, precomputed at build time so admission never
-/// touches the corpus body. Evidence is *always* encoded (it does not
-/// enter the fingerprint), so plain and incremental studies share segments.
-/// Digest recipes are identical to [`SnapshotEvidence::build`].
-fn encode_summary(shard: &Shard, endpoints: usize, ctx: &PipelineContext) -> Vec<u8> {
-    let c = &shard.corpus;
+/// touches the corpus body.
+fn encode_summary(c: &SnapshotCorpus, endpoints: usize, ctx: &PipelineContext) -> Vec<u8> {
     let mut e = Enc::default();
     e.usize(c.snapshot_idx);
     e.usize(endpoints);
@@ -668,21 +623,15 @@ fn encode_summary(shard: &Shard, endpoints: usize, ctx: &PipelineContext) -> Vec
     e.usize(q.oversized);
     e.usize(q.mojibake);
     e.usize(q.duplicate_ip);
-    enc_u32_col(&mut e, shard.as_set.len(), shard.as_set.iter().map(|a| a.0));
+    enc_u32_col(
+        &mut e,
+        c.ases_with_certs.len(),
+        c.ases_with_certs.iter().map(|a| a.0),
+    );
     enc_u32_col(
         &mut e,
         c.http_only_ips.len(),
         c.http_only_ips.iter().copied(),
-    );
-    enc_u32_col(
-        &mut e,
-        shard.chain_rows.len(),
-        shard.chain_rows.iter().map(|&(ip, _)| ip),
-    );
-    enc_u64_col(
-        &mut e,
-        shard.chain_rows.len(),
-        shard.chain_rows.iter().map(|&(_, dg)| dg),
     );
 
     // §4.2 contributions: shard-local on-net names and certificate
@@ -708,37 +657,6 @@ fn encode_summary(shard: &Shard, endpoints: usize, ctx: &PipelineContext) -> Vec
         for n in names {
             e.str(n);
         }
-    }
-
-    // Delta evidence: this shard's slice of `SnapshotEvidence::build`.
-    let ev = EvidenceParts::of(c);
-    enc_u32_col(&mut e, ev.cert_rows.len(), ev.cert_rows.iter().map(|r| r.0));
-    enc_u64_col(&mut e, ev.cert_rows.len(), ev.cert_rows.iter().map(|r| r.1));
-    enc_u32_col(
-        &mut e,
-        ev.banner_rows.len(),
-        ev.banner_rows.iter().map(|r| r.0),
-    );
-    enc_u64_col(
-        &mut e,
-        ev.banner_rows.len(),
-        ev.banner_rows.iter().map(|r| r.1),
-    );
-    e.usize(ev.per_hg.len());
-    for h in &ev.per_hg {
-        e.u8(hg_tag(h.hg));
-        enc_u64_col(
-            &mut e,
-            h.member_digests.len(),
-            h.member_digests.iter().copied(),
-        );
-        e.bytes(&h.banner_flags);
-        enc_u64_col(
-            &mut e,
-            h.flagged_banner_digests.len(),
-            h.flagged_banner_digests.iter().copied(),
-        );
-        enc_u32_col(&mut e, h.cells.len(), h.cells.iter().map(|a| a.0));
     }
     e.buf
 }
@@ -774,14 +692,6 @@ fn decode_summary<'a>(
     };
     let as_set = dec_u32_col(&mut d)?;
     let http_only_ips = dec_u32_col(&mut d)?;
-    let chain_ips = dec_u32_col(&mut d)?;
-    let chain_digests = dec_u64_col(&mut d)?;
-    if chain_ips.len() != chain_digests.len() {
-        return Err(CheckpointError::corrupt(
-            path,
-            "chain column length mismatch",
-        ));
-    }
     let n_entries = d.count(3)?;
     let mut hg_entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
@@ -798,46 +708,6 @@ fn decode_summary<'a>(
             names,
         });
     }
-    let cert_ips = dec_u32_col(&mut d)?;
-    let cert_digests = dec_u64_col(&mut d)?;
-    if cert_ips.len() != cert_digests.len() {
-        return Err(CheckpointError::corrupt(
-            path,
-            "cert column length mismatch",
-        ));
-    }
-    let banner_ips = dec_u32_col(&mut d)?;
-    let banner_digests = dec_u64_col(&mut d)?;
-    if banner_ips.len() != banner_digests.len() {
-        return Err(CheckpointError::corrupt(
-            path,
-            "banner column length mismatch",
-        ));
-    }
-    let n_ev = d.count(4)?;
-    let mut hg_evidence = Vec::with_capacity(n_ev);
-    for _ in 0..n_ev {
-        let hg = hg_from_tag(d.u8()?, path)?;
-        let member_digests = dec_u64_col(&mut d)?;
-        let n_flags = d.count(1)?;
-        let banner_flags = d.take(n_flags)?;
-        let flagged_banner_digests = dec_u64_col(&mut d)?;
-        let cells = dec_u32_col(&mut d)?;
-        let n_flagged = banner_flags.iter().filter(|&&f| f != 0).count();
-        if banner_flags.len() != member_digests.len() || flagged_banner_digests.len() != n_flagged {
-            return Err(CheckpointError::corrupt(
-                path,
-                "evidence column length mismatch",
-            ));
-        }
-        hg_evidence.push(HgEvidenceRef {
-            hg,
-            member_digests,
-            banner_flags,
-            flagged_banner_digests,
-            cells,
-        });
-    }
     d.finish()?;
     Ok(ShardSummaryRef {
         snapshot_idx,
@@ -849,14 +719,7 @@ fn decode_summary<'a>(
         banner_quality,
         as_set,
         http_only_ips,
-        chain_ips,
-        chain_digests,
         hg_entries,
-        cert_ips,
-        cert_digests,
-        banner_ips,
-        banner_digests,
-        hg_evidence,
     })
 }
 
@@ -885,7 +748,6 @@ struct Produced {
     /// per-shard symbol spaces.
     hg_names: HashMap<Hg, BTreeSet<String>>,
     hg_onnet_certs: HashMap<Hg, usize>,
-    evidence: Option<EvidenceAccum>,
 }
 
 impl Produced {
@@ -909,23 +771,6 @@ impl Produced {
                 .or_default()
                 .extend(entry.names.iter().map(|&n| n.to_owned()));
             *self.hg_onnet_certs.entry(entry.hg).or_insert(0) += entry.onnet_certs;
-        }
-
-        if let Some(ev) = &mut self.evidence {
-            ev.absorb_rows(
-                s.cert_ips.iter().zip(s.cert_digests.iter()),
-                s.banner_ips.iter().zip(s.banner_digests.iter()),
-                s.chain_ips.iter().zip(s.chain_digests.iter()),
-            );
-            for h in &s.hg_evidence {
-                ev.absorb_hg(
-                    h.hg,
-                    h.member_digests.iter(),
-                    h.banner_flags,
-                    h.flagged_banner_digests.iter(),
-                    h.cells.iter().map(AsId),
-                );
-            }
         }
     }
 }
@@ -963,7 +808,6 @@ fn produce(
     t: usize,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-    want_evidence: bool,
 ) -> Result<Produced, CheckpointError> {
     let n = world.n_snapshots();
     let shard_size = sharding.shard_size.max(1);
@@ -978,7 +822,6 @@ fn produce(
             snapshot_idx: t,
             ..Default::default()
         },
-        evidence: want_evidence.then(EvidenceAccum::default),
         ..Default::default()
     };
     let mut streams_health: Option<ScanHealth> = None;
@@ -1127,30 +970,16 @@ fn produce(
                 path,
                 fingerprint,
             } => {
-                let chain_rows = obs.cert.chain_digests();
-                let as_set: BTreeSet<AsId> = obs
-                    .cert
-                    .records
-                    .iter()
-                    .flat_map(|r| obs.ip_to_as.lookup(r.ip).iter().copied())
-                    .collect();
                 let corpus = SnapshotCorpus::build(
                     &obs,
                     &ctx.roots,
                     &standard_validate_options(),
                     ctx.validation_cache.as_deref(),
                 );
-                let shard = Shard {
-                    corpus,
-                    as_set,
-                    chain_rows,
-                };
-                let _resident = sharding
-                    .ledger
-                    .resident_guard(shard.corpus.memory.interned_bytes);
-                let summary = encode_summary(&shard, endpoints, ctx);
+                let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
+                let summary = encode_summary(&corpus, endpoints, ctx);
                 let body = encode_shard(
-                    &shard,
+                    &corpus,
                     endpoints,
                     obs.http80.as_ref(),
                     obs.https443.as_ref(),
@@ -1208,7 +1037,7 @@ fn produce(
 // ---------------------------------------------------------------------------
 
 /// Consumer pass: fan segments across the worker pool — each loads once,
-/// runs the requested HGs' stages, each HG isolated — then merge the
+/// runs every HG's stages, each HG isolated — then merge the
 /// per-shard partials in shard order (so IP vectors concatenate exactly
 /// as the serial loop appended them). An HG that panicked in any shard
 /// comes back as the first such panic message, in shard order.
@@ -1224,7 +1053,6 @@ fn consume(
     engine: &ScanEngine,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-    hgs: &[Hg],
 ) -> Result<Vec<Result<HgSnapshotResult, String>>, CheckpointError> {
     type Partial = Vec<Result<HgAccum, String>>;
     let workers = sharding.resolved_workers(ctx);
@@ -1232,12 +1060,12 @@ fn consume(
         parallel_map(&produced.segments, workers, |(path, fingerprint)| {
             let payload = read_segment(path, *fingerprint)?;
             let (_summary, body) = split_segment_payload(&payload, path)?;
-            let mut shard = decode_shard(body, t, engine.id, world.ip_to_as(t), path)?;
-            shard.corpus.memory.segment_bytes = payload.len();
-            let corpus = &shard.corpus;
+            let mut corpus = decode_shard(body, t, engine.id, world.ip_to_as(t), path)?;
+            corpus.memory.segment_bytes = payload.len();
+            let corpus = &corpus;
             let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
             let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
-            Ok(hgs
+            Ok(ALL_HGS
                 .iter()
                 .map(|&hg| {
                     let mut syms: Vec<HostSym> = produced
@@ -1261,7 +1089,7 @@ fn consume(
         });
 
     let mut merged: Vec<Result<HgAccum, String>> =
-        hgs.iter().map(|_| Ok(HgAccum::default())).collect();
+        ALL_HGS.iter().map(|_| Ok(HgAccum::default())).collect();
     for partial in partials {
         for (into, from) in merged.iter_mut().zip(partial?) {
             match (into.as_mut(), from) {
@@ -1276,8 +1104,8 @@ fn consume(
 
 /// Bench/diagnostic hook: walk snapshot `t`'s on-disk segments in shard
 /// order and admit each one — summary-only when `full_decode` is false
-/// (the v2 warm path), or through the whole-body corpus decode (the v1
-/// admission cost) when true. Returns the number of segments admitted.
+/// (the warm path), or through the whole-body corpus decode (the cost of
+/// admission without a summary section) when true. Returns the number of segments admitted.
 pub fn admit_segments_for_bench(
     world: &HgWorld,
     engine: &ScanEngine,
@@ -1296,15 +1124,15 @@ pub fn admit_segments_for_bench(
         let payload = read_segment(&path, fingerprint)?;
         let (summary, body) = split_segment_payload(&payload, &path)?;
         if full_decode {
-            let mut shard = decode_shard(body, t, engine.id, world.ip_to_as(t), &path)?;
-            shard.corpus.memory.segment_bytes = payload.len();
-            std::hint::black_box(&shard);
+            let mut corpus = decode_shard(body, t, engine.id, world.ip_to_as(t), &path)?;
+            corpus.memory.segment_bytes = payload.len();
+            std::hint::black_box(&corpus);
         } else {
             let s = decode_summary(summary, &path)?;
             if s.snapshot_idx != t {
                 return Err(CheckpointError::corrupt(&path, "segment snapshot mismatch"));
             }
-            std::hint::black_box(&s.chain_digests);
+            std::hint::black_box(&s);
         }
         admitted += 1;
     }
@@ -1322,33 +1150,13 @@ pub fn process_snapshot_sharded(
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
 ) -> Result<Option<SnapshotResult>, CheckpointError> {
-    Ok(
-        process_snapshot_sharded_with(world, engine, t, ctx, sharding, false, None)?
-            .map(|outcome| outcome.result),
-    )
-}
-
-/// [`process_snapshot_sharded`] with optional delta reuse: with
-/// `want_evidence`, the producer pass also merges the shards' delta
-/// evidence, and only HGs whose evidence changed against `prev` run in
-/// the consumer pass (see [`finish_snapshot`]).
-pub(crate) fn process_snapshot_sharded_with(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    t: usize,
-    ctx: &PipelineContext,
-    sharding: &ShardingConfig,
-    want_evidence: bool,
-    prev: Option<&DeltaState>,
-) -> Result<Option<SnapshotOutcome>, CheckpointError> {
     if !covers_snapshot(engine, t) {
         return Ok(None);
     }
-    let mut produced = produce(world, engine, t, ctx, sharding, want_evidence)?;
-    let evidence = produced.evidence.take().map(|ev| ev.finish(t));
+    let mut produced = produce(world, engine, t, ctx, sharding)?;
     let totals = std::mem::take(&mut produced.totals);
-    finish_snapshot(totals, evidence, prev, |hgs| {
-        consume(&produced, t, world, engine, ctx, sharding, hgs)
+    finish_snapshot(totals, || {
+        consume(&produced, t, world, engine, ctx, sharding)
     })
     .map(Some)
 }
@@ -1371,15 +1179,10 @@ mod tests {
             &standard_validate_options(),
             None,
         );
-        let built = Shard {
-            corpus,
-            as_set: BTreeSet::new(),
-            chain_rows: Vec::new(),
-        };
-        let body = encode_shard(&built, 0, obs.http80.as_ref(), obs.https443.as_ref());
+        let body = encode_shard(&corpus, 0, obs.http80.as_ref(), obs.https443.as_ref());
         let path = Path::new("in-memory segment");
         let decoded = decode_shard(&body, t, engine.id, world.ip_to_as(t), path).unwrap();
-        let (built, decoded) = (&built.corpus, &decoded.corpus);
+        let (built, decoded) = (&corpus, &decoded);
 
         assert_eq!(built.valids.len(), decoded.valids.len());
         for (b, d) in built.valids.iter().zip(&decoded.valids) {

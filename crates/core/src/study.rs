@@ -11,17 +11,13 @@ use crate::artifact::{artifact_fingerprint, ArtifactBuilder, ArtifactError};
 use crate::checkpoint::{study_fingerprint, CheckpointError, CheckpointStore, SnapshotCheckpoint};
 use crate::confirm::ConfirmMode;
 use crate::corpus::SnapshotCorpus;
-use crate::delta::{DeltaReport, DeltaState, SnapshotEvidence};
 use crate::errors::DataQualityReport;
 use crate::headers::{
     learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
 use crate::parallel::parallel_map_isolated;
-use crate::pipeline::{
-    process_corpus_with, standard_validate_options, PipelineContext, SnapshotOutcome,
-    SnapshotResult,
-};
-use crate::shard::{process_snapshot_sharded_with, ShardingConfig};
+use crate::pipeline::{process_corpus, standard_validate_options, PipelineContext, SnapshotResult};
+use crate::shard::{process_snapshot_sharded, ShardingConfig};
 use crate::validation_cache::ValidationCache;
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::Interner;
@@ -43,9 +39,9 @@ pub enum StudyMode {
     /// [`ValidationCache`]; a snapshot whose worker panics degrades to an
     /// empty placeholder instead of aborting the study.
     Parallel { workers: usize },
-    /// Only HGs whose evidence changed since the previous snapshot are
-    /// recomputed ([`crate::delta`]), with one shared
-    /// [`ValidationCache`]; reuse reports come back beside the series.
+    /// One snapshot at a time through one shared [`ValidationCache`],
+    /// whose skeleton replay is the cross-snapshot reuse; a
+    /// [`DeltaReport`] per snapshot comes back beside the series.
     Incremental,
 }
 
@@ -199,15 +195,56 @@ impl StudySeries {
     }
 }
 
-/// A study's output: the [`StudySeries`], plus per-snapshot delta-engine
-/// reuse accounting ([`StudyMode::Incremental`] only; empty otherwise).
-/// The reuse counters live *beside* the series, never inside it, so every
+/// A study's output: the [`StudySeries`], plus per-snapshot reuse
+/// accounting ([`StudyMode::Incremental`] only; empty otherwise). The
+/// reuse counters live *beside* the series, never inside it, so every
 /// rendered study artifact stays byte-identical across modes.
 #[derive(Debug)]
 pub struct StudyRun {
     pub series: StudySeries,
     /// One report per processed snapshot, aligned with `series.snapshots`.
     pub reports: Vec<DeltaReport>,
+}
+
+/// One incremental snapshot's reuse accounting: its §4.1 work split
+/// from the shared [`ValidationCache`]. Every snapshot runs every HG's
+/// §4.2–§4.5 stages, so the cache's skeleton replay is the only
+/// cross-snapshot reuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaReport {
+    pub snapshot_idx: usize,
+    /// Chains whose verdict replayed a cached skeleton.
+    pub chains_replayed: u64,
+    /// Chains verified in full (first sightings and promotions).
+    pub chains_revalidated: u64,
+    /// HGs per snapshot, all of them computed. Only the benchmark reads
+    /// it.
+    pub hgs_total: usize,
+    /// Always 0: no HG result is replayed. Only the benchmark reads it.
+    pub hgs_replayed: usize,
+    /// Always 0: no (HG, AS) cell is replayed. Only the benchmark reads
+    /// it.
+    pub cells_replayed: usize,
+}
+
+impl DeltaReport {
+    /// Snapshot `snapshot_idx`'s report from its cache counters.
+    pub fn new(snapshot_idx: usize, chains_replayed: u64, chains_revalidated: u64) -> Self {
+        Self {
+            snapshot_idx,
+            chains_replayed,
+            chains_revalidated,
+            hgs_total: ALL_HGS.len(),
+            hgs_replayed: 0,
+            cells_replayed: 0,
+        }
+    }
+
+    /// Always 0: (HG, AS) cells are not counted. Only the benchmark
+    /// reads it.
+    pub fn cells_total(&self) -> usize {
+        0
+    }
 }
 
 /// Endpoints the reference learner scans per chunk.
@@ -351,14 +388,11 @@ pub fn try_run_study(
                 .collect();
             let outcomes = parallel_map_isolated(&pending, workers, 1, |&t| driver.compute(t));
             for (&t, outcome) in pending.iter().zip(outcomes) {
-                let outcome = match outcome {
-                    Ok(outcome) => outcome?,
-                    Err(e) => Some(SnapshotOutcome {
-                        result: SnapshotResult::degraded(t, e.message),
-                        delta: None,
-                    }),
+                let result = match outcome {
+                    Ok(result) => result?,
+                    Err(e) => Some(SnapshotResult::degraded(t, e.message)),
                 };
-                driver.record(t, outcome)?;
+                driver.record(t, result)?;
             }
         }
         StudyMode::Sequential | StudyMode::Incremental => {
@@ -381,8 +415,6 @@ struct Driver<'w> {
     ctx: PipelineContext,
     incremental: bool,
     sharding: Option<ShardingConfig>,
-    /// The last processed snapshot's evidence and result (incremental).
-    state: Option<DeltaState>,
     /// Results, fold state, reuse reports, and the attached artifact.
     builder: ArtifactBuilder,
     /// Cache (hits, misses) after the previous snapshot, so each reuse
@@ -436,7 +468,6 @@ impl<'w> Driver<'w> {
             ctx,
             incremental: config.mode == StudyMode::Incremental,
             sharding: config.sharding.clone(),
-            state: None,
             builder,
             cache_mark: (0, 0),
             store: None,
@@ -454,9 +485,9 @@ impl<'w> Driver<'w> {
 
     /// Adopt the contiguous run of checkpoints starting exactly at the
     /// first snapshot — results, fold state and, incremental, reuse
-    /// reports and the last delta evidence, so the first live snapshot
-    /// diffs as an uninterrupted run would. The first gap ends adoption;
-    /// everything past it is recomputed rather than trusted out of order.
+    /// reports (zero counters for a checkpoint another mode wrote). The
+    /// first gap ends adoption; everything past it is recomputed rather
+    /// than trusted out of order.
     fn adopt_checkpoints(&mut self, store: &CheckpointStore) -> Result<(), CheckpointError> {
         for ckpt in store.load_all()? {
             let t = ckpt.snapshot_idx;
@@ -470,11 +501,7 @@ impl<'w> Driver<'w> {
             self.builder.adopt_checkpoint(&ckpt);
             if ckpt.processed && self.incremental {
                 self.builder
-                    .push_report(ckpt.report.unwrap_or(DeltaReport::full_compute(t)));
-                self.state = ckpt.evidence.map(|evidence| DeltaState {
-                    evidence,
-                    result: ckpt.result,
-                });
+                    .push_report(ckpt.report.unwrap_or(DeltaReport::new(t, 0, 0)));
             }
         }
         Ok(())
@@ -486,24 +513,21 @@ impl<'w> Driver<'w> {
         if let Some(&processed) = self.adopted.get(&t) {
             return Ok(processed);
         }
-        let outcome = self.compute(t)?;
-        self.record(t, outcome)
+        let result = self.compute(t)?;
+        self.record(t, result)
     }
 
     /// The per-snapshot step every mode runs: the §4 pipeline over
-    /// snapshot `t`, in memory or sharded, diffing against the previous
-    /// snapshot when incremental. `None` when the corpus misses `t`.
-    fn compute(&self, t: usize) -> Result<Option<SnapshotOutcome>, StudyError> {
-        let prev = self.state.as_ref();
+    /// snapshot `t`, in memory or sharded. `None` when the corpus misses
+    /// `t`.
+    fn compute(&self, t: usize) -> Result<Option<SnapshotResult>, StudyError> {
         if let Some(sharding) = &self.sharding {
-            return Ok(process_snapshot_sharded_with(
+            return Ok(process_snapshot_sharded(
                 self.world,
                 &self.engine,
                 t,
                 &self.ctx,
                 sharding,
-                self.incremental,
-                prev,
             )?);
         }
         let Some(obs) = observe_snapshot(self.world, &self.engine, t) else {
@@ -515,20 +539,15 @@ impl<'w> Driver<'w> {
             &standard_validate_options(),
             self.ctx.validation_cache.as_deref(),
         );
-        let evidence = self
-            .incremental
-            .then(|| SnapshotEvidence::build(&corpus, obs.cert.chain_digests()));
-        Ok(Some(process_corpus_with(
-            &corpus, &self.ctx, evidence, prev,
-        )))
+        Ok(Some(process_corpus(&corpus, &self.ctx)))
     }
 
     /// The record path every mode shares: the artifact fold (§6.2
     /// included), the checkpoint save — a skip marker for an uncovered
     /// snapshot, keeping the completed prefix contiguous — and,
-    /// incremental, the delta state and the artifact re-persist.
-    fn record(&mut self, t: usize, outcome: Option<SnapshotOutcome>) -> Result<bool, StudyError> {
-        let Some(SnapshotOutcome { result, delta }) = outcome else {
+    /// incremental, the reuse report and the artifact re-persist.
+    fn record(&mut self, t: usize, result: Option<SnapshotResult>) -> Result<bool, StudyError> {
+        let Some(result) = result else {
             if let Some(store) = &self.store {
                 store.save(&SnapshotCheckpoint::skipped(
                     t,
@@ -537,16 +556,16 @@ impl<'w> Driver<'w> {
             }
             return Ok(false);
         };
-        let delta = delta.map(|(evidence, mut report)| {
-            if let Some(cache) = &self.ctx.validation_cache {
+        let report = match &self.ctx.validation_cache {
+            Some(cache) if self.incremental => {
                 let (hits, misses) = cache.hit_stats();
-                report.chains_replayed = hits - self.cache_mark.0;
-                report.chains_revalidated = misses - self.cache_mark.1;
+                let (replayed, revalidated) =
+                    (hits - self.cache_mark.0, misses - self.cache_mark.1);
                 self.cache_mark = (hits, misses);
+                Some(DeltaReport::new(t, replayed, revalidated))
             }
-            (evidence, report)
-        });
-        let state_result = delta.is_some().then(|| result.clone());
+            _ => None,
+        };
 
         let ip_to_as = self.world.ip_to_as(t);
         let (initial, with_expired, with_non_tls) = self
@@ -566,15 +585,11 @@ impl<'w> Driver<'w> {
                 netflix_with_expired: with_expired,
                 netflix_with_non_tls: with_non_tls,
                 netflix_ip_history: self.builder.netflix_history(),
-                evidence: delta.as_ref().map(|(evidence, _)| evidence.clone()),
-                report: delta.as_ref().map(|&(_, report)| report),
+                report,
             })?;
         }
-        if let (Some((evidence, report)), Some(result)) = (delta, state_result) {
-            self.state = Some(DeltaState { evidence, result });
+        if let Some(report) = report {
             self.builder.push_report(report);
-        }
-        if self.incremental {
             self.builder.persist()?;
         }
         Ok(true)
@@ -587,12 +602,12 @@ impl<'w> Driver<'w> {
     }
 }
 
-/// The snapshot-at-a-time form of [`StudyMode::Incremental`]: feed it
-/// snapshots in order and it diffs each corpus against its predecessor,
-/// replaying clean HGs' results and recomputing only dirty ones (see
-/// [`crate::delta`]). The first appended snapshot — and any snapshot
-/// following a degraded one — is a full compute. The config's `mode` is
-/// ignored; everything else applies as in [`try_run_study`].
+/// The snapshot-at-a-time form of [`StudyMode::Incremental`]: each
+/// append observes one snapshot, runs the per-snapshot step every mode
+/// runs, folds the result in, and persists. The shared
+/// [`ValidationCache`] carries verdicts from one append to the next. The
+/// config's `mode` is ignored; everything else applies as in
+/// [`try_run_study`].
 #[derive(Clone)]
 pub struct DeltaStudyEngine<'w>(Driver<'w>);
 
@@ -624,10 +639,8 @@ impl<'w> DeltaStudyEngine<'w> {
     /// without recomputing, and later appends extend the artifact in
     /// place — each one re-persisted atomically. A missing file starts a
     /// fresh artifact; a mismatched or corrupt one is a typed
-    /// [`ArtifactError`]. The artifact stores results, not delta
-    /// evidence, so the first live append after adoption is a full
-    /// compute — correct, just slower, exactly like resuming from a
-    /// checkpoint prefix whose tail has no evidence.
+    /// [`ArtifactError`]. The validation cache starts empty, so the first
+    /// live append after adoption verifies its chains in full.
     pub fn with_artifact(mut self, path: impl Into<PathBuf>) -> Result<Self, ArtifactError> {
         let d = &mut self.0;
         let adopted = d.builder.adopt_from_path(path)?;
@@ -638,17 +651,15 @@ impl<'w> DeltaStudyEngine<'w> {
         for (i, t) in ts.into_iter().enumerate() {
             d.adopted.insert(t, true);
             // An artifact written by a batch mode carries no reuse
-            // reports; synthesize full-compute markers so reports stay
-            // aligned with snapshots.
+            // reports; zero counters keep reports aligned with snapshots.
             if i >= d.builder.reports().len() {
-                d.builder.push_report(DeltaReport::full_compute(t));
+                d.builder.push_report(DeltaReport::new(t, 0, 0));
             }
         }
         Ok(self)
     }
 
-    /// Observe and process snapshot `t`, diffing against the previously
-    /// appended snapshot. Returns `false` (appending nothing) when the
+    /// Observe and process snapshot `t`. Returns `false` (appending nothing) when the
     /// engine's corpus does not cover `t` — the same snapshots
     /// `run_study` skips.
     ///

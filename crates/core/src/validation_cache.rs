@@ -14,11 +14,10 @@
 //! The cache is keyed by a cheap 128-bit chain hash (`chain_key`): two
 //! independently keyed lanes folded over the chain DER a `u64` word at a
 //! time, length-framed per certificate. The key lives only in memory, so
-//! it is free to differ from the byte-wise [`intern::Digest64`] that
-//! on-disk evidence uses. SHA-256 here would be self-defeating: the
-//! simulated PKI's signature checks are themselves SHA-256 over the
-//! certificate bytes, so a cryptographic cache key costs a large fraction
-//! of the verification it is trying to avoid.
+//! it need not be stable across builds or platforms. SHA-256 here would
+//! be self-defeating: the simulated PKI's signature checks are themselves
+//! SHA-256 over the certificate bytes, so a cryptographic cache key costs
+//! a large fraction of the verification it is trying to avoid.
 //!
 //! **Issuer memo.** Scanned chains share very few distinct issuer suffixes
 //! `chain[1..]` (the 21,478 distinct chains of a seed-7 small-world study
@@ -33,7 +32,7 @@
 //! **Deferred capture.** Storing a skeleton for every chain would keep a
 //! parsed leaf resident for chains seen exactly once, and ~71% of distinct
 //! chains never recur between adjacent snapshots (certificates rotate),
-//! so a long-lived cache (the delta engine's 31 appends) would grow with
+//! so a long-lived cache (the incremental mode's 31 appends) would grow with
 //! every rotation. A chain's first sighting therefore builds a skeleton,
 //! replays it once and drops it, remembering only that the chain was
 //! seen; its second sighting — proof it recurs — builds and stores the
@@ -367,8 +366,8 @@ impl ValidationCache {
     /// chain already recurred, a fresh skeleton otherwise (stored on the
     /// second sighting).
     ///
-    /// Counters are exact under single-threaded use (the delta engine's
-    /// sequential appends); concurrent snapshot workers can race two
+    /// Counters are exact under single-threaded use (the incremental
+    /// mode's sequential appends); concurrent snapshot workers can race two
     /// promotions of the same chain, which double-counts a promotion but
     /// stores identical skeletons — verdicts are unaffected.
     pub(crate) fn verdict_cached(

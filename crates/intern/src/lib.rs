@@ -384,105 +384,6 @@ impl FrozenInterner {
     }
 }
 
-/// A streaming FNV-1a accumulator with a final avalanche, for building
-/// order-sensitive evidence digests: the delta engine folds per-record
-/// facts (IPs, symbol digests, certificate fingerprints) into one `u64`
-/// per row and compares rows across snapshots as sorted-integer sets.
-/// Like the interner's FNV-1a probe hash it is stable across runs and
-/// platforms; the
-/// splitmix-style finisher spreads the low-entropy tail FNV leaves in its
-/// upper bits.
-#[derive(Clone, Copy)]
-pub struct Digest64(u64);
-
-impl Default for Digest64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Digest64 {
-    pub fn new() -> Self {
-        Digest64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// A digest whose stream is perturbed by `seed`: feeding the same
-    /// bytes to differently-seeded digests yields independent values, so
-    /// two seeds give a cheap 128-bit identity where 64 bits of collision
-    /// resistance is not enough.
-    pub fn seeded(seed: u64) -> Self {
-        let mut d = Self::new();
-        d.write_u64(seed);
-        d
-    }
-
-    /// Fold raw bytes. Callers hashing variable-length fields must frame
-    /// them (e.g. [`Digest64::write_u64`] of the length first) — bare
-    /// concatenation would let adjacent fields alias.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Length-framed string fold.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    pub fn finish(self) -> u64 {
-        // splitmix64 finisher.
-        let mut z = self.0;
-        z ^= z >> 30;
-        z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^= z >> 27;
-        z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        z
-    }
-}
-
-/// The cross-snapshot-stable digest of one string: what a symbol's
-/// *identity* hashes to regardless of which snapshot pool interned it (the
-/// dense ids themselves are per-snapshot insertion-ordered and therefore
-/// not comparable across snapshots).
-pub fn stable_digest(s: &str) -> u64 {
-    let mut d = Digest64::new();
-    d.write_str(s);
-    d.finish()
-}
-
-impl Pool {
-    /// Per-id [`stable_digest`] side table (index with a symbol's dense
-    /// id). Computed in one pass so per-row digesting never re-hashes
-    /// strings.
-    pub fn digests(&self) -> Vec<u64> {
-        self.iter().map(|(_, s)| stable_digest(s)).collect()
-    }
-}
-
-impl<K> SymTable<K> {
-    /// Per-symbol [`stable_digest`] side table (index with
-    /// [`Sym::index`]).
-    pub fn digests(&self) -> Vec<u64> {
-        self.pool.digests()
-    }
-}
-
 /// Sorted-merge subset test: is every symbol of `sub` present in `sup`?
 /// Both slices must be sorted and deduplicated (the corpus stores SAN
 /// spans and fingerprint name sets that way). Runs in `O(|sub| + |sup|)`
@@ -599,40 +500,6 @@ mod tests {
             p.intern(&format!("padding-string-{i}"));
         }
         assert!(p.heap_bytes() > before);
-    }
-
-    #[test]
-    fn stable_digests_track_strings_not_ids() {
-        let mut a = Pool::default();
-        a.intern("alpha");
-        a.intern("beta");
-        let mut b = Pool::default();
-        b.intern("beta"); // different insertion order, different ids
-        b.intern("alpha");
-        let (da, db) = (a.digests(), b.digests());
-        assert_eq!(da[0], db[1], "same string must digest identically");
-        assert_eq!(da[1], db[0]);
-        assert_ne!(da[0], da[1], "distinct strings must not collide here");
-        assert_eq!(da[0], stable_digest("alpha"));
-    }
-
-    #[test]
-    fn digest64_framing_separates_adjacent_fields() {
-        let mut a = Digest64::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = Digest64::new();
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.finish(), b.finish(), "framing must prevent aliasing");
-        // Determinism: the same write sequence always digests identically.
-        let mut c = Digest64::new();
-        c.write_u32(7);
-        c.write_u64(9);
-        let mut d = Digest64::new();
-        d.write_u32(7);
-        d.write_u64(9);
-        assert_eq!(c.finish(), d.finish());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::faults::{CertFaultSession, HttpFaultSession};
 use crate::transient::{ScanHealth, ScanSession, STREAM_CERT, STREAM_HTTP80, STREAM_HTTPS443};
 use bytes::Bytes;
 use hgsim::{Endpoint, EndpointSet};
-use intern::{Digest64, HeaderNameSym, HeaderValueSym, Interner};
+use intern::{HeaderNameSym, HeaderValueSym, Interner};
 use timebase::Date;
 use tlssim::{TlsClient, TlsEndpoint};
 
@@ -17,21 +17,6 @@ pub struct CertScanRecord {
     pub chain_der: Vec<Bytes>,
 }
 
-impl CertScanRecord {
-    /// Order-sensitive digest of the served chain (length-framed DER,
-    /// end entity first). Two records digest equal iff they served the
-    /// byte-identical chain, so cross-snapshot chain churn — new, rotated,
-    /// vanished — is a sorted-integer diff over `(ip, digest)` rows.
-    pub fn chain_digest(&self) -> u64 {
-        let mut d = Digest64::new();
-        for der in &self.chain_der {
-            d.write_u64(der.len() as u64);
-            d.write(der);
-        }
-        d.finish()
-    }
-}
-
 /// One quarterly certificate-scan snapshot for one engine.
 #[derive(Debug, Clone)]
 pub struct CertScanSnapshot {
@@ -41,23 +26,6 @@ pub struct CertScanSnapshot {
     pub records: Vec<CertScanRecord>,
     /// Exact reachability/retry accounting for this scan pass.
     pub health: ScanHealth,
-}
-
-impl CertScanSnapshot {
-    /// Per-record `(ip, chain digest)` rows, sorted by IP. Duplicate-IP
-    /// records (corpus corruption, quarantined downstream) keep the first
-    /// record's digest, mirroring validation's first-record-wins rule.
-    pub fn chain_digests(&self) -> Vec<(u32, u64)> {
-        let mut rows: Vec<(u32, u64)> = Vec::with_capacity(self.records.len());
-        let mut seen = std::collections::HashSet::with_capacity(self.records.len());
-        for r in &self.records {
-            if seen.insert(r.ip) {
-                rows.push((r.ip, r.chain_digest()));
-            }
-        }
-        rows.sort_unstable_by_key(|&(ip, _)| ip);
-        rows
-    }
 }
 
 /// One IP's HTTP banner headers on one port, as symbol pairs into the
@@ -383,39 +351,6 @@ mod tests {
             let leaf = x509::Certificate::parse(&r.chain_der[0]).expect("leaf parses");
             assert!(!leaf.dns_names().is_empty() || leaf.subject().common_name().is_some());
         }
-    }
-
-    #[test]
-    fn chain_digests_stable_and_churn_sensitive() {
-        let w = world();
-        let date = w.snapshot_date(30);
-        let snap = scan_certificates(&w.endpoints(30), &ScanEngine::rapid7(), date, 31);
-        let again = scan_certificates(&w.endpoints(30), &ScanEngine::rapid7(), date, 31);
-        assert_eq!(snap.chain_digests(), again.chain_digests());
-        let rows = snap.chain_digests();
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "not sorted by ip");
-        assert_eq!(rows.len(), snap.records.len(), "clean scan has no dup IPs");
-        // A one-byte chain mutation must change that record's digest.
-        let rec = &snap.records[0];
-        let mut der = rec.chain_der[0].to_vec();
-        der[10] ^= 0xff;
-        let mutated = CertScanRecord {
-            ip: rec.ip,
-            chain_der: vec![Bytes::from(der)],
-        };
-        assert_ne!(rec.chain_digest(), mutated.chain_digest());
-        // Adjacent months share most chains but not all (rotation).
-        let prev = scan_certificates(
-            &w.endpoints(29),
-            &ScanEngine::rapid7(),
-            w.snapshot_date(29),
-            31,
-        );
-        let prev_set: std::collections::HashSet<(u32, u64)> =
-            prev.chain_digests().into_iter().collect();
-        let persisted = rows.iter().filter(|r| prev_set.contains(r)).count();
-        assert!(persisted > 0, "no chain persisted month-to-month");
-        assert!(persisted < rows.len(), "no chain churned month-to-month");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Query-layer load generator: freeze a small-world Rapid7 study into an
-//! on-disk artifact, load it into [`FrozenStudy`] tables, then hammer the
-//! point-query path ("does AS Z host HG X in month Y?") the way a serving
-//! deployment would. Reports artifact load time, per-query p50/p99
-//! latency over individually-timed queries, and sustained queries/sec
-//! over an untimed tight loop. `BENCH_query.json` records the figures;
-//! the acceptance bar is >= 100k queries/sec with p99 <= 1 ms.
+//! Query-layer load generator: log a small-world Rapid7 study to disk,
+//! load it into [`FrozenStudy`] tables, then hammer the point-query path
+//! ("does AS Z host HG X in month Y?") the way a serving deployment
+//! would. Reports log load time, per-query p50/p99 latency over
+//! individually-timed queries, and sustained queries/sec over an untimed
+//! tight loop; run `cargo bench --bench query` for the figures, or
+//! perfbench's `--workload query` for load plus one query end to end.
+//! The acceptance bar, asserted here, is >= 100k queries/sec with
+//! p99 <= 1 ms.
 //!
 //! Not a Criterion harness: per-query latency percentiles need the raw
 //! sample distribution, and the tight loop needs to run without

@@ -1,16 +1,16 @@
 //! Transient-failure layer benchmarks: the cost of the deterministic
 //! retry/backoff policy on a single-snapshot scan at increasing failure
-//! rates (0, 5%, 20%), and the cost of persisting one snapshot checkpoint
-//! artifact (encode + atomic write + fsync-free rename).
+//! rates (0, 5%, 20%), and the cost of appending one snapshot's record to
+//! a study log (fold + encode + checksum + append).
 //!
 //! Rate 0 is the tentpole's zero-cost claim: the policy is consulted per
 //! target but never injects, so the delta over the bare engine bounds the
-//! overhead of carrying the layer. `BENCH_retry.json` records the figures.
+//! overhead of carrying the layer. Run `cargo bench --bench retry` for
+//! the figures.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use offnet_bench::small_world;
-use offnet_core::checkpoint::{CheckpointStore, SnapshotCheckpoint};
-use offnet_core::{study_fingerprint, StudyConfig};
+use offnet_core::ArtifactBuilder;
 use scanner::{observe_snapshot, ScanEngine, TransientPolicy};
 use std::sync::Arc;
 
@@ -41,35 +41,28 @@ fn bench_retry(c: &mut Criterion) {
     }
     group.finish();
 
-    // Checkpoint write cost: one dense snapshot artifact, encoded and
-    // atomically persisted, as `--checkpoint-dir` pays per snapshot.
-    let engine = ScanEngine::rapid7();
-    let config = StudyConfig::default();
+    // One record append: a dense snapshot result folded, encoded,
+    // checksummed and appended, as every study with `--artifact-out` pays
+    // per snapshot. Each iteration appends the next snapshot index.
     let series = offnet_bench::small_study();
-    let snap = series
-        .snapshots
-        .last()
-        .expect("study has snapshots")
-        .clone();
-    let ckpt = SnapshotCheckpoint {
-        snapshot_idx: snap.snapshot_idx,
-        processed: true,
-        result: snap,
-        netflix_initial: series.netflix.initial.len(),
-        netflix_with_expired: series.netflix.with_expired.len(),
-        netflix_with_non_tls: series.netflix.with_non_tls.len(),
-        netflix_ip_history: Vec::new(),
-        report: None,
-    };
-    let dir = std::env::temp_dir().join(format!("offnet-bench-ckpt-{}", std::process::id()));
+    let snap = series.snapshots.last().expect("study has snapshots");
+    let dir = std::env::temp_dir().join(format!("offnet-bench-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fp = study_fingerprint(world, &engine, &config);
-    let store = CheckpointStore::open(&dir, fp).expect("open store");
+    let mut builder = ArtifactBuilder::new(series.engine, series.header_fps.clone(), 0);
+    builder
+        .open_log(dir.join("study.offna"), 0..=usize::MAX)
+        .expect("open log");
+    let mut next = 0usize;
 
-    let mut group = c.benchmark_group("checkpoint");
+    let mut group = c.benchmark_group("study_log");
     group.sample_size(10);
-    group.bench_function("save_snapshot_artifact", |b| {
-        b.iter(|| store.save(std::hint::black_box(&ckpt)).expect("save"))
+    group.bench_function("append_record", |b| {
+        b.iter(|| {
+            builder
+                .record(next, snap.clone(), None, |_| Vec::new())
+                .expect("append");
+            next += 1;
+        })
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,9 +5,8 @@
 //!   reproduce [--scale small|paper|large] [--seed N] [--csv DIR]
 //!             [--threads N] [--sequential] [--incremental]
 //!             [--fault-rate R] [--fault-seed N] [--transient-rate R]
-//!             [--checkpoint-dir DIR] [--resume | --no-resume]
 //!             [--shard-size N] [--spill-dir DIR] [--artifact-out DIR]
-//!             <experiment|all>
+//!             [--no-resume] <experiment|all>
 //!
 //! With `--csv DIR`, figure series are additionally written as CSV files
 //! for external plotting. `--sequential`, `--threads N` and
@@ -35,15 +34,6 @@
 //! At rate 0 the rendered output is byte-identical to a run without the
 //! flag.
 //!
-//! `--checkpoint-dir DIR` persists each study snapshot's result into
-//! `DIR/<engine>/snap_NNNN.ckpt` as it completes, and (by default) resumes
-//! from whatever completed prefix the directory already holds — so a
-//! killed run continues where it stopped, byte-identical to an
-//! uninterrupted one. It works in every study mode. `--no-resume` wipes
-//! the directory's artifacts first; `--resume` spells out the default. A
-//! checkpoint, segment, or artifact failure ends the run with the typed
-//! error's message and exit status 2.
-//!
 //! Experiments: table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //! fig9 fig10 fig11 fig12 fig13 fig14 certlifetimes validate ablation
 //! baselines quality
@@ -59,11 +49,16 @@
 //! and a rerun over the same spill directory reuses valid segments
 //! instead of rescanning.
 //!
-//! `--artifact-out DIR` freezes each study into a versioned, checksummed
-//! result artifact at `DIR/<engine>.offna` as it completes. Rendering a
-//! loaded artifact is byte-identical to rendering the live study (pinned
-//! by `tests/artifact.rs`), and `offnet-query` serves footprint queries
-//! straight from the frozen file.
+//! `--artifact-out DIR` keeps each study in a study log at
+//! `DIR/<engine>.offna`: one checksummed record is appended per snapshot
+//! as it completes, in every study mode, and a rerun over the same `DIR`
+//! adopts the records already there — so a killed run continues where it
+//! stopped, byte-identical to an uninterrupted one. `--no-resume` resets
+//! each log to a fresh header first. Rendering a loaded log is
+//! byte-identical to rendering the live study (pinned by
+//! `tests/study_log.rs`), and `offnet-query` serves footprint queries
+//! straight from the file. A study log or segment failure ends the run
+//! with the typed error's message and exit status 2.
 //!
 //! `corpus-stats` prints the interned-corpus memory accounting,
 //! `cache-stats` the validation-cache reuse counters,
@@ -93,7 +88,6 @@ struct Cli {
     fault_rate: f64,
     fault_seed: u64,
     transient_rate: f64,
-    checkpoint_dir: Option<std::path::PathBuf>,
     resume: bool,
     shard_size: Option<usize>,
     spill_dir: Option<std::path::PathBuf>,
@@ -122,7 +116,6 @@ fn parse_args() -> Cli {
     let mut fault_rate = 0.0f64;
     let mut fault_seed = 1u64;
     let mut transient_rate = 0.0f64;
-    let mut checkpoint_dir = None;
     let mut resume = true;
     let mut shard_size = None;
     let mut spill_dir = None;
@@ -185,12 +178,6 @@ fn parse_args() -> Cli {
                     "transient rate must be in [0, 1]"
                 );
             }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--checkpoint-dir needs a directory"),
-                ))
-            }
-            "--resume" => resume = true,
             "--no-resume" => resume = false,
             "--shard-size" => {
                 let n: usize = args
@@ -213,7 +200,7 @@ fn parse_args() -> Cli {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--checkpoint-dir DIR] [--resume|--no-resume] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] <experiment...|all>"
+                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--no-resume] <experiment...|all>"
                 );
                 std::process::exit(0);
             }
@@ -231,7 +218,6 @@ fn parse_args() -> Cli {
         fault_rate,
         fault_seed,
         transient_rate,
-        checkpoint_dir,
         resume,
         shard_size,
         spill_dir,
@@ -254,12 +240,12 @@ struct Fixtures {
     mode: StudyMode,
     faults: Option<std::sync::Arc<scanner::FaultPlan>>,
     transients: Option<std::sync::Arc<scanner::TransientPolicy>>,
-    checkpoint_dir: Option<std::path::PathBuf>,
+    /// False under `--no-resume`: each study log starts afresh.
     resume: bool,
     /// Streaming sharded processing for every study, when `--shard-size`
     /// was given.
     sharding: Option<offnet_core::ShardingConfig>,
-    /// Freeze each study into `DIR/<engine>.offna` when `--artifact-out`
+    /// Keep each study's log at `DIR/<engine>.offna` when `--artifact-out`
     /// was given.
     artifact_dir: Option<std::path::PathBuf>,
     r7: OnceLock<StudySeries>,
@@ -319,7 +305,6 @@ impl Fixtures {
             mode: cli.mode,
             faults,
             transients,
-            checkpoint_dir: cli.checkpoint_dir.clone(),
             resume: cli.resume,
             sharding,
             artifact_dir: cli.artifact_out.clone(),
@@ -357,16 +342,16 @@ impl Fixtures {
         let config = &StudyConfig {
             mode: self.mode,
             sharding: self.sharding.clone(),
-            checkpoint_dir: self
-                .checkpoint_dir
-                .as_ref()
-                .map(|dir| dir.join(&engine_name)),
             artifact_out: artifact_out.clone(),
             ..config.clone()
         };
-        if let (Some(dir), false) = (&config.checkpoint_dir, self.resume) {
-            let fp = offnet_core::study_fingerprint(&self.world, &engine, config);
-            or_die(offnet_core::CheckpointStore::open(dir, fp).and_then(|store| store.wipe()));
+        if let (Some(path), false) = (&artifact_out, self.resume) {
+            // The study writes a fresh header where no log exists.
+            if let Err(e) = std::fs::remove_file(path) {
+                if e.kind() != std::io::ErrorKind::NotFound {
+                    or_die::<(), _>(Err(format!("cannot reset {}: {e}", path.display())));
+                }
+            }
         }
         let start = Instant::now();
         let run = or_die(try_run_study(&self.world, &engine, config));
@@ -375,9 +360,6 @@ impl Fixtures {
             StudyMode::Parallel { workers } => format!("{workers} threads + validation cache"),
             StudyMode::Incremental => "incremental + validation cache".to_owned(),
         };
-        if config.checkpoint_dir.is_some() {
-            mode.push_str(", checkpointed");
-        }
         if let Some(s) = &self.sharding {
             mode.push_str(&format!(", sharded ({} endpoints/shard)", s.shard_size));
         }
@@ -386,7 +368,7 @@ impl Fixtures {
             start.elapsed().as_secs_f64()
         );
         if let Some(path) = &artifact_out {
-            eprintln!("[reproduce] wrote study artifact {}", path.display());
+            eprintln!("[reproduce] study log {}", path.display());
         }
         (run.series, run.reports)
     }
@@ -440,8 +422,8 @@ impl Fixtures {
 }
 
 /// Unwrap a study result, or print the typed error (which carries its own
-/// remediation, e.g. delete the checkpoint dir or pass `--no-resume`) and
-/// exit with a distinct status.
+/// remedy: delete the log or pass `--no-resume`) and exit with a distinct
+/// status.
 fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,

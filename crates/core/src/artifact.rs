@@ -1,215 +1,97 @@
-//! The frozen study-result artifact: the stable boundary between
-//! computation and everything downstream (rendering, queries, serving).
-//!
-//! The study driver accumulates its per-snapshot results through one
-//! [`ArtifactBuilder`] and can seal them into a [`StudyArtifact`] — a
-//! versioned, checksummed, columnar file that is a pure function of the
-//! study's output and *identical across modes* (sequential, parallel,
-//! checkpointed, and incremental runs of the same config produce the same
-//! rendered study, so they share one artifact fingerprint). Rendering a
-//! loaded artifact is byte-identical to rendering the in-memory series;
-//! `tests/artifact.rs` pins this the way `tests/parallel.rs` pins the
-//! parallel mode.
-//!
-//! Format (same envelope discipline as [`crate::checkpoint`] and
-//! [`crate::shard`]):
+//! The study log: the one on-disk form of a study's results. Every study
+//! mode appends to it as snapshots complete, a relaunched study resumes
+//! from it, and rendering ([`StudyArtifact`]) and queries
+//! ([`ArtifactTables`]) read it. DESIGN.md §16 gives the full rules.
 //!
 //! ```text
-//! magic "OFFNARTF" · version u32 · config fingerprint u64
-//! · payload length u64 · payload · SHA-256(payload)
+//! header   magic "OFFNARTF" · version u32 · config fingerprint u64
+//!          · body length u64 · body · SHA-256(every header byte before it)
+//! record   body length u64 · !body length u64 · body · SHA-256(body)
+//!          … one per snapshot, in snapshot order
 //! ```
 //!
-//! written atomically (temp file + rename). The payload is columnar: an
-//! interned symbol pool up front (every string in the artifact is a `u32`
-//! pool index), then per-snapshot scalar columns, per-HG sections whose
-//! confirmed/candidate AS sets and IP lists are contiguous sorted-integer
-//! columns, quality and scan-health columns, the §6.2 Netflix variant
-//! series plus the cumulative certificate-history IP set (so an
-//! incremental engine can *append* to an existing artifact and keep the
-//! order-dependent fold exact), the learned header fingerprints, and the
-//! incremental mode's per-snapshot validation-cache counters.
+//! The header (the codec's envelope, created once by temp + rename)
+//! holds the engine and the learned header fingerprints. A record holds
+//! the snapshot index and whether the engine covered it; for a covered
+//! snapshot also the §6.2 Netflix triple, the incremental mode's cache
+//! counters when present, and the full [`SnapshotResult`]. An append
+//! writes only its own record. The length's complement tells a damaged
+//! length from a record cut short.
 //!
-//! Invalidation: the config fingerprint
-//! ([`artifact_fingerprint`]) digests world scenario, engine identity and
-//! fault/transient plans, and pipeline knobs — but not the snapshot range
-//! (an artifact is appendable) and not the study mode (all modes emit the
-//! same artifact). Mismatches, truncation, and corruption surface as typed
-//! [`ArtifactError`]s with explicit remediation, never a panic.
+//! The §6.2 certificate-history IP set is not stored: it is the union of
+//! the Netflix `confirmed_ips ∪ with_expired_ips` over the records.
+//! Resume adopts the longest valid prefix that continues the run's range
+//! and cuts a torn tail off before its first append; a damaged complete
+//! record, a log that cannot continue the range, or a file changed under
+//! the writer is a typed [`ArtifactError::Corrupt`]. Readers are strict:
+//! for them a torn tail is `Corrupt` too.
 
-use crate::checkpoint::{
-    decode_health, decode_validation, encode_health, encode_validation, fingerprint_with_tag,
-    record_error_tag, CheckpointError, Dec, Enc, SnapshotCheckpoint, RECORD_ERRORS,
+use crate::codec::{
+    self, decode_validation, encode_validation, engine_from_tag, engine_tag, iter_le_u32, mix,
+    mix_world_engine, record_error_tag, transient_tag, ArtifactError, Dec, Enc, EnvelopeIssue,
+    RECORD_ERRORS,
 };
-use crate::codec::{self, EnvelopeIssue};
+use crate::errors::DataQualityReport;
 use crate::headers::{HeaderFingerprint, HeaderFingerprints};
 use crate::pipeline::{HgSnapshotResult, SnapshotResult};
 use crate::study::{DeltaReport, NetflixVariants, StudyConfig, StudySeries};
 use hgsim::{Hg, HgWorld, ALL_HGS};
 use netsim::AsId;
-use scanner::{EngineId, ScanEngine};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use scanner::{EngineId, ScanEngine, ScanHealth, TransientClass};
+use sha2sim::Sha256;
+use std::collections::{BTreeSet, HashSet};
+use std::io::Write;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
-/// Current artifact format version. Bump on any payload layout change.
-/// Version 2 keeps only the validation-cache counters of each reuse
-/// report.
-pub const ARTIFACT_VERSION: u32 = 2;
+/// Current study log format version. Bump on any layout change. Version
+/// 3 replaced the whole-file columnar artifact with the append-only log.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
-const REMEDY: &str = "delete the artifact file or pass --no-resume";
-
-/// Driver-independent salt for [`artifact_fingerprint`] (must differ
-/// from the checkpoint tag, 1).
-const ARTIFACT_DRIVER_TAG: u64 = 0xa87f;
-
-/// Why an artifact file could not be used. Mirrors
-/// [`CheckpointError`]: every variant's `Display` ends with the
-/// remediation, so bad input is diagnosed, not panicked over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArtifactError {
-    /// Filesystem failure reading or writing the artifact.
-    Io { path: PathBuf, detail: String },
-    /// The file does not start with the artifact magic.
-    BadMagic { path: PathBuf },
-    /// The file was written by a different format version.
-    VersionMismatch {
-        path: PathBuf,
-        found: u32,
-        expected: u32,
-    },
-    /// The file was written under a different study configuration
-    /// (world, engine, fault/transient plans, or pipeline knobs).
-    ConfigMismatch {
-        path: PathBuf,
-        found: u64,
-        expected: u64,
-    },
-    /// Truncated, checksum-mismatched, or undecodable payload.
-    Corrupt { path: PathBuf, detail: String },
-}
-
-impl ArtifactError {
-    fn io(path: &Path, err: std::io::Error) -> Self {
-        ArtifactError::Io {
-            path: path.to_path_buf(),
-            detail: err.to_string(),
-        }
-    }
-
-    fn corrupt(path: &Path, detail: impl Into<String>) -> Self {
-        ArtifactError::Corrupt {
-            path: path.to_path_buf(),
-            detail: detail.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactError::Io { path, detail } => {
-                write!(f, "artifact I/O error at {}: {detail}", path.display())
-            }
-            ArtifactError::BadMagic { path } => write!(
-                f,
-                "{} is not a study artifact (bad magic); {REMEDY}",
-                path.display()
-            ),
-            ArtifactError::VersionMismatch {
-                path,
-                found,
-                expected,
-            } => write!(
-                f,
-                "{} uses artifact format v{found} but this binary writes v{expected}; {REMEDY}",
-                path.display()
-            ),
-            ArtifactError::ConfigMismatch {
-                path,
-                found,
-                expected,
-            } => write!(
-                f,
-                "{} was written under a different study configuration \
-                 (fingerprint {found:#018x}, expected {expected:#018x}); {REMEDY}",
-                path.display()
-            ),
-            ArtifactError::Corrupt { path, detail } => {
-                write!(f, "{} is corrupt ({detail}); {REMEDY}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
-
-// The shared `Dec` codec reports through `CheckpointError`; inside this
-// module those are always payload-decoding failures against the artifact
-// path, so the conversion is variant-for-variant.
-impl From<CheckpointError> for ArtifactError {
-    fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Io { path, detail } => ArtifactError::Io { path, detail },
-            CheckpointError::BadMagic { path } => ArtifactError::corrupt(&path, "bad magic"),
-            CheckpointError::VersionMismatch {
-                path,
-                found,
-                expected,
-            } => ArtifactError::VersionMismatch {
-                path,
-                found,
-                expected,
-            },
-            CheckpointError::ConfigMismatch {
-                path,
-                found,
-                expected,
-            } => ArtifactError::ConfigMismatch {
-                path,
-                found,
-                expected,
-            },
-            CheckpointError::Corrupt { path, detail } => ArtifactError::Corrupt { path, detail },
-        }
-    }
-}
+/// Record framing: the body length and its complement before the body,
+/// its SHA-256 after.
+const FRAME_HEAD: usize = 16;
+const FRAME_TAIL: usize = 32;
 
 /// Digest everything that shapes a study's rendered output — world
-/// scenario, engine identity and plans, pipeline knobs — into the
-/// artifact's config fingerprint. Unlike
-/// [`crate::checkpoint::study_fingerprint`] the study mode is *not*
-/// mixed in: all modes render byte-identically, so their artifacts
-/// are interchangeable. The snapshot range is also excluded, so an
-/// artifact can be appended to under a longer `--snapshots` range.
+/// scenario, engine identity and plans, pipeline knobs — into the log's
+/// config fingerprint. The snapshot range, study mode, sharding and log
+/// path are excluded: none changes a record.
 pub fn artifact_fingerprint(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> u64 {
-    fingerprint_with_tag(world, engine, config, ARTIFACT_DRIVER_TAG)
+    let mut h = mix(0x0ff5_e7c4_ecb9_0a17);
+    h = mix(h ^ u64::from(ARTIFACT_VERSION));
+    h = mix_world_engine(h, world, engine);
+    h = mix(h ^ config.header_reference_snapshot as u64);
+    let confirm = match config.confirm_mode {
+        crate::confirm::ConfirmMode::HttpOrHttps => 1,
+        crate::confirm::ConfirmMode::HttpAndHttps => 2,
+    };
+    let candidate = u64::from(config.candidate_options.require_san_subset)
+        | u64::from(config.candidate_options.cloudflare_filter) << 1;
+    mix(h ^ confirm ^ candidate << 8)
 }
 
 /// The order-dependent §6.2 Netflix fold, shared by every study mode:
 /// per snapshot it pushes the three footprint variants and grows the
-/// cumulative certificate-history IP set the non-TLS restoration consults.
+/// certificate-history IP set the non-TLS restoration consults.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct NetflixFold {
-    pub(crate) variants: NetflixVariants,
-    /// Cumulative IPs ever seen serving a (possibly expired) Netflix
-    /// certificate — the history the non-TLS restoration consults.
+struct NetflixFold {
+    variants: NetflixVariants,
     ip_history: HashSet<u32>,
 }
 
 impl NetflixFold {
     /// Fold one snapshot's result. `origins_of` maps an HTTP-only IP to
-    /// its AS origins at this snapshot. Returns the `(initial, with_expired, with_non_tls)`
-    /// triple pushed, so checkpoints can record it.
+    /// its AS origins at this snapshot. Returns the `(initial,
+    /// with_expired, with_non_tls)` triple pushed.
     fn push(
         &mut self,
         result: &SnapshotResult,
         origins_of: impl Fn(u32) -> Vec<AsId>,
     ) -> (usize, usize, usize) {
         let nf = &result.per_hg[&Hg::Netflix];
-        let initial = nf.confirmed_ases.len();
-        let with_expired = nf.with_expired_ases.len();
-
         // Non-TLS restoration: HTTP-only IPs with Netflix certificate
         // history map back to their ASes.
         let mut with_non_tls: BTreeSet<AsId> = nf.with_expired_ases.clone();
@@ -218,61 +100,55 @@ impl NetflixFold {
                 with_non_tls.extend(origins_of(ip));
             }
         }
-        let with_non_tls = with_non_tls.len();
+        let triple = (
+            nf.confirmed_ases.len(),
+            nf.with_expired_ases.len(),
+            with_non_tls.len(),
+        );
+        self.adopt(triple, result);
+        triple
+    }
 
+    /// Fold in a snapshot whose triple was already computed.
+    fn adopt(
+        &mut self,
+        (initial, with_expired, with_non_tls): (usize, usize, usize),
+        result: &SnapshotResult,
+    ) {
         self.variants.initial.push(initial);
         self.variants.with_expired.push(with_expired);
         self.variants.with_non_tls.push(with_non_tls);
-        self.ip_history.extend(nf.with_expired_ips.iter().copied());
-        self.ip_history.extend(nf.confirmed_ips.iter().copied());
-        (initial, with_expired, with_non_tls)
+        self.remember(result);
     }
 
-    /// The cumulative IP history in artifact-stable (sorted) order.
-    fn sorted_history(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.ip_history.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Restore the fold to its state just after `ckpt`'s snapshot.
-    fn adopt(&mut self, ckpt: &SnapshotCheckpoint) {
-        if ckpt.processed {
-            self.variants.initial.push(ckpt.netflix_initial);
-            self.variants.with_expired.push(ckpt.netflix_with_expired);
-            self.variants.with_non_tls.push(ckpt.netflix_with_non_tls);
+    /// Grow the certificate history with one snapshot's Netflix IPs.
+    fn remember(&mut self, result: &SnapshotResult) {
+        if let Some(nf) = result.per_hg.get(&Hg::Netflix) {
+            self.ip_history.extend(nf.with_expired_ips.iter().copied());
+            self.ip_history.extend(nf.confirmed_ips.iter().copied());
         }
-        self.ip_history = ckpt.netflix_ip_history.iter().copied().collect();
     }
 }
 
-/// A loaded (or about-to-be-written) study result artifact: everything
-/// the rendered study is a function of, plus the fold history an
-/// incremental append needs and the reuse counters an incremental run
-/// recorded.
+/// A loaded study log: everything the rendered study is a function of,
+/// plus the reuse counters the incremental mode recorded.
 #[derive(Debug, Clone)]
 pub struct StudyArtifact {
     pub engine: EngineId,
-    /// The config fingerprint the file carries (see
+    /// The config fingerprint the log carries (see
     /// [`artifact_fingerprint`]).
     pub fingerprint: u64,
     /// One entry per processed snapshot, in order.
     pub snapshots: Vec<SnapshotResult>,
     pub netflix: NetflixVariants,
-    /// Cumulative §6.2 Netflix certificate-history IPs after the last
-    /// snapshot, sorted — restoring this is what makes on-disk appends
-    /// exact.
-    pub netflix_ip_history: Vec<u32>,
     pub header_fps: HeaderFingerprints,
-    /// Per-snapshot reuse counters, when the incremental mode wrote the
-    /// artifact (empty otherwise). Never rendered into the canonical
-    /// study output, so artifacts with and without reports render
-    /// identically.
+    /// The reuse counters of the records that carry them (the incremental
+    /// mode writes them). Never rendered into the canonical study output.
     pub reports: Vec<DeltaReport>,
 }
 
 impl StudyArtifact {
-    /// View the artifact as the in-memory series every renderer consumes.
+    /// View the log as the in-memory series every renderer consumes.
     /// `render_study(&artifact.to_series())` is byte-identical to
     /// rendering the series the study returned directly.
     pub fn to_series(&self) -> StudySeries {
@@ -284,101 +160,105 @@ impl StudyArtifact {
         }
     }
 
-    /// [`Self::to_series`] without the clone.
-    pub fn into_series(self) -> StudySeries {
-        StudySeries {
-            engine: self.engine,
-            snapshots: self.snapshots,
-            netflix: self.netflix,
-            header_fps: self.header_fps,
-        }
-    }
-
-    /// Atomically write the artifact (temp file + rename; parent
-    /// directories are created).
+    /// Atomically write these results as a complete log (temp file +
+    /// rename; parent directories are created). Gaps between snapshot
+    /// indices become skip markers; the i-th snapshot carries the i-th
+    /// Netflix variant values and the report with its index, if any.
     pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
-        let payload = encode_payload(
-            self.engine,
-            &self.snapshots,
-            &self.netflix,
-            &self.netflix_ip_history,
-            &self.header_fps,
-            &self.reports,
-        );
-        write_artifact_file(path, self.fingerprint, &payload)
-    }
-
-    /// Load an artifact, accepting whatever config fingerprint it carries
-    /// (the query layer serves any valid artifact).
-    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        Self::load_impl(path, None)
-    }
-
-    /// Load an artifact, rejecting one written under a different config
-    /// fingerprint — the resume/append path.
-    pub fn load_expecting(path: &Path, fingerprint: u64) -> Result<Self, ArtifactError> {
-        Self::load_impl(path, Some(fingerprint))
-    }
-
-    fn load_impl(path: &Path, expected: Option<u64>) -> Result<Self, ArtifactError> {
-        let (fingerprint, payload) = read_artifact_envelope(path, expected)?;
-        let (engine, snapshots, netflix, netflix_ip_history, header_fps, reports) =
-            decode_payload(&payload, path)?;
-        Ok(StudyArtifact {
-            engine,
-            fingerprint,
-            snapshots,
-            netflix,
-            netflix_ip_history,
-            header_fps,
-            reports,
-        })
-    }
-}
-
-/// Read an artifact file's envelope — header validation and payload
-/// checksum only — returning the carried config fingerprint and the raw
-/// payload bytes, undecoded. Pair with [`ArtifactTables::parse`] for the
-/// borrowed-load path ([`StudyArtifact::load`] is the full decode).
-pub fn read_artifact_payload(path: &Path) -> Result<(u64, Vec<u8>), ArtifactError> {
-    read_artifact_envelope(path, None)
-}
-
-/// Open an artifact through the shared envelope codec, mapping issues
-/// onto [`ArtifactError`] and enforcing the optional fingerprint pin.
-fn read_artifact_envelope(
-    path: &Path,
-    expected: Option<u64>,
-) -> Result<(u64, Vec<u8>), ArtifactError> {
-    let (fingerprint, payload) =
-        codec::read_envelope(path, MAGIC, ARTIFACT_VERSION).map_err(|issue| match issue {
-            EnvelopeIssue::Io(p, e) => ArtifactError::io(&p, e),
-            EnvelopeIssue::BadMagic => ArtifactError::BadMagic {
-                path: path.to_path_buf(),
-            },
-            EnvelopeIssue::BadVersion { found } => ArtifactError::VersionMismatch {
-                path: path.to_path_buf(),
-                found,
-                expected: ARTIFACT_VERSION,
-            },
-            EnvelopeIssue::Corrupt(detail) => ArtifactError::corrupt(path, detail),
-        })?;
-    if let Some(expected) = expected {
-        if fingerprint != expected {
-            return Err(ArtifactError::ConfigMismatch {
-                path: path.to_path_buf(),
-                found: fingerprint,
-                expected,
-            });
+        let mut bytes = header_bytes(self.engine, &self.header_fps, self.fingerprint);
+        let mut next = None;
+        for (row, snap) in self.snapshots.iter().enumerate() {
+            let t = snap.snapshot_idx;
+            let first = next.unwrap_or(t);
+            if t < first {
+                return Err(ArtifactError::corrupt(path, "snapshots out of order"));
+            }
+            for skipped in first..t {
+                bytes.extend(encode_record(skipped, None));
+            }
+            let nf = |col: &[usize]| col.get(row).copied().unwrap_or(0);
+            let triple = (
+                nf(&self.netflix.initial),
+                nf(&self.netflix.with_expired),
+                nf(&self.netflix.with_non_tls),
+            );
+            let report = self.reports.iter().find(|r| r.snapshot_idx == t).copied();
+            bytes.extend(encode_record(t, Some((snap, triple, report))));
+            next = Some(t + 1);
         }
+        codec::write_atomic(path, &bytes)
     }
-    Ok((fingerprint, payload))
+
+    /// Load a complete log, accepting whatever config fingerprint it
+    /// carries (the query layer serves any valid log). A torn tail is
+    /// `Corrupt`.
+    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
+        let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
+        let view = LogView::split(&bytes, path, true)?;
+        let mut artifact = StudyArtifact {
+            engine: view.engine,
+            fingerprint: view.fingerprint,
+            snapshots: Vec::new(),
+            netflix: NetflixVariants::default(),
+            header_fps: decode_header_fps(view.header_fps, path)?,
+            reports: Vec::new(),
+        };
+        for body in view.records {
+            let (_, Some((result, (initial, with_expired, with_non_tls), report))) =
+                decode_record(body, path)?
+            else {
+                continue;
+            };
+            artifact.netflix.initial.push(initial);
+            artifact.netflix.with_expired.push(with_expired);
+            artifact.netflix.with_non_tls.push(with_non_tls);
+            artifact.reports.extend(report);
+            artifact.snapshots.push(result);
+        }
+        Ok(artifact)
+    }
+}
+
+/// Read a study log and check its header, returning the config
+/// fingerprint and the whole file, undecoded. Pair with
+/// [`ArtifactTables::parse`] for the borrowed-load path
+/// ([`StudyArtifact::load`] is the full decode).
+pub fn read_artifact_payload(path: &Path) -> Result<(u64, Vec<u8>), ArtifactError> {
+    let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
+    let (fingerprint, _, _) = codec::split_envelope(&bytes, MAGIC, ARTIFACT_VERSION)
+        .map_err(|issue| header_error(issue, path))?;
+    Ok((fingerprint, bytes))
+}
+
+fn header_error(issue: EnvelopeIssue, path: &Path) -> ArtifactError {
+    match issue {
+        EnvelopeIssue::Io(e) => ArtifactError::io(path, e),
+        EnvelopeIssue::BadMagic => ArtifactError::BadMagic {
+            path: path.to_path_buf(),
+        },
+        EnvelopeIssue::BadVersion { found } => ArtifactError::VersionMismatch {
+            path: path.to_path_buf(),
+            found,
+            expected: ARTIFACT_VERSION,
+        },
+        EnvelopeIssue::Corrupt(detail) => ArtifactError::corrupt(path, detail),
+    }
+}
+
+/// A snapshot a study log recorded, as [`ArtifactBuilder::open_log`]
+/// adopts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Adopted {
+    pub snapshot_idx: usize,
+    /// False for a snapshot the engine's corpus did not cover.
+    pub processed: bool,
+    /// The reuse counters the record carries, if any.
+    pub report: Option<DeltaReport>,
 }
 
 /// The shared accumulator behind every study mode: snapshot results,
-/// the §6.2 Netflix fold, and (in the incremental mode) reuse
-/// reports, with optional persistence to an artifact path, so a study
-/// cannot drift from the artifact it emits.
+/// the §6.2 Netflix fold, the incremental reuse reports, and the study
+/// log they are appended to, so a study cannot drift from its log.
 #[derive(Debug, Clone)]
 pub struct ArtifactBuilder {
     engine: EngineId,
@@ -387,7 +267,7 @@ pub struct ArtifactBuilder {
     snapshots: Vec<SnapshotResult>,
     fold: NetflixFold,
     reports: Vec<DeltaReport>,
-    path: Option<PathBuf>,
+    log: Option<LogWriter>,
 }
 
 impl ArtifactBuilder {
@@ -399,45 +279,96 @@ impl ArtifactBuilder {
             snapshots: Vec::new(),
             fold: NetflixFold::default(),
             reports: Vec::new(),
-            path: None,
+            log: None,
         }
     }
 
-    /// Attach an output path: [`Self::persist`] writes there. Write-only —
-    /// an existing file is ignored (and overwritten on the next persist);
-    /// use [`Self::adopt_from_path`] to resume from one.
-    pub fn attach_path(&mut self, path: impl Into<PathBuf>) {
-        self.path = Some(path.into());
-    }
-
-    /// Attach `path` and, when a valid artifact already exists there (and
-    /// the builder is still empty), adopt its snapshots, fold state, and
-    /// reuse reports so subsequent pushes *append* to it. Returns the
-    /// number of snapshots adopted. A missing file is fine (starts
-    /// empty); a mismatched or corrupt one is a typed error.
-    pub fn adopt_from_path(&mut self, path: impl Into<PathBuf>) -> Result<usize, ArtifactError> {
-        let path = path.into();
-        let exists = path.exists();
-        let untouched = self.snapshots.is_empty()
-            && self.reports.is_empty()
-            && self.fold.variants.initial.is_empty()
-            && self.fold.ip_history.is_empty();
-        self.path = Some(path.clone());
-        if !exists || !untouched {
-            return Ok(0);
+    /// Open the study log at `path` for a run over `range` and adopt what
+    /// it holds, replacing whatever the builder held. A missing log is
+    /// created with just its header. Otherwise the header must carry this
+    /// builder's fingerprint, a torn tail is cut off, and the records
+    /// must continue the range: records before its start feed only the
+    /// fold's history, and records inside it are adopted and returned.
+    pub fn open_log(
+        &mut self,
+        path: PathBuf,
+        range: RangeInclusive<usize>,
+    ) -> Result<Vec<Adopted>, ArtifactError> {
+        self.snapshots.clear();
+        self.fold = NetflixFold::default();
+        self.reports.clear();
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let header = header_bytes(self.engine, &self.header_fps, self.fingerprint);
+                codec::write_atomic(&path, &header)?;
+                header
+            }
+            read => read.map_err(|e| ArtifactError::io(&path, e))?,
+        };
+        let view = LogView::split(&bytes, &path, false)?;
+        if view.fingerprint != self.fingerprint {
+            return Err(ArtifactError::ConfigMismatch {
+                path,
+                found: view.fingerprint,
+                expected: self.fingerprint,
+            });
         }
-        let artifact = StudyArtifact::load_expecting(&path, self.fingerprint)?;
-        let adopted = artifact.snapshots.len();
-        self.snapshots = artifact.snapshots;
-        self.reports = artifact.reports;
-        self.fold.variants = artifact.netflix;
-        self.fold.ip_history = artifact.netflix_ip_history.into_iter().collect();
+        let records = view
+            .records
+            .iter()
+            .map(|body| decode_record(body, &path))
+            .collect::<Result<Vec<_>, _>>()?;
+        let next = records.last().map(|(t, _)| t + 1);
+        if let (Some(&(first, _)), Some(next)) = (records.first(), next) {
+            if !(first..=next).contains(range.start()) {
+                return Err(ArtifactError::corrupt(
+                    &path,
+                    format!(
+                        "it holds snapshots {first}..{next}, which a run from snapshot {} cannot continue",
+                        range.start()
+                    ),
+                ));
+            }
+        }
+        if view.valid_len < bytes.len() {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(view.valid_len as u64))
+                .map_err(|e| ArtifactError::io(&path, e))?;
+        }
+
+        let mut adopted = Vec::new();
+        for (t, recorded) in records {
+            match recorded {
+                Some((result, _, _)) if t < *range.start() => self.fold.remember(&result),
+                _ if !range.contains(&t) => {}
+                None => adopted.push(Adopted {
+                    snapshot_idx: t,
+                    processed: false,
+                    report: None,
+                }),
+                Some((result, netflix, report)) => {
+                    self.fold.adopt(netflix, &result);
+                    self.snapshots.push(result);
+                    adopted.push(Adopted {
+                        snapshot_idx: t,
+                        processed: true,
+                        report,
+                    });
+                }
+            }
+        }
+        self.log = Some(LogWriter {
+            path,
+            len: view.valid_len as u64,
+            next,
+        });
         Ok(adopted)
     }
 
     /// Fold one snapshot's result in (§6.2 Netflix variants included) and
-    /// record it. Returns the Netflix triple pushed, so checkpoints can
-    /// record it.
+    /// keep it. Writes nothing. Returns the Netflix triple pushed.
     pub fn push_snapshot(
         &mut self,
         result: SnapshotResult,
@@ -448,69 +379,40 @@ impl ArtifactBuilder {
         triple
     }
 
-    /// Record the incremental mode's reuse report for the snapshot just
-    /// pushed.
-    pub fn push_report(&mut self, report: DeltaReport) {
-        self.reports.push(report);
+    /// The record path: push snapshot `t`'s result and reuse report, and
+    /// append its record to the log when one is open.
+    pub fn record(
+        &mut self,
+        t: usize,
+        result: SnapshotResult,
+        report: Option<DeltaReport>,
+        origins_of: impl Fn(u32) -> Vec<AsId>,
+    ) -> Result<(), ArtifactError> {
+        let netflix = self.push_snapshot(result, origins_of);
+        self.reports.extend(report);
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        let result = self.snapshots.last().expect("pushed above");
+        log.append(t, &encode_record(t, Some((result, netflix, report))))
     }
 
-    /// Restore builder state from an adopted checkpoint (fold history and,
-    /// when the checkpoint processed its snapshot, the recorded result).
-    pub fn adopt_checkpoint(&mut self, ckpt: &SnapshotCheckpoint) {
-        self.fold.adopt(ckpt);
-        if ckpt.processed {
-            self.snapshots.push(ckpt.result.clone());
-        }
-    }
-
-    pub fn snapshots(&self) -> &[SnapshotResult] {
-        &self.snapshots
-    }
-
-    pub fn reports(&self) -> &[DeltaReport] {
-        &self.reports
-    }
-
-    /// The cumulative §6.2 Netflix IP history, sorted (checkpoint- and
-    /// artifact-stable).
-    pub fn netflix_history(&self) -> Vec<u32> {
-        self.fold.sorted_history()
-    }
-
-    /// Write the current state to the attached path, if any (atomic
-    /// temp + rename). The incremental engine calls this after every
-    /// append, so the on-disk artifact always reflects the grown prefix.
-    pub fn persist(&self) -> Result<(), ArtifactError> {
-        match &self.path {
-            Some(path) => self.save_to(&path.clone()),
+    /// Append a marker for snapshot `t`, which the engine's corpus does
+    /// not cover, when a log is open.
+    pub(crate) fn record_skip(&mut self, t: usize) -> Result<(), ArtifactError> {
+        match &mut self.log {
+            Some(log) => log.append(t, &encode_record(t, None)),
             None => Ok(()),
         }
     }
 
-    /// Write the current state to an explicit path.
-    pub fn save_to(&self, path: &Path) -> Result<(), ArtifactError> {
-        let payload = encode_payload(
-            self.engine,
-            &self.snapshots,
-            &self.fold.variants,
-            &self.fold.sorted_history(),
-            &self.header_fps,
-            &self.reports,
-        );
-        write_artifact_file(path, self.fingerprint, &payload)
+    /// Record an adopted snapshot's reuse report.
+    pub(crate) fn push_report(&mut self, report: DeltaReport) {
+        self.reports.push(report);
     }
 
-    /// Snapshot the accumulated state as an owned [`StudyArtifact`].
-    pub fn artifact(&self) -> StudyArtifact {
-        StudyArtifact {
-            engine: self.engine,
-            fingerprint: self.fingerprint,
-            snapshots: self.snapshots.clone(),
-            netflix: self.fold.variants.clone(),
-            netflix_ip_history: self.fold.sorted_history(),
-            header_fps: self.header_fps.clone(),
-            reports: self.reports.clone(),
-        }
+    pub fn reports(&self) -> &[DeltaReport] {
+        &self.reports
     }
 
     /// Consume the builder into the series every mode returns, plus the
@@ -528,484 +430,408 @@ impl ArtifactBuilder {
     }
 }
 
-fn write_artifact_file(path: &Path, fingerprint: u64, payload: &[u8]) -> Result<(), ArtifactError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| ArtifactError::io(parent, e))?;
+/// The append end of an open log.
+#[derive(Debug, Clone)]
+struct LogWriter {
+    path: PathBuf,
+    /// The log's length after this writer's last append. Another length
+    /// means the file changed under the writer — a clone of the engine
+    /// appended, say.
+    len: u64,
+    /// The snapshot the next record must hold (`None`: the log is empty).
+    next: Option<usize>,
+}
+
+impl LogWriter {
+    fn append(&mut self, t: usize, record: &[u8]) -> Result<(), ArtifactError> {
+        if let Some(next) = self.next.filter(|&n| n != t) {
+            return Err(ArtifactError::corrupt(
+                &self.path,
+                format!("the next record must hold snapshot {next}, not {t}"),
+            ));
         }
+        let io = |e| ArtifactError::io(&self.path, e);
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .map_err(io)?;
+        let found = f.metadata().map_err(io)?.len();
+        if found != self.len {
+            return Err(ArtifactError::corrupt(
+                &self.path,
+                format!(
+                    "it is {found} bytes where this writer left {}: it changed under the writer",
+                    self.len
+                ),
+            ));
+        }
+        f.write_all(record).map_err(io)?;
+        self.len += record.len() as u64;
+        self.next = Some(t + 1);
+        Ok(())
     }
-    codec::write_envelope(path, MAGIC, ARTIFACT_VERSION, fingerprint, payload)
-        .map_err(|(p, e)| ArtifactError::io(&p, e))
 }
 
 // ---------------------------------------------------------------------------
-// Columnar payload codec.
+// Reading: one verified split of the log's bytes, shared by every reader.
 // ---------------------------------------------------------------------------
 
-fn engine_id_tag(id: EngineId) -> u8 {
-    match id {
-        EngineId::Rapid7 => 1,
-        EngineId::Censys => 2,
-        EngineId::Certigo => 3,
-    }
-}
-
-fn engine_id_from_tag(tag: u8) -> Option<EngineId> {
-    match tag {
-        1 => Some(EngineId::Rapid7),
-        2 => Some(EngineId::Censys),
-        3 => Some(EngineId::Certigo),
-        _ => None,
-    }
-}
-
-/// The interned string pool: every string the artifact carries is written
-/// once here and referenced by `u32` index, so the columns themselves are
-/// pure integers.
-#[derive(Default)]
-struct SymPool {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl SymPool {
-    fn sym(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.index.get(s) {
-            return i;
-        }
-        let i = self.strings.len() as u32;
-        self.strings.push(s.to_owned());
-        self.index.insert(s.to_owned(), i);
-        i
-    }
-}
-
-fn read_sym(d: &mut Dec, pool: &[String]) -> Result<String, CheckpointError> {
-    let i = d.u32()? as usize;
-    pool.get(i)
-        .cloned()
-        .ok_or_else(|| CheckpointError::Corrupt {
-            path: d.path.to_path_buf(),
-            detail: format!("symbol {i} out of pool range {}", pool.len()),
-        })
-}
-
-fn encode_payload(
+/// A log's bytes split into its header fields and verified record bodies.
+struct LogView<'a> {
+    fingerprint: u64,
     engine: EngineId,
-    snapshots: &[SnapshotResult],
-    netflix: &NetflixVariants,
-    ip_history: &[u32],
-    header_fps: &HeaderFingerprints,
-    reports: &[DeltaReport],
-) -> Vec<u8> {
-    let mut pool = SymPool::default();
-    let mut b = Enc::default();
-    b.u8(engine_id_tag(engine));
-    b.usize(snapshots.len());
-    // Per-snapshot scalar columns.
-    for s in snapshots {
-        b.usize(s.snapshot_idx);
-    }
-    for s in snapshots {
-        b.usize(s.total_ips_with_certs);
-    }
-    for s in snapshots {
-        b.usize(s.n_ases_with_certs);
-    }
-    // Validation column (map entries canonicalized by stable tag inside).
-    for s in snapshots {
-        encode_validation(&mut b, &s.validation);
-    }
-    // HTTP-only IP ragged column.
-    for s in snapshots {
-        b.u32s(&s.http_only_ips);
-    }
-    // Per-HG sections in ALL_HGS order: a presence column, then one
-    // contiguous sorted-integer column per field over the present cells.
-    for hg in ALL_HGS {
-        for s in snapshots {
-            b.bool(s.per_hg.contains_key(&hg));
-        }
-        let cells: Vec<&HgSnapshotResult> =
-            snapshots.iter().filter_map(|s| s.per_hg.get(&hg)).collect();
-        for h in &cells {
-            b.as_set(&h.confirmed_ases);
-        }
-        for h in &cells {
-            b.as_set(&h.candidate_ases);
-        }
-        for h in &cells {
-            b.as_set(&h.confirmed_and_ases);
-        }
-        for h in &cells {
-            b.u32s(&h.candidate_ips);
-        }
-        for h in &cells {
-            b.u32s(&h.confirmed_ips);
-        }
-        for h in &cells {
-            b.u32s(&h.cert_ip_groups);
-        }
-        for h in &cells {
-            b.usize(h.onnet_ip_count);
-        }
-        for h in &cells {
-            match h.median_cert_lifetime_days {
-                None => b.u8(0),
-                Some(v) => {
-                    b.u8(1);
-                    b.f64(v);
-                }
-            }
-        }
-        for h in &cells {
-            b.as_set(&h.with_expired_ases);
-        }
-        for h in &cells {
-            b.u32s(&h.with_expired_ips);
-        }
-    }
-    // Quality columns (strings go through the pool; maps are BTreeMaps,
-    // already canonically ordered).
-    for s in snapshots {
-        b.usize(s.quality.cert_records_seen);
-    }
-    for s in snapshots {
-        b.usize(s.quality.banners_seen);
-    }
-    for s in snapshots {
-        b.usize(s.quality.quarantined.len());
-        for (&reason, &n) in &s.quality.quarantined {
-            b.u8(record_error_tag(reason));
-            b.usize(n);
-        }
-    }
-    for s in snapshots {
-        b.usize(s.quality.degraded_hgs.len());
-        for (hg, msg) in &s.quality.degraded_hgs {
-            b.u32(pool.sym(hg));
-            b.u32(pool.sym(msg));
-        }
-    }
-    for s in snapshots {
-        match &s.quality.degraded_snapshot {
-            None => b.u8(0),
-            Some(msg) => {
-                b.u8(1);
-                b.u32(pool.sym(msg));
-            }
-        }
-    }
-    for s in snapshots {
-        b.bool(s.quality.empty_cert_snapshot);
-    }
-    // Scan-health column (class maps canonicalized by stable tag inside).
-    for s in snapshots {
-        encode_health(&mut b, &s.quality.scan);
-    }
-    // §6.2 Netflix variant columns plus the fold's cumulative IP history.
-    for column in [
-        &netflix.initial,
-        &netflix.with_expired,
-        &netflix.with_non_tls,
-    ] {
-        b.usize(column.len());
-        for &v in column {
-            b.usize(v);
-        }
-    }
-    b.u32s(ip_history);
-    // Learned header fingerprints, canonicalized by keyword.
-    let mut fps: Vec<&HeaderFingerprint> = header_fps.iter().collect();
-    fps.sort_by(|a, b| a.keyword.cmp(&b.keyword));
-    b.usize(fps.len());
-    for fp in fps {
-        b.u32(pool.sym(&fp.keyword));
-        b.usize(fp.support);
-        b.usize(fp.pairs.len());
-        for (name, value) in &fp.pairs {
-            b.u32(pool.sym(name));
-            b.u32(pool.sym(value));
-        }
-        b.usize(fp.names.len());
-        for name in &fp.names {
-            b.u32(pool.sym(name));
-        }
-    }
-    // Reuse-counter columns (empty outside the incremental mode).
-    b.usize(reports.len());
-    for r in reports {
-        b.usize(r.snapshot_idx);
-    }
-    for r in reports {
-        b.u64(r.chains_replayed);
-    }
-    for r in reports {
-        b.u64(r.chains_revalidated);
-    }
-    // The pool goes up front so the decoder can resolve symbols in one
-    // forward pass; it is only complete once the body is encoded.
-    let mut e = Enc::default();
-    e.usize(pool.strings.len());
-    for s in &pool.strings {
-        e.str(s);
-    }
-    e.buf.extend_from_slice(&b.buf);
-    e.buf
+    /// The encoded header fingerprints, decoded only by the reader that
+    /// returns them.
+    header_fps: &'a [u8],
+    records: Vec<&'a [u8]>,
+    /// The header plus every complete record; shorter than the file when
+    /// the final record is torn.
+    valid_len: usize,
 }
 
-type DecodedPayload = (
-    EngineId,
-    Vec<SnapshotResult>,
-    NetflixVariants,
-    Vec<u32>,
-    HeaderFingerprints,
-    Vec<DeltaReport>,
-);
+impl<'a> LogView<'a> {
+    /// Verify the header, then every complete record's length, checksum
+    /// and snapshot order. A final record that runs past the end (a torn
+    /// tail) ends the walk (`valid_len` tells), or is `Corrupt` when
+    /// `strict`.
+    fn split(bytes: &'a [u8], path: &Path, strict: bool) -> Result<Self, ArtifactError> {
+        let (fingerprint, header, mut rest) = codec::split_envelope(bytes, MAGIC, ARTIFACT_VERSION)
+            .map_err(|issue| header_error(issue, path))?;
+        let (&tag, header_fps) = header
+            .split_first()
+            .ok_or_else(|| ArtifactError::corrupt(path, "empty header"))?;
+        let engine = engine_from_tag(tag)
+            .ok_or_else(|| ArtifactError::corrupt(path, format!("bad engine tag {tag}")))?;
 
-fn decode_payload(payload: &[u8], path: &Path) -> Result<DecodedPayload, CheckpointError> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-        path,
-    };
-    let pool_n = d.count(8)?;
-    let mut pool = Vec::with_capacity(pool_n);
-    for _ in 0..pool_n {
-        pool.push(d.str()?);
-    }
-    let engine_tag = d.u8()?;
-    let engine = engine_id_from_tag(engine_tag).ok_or_else(|| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail: format!("bad engine tag {engine_tag}"),
-    })?;
-    let n = d.count(1)?;
-    let mut snaps: Vec<SnapshotResult> = (0..n).map(|_| SnapshotResult::default()).collect();
-    for s in &mut snaps {
-        s.snapshot_idx = d.usize()?;
-    }
-    for s in &mut snaps {
-        s.total_ips_with_certs = d.usize()?;
-    }
-    for s in &mut snaps {
-        s.n_ases_with_certs = d.usize()?;
-    }
-    for s in &mut snaps {
-        s.validation = decode_validation(&mut d)?;
-    }
-    for s in &mut snaps {
-        s.http_only_ips = d.u32s()?;
-    }
-    for hg in ALL_HGS {
-        let mut present = Vec::with_capacity(n);
-        for _ in 0..n {
-            present.push(d.bool()?);
-        }
-        let idxs: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
-        for &i in &idxs {
-            snaps[i].per_hg.insert(hg, HgSnapshotResult::default());
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").confirmed_ases = d.as_set()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").candidate_ases = d.as_set()?;
-        }
-        for &i in &idxs {
-            snaps[i]
-                .per_hg
-                .get_mut(&hg)
-                .expect("cell")
-                .confirmed_and_ases = d.as_set()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").candidate_ips = d.u32s()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").confirmed_ips = d.u32s()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").cert_ip_groups = d.u32s()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").onnet_ip_count = d.usize()?;
-        }
-        for &i in &idxs {
-            snaps[i]
-                .per_hg
-                .get_mut(&hg)
-                .expect("cell")
-                .median_cert_lifetime_days = match d.u8()? {
-                0 => None,
-                1 => Some(d.f64()?),
-                v => {
-                    return Err(CheckpointError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("bad option {v}"),
-                    })
-                }
-            };
-        }
-        for &i in &idxs {
-            snaps[i]
-                .per_hg
-                .get_mut(&hg)
-                .expect("cell")
-                .with_expired_ases = d.as_set()?;
-        }
-        for &i in &idxs {
-            snaps[i].per_hg.get_mut(&hg).expect("cell").with_expired_ips = d.u32s()?;
-        }
-    }
-    for s in &mut snaps {
-        s.quality.cert_records_seen = d.usize()?;
-    }
-    for s in &mut snaps {
-        s.quality.banners_seen = d.usize()?;
-    }
-    for s in &mut snaps {
-        for _ in 0..d.count(9)? {
-            let tag = d.u8()?;
-            let reason =
-                *RECORD_ERRORS
-                    .get(tag as usize)
-                    .ok_or_else(|| CheckpointError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("bad record-error tag {tag}"),
-                    })?;
-            s.quality.quarantined.insert(reason, d.usize()?);
-        }
-    }
-    for s in &mut snaps {
-        for _ in 0..d.count(8)? {
-            let hg = read_sym(&mut d, &pool)?;
-            let msg = read_sym(&mut d, &pool)?;
-            s.quality.degraded_hgs.insert(hg, msg);
-        }
-    }
-    for s in &mut snaps {
-        s.quality.degraded_snapshot = match d.u8()? {
-            0 => None,
-            1 => Some(read_sym(&mut d, &pool)?),
-            v => {
-                return Err(CheckpointError::Corrupt {
-                    path: path.to_path_buf(),
-                    detail: format!("bad option {v}"),
-                })
+        let mut records: Vec<&'a [u8]> = Vec::new();
+        let mut first = 0u64;
+        while rest.len() >= FRAME_HEAD {
+            let k = records.len();
+            let mut d = Dec::new(rest, path);
+            let (len, check) = (d.u64()?, d.u64()?);
+            if check != !len {
+                return Err(d.corrupt(format!("record {k}'s length field is damaged")));
             }
-        };
+            let body_len = usize::try_from(len).unwrap_or(usize::MAX);
+            let framed = body_len.saturating_add(FRAME_HEAD + FRAME_TAIL);
+            if framed > rest.len() {
+                break;
+            }
+            let (body, sum) = rest[FRAME_HEAD..framed].split_at(body_len);
+            if Sha256::digest(body)[..] != *sum {
+                return Err(d.corrupt(format!("record {k} checksum mismatch")));
+            }
+            let t = Dec::new(body, path).u64()?;
+            if k == 0 {
+                first = t;
+            } else if t != first.saturating_add(k as u64) {
+                return Err(d.corrupt(format!("record {k} holds snapshot {t} out of order")));
+            }
+            records.push(body);
+            rest = &rest[framed..];
+        }
+        if strict && !rest.is_empty() {
+            return Err(ArtifactError::corrupt(
+                path,
+                format!("the log ends {} bytes into a record", rest.len()),
+            ));
+        }
+        Ok(LogView {
+            fingerprint,
+            engine,
+            header_fps,
+            records,
+            valid_len: bytes.len() - rest.len(),
+        })
     }
-    for s in &mut snaps {
-        s.quality.empty_cert_snapshot = d.bool()?;
-    }
-    for s in &mut snaps {
-        s.quality.scan = decode_health(&mut d)?;
-    }
-    let mut netflix = NetflixVariants::default();
-    for column in [
-        &mut netflix.initial,
-        &mut netflix.with_expired,
-        &mut netflix.with_non_tls,
-    ] {
-        for _ in 0..d.count(8)? {
-            column.push(d.usize()?);
+}
+
+// ---------------------------------------------------------------------------
+// The record codec (row-wise).
+// ---------------------------------------------------------------------------
+
+fn header_bytes(engine: EngineId, fps: &HeaderFingerprints, fingerprint: u64) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.u8(engine_tag(engine));
+    // Canonicalized by keyword.
+    let mut fps: Vec<&HeaderFingerprint> = fps.iter().collect();
+    fps.sort_by(|a, b| a.keyword.cmp(&b.keyword));
+    e.usize(fps.len());
+    for fp in fps {
+        e.str(&fp.keyword);
+        e.usize(fp.support);
+        e.usize(fp.pairs.len());
+        for (name, value) in &fp.pairs {
+            e.str(name);
+            e.str(value);
+        }
+        e.usize(fp.names.len());
+        for name in &fp.names {
+            e.str(name);
         }
     }
-    let netflix_ip_history = d.u32s()?;
-    let mut header_fps = HeaderFingerprints::default();
-    for _ in 0..d.count(8)? {
-        let keyword = read_sym(&mut d, &pool)?;
+    codec::envelope(MAGIC, ARTIFACT_VERSION, fingerprint, &e.buf)
+}
+
+fn decode_header_fps(bytes: &[u8], path: &Path) -> Result<HeaderFingerprints, ArtifactError> {
+    let mut d = Dec::new(bytes, path);
+    let mut fps = HeaderFingerprints::default();
+    for _ in 0..d.count(24)? {
+        let keyword = d.str()?;
         let support = d.usize()?;
-        let mut pairs = Vec::new();
-        for _ in 0..d.count(8)? {
-            let name = read_sym(&mut d, &pool)?;
-            let value = read_sym(&mut d, &pool)?;
-            pairs.push((name, value));
-        }
-        let mut names = Vec::new();
-        for _ in 0..d.count(4)? {
-            names.push(read_sym(&mut d, &pool)?);
-        }
-        header_fps.insert(HeaderFingerprint {
+        let pairs = (0..d.count(16)?)
+            .map(|_| Ok((d.str()?, d.str()?)))
+            .collect::<Result<_, ArtifactError>>()?;
+        let names = (0..d.count(8)?)
+            .map(|_| d.str())
+            .collect::<Result<_, _>>()?;
+        fps.insert(HeaderFingerprint {
             keyword,
             pairs,
             names,
             support,
         });
     }
-    let n_reports = d.count(24)?;
-    let mut reports: Vec<DeltaReport> = Vec::with_capacity(n_reports);
-    for _ in 0..n_reports {
-        reports.push(DeltaReport::new(d.usize()?, 0, 0));
-    }
-    for r in &mut reports {
-        r.chains_replayed = d.u64()?;
-    }
-    for r in &mut reports {
-        r.chains_revalidated = d.u64()?;
-    }
     d.finish()?;
-    Ok((
-        engine,
-        snaps,
-        netflix,
-        netflix_ip_history,
-        header_fps,
-        reports,
-    ))
+    Ok(fps)
+}
+
+/// The §6.2 Netflix `(initial, with_expired, with_non_tls)` triple.
+type NetflixTriple = (usize, usize, usize);
+
+/// A covered snapshot's record: its result, Netflix triple, and reuse
+/// counters when present.
+type Recorded = (SnapshotResult, NetflixTriple, Option<DeltaReport>);
+
+/// One framed record: length, complement, body, checksum.
+fn encode_record(
+    t: usize,
+    recorded: Option<(&SnapshotResult, NetflixTriple, Option<DeltaReport>)>,
+) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.buf.resize(FRAME_HEAD, 0);
+    e.usize(t);
+    e.bool(recorded.is_some());
+    if let Some((result, (initial, with_expired, with_non_tls), report)) = recorded {
+        e.usize(initial);
+        e.usize(with_expired);
+        e.usize(with_non_tls);
+        e.bool(report.is_some());
+        if let Some(r) = report {
+            e.u64(r.chains_replayed);
+            e.u64(r.chains_revalidated);
+        }
+        encode_result(&mut e, result);
+    }
+    let len = (e.buf.len() - FRAME_HEAD) as u64;
+    e.buf[..8].copy_from_slice(&len.to_le_bytes());
+    e.buf[8..FRAME_HEAD].copy_from_slice(&(!len).to_le_bytes());
+    let sum = Sha256::digest(&e.buf[FRAME_HEAD..]);
+    e.buf.extend_from_slice(&sum);
+    e.buf
+}
+
+/// A record's snapshot index, and what it recorded unless the snapshot
+/// was skipped.
+fn decode_record(body: &[u8], path: &Path) -> Result<(usize, Option<Recorded>), ArtifactError> {
+    let mut d = Dec::new(body, path);
+    let t = d.usize()?;
+    let recorded = if d.bool()? {
+        let netflix = (d.usize()?, d.usize()?, d.usize()?);
+        let report = if d.bool()? {
+            Some(DeltaReport::new(t, d.u64()?, d.u64()?))
+        } else {
+            None
+        };
+        Some((decode_result(&mut d)?, netflix, report))
+    } else {
+        None
+    };
+    d.finish()?;
+    Ok((t, recorded))
+}
+
+fn encode_result(e: &mut Enc, r: &SnapshotResult) {
+    e.usize(r.snapshot_idx);
+    e.usize(r.total_ips_with_certs);
+    e.usize(r.n_ases_with_certs);
+    encode_validation(e, &r.validation);
+    // `per_hg` is a HashMap: canonicalize to ALL_HGS order with a
+    // presence flag per HG.
+    for hg in ALL_HGS {
+        let cell = r.per_hg.get(&hg);
+        e.bool(cell.is_some());
+        if let Some(h) = cell {
+            encode_hg_result(e, h);
+        }
+    }
+    e.u32s(&r.http_only_ips);
+    encode_quality(e, &r.quality);
+}
+
+fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
+    let snapshot_idx = d.usize()?;
+    let total_ips_with_certs = d.usize()?;
+    let n_ases_with_certs = d.usize()?;
+    let validation = decode_validation(d)?;
+    let mut per_hg = std::collections::HashMap::new();
+    for hg in ALL_HGS {
+        if d.bool()? {
+            per_hg.insert(hg, decode_hg_result(d)?);
+        }
+    }
+    Ok(SnapshotResult {
+        snapshot_idx,
+        total_ips_with_certs,
+        n_ases_with_certs,
+        validation,
+        per_hg,
+        http_only_ips: d.u32s()?,
+        quality: decode_quality(d)?,
+    })
+}
+
+fn encode_hg_result(e: &mut Enc, h: &HgSnapshotResult) {
+    e.as_set(&h.candidate_ases);
+    e.as_set(&h.confirmed_ases);
+    e.as_set(&h.confirmed_and_ases);
+    e.u32s(&h.candidate_ips);
+    e.u32s(&h.confirmed_ips);
+    e.u32s(&h.cert_ip_groups);
+    e.usize(h.onnet_ip_count);
+    e.bool(h.median_cert_lifetime_days.is_some());
+    if let Some(v) = h.median_cert_lifetime_days {
+        e.f64(v);
+    }
+    e.as_set(&h.with_expired_ases);
+    e.u32s(&h.with_expired_ips);
+}
+
+fn decode_hg_result(d: &mut Dec) -> Result<HgSnapshotResult, ArtifactError> {
+    Ok(HgSnapshotResult {
+        candidate_ases: d.as_set()?,
+        confirmed_ases: d.as_set()?,
+        confirmed_and_ases: d.as_set()?,
+        candidate_ips: d.u32s()?,
+        confirmed_ips: d.u32s()?,
+        cert_ip_groups: d.u32s()?,
+        onnet_ip_count: d.usize()?,
+        median_cert_lifetime_days: if d.bool()? { Some(d.f64()?) } else { None },
+        with_expired_ases: d.as_set()?,
+        with_expired_ips: d.u32s()?,
+    })
+}
+
+fn encode_quality(e: &mut Enc, q: &DataQualityReport) {
+    e.usize(q.cert_records_seen);
+    e.usize(q.banners_seen);
+    e.usize(q.quarantined.len());
+    for (&reason, &n) in &q.quarantined {
+        e.u8(record_error_tag(reason));
+        e.usize(n);
+    }
+    e.usize(q.degraded_hgs.len());
+    for (hg, msg) in &q.degraded_hgs {
+        e.str(hg);
+        e.str(msg);
+    }
+    e.bool(q.degraded_snapshot.is_some());
+    if let Some(msg) = &q.degraded_snapshot {
+        e.str(msg);
+    }
+    e.bool(q.empty_cert_snapshot);
+    encode_health(e, &q.scan);
+}
+
+fn decode_quality(d: &mut Dec) -> Result<DataQualityReport, ArtifactError> {
+    let cert_records_seen = d.usize()?;
+    let banners_seen = d.usize()?;
+    let mut quarantined = std::collections::BTreeMap::new();
+    for _ in 0..d.count(9)? {
+        let tag = d.u8()?;
+        let reason = *RECORD_ERRORS
+            .get(tag as usize)
+            .ok_or_else(|| d.corrupt(format!("bad record-error tag {tag}")))?;
+        quarantined.insert(reason, d.usize()?);
+    }
+    let mut degraded_hgs = std::collections::BTreeMap::new();
+    for _ in 0..d.count(16)? {
+        degraded_hgs.insert(d.str()?, d.str()?);
+    }
+    Ok(DataQualityReport {
+        cert_records_seen,
+        banners_seen,
+        quarantined,
+        degraded_hgs,
+        degraded_snapshot: if d.bool()? { Some(d.str()?) } else { None },
+        empty_cert_snapshot: d.bool()?,
+        scan: decode_health(d)?,
+    })
+}
+
+fn encode_health(e: &mut Enc, h: &ScanHealth) {
+    e.usize(h.targets);
+    e.usize(h.attempts);
+    e.usize(h.retries);
+    e.usize(h.recovered);
+    for map in [&h.base_lost, &h.gave_up] {
+        e.usize(map.len());
+        for (&class, &n) in map {
+            e.u8(transient_tag(class));
+            e.usize(n);
+        }
+    }
+    e.usize(h.breaker_opens);
+    e.usize(h.unreachable);
+    e.u64(h.backoff_wait_s);
+}
+
+fn decode_health(d: &mut Dec) -> Result<ScanHealth, ArtifactError> {
+    let mut h = ScanHealth {
+        targets: d.usize()?,
+        attempts: d.usize()?,
+        retries: d.usize()?,
+        recovered: d.usize()?,
+        ..Default::default()
+    };
+    for map in [&mut h.base_lost, &mut h.gave_up] {
+        for _ in 0..d.count(9)? {
+            let tag = d.u8()?;
+            let class = *TransientClass::ALL
+                .get(tag as usize)
+                .ok_or_else(|| d.corrupt(format!("bad transient tag {tag}")))?;
+            map.insert(class, d.usize()?);
+        }
+    }
+    h.breaker_opens = d.usize()?;
+    h.unreachable = d.usize()?;
+    h.backoff_wait_s = d.u64()?;
+    Ok(h)
 }
 
 // ---------------------------------------------------------------------------
 // Borrowed table view: the query layer's load path.
 // ---------------------------------------------------------------------------
 
-fn skip_str(d: &mut Dec) -> Result<(), CheckpointError> {
-    let n = d.count(1)?;
-    d.take(n)?;
-    Ok(())
-}
-
-/// Consume one `u32s`/`as_set` run and return its raw LE word bytes.
-fn take_u32_run<'b>(d: &mut Dec<'b>) -> Result<&'b [u8], CheckpointError> {
-    let n = d.count(4)?;
-    d.take(n * 4)
-}
-
-fn skip_validation(d: &mut Dec) -> Result<(), CheckpointError> {
+fn skip_validation(d: &mut Dec) -> Result<(), ArtifactError> {
     d.take(16)?; // total_records, valid
     let n = d.count(9)?;
     d.take(n * 9)?; // tag u8 + count u64 per entry
     Ok(())
 }
 
-fn skip_health(d: &mut Dec) -> Result<(), CheckpointError> {
-    d.take(32)?; // targets, attempts, retries, recovered
-    for _ in 0..2 {
-        let n = d.count(9)?;
-        d.take(n * 9)?; // class tag u8 + count u64 per entry
-    }
-    d.take(24)?; // breaker_opens, unreachable, backoff_wait_s
-    Ok(())
-}
-
-fn iter_le_u32(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-}
-
 /// Exactly the columns the query layer freezes, borrowed straight from
-/// one loaded payload buffer: per-cell confirmed/candidate AS runs as raw
+/// one loaded log: per-cell confirmed/candidate AS runs as raw
 /// little-endian word slices, the processed-snapshot index column, and
 /// the §6.2 Netflix variant series. [`Self::parse`] makes one forward
-/// pass over the payload and *skips* everything else — no symbol pool
-/// materialization, no `BTreeSet` or [`SnapshotResult`] construction —
-/// which is what makes a query-server cold start cheap
-/// (`BENCH_query.json` tracks the load median).
+/// pass over the records and *skips* everything else — no `BTreeSet` or
+/// [`SnapshotResult`] construction — which is what makes a query-server
+/// cold start cheap (perfbench's `query` workload times it as
+/// `query.load_ms`).
 ///
 /// Cells are snapshot-major, `row * ALL_HGS.len() + hg_position`,
-/// matching the query layer's layout; a cell absent from the artifact is
-/// an empty slice.
+/// matching the query layer's layout; a cell absent from the log is an
+/// empty slice.
 pub struct ArtifactTables<'a> {
     engine: EngineId,
     snapshot_idxs: Vec<u32>,
@@ -1015,131 +841,58 @@ pub struct ArtifactTables<'a> {
 }
 
 impl<'a> ArtifactTables<'a> {
-    /// One validating forward pass over a payload from
-    /// [`read_artifact_payload`]. The walk visits every field (so
-    /// truncation and bad counts surface as typed errors exactly as the
-    /// full decode would report them) but only the query columns are
+    /// One validating pass over a log from [`read_artifact_payload`]:
+    /// the header and every record's framing and checksum are verified
+    /// (a torn tail is `Corrupt`), and only the query columns are
     /// retained, as borrowed slices.
-    pub fn parse(payload: &'a [u8], path: &'a Path) -> Result<Self, ArtifactError> {
-        let mut d = Dec {
-            buf: payload,
-            pos: 0,
-            path,
+    pub fn parse(bytes: &'a [u8], path: &'a Path) -> Result<Self, ArtifactError> {
+        let view = LogView::split(bytes, path, true)?;
+        let cells = view.records.len() * ALL_HGS.len();
+        let mut tables = ArtifactTables {
+            engine: view.engine,
+            snapshot_idxs: Vec::with_capacity(view.records.len()),
+            confirmed: Vec::with_capacity(cells),
+            candidate: Vec::with_capacity(cells),
+            netflix: Default::default(),
         };
-        let pool_n = d.count(8)?;
-        for _ in 0..pool_n {
-            skip_str(&mut d)?;
-        }
-        let engine_tag = d.u8()?;
-        let engine = engine_id_from_tag(engine_tag).ok_or_else(|| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("bad engine tag {engine_tag}"),
-        })?;
-        let n = d.count(1)?;
-        let mut snapshot_idxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            snapshot_idxs.push(d.usize()? as u32);
-        }
-        d.take(n * 8)?; // total_ips_with_certs column
-        d.take(n * 8)?; // n_ases_with_certs column
-        for _ in 0..n {
-            skip_validation(&mut d)?;
-        }
-        for _ in 0..n {
-            take_u32_run(&mut d)?; // http_only_ips
-        }
-
-        let hg_n = ALL_HGS.len();
-        let empty: &'a [u8] = &payload[..0];
-        let mut confirmed: Vec<&'a [u8]> = vec![empty; n * hg_n];
-        let mut candidate: Vec<&'a [u8]> = vec![empty; n * hg_n];
-        for hg_i in 0..hg_n {
-            let mut present = Vec::with_capacity(n);
-            for _ in 0..n {
-                present.push(d.bool()?);
+        for body in view.records {
+            let mut d = Dec::new(body, path);
+            let idx = d.u64()?;
+            if !d.bool()? {
+                continue;
             }
-            let rows: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
-            for &row in &rows {
-                confirmed[row * hg_n + hg_i] = take_u32_run(&mut d)?;
-            }
-            for &row in &rows {
-                candidate[row * hg_n + hg_i] = take_u32_run(&mut d)?;
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // confirmed_and_ases
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // candidate_ips
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // confirmed_ips
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // cert_ip_groups
-            }
-            d.take(rows.len() * 8)?; // onnet_ip_count column
-            for _ in &rows {
-                // median_cert_lifetime_days option
-                if d.u8()? == 1 {
-                    d.take(8)?;
-                }
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // with_expired_ases
-            }
-            for _ in &rows {
-                take_u32_run(&mut d)?; // with_expired_ips
-            }
-        }
-
-        d.take(n * 8)?; // cert_records_seen column
-        d.take(n * 8)?; // banners_seen column
-        for _ in 0..n {
-            let k = d.count(9)?;
-            d.take(k * 9)?; // quarantined entries
-        }
-        for _ in 0..n {
-            let k = d.count(8)?;
-            d.take(k * 8)?; // degraded_hgs (two pooled syms each)
-        }
-        for _ in 0..n {
-            // degraded_snapshot option (pooled sym)
-            if d.u8()? == 1 {
-                d.take(4)?;
-            }
-        }
-        d.take(n)?; // empty_cert_snapshot bools
-        for _ in 0..n {
-            skip_health(&mut d)?;
-        }
-
-        let mut netflix: [Vec<u64>; 3] = Default::default();
-        for column in netflix.iter_mut() {
-            let k = d.count(8)?;
-            for _ in 0..k {
+            let idx = u32::try_from(idx).map_err(|_| d.corrupt(format!("snapshot {idx}")))?;
+            tables.snapshot_idxs.push(idx);
+            for column in tables.netflix.iter_mut() {
                 column.push(d.u64()?);
             }
+            if d.bool()? {
+                d.take(16)?; // chains_replayed, chains_revalidated
+            }
+            d.take(24)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
+            skip_validation(&mut d)?;
+            for _ in ALL_HGS {
+                if !d.bool()? {
+                    tables.candidate.push(&[]);
+                    tables.confirmed.push(&[]);
+                    continue;
+                }
+                tables.candidate.push(d.u32_run()?);
+                tables.confirmed.push(d.u32_run()?);
+                for _ in 0..4 {
+                    d.u32_run()?; // confirmed_and_ases, candidate/confirmed IPs, cert groups
+                }
+                d.take(8)?; // onnet_ip_count
+                if d.bool()? {
+                    d.take(8)?; // median_cert_lifetime_days
+                }
+                d.u32_run()?; // with_expired_ases
+                d.u32_run()?; // with_expired_ips
+            }
+            // The HTTP-only IPs and the quality report that follow are not
+            // queried; the record's checksum already vouched for them.
         }
-        take_u32_run(&mut d)?; // netflix_ip_history
-        let n_fps = d.count(8)?;
-        for _ in 0..n_fps {
-            d.take(12)?; // keyword sym + support
-            let pairs = d.count(8)?;
-            d.take(pairs * 8)?; // two pooled syms each
-            let names = d.count(4)?;
-            d.take(names * 4)?;
-        }
-        let n_reports = d.count(24)?;
-        d.take(n_reports * 8)?; // snapshot_idx column
-        d.take(n_reports * 16)?; // chains_replayed + chains_revalidated
-        d.finish()?;
-        Ok(ArtifactTables {
-            engine,
-            snapshot_idxs,
-            confirmed,
-            candidate,
-            netflix,
-        })
+        Ok(tables)
     }
 
     pub fn engine(&self) -> EngineId {
@@ -1180,11 +933,12 @@ mod tests {
     use crate::errors::RecordError;
     use crate::validate::InvalidReason;
     use proptest::prelude::*;
-    use scanner::TransientClass;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use x509::ChainError;
 
-    /// A process-unique temp path per test.
+    const REMEDY: &str = "delete the log or pass --no-resume";
+
+    /// A process-unique temp path per call.
     fn temp_artifact_path() -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
         std::env::temp_dir().join(format!(
@@ -1194,20 +948,37 @@ mod tests {
         ))
     }
 
-    fn canonical_bytes(a: &StudyArtifact) -> Vec<u8> {
-        encode_payload(
-            a.engine,
-            &a.snapshots,
-            &a.netflix,
-            &a.netflix_ip_history,
-            &a.header_fps,
-            &a.reports,
-        )
+    /// The log `a` writes. No `PartialEq` on the payload structs;
+    /// byte equality is the codec's own (stronger) notion of identity.
+    fn log_bytes(a: &StudyArtifact) -> Vec<u8> {
+        let path = temp_artifact_path();
+        a.write(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        bytes
     }
 
-    /// An artifact exercising every codec branch: present and absent HG
-    /// cells, every quality map, pooled strings shared across snapshots,
-    /// header fingerprints, and reuse reports.
+    /// The first `k` snapshots of `a`.
+    fn prefix(a: &StudyArtifact, k: usize) -> StudyArtifact {
+        StudyArtifact {
+            snapshots: a.snapshots[..k].to_vec(),
+            netflix: NetflixVariants {
+                initial: a.netflix.initial[..k].to_vec(),
+                with_expired: a.netflix.with_expired[..k].to_vec(),
+                with_non_tls: a.netflix.with_non_tls[..k].to_vec(),
+            },
+            reports: a.reports[..k].to_vec(),
+            ..a.clone()
+        }
+    }
+
+    fn builder_for(a: &StudyArtifact) -> ArtifactBuilder {
+        ArtifactBuilder::new(a.engine, a.header_fps.clone(), a.fingerprint)
+    }
+
+    /// A log exercising every codec branch: present and absent HG cells,
+    /// every quality map, header fingerprints, and reuse reports, over
+    /// three consecutive snapshots.
     fn dense_artifact() -> StudyArtifact {
         let mut a = SnapshotResult {
             snapshot_idx: 3,
@@ -1245,6 +1016,10 @@ mod tests {
         a.quality.scan.attempts = 410;
         a.quality.scan.retries = 10;
         a.quality.scan.base_lost.insert(TransientClass::Timeout, 2);
+        a.quality
+            .scan
+            .gave_up
+            .insert(TransientClass::RateLimited, 1);
         a.quality.scan.backoff_wait_s = 12;
 
         let mut b = SnapshotResult {
@@ -1252,12 +1027,15 @@ mod tests {
             ..Default::default()
         };
         b.per_hg.insert(Hg::Netflix, cell);
-        // A repeated string must intern to one pool entry.
         b.quality
             .degraded_hgs
             .insert("Google".to_owned(), "boom".to_owned());
         b.quality.degraded_snapshot = Some("worker panic".to_owned());
         b.quality.empty_cert_snapshot = true;
+
+        let mut c = a.clone();
+        c.snapshot_idx = 5;
+        c.http_only_ips = vec![9, 11];
 
         let mut header_fps = HeaderFingerprints::default();
         header_fps.insert(HeaderFingerprint {
@@ -1276,15 +1054,18 @@ mod tests {
         StudyArtifact {
             engine: EngineId::Rapid7,
             fingerprint: 0x1234_5678_9abc_def0,
-            snapshots: vec![a, b],
+            snapshots: vec![a, b, c],
             netflix: NetflixVariants {
-                initial: vec![3, 4],
-                with_expired: vec![5, 6],
-                with_non_tls: vec![5, 7],
+                initial: vec![3, 4, 2],
+                with_expired: vec![5, 6, 3],
+                with_non_tls: vec![5, 7, 4],
             },
-            netflix_ip_history: vec![1, 2, 9],
             header_fps,
-            reports: vec![DeltaReport::new(3, 0, 800), DeltaReport::new(4, 700, 100)],
+            reports: vec![
+                DeltaReport::new(3, 0, 800),
+                DeltaReport::new(4, 700, 100),
+                DeltaReport::new(5, 750, 50),
+            ],
         }
     }
 
@@ -1294,20 +1075,17 @@ mod tests {
         let artifact = dense_artifact();
         artifact.write(&path).unwrap();
         let loaded = StudyArtifact::load(&path).unwrap();
-        // No `PartialEq` on the payload structs; canonical-bytes equality
-        // is the codec's own (stronger) notion of identity.
-        assert_eq!(canonical_bytes(&loaded), canonical_bytes(&artifact));
+        assert_eq!(log_bytes(&loaded), log_bytes(&artifact));
         assert_eq!(loaded.fingerprint, artifact.fingerprint);
         assert_eq!(loaded.engine, EngineId::Rapid7);
-        assert_eq!(loaded.snapshots.len(), 2);
+        assert_eq!(loaded.snapshots.len(), 3);
         assert_eq!(
             loaded.snapshots[0].per_hg[&Hg::Google].median_cert_lifetime_days,
             Some(90.25)
         );
         assert!(!loaded.snapshots[1].per_hg.contains_key(&Hg::Google));
-        assert_eq!(loaded.netflix_ip_history, vec![1, 2, 9]);
-        assert_eq!(loaded.reports.len(), 2);
-        assert_eq!(loaded.reports[1].chains_replayed, 700);
+        assert_eq!(loaded.netflix.with_non_tls, vec![5, 7, 4]);
+        assert_eq!(loaded.reports, artifact.reports);
         assert_eq!(
             loaded.header_fps.get("google").unwrap().pairs,
             vec![("server".to_owned(), "gws".to_owned())]
@@ -1320,9 +1098,9 @@ mod tests {
         let path = temp_artifact_path();
         let artifact = dense_artifact();
         artifact.write(&path).unwrap();
-        let (fp, payload) = read_artifact_payload(&path).unwrap();
+        let (fp, bytes) = read_artifact_payload(&path).unwrap();
         assert_eq!(fp, artifact.fingerprint);
-        let tables = ArtifactTables::parse(&payload, &path).unwrap();
+        let tables = ArtifactTables::parse(&bytes, &path).unwrap();
         assert_eq!(tables.engine(), artifact.engine);
         assert_eq!(tables.n_rows(), artifact.snapshots.len());
         for (row, snap) in artifact.snapshots.iter().enumerate() {
@@ -1340,17 +1118,15 @@ mod tests {
             }
         }
         let nf = tables.netflix_columns();
-        assert_eq!(nf[0], vec![3, 4]);
-        assert_eq!(nf[2], vec![5, 7]);
+        assert_eq!(nf[0], vec![3, 4, 2]);
+        assert_eq!(nf[2], vec![5, 7, 4]);
 
-        // The skipping walk still validates: corrupt payloads are typed.
-        let mut bad = payload.clone();
+        // The walk verifies every record: damage is typed.
+        let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
-        // (Checksum already caught at envelope level; parse the raw bytes
-        // directly to exercise the walk's own bounds checks.)
-        let _ = ArtifactTables::parse(&bad, &path); // must not panic
-        let truncated = &payload[..payload.len() - 9];
+        assert!(ArtifactTables::parse(&bad, &path).is_err());
+        let truncated = &bytes[..bytes.len() - 9];
         assert!(ArtifactTables::parse(truncated, &path).is_err());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1361,7 +1137,7 @@ mod tests {
         dense_artifact().write(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
 
-        // Flip one payload byte: checksum mismatch.
+        // Flip one byte of a record: checksum mismatch.
         let mut bytes = clean.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -1370,12 +1146,10 @@ mod tests {
         assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
         assert!(err.to_string().ends_with(REMEDY), "{err}");
 
-        // Truncate: declared length exceeds the file.
+        // Truncate: the last record runs past the end.
         std::fs::write(&path, &clean[..clean.len() - 10]).unwrap();
-        assert!(matches!(
-            StudyArtifact::load(&path).unwrap_err(),
-            ArtifactError::Corrupt { .. }
-        ));
+        let err = StudyArtifact::load(&path).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
 
         // Garbage magic.
         std::fs::write(&path, b"NOTANART-xxxxxxxxxxxxxxxxxxxxxxx").unwrap();
@@ -1388,9 +1162,12 @@ mod tests {
     #[test]
     fn version_and_config_mismatches_are_typed() {
         let path = temp_artifact_path();
-        dense_artifact().write(&path).unwrap();
+        let artifact = dense_artifact();
+        artifact.write(&path).unwrap();
 
-        let err = StudyArtifact::load_expecting(&path, 99).unwrap_err();
+        let err = ArtifactBuilder::new(artifact.engine, artifact.header_fps.clone(), 99)
+            .open_log(path.clone(), 3..=5)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1403,10 +1180,10 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().ends_with(REMEDY), "{err}");
-        // Without an expectation the carried fingerprint is accepted.
+        // Readers accept whatever fingerprint the log carries.
         assert!(StudyArtifact::load(&path).is_ok());
 
-        // Patch the version field (before the checksummed payload).
+        // Patch the version field (read before the header checksum).
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&77u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -1427,37 +1204,199 @@ mod tests {
     }
 
     #[test]
+    fn resume_version_and_config_mismatches_are_typed() {
+        let path = temp_artifact_path();
+        let artifact = dense_artifact();
+        artifact.write(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+
+        // A run of another configuration refuses the log, every time, and
+        // leaves it untouched for the run it belongs to.
+        for _ in 0..2 {
+            let err = ArtifactBuilder::new(artifact.engine, artifact.header_fps.clone(), 43)
+                .open_log(path.clone(), 3..=5)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ArtifactError::ConfigMismatch {
+                        found: 0x1234_5678_9abc_def0,
+                        expected: 43,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().ends_with(REMEDY), "{err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), clean);
+        assert_eq!(
+            builder_for(&artifact)
+                .open_log(path.clone(), 3..=5)
+                .unwrap()
+                .len(),
+            3
+        );
+
+        // A log of another format version is refused on resume too.
+        let mut bytes = clean;
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = builder_for(&artifact)
+            .open_log(path.clone(), 3..=5)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ArtifactError::VersionMismatch {
+                    found: 99,
+                    expected: ARTIFACT_VERSION,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().ends_with(REMEDY), "{err}");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn builder_adopts_its_own_artifact_exactly() {
         let path = temp_artifact_path();
         let artifact = dense_artifact();
         artifact.write(&path).unwrap();
-        let mut builder = ArtifactBuilder::new(
-            artifact.engine,
-            artifact.header_fps.clone(),
-            artifact.fingerprint,
+
+        // A builder that already holds a result: opening replaces it.
+        let mut builder = builder_for(&artifact);
+        builder.push_snapshot(artifact.snapshots[0].clone(), |_| Vec::new());
+        let adopted = builder.open_log(path.clone(), 3..=5).unwrap();
+        let reports: Vec<DeltaReport> = adopted.iter().filter_map(|a| a.report).collect();
+        assert!(adopted.iter().all(|a| a.processed));
+        assert_eq!(reports, artifact.reports);
+        let (series, _) = builder.finish();
+        let adopted_artifact = StudyArtifact {
+            snapshots: series.snapshots,
+            netflix: series.netflix,
+            ..artifact.clone()
+        };
+        assert_eq!(log_bytes(&adopted_artifact), log_bytes(&artifact));
+
+        // A shifted start: the earlier record feeds only the fold's
+        // certificate history.
+        let mut shifted = builder_for(&artifact);
+        assert_eq!(shifted.open_log(path.clone(), 4..=5).unwrap().len(), 2);
+        assert_eq!(shifted.fold.variants.initial, vec![4, 2]);
+        let history: BTreeSet<u32> = shifted.fold.ip_history.iter().copied().collect();
+        assert_eq!(history, [1, 2, 9].into_iter().collect());
+
+        // A range the log cannot continue: a gap, or a start before it.
+        for range in [7..=9, 2..=5] {
+            let err = builder_for(&artifact)
+                .open_log(path.clone(), range)
+                .unwrap_err();
+            assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn skipped_marker_round_trips() {
+        let path = temp_artifact_path();
+        let mut artifact = prefix(&dense_artifact(), 3);
+        artifact.snapshots.remove(1); // snapshot 4 becomes a skip marker
+        artifact.netflix.initial.remove(1);
+        artifact.netflix.with_expired.remove(1);
+        artifact.netflix.with_non_tls.remove(1);
+        artifact.reports.remove(1);
+        artifact.write(&path).unwrap();
+
+        let loaded = StudyArtifact::load(&path).unwrap();
+        assert_eq!(log_bytes(&loaded), log_bytes(&artifact));
+        let mut builder = builder_for(&artifact);
+        let adopted: Vec<(usize, bool)> = builder
+            .open_log(path.clone(), 3..=5)
+            .unwrap()
+            .iter()
+            .map(|a| (a.snapshot_idx, a.processed))
+            .collect();
+        assert_eq!(adopted, vec![(3, true), (4, false), (5, true)]);
+
+        // Appends continue the snapshot sequence, and only it.
+        let len = std::fs::metadata(&path).unwrap().len();
+        builder.record_skip(6).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > len);
+        let err = builder.record_skip(8).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
+        // A clone's appends change the file under the original writer.
+        let mut clone = builder.clone();
+        clone.record_skip(7).unwrap();
+        let err = builder.record_skip(7).unwrap_err();
+        assert!(
+            err.to_string().contains("changed under the writer"),
+            "{err}"
         );
-        assert_eq!(builder.adopt_from_path(&path).unwrap(), 2);
-        assert_eq!(
-            canonical_bytes(&builder.artifact()),
-            canonical_bytes(&artifact)
-        );
-        // Adopting into a non-empty builder only attaches the path.
-        let mut busy = ArtifactBuilder::new(
-            artifact.engine,
-            artifact.header_fps.clone(),
-            artifact.fingerprint,
-        );
-        busy.adopt_checkpoint(&SnapshotCheckpoint::skipped(0, vec![1]));
-        busy.push_report(DeltaReport::new(0, 0, 0));
-        let before = busy.reports().len();
-        assert_eq!(busy.adopt_from_path(&path).unwrap(), 0);
-        assert_eq!(busy.reports().len(), before);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// Cut a small dense log at every byte offset, and flip every byte:
+    /// the strict readers (`StudyArtifact::load`, and
+    /// `read_artifact_payload` with `ArtifactTables::parse`) return the
+    /// first k records exactly at a record boundary and a typed error
+    /// anywhere else; resume adopts the records before the cut and cuts
+    /// the torn tail off, or fails typed inside the header. Every flip —
+    /// header included — is an error for all three.
+    #[test]
+    fn every_truncation_and_flip_is_typed() {
+        let full = dense_artifact();
+        let whole = log_bytes(&full);
+        let boundaries: Vec<usize> = (0..=full.snapshots.len())
+            .map(|k| log_bytes(&prefix(&full, k)).len())
+            .collect();
+        assert_eq!(boundaries.last(), Some(&whole.len()));
+        let path = temp_artifact_path();
+        full.write(&path).unwrap();
+        let tables_rows = |path: &Path| {
+            read_artifact_payload(path)
+                .and_then(|(_, bytes)| ArtifactTables::parse(&bytes, path).map(|t| t.n_rows()))
+        };
+        let reopen = |path: &Path| builder_for(&full).open_log(path.to_path_buf(), 3..=5);
+
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let loaded = StudyArtifact::load(&path);
+            let rows = tables_rows(&path);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(k) => {
+                    assert_eq!(log_bytes(&loaded.unwrap()), whole[..cut], "cut at {cut}");
+                    assert_eq!(rows.unwrap(), k, "cut at {cut}");
+                }
+                None => {
+                    assert!(loaded.is_err(), "cut at {cut} loaded");
+                    assert!(rows.is_err(), "cut at {cut} parsed");
+                }
+            }
+            match boundaries.iter().rposition(|&b| b <= cut) {
+                Some(k) => {
+                    assert_eq!(reopen(&path).unwrap().len(), k, "cut at {cut}");
+                    let len = std::fs::metadata(&path).unwrap().len();
+                    assert_eq!(len as usize, boundaries[k], "cut at {cut}: torn tail kept");
+                }
+                None => assert!(reopen(&path).is_err(), "cut at {cut} reopened"),
+            }
+        }
+        for i in 0..whole.len() {
+            let mut flipped = whole.clone();
+            flipped[i] ^= 0xff;
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(StudyArtifact::load(&path).is_err(), "flip at {i} loaded");
+            assert!(tables_rows(&path).is_err(), "flip at {i} parsed");
+            assert!(reopen(&path).is_err(), "flip at {i} reopened");
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// Deterministic structured generator (splitmix64): the shimmed
-    /// proptest drives scalars, each seed maps to one randomized
-    /// artifact.
+    /// proptest drives scalars, each seed maps to one randomized log.
     struct Gen(u64);
 
     impl Gen {
@@ -1486,7 +1425,6 @@ mod tests {
         }
 
         fn string(&mut self) -> String {
-            // A tiny vocabulary on purpose: repeated strings must intern.
             const WORDS: [&str; 5] = ["google", "netflix", "boom", "worker panic", ""];
             WORDS[self.below(WORDS.len() as u64) as usize].to_owned()
         }
@@ -1582,12 +1520,6 @@ mod tests {
                     with_expired: (0..n).map(|_| self.below(80) as usize).collect(),
                     with_non_tls: (0..n).map(|_| self.below(99) as usize).collect(),
                 },
-                netflix_ip_history: {
-                    let mut v = self.ips();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                },
                 header_fps,
                 reports,
             }
@@ -1595,16 +1527,16 @@ mod tests {
     }
 
     proptest! {
-        /// Build → write → load → re-encode is the identity on canonical
-        /// bytes (the round-trip law behind the render byte-identity that
-        /// `tests/artifact.rs` pins end to end).
+        /// Write → load → write is the identity on the log's bytes (the
+        /// round-trip law behind the render byte-identity that
+        /// `tests/study_log.rs` pins end to end).
         #[test]
         fn artifact_round_trips(seed in any::<u64>()) {
             let artifact = Gen(seed).artifact();
             let path = temp_artifact_path();
             artifact.write(&path).unwrap();
             let loaded = StudyArtifact::load(&path).unwrap();
-            prop_assert_eq!(canonical_bytes(&loaded), canonical_bytes(&artifact));
+            prop_assert_eq!(log_bytes(&loaded), log_bytes(&artifact));
             prop_assert_eq!(loaded.fingerprint, artifact.fingerprint);
             std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
         }

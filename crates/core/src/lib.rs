@@ -19,8 +19,9 @@
 //! corpus, or [`shard`]'s spilled segments — and [`study`] runs a full
 //! longitudinal series (including the Netflix restoration analyses of
 //! §6.2) against a simulated world: one driver, whose [`StudyMode`]
-//! (sequential, parallel, or incremental), sharding, and checkpoint
-//! directory are independent options on [`StudyConfig`].
+//! (sequential, parallel, or incremental), sharding, and study log
+//! ([`artifact`]) are independent options on [`StudyConfig`]. `codec`
+//! is the one on-disk codec the study log and [`shard`]'s segments share.
 //!
 //! ```no_run
 //! use hgsim::{Hg, HgWorld, ScenarioConfig};
@@ -41,7 +42,6 @@
 pub mod artifact;
 pub mod baselines;
 pub mod candidates;
-pub mod checkpoint;
 pub(crate) mod codec;
 pub mod confirm;
 pub mod corpus;
@@ -57,13 +57,11 @@ pub mod validation_cache;
 mod wordhash;
 
 pub use artifact::{
-    artifact_fingerprint, read_artifact_payload, ArtifactBuilder, ArtifactError, ArtifactTables,
+    artifact_fingerprint, read_artifact_payload, Adopted, ArtifactBuilder, ArtifactTables,
     StudyArtifact, ARTIFACT_VERSION,
 };
 pub use candidates::{find_candidates, CandidateSet};
-pub use checkpoint::{
-    study_fingerprint, CheckpointError, CheckpointStore, SnapshotCheckpoint, CHECKPOINT_VERSION,
-};
+pub use codec::ArtifactError;
 pub use confirm::{
     confirm_candidates, BannerIndex, BannerQuality, CompiledFingerprint, CompiledFingerprints,
     ConfirmMode, ConfirmedSet, Port,

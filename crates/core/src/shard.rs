@@ -24,8 +24,8 @@
 //! exactly the monolithic result. `render_study` output is byte-identical
 //! across the two paths; `tests/sharded.rs` pins this.
 //!
-//! Segments are checksummed, fingerprinted and written atomically (tmp +
-//! rename), mirroring [`CheckpointStore`](crate::CheckpointStore): a
+//! Segments are one checksummed, fingerprinted envelope of the shared
+//! codec (the `codec` module), written atomically (tmp + rename): a
 //! killed producer resumes by *reusing* every valid segment on disk —
 //! admitting (not rescanning) those chunks keeps the scan-health and
 //! fault ledgers exact — and rebuilding only what is missing or stale.
@@ -63,10 +63,10 @@
 //! snapshot-level quality report, exactly as the monolithic path's merged
 //! observation health does.
 
-use crate::checkpoint::{
-    decode_validation, encode_validation, hg_tag, mix, mix_world_engine, CheckpointError, Dec, Enc,
+use crate::codec::{
+    self, dec_str_ref, dec_u32_col, decode_validation, enc_u32_col, encode_validation, hg_tag, mix,
+    mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue, U32Col,
 };
-use crate::codec::{self, dec_str_ref, dec_u32_col, enc_u32_col, EnvelopeIssue, U32Col};
 use crate::confirm::{BannerIndex, BannerQuality, CompiledFingerprints};
 use crate::corpus::{cloudflare_flags, hg_org_indices, measure_memory, SnapshotCorpus};
 use crate::parallel::{bounded_pipeline, isolate, parallel_map};
@@ -94,8 +94,9 @@ use x509::Certificate;
 /// Segment format version. Bumping it invalidates (and silently rebuilds)
 /// every on-disk segment. Version 2 added the summary section in front of
 /// the corpus body (zero-copy admission); version 3 dropped the chain
-/// digest and per-HG evidence columns.
-pub const SEGMENT_VERSION: u32 = 3;
+/// digest and per-HG evidence columns; version 4 extends the checksum over
+/// the envelope's fixed fields.
+pub const SEGMENT_VERSION: u32 = 4;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"OFFNSSEG";
 
@@ -290,26 +291,26 @@ pub fn segment_fingerprint(
 // Segment envelope (shared codec) and v2 payload framing.
 // ---------------------------------------------------------------------------
 
-fn write_segment(path: &Path, fingerprint: u64, payload: &[u8]) -> Result<(), CheckpointError> {
-    codec::write_envelope(path, SEGMENT_MAGIC, SEGMENT_VERSION, fingerprint, payload)
-        .map_err(|(p, e)| CheckpointError::io(&p, e))
+fn write_segment(path: &Path, fingerprint: u64, payload: &[u8]) -> Result<(), ArtifactError> {
+    let bytes = codec::envelope(SEGMENT_MAGIC, SEGMENT_VERSION, fingerprint, payload);
+    codec::write_atomic(path, &bytes)
 }
 
 /// Read and fully validate one segment, returning its payload.
-fn read_segment(path: &Path, fingerprint: u64) -> Result<Vec<u8>, CheckpointError> {
+fn read_segment(path: &Path, fingerprint: u64) -> Result<Vec<u8>, ArtifactError> {
     let (found, payload) = codec::read_envelope(path, SEGMENT_MAGIC, SEGMENT_VERSION).map_err(
         |issue| match issue {
-            EnvelopeIssue::Io(p, e) => CheckpointError::io(&p, e),
-            EnvelopeIssue::BadMagic => CheckpointError::corrupt(path, "bad segment magic"),
-            EnvelopeIssue::BadVersion { found } => CheckpointError::corrupt(
+            EnvelopeIssue::Io(e) => ArtifactError::io(path, e),
+            EnvelopeIssue::BadMagic => ArtifactError::corrupt(path, "bad segment magic"),
+            EnvelopeIssue::BadVersion { found } => ArtifactError::corrupt(
                 path,
                 format!("segment version {found} != {SEGMENT_VERSION}"),
             ),
-            EnvelopeIssue::Corrupt(detail) => CheckpointError::corrupt(path, detail),
+            EnvelopeIssue::Corrupt(detail) => ArtifactError::corrupt(path, detail),
         },
     )?;
     if found != fingerprint {
-        return Err(CheckpointError::corrupt(
+        return Err(ArtifactError::corrupt(
             path,
             "segment fingerprint mismatch (stale scenario/engine/shard config)",
         ));
@@ -331,9 +332,9 @@ fn frame_segment(summary: &[u8], body: &[u8]) -> Vec<u8> {
 fn split_segment_payload<'a>(
     payload: &'a [u8],
     path: &Path,
-) -> Result<(&'a [u8], &'a [u8]), CheckpointError> {
+) -> Result<(&'a [u8], &'a [u8]), ArtifactError> {
     if payload.len() < 8 {
-        return Err(CheckpointError::corrupt(
+        return Err(ArtifactError::corrupt(
             path,
             "segment truncated before summary",
         ));
@@ -341,7 +342,7 @@ fn split_segment_payload<'a>(
     let n = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")) as usize;
     let rest = &payload[8..];
     if n > rest.len() {
-        return Err(CheckpointError::corrupt(
+        return Err(ArtifactError::corrupt(
             path,
             "segment summary length out of range",
         ));
@@ -362,7 +363,7 @@ fn enc_pool(e: &mut Enc, (buf, spans): (&str, &[(u32, u32)])) {
     }
 }
 
-fn dec_pool(d: &mut Dec) -> Result<(String, Vec<(u32, u32)>), CheckpointError> {
+fn dec_pool(d: &mut Dec) -> Result<(String, Vec<(u32, u32)>), ArtifactError> {
     let buf = d.str()?;
     let n = d.count(8)?;
     let mut spans = Vec::with_capacity(n);
@@ -397,7 +398,7 @@ fn dec_http(
     snapshot_idx: usize,
     port: u16,
     path: &Path,
-) -> Result<Option<HttpScanSnapshot>, CheckpointError> {
+) -> Result<Option<HttpScanSnapshot>, ArtifactError> {
     if d.u8()? == 0 {
         return Ok(None);
     }
@@ -411,13 +412,11 @@ fn dec_http(
             let name = interner
                 .header_names
                 .sym_for_index(d.u32()?)
-                .ok_or_else(|| CheckpointError::corrupt(path, "header name symbol out of range"))?;
+                .ok_or_else(|| ArtifactError::corrupt(path, "header name symbol out of range"))?;
             let value = interner
                 .header_values
                 .sym_for_index(d.u32()?)
-                .ok_or_else(|| {
-                    CheckpointError::corrupt(path, "header value symbol out of range")
-                })?;
+                .ok_or_else(|| ArtifactError::corrupt(path, "header value symbol out of range"))?;
             headers.push((name, value));
         }
         records.push(HttpRecord { ip, headers });
@@ -478,7 +477,7 @@ fn decode_shard(
     engine: scanner::EngineId,
     ip_to_as: Arc<IpToAsMap>,
     path: &Path,
-) -> Result<SnapshotCorpus, CheckpointError> {
+) -> Result<SnapshotCorpus, ArtifactError> {
     let mut d = Dec {
         buf: payload,
         pos: 0,
@@ -486,7 +485,7 @@ fn decode_shard(
     };
     let snapshot_idx = d.usize()?;
     if snapshot_idx != expected_idx {
-        return Err(CheckpointError::corrupt(path, "segment snapshot mismatch"));
+        return Err(ArtifactError::corrupt(path, "segment snapshot mismatch"));
     }
     let _endpoints = d.usize()?;
     let (hosts_buf, hosts_spans) = dec_pool(&mut d)?;
@@ -510,9 +509,8 @@ fn decode_shard(
         let leaf = match leaves.entry(der) {
             Entry::Occupied(e) => Arc::clone(e.get()),
             Entry::Vacant(e) => {
-                let leaf = Certificate::parse(der).map_err(|_| {
-                    CheckpointError::corrupt(path, "stored leaf DER does not parse")
-                })?;
+                let leaf = Certificate::parse(der)
+                    .map_err(|_| ArtifactError::corrupt(path, "stored leaf DER does not parse"))?;
                 Arc::clone(e.insert(Arc::new(leaf)))
             }
         };
@@ -525,7 +523,7 @@ fn decode_shard(
     let validation = decode_validation(&mut d)?;
     let san_offsets = d.u32s()?;
     if san_offsets.len() != valids.len() + 1 {
-        return Err(CheckpointError::corrupt(path, "SAN offset table size"));
+        return Err(ArtifactError::corrupt(path, "SAN offset table size"));
     }
     let san_syms: Vec<HostSym> = d
         .u32s()?
@@ -534,7 +532,7 @@ fn decode_shard(
             interner
                 .hosts
                 .sym_for_index(i)
-                .ok_or_else(|| CheckpointError::corrupt(path, "SAN symbol out of range"))
+                .ok_or_else(|| ArtifactError::corrupt(path, "SAN symbol out of range"))
         })
         .collect::<Result<_, _>>()?;
     let http80 = dec_http(&mut d, &interner, engine, snapshot_idx, 80, path)?;
@@ -661,18 +659,18 @@ fn encode_summary(c: &SnapshotCorpus, endpoints: usize, ctx: &PipelineContext) -
     e.buf
 }
 
-fn hg_from_tag(tag: u8, path: &Path) -> Result<Hg, CheckpointError> {
+fn hg_from_tag(tag: u8, path: &Path) -> Result<Hg, ArtifactError> {
     ALL_HGS
         .get(tag as usize)
         .copied()
-        .ok_or_else(|| CheckpointError::corrupt(path, "HG tag out of range"))
+        .ok_or_else(|| ArtifactError::corrupt(path, "HG tag out of range"))
 }
 
 /// Decode a summary section, borrowing every column from `bytes`.
 fn decode_summary<'a>(
     bytes: &'a [u8],
     path: &'a Path,
-) -> Result<ShardSummaryRef<'a>, CheckpointError> {
+) -> Result<ShardSummaryRef<'a>, ArtifactError> {
     let mut d = Dec {
         buf: bytes,
         pos: 0,
@@ -808,11 +806,11 @@ fn produce(
     t: usize,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-) -> Result<Produced, CheckpointError> {
+) -> Result<Produced, ArtifactError> {
     let n = world.n_snapshots();
     let shard_size = sharding.shard_size.max(1);
     let dir = sharding.spill_dir.join(format!("t{t:04}"));
-    std::fs::create_dir_all(&dir).map_err(|e| CheckpointError::io(&dir, e))?;
+    std::fs::create_dir_all(&dir).map_err(|e| ArtifactError::io(&dir, e))?;
 
     let workers = sharding.resolved_workers(ctx);
     let depth = sharding.resolved_depth(workers);
@@ -829,7 +827,7 @@ fn produce(
     // Feeder (caller thread): the order-dependent spine. The streaming
     // scan sessions and the reuse probes stay strictly serial; everything
     // else is pushed through the pipeline.
-    let feed = |push: &mut dyn FnMut(ShardTask) -> bool| -> Result<(), CheckpointError> {
+    let feed = |push: &mut dyn FnMut(ShardTask) -> bool| -> Result<(), ArtifactError> {
         let mut cert_stream = CertScanStream::new(engine, t, n);
         let mut http80 = HttpScanStream::new(engine, t, 80, n);
         let mut https443 = HttpScanStream::new(engine, t, 443, n);
@@ -961,7 +959,7 @@ fn produce(
     // Worker: freeze one chunk — §4.1 validation, interning, columnar
     // encode, checksum, atomic persist. Pure per-shard, so any worker
     // count yields byte-identical segments and summaries.
-    let work = |_idx: usize, task: ShardTask| -> Result<ShardDone, CheckpointError> {
+    let work = |_idx: usize, task: ShardTask| -> Result<ShardDone, ArtifactError> {
         match task {
             ShardTask::Admit(done) => Ok(done),
             ShardTask::Build {
@@ -1000,11 +998,11 @@ fn produce(
     // Ordered fold: summaries absorb strictly by shard index, so the
     // accumulators see exactly the serial sequence.
     let ledger = &sharding.ledger;
-    let fold = |shard_idx: usize, done: ShardDone| -> Result<(), CheckpointError> {
+    let fold = |shard_idx: usize, done: ShardDone| -> Result<(), ArtifactError> {
         {
             let s = decode_summary(&done.summary, &done.path)?;
             if s.snapshot_idx != t {
-                return Err(CheckpointError::corrupt(
+                return Err(ArtifactError::corrupt(
                     &done.path,
                     "segment snapshot mismatch",
                 ));
@@ -1053,10 +1051,10 @@ fn consume(
     engine: &ScanEngine,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-) -> Result<Vec<Result<HgSnapshotResult, String>>, CheckpointError> {
+) -> Result<Vec<Result<HgSnapshotResult, String>>, ArtifactError> {
     type Partial = Vec<Result<HgAccum, String>>;
     let workers = sharding.resolved_workers(ctx);
-    let partials: Vec<Result<Partial, CheckpointError>> =
+    let partials: Vec<Result<Partial, ArtifactError>> =
         parallel_map(&produced.segments, workers, |(path, fingerprint)| {
             let payload = read_segment(path, *fingerprint)?;
             let (_summary, body) = split_segment_payload(&payload, path)?;
@@ -1112,7 +1110,7 @@ pub fn admit_segments_for_bench(
     t: usize,
     sharding: &ShardingConfig,
     full_decode: bool,
-) -> Result<usize, CheckpointError> {
+) -> Result<usize, ArtifactError> {
     let shard_size = sharding.shard_size.max(1);
     let mut admitted = 0usize;
     loop {
@@ -1130,7 +1128,7 @@ pub fn admit_segments_for_bench(
         } else {
             let s = decode_summary(summary, &path)?;
             if s.snapshot_idx != t {
-                return Err(CheckpointError::corrupt(&path, "segment snapshot mismatch"));
+                return Err(ArtifactError::corrupt(&path, "segment snapshot mismatch"));
             }
             std::hint::black_box(&s);
         }
@@ -1149,7 +1147,7 @@ pub fn process_snapshot_sharded(
     t: usize,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-) -> Result<Option<SnapshotResult>, CheckpointError> {
+) -> Result<Option<SnapshotResult>, ArtifactError> {
     if !covers_snapshot(engine, t) {
         return Ok(None);
     }
@@ -1206,5 +1204,67 @@ mod tests {
             built.memory.string_model_bytes,
             decoded.memory.string_model_bytes
         );
+    }
+
+    /// The admission decoder reads bytes below the segment checksum, so it
+    /// must survive any damage on its own: every truncation of a framed
+    /// summary is an error, and no byte flip panics or drives an
+    /// allocation from an unchecked count.
+    #[test]
+    fn summary_decoder_survives_truncation_and_flips() {
+        let world = HgWorld::generate(ScenarioConfig::small());
+        let engine = ScanEngine::rapid7();
+        let t = 30;
+        let ctx = PipelineContext::new(
+            world.pki().root_store().clone(),
+            world.org_db(),
+            Default::default(),
+        );
+        // A small shard: a few on-net and a few off-net certificate
+        // records, and the first banners of each port.
+        let mut obs = scanner::observe_snapshot(&world, &engine, t).expect("snapshot in corpus");
+        let ip_to_as = obs.ip_to_as.clone();
+        let on_net = |ip: u32| {
+            let origins = ip_to_as.lookup(ip);
+            ctx.hg_ases
+                .values()
+                .any(|ases| origins.iter().any(|a| ases.contains(a)))
+        };
+        let mut kept = (0, 0);
+        obs.cert.records.retain(|r| {
+            let slot = if on_net(r.ip) {
+                &mut kept.0
+            } else {
+                &mut kept.1
+            };
+            *slot += 1;
+            *slot <= 12
+        });
+        for http in [obs.http80.as_mut(), obs.https443.as_mut()]
+            .into_iter()
+            .flatten()
+        {
+            http.records.truncate(12);
+        }
+        let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
+        let payload = frame_segment(&encode_summary(&corpus, 24, &ctx), &[]);
+        let path = Path::new("in-memory segment");
+        let decode = |bytes: &[u8]| -> Result<usize, ArtifactError> {
+            let (summary, _body) = split_segment_payload(bytes, path)?;
+            let s = decode_summary(summary, path)?;
+            Ok(s.hg_entries.len())
+        };
+        assert!(decode(&payload).unwrap() > 0, "no §4.2 entry to damage");
+
+        for cut in 0..payload.len() {
+            assert!(decode(&payload[..cut]).is_err(), "cut at {cut} decoded");
+        }
+        for i in 0..payload.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = payload.clone();
+                flipped[i] ^= mask;
+                let _ = decode(&flipped);
+            }
+        }
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! One driver runs every study: [`StudyMode`] schedules the snapshots,
 //! `sharding` keeps each corpus in memory or spills it, and
-//! `checkpoint_dir` makes any of them resumable. Every snapshot goes
-//! through one per-snapshot step and one record path, so rendered output
-//! is byte-identical across all of these options.
+//! `artifact_out` appends each snapshot to a study log
+//! ([`crate::artifact`]) that a relaunched study resumes from. Every
+//! snapshot goes through one per-snapshot step and one record path, so
+//! rendered output is byte-identical across all of these options.
 
-use crate::artifact::{artifact_fingerprint, ArtifactBuilder, ArtifactError};
-use crate::checkpoint::{study_fingerprint, CheckpointError, CheckpointStore, SnapshotCheckpoint};
+use crate::artifact::{artifact_fingerprint, ArtifactBuilder};
+use crate::codec::ArtifactError;
 use crate::confirm::ConfirmMode;
 use crate::corpus::SnapshotCorpus;
 use crate::errors::DataQualityReport;
@@ -65,13 +66,9 @@ pub struct StudyConfig {
     /// `depth × shard` and the output is byte-identical at any worker
     /// count.
     pub sharding: Option<ShardingConfig>,
-    /// When set, each snapshot is checkpointed here ([`crate::checkpoint`])
-    /// and a relaunched study adopts the completed prefix.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// When set, the study's results are also sealed into a
-    /// [`crate::artifact::StudyArtifact`] at this path (written once at
-    /// the end; [`StudyMode::Incremental`] re-persists after every
-    /// snapshot).
+    /// When set, the study log at this path ([`crate::artifact`]): every
+    /// mode appends one record per snapshot as it completes, and a
+    /// relaunched study adopts the records already there.
     pub artifact_out: Option<PathBuf>,
 }
 
@@ -84,51 +81,14 @@ impl Default for StudyConfig {
             snapshots: (0, 30),
             mode: StudyMode::Sequential,
             sharding: None,
-            checkpoint_dir: None,
             artifact_out: None,
         }
     }
 }
 
-/// A checkpoint, segment, or artifact failure that stopped a study. Each
-/// message carries its own remediation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StudyError {
-    /// Checkpoint or segment I/O, or an unusable checkpoint directory.
-    Checkpoint(CheckpointError),
-    /// The result artifact could not be adopted or written.
-    Artifact(ArtifactError),
-}
-
-impl From<CheckpointError> for StudyError {
-    fn from(e: CheckpointError) -> Self {
-        StudyError::Checkpoint(e)
-    }
-}
-
-impl From<ArtifactError> for StudyError {
-    fn from(e: ArtifactError) -> Self {
-        StudyError::Artifact(e)
-    }
-}
-
-impl std::fmt::Display for StudyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StudyError::Checkpoint(e) => e.fmt(f),
-            StudyError::Artifact(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StudyError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StudyError::Checkpoint(e) => Some(e),
-            StudyError::Artifact(e) => Some(e),
-        }
-    }
-}
+/// What stops a study: a study log or corpus segment that could not be
+/// read or written. Each message carries its own remedy.
+pub type StudyError = ArtifactError;
 
 /// The §6.2 Netflix footprint variants, per snapshot.
 #[derive(Debug, Clone, Default)]
@@ -357,7 +317,7 @@ fn learn_reference_fingerprints_chunked(
 /// Run the longitudinal study for `engine` over `world`.
 ///
 /// Infallible form of [`try_run_study`], for configurations that touch no
-/// disk; panics on a checkpoint, segment, or artifact failure.
+/// disk; panics on a study log or segment failure.
 pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudySeries {
     try_run_study(world, engine, config)
         .expect("study failed")
@@ -366,10 +326,11 @@ pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> 
 
 /// Run the longitudinal study for `engine` over `world` in the config's
 /// [`StudyMode`], returning the series and (incremental mode only) the
-/// per-snapshot reuse reports. With `checkpoint_dir` set, a completed
-/// prefix found there is adopted and only the rest is computed; the
-/// series is byte-identical to an uninterrupted run. Checkpoint, segment,
-/// and artifact failures come back as a typed [`StudyError`].
+/// per-snapshot reuse reports. With `artifact_out` set, the records
+/// already in the study log there are adopted and only the rest is
+/// computed and appended; the series is byte-identical to an
+/// uninterrupted run. Study log and segment failures come back as a
+/// typed [`StudyError`].
 pub fn try_run_study(
     world: &HgWorld,
     engine: &ScanEngine,
@@ -380,7 +341,7 @@ pub fn try_run_study(
         StudyMode::Parallel { workers } => {
             // Observe + process the pending snapshots independently, with
             // per-snapshot panic isolation; the record path (the §6.2
-            // fold and checkpoints) then runs in snapshot order.
+            // fold and the log) then runs in snapshot order.
             let pending: Vec<usize> = driver
                 .range
                 .clone()
@@ -401,7 +362,7 @@ pub fn try_run_study(
             }
         }
     }
-    driver.finish()
+    Ok(driver.finish())
 }
 
 /// The one study driver behind [`try_run_study`] and
@@ -415,14 +376,13 @@ struct Driver<'w> {
     ctx: PipelineContext,
     incremental: bool,
     sharding: Option<ShardingConfig>,
-    /// Results, fold state, reuse reports, and the attached artifact.
+    /// Results, fold state, reuse reports, and the open study log.
     builder: ArtifactBuilder,
     /// Cache (hits, misses) after the previous snapshot, so each reuse
     /// report carries per-snapshot deltas.
     cache_mark: (u64, u64),
-    store: Option<CheckpointStore>,
-    /// Snapshots adopted from checkpoints or an artifact, with whether
-    /// each was processed; never recomputed.
+    /// Snapshots adopted from the study log, with whether each was
+    /// processed; never recomputed.
     adopted: BTreeMap<usize, bool>,
     range: std::ops::RangeInclusive<usize>,
 }
@@ -454,14 +414,11 @@ impl<'w> Driver<'w> {
             }
         }
 
-        let mut builder = ArtifactBuilder::new(
+        let builder = ArtifactBuilder::new(
             engine.id,
             header_fps,
             artifact_fingerprint(world, &engine, config),
         );
-        if let Some(path) = &config.artifact_out {
-            builder.attach_path(path);
-        }
         let mut driver = Self {
             world,
             engine,
@@ -470,38 +427,25 @@ impl<'w> Driver<'w> {
             sharding: config.sharding.clone(),
             builder,
             cache_mark: (0, 0),
-            store: None,
             adopted: BTreeMap::new(),
             range: config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1),
         };
-        if let Some(dir) = &config.checkpoint_dir {
-            let store =
-                CheckpointStore::open(dir, study_fingerprint(world, &driver.engine, config))?;
-            driver.adopt_checkpoints(&store)?;
-            driver.store = Some(store);
+        if let Some(path) = &config.artifact_out {
+            driver.open_log(path.clone())?;
         }
         Ok(driver)
     }
 
-    /// Adopt the contiguous run of checkpoints starting exactly at the
-    /// first snapshot — results, fold state and, incremental, reuse
-    /// reports (zero counters for a checkpoint another mode wrote). The
-    /// first gap ends adoption; everything past it is recomputed rather
-    /// than trusted out of order.
-    fn adopt_checkpoints(&mut self, store: &CheckpointStore) -> Result<(), CheckpointError> {
-        for ckpt in store.load_all()? {
-            let t = ckpt.snapshot_idx;
-            if t < *self.range.start() {
-                continue;
-            }
-            if t != self.range.start() + self.adopted.len() || t > *self.range.end() {
-                break;
-            }
-            self.adopted.insert(t, ckpt.processed);
-            self.builder.adopt_checkpoint(&ckpt);
-            if ckpt.processed && self.incremental {
+    /// Open the study log at `path` and adopt its records for this run's
+    /// range: results, fold state and, incremental, reuse reports (zero
+    /// counters for a record another mode wrote).
+    fn open_log(&mut self, path: PathBuf) -> Result<(), StudyError> {
+        self.adopted.clear();
+        for a in self.builder.open_log(path, self.range.clone())? {
+            self.adopted.insert(a.snapshot_idx, a.processed);
+            if a.processed && self.incremental {
                 self.builder
-                    .push_report(ckpt.report.unwrap_or(DeltaReport::new(t, 0, 0)));
+                    .push_report(a.report.unwrap_or(DeltaReport::new(a.snapshot_idx, 0, 0)));
             }
         }
         Ok(())
@@ -522,13 +466,7 @@ impl<'w> Driver<'w> {
     /// `t`.
     fn compute(&self, t: usize) -> Result<Option<SnapshotResult>, StudyError> {
         if let Some(sharding) = &self.sharding {
-            return Ok(process_snapshot_sharded(
-                self.world,
-                &self.engine,
-                t,
-                &self.ctx,
-                sharding,
-            )?);
+            return process_snapshot_sharded(self.world, &self.engine, t, &self.ctx, sharding);
         }
         let Some(obs) = observe_snapshot(self.world, &self.engine, t) else {
             return Ok(None);
@@ -542,18 +480,13 @@ impl<'w> Driver<'w> {
         Ok(Some(process_corpus(&corpus, &self.ctx)))
     }
 
-    /// The record path every mode shares: the artifact fold (§6.2
-    /// included), the checkpoint save — a skip marker for an uncovered
-    /// snapshot, keeping the completed prefix contiguous — and,
-    /// incremental, the reuse report and the artifact re-persist.
+    /// The record path every mode shares: the §6.2 fold, the reuse
+    /// report (incremental), and one appended log record — a skip marker
+    /// for an uncovered snapshot, keeping the log's snapshots
+    /// consecutive.
     fn record(&mut self, t: usize, result: Option<SnapshotResult>) -> Result<bool, StudyError> {
         let Some(result) = result else {
-            if let Some(store) = &self.store {
-                store.save(&SnapshotCheckpoint::skipped(
-                    t,
-                    self.builder.netflix_history(),
-                ))?;
-            }
+            self.builder.record_skip(t)?;
             return Ok(false);
         };
         let report = match &self.ctx.validation_cache {
@@ -566,60 +499,36 @@ impl<'w> Driver<'w> {
             }
             _ => None,
         };
-
         let ip_to_as = self.world.ip_to_as(t);
-        let (initial, with_expired, with_non_tls) = self
-            .builder
-            .push_snapshot(result, |ip| ip_to_as.lookup(ip).to_vec());
-        if let Some(store) = &self.store {
-            store.save(&SnapshotCheckpoint {
-                snapshot_idx: t,
-                processed: true,
-                result: self
-                    .builder
-                    .snapshots()
-                    .last()
-                    .expect("just pushed")
-                    .clone(),
-                netflix_initial: initial,
-                netflix_with_expired: with_expired,
-                netflix_with_non_tls: with_non_tls,
-                netflix_ip_history: self.builder.netflix_history(),
-                report,
-            })?;
-        }
-        if let Some(report) = report {
-            self.builder.push_report(report);
-            self.builder.persist()?;
-        }
+        self.builder
+            .record(t, result, report, |ip| ip_to_as.lookup(ip).to_vec())?;
         Ok(true)
     }
 
-    fn finish(self) -> Result<StudyRun, StudyError> {
-        self.builder.persist()?;
+    fn finish(self) -> StudyRun {
         let (series, reports) = self.builder.finish();
-        Ok(StudyRun { series, reports })
+        StudyRun { series, reports }
     }
 }
 
 /// The snapshot-at-a-time form of [`StudyMode::Incremental`]: each
 /// append observes one snapshot, runs the per-snapshot step every mode
-/// runs, folds the result in, and persists. The shared
-/// [`ValidationCache`] carries verdicts from one append to the next. The
-/// config's `mode` is ignored; everything else applies as in
-/// [`try_run_study`].
+/// runs, folds the result in, and appends its record to the study log
+/// when one is open. The shared [`ValidationCache`] carries verdicts from
+/// one append to the next. The config's `mode` is ignored; everything
+/// else applies as in [`try_run_study`].
 #[derive(Clone)]
 pub struct DeltaStudyEngine<'w>(Driver<'w>);
 
 impl<'w> DeltaStudyEngine<'w> {
     /// Infallible form of [`Self::try_new`]; panics when the config's
-    /// checkpoint directory is unusable.
+    /// study log is unusable.
     pub fn new(world: &'w HgWorld, engine: ScanEngine, config: &StudyConfig) -> Self {
-        Self::try_new(world, engine, config).expect("checkpoint directory unusable")
+        Self::try_new(world, engine, config).expect("study log unusable")
     }
 
-    /// Build the engine, adopting the contiguous completed prefix of the
-    /// config's `checkpoint_dir` (when set).
+    /// Build the engine, adopting the records of the config's study log
+    /// (when `artifact_out` is set).
     pub fn try_new(
         world: &'w HgWorld,
         engine: ScanEngine,
@@ -632,49 +541,34 @@ impl<'w> DeltaStudyEngine<'w> {
         Driver::new(world, engine, &config).map(Self)
     }
 
-    /// Attach `path` as the on-disk [`crate::artifact::StudyArtifact`]
-    /// this engine appends to. When a valid artifact (written under the
-    /// same config fingerprint) already exists there, its snapshots are
-    /// adopted: appends for those indices return the recorded outcome
-    /// without recomputing, and later appends extend the artifact in
-    /// place — each one re-persisted atomically. A missing file starts a
-    /// fresh artifact; a mismatched or corrupt one is a typed
-    /// [`ArtifactError`]. The validation cache starts empty, so the first
-    /// live append after adoption verifies its chains in full.
+    /// Open the study log at `path` for this engine to append to, in
+    /// place of any log the config named; call it before the first
+    /// append. A missing file starts a log with just its header. The
+    /// records of an existing log (written under the same config
+    /// fingerprint) are adopted: appends for those snapshots return the
+    /// recorded outcome without recomputing, and later appends extend the
+    /// log. A mismatched or damaged log is a typed [`ArtifactError`]. The
+    /// validation cache starts empty, so the first live append after
+    /// adoption verifies its chains in full.
     pub fn with_artifact(mut self, path: impl Into<PathBuf>) -> Result<Self, ArtifactError> {
-        let d = &mut self.0;
-        let adopted = d.builder.adopt_from_path(path)?;
-        let ts: Vec<usize> = d.builder.snapshots()[..adopted]
-            .iter()
-            .map(|s| s.snapshot_idx)
-            .collect();
-        for (i, t) in ts.into_iter().enumerate() {
-            d.adopted.insert(t, true);
-            // An artifact written by a batch mode carries no reuse
-            // reports; zero counters keep reports aligned with snapshots.
-            if i >= d.builder.reports().len() {
-                d.builder.push_report(DeltaReport::new(t, 0, 0));
-            }
-        }
+        self.0.open_log(path.into())?;
         Ok(self)
     }
 
-    /// Observe and process snapshot `t`. Returns `false` (appending nothing) when the
-    /// engine's corpus does not cover `t` — the same snapshots
-    /// `run_study` skips.
+    /// Observe and process snapshot `t`. Returns `false` (recording only
+    /// a skip marker) when the engine's corpus does not cover `t` — the
+    /// same snapshots `run_study` skips.
     ///
     /// Infallible form of [`Self::try_append_snapshot`], for engines that
-    /// touch no disk; panics on a checkpoint, segment, or artifact
-    /// failure.
+    /// touch no disk; panics on a study log or segment failure.
     pub fn append_snapshot(&mut self, t: usize) -> bool {
         self.try_append_snapshot(t).expect("study snapshot failed")
     }
 
     /// [`Self::append_snapshot`] with persistence failures surfaced. The
-    /// snapshot's checkpoint (when a checkpoint directory is configured)
-    /// and the artifact (when attached) are written atomically after
-    /// processing; appends for snapshots adopted at construction return
-    /// their recorded outcome without recomputing.
+    /// snapshot's record is appended to the open study log, if any;
+    /// appends for snapshots adopted from the log return their recorded
+    /// outcome without recomputing.
     pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, StudyError> {
         self.0.append(t)
     }
@@ -693,11 +587,10 @@ impl<'w> DeltaStudyEngine<'w> {
             .expect("the incremental mode always validates through a cache")
     }
 
-    /// The study so far. Every append already re-persisted the attached
-    /// artifact, so nothing is written here.
+    /// The study so far. Every append already reached the log, so nothing
+    /// is written here.
     pub fn finish(self) -> StudyRun {
-        let (series, reports) = self.0.builder.finish();
-        StudyRun { series, reports }
+        self.0.finish()
     }
 }
 

@@ -1,16 +1,15 @@
-//! Read-optimized query layer over a frozen [`StudyArtifact`].
+//! Read-optimized query layer over a study log ([`StudyArtifact`]).
 //!
 //! A production deployment serves footprint queries — "which ASes host HG
 //! X in month Y?", "growth curve for AS Z", "coverage of population P" —
-//! to many users at interactive latency. The interned columnar artifact is
-//! already the right shape for that: [`FrozenStudy::load`] makes one pass
-//! over the artifact and freezes the per-HG confirmed/candidate AS sets
-//! into two flat sorted-integer columns with a shared offset table, so
-//! every query is an O(1) slice or an O(log n) binary search — no
-//! hashing, no allocation, no locks. `benches/query.rs` in
-//! `offnet-bench` drives the point-query path with a load generator
-//! (`BENCH_query.json` tracks p50/p99 latency and sustained
-//! queries/sec).
+//! to many users at interactive latency. [`FrozenStudy::load`] makes one
+//! pass over the log's records and freezes the per-HG confirmed/candidate
+//! AS sets into two flat sorted-integer columns with a shared offset
+//! table, so every query is an O(1) slice or an O(log n) binary search —
+//! no hashing, no allocation, no locks. `cargo bench --bench query` in
+//! `offnet-bench` drives the point-query path with a load generator and
+//! prints p50/p99 latency and sustained queries/sec; perfbench's `query`
+//! workload (`--workload query`) times load plus one query end to end.
 
 use hgsim::{Hg, ALL_HGS};
 use offnet_core::{read_artifact_payload, ArtifactError, ArtifactTables, StudyArtifact};
@@ -67,16 +66,16 @@ pub struct FrozenStudy {
 pub type Population<'a> = &'a [(u32, u64)];
 
 impl FrozenStudy {
-    /// Load an artifact file and freeze it. Any valid artifact is served,
-    /// whatever config fingerprint it carries.
+    /// Load a study log and freeze it. Any valid log is served, whatever
+    /// config fingerprint it carries; a torn or damaged one is an error.
     ///
-    /// This is the borrowed-load path: the envelope is read and
-    /// checksummed once, then [`ArtifactTables`] makes a single skipping
-    /// pass that exposes the confirmed/candidate columns as raw slices of
-    /// the payload buffer — no symbol pool, no `BTreeSet`s, no
-    /// `SnapshotResult` materialization — and the query tables are built
-    /// straight from those slices. Equivalent to
-    /// `freeze(&StudyArtifact::load(path)?)`, which `tests` pin.
+    /// This is the borrowed-load path: the file is read once, then
+    /// [`ArtifactTables`] verifies each record's checksum and makes a
+    /// single skipping pass that exposes the confirmed/candidate columns
+    /// as raw slices of the buffer — no `BTreeSet`s, no `SnapshotResult`
+    /// materialization — and the query tables are built straight from
+    /// those slices. Equivalent to `freeze(&StudyArtifact::load(path)?)`,
+    /// which `tests` pin.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
         let (_fingerprint, payload) = read_artifact_payload(path)?;
         let tables = ArtifactTables::parse(&payload, path)?;
@@ -323,7 +322,6 @@ mod tests {
                 with_expired: vec![1, 2, 2],
                 with_non_tls: vec![2, 2, 3],
             },
-            netflix_ip_history: vec![],
             header_fps: Default::default(),
             reports: vec![],
         }

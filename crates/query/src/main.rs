@@ -1,4 +1,4 @@
-//! `offnet-query` — serve footprint queries from a frozen study artifact.
+//! `offnet-query` — serve footprint queries from a study log.
 //!
 //! ```text
 //! offnet-query <artifact> info

@@ -194,8 +194,8 @@ impl FaultPlan {
 
     /// Stable digest of the plan's seed and per-class rates (the ledger is
     /// runtime state and does not participate). Two plans with equal
-    /// fingerprints corrupt scans identically, so checkpoint config
-    /// fingerprints can include this to invalidate stale artifacts.
+    /// fingerprints corrupt scans identically, so study log config
+    /// fingerprints can include this to invalidate stale logs.
     pub fn fingerprint(&self) -> u64 {
         let mut h = mix(self.seed ^ 0xfa51_7b1a_u64.rotate_left(1));
         for (class, rate) in &self.rates {

@@ -143,7 +143,7 @@ impl TransientPolicy {
     }
 
     /// Stable digest of everything that shapes scan outcomes, for
-    /// checkpoint config fingerprints.
+    /// study log config fingerprints.
     pub fn fingerprint(&self) -> u64 {
         let mut h = mix(self.seed ^ 0x7261_6e73_6965_6e74);
         h = mix(h ^ self.rate.to_bits());

@@ -1,14 +1,12 @@
 //! Streaming sharded pipeline equivalence: at `--scale small`, a study
 //! processed through bounded-memory spilled segments must render
 //! **byte-identically** to the in-memory path — in the sequential,
-//! parallel, checkpointed, and incremental (delta) study modes, with
+//! parallel and incremental (delta) study modes, with
 //! faults injected, and when segments are reused from a previous run.
 
 use hgsim::{HgWorld, ScenarioConfig};
 use offnet_bench::render_study;
-use offnet_core::{
-    run_study, try_run_study, CheckpointError, ShardingConfig, StudyConfig, StudyError, StudyMode,
-};
+use offnet_core::{run_study, try_run_study, ShardingConfig, StudyConfig, StudyError, StudyMode};
 use scanner::{FaultPlan, ScanEngine};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -423,7 +421,7 @@ fn segment_io_failure_is_a_typed_error_in_every_mode() {
         let err = try_run_study(w, &ScanEngine::rapid7(), &cfg)
             .expect_err("segment directory under a file must fail");
         assert!(
-            matches!(err, StudyError::Checkpoint(CheckpointError::Io { .. })),
+            matches!(err, StudyError::Io { .. }),
             "{mode:?}: wrong error {err}"
         );
     }

@@ -1,5 +1,6 @@
-//! Interned columnar corpus vs the per-record string model it replaced
-//! (`BENCH_intern.json`): §4.5 confirm-stage wall-clock and corpus build.
+//! Interned columnar corpus vs the per-record string model it replaced:
+//! §4.5 confirm-stage wall-clock and corpus build (`cargo bench --bench
+//! intern`; the corpus memory of both models goes to stderr).
 //!
 //! The "string model" side reproduces the pre-interning implementation
 //! verbatim — per-IP `Vec<(String, String)>` banner maps, per-call name
@@ -198,7 +199,7 @@ fn bench_intern(c: &mut Criterion) {
     });
     group.finish();
 
-    // Not a timing: the memory half of BENCH_intern.json.
+    // Not a timing: the memory half of the comparison.
     eprintln!(
         "corpus memory @ snapshot 30: interned {} B vs string model {} B ({} hosts, {} header names, {} header values)",
         corpus.memory.interned_bytes,

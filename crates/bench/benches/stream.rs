@@ -17,9 +17,9 @@
 //!   certificate re-parse and corpus rebuild entirely).
 //!
 //! Large-scale wall/footprint figures (the `--scale large` world the
-//! spill path exists for) are recorded in `BENCH_stream.json` from the
-//! `reproduce --scale large shard-stats` smoke, not from criterion — a
-//! multi-minute iteration has no place in a sampled harness.
+//! spill path exists for) come from `reproduce --scale large
+//! --shard-size 50000 shard-stats`, not from criterion — a multi-minute
+//! iteration has no place in a sampled harness.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use offnet_bench::small_world;

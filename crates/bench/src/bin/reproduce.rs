@@ -596,7 +596,7 @@ fn cache_stats(fx: &Fixtures) {
 
 /// Memory accounting for the interned columnar corpus model against the
 /// per-record string model it replaced. Run explicitly with
-/// `reproduce corpus-stats`; see `BENCH_intern.json` for the methodology.
+/// `reproduce corpus-stats`; `cargo bench --bench intern` times the two.
 fn corpus_stats(fx: &Fixtures) {
     heading("Corpus data model: interned vs string-model memory");
     let engine = fx.engine(ScanEngine::rapid7());

@@ -14,9 +14,11 @@
 //! holds the engine and the learned header fingerprints. A record holds
 //! the snapshot index and whether the engine covered it; for a covered
 //! snapshot also the §6.2 Netflix triple, the incremental mode's cache
-//! counters when present, and the full [`SnapshotResult`]. An append
-//! writes only its own record. The length's complement tells a damaged
-//! length from a record cut short.
+//! counters when present, and the full [`SnapshotResult`]. Its integer
+//! lists (the AS sets, the IP lists, the certificate groups and the
+//! HTTP-only IPs) are the codec's delta-varint runs; every other field is
+//! fixed-width. An append writes only its own record. The length's
+//! complement tells a damaged length from a record cut short.
 //!
 //! The §6.2 certificate-history IP set is not stored: it is the union of
 //! the Netflix `confirmed_ips ∪ with_expired_ips` over the records.
@@ -27,9 +29,8 @@
 //! for them a torn tail is `Corrupt` too.
 
 use crate::codec::{
-    self, decode_validation, encode_validation, engine_from_tag, engine_tag, iter_le_u32, mix,
-    mix_world_engine, record_error_tag, transient_tag, ArtifactError, Dec, Enc, EnvelopeIssue,
-    RECORD_ERRORS,
+    self, decode_validation, encode_validation, engine_from_tag, engine_tag, mix, mix_world_engine,
+    record_error_tag, transient_tag, ArtifactError, Dec, Enc, EnvelopeIssue, RECORD_ERRORS,
 };
 use crate::errors::DataQualityReport;
 use crate::headers::{HeaderFingerprint, HeaderFingerprints};
@@ -45,8 +46,9 @@ use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 /// Current study log format version. Bump on any layout change. Version
-/// 3 replaced the whole-file columnar artifact with the append-only log.
-pub const ARTIFACT_VERSION: u32 = 3;
+/// 3 replaced the whole-file columnar artifact with the append-only log;
+/// version 4 stores a record's integer lists as delta-varint runs.
+pub const ARTIFACT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
@@ -665,7 +667,7 @@ fn encode_result(e: &mut Enc, r: &SnapshotResult) {
             encode_hg_result(e, h);
         }
     }
-    e.u32s(&r.http_only_ips);
+    e.run(r.http_only_ips.iter().copied());
     encode_quality(e, &r.quality);
 }
 
@@ -686,7 +688,7 @@ fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
         n_ases_with_certs,
         validation,
         per_hg,
-        http_only_ips: d.u32s()?,
+        http_only_ips: d.run()?,
         quality: decode_quality(d)?,
     })
 }
@@ -695,16 +697,16 @@ fn encode_hg_result(e: &mut Enc, h: &HgSnapshotResult) {
     e.as_set(&h.candidate_ases);
     e.as_set(&h.confirmed_ases);
     e.as_set(&h.confirmed_and_ases);
-    e.u32s(&h.candidate_ips);
-    e.u32s(&h.confirmed_ips);
-    e.u32s(&h.cert_ip_groups);
+    e.run(h.candidate_ips.iter().copied());
+    e.run(h.confirmed_ips.iter().copied());
+    e.run(h.cert_ip_groups.iter().copied());
     e.usize(h.onnet_ip_count);
     e.bool(h.median_cert_lifetime_days.is_some());
     if let Some(v) = h.median_cert_lifetime_days {
         e.f64(v);
     }
     e.as_set(&h.with_expired_ases);
-    e.u32s(&h.with_expired_ips);
+    e.run(h.with_expired_ips.iter().copied());
 }
 
 fn decode_hg_result(d: &mut Dec) -> Result<HgSnapshotResult, ArtifactError> {
@@ -712,13 +714,13 @@ fn decode_hg_result(d: &mut Dec) -> Result<HgSnapshotResult, ArtifactError> {
         candidate_ases: d.as_set()?,
         confirmed_ases: d.as_set()?,
         confirmed_and_ases: d.as_set()?,
-        candidate_ips: d.u32s()?,
-        confirmed_ips: d.u32s()?,
-        cert_ip_groups: d.u32s()?,
+        candidate_ips: d.run()?,
+        confirmed_ips: d.run()?,
+        cert_ip_groups: d.run()?,
         onnet_ip_count: d.usize()?,
         median_cert_lifetime_days: if d.bool()? { Some(d.f64()?) } else { None },
         with_expired_ases: d.as_set()?,
-        with_expired_ips: d.u32s()?,
+        with_expired_ips: d.run()?,
     })
 }
 
@@ -810,7 +812,7 @@ fn decode_health(d: &mut Dec) -> Result<ScanHealth, ArtifactError> {
 }
 
 // ---------------------------------------------------------------------------
-// Borrowed table view: the query layer's load path.
+// Query tables: the query layer's load path.
 // ---------------------------------------------------------------------------
 
 fn skip_validation(d: &mut Dec) -> Result<(), ArtifactError> {
@@ -820,40 +822,73 @@ fn skip_validation(d: &mut Dec) -> Result<(), ArtifactError> {
     Ok(())
 }
 
-/// Exactly the columns the query layer freezes, borrowed straight from
-/// one loaded log: per-cell confirmed/candidate AS runs as raw
-/// little-endian word slices, the processed-snapshot index column, and
-/// the §6.2 Netflix variant series. [`Self::parse`] makes one forward
-/// pass over the records and *skips* everything else — no `BTreeSet` or
-/// [`SnapshotResult`] construction — which is what makes a query-server
-/// cold start cheap (perfbench's `query` workload times it as
-/// `query.load_ms`).
-///
-/// Cells are snapshot-major, `row * ALL_HGS.len() + hg_position`,
-/// matching the query layer's layout; a cell absent from the log is an
-/// empty slice.
-pub struct ArtifactTables<'a> {
-    engine: EngineId,
-    snapshot_idxs: Vec<u32>,
-    confirmed: Vec<&'a [u8]>,
-    candidate: Vec<&'a [u8]>,
-    netflix: [Vec<u64>; 3],
+/// Integer runs laid end to end: cell `c` is
+/// `values[offsets[c]..offsets[c + 1]]`, one allocation per column.
+#[derive(Debug, Clone)]
+struct RunColumn {
+    /// `cells + 1` entries, non-decreasing.
+    offsets: Vec<usize>,
+    values: Vec<u32>,
 }
 
-impl<'a> ArtifactTables<'a> {
+impl RunColumn {
+    fn with_cells(cells: usize) -> Self {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        RunColumn {
+            offsets,
+            values: Vec::new(),
+        }
+    }
+
+    /// End the cell whose values were appended since the last call.
+    fn close_cell(&mut self) {
+        self.offsets.push(self.values.len());
+    }
+
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.values[self.offsets[c]..self.offsets[c + 1]]
+    }
+}
+
+/// Exactly the columns the query layer serves: per-cell confirmed and
+/// candidate AS runs decoded into two flat columns, the processed-snapshot
+/// index column, and the §6.2 Netflix variant series. [`Self::parse`]
+/// makes one forward pass over a log's records, decodes those two runs
+/// and *skips* every other run by its byte length — no `BTreeSet` or
+/// [`SnapshotResult`] construction — which is what makes a query cold
+/// start cheap (perfbench's `query` workload times it as
+/// `query.load_ms`).
+///
+/// Cells are snapshot-major, `row * ALL_HGS.len() + hg_position`; a cell
+/// absent from the log is empty. Each cell is ascending: it was written
+/// from a `BTreeSet`.
+#[derive(Debug, Clone)]
+pub struct ArtifactTables {
+    engine: EngineId,
+    snapshot_idxs: Vec<u32>,
+    confirmed: RunColumn,
+    candidate: RunColumn,
+    netflix: [Vec<u64>; 3],
+    log_bytes: usize,
+    records_verified: usize,
+}
+
+impl ArtifactTables {
     /// One validating pass over a log from [`read_artifact_payload`]:
     /// the header and every record's framing and checksum are verified
-    /// (a torn tail is `Corrupt`), and only the query columns are
-    /// retained, as borrowed slices.
-    pub fn parse(bytes: &'a [u8], path: &'a Path) -> Result<Self, ArtifactError> {
+    /// (a torn tail is `Corrupt`), and only the query columns are decoded.
+    pub fn parse(bytes: &[u8], path: &Path) -> Result<Self, ArtifactError> {
         let view = LogView::split(bytes, path, true)?;
         let cells = view.records.len() * ALL_HGS.len();
         let mut tables = ArtifactTables {
             engine: view.engine,
             snapshot_idxs: Vec::with_capacity(view.records.len()),
-            confirmed: Vec::with_capacity(cells),
-            candidate: Vec::with_capacity(cells),
+            confirmed: RunColumn::with_cells(cells),
+            candidate: RunColumn::with_cells(cells),
             netflix: Default::default(),
+            log_bytes: bytes.len(),
+            records_verified: view.records.len(),
         };
         for body in view.records {
             let mut d = Dec::new(body, path);
@@ -872,22 +907,21 @@ impl<'a> ArtifactTables<'a> {
             d.take(24)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
             skip_validation(&mut d)?;
             for _ in ALL_HGS {
-                if !d.bool()? {
-                    tables.candidate.push(&[]);
-                    tables.confirmed.push(&[]);
-                    continue;
-                }
-                tables.candidate.push(d.u32_run()?);
-                tables.confirmed.push(d.u32_run()?);
-                for _ in 0..4 {
-                    d.u32_run()?; // confirmed_and_ases, candidate/confirmed IPs, cert groups
-                }
-                d.take(8)?; // onnet_ip_count
                 if d.bool()? {
-                    d.take(8)?; // median_cert_lifetime_days
+                    d.run_into(&mut tables.candidate.values)?;
+                    d.run_into(&mut tables.confirmed.values)?;
+                    for _ in 0..4 {
+                        d.skip_run()?; // confirmed_and_ases, candidate/confirmed IPs, cert groups
+                    }
+                    d.take(8)?; // onnet_ip_count
+                    if d.bool()? {
+                        d.take(8)?; // median_cert_lifetime_days
+                    }
+                    d.skip_run()?; // with_expired_ases
+                    d.skip_run()?; // with_expired_ips
                 }
-                d.u32_run()?; // with_expired_ases
-                d.u32_run()?; // with_expired_ips
+                tables.candidate.close_cell();
+                tables.confirmed.close_cell();
             }
             // The HTTP-only IPs and the quality report that follow are not
             // queried; the record's checksum already vouched for them.
@@ -909,21 +943,29 @@ impl<'a> ArtifactTables<'a> {
         &self.snapshot_idxs
     }
 
-    /// Confirmed-AS run for one snapshot-major cell, decoded on the fly
-    /// from the borrowed slice (already ascending — it was written from a
-    /// `BTreeSet`).
-    pub fn confirmed_cell(&self, cell: usize) -> impl Iterator<Item = u32> + 'a {
-        iter_le_u32(self.confirmed[cell])
+    /// Confirmed ASes of one snapshot-major cell, ascending.
+    pub fn confirmed_cell(&self, cell: usize) -> &[u32] {
+        self.confirmed.cell(cell)
     }
 
-    /// Candidate-AS run for one snapshot-major cell.
-    pub fn candidate_cell(&self, cell: usize) -> impl Iterator<Item = u32> + 'a {
-        iter_le_u32(self.candidate[cell])
+    /// Candidate (certificate-only) ASes of one snapshot-major cell.
+    pub fn candidate_cell(&self, cell: usize) -> &[u32] {
+        self.candidate.cell(cell)
     }
 
     /// The §6.2 Netflix `(initial, with_expired, with_non_tls)` columns.
     pub fn netflix_columns(&self) -> &[Vec<u64>; 3] {
         &self.netflix
+    }
+
+    /// Bytes of the log parsed.
+    pub fn log_bytes(&self) -> usize {
+        self.log_bytes
+    }
+
+    /// Records (skip markers included) whose checksum was verified.
+    pub fn records_verified(&self) -> usize {
+        self.records_verified
     }
 }
 
@@ -1107,8 +1149,8 @@ mod tests {
             assert_eq!(tables.snapshot_idxs()[row] as usize, snap.snapshot_idx);
             for (hg_i, hg) in ALL_HGS.iter().enumerate() {
                 let cell = row * ALL_HGS.len() + hg_i;
-                let confirmed: Vec<u32> = tables.confirmed_cell(cell).collect();
-                let candidate: Vec<u32> = tables.candidate_cell(cell).collect();
+                let confirmed = tables.confirmed_cell(cell).to_vec();
+                let candidate = tables.candidate_cell(cell).to_vec();
                 let expect = |set: Option<&BTreeSet<AsId>>| -> Vec<u32> {
                     set.into_iter().flatten().map(|a| a.0).collect()
                 };

@@ -15,6 +15,13 @@
 //! A [`U32Col`] is the segment format's zero-copy column: a count,
 //! padding to 4-byte alignment (relative to the payload start), then raw
 //! little-endian words, read back as a borrowed slice of the payload.
+//!
+//! An integer **run** is the study log's compact list ([`Enc::run`]):
+//! `count · byte length · values`, all LEB128, each value the zigzag delta
+//! from the one before (the first from 0). Its count is checked against
+//! its byte length, a varint is at most 5 bytes, the values must fill the
+//! byte length exactly and stay in `u32`, and a reader that does not need
+//! a run skips it by its byte length.
 
 use crate::errors::RecordError;
 use crate::validate::{InvalidReason, ValidationStats};
@@ -272,11 +279,86 @@ impl Enc {
             self.u32(v);
         }
     }
-    pub(crate) fn as_set(&mut self, set: &BTreeSet<AsId>) {
-        self.usize(set.len());
-        for a in set {
-            self.u32(a.0);
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
         }
+        self.buf.push(v as u8);
+    }
+    /// One integer run: LEB128 count, LEB128 byte length, then each value
+    /// as the LEB128 zigzag delta from the previous one (the first from
+    /// 0). Sorted runs cost about a byte per value.
+    pub(crate) fn run<I: Iterator<Item = u32> + Clone>(&mut self, vals: I) {
+        let (mut n, mut len, mut prev) = (0u64, 0u64, 0u32);
+        for v in vals.clone() {
+            n += 1;
+            len += varint_len(zigzag(prev, v));
+            prev = v;
+        }
+        self.varint(n);
+        self.varint(len);
+        prev = 0;
+        for v in vals {
+            self.varint(zigzag(prev, v));
+            prev = v;
+        }
+    }
+    pub(crate) fn as_set(&mut self, set: &BTreeSet<AsId>) {
+        self.run(set.iter().map(|a| a.0));
+    }
+}
+
+/// The longest LEB128 the codec reads: 35 bits, enough for a `u32` count
+/// or length and for any zigzagged `u32` delta.
+const VARINT_MAX: usize = 5;
+
+fn zigzag(prev: u32, v: u32) -> u64 {
+    let d = i64::from(v) - i64::from(prev);
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn varint_len(v: u64) -> u64 {
+    u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
+}
+
+/// Read one LEB128 value at `*pos` in `bytes`, at most [`VARINT_MAX`]
+/// bytes long.
+#[inline]
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
+    // Most deltas of a sorted run fit one byte.
+    if let Some(&b) = bytes.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(b));
+    }
+    let mut v = 0u64;
+    for i in 0..VARINT_MAX {
+        let &b = bytes.get(*pos).ok_or("varint runs past its bytes")?;
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            return Ok(v);
+        }
+    }
+    Err("varint longer than 5 bytes")
+}
+
+/// Decode `n` zigzag-delta values that must fill `bytes` exactly,
+/// appending them to `out`.
+fn decode_run(bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), &'static str> {
+    out.reserve(n);
+    let (mut pos, mut prev) = (0usize, 0i64);
+    for _ in 0..n {
+        let z = read_varint(bytes, &mut pos)?;
+        let v = prev + ((z >> 1) as i64 ^ -((z & 1) as i64));
+        let v = u32::try_from(v).map_err(|_| "run value leaves the u32 range")?;
+        out.push(v);
+        prev = i64::from(v);
+    }
+    if pos == bytes.len() {
+        Ok(())
+    } else {
+        Err("run values end before its byte length")
     }
 }
 
@@ -293,6 +375,7 @@ impl<'a> Dec<'a> {
     pub(crate) fn corrupt(&self, detail: impl Into<String>) -> ArtifactError {
         ArtifactError::corrupt(self.path, detail)
     }
+    #[inline]
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         let end = self
             .pos
@@ -303,10 +386,12 @@ impl<'a> Dec<'a> {
         self.pos = end;
         Ok(out)
     }
+    #[inline]
     pub(crate) fn u8(&mut self) -> Result<u8, ArtifactError> {
         Ok(self.take(1)?[0])
     }
     /// A bool, or the presence flag of an optional value.
+    #[inline]
     pub(crate) fn bool(&mut self) -> Result<bool, ArtifactError> {
         match self.u8()? {
             0 => Ok(false),
@@ -348,14 +433,41 @@ impl<'a> Dec<'a> {
         let n = self.count(4)?;
         (0..n).map(|_| self.u32()).collect()
     }
-    /// One `u32s`/`as_set` run as its raw little-endian word bytes.
-    pub(crate) fn u32_run(&mut self) -> Result<&'a [u8], ArtifactError> {
-        let n = self.count(4)?;
-        self.take(n * 4)
+    #[inline]
+    fn varint(&mut self) -> Result<u64, ArtifactError> {
+        read_varint(self.buf, &mut self.pos).map_err(|e| self.corrupt(e))
+    }
+    /// One [`Enc::run`]'s count and value bytes. The count is checked
+    /// against the byte length (every value takes at least a byte) and the
+    /// byte length against the buffer, before anything is allocated.
+    #[inline]
+    fn run_head(&mut self) -> Result<(usize, &'a [u8]), ArtifactError> {
+        let n = self.varint()?;
+        let len = self.varint()?;
+        if n > len {
+            return Err(self.corrupt(format!("run count {n} exceeds its {len} bytes")));
+        }
+        let bytes = self.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        // n <= len == bytes.len(), so the count fits a usize.
+        Ok((n as usize, bytes))
+    }
+    /// Decode one run onto the end of `out`.
+    pub(crate) fn run_into(&mut self, out: &mut Vec<u32>) -> Result<(), ArtifactError> {
+        let (n, bytes) = self.run_head()?;
+        decode_run(bytes, n, out).map_err(|e| self.corrupt(e))
+    }
+    /// Skip one run by its byte length.
+    #[inline]
+    pub(crate) fn skip_run(&mut self) -> Result<(), ArtifactError> {
+        self.run_head().map(drop)
+    }
+    pub(crate) fn run(&mut self) -> Result<Vec<u32>, ArtifactError> {
+        let mut out = Vec::new();
+        self.run_into(&mut out)?;
+        Ok(out)
     }
     pub(crate) fn as_set(&mut self) -> Result<BTreeSet<AsId>, ArtifactError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| Ok(AsId(self.u32()?))).collect()
+        Ok(self.run()?.into_iter().map(AsId).collect())
     }
     pub(crate) fn finish(self) -> Result<(), ArtifactError> {
         if self.pos == self.buf.len() {
@@ -518,15 +630,10 @@ pub(crate) struct U32Col<'a>(&'a [u8]);
 
 impl<'a> U32Col<'a> {
     pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        iter_le_u32(self.0)
+        self.0
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
     }
-}
-
-/// Decode raw little-endian `u32` words.
-pub(crate) fn iter_le_u32(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
 }
 
 /// Zero-pad the encoder to an `n`-byte boundary (relative to the payload
@@ -661,6 +768,93 @@ mod tests {
             assert_eq!(engine_from_tag(engine_tag(id)), Some(id));
         }
         assert_eq!(engine_from_tag(0), None);
+    }
+
+    /// Decode `bytes` as one run.
+    fn run_of(bytes: &[u8]) -> Result<Vec<u32>, ArtifactError> {
+        let mut d = Dec::new(bytes, Path::new("in-memory run"));
+        let run = d.run()?;
+        d.finish()?;
+        Ok(run)
+    }
+
+    /// A run's bytes from its count, byte length and raw value varints.
+    fn raw_run(n: u8, len: u8, values: &[u8]) -> Vec<u8> {
+        [&[n, len][..], values].concat()
+    }
+
+    fn is_corrupt(r: Result<Vec<u32>, ArtifactError>, why: &str) -> bool {
+        matches!(r, Err(ArtifactError::Corrupt { ref detail, .. }) if detail.contains(why))
+    }
+
+    #[test]
+    fn runs_round_trip_any_order_and_extremes() {
+        let cases: [&[u32]; 6] = [
+            &[],
+            &[0],
+            &[u32::MAX],
+            &[3, 4, 5, 1_000_000, 1_000_001],
+            &[7, 2, 1, u32::MAX, 0, u32::MAX],
+            &[u32::MAX, u32::MAX - 1, 0, 1 << 31],
+        ];
+        for vals in cases {
+            let mut e = Enc::default();
+            e.run(vals.iter().copied());
+            assert_eq!(run_of(&e.buf).unwrap(), vals);
+            // The byte length lets a reader step over the run.
+            let mut d = Dec::new(&e.buf, Path::new("in-memory run"));
+            d.skip_run().unwrap();
+            d.finish().unwrap();
+        }
+        // Count, byte length, then zigzag deltas: 100 takes two bytes,
+        // each small gap after it one.
+        let mut e = Enc::default();
+        e.run([100u32, 101, 103, 110].into_iter());
+        assert_eq!(e.buf, [4, 5, 0xc8, 0x01, 2, 4, 14]);
+    }
+
+    #[test]
+    fn damaged_runs_are_typed_not_a_panic() {
+        // A varint longer than 5 bytes: in a count, a length, a value.
+        let long = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
+        assert!(is_corrupt(run_of(&long), "longer than 5 bytes"));
+        assert!(is_corrupt(
+            run_of(&[&[1][..], &long].concat()),
+            "longer than 5 bytes"
+        ));
+        assert!(is_corrupt(
+            run_of(&raw_run(1, 6, &long)),
+            "longer than 5 bytes"
+        ));
+        // A count larger than the byte length is refused before anything
+        // is allocated or read.
+        assert!(is_corrupt(
+            run_of(&raw_run(9, 2, &[2, 2])),
+            "exceeds its 2 bytes"
+        ));
+        let huge_count = [0xff, 0xff, 0xff, 0xff, 0x0f, 4, 2, 2, 2, 2];
+        assert!(is_corrupt(run_of(&huge_count), "exceeds its 4 bytes"));
+        // A byte length past the buffer.
+        assert!(is_corrupt(run_of(&raw_run(1, 9, &[2])), "overrun"));
+        // Values that end before the byte length, or run past it.
+        assert!(is_corrupt(run_of(&raw_run(1, 2, &[2, 2])), "end before"));
+        assert!(is_corrupt(
+            run_of(&raw_run(2, 2, &[2, 0x80])),
+            "past its bytes"
+        ));
+        assert!(is_corrupt(
+            run_of(&raw_run(1, 1, &[0x80, 1])),
+            "past its bytes"
+        ));
+        // A running value below 0 or above u32::MAX.
+        assert!(is_corrupt(run_of(&raw_run(1, 1, &[1])), "u32 range"));
+        let mut e = Enc::default();
+        e.run([u32::MAX].into_iter());
+        let mut over = e.buf.clone();
+        over[0] = 2;
+        over[1] += 1;
+        over.push(2); // +1 past u32::MAX
+        assert!(is_corrupt(run_of(&over), "u32 range"));
     }
 
     #[test]

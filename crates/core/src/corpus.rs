@@ -37,7 +37,7 @@ use timebase::Timestamp;
 use x509::{Certificate, RootStore};
 
 /// Memory accounting for one snapshot's corpus, interned model vs the
-/// string model it replaced (see `BENCH_intern.json`).
+/// string model it replaced (`cargo bench --bench intern` compares them).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CorpusMemoryStats {
     /// Bytes held by the interned model: the three symbol pools, the

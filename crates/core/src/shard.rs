@@ -368,7 +368,12 @@ fn dec_pool(d: &mut Dec) -> Result<(String, Vec<(u32, u32)>), ArtifactError> {
     let n = d.count(8)?;
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
-        spans.push((d.u32()?, d.u32()?));
+        let (start, len) = (d.u32()?, d.u32()?);
+        let end = start.checked_add(len).map(|end| end as usize);
+        if end.and_then(|end| buf.get(start as usize..end)).is_none() {
+            return Err(d.corrupt(format!("pool span {start}+{len} is outside its string")));
+        }
+        spans.push((start, len));
     }
     Ok((buf, spans))
 }
@@ -535,6 +540,15 @@ fn decode_shard(
                 .ok_or_else(|| ArtifactError::corrupt(path, "SAN symbol out of range"))
         })
         .collect::<Result<_, _>>()?;
+    let offsets_fit = san_offsets[0] == 0
+        && san_offsets.windows(2).all(|w| w[0] <= w[1])
+        && san_offsets[valids.len()] as usize == san_syms.len();
+    if !offsets_fit {
+        return Err(ArtifactError::corrupt(
+            path,
+            "SAN offsets out of order or range",
+        ));
+    }
     let http80 = dec_http(&mut d, &interner, engine, snapshot_idx, 80, path)?;
     let https443 = dec_http(&mut d, &interner, engine, snapshot_idx, 443, path)?;
     let total_ips_with_certs = d.usize()?;
@@ -1163,6 +1177,7 @@ pub fn process_snapshot_sharded(
 mod tests {
     use super::*;
     use hgsim::ScenarioConfig;
+    use scanner::SnapshotObservations;
     use std::collections::HashSet;
 
     #[test]
@@ -1206,23 +1221,24 @@ mod tests {
         );
     }
 
-    /// The admission decoder reads bytes below the segment checksum, so it
-    /// must survive any damage on its own: every truncation of a framed
-    /// summary is an error, and no byte flip panics or drives an
-    /// allocation from an unchecked count.
-    #[test]
-    fn summary_decoder_survives_truncation_and_flips() {
+    /// A small shard of snapshot 30: up to `cap` on-net and `cap` off-net
+    /// certificate records, and the first `cap` banners of each port.
+    fn small_shard(
+        cap: usize,
+    ) -> (
+        HgWorld,
+        PipelineContext,
+        SnapshotObservations,
+        SnapshotCorpus,
+    ) {
         let world = HgWorld::generate(ScenarioConfig::small());
         let engine = ScanEngine::rapid7();
-        let t = 30;
         let ctx = PipelineContext::new(
             world.pki().root_store().clone(),
             world.org_db(),
             Default::default(),
         );
-        // A small shard: a few on-net and a few off-net certificate
-        // records, and the first banners of each port.
-        let mut obs = scanner::observe_snapshot(&world, &engine, t).expect("snapshot in corpus");
+        let mut obs = scanner::observe_snapshot(&world, &engine, 30).expect("snapshot in corpus");
         let ip_to_as = obs.ip_to_as.clone();
         let on_net = |ip: u32| {
             let origins = ip_to_as.lookup(ip);
@@ -1238,15 +1254,37 @@ mod tests {
                 &mut kept.1
             };
             *slot += 1;
-            *slot <= 12
+            *slot <= cap
         });
+        // The kept banners get pools of their own, so a segment holds just
+        // this shard's strings.
+        let scanned = std::mem::take(&mut obs.interner);
         for http in [obs.http80.as_mut(), obs.https443.as_mut()]
             .into_iter()
             .flatten()
         {
-            http.records.truncate(12);
+            http.records.truncate(cap);
+            for (name, value) in http.records.iter_mut().flat_map(|r| &mut r.headers) {
+                let pools = &mut obs.interner;
+                *name = pools
+                    .header_names
+                    .intern(scanned.header_names.resolve(*name));
+                *value = pools
+                    .header_values
+                    .intern(scanned.header_values.resolve(*value));
+            }
         }
         let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
+        (world, ctx, obs, corpus)
+    }
+
+    /// The admission decoder reads bytes below the segment checksum, so it
+    /// must survive any damage on its own: every truncation of a framed
+    /// summary is an error, and no byte flip panics or drives an
+    /// allocation from an unchecked count.
+    #[test]
+    fn summary_decoder_survives_truncation_and_flips() {
+        let (_world, ctx, _obs, corpus) = small_shard(12);
         let payload = frame_segment(&encode_summary(&corpus, 24, &ctx), &[]);
         let path = Path::new("in-memory segment");
         let decode = |bytes: &[u8]| -> Result<usize, ArtifactError> {
@@ -1262,6 +1300,33 @@ mod tests {
         for i in 0..payload.len() {
             for mask in [0x01, 0x80, 0xff] {
                 let mut flipped = payload.clone();
+                flipped[i] ^= mask;
+                let _ = decode(&flipped);
+            }
+        }
+    }
+
+    /// The body decoder, like the summary's, reads bytes below the
+    /// checksum: every truncation is an error, and no byte flip panics or
+    /// sizes an allocation from an unchecked length — a span, offset or
+    /// symbol that points outside its table is `Corrupt`.
+    #[test]
+    fn body_decoder_survives_truncation_and_flips() {
+        let (world, _ctx, obs, corpus) = small_shard(3);
+        let body = encode_shard(&corpus, 6, obs.http80.as_ref(), obs.https443.as_ref());
+        let path = Path::new("in-memory segment");
+        let engine = ScanEngine::rapid7().id;
+        let ip_to_as = world.ip_to_as(30);
+        let decode = |bytes: &[u8]| decode_shard(bytes, 30, engine, ip_to_as.clone(), path);
+        let decoded = decode(&body).unwrap();
+        assert!(!decoded.valids.is_empty() && !decoded.san_syms.is_empty());
+
+        for cut in 0..body.len() {
+            assert!(decode(&body[..cut]).is_err(), "cut at {cut} decoded");
+        }
+        for i in 0..body.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = body.clone();
                 flipped[i] ^= mask;
                 let _ = decode(&flipped);
             }

@@ -16,7 +16,7 @@ use crate::errors::DataQualityReport;
 use crate::headers::{
     learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
-use crate::parallel::parallel_map_isolated;
+use crate::parallel::{bounded_pipeline, isolate};
 use crate::pipeline::{process_corpus, standard_validate_options, PipelineContext, SnapshotResult};
 use crate::shard::{process_snapshot_sharded, ShardingConfig};
 use crate::validation_cache::ValidationCache;
@@ -339,22 +339,37 @@ pub fn try_run_study(
     let mut driver = Driver::new(world, engine.clone(), config)?;
     match config.mode {
         StudyMode::Parallel { workers } => {
-            // Observe + process the pending snapshots independently, with
+            // Observe + process the pending snapshots on the workers, with
             // per-snapshot panic isolation; the record path (the §6.2
-            // fold and the log) then runs in snapshot order.
-            let pending: Vec<usize> = driver
-                .range
-                .clone()
-                .filter(|t| !driver.adopted.contains_key(t))
-                .collect();
-            let outcomes = parallel_map_isolated(&pending, workers, 1, |&t| driver.compute(t));
-            for (&t, outcome) in pending.iter().zip(outcomes) {
-                let result = match outcome {
-                    Ok(result) => result?,
-                    Err(e) => Some(SnapshotResult::degraded(t, e.message)),
-                };
-                driver.record(t, result)?;
-            }
+            // fold and the log) takes each in snapshot order as soon as
+            // its predecessors are recorded, so a killed run keeps every
+            // record made so far.
+            let Driver {
+                step,
+                recorder,
+                adopted,
+                range,
+            } = &mut driver;
+            bounded_pipeline(
+                workers,
+                parallel_depth(workers),
+                |push| {
+                    for t in range.clone().filter(|t| !adopted.contains_key(t)) {
+                        if !push(t) {
+                            break;
+                        }
+                    }
+                    Ok(())
+                },
+                |_, t| Ok((t, isolate(1, || step.compute(t)))),
+                |_, (t, outcome)| {
+                    let result = match outcome {
+                        Ok(result) => result?,
+                        Err(message) => Some(SnapshotResult::degraded(t, message)),
+                    };
+                    recorder.record(step, t, result).map(drop)
+                },
+            )?;
         }
         StudyMode::Sequential | StudyMode::Incremental => {
             for t in driver.range.clone() {
@@ -365,26 +380,44 @@ pub fn try_run_study(
     Ok(driver.finish())
 }
 
+/// Snapshots a parallel study computes ahead of its record path: enough
+/// to keep every worker busy while one slow snapshot holds up the fold.
+fn parallel_depth(workers: usize) -> usize {
+    workers + 2
+}
+
 /// The one study driver behind [`try_run_study`] and
-/// [`DeltaStudyEngine`]: per-snapshot computation ([`Self::compute`]) and
-/// the record path ([`Self::record`]) every mode shares.
+/// [`DeltaStudyEngine`]: per-snapshot computation ([`Step::compute`]) and
+/// the record path ([`Recorder::record`]) every mode shares.
 #[derive(Clone)]
 struct Driver<'w> {
+    step: Step<'w>,
+    recorder: Recorder,
+    /// Snapshots adopted from the study log, with whether each was
+    /// processed; never recomputed.
+    adopted: BTreeMap<usize, bool>,
+    range: std::ops::RangeInclusive<usize>,
+}
+
+/// What the per-snapshot step reads, shared by every worker.
+#[derive(Clone)]
+struct Step<'w> {
     world: &'w HgWorld,
     engine: ScanEngine,
     /// The per-snapshot context (one HG thread under `Parallel`).
     ctx: PipelineContext,
-    incremental: bool,
     sharding: Option<ShardingConfig>,
+}
+
+/// The record path's state, written in snapshot order.
+#[derive(Clone)]
+struct Recorder {
+    incremental: bool,
     /// Results, fold state, reuse reports, and the open study log.
     builder: ArtifactBuilder,
     /// Cache (hits, misses) after the previous snapshot, so each reuse
     /// report carries per-snapshot deltas.
     cache_mark: (u64, u64),
-    /// Snapshots adopted from the study log, with whether each was
-    /// processed; never recomputed.
-    adopted: BTreeMap<usize, bool>,
-    range: std::ops::RangeInclusive<usize>,
 }
 
 impl<'w> Driver<'w> {
@@ -420,13 +453,17 @@ impl<'w> Driver<'w> {
             artifact_fingerprint(world, &engine, config),
         );
         let mut driver = Self {
-            world,
-            engine,
-            ctx,
-            incremental: config.mode == StudyMode::Incremental,
-            sharding: config.sharding.clone(),
-            builder,
-            cache_mark: (0, 0),
+            step: Step {
+                world,
+                engine,
+                ctx,
+                sharding: config.sharding.clone(),
+            },
+            recorder: Recorder {
+                incremental: config.mode == StudyMode::Incremental,
+                builder,
+                cache_mark: (0, 0),
+            },
             adopted: BTreeMap::new(),
             range: config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1),
         };
@@ -441,10 +478,12 @@ impl<'w> Driver<'w> {
     /// counters for a record another mode wrote).
     fn open_log(&mut self, path: PathBuf) -> Result<(), StudyError> {
         self.adopted.clear();
-        for a in self.builder.open_log(path, self.range.clone())? {
+        let recorder = &mut self.recorder;
+        for a in recorder.builder.open_log(path, self.range.clone())? {
             self.adopted.insert(a.snapshot_idx, a.processed);
-            if a.processed && self.incremental {
-                self.builder
+            if a.processed && recorder.incremental {
+                recorder
+                    .builder
                     .push_report(a.report.unwrap_or(DeltaReport::new(a.snapshot_idx, 0, 0)));
             }
         }
@@ -457,10 +496,17 @@ impl<'w> Driver<'w> {
         if let Some(&processed) = self.adopted.get(&t) {
             return Ok(processed);
         }
-        let result = self.compute(t)?;
-        self.record(t, result)
+        let result = self.step.compute(t)?;
+        self.recorder.record(&self.step, t, result)
     }
 
+    fn finish(self) -> StudyRun {
+        let (series, reports) = self.recorder.builder.finish();
+        StudyRun { series, reports }
+    }
+}
+
+impl Step<'_> {
     /// The per-snapshot step every mode runs: the §4 pipeline over
     /// snapshot `t`, in memory or sharded. `None` when the corpus misses
     /// `t`.
@@ -479,17 +525,24 @@ impl<'w> Driver<'w> {
         );
         Ok(Some(process_corpus(&corpus, &self.ctx)))
     }
+}
 
+impl Recorder {
     /// The record path every mode shares: the §6.2 fold, the reuse
     /// report (incremental), and one appended log record — a skip marker
     /// for an uncovered snapshot, keeping the log's snapshots
-    /// consecutive.
-    fn record(&mut self, t: usize, result: Option<SnapshotResult>) -> Result<bool, StudyError> {
+    /// consecutive. Returns whether the corpus covered `t`.
+    fn record(
+        &mut self,
+        step: &Step,
+        t: usize,
+        result: Option<SnapshotResult>,
+    ) -> Result<bool, StudyError> {
         let Some(result) = result else {
             self.builder.record_skip(t)?;
             return Ok(false);
         };
-        let report = match &self.ctx.validation_cache {
+        let report = match &step.ctx.validation_cache {
             Some(cache) if self.incremental => {
                 let (hits, misses) = cache.hit_stats();
                 let (replayed, revalidated) =
@@ -499,15 +552,10 @@ impl<'w> Driver<'w> {
             }
             _ => None,
         };
-        let ip_to_as = self.world.ip_to_as(t);
+        let ip_to_as = step.world.ip_to_as(t);
         self.builder
             .record(t, result, report, |ip| ip_to_as.lookup(ip).to_vec())?;
         Ok(true)
-    }
-
-    fn finish(self) -> StudyRun {
-        let (series, reports) = self.builder.finish();
-        StudyRun { series, reports }
     }
 }
 
@@ -575,12 +623,13 @@ impl<'w> DeltaStudyEngine<'w> {
 
     /// Per-snapshot reuse reports so far.
     pub fn reports(&self) -> &[DeltaReport] {
-        self.0.builder.reports()
+        self.0.recorder.builder.reports()
     }
 
     /// The shared §4.1 validation cache (for its lifetime counters).
     pub fn cache(&self) -> &ValidationCache {
         self.0
+            .step
             .ctx
             .validation_cache
             .as_deref()
@@ -624,6 +673,45 @@ mod tests {
         assert!(reference.iter().any(|fp| !fp.is_empty()), "learned nothing");
         assert_eq!(sorted(1), reference, "chunk size 1");
         assert_eq!(sorted(usize::MAX), reference, "one whole snapshot");
+    }
+
+    /// A parallel run records as it goes: when snapshot 5's segment
+    /// directory cannot be made, the run fails typed, the log holds
+    /// exactly the records of snapshots 0..=4, and no worker ran further
+    /// ahead of the record path than the pipeline depth.
+    #[test]
+    fn parallel_mode_records_until_the_first_failure() {
+        let world = HgWorld::generate(ScenarioConfig::small());
+        let dir = std::env::temp_dir().join(format!("offnet-study-par-{}", std::process::id()));
+        let spill = dir.join("spill");
+        std::fs::create_dir_all(&spill).unwrap();
+        std::fs::write(spill.join("t0005"), b"a file where a segment dir goes").unwrap();
+        let log = dir.join("study.offna");
+        let workers = 2;
+        let config = StudyConfig {
+            mode: StudyMode::Parallel { workers },
+            sharding: Some(ShardingConfig::new(400, &spill)),
+            artifact_out: Some(log.clone()),
+            ..Default::default()
+        };
+        let err = match try_run_study(&world, &ScanEngine::rapid7(), &config) {
+            Ok(_) => panic!("a study whose segment dir is a file succeeded"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
+        let recorded: Vec<usize> = crate::artifact::StudyArtifact::load(&log)
+            .unwrap()
+            .snapshots
+            .iter()
+            .map(|s| s.snapshot_idx)
+            .collect();
+        assert_eq!(recorded, (0..5).collect::<Vec<_>>());
+        for entry in std::fs::read_dir(&spill).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let t: usize = name.trim_start_matches('t').parse().unwrap();
+            assert!(t <= 5 + parallel_depth(workers), "{name} computed");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

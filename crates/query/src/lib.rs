@@ -1,48 +1,22 @@
-//! Read-optimized query layer over a study log ([`StudyArtifact`]).
+//! Read-optimized query layer over a study log
+//! ([`StudyArtifact`](offnet_core::StudyArtifact)).
 //!
 //! A production deployment serves footprint queries — "which ASes host HG
 //! X in month Y?", "growth curve for AS Z", "coverage of population P" —
 //! to many users at interactive latency. [`FrozenStudy::load`] makes one
-//! pass over the log's records and freezes the per-HG confirmed/candidate
-//! AS sets into two flat sorted-integer columns with a shared offset
-//! table, so every query is an O(1) slice or an O(log n) binary search —
-//! no hashing, no allocation, no locks. `cargo bench --bench query` in
-//! `offnet-bench` drives the point-query path with a load generator and
-//! prints p50/p99 latency and sustained queries/sec; perfbench's `query`
-//! workload (`--workload query`) times load plus one query end to end.
+//! pass over the log's records and decodes the per-HG confirmed/candidate
+//! AS runs into two flat sorted-integer columns with offset tables
+//! ([`ArtifactTables`]), so every query is an O(1) slice or an O(log n)
+//! binary search — no hashing, no allocation, no locks. `cargo bench
+//! --bench query` in `offnet-bench` drives the point-query path with a
+//! load generator and prints p50/p99 latency and sustained queries/sec;
+//! perfbench's `query` workload (`--workload query`) times load plus one
+//! query end to end.
 
 use hgsim::{Hg, ALL_HGS};
-use offnet_core::{read_artifact_payload, ArtifactError, ArtifactTables, StudyArtifact};
+use offnet_core::{read_artifact_payload, ArtifactError, ArtifactTables};
 use std::path::Path;
 use timebase::Snapshot;
-
-/// A ragged 2-D array of sorted integers: cell `c` is
-/// `values[offsets[c] .. offsets[c + 1]]`. One contiguous allocation per
-/// column, so cell access is a bounds check and a slice.
-#[derive(Debug, Clone, Default)]
-struct Ragged {
-    /// `cells + 1` entries; monotonically non-decreasing.
-    offsets: Vec<u32>,
-    values: Vec<u32>,
-}
-
-impl Ragged {
-    fn push_cell(&mut self, values: impl IntoIterator<Item = u32>) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.values.extend(values);
-        self.offsets.push(self.values.len() as u32);
-    }
-
-    fn cell(&self, c: usize) -> &[u32] {
-        &self.values[self.offsets[c] as usize..self.offsets[c + 1] as usize]
-    }
-
-    fn len(&self, c: usize) -> usize {
-        (self.offsets[c + 1] - self.offsets[c]) as usize
-    }
-}
 
 /// A study's results frozen into flat integer tables, ready to serve.
 ///
@@ -52,110 +26,60 @@ impl Ragged {
 /// than months).
 #[derive(Debug, Clone)]
 pub struct FrozenStudy {
-    engine: scanner::EngineId,
-    /// Snapshot index per row, ascending.
-    snapshot_idxs: Vec<u32>,
+    tables: ArtifactTables,
     /// `2013-10`-style month label per row.
     labels: Vec<String>,
-    confirmed: Ragged,
-    candidate: Ragged,
-    netflix: [Vec<u64>; 3],
 }
 
 /// A population of users to measure coverage over: `(AS number, users)`.
 pub type Population<'a> = &'a [(u32, u64)];
 
+/// What one [`FrozenStudy::load`] read, as its single pass counted it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoadStats {
+    /// Bytes of the study log.
+    pub log_bytes: usize,
+    /// Records (skip markers included) whose checksum was verified.
+    pub records_verified: usize,
+}
+
 impl FrozenStudy {
     /// Load a study log and freeze it. Any valid log is served, whatever
     /// config fingerprint it carries; a torn or damaged one is an error.
     ///
-    /// This is the borrowed-load path: the file is read once, then
-    /// [`ArtifactTables`] verifies each record's checksum and makes a
-    /// single skipping pass that exposes the confirmed/candidate columns
-    /// as raw slices of the buffer — no `BTreeSet`s, no `SnapshotResult`
-    /// materialization — and the query tables are built straight from
-    /// those slices. Equivalent to `freeze(&StudyArtifact::load(path)?)`,
-    /// which `tests` pin.
+    /// The file is read once, then [`ArtifactTables::parse`] verifies
+    /// each record's checksum and makes a single pass that decodes the
+    /// confirmed/candidate runs into two flat columns and skips the rest —
+    /// no `BTreeSet`s, no `SnapshotResult` materialization. The study
+    /// keeps those columns as they are. It answers as the full decode
+    /// ([`offnet_core::StudyArtifact::load`]) of the same log does, which
+    /// `tests` pin.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
         let (_fingerprint, payload) = read_artifact_payload(path)?;
         let tables = ArtifactTables::parse(&payload, path)?;
-        Ok(Self::from_tables(&tables))
-    }
-
-    /// Freeze borrowed artifact tables into owned query tables.
-    fn from_tables(tables: &ArtifactTables<'_>) -> Self {
-        let mut confirmed = Ragged::default();
-        let mut candidate = Ragged::default();
-        let snapshot_idxs = tables.snapshot_idxs().to_vec();
-        let labels = snapshot_idxs
+        let labels = tables
+            .snapshot_idxs()
             .iter()
             .map(|&idx| month_label(idx as usize))
             .collect();
-        for cell in 0..tables.n_rows() * ALL_HGS.len() {
-            confirmed.push_cell(tables.confirmed_cell(cell));
-            candidate.push_cell(tables.candidate_cell(cell));
-        }
-        let nf = tables.netflix_columns();
-        FrozenStudy {
-            engine: tables.engine(),
-            snapshot_idxs,
-            labels,
-            confirmed,
-            candidate,
-            netflix: [nf[0].clone(), nf[1].clone(), nf[2].clone()],
-        }
+        Ok(FrozenStudy { tables, labels })
     }
 
-    /// Freeze a loaded artifact into query tables: one pass, two flat
-    /// columns (confirmed/candidate) plus the Netflix variant series.
-    pub fn freeze(artifact: &StudyArtifact) -> Self {
-        let mut confirmed = Ragged::default();
-        let mut candidate = Ragged::default();
-        let mut snapshot_idxs = Vec::with_capacity(artifact.snapshots.len());
-        let mut labels = Vec::with_capacity(artifact.snapshots.len());
-        for snap in &artifact.snapshots {
-            snapshot_idxs.push(snap.snapshot_idx as u32);
-            labels.push(month_label(snap.snapshot_idx));
-            for hg in ALL_HGS {
-                // A BTreeSet iterates ascending, so each cell lands sorted
-                // and `hosts` can binary-search it.
-                let cell = snap.per_hg.get(&hg);
-                confirmed.push_cell(
-                    cell.map(|h| &h.confirmed_ases)
-                        .into_iter()
-                        .flatten()
-                        .map(|a| a.0),
-                );
-                candidate.push_cell(
-                    cell.map(|h| &h.candidate_ases)
-                        .into_iter()
-                        .flatten()
-                        .map(|a| a.0),
-                );
-            }
-        }
-        let col = |v: &[usize]| v.iter().map(|&n| n as u64).collect();
-        FrozenStudy {
-            engine: artifact.engine,
-            snapshot_idxs,
-            labels,
-            confirmed,
-            candidate,
-            netflix: [
-                col(&artifact.netflix.initial),
-                col(&artifact.netflix.with_expired),
-                col(&artifact.netflix.with_non_tls),
-            ],
+    /// What [`Self::load`] read.
+    pub fn load_stats(&self) -> LoadStats {
+        LoadStats {
+            log_bytes: self.tables.log_bytes(),
+            records_verified: self.tables.records_verified(),
         }
     }
 
     pub fn engine(&self) -> scanner::EngineId {
-        self.engine
+        self.tables.engine()
     }
 
     /// Number of processed snapshots (query rows).
     pub fn n_rows(&self) -> usize {
-        self.snapshot_idxs.len()
+        self.tables.n_rows()
     }
 
     /// Month label for a row (`2013-10` style).
@@ -165,12 +89,13 @@ impl FrozenStudy {
 
     /// Raw snapshot index for a row.
     pub fn snapshot_idx(&self, row: usize) -> usize {
-        self.snapshot_idxs[row] as usize
+        self.tables.snapshot_idxs()[row] as usize
     }
 
     /// Row holding a raw snapshot index, if that month was processed.
     pub fn row_of(&self, snapshot_idx: usize) -> Option<usize> {
-        self.snapshot_idxs
+        self.tables
+            .snapshot_idxs()
             .binary_search(&(snapshot_idx as u32))
             .ok()
     }
@@ -186,28 +111,25 @@ impl FrozenStudy {
 
     /// "Which ASes host HG X in month Y?" — an O(1) sorted slice.
     pub fn ases_hosting(&self, hg: Hg, row: usize) -> &[u32] {
-        self.confirmed.cell(self.cell(hg, row))
+        self.tables.confirmed_cell(self.cell(hg, row))
     }
 
     /// Certificate-only (candidate) AS list for one HG and row.
     pub fn ases_candidate(&self, hg: Hg, row: usize) -> &[u32] {
-        self.candidate.cell(self.cell(hg, row))
+        self.tables.candidate_cell(self.cell(hg, row))
     }
 
     /// "Does AS Z host HG X in month Y?" — the point query the load
     /// generator hammers; one binary search over a sorted cell.
     pub fn hosts(&self, hg: Hg, row: usize, asn: u32) -> bool {
-        self.confirmed
-            .cell(self.cell(hg, row))
-            .binary_search(&asn)
-            .is_ok()
+        self.ases_hosting(hg, row).binary_search(&asn).is_ok()
     }
 
     /// "Growth curve for HG X" — confirmed-AS count per row, read off the
     /// offset table without touching the values.
     pub fn growth_curve(&self, hg: Hg) -> Vec<usize> {
         (0..self.n_rows())
-            .map(|row| self.confirmed.len(self.cell(hg, row)))
+            .map(|row| self.ases_hosting(hg, row).len())
             .collect()
     }
 
@@ -249,11 +171,8 @@ impl FrozenStudy {
     /// The §6.2 Netflix variant series
     /// `(initial, with_expired, with_non_tls)` per row.
     pub fn netflix_variants(&self, row: usize) -> (u64, u64, u64) {
-        (
-            self.netflix[0][row],
-            self.netflix[1][row],
-            self.netflix[2][row],
-        )
+        let nf = self.tables.netflix_columns();
+        (nf[0][row], nf[1][row], nf[2][row])
     }
 }
 
@@ -275,11 +194,9 @@ pub fn parse_hg(name: &str) -> Option<Hg> {
 
 /// `2013-10`-style label for a raw snapshot index.
 pub fn month_label(snapshot_idx: usize) -> String {
-    let mut s = Snapshot::study_start();
-    for _ in 0..snapshot_idx {
-        s = s.next();
-    }
-    s.label()
+    let start = Snapshot::study_start();
+    let months = usize::from(start.month() - 1) + 3 * snapshot_idx;
+    Snapshot::new(start.year() + (months / 12) as i32, (months % 12) as u8 + 1).label()
 }
 
 #[cfg(test)]
@@ -287,7 +204,24 @@ mod tests {
     use super::*;
     use netsim::AsId;
     use offnet_core::pipeline::{HgSnapshotResult, SnapshotResult};
-    use offnet_core::NetflixVariants;
+    use offnet_core::{NetflixVariants, StudyArtifact};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `a` written to a process-unique log and loaded back.
+    fn frozen(a: &StudyArtifact) -> FrozenStudy {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "offnet-query-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let path = dir.join("study.offna");
+        a.write(&path).unwrap();
+        let f = FrozenStudy::load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        f
+    }
 
     fn artifact() -> StudyArtifact {
         let mut snaps = Vec::new();
@@ -329,7 +263,7 @@ mod tests {
 
     #[test]
     fn rows_and_labels() {
-        let f = FrozenStudy::freeze(&artifact());
+        let f = frozen(&artifact());
         assert_eq!(f.n_rows(), 3);
         assert_eq!(f.row_of(5), Some(1));
         assert_eq!(f.row_of(4), None);
@@ -341,7 +275,7 @@ mod tests {
 
     #[test]
     fn point_and_slice_queries() {
-        let f = FrozenStudy::freeze(&artifact());
+        let f = frozen(&artifact());
         assert_eq!(f.ases_hosting(Hg::Google, 0), &[5, 15]);
         assert_eq!(f.ases_candidate(Hg::Google, 0).len(), 3);
         assert!(f.hosts(Hg::Google, 2, 25));
@@ -355,7 +289,7 @@ mod tests {
 
     #[test]
     fn coverage_weights_users() {
-        let f = FrozenStudy::freeze(&artifact());
+        let f = frozen(&artifact());
         let population = [(5u32, 100u64), (77, 50), (999, 850)];
         assert_eq!(f.coverage(Hg::Google, 0, &population), (100, 1000));
         assert_eq!(f.coverage(Hg::Netflix, 0, &population), (50, 1000));
@@ -366,31 +300,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("offnet-query-load-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.offna");
-        let a = artifact();
-        a.write(&path).unwrap();
+        artifact().write(&path).unwrap();
 
-        let via_tables = FrozenStudy::load(&path).unwrap();
-        let via_decode = FrozenStudy::freeze(&StudyArtifact::load(&path).unwrap());
-        assert_eq!(via_tables.engine(), via_decode.engine());
-        assert_eq!(via_tables.n_rows(), via_decode.n_rows());
-        for row in 0..via_decode.n_rows() {
-            assert_eq!(via_tables.label(row), via_decode.label(row));
-            assert_eq!(via_tables.snapshot_idx(row), via_decode.snapshot_idx(row));
-            assert_eq!(
-                via_tables.netflix_variants(row),
-                via_decode.netflix_variants(row)
-            );
+        let f = FrozenStudy::load(&path).unwrap();
+        let decoded = StudyArtifact::load(&path).unwrap();
+        assert_eq!(f.engine(), decoded.engine);
+        assert_eq!(f.n_rows(), decoded.snapshots.len());
+        let nf = &decoded.netflix;
+        for (row, snap) in decoded.snapshots.iter().enumerate() {
+            assert_eq!(f.label(row), month_label(snap.snapshot_idx));
+            assert_eq!(f.snapshot_idx(row), snap.snapshot_idx);
+            let variants = (nf.initial[row], nf.with_expired[row], nf.with_non_tls[row]);
+            let (a, b, c) = f.netflix_variants(row);
+            assert_eq!((a as usize, b as usize, c as usize), variants);
             for hg in ALL_HGS {
-                assert_eq!(
-                    via_tables.ases_hosting(hg, row),
-                    via_decode.ases_hosting(hg, row)
-                );
-                assert_eq!(
-                    via_tables.ases_candidate(hg, row),
-                    via_decode.ases_candidate(hg, row)
-                );
+                let ases = |set: fn(&HgSnapshotResult) -> &BTreeSet<AsId>| -> Vec<u32> {
+                    snap.per_hg
+                        .get(&hg)
+                        .map_or(Vec::new(), |h| set(h).iter().map(|a| a.0).collect())
+                };
+                assert_eq!(f.ases_hosting(hg, row), ases(|h| &h.confirmed_ases));
+                assert_eq!(f.ases_candidate(hg, row), ases(|h| &h.candidate_ases));
             }
         }
+        let stats = f.load_stats();
+        assert_eq!(
+            stats.log_bytes,
+            std::fs::metadata(&path).unwrap().len() as usize
+        );
+        assert_eq!(stats.records_verified, 4, "three rows and a skip marker");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

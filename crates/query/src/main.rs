@@ -1,6 +1,7 @@
 //! `offnet-query` — serve footprint queries from a study log.
 //!
 //! ```text
+//! offnet-query [--stats] <artifact> <command> [args]
 //! offnet-query <artifact> info
 //! offnet-query <artifact> ases <hg> <month|idx>
 //! offnet-query <artifact> hosts <hg> <month|idx> <asn>
@@ -10,13 +11,17 @@
 //! ```
 //!
 //! Months are accepted as `2013-10`-style labels or raw snapshot indices.
+//! `--stats` prints what the load read (log bytes, records verified, rows)
+//! and its wall time to stderr.
 
 use hgsim::ALL_HGS;
 use offnet_query::{parse_hg, FrozenStudy};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
-const USAGE: &str = "usage: offnet-query <artifact> <command> [args]
+const USAGE: &str = "usage: offnet-query [--stats] <artifact> <command> [args]
+  --stats                             print load bytes, records, rows and time to stderr
 commands:
   info                                artifact summary: engine, rows, months
   ases <hg> <month|idx>               confirmed ASes hosting <hg> that month
@@ -38,11 +43,26 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    let (stats, args) = match args {
+        [flag, rest @ ..] if flag == "--stats" => (true, rest),
+        _ => (false, args),
+    };
     let (path, cmd, rest) = match args {
         [path, cmd, rest @ ..] => (PathBuf::from(path), cmd.as_str(), rest),
         _ => return Err(USAGE.to_owned()),
     };
+    let start = Instant::now();
     let study = FrozenStudy::load(&path).map_err(|e| e.to_string())?;
+    if stats {
+        let load_ms = start.elapsed().as_secs_f64() * 1e3;
+        let read = study.load_stats();
+        eprintln!(
+            "offnet-query: stats: log_bytes {} records_verified {} rows {} load_ms {load_ms:.3}",
+            read.log_bytes,
+            read.records_verified,
+            study.n_rows()
+        );
+    }
     match (cmd, rest) {
         ("info", []) => {
             println!("engine: {}", study.engine());

@@ -250,7 +250,7 @@ fn mismatched_driver_checkpoints_are_rejected() {
             err,
             ArtifactError::VersionMismatch {
                 found: 1,
-                expected: 3,
+                expected: 4,
                 ..
             }
         ),
@@ -630,7 +630,7 @@ fn damaged_artifacts_fail_typed_not_loud() {
     match DeltaStudyEngine::try_new(w, engine, &config) {
         Err(ArtifactError::VersionMismatch {
             found: 1,
-            expected: 3,
+            expected: 4,
             ..
         }) => {}
         Err(e) => panic!("wrong error for a version-1 log: {e}"),
@@ -772,8 +772,8 @@ fn an_append_writes_only_its_own_record() {
 /// each record boundary: every resume either renders byte-identically to
 /// an uninterrupted run (cutting the torn tail off and appending the
 /// rest) or, inside the header, fails with a typed error. A checksum flip
-/// in a complete record and a version-2 log are typed on load and on
-/// resume alike.
+/// in a complete record and a version-2 or version-3 log are typed on load
+/// and on resume alike.
 #[test]
 fn torn_tails_recover_and_damage_is_typed() {
     let w = world();
@@ -835,21 +835,71 @@ fn torn_tails_recover_and_damage_is_typed() {
     let resume = logged(range, &log, StudyMode::Sequential);
     assert!(corrupt(&run(&engine, &resume).unwrap_err()));
 
-    // A version-2 log: the whole-file columnar artifact this log replaced.
-    let mut v2 = whole.clone();
-    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-    std::fs::write(&log, &v2).expect("write version 2");
-    let v2_error = |e: ArtifactError| {
-        matches!(
-            e,
-            ArtifactError::VersionMismatch {
-                found: 2,
-                expected: 3,
-                ..
-            }
-        )
-    };
-    assert!(v2_error(StudyArtifact::load(&log).unwrap_err()));
-    assert!(v2_error(run(&engine, &resume).unwrap_err()));
+    // Logs of older versions: v2, the whole-file columnar artifact this
+    // log replaced, and v3, which wrote integer lists as 4-byte words.
+    for version in [2, 3] {
+        let mut old = whole.clone();
+        old[8..12].copy_from_slice(&u32::to_le_bytes(version));
+        std::fs::write(&log, &old).expect("write an older version");
+        let refused = |e: ArtifactError| {
+            matches!(
+                e,
+                ArtifactError::VersionMismatch {
+                    found,
+                    expected: 4,
+                    ..
+                } if found == version
+            )
+        };
+        assert!(refused(StudyArtifact::load(&log).unwrap_err()));
+        assert!(refused(FrozenStudy::load(&log).unwrap_err()));
+        assert!(refused(run(&engine, &resume).unwrap_err()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Log v4 stores a record's integer lists (AS sets, IP lists, certificate
+/// groups, HTTP-only IPs) as delta-varint runs. Every record body of a
+/// small-world log, fixed-width fields and all, takes at most 60% of the
+/// bytes its runs alone took in v3 as an 8-byte count and 4-byte words.
+#[test]
+fn record_bodies_are_compact() {
+    let dir = temp_dir();
+    let log = dir.join("compact.offna");
+    let series = run_study(
+        world(),
+        &ScanEngine::rapid7(),
+        &logged((0, 30), &log, StudyMode::Parallel { workers: 2 }),
+    );
+    let bytes = std::fs::read(&log).expect("log bytes");
+    let le = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    // The header envelope: magic, version, fingerprint, length, body, SHA-256.
+    let mut at = 28 + le(20) + 32;
+    for snap in &series.snapshots {
+        let runs = snap.per_hg.values().flat_map(|h| {
+            [
+                h.candidate_ases.len(),
+                h.confirmed_ases.len(),
+                h.confirmed_and_ases.len(),
+                h.with_expired_ases.len(),
+                h.candidate_ips.len(),
+                h.confirmed_ips.len(),
+                h.cert_ip_groups.len(),
+                h.with_expired_ips.len(),
+            ]
+        });
+        let as_words: usize = runs
+            .chain([snap.http_only_ips.len()])
+            .map(|n| 8 + 4 * n)
+            .sum();
+        let body = le(at);
+        assert!(
+            body * 10 <= as_words * 6,
+            "t={}: a {body}-byte body for runs of {as_words} bytes as words",
+            snap.snapshot_idx
+        );
+        at += 16 + body + 32;
+    }
+    assert_eq!(at, bytes.len(), "one record per snapshot");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -870,8 +870,7 @@ pub struct ArtifactTables {
     confirmed: RunColumn,
     candidate: RunColumn,
     netflix: [Vec<u64>; 3],
-    log_bytes: usize,
-    records_verified: usize,
+    record_body_lens: Vec<usize>,
 }
 
 impl ArtifactTables {
@@ -887,8 +886,7 @@ impl ArtifactTables {
             confirmed: RunColumn::with_cells(cells),
             candidate: RunColumn::with_cells(cells),
             netflix: Default::default(),
-            log_bytes: bytes.len(),
-            records_verified: view.records.len(),
+            record_body_lens: view.records.iter().map(|body| body.len()).collect(),
         };
         for body in view.records {
             let mut d = Dec::new(body, path);
@@ -958,14 +956,10 @@ impl ArtifactTables {
         &self.netflix
     }
 
-    /// Bytes of the log parsed.
-    pub fn log_bytes(&self) -> usize {
-        self.log_bytes
-    }
-
-    /// Records (skip markers included) whose checksum was verified.
-    pub fn records_verified(&self) -> usize {
-        self.records_verified
+    /// Body length of each record (skip markers included) whose checksum
+    /// was verified, in log order.
+    pub fn record_body_lens(&self) -> &[usize] {
+        &self.record_body_lens
     }
 }
 

@@ -34,15 +34,6 @@ pub struct FrozenStudy {
 /// A population of users to measure coverage over: `(AS number, users)`.
 pub type Population<'a> = &'a [(u32, u64)];
 
-/// What one [`FrozenStudy::load`] read, as its single pass counted it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadStats {
-    /// Bytes of the study log.
-    pub log_bytes: usize,
-    /// Records (skip markers included) whose checksum was verified.
-    pub records_verified: usize,
-}
-
 impl FrozenStudy {
     /// Load a study log and freeze it. Any valid log is served, whatever
     /// config fingerprint it carries; a torn or damaged one is an error.
@@ -65,12 +56,10 @@ impl FrozenStudy {
         Ok(FrozenStudy { tables, labels })
     }
 
-    /// What [`Self::load`] read.
-    pub fn load_stats(&self) -> LoadStats {
-        LoadStats {
-            log_bytes: self.tables.log_bytes(),
-            records_verified: self.tables.records_verified(),
-        }
+    /// Body length of each record [`Self::load`] verified (skip markers
+    /// included), in log order.
+    pub fn record_body_lens(&self) -> &[usize] {
+        self.tables.record_body_lens()
     }
 
     pub fn engine(&self) -> scanner::EngineId {
@@ -323,12 +312,11 @@ mod tests {
                 assert_eq!(f.ases_candidate(hg, row), ases(|h| &h.candidate_ases));
             }
         }
-        let stats = f.load_stats();
         assert_eq!(
-            stats.log_bytes,
-            std::fs::metadata(&path).unwrap().len() as usize
+            f.record_body_lens().len(),
+            4,
+            "three rows and a skip marker"
         );
-        assert_eq!(stats.records_verified, 4, "three rows and a skip marker");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

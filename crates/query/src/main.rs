@@ -55,11 +55,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let study = FrozenStudy::load(&path).map_err(|e| e.to_string())?;
     if stats {
         let load_ms = start.elapsed().as_secs_f64() * 1e3;
-        let read = study.load_stats();
+        let log_bytes = std::fs::metadata(&path).map_err(|e| e.to_string())?.len();
         eprintln!(
-            "offnet-query: stats: log_bytes {} records_verified {} rows {} load_ms {load_ms:.3}",
-            read.log_bytes,
-            read.records_verified,
+            "offnet-query: stats: log_bytes {log_bytes} records_verified {} rows {} load_ms {load_ms:.3}",
+            study.record_body_lens().len(),
             study.n_rows()
         );
     }

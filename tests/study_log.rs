@@ -642,6 +642,11 @@ fn damaged_artifacts_fail_typed_not_loud() {
 /// The query layer's frozen tables must agree with the series they were
 /// frozen from: growth curves equal the per-snapshot confirmed counts,
 /// and point lookups match set membership.
+///
+/// Log v4 stores a record's integer lists (AS sets, IP lists, certificate
+/// groups, HTTP-only IPs) as delta-varint runs: every record body of the
+/// log, fixed-width fields and all, takes at most 60% of the bytes its
+/// runs alone took in v3 as an 8-byte count and 4-byte words.
 #[test]
 fn frozen_study_agrees_with_live_series() {
     let w = world();
@@ -673,6 +678,36 @@ fn frozen_study_agrees_with_live_series() {
                 assert!(frozen.hosts(hg, row, *asn), "{hg} row {row} as {asn}");
             }
         }
+    }
+
+    let bodies = frozen.record_body_lens();
+    assert_eq!(
+        bodies.len(),
+        series.snapshots.len(),
+        "one record per snapshot"
+    );
+    for (snap, &body) in series.snapshots.iter().zip(bodies) {
+        let runs = snap.per_hg.values().flat_map(|h| {
+            [
+                h.candidate_ases.len(),
+                h.confirmed_ases.len(),
+                h.confirmed_and_ases.len(),
+                h.with_expired_ases.len(),
+                h.candidate_ips.len(),
+                h.confirmed_ips.len(),
+                h.cert_ip_groups.len(),
+                h.with_expired_ips.len(),
+            ]
+        });
+        let as_words: usize = runs
+            .chain([snap.http_only_ips.len()])
+            .map(|n| 8 + 4 * n)
+            .sum();
+        assert!(
+            body * 10 <= as_words * 6,
+            "t={}: a {body}-byte body for runs of {as_words} bytes as words",
+            snap.snapshot_idx
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -855,51 +890,5 @@ fn torn_tails_recover_and_damage_is_typed() {
         assert!(refused(FrozenStudy::load(&log).unwrap_err()));
         assert!(refused(run(&engine, &resume).unwrap_err()));
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Log v4 stores a record's integer lists (AS sets, IP lists, certificate
-/// groups, HTTP-only IPs) as delta-varint runs. Every record body of a
-/// small-world log, fixed-width fields and all, takes at most 60% of the
-/// bytes its runs alone took in v3 as an 8-byte count and 4-byte words.
-#[test]
-fn record_bodies_are_compact() {
-    let dir = temp_dir();
-    let log = dir.join("compact.offna");
-    let series = run_study(
-        world(),
-        &ScanEngine::rapid7(),
-        &logged((0, 30), &log, StudyMode::Parallel { workers: 2 }),
-    );
-    let bytes = std::fs::read(&log).expect("log bytes");
-    let le = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    // The header envelope: magic, version, fingerprint, length, body, SHA-256.
-    let mut at = 28 + le(20) + 32;
-    for snap in &series.snapshots {
-        let runs = snap.per_hg.values().flat_map(|h| {
-            [
-                h.candidate_ases.len(),
-                h.confirmed_ases.len(),
-                h.confirmed_and_ases.len(),
-                h.with_expired_ases.len(),
-                h.candidate_ips.len(),
-                h.confirmed_ips.len(),
-                h.cert_ip_groups.len(),
-                h.with_expired_ips.len(),
-            ]
-        });
-        let as_words: usize = runs
-            .chain([snap.http_only_ips.len()])
-            .map(|n| 8 + 4 * n)
-            .sum();
-        let body = le(at);
-        assert!(
-            body * 10 <= as_words * 6,
-            "t={}: a {body}-byte body for runs of {as_words} bytes as words",
-            snap.snapshot_idx
-        );
-        at += 16 + body + 32;
-    }
-    assert_eq!(at, bytes.len(), "one record per snapshot");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -90,6 +90,8 @@ pub fn table2(world: &HgWorld, ctx: &PipelineContext, t: usize) -> Vec<Table2Row
 pub struct MemoryRow {
     pub snapshot_idx: usize,
     pub stats: offnet_core::CorpusMemoryStats,
+    /// The snapshot's `offnet_core::corpus::string_model_bytes` figure.
+    pub string_model_bytes: usize,
 }
 
 /// Human-readable byte count (`1.2 MiB`-style, exact below 1 KiB).
@@ -111,28 +113,30 @@ pub fn humanize_bytes(bytes: usize) -> String {
 /// with a total row summing every snapshot.
 pub fn memory_table(rows: &[MemoryRow]) -> String {
     let mut out_rows = Vec::with_capacity(rows.len() + 1);
-    let fmt = |label: String, s: &offnet_core::CorpusMemoryStats| -> Vec<String> {
-        let saved = 1.0 - s.interned_bytes as f64 / (s.string_model_bytes.max(1)) as f64;
+    let fmt = |label: String, s: &offnet_core::CorpusMemoryStats, string_model: usize| {
+        let saved = 1.0 - s.interned_bytes as f64 / (string_model.max(1)) as f64;
         vec![
             label,
             s.hosts.to_string(),
             s.header_names.to_string(),
             s.header_values.to_string(),
             humanize_bytes(s.interned_bytes),
-            humanize_bytes(s.string_model_bytes),
+            humanize_bytes(string_model),
             crate::render::pct(saved),
         ]
     };
     let mut total = offnet_core::CorpusMemoryStats::default();
+    let mut total_string_model = 0;
     for r in rows {
         total.interned_bytes += r.stats.interned_bytes;
-        total.string_model_bytes += r.stats.string_model_bytes;
+        total_string_model += r.string_model_bytes;
         total.hosts += r.stats.hosts;
         total.header_names += r.stats.header_names;
         total.header_values += r.stats.header_values;
-        out_rows.push(fmt(crate::render::snapshot_label(r.snapshot_idx), &r.stats));
+        let label = crate::render::snapshot_label(r.snapshot_idx);
+        out_rows.push(fmt(label, &r.stats, r.string_model_bytes));
     }
-    out_rows.push(fmt("total".to_owned(), &total));
+    out_rows.push(fmt("total".to_owned(), &total, total_string_model));
     crate::render::table(
         &[
             "snapshot",
@@ -302,7 +306,6 @@ mod tests {
     fn memory_table_totals_and_savings() {
         let stats = offnet_core::CorpusMemoryStats {
             interned_bytes: 600,
-            string_model_bytes: 1000,
             hosts: 10,
             header_names: 4,
             header_values: 7,
@@ -312,10 +315,12 @@ mod tests {
             MemoryRow {
                 snapshot_idx: 0,
                 stats,
+                string_model_bytes: 1000,
             },
             MemoryRow {
                 snapshot_idx: 1,
                 stats,
+                string_model_bytes: 1000,
             },
         ];
         let out = memory_table(&rows);

@@ -203,7 +203,11 @@ fn bench_intern(c: &mut Criterion) {
     eprintln!(
         "corpus memory @ snapshot 30: interned {} B vs string model {} B ({} hosts, {} header names, {} header values)",
         corpus.memory.interned_bytes,
-        corpus.memory.string_model_bytes,
+        offnet_core::corpus::string_model_bytes(
+            [obs.http80.as_ref(), obs.https443.as_ref()],
+            &corpus.valids,
+            &corpus.interner,
+        ),
         corpus.memory.hosts,
         corpus.memory.header_names,
         corpus.memory.header_values,

@@ -612,6 +612,11 @@ fn corpus_stats(fx: &Fixtures) {
         rows.push(analysis::MemoryRow {
             snapshot_idx: t,
             stats: corpus.memory,
+            string_model_bytes: offnet_core::corpus::string_model_bytes(
+                [obs.http80.as_ref(), obs.https443.as_ref()],
+                &corpus.valids,
+                &corpus.interner,
+            ),
         });
     }
     print!("{}", analysis::memory_table(&rows));

@@ -8,11 +8,10 @@
 //! all-SANs-on-net rule is a sorted-merge over integers), indexes the
 //! banner streams columnarly, and pre-computes the per-HG certificate
 //! index lists. Work that depends only on the leaf runs once per distinct
-//! leaf (or organization string) and is copied to every record serving
-//! it. The interner is *frozen* at the end of `build` — the
-//! append-only observation phase is over, and a [`FrozenInterner`] has no
-//! `&mut` API, so `parallel_map` workers share the whole corpus by
-//! reference without locks.
+//! leaf and is copied to every record serving it. The interner is
+//! *frozen* at the end of `build` — the append-only observation phase is
+//! over, and a [`FrozenInterner`] has no `&mut` API, so `parallel_map`
+//! workers share the whole corpus by reference without locks.
 //!
 //! Quarantined records never reach the corpus tables: malformed DER is
 //! rejected by validation before SAN interning, and corrupt banner rows
@@ -27,7 +26,7 @@ use crate::validate::{validate_snapshot, ValidateOptions, ValidatedCert, Validat
 use crate::validation_cache::ValidationCache;
 use crate::wordhash::{WordMap, WordSet};
 use hgsim::{Hg, ALL_HGS};
-use intern::{FrozenInterner, HostSym, Hosts, SymTable};
+use intern::{FrozenInterner, HostSym, Hosts, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
 use scanner::{HttpScanSnapshot, SnapshotObservations};
 use std::collections::hash_map::Entry;
@@ -36,19 +35,15 @@ use std::sync::Arc;
 use timebase::Timestamp;
 use x509::{Certificate, RootStore};
 
-/// Memory accounting for one snapshot's corpus, interned model vs the
-/// string model it replaced (`cargo bench --bench intern` compares them).
+/// Memory accounting for one snapshot's corpus. The string model the
+/// interned model replaced is estimated only on request, by
+/// [`string_model_bytes`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CorpusMemoryStats {
     /// Bytes held by the interned model: the three symbol pools, the
     /// symbolized banner records, the columnar banner tables, and the
     /// per-certificate SAN spans.
     pub interned_bytes: usize,
-    /// Estimated bytes of the replaced string model: per-record owned
-    /// `Vec<(String, String)>` headers plus per-certificate
-    /// `Vec<String>` SANs (24 bytes per `String`/`Vec` header plus
-    /// contents; map overheads excluded, which favors the string model).
-    pub string_model_bytes: usize,
     /// Distinct strings per pool.
     pub hosts: usize,
     pub header_names: usize,
@@ -140,7 +135,6 @@ impl SnapshotCorpus {
 
         let memory = measure_memory(
             [obs.http80.as_ref(), obs.https443.as_ref()],
-            &valids,
             &interner,
             &banners,
             &san_syms,
@@ -256,19 +250,22 @@ pub(crate) type HgIndex = HashMap<Hg, Vec<u32>>;
 const _: () = assert!(ALL_HGS.len() <= u32::BITS as usize);
 
 /// The per-HG organization pre-index over `valids`: (`by_hg_std`,
-/// `by_hg_all`). Each distinct organization string is matched against the
-/// 23 HG keywords once; every certificate then reads its organization's
-/// match bits.
+/// `by_hg_all`). Each distinct leaf's Subject Organization is read and
+/// matched against the 23 HG keywords once; every certificate serving
+/// that leaf (one shared `Arc`, from validation or segment decode) then
+/// reads its match bits. A leaf without an organization matches no HG.
 pub(crate) fn hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
     let mut by_hg_std = HgIndex::new();
     let mut by_hg_all = HgIndex::new();
     let keywords = KeywordMatcher::new();
-    let mut hg_bits: WordMap<&str, u32> = WordMap::default();
+    let mut leaf_bits: WordMap<*const Certificate, u32> = WordMap::default();
     for (i, vc) in valids.iter().enumerate() {
-        let Some(org) = vc.leaf.subject().organization() else {
-            continue;
-        };
-        let mut bits = *hg_bits.entry(org).or_insert_with(|| keywords.hg_bits(org));
+        let mut bits = *leaf_bits.entry(Arc::as_ptr(&vc.leaf)).or_insert_with(|| {
+            vc.leaf
+                .subject()
+                .organization()
+                .map_or(0, |org| keywords.hg_bits(org))
+        });
         while bits != 0 {
             let hg = ALL_HGS[bits.trailing_zeros() as usize];
             bits &= bits - 1;
@@ -334,32 +331,63 @@ impl KeywordMatcher {
     }
 }
 
-/// Account the interned corpus model against the string model it
-/// replaced. String-model sizes are reconstructed by resolving every
-/// symbol back to its string, counting each occurrence as an owned
-/// `String` (24-byte header + contents) the old record model would have
-/// held.
+/// Bytes of a `String` or `Vec` header.
+const STRING_HEADER: usize = std::mem::size_of::<String>(); // 24
+
+/// Account the interned corpus model: the symbol pools, the symbolized
+/// banner records, the columnar banner tables and the SAN spans.
 pub(crate) fn measure_memory(
     banner_scans: [Option<&HttpScanSnapshot>; 2],
-    valids: &[ValidatedCert],
-    interner: &intern::Interner,
+    interner: &Interner,
     banners: &BannerIndex,
     san_syms: &[HostSym],
     san_offsets: &[u32],
 ) -> CorpusMemoryStats {
-    const STRING_HEADER: usize = std::mem::size_of::<String>(); // 24
     const PAIR_SYMS: usize = 8; // (u32, u32)
 
+    let interned_records: usize = banner_scans
+        .into_iter()
+        .flatten()
+        .flat_map(|scan| &scan.records)
+        .map(|r| STRING_HEADER + r.headers.len() * PAIR_SYMS)
+        .sum();
+    let interned = interner.heap_bytes()
+        + interned_records
+        + banners.heap_bytes()
+        + std::mem::size_of_val(san_syms)
+        + std::mem::size_of_val(san_offsets);
+
+    CorpusMemoryStats {
+        interned_bytes: interned,
+        hosts: interner.hosts.len(),
+        header_names: interner.header_names.len(),
+        header_values: interner.header_values.len(),
+        segment_bytes: 0,
+    }
+}
+
+/// Estimated bytes of the string model the interned corpus replaced:
+/// per-record owned `Vec<(String, String)>` headers plus per-certificate
+/// `Vec<String>` SANs (24 bytes per `String`/`Vec` header plus contents;
+/// map overheads excluded, which favors the string model). Sizes are
+/// reconstructed by resolving every banner symbol back to its string, so
+/// this walks every header of every record; `reproduce corpus-stats`, the
+/// shard ledger and `cargo bench --bench intern` ask for it, the corpus
+/// build does not. Purely per-record additive: summed over a snapshot's
+/// shards it equals the figure over the whole snapshot.
+pub fn string_model_bytes(
+    banner_scans: [Option<&HttpScanSnapshot>; 2],
+    valids: &[ValidatedCert],
+    interner: &FrozenInterner,
+) -> usize {
     let mut string_model = 0usize;
-    let mut interned_records = 0usize;
     for scan in banner_scans.into_iter().flatten() {
         for r in &scan.records {
             string_model += STRING_HEADER; // the Vec header
-            interned_records += STRING_HEADER + r.headers.len() * PAIR_SYMS;
             for (n, v) in &r.headers {
                 string_model += 2 * STRING_HEADER
-                    + interner.header_names.resolve(*n).len()
-                    + interner.header_values.resolve(*v).len();
+                    + interner.header_names().resolve(*n).len()
+                    + interner.header_values().resolve(*v).len();
             }
         }
     }
@@ -372,21 +400,7 @@ pub(crate) fn measure_memory(
             STRING_HEADER * (1 + names.len()) + names.iter().map(str::len).sum::<usize>()
         });
     }
-
-    let interned = interner.heap_bytes()
-        + interned_records
-        + banners.heap_bytes()
-        + std::mem::size_of_val(san_syms)
-        + std::mem::size_of_val(san_offsets);
-
-    CorpusMemoryStats {
-        interned_bytes: interned,
-        string_model_bytes: string_model,
-        hosts: interner.hosts.len(),
-        header_names: interner.header_names.len(),
-        header_values: interner.header_values.len(),
-        segment_bytes: 0,
-    }
+    string_model
 }
 
 #[cfg(test)]
@@ -620,13 +634,21 @@ mod tests {
 
     #[test]
     fn interned_model_beats_string_model() {
-        let m = corpus(30).memory;
+        let w = world();
+        let obs = observe_snapshot(w, &ScanEngine::rapid7(), 30).unwrap();
+        let c = SnapshotCorpus::build(&obs, w.pki().root_store(), &Default::default(), None);
+        let m = c.memory;
+        let string_model = string_model_bytes(
+            [obs.http80.as_ref(), obs.https443.as_ref()],
+            &c.valids,
+            &c.interner,
+        );
         assert!(m.hosts > 0 && m.header_names > 0 && m.header_values > 0);
         assert!(
-            (m.interned_bytes as f64) < 0.7 * m.string_model_bytes as f64,
+            (m.interned_bytes as f64) < 0.7 * string_model as f64,
             "interned {} vs string {}",
             m.interned_bytes,
-            m.string_model_bytes
+            string_model
         );
     }
 }

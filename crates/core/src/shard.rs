@@ -68,7 +68,9 @@ use crate::codec::{
     mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue, U32Col,
 };
 use crate::confirm::{BannerIndex, BannerQuality, CompiledFingerprints};
-use crate::corpus::{cloudflare_flags, hg_org_indices, measure_memory, SnapshotCorpus};
+use crate::corpus::{
+    cloudflare_flags, hg_org_indices, measure_memory, string_model_bytes, SnapshotCorpus,
+};
 use crate::parallel::{bounded_pipeline, isolate, parallel_map};
 use crate::pipeline::{
     accumulate_hg, finish_snapshot, standard_validate_options, CorpusTotals, HgAccum,
@@ -76,7 +78,7 @@ use crate::pipeline::{
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidatedCert, ValidationStats};
-use crate::wordhash::WordMap;
+use crate::wordhash::{DerKey, WordMap};
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::{HostSym, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
@@ -506,12 +508,12 @@ fn decode_shard(
     let mut valids = Vec::with_capacity(n_valids);
     // Valids serving the same leaf share one parse and one `Arc`, as
     // validation hands them out on the in-memory path.
-    let mut leaves: WordMap<&[u8], Arc<Certificate>> = WordMap::default();
+    let mut leaves: WordMap<DerKey, Arc<Certificate>> = WordMap::default();
     for _ in 0..n_valids {
         let ip = d.u32()?;
         let expiry_exempted = d.bool()?;
         let der = d.bytes()?;
-        let leaf = match leaves.entry(der) {
+        let leaf = match leaves.entry(DerKey(der)) {
             Entry::Occupied(e) => Arc::clone(e.get()),
             Entry::Vacant(e) => {
                 let leaf = Certificate::parse(der)
@@ -563,7 +565,6 @@ fn decode_shard(
     let banners = BannerIndex::build(http80.as_ref(), https443.as_ref(), &interner);
     let mut memory = measure_memory(
         [http80.as_ref(), https443.as_ref()],
-        &valids,
         &interner,
         &banners,
         &san_syms,
@@ -621,14 +622,20 @@ struct ShardSummaryRef<'a> {
 
 /// Serialize a built shard's summary section: every cross-shard
 /// accumulator contribution, precomputed at build time so admission never
-/// touches the corpus body.
-fn encode_summary(c: &SnapshotCorpus, endpoints: usize, ctx: &PipelineContext) -> Vec<u8> {
+/// touches the corpus body. `string_model_bytes` is the shard's
+/// [`string_model_bytes`] figure, which the ledger reports.
+fn encode_summary(
+    c: &SnapshotCorpus,
+    endpoints: usize,
+    string_model_bytes: usize,
+    ctx: &PipelineContext,
+) -> Vec<u8> {
     let mut e = Enc::default();
     e.usize(c.snapshot_idx);
     e.usize(endpoints);
     e.usize(c.total_ips_with_certs);
     e.usize(c.memory.interned_bytes);
-    e.usize(c.memory.string_model_bytes);
+    e.usize(string_model_bytes);
     encode_validation(&mut e, &c.validation);
     let q = &c.banners.quality;
     e.usize(q.records_seen);
@@ -989,7 +996,10 @@ fn produce(
                     ctx.validation_cache.as_deref(),
                 );
                 let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
-                let summary = encode_summary(&corpus, endpoints, ctx);
+                let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
+                let string_model =
+                    string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
+                let summary = encode_summary(&corpus, endpoints, string_model, ctx);
                 let body = encode_shard(
                     &corpus,
                     endpoints,
@@ -1215,9 +1225,10 @@ mod tests {
         assert_eq!(distinct_arcs(built), distinct_der.len());
         assert_eq!(built.by_hg_std, decoded.by_hg_std);
         assert_eq!(built.by_hg_all, decoded.by_hg_all);
+        let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
         assert_eq!(
-            built.memory.string_model_bytes,
-            decoded.memory.string_model_bytes
+            string_model_bytes(banner_scans, &built.valids, &built.interner),
+            string_model_bytes(banner_scans, &decoded.valids, &decoded.interner)
         );
     }
 
@@ -1284,8 +1295,10 @@ mod tests {
     /// allocation from an unchecked count.
     #[test]
     fn summary_decoder_survives_truncation_and_flips() {
-        let (_world, ctx, _obs, corpus) = small_shard(12);
-        let payload = frame_segment(&encode_summary(&corpus, 24, &ctx), &[]);
+        let (_world, ctx, obs, corpus) = small_shard(12);
+        let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
+        let string_model = string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
+        let payload = frame_segment(&encode_summary(&corpus, 24, string_model, &ctx), &[]);
         let path = Path::new("in-memory segment");
         let decode = |bytes: &[u8]| -> Result<usize, ArtifactError> {
             let (summary, _body) = split_segment_payload(bytes, path)?;

@@ -6,7 +6,7 @@
 //! than a third of hosts returned invalid certificates.
 
 use crate::validation_cache::ValidationCache;
-use crate::wordhash::{WordMap, WordSet};
+use crate::wordhash::{DerKey, WordMap, WordSet};
 use scanner::CertScanRecord;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -82,7 +82,9 @@ pub struct ValidateOptions {
 ///
 /// Chains are deduplicated by their end-entity DER: each distinct chain is
 /// parsed and verified once, and the verdict reused for every IP serving
-/// it — scan corpuses contain far fewer unique certificates than IPs.
+/// it — scan corpuses contain far fewer unique certificates than IPs. The
+/// dedup map hashes a leaf by its signature value (`wordhash::DerKey`)
+/// and compares the whole DER.
 pub fn validate_records(
     records: &[CertScanRecord],
     roots: &RootStore,
@@ -116,7 +118,7 @@ pub(crate) fn validate_snapshot(
         ..Default::default()
     };
     let mut out = Vec::with_capacity(records.len());
-    let mut verdicts: WordMap<&[u8], Verdict> = WordMap::default();
+    let mut verdicts: WordMap<DerKey, Verdict> = WordMap::default();
     let mut seen_ips: WordSet<u32> =
         WordSet::with_capacity_and_hasher(records.len(), Default::default());
     for rec in records {
@@ -129,7 +131,7 @@ pub(crate) fn validate_snapshot(
             continue;
         };
         let verdict = verdicts
-            .entry(leaf_der.as_ref())
+            .entry(DerKey(leaf_der))
             .or_insert_with(|| match cache {
                 Some(cache) => cache.verdict_cached(rec, roots, at, needle),
                 None => verify_one(rec, roots, at, needle),
@@ -313,6 +315,61 @@ mod tests {
         assert_eq!(valids[1].ip, 2);
         assert_eq!(stats.invalid[&InvalidReason::DuplicateIp], 2);
         assert_eq!(stats.total_records, 4);
+    }
+
+    /// Two leaves of one length under one signature value, differing in a
+    /// subject byte, share a `DerKey` bucket: each must still get its own
+    /// verdict, uncached and through every cache state, in either order.
+    #[test]
+    fn a_flipped_subject_byte_under_the_same_signature_keeps_its_own_verdict() {
+        use crate::validation_cache::{validate_records_cached, ValidationCache};
+        let pki = HgPki::new(7);
+        let sans = vec!["a.example".to_owned()];
+        let org = b"Flip Org";
+        let intact = pki.issue_chain(
+            "v",
+            Some("Flip Org"),
+            "a",
+            &sans,
+            t(2019, 1),
+            t(2019, 12),
+            0,
+        );
+        let leaf = &intact[0];
+        assert_eq!(leaf.windows(org.len()).filter(|w| w == org).count(), 1);
+        let in_subject = leaf.windows(org.len()).position(|w| w == org);
+        let mut flipped_leaf = leaf.to_vec();
+        flipped_leaf[in_subject.expect("organization in the leaf DER")] ^= 0x01;
+        let mut flipped = intact.clone();
+        flipped[0] = Bytes::from(flipped_leaf);
+        let sig = leaf.len() - 32;
+        assert_eq!(flipped[0].len(), leaf.len());
+        assert_eq!(flipped[0][sig..], leaf[sig..]);
+        assert_ne!(flipped[0], *leaf);
+
+        let (roots, at, opts) = (pki.root_store(), t(2019, 6), ValidateOptions::default());
+        let bad_sig = HashMap::from([(InvalidReason::Chain(ChainError::BadSignature), 1)]);
+        for (first, second) in [(&intact, &flipped), (&flipped, &intact)] {
+            let records = vec![record(first.clone(), 1), record(second.clone(), 2)];
+            let intact_ip = if first == &intact { 1 } else { 2 };
+            let check = |(valids, stats): (Vec<ValidatedCert>, ValidationStats)| {
+                assert_eq!(valids.len(), 1);
+                assert_eq!(valids[0].ip, intact_ip);
+                assert_eq!(valids[0].leaf.der(), leaf.as_ref());
+                assert_eq!((stats.valid, &stats.invalid), (1, &bad_sig));
+            };
+            check(validate_records(&records, roots, at, &opts));
+            // First sighting, promotion, replay.
+            let cache = ValidationCache::new();
+            for _ in 0..3 {
+                check(validate_records_cached(&records, roots, at, &opts, &cache));
+            }
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.first_sightings, stats.promotions, stats.hits),
+                (2, 2, 2)
+            );
+        }
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! it does with the default hasher. The fold is not a keyed PRF: it
 //! spreads simulated scan data, it does not defend against keys crafted
 //! to collide.
+//!
+//! Certificate DER keys go through [`DerKey`], which hashes only the
+//! length and the last 32 bytes: a SimSig certificate ends in its 32-byte
+//! signature value, an HMAC over the to-be-signed bytes, so those bytes
+//! already spread distinct certificates. Equality still reads every byte.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 /// A `HashMap` hashed word-wise.
@@ -50,6 +55,27 @@ pub(crate) fn for_each_word(bytes: &[u8], mut absorb: impl FnMut(u64)) {
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
         absorb(u64::from_le_bytes(last));
+    }
+}
+
+/// A certificate's DER as a map key, hashed by its length and last 32
+/// bytes (the SimSig signature value) and compared in full. Equal DER
+/// always hashes equal; two certificates differing only in their
+/// to-be-signed bytes share a bucket and still compare unequal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DerKey<'a>(pub(crate) &'a [u8]);
+
+/// Bytes of a SimSig signature value, which ends every certificate's DER.
+const SIGNATURE_BYTES: usize = 32;
+
+impl Hash for DerKey<'_> {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let der = self.0;
+        state.write_usize(der.len());
+        for_each_word(&der[der.len().saturating_sub(SIGNATURE_BYTES)..], |w| {
+            state.write_u64(w)
+        });
     }
 }
 
@@ -167,5 +193,32 @@ mod tests {
         m.insert(&b, 2);
         assert_eq!(m[a.as_slice()], 1);
         assert_eq!(m[b.as_slice()], 2);
+    }
+
+    #[test]
+    fn der_keys_hash_the_signature_and_compare_every_byte() {
+        let der: Vec<u8> = (0..400u32).map(|i| (i * 7 + 3) as u8).collect();
+        let copy = der.clone();
+        assert_eq!(hash(&DerKey(&der)), hash(&DerKey(&copy)));
+        assert_eq!(DerKey(&der), DerKey(&copy));
+
+        // A flipped to-be-signed byte keeps the length and the last 32
+        // bytes: same bucket, unequal key.
+        let mut flipped = der.clone();
+        flipped[100] ^= 0x01;
+        assert_eq!(hash(&DerKey(&der)), hash(&DerKey(&flipped)));
+        assert_ne!(DerKey(&der), DerKey(&flipped));
+        let mut m: WordMap<DerKey, u32> = WordMap::default();
+        m.insert(DerKey(&der), 1);
+        m.insert(DerKey(&flipped), 2);
+        assert_eq!((m[&DerKey(&copy)], m[&DerKey(&flipped)]), (1, 2));
+
+        // A different signature or length moves the hash; keys shorter
+        // than a signature hash whole.
+        let mut resigned = der.clone();
+        resigned[399] ^= 0x01;
+        assert_ne!(hash(&DerKey(&der)), hash(&DerKey(&resigned)));
+        assert_ne!(hash(&DerKey(&der)), hash(&DerKey(&der[1..])));
+        assert_ne!(hash(&DerKey(b"ab")), hash(&DerKey(b"ab\0")));
     }
 }

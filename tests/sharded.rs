@@ -369,7 +369,12 @@ fn shard_memory_accounting_invariants() {
     // The string model is per-record additive: shard sum reproduces the
     // monolithic figure exactly.
     let sum_string: usize = rows.iter().map(|r| r.string_model_bytes).sum();
-    assert_eq!(sum_string, mono.memory.string_model_bytes);
+    let mono_string = offnet_core::corpus::string_model_bytes(
+        [obs.http80.as_ref(), obs.https443.as_ref()],
+        &mono.valids,
+        &mono.interner,
+    );
+    assert_eq!(sum_string, mono_string);
 
     // Bounded peak memory: every resident shard is strictly smaller than
     // the monolithic interned corpus, by a margin that scales with the

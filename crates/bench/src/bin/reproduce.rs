@@ -543,22 +543,24 @@ fn shard_stats(fx: &Fixtures) {
         ..Default::default()
     };
     let workers = sharding.workers.unwrap_or_else(default_thread_count).max(1);
-    let depth = sharding.depth.unwrap_or(workers + 2);
+    let depth = offnet_core::parallel::pipeline_depth(workers);
     let start = Instant::now();
     let series = run_study(&fx.world, &fx.engine(ScanEngine::rapid7()), &config);
+    // The resident high-water mark depends on worker timing, so it goes
+    // to stderr with the wall time and stdout repeats byte for byte.
     eprintln!(
-        "[reproduce] shard-stats study: {:.2}s ({} endpoints/shard, {workers} workers, depth {depth})",
+        "[reproduce] shard-stats study: {:.2}s ({} endpoints/shard, {workers} workers, depth {depth}; \
+         peak resident {}, bound: depth x largest shard)",
         start.elapsed().as_secs_f64(),
-        sharding.shard_size
+        sharding.shard_size,
+        analysis::humanize_bytes(sharding.ledger.peak_resident_interned_bytes()),
     );
     print!("{}", analysis::shard_stats_table(&sharding.ledger.rows()));
     println!(
-        "segments: {} built, {} reused; largest shard {}, peak resident {} \
-         (bound: depth {depth} x shard; snapshots processed: {})",
+        "segments: {} built, {} reused; largest shard {} (snapshots processed: {})",
         sharding.ledger.segments_built(),
         sharding.ledger.segments_reused(),
         analysis::humanize_bytes(sharding.ledger.peak_shard_interned_bytes()),
-        analysis::humanize_bytes(sharding.ledger.peak_resident_interned_bytes()),
         series.snapshots.len(),
     );
 }

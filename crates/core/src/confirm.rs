@@ -263,8 +263,8 @@ impl CompiledFingerprint {
     }
 }
 
-/// All HGs' fingerprints compiled for one snapshot. Built once before
-/// the per-HG fan-out; workers share it read-only.
+/// All HGs' fingerprints compiled for one corpus. Built once before the
+/// per-HG loop, which reads it for every HG.
 #[derive(Debug, Default)]
 pub struct CompiledFingerprints {
     fps: Vec<CompiledFingerprint>,

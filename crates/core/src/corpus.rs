@@ -1,6 +1,6 @@
 //! The interned, columnar per-snapshot corpus: everything the §4.2–§4.5
-//! stages read, built once per snapshot and shared read-only across the
-//! parallel per-HG fan-out.
+//! stages read, built once per snapshot (or shard) and read by every HG's
+//! stages in turn.
 //!
 //! [`SnapshotCorpus::build`] runs §4.1 validation, interns every
 //! validated certificate's SANs into the snapshot's host pool, lays the

@@ -1,7 +1,7 @@
 //! Scoped-thread fan-out used by the pipeline.
 //!
-//! The pipeline's unit of work is coarse (one Hypergiant's stages, or one
-//! whole snapshot), so a dependency-free worker pool over
+//! The pipeline's unit of work is coarse (one corpus shard, or one whole
+//! snapshot), so a dependency-free worker pool over
 //! [`std::thread::scope`] is all that is needed: workers pull item indices
 //! from a shared atomic counter and results are reassembled in input
 //! order, so output is byte-identical to a sequential map regardless of
@@ -18,7 +18,7 @@ pub const THREADS_ENV: &str = "OFFNET_THREADS";
 
 /// An invalid `OFFNET_THREADS` value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadConfigError {
+enum ThreadConfigError {
     /// The value did not parse as an unsigned integer.
     NotANumber(String),
     /// Zero workers is not a runnable configuration.
@@ -36,10 +36,8 @@ impl std::fmt::Display for ThreadConfigError {
     }
 }
 
-impl std::error::Error for ThreadConfigError {}
-
 /// Parse one candidate `OFFNET_THREADS` value.
-pub fn parse_thread_count(v: &str) -> Result<usize, ThreadConfigError> {
+fn parse_thread_count(v: &str) -> Result<usize, ThreadConfigError> {
     match v.trim().parse::<usize>() {
         Ok(0) => Err(ThreadConfigError::Zero),
         Ok(n) => Ok(n),
@@ -49,7 +47,7 @@ pub fn parse_thread_count(v: &str) -> Result<usize, ThreadConfigError> {
 
 /// Read `OFFNET_THREADS` from the environment: `Ok(None)` when unset,
 /// `Ok(Some(n))` for a positive integer, `Err` for anything else.
-pub fn thread_count_from_env() -> Result<Option<usize>, ThreadConfigError> {
+fn thread_count_from_env() -> Result<Option<usize>, ThreadConfigError> {
     match std::env::var(THREADS_ENV) {
         Ok(v) => parse_thread_count(&v).map(Some),
         Err(_) => Ok(None),
@@ -119,30 +117,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A task that panicked on every attempt inside
-/// [`parallel_map_isolated`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskError {
-    /// Input index of the failed item.
-    pub index: usize,
-    /// How many attempts were made (retries + 1).
-    pub attempts: usize,
-    /// The panic payload, when it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "task {} panicked on all {} attempts: {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
-impl std::error::Error for TaskError {}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -151,38 +125,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// [`parallel_map`] with per-task panic isolation: a panicking `f` is
-/// retried up to `retries` more times, and a task that panics on every
-/// attempt yields `Err(TaskError)` at its slot instead of poisoning the
-/// scope and aborting the whole map.
-///
-/// Ordering and determinism match `parallel_map` exactly — for a
-/// non-panicking pure `f`, the output is `items.iter().map(f)` with every
-/// result wrapped in `Ok`.
-pub fn parallel_map_isolated<T, R, F>(
-    items: &[T],
-    threads: usize,
-    retries: usize,
-    f: F,
-) -> Vec<Result<R, TaskError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    // Panics inside scoped workers would otherwise propagate out of
-    // `scope` and kill the whole fan-out; catching per task keeps one
-    // poisoned item from taking down its siblings.
-    let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
-    parallel_map(&indexed, threads, |&(index, item)| {
-        isolate(retries, || f(item)).map_err(|message| TaskError {
-            index,
-            attempts: retries + 1,
-            message,
-        })
-    })
 }
 
 /// Run `f` with panic isolation: a panicking attempt is retried up to
@@ -197,6 +139,13 @@ pub(crate) fn isolate<R>(retries: usize, f: impl Fn() -> R) -> Result<R, String>
         }
     }
     Err(last)
+}
+
+/// The [`bounded_pipeline`] depth for `workers` workers: enough items in
+/// flight to keep every worker busy while one slow item holds up the
+/// ordered fold, still O(workers) resident.
+pub fn pipeline_depth(workers: usize) -> usize {
+    workers + 2
 }
 
 /// A counting gate: the bounded-depth admission control of
@@ -457,41 +406,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn isolated_map_matches_plain_map_when_nothing_panics() {
-        let items: Vec<u64> = (0..500).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        for threads in [1, 4] {
-            let out = parallel_map_isolated(&items, threads, 1, |&x| x * 3);
-            let ok: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(ok, expect);
-        }
-    }
-
-    #[test]
-    fn panicking_task_degrades_to_error_without_killing_siblings() {
-        let items: Vec<u32> = (0..64).collect();
-        for threads in [1, 4] {
-            let out = parallel_map_isolated(&items, threads, 1, |&x| {
-                if x == 13 {
-                    panic!("poisoned item {x}");
-                }
-                x + 1
-            });
-            assert_eq!(out.len(), 64);
-            for (i, r) in out.iter().enumerate() {
-                if i == 13 {
-                    let e = r.as_ref().unwrap_err();
-                    assert_eq!(e.index, 13);
-                    assert_eq!(e.attempts, 2);
-                    assert!(e.message.contains("poisoned item 13"), "{}", e.message);
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i as u32 + 1);
-                }
-            }
-        }
-    }
-
     fn run_pipeline(
         workers: usize,
         depth: usize,
@@ -633,13 +547,13 @@ mod tests {
     fn transient_panic_is_retried() {
         use std::sync::atomic::AtomicU32;
         let first_try = AtomicU32::new(0);
-        let out = parallel_map_isolated(&[7u32], 1, 2, |&x| {
+        let out = isolate(2, || {
             if first_try.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("flaky once");
             }
-            x
+            7u32
         });
-        assert_eq!(out[0].as_ref().copied(), Ok(7));
+        assert_eq!(out, Ok(7));
         assert_eq!(first_try.load(Ordering::SeqCst), 2);
     }
 }

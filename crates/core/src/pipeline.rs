@@ -3,16 +3,19 @@
 //! The observation bundle is first distilled into a
 //! [`SnapshotCorpus`] — validated certificates, interned SAN spans,
 //! columnar banner tables, per-HG pre-indices — with its interner frozen.
-//! Header fingerprints are compiled against that frozen interner *before*
-//! the per-HG fan-out, so the 23 parallel HG stages share every table
-//! read-only, without locks.
+//! `run_hgs`, the one per-corpus HG loop, compiles the header
+//! fingerprints against that frozen interner once, then runs the 23 HG
+//! stages in sequence, each isolated, over the shared read-only tables.
+//! Parallelism lives a level up: across snapshots
+//! ([`StudyMode::Parallel`](crate::StudyMode)) and across shards
+//! ([`crate::shard`]).
 
 use crate::candidates::{find_candidates, CandidateOptions, CandidateSet};
 use crate::confirm::{confirm_candidates, BannerQuality, CompiledFingerprints, ConfirmMode};
 use crate::corpus::SnapshotCorpus;
 use crate::errors::{DataQualityReport, RecordError};
 use crate::headers::HeaderFingerprints;
-use crate::parallel::{default_thread_count, parallel_map_isolated};
+use crate::parallel::{default_thread_count, isolate};
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidateOptions, ValidationStats};
 use crate::validation_cache::ValidationCache;
@@ -33,8 +36,9 @@ pub struct PipelineContext {
     pub header_fps: HeaderFingerprints,
     pub candidate_options: CandidateOptions,
     pub confirm_mode: ConfirmMode,
-    /// Worker count for the per-HG and per-snapshot fan-out (`1` =
-    /// sequential). Defaults to `OFFNET_THREADS` / available parallelism.
+    /// Default worker count of the sharded pipeline's shard pool, when
+    /// [`ShardingConfig::workers`](crate::ShardingConfig) is unset (`1` =
+    /// thread-free). Defaults to `OFFNET_THREADS` / available parallelism.
     pub threads: usize,
     /// Optional cross-snapshot chain-verdict cache. `None` re-verifies
     /// every chain per snapshot, exactly as §4.1 describes.
@@ -69,7 +73,7 @@ impl PipelineContext {
         }
     }
 
-    /// Set the fan-out width (`1` forces the sequential path).
+    /// Set the default shard-pool width (`1` runs it thread-free).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -179,33 +183,36 @@ pub fn process_snapshot(obs: &SnapshotObservations, ctx: &PipelineContext) -> Sn
     process_corpus(&corpus, ctx)
 }
 
-/// Run the §4.2–§4.5 stages over a pre-built corpus. The corpus is
-/// shared read-only across the per-HG fan-out; the only per-snapshot
-/// mutable state is each worker's own result.
+/// Run the §4.2–§4.5 stages over a pre-built corpus. The whole corpus
+/// is one shard that learns its own §4.2 fingerprint.
 pub fn process_corpus(corpus: &SnapshotCorpus, ctx: &PipelineContext) -> SnapshotResult {
-    let Ok(result) = finish_snapshot(CorpusTotals::of(corpus), || {
-        // Compile the cross-snapshot string fingerprints against this
-        // snapshot's frozen interner, once, before the fan-out (§4.5).
-        let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
-        // Fan the independent HG stages out with per-task isolation. The
-        // whole corpus is one shard that learns its own §4.2 fingerprint.
-        let outcomes = parallel_map_isolated(&ALL_HGS, ctx.threads, 1, |&hg| {
-            let fp = learn_tls_fingerprints(
-                hg.spec().keyword,
-                &ctx.hg_ases[&hg],
-                corpus,
-                corpus.hg_std_indices(hg),
-            );
-            accumulate_hg(hg, corpus, ctx, &compiled, &fp).finish()
-        });
-        Ok::<_, std::convert::Infallible>(
-            outcomes
-                .into_iter()
-                .map(|o| o.map_err(|e| e.message))
-                .collect(),
+    let outcomes = run_hgs(corpus, ctx, |hg| {
+        learn_tls_fingerprints(
+            hg.spec().keyword,
+            &ctx.hg_ases[&hg],
+            corpus,
+            corpus.hg_std_indices(hg),
         )
     });
-    result
+    finish_snapshot(CorpusTotals::of(corpus), outcomes)
+}
+
+/// The per-corpus HG loop every corpus source shares. It compiles the
+/// cross-snapshot header fingerprints against `corpus`'s frozen interner
+/// once (§4.5), then runs each HG's stages in [`ALL_HGS`] order, each
+/// isolated with one retry: a panic comes back as that HG's message.
+/// `fp_of` supplies the HG's §4.2 fingerprint and runs inside the
+/// isolation.
+pub(crate) fn run_hgs(
+    corpus: &SnapshotCorpus,
+    ctx: &PipelineContext,
+    fp_of: impl Fn(Hg) -> TlsFingerprint,
+) -> Vec<Result<HgAccum, String>> {
+    let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
+    ALL_HGS
+        .iter()
+        .map(|&hg| isolate(1, || accumulate_hg(hg, corpus, ctx, &compiled, &fp_of(hg))))
+        .collect()
 }
 
 /// Snapshot-level fields, from one corpus or merged across shards.
@@ -269,21 +276,20 @@ impl CorpusTotals {
     }
 }
 
-/// The tail every corpus source shares. `run_hgs` runs the §4.3–§4.5
-/// stages for every HG, in [`ALL_HGS`] order, each isolated: a panic
-/// message degrades that HG to an empty result, noted in the quality
-/// report.
-pub(crate) fn finish_snapshot<E>(
+/// The tail every corpus source shares: `outcomes` holds every HG's
+/// stages, in [`ALL_HGS`] order, as [`run_hgs`] returns them (merged
+/// across shards on the sharded path); a panic message degrades that HG
+/// to an empty result, noted in the quality report.
+pub(crate) fn finish_snapshot(
     totals: CorpusTotals,
-    run_hgs: impl FnOnce() -> Result<Vec<Result<HgSnapshotResult, String>>, E>,
-) -> Result<SnapshotResult, E> {
-    let outcomes = run_hgs()?;
+    outcomes: Vec<Result<HgAccum, String>>,
+) -> SnapshotResult {
     let mut per_hg = HashMap::with_capacity(ALL_HGS.len());
     let mut degraded_hgs: Vec<(Hg, String)> = Vec::new();
     for (&hg, outcome) in ALL_HGS.iter().zip(outcomes) {
         match outcome {
-            Ok(res) => {
-                per_hg.insert(hg, res);
+            Ok(acc) => {
+                per_hg.insert(hg, acc.finish());
             }
             Err(message) => {
                 per_hg.insert(hg, HgSnapshotResult::default());
@@ -291,7 +297,7 @@ pub(crate) fn finish_snapshot<E>(
             }
         }
     }
-    Ok(totals.into_result(per_hg, &degraded_hgs))
+    totals.into_result(per_hg, &degraded_hgs)
 }
 
 /// One HG's §4.3–§4.5 results accumulated over a snapshot's shards (the
@@ -332,7 +338,7 @@ impl HgAccum {
         self.with_expired_ips.extend(other.with_expired_ips);
     }
 
-    pub(crate) fn finish(self) -> HgSnapshotResult {
+    fn finish(self) -> HgSnapshotResult {
         // Figure 11 groups: IP counts per distinct certificate, descending.
         let mut groups: Vec<u32> = self.certs.values().map(|&(n, _)| n).collect();
         groups.sort_unstable_by(|a, b| b.cmp(a));
@@ -363,7 +369,7 @@ impl HgAccum {
 /// one shard of it): a pure function of the HG's member evidence
 /// (certificates, banners, AS origins), the static context, and the §4.2
 /// fingerprint `fp`.
-pub(crate) fn accumulate_hg(
+fn accumulate_hg(
     hg: Hg,
     corpus: &SnapshotCorpus,
     ctx: &PipelineContext,

@@ -38,11 +38,13 @@
 //! [`bounded_pipeline`] worker pool,
 //! and an ordered fold absorbs shard summaries strictly by shard index,
 //! so rendered output is byte-identical at any `OFFNET_THREADS`. The
-//! pipeline admits at most `depth` shards between feed and fold, keeping
-//! peak memory at `depth × shard` ([`ShardLedger`] tracks the realized
-//! high-water mark). The consumer pass fans segments over
-//! [`parallel_map`] and merges per-shard
-//! accumulators in shard order for the same byte-identity guarantee.
+//! pipeline admits at most `depth` = [`pipeline_depth`]`(workers)` shards
+//! between feed and fold, keeping peak memory at `depth × shard`
+//! ([`ShardLedger`] tracks the realized high-water mark). The consumer
+//! pass fans segments over [`parallel_map`] and merges per-shard
+//! accumulators in shard order for the same byte-identity guarantee. The
+//! shard pool is the only thread fan-out inside a snapshot: within one
+//! shard the per-HG stages run in sequence.
 //!
 //! **Zero-copy admission.** A segment payload leads with a compact
 //! *summary section* — every cross-shard accumulator (validation stats,
@@ -52,10 +54,12 @@
 //! buffer (via the shared envelope codec); the corpus body behind it is
 //! touched only by the consumer pass.
 //!
-//! The consumer runs the in-memory path's per-HG stage body
-//! (`pipeline::accumulate_hg`) under the same per-HG panic isolation: an
-//! HG that panics in any shard degrades to an empty result with the same
-//! `degraded_hgs` entry the in-memory fan-out writes. Result/quality
+//! The consumer runs each shard through the in-memory path's per-corpus
+//! HG loop (`pipeline::run_hgs`), with the same per-HG panic isolation:
+//! an HG that panics in any shard degrades to an empty result with the
+//! same `degraded_hgs` entry the in-memory path writes. Only the §4.2
+//! fingerprint differs: the in-memory path learns it from its corpus, a
+//! shard rebases the producer's merged on-net names. Result/quality
 //! assembly is shared too (`pipeline::finish_snapshot`).
 //!
 //! Per-shard corpora carry `Default` scan health; the true merged health
@@ -67,14 +71,14 @@ use crate::codec::{
     self, dec_str_ref, dec_u32_col, decode_validation, enc_u32_col, encode_validation, hg_tag, mix,
     mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue, U32Col,
 };
-use crate::confirm::{BannerIndex, BannerQuality, CompiledFingerprints};
+use crate::confirm::{BannerIndex, BannerQuality};
 use crate::corpus::{
     cloudflare_flags, hg_org_indices, measure_memory, string_model_bytes, SnapshotCorpus,
 };
-use crate::parallel::{bounded_pipeline, isolate, parallel_map};
+use crate::parallel::{bounded_pipeline, parallel_map, pipeline_depth};
 use crate::pipeline::{
-    accumulate_hg, finish_snapshot, standard_validate_options, CorpusTotals, HgAccum,
-    HgSnapshotResult, PipelineContext, SnapshotResult,
+    finish_snapshot, run_hgs, standard_validate_options, CorpusTotals, HgAccum, PipelineContext,
+    SnapshotResult,
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::{ValidatedCert, ValidationStats};
@@ -115,12 +119,9 @@ pub struct ShardingConfig {
     pub ledger: Arc<ShardLedger>,
     /// Shard-freeze / segment-consume worker count. `None` defers to the
     /// pipeline context's `threads` (i.e. `OFFNET_THREADS`); `1` runs
-    /// thread-free.
+    /// thread-free. The produce pipeline holds at most
+    /// [`pipeline_depth`]`(workers)` shards fed but not yet folded.
     pub workers: Option<usize>,
-    /// Bounded produce-pipeline depth: shards fed but not yet folded.
-    /// `None` means `workers + 2` — enough slack to keep the pool busy
-    /// while the fold catches up, still O(1) shards resident.
-    pub depth: Option<usize>,
 }
 
 impl ShardingConfig {
@@ -130,7 +131,6 @@ impl ShardingConfig {
             spill_dir: spill_dir.into(),
             ledger: Arc::new(ShardLedger::default()),
             workers: None,
-            depth: None,
         }
     }
 
@@ -140,18 +140,8 @@ impl ShardingConfig {
         self
     }
 
-    /// Pin the bounded produce-pipeline depth.
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = Some(depth.max(1));
-        self
-    }
-
     fn resolved_workers(&self, ctx: &PipelineContext) -> usize {
         self.workers.unwrap_or(ctx.threads).max(1)
-    }
-
-    fn resolved_depth(&self, workers: usize) -> usize {
-        self.depth.unwrap_or(workers + 2).max(1)
     }
 }
 
@@ -834,7 +824,6 @@ fn produce(
     std::fs::create_dir_all(&dir).map_err(|e| ArtifactError::io(&dir, e))?;
 
     let workers = sharding.resolved_workers(ctx);
-    let depth = sharding.resolved_depth(workers);
 
     let mut acc = Produced {
         totals: CorpusTotals {
@@ -1046,7 +1035,7 @@ fn produce(
         Ok(())
     };
 
-    bounded_pipeline(workers, depth, feed, work, fold)?;
+    bounded_pipeline(workers, pipeline_depth(workers), feed, work, fold)?;
 
     acc.totals.scan = streams_health.take().unwrap_or_default();
     acc.totals.n_ases_with_certs = acc.as_union.len();
@@ -1058,8 +1047,8 @@ fn produce(
 // per shard, merge the partials in shard order.
 // ---------------------------------------------------------------------------
 
-/// Consumer pass: fan segments across the worker pool — each loads once,
-/// runs every HG's stages, each HG isolated — then merge the
+/// Consumer pass: fan segments across the worker pool — each loads once
+/// and runs the per-corpus HG loop ([`run_hgs`]) — then merge the
 /// per-shard partials in shard order (so IP vectors concatenate exactly
 /// as the serial loop appended them). An HG that panicked in any shard
 /// comes back as the first such panic message, in shard order.
@@ -1075,7 +1064,7 @@ fn consume(
     engine: &ScanEngine,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
-) -> Result<Vec<Result<HgSnapshotResult, String>>, ArtifactError> {
+) -> Result<Vec<Result<HgAccum, String>>, ArtifactError> {
     type Partial = Vec<Result<HgAccum, String>>;
     let workers = sharding.resolved_workers(ctx);
     let partials: Vec<Result<Partial, ArtifactError>> =
@@ -1084,30 +1073,24 @@ fn consume(
             let (_summary, body) = split_segment_payload(&payload, path)?;
             let mut corpus = decode_shard(body, t, engine.id, world.ip_to_as(t), path)?;
             corpus.memory.segment_bytes = payload.len();
-            let corpus = &corpus;
             let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
-            let compiled = CompiledFingerprints::compile(&ctx.header_fps, &corpus.interner);
-            Ok(ALL_HGS
-                .iter()
-                .map(|&hg| {
-                    let mut syms: Vec<HostSym> = produced
-                        .hg_names
-                        .get(&hg)
-                        .map(|ns| {
-                            ns.iter()
-                                .filter_map(|n| corpus.interner.hosts().get(n))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    syms.sort_unstable();
-                    let fp = TlsFingerprint::from_parts(
-                        hg.spec().keyword.to_ascii_lowercase(),
-                        syms,
-                        produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
-                    );
-                    isolate(1, || accumulate_hg(hg, corpus, ctx, &compiled, &fp))
-                })
-                .collect())
+            Ok(run_hgs(&corpus, ctx, |hg| {
+                let mut syms: Vec<HostSym> = produced
+                    .hg_names
+                    .get(&hg)
+                    .map(|ns| {
+                        ns.iter()
+                            .filter_map(|n| corpus.interner.hosts().get(n))
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                syms.sort_unstable();
+                TlsFingerprint::from_parts(
+                    hg.spec().keyword.to_ascii_lowercase(),
+                    syms,
+                    produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
+                )
+            }))
         });
 
     let mut merged: Vec<Result<HgAccum, String>> =
@@ -1121,7 +1104,7 @@ fn consume(
             }
         }
     }
-    Ok(merged.into_iter().map(|r| r.map(HgAccum::finish)).collect())
+    Ok(merged)
 }
 
 /// Bench/diagnostic hook: walk snapshot `t`'s on-disk segments in shard
@@ -1175,12 +1158,9 @@ pub fn process_snapshot_sharded(
     if !covers_snapshot(engine, t) {
         return Ok(None);
     }
-    let mut produced = produce(world, engine, t, ctx, sharding)?;
-    let totals = std::mem::take(&mut produced.totals);
-    finish_snapshot(totals, || {
-        consume(&produced, t, world, engine, ctx, sharding)
-    })
-    .map(Some)
+    let produced = produce(world, engine, t, ctx, sharding)?;
+    let outcomes = consume(&produced, t, world, engine, ctx, sharding)?;
+    Ok(Some(finish_snapshot(produced.totals, outcomes)))
 }
 
 #[cfg(test)]

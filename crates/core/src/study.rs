@@ -11,13 +11,12 @@
 use crate::artifact::{artifact_fingerprint, ArtifactBuilder};
 use crate::codec::ArtifactError;
 use crate::confirm::ConfirmMode;
-use crate::corpus::SnapshotCorpus;
 use crate::errors::DataQualityReport;
 use crate::headers::{
     learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
-use crate::parallel::{bounded_pipeline, isolate};
-use crate::pipeline::{process_corpus, standard_validate_options, PipelineContext, SnapshotResult};
+use crate::parallel::{bounded_pipeline, isolate, pipeline_depth};
+use crate::pipeline::{process_snapshot, PipelineContext, SnapshotResult};
 use crate::shard::{process_snapshot_sharded, ShardingConfig};
 use crate::validation_cache::ValidationCache;
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
@@ -61,10 +60,10 @@ pub struct StudyConfig {
     /// When set, snapshots are processed through the streaming sharded
     /// pipeline ([`crate::shard`]): bounded peak memory, spilled segments,
     /// byte-identical rendered output. Shard freezing fans out over the
-    /// config's `workers` (default: the context's thread count) with a
-    /// bounded `depth` of in-flight shards, so peak memory stays at
-    /// `depth × shard` and the output is byte-identical at any worker
-    /// count.
+    /// config's `workers` (default: the context's thread count) with at
+    /// most `depth` = [`pipeline_depth`]`(workers)` shards in flight, so
+    /// peak memory stays at `depth × shard` and the output is
+    /// byte-identical at any worker count.
     pub sharding: Option<ShardingConfig>,
     /// When set, the study log at this path ([`crate::artifact`]): every
     /// mode appends one record per snapshot as it completes, and a
@@ -352,7 +351,7 @@ pub fn try_run_study(
             } = &mut driver;
             bounded_pipeline(
                 workers,
-                parallel_depth(workers),
+                pipeline_depth(workers),
                 |push| {
                     for t in range.clone().filter(|t| !adopted.contains_key(t)) {
                         if !push(t) {
@@ -380,12 +379,6 @@ pub fn try_run_study(
     Ok(driver.finish())
 }
 
-/// Snapshots a parallel study computes ahead of its record path: enough
-/// to keep every worker busy while one slow snapshot holds up the fold.
-fn parallel_depth(workers: usize) -> usize {
-    workers + 2
-}
-
 /// The one study driver behind [`try_run_study`] and
 /// [`DeltaStudyEngine`]: per-snapshot computation ([`Step::compute`]) and
 /// the record path ([`Recorder::record`]) every mode shares.
@@ -404,7 +397,8 @@ struct Driver<'w> {
 struct Step<'w> {
     world: &'w HgWorld,
     engine: ScanEngine,
-    /// The per-snapshot context (one HG thread under `Parallel`).
+    /// The per-snapshot context (a one-worker shard pool under `Parallel`,
+    /// whose workers are the snapshots).
     ctx: PipelineContext,
     sharding: Option<ShardingConfig>,
 }
@@ -514,16 +508,8 @@ impl Step<'_> {
         if let Some(sharding) = &self.sharding {
             return process_snapshot_sharded(self.world, &self.engine, t, &self.ctx, sharding);
         }
-        let Some(obs) = observe_snapshot(self.world, &self.engine, t) else {
-            return Ok(None);
-        };
-        let corpus = SnapshotCorpus::build(
-            &obs,
-            &self.ctx.roots,
-            &standard_validate_options(),
-            self.ctx.validation_cache.as_deref(),
-        );
-        Ok(Some(process_corpus(&corpus, &self.ctx)))
+        Ok(observe_snapshot(self.world, &self.engine, t)
+            .map(|obs| process_snapshot(&obs, &self.ctx)))
     }
 }
 
@@ -709,7 +695,7 @@ mod tests {
         for entry in std::fs::read_dir(&spill).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
             let t: usize = name.trim_start_matches('t').parse().unwrap();
-            assert!(t <= 5 + parallel_depth(workers), "{name} computed");
+            assert!(t <= 5 + pipeline_depth(workers), "{name} computed");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

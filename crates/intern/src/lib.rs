@@ -336,7 +336,7 @@ impl<K> SymTable<K> {
 
 /// The append-only observation-time interner: one typed table per symbol
 /// domain. Cloned per snapshot by the corpus builder, then [`frozen`]
-/// before the per-HG fan-out.
+/// before the per-HG stages read it.
 ///
 /// [`frozen`]: Interner::freeze
 #[derive(Debug, Clone, Default)]

@@ -3,7 +3,7 @@
 //! exactly — same per-HG sets, same ValidationStats (including the §6.2
 //! Netflix expiry-exemption path), same Netflix restoration series.
 
-use hgsim::{Hg, HgWorld, ScenarioConfig, ALL_HGS};
+use hgsim::{HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_core::study::learn_reference_fingerprints;
 use offnet_core::{
     process_snapshot, run_study, PipelineContext, StudyConfig, StudyMode, ValidationCache,
@@ -44,7 +44,6 @@ fn parallel_snapshots_match_sequential() {
     let seq_ctx = base_ctx();
     let par_ctx = seq_ctx
         .clone()
-        .with_threads(4)
         .with_validation_cache(Arc::new(ValidationCache::new()));
 
     let seq: Vec<_> = obs.iter().map(|o| process_snapshot(o, &seq_ctx)).collect();
@@ -117,29 +116,6 @@ fn cached_study_matches_sequential_study() {
 }
 
 #[test]
-fn thread_count_does_not_change_results() {
-    let w = world();
-    let engine = ScanEngine::rapid7();
-    let obs = observe_snapshot(w, &engine, 30).expect("snapshot in corpus");
-    let mut reference: Option<Vec<netsim::AsId>> = None;
-    for threads in [1usize, 2, 7] {
-        let ctx = base_ctx()
-            .with_threads(threads)
-            .with_validation_cache(Arc::new(ValidationCache::new()));
-        let result = &process_snapshot(&obs, &ctx);
-        let google: Vec<netsim::AsId> = result.per_hg[&Hg::Google]
-            .confirmed_ases
-            .iter()
-            .copied()
-            .collect();
-        match &reference {
-            None => reference = Some(google),
-            Some(r) => assert_eq!(r, &google, "threads={threads} diverged"),
-        }
-    }
-}
-
-#[test]
 fn faulted_study_parallel_matches_sequential() {
     // Under injected corruption the parallel driver must still reproduce
     // the sequential results exactly — including the quarantine accounting.
@@ -179,9 +155,7 @@ fn shared_cache_is_hit_across_snapshots() {
     let w = world();
     let engine = ScanEngine::rapid7();
     let cache = Arc::new(ValidationCache::new());
-    let ctx = base_ctx()
-        .with_threads(2)
-        .with_validation_cache(cache.clone());
+    let ctx = base_ctx().with_validation_cache(cache.clone());
     // Deferred skeleton capture: a chain's first sighting verifies
     // directly, its second promotes to a replayable skeleton, and only the
     // third onwards replays. Feed three adjacent months through one cache

@@ -6,6 +6,7 @@
 
 use hgsim::{HgWorld, ScenarioConfig};
 use offnet_bench::render_study;
+use offnet_core::parallel::pipeline_depth;
 use offnet_core::{run_study, try_run_study, ShardingConfig, StudyConfig, StudyError, StudyMode};
 use scanner::{FaultPlan, ScanEngine};
 use std::path::{Path, PathBuf};
@@ -195,19 +196,9 @@ fn incremental_driver_sharded_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn pooled_config(
-    base: &StudyConfig,
-    shard_size: usize,
-    dir: &Path,
-    workers: usize,
-    depth: usize,
-) -> StudyConfig {
+fn pooled_config(base: &StudyConfig, shard_size: usize, dir: &Path, workers: usize) -> StudyConfig {
     StudyConfig {
-        sharding: Some(
-            ShardingConfig::new(shard_size, dir.to_path_buf())
-                .with_workers(workers)
-                .with_depth(depth),
-        ),
+        sharding: Some(ShardingConfig::new(shard_size, dir.to_path_buf()).with_workers(workers)),
         ..base.clone()
     }
 }
@@ -215,8 +206,8 @@ fn pooled_config(
 #[test]
 fn worker_pool_renders_byte_identical_across_counts() {
     // The pipelined producer must be invisible in the output: one worker
-    // (inline serial), a pool with a shallow channel, and a pool with a
-    // deep channel all render the same bytes as the monolithic path.
+    // (inline serial) and pools of two and four workers (each at its
+    // derived depth) all render the same bytes as the monolithic path.
     let w = world();
     let engine = ScanEngine::rapid7();
     let base = StudyConfig {
@@ -226,9 +217,10 @@ fn worker_pool_renders_byte_identical_across_counts() {
     let mono = render_study(&run_study(w, &engine, &base));
 
     let mut built = Vec::new();
-    for (tag, workers, depth) in [("w1", 1, 1), ("w4s", 4, 2), ("w4d", 4, 9)] {
+    for (tag, workers) in [("w1", 1), ("w2", 2), ("w4", 4)] {
+        let depth = pipeline_depth(workers);
         let dir = temp_dir(tag);
-        let cfg = pooled_config(&base, 311, &dir, workers, depth);
+        let cfg = pooled_config(&base, 311, &dir, workers);
         let rendered = render_study(&run_study(w, &engine, &cfg));
         assert_eq!(
             mono, rendered,
@@ -259,12 +251,12 @@ fn faulted_worker_pool_matches_serial() {
     let mono = render_study(&run_study(w, &mk_engine(), &base));
 
     let dir_serial = temp_dir("fault-w1");
-    let serial_cfg = pooled_config(&base, 409, &dir_serial, 1, 1);
+    let serial_cfg = pooled_config(&base, 409, &dir_serial, 1);
     let serial = render_study(&run_study(w, &mk_engine(), &serial_cfg));
     assert_eq!(mono, serial);
 
     let dir_pool = temp_dir("fault-w4");
-    let pool_cfg = pooled_config(&base, 409, &dir_pool, 4, 3);
+    let pool_cfg = pooled_config(&base, 409, &dir_pool, 4);
     let pooled = render_study(&run_study(w, &mk_engine(), &pool_cfg));
     assert_eq!(mono, pooled, "faulted pool render diverged");
     let _ = std::fs::remove_dir_all(&dir_serial);
@@ -284,7 +276,7 @@ fn kill_resume_reuses_parallel_built_segments() {
         ..Default::default()
     };
     let dir = temp_dir("kill");
-    let first_cfg = pooled_config(&base, 400, &dir, 4, 4);
+    let first_cfg = pooled_config(&base, 400, &dir, 4);
     let clean = render_study(&run_study(w, &engine, &first_cfg));
     let n_segments = first_cfg.sharding.as_ref().unwrap().ledger.segments_built();
     assert!(n_segments >= 4, "want several segments, got {n_segments}");
@@ -300,7 +292,7 @@ fn kill_resume_reuses_parallel_built_segments() {
         std::fs::remove_file(path).unwrap();
     }
 
-    let resume_cfg = pooled_config(&base, 400, &dir, 4, 4);
+    let resume_cfg = pooled_config(&base, 400, &dir, 4);
     let resumed = render_study(&run_study(w, &engine, &resume_cfg));
     let ledger = resume_cfg.sharding.as_ref().unwrap().ledger.clone();
     assert_eq!(clean, resumed, "kill/resume render diverged");
@@ -322,8 +314,9 @@ fn resident_memory_stays_within_depth_bound() {
         ..Default::default()
     };
     let dir = temp_dir("resident");
-    let (workers, depth) = (4, 3);
-    let cfg = pooled_config(&base, 300, &dir, workers, depth);
+    let workers = 4;
+    let depth = pipeline_depth(workers);
+    let cfg = pooled_config(&base, 300, &dir, workers);
     let _ = run_study(w, &engine, &cfg);
     let ledger = cfg.sharding.as_ref().unwrap().ledger.clone();
     let largest = ledger.peak_shard_interned_bytes();

@@ -12,8 +12,10 @@
 //! - a cold-build scaling row per worker count, asserting ≥ 2.5× at 4
 //!   workers over serial when the machine actually has ≥ 4 cores
 //!   (single-core boxes print the rows and skip the assertion);
-//! - warm admission through the v2 summary section vs the v1 whole-body
-//!   decode, asserting the summary path is no slower (it skips the
+//! - warm admission through the segment's summary section (the shard's
+//!   snapshot totals, stored once, and its §4.2 names, every integer
+//!   list a delta-varint run) vs a full decode of the segment into a
+//!   corpus, asserting the summary path is no slower (it skips the
 //!   certificate re-parse and corpus rebuild entirely).
 //!
 //! Large-scale wall/footprint figures (the `--scale large` world the
@@ -142,8 +144,8 @@ fn scaling_and_warm_checks() {
         println!("stream/cold_build_scaling assertion skipped: {cores} core(s) available");
     }
 
-    // Warm admission: the v2 summary-only path must be no slower than
-    // the v1 whole-body decode it replaced.
+    // Warm admission: the summary-only path must be no slower than a
+    // full decode of each segment into a corpus.
     let dir = spill_dir("admit");
     let cfg = sharded(&dir, 1);
     run_study(world, &engine, &cfg);

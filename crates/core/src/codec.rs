@@ -1,6 +1,6 @@
 //! The one on-disk codec: the persistence error type, the little-endian
 //! encoder/decoder, the stable enum tag tables, the file envelope, and
-//! aligned column views.
+//! the integer run.
 //!
 //! The study log (`OFFNARTF`) and corpus segments (`OFFNSSEG`) both start
 //! with one **envelope**: `magic · version u32 · fingerprint u64 ·
@@ -12,11 +12,8 @@
 //! used, so a corrupt length can never drive a giant allocation. Every
 //! decode failure is an [`ArtifactError`].
 //!
-//! A [`U32Col`] is the segment format's zero-copy column: a count,
-//! padding to 4-byte alignment (relative to the payload start), then raw
-//! little-endian words, read back as a borrowed slice of the payload.
-//!
-//! An integer **run** is the study log's compact list ([`Enc::run`]):
+//! An integer **run** is the one encoding of an integer list, in the
+//! study log and in corpus segments alike ([`Enc::run`]):
 //! `count · byte length · values`, all LEB128, each value the zigzag delta
 //! from the one before (the first from 0). Its count is checked against
 //! its byte length, a varint is at most 5 bytes, the values must fill the
@@ -273,12 +270,6 @@ impl Enc {
         self.usize(b.len());
         self.buf.extend_from_slice(b);
     }
-    pub(crate) fn u32s(&mut self, vs: &[u32]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.u32(v);
-        }
-    }
     fn varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
@@ -428,10 +419,6 @@ impl<'a> Dec<'a> {
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], ArtifactError> {
         let n = self.count(1)?;
         self.take(n)
-    }
-    pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
     }
     #[inline]
     fn varint(&mut self) -> Result<u64, ArtifactError> {
@@ -620,55 +607,6 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArtifactErro
     std::fs::rename(&tmp, path).map_err(|e| ArtifactError::io(path, e))
 }
 
-// ---------------------------------------------------------------------------
-// Aligned LE integer columns: borrowed views over one loaded buffer.
-// ---------------------------------------------------------------------------
-
-/// A borrowed `u32` column: raw little-endian words inside the payload.
-#[derive(Clone, Copy)]
-pub(crate) struct U32Col<'a>(&'a [u8]);
-
-impl<'a> U32Col<'a> {
-    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        self.0
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-    }
-}
-
-/// Zero-pad the encoder to an `n`-byte boundary (relative to the payload
-/// start).
-pub(crate) fn enc_align(e: &mut Enc, n: usize) {
-    while !e.buf.len().is_multiple_of(n) {
-        e.buf.push(0);
-    }
-}
-
-/// Write a `u32` column: count, alignment padding, raw LE words.
-pub(crate) fn enc_u32_col(e: &mut Enc, len: usize, vals: impl IntoIterator<Item = u32>) {
-    e.usize(len);
-    enc_align(e, 4);
-    let mut written = 0usize;
-    for v in vals {
-        e.u32(v);
-        written += 1;
-    }
-    debug_assert_eq!(written, len, "u32 column length mismatch");
-}
-
-fn dec_align(d: &mut Dec<'_>, n: usize) -> Result<(), ArtifactError> {
-    let pad = (n - d.pos % n) % n;
-    d.take(pad)?;
-    Ok(())
-}
-
-/// Read a `u32` column as a borrowed view (no element decode, no `Vec`).
-pub(crate) fn dec_u32_col<'a>(d: &mut Dec<'a>) -> Result<U32Col<'a>, ArtifactError> {
-    let n = d.count(4)?;
-    dec_align(d, 4)?;
-    Ok(U32Col(d.take(n * 4)?))
-}
-
 /// Read a length-prefixed string as a borrowed `&str`.
 pub(crate) fn dec_str_ref<'a>(d: &mut Dec<'a>) -> Result<&'a str, ArtifactError> {
     let n = d.count(1)?;
@@ -679,33 +617,6 @@ pub(crate) fn dec_str_ref<'a>(d: &mut Dec<'a>) -> Result<&'a str, ArtifactError>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn columns_round_trip_with_alignment() {
-        let magic = b"OFFNTEST";
-        let mut e = Enc::default();
-        e.u8(7); // deliberately misalign
-        enc_u32_col(&mut e, 3, [1u32, 2, 3]);
-        e.u8(9); // and again before the next column
-        enc_u32_col(&mut e, 0, []);
-        let dir = std::env::temp_dir().join(format!("offnet-codec-{}", std::process::id()));
-        let path = dir.join("col.bin");
-        write_atomic(&path, &envelope(magic, 9, 0xfeed, &e.buf)).unwrap();
-
-        let (fp, payload) = match read_envelope(&path, magic, 9) {
-            Ok(v) => v,
-            Err(_) => panic!("envelope should read back"),
-        };
-        assert_eq!(fp, 0xfeed);
-        let mut d = Dec::new(&payload, &path);
-        assert_eq!(d.u8().unwrap(), 7);
-        let c32 = dec_u32_col(&mut d).unwrap();
-        assert_eq!(c32.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(d.u8().unwrap(), 9);
-        assert_eq!(dec_u32_col(&mut d).unwrap().iter().count(), 0);
-        d.finish().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn corrupt_length_is_rejected_before_payload_read() {
@@ -863,7 +774,7 @@ mod tests {
         let payload = u64::MAX.to_le_bytes();
         let path = Path::new("in-memory payload");
         let mut d = Dec::new(&payload, path);
-        assert!(matches!(d.u32s(), Err(ArtifactError::Corrupt { .. })));
+        assert!(matches!(d.bytes(), Err(ArtifactError::Corrupt { .. })));
         let mut d = Dec::new(&payload, path);
         assert!(matches!(d.as_set(), Err(ArtifactError::Corrupt { .. })));
         let mut d = Dec::new(&payload, path);

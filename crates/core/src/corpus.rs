@@ -161,11 +161,6 @@ impl SnapshotCorpus {
         }
     }
 
-    /// How many ASes host a certificate-bearing IP.
-    pub fn n_ases_with_certs(&self) -> usize {
-        self.ases_with_certs.len()
-    }
-
     /// Certificate `i`'s SAN set: sorted, deduplicated host symbols.
     pub fn sans(&self, cert_idx: u32) -> &[HostSym] {
         let i = cert_idx as usize;

@@ -215,12 +215,15 @@ pub(crate) fn run_hgs(
         .collect()
 }
 
-/// Snapshot-level fields, from one corpus or merged across shards.
+/// Snapshot-level fields, from one corpus or merged across shards. A
+/// segment summary stores its shard's totals (all but `scan`, which the
+/// producer's scan streams account for the whole snapshot).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CorpusTotals {
     pub snapshot_idx: usize,
     pub total_ips_with_certs: usize,
-    pub n_ases_with_certs: usize,
+    /// ASes hosting a certificate-bearing IP: sorted, distinct.
+    pub ases_with_certs: Vec<AsId>,
     pub validation: ValidationStats,
     pub banner_quality: BannerQuality,
     pub http_only_ips: Vec<u32>,
@@ -228,16 +231,31 @@ pub(crate) struct CorpusTotals {
 }
 
 impl CorpusTotals {
-    fn of(corpus: &SnapshotCorpus) -> Self {
+    pub(crate) fn of(corpus: &SnapshotCorpus) -> Self {
         Self {
             snapshot_idx: corpus.snapshot_idx,
             total_ips_with_certs: corpus.total_ips_with_certs,
-            n_ases_with_certs: corpus.n_ases_with_certs(),
+            ases_with_certs: corpus.ases_with_certs.clone(),
             validation: corpus.validation.clone(),
             banner_quality: corpus.banners.quality,
             http_only_ips: corpus.http_only_ips.clone(),
             scan: corpus.scan_health.clone(),
         }
+    }
+
+    /// Fold a later shard's totals into these. Called in shard order, so
+    /// the HTTP-only IPs concatenate in scan order; counts add, and the AS
+    /// sets union.
+    pub(crate) fn merge(&mut self, other: CorpusTotals) {
+        self.total_ips_with_certs += other.total_ips_with_certs;
+        // Two sorted runs: the stable sort merges them in one pass.
+        self.ases_with_certs.extend(other.ases_with_certs);
+        self.ases_with_certs.sort();
+        self.ases_with_certs.dedup();
+        self.validation.merge(&other.validation);
+        self.banner_quality.merge(&other.banner_quality);
+        self.http_only_ips.extend(other.http_only_ips);
+        self.scan.merge(&other.scan);
     }
 
     /// The snapshot result, with its [`DataQualityReport`]: §4.1
@@ -267,7 +285,7 @@ impl CorpusTotals {
         SnapshotResult {
             snapshot_idx: self.snapshot_idx,
             total_ips_with_certs: self.total_ips_with_certs,
-            n_ases_with_certs: self.n_ases_with_certs,
+            n_ases_with_certs: self.ases_with_certs.len(),
             validation: self.validation,
             per_hg,
             http_only_ips: self.http_only_ips,

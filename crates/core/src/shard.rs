@@ -46,13 +46,14 @@
 //! shard pool is the only thread fan-out inside a snapshot: within one
 //! shard the per-HG stages run in sequence.
 //!
-//! **Zero-copy admission.** A segment payload leads with a compact
-//! *summary section* — every cross-shard accumulator (validation stats,
-//! AS unions, §4.2 on-net names) with its integer columns encoded as
-//! aligned little-endian words. Warm admission decodes only that
-//! section, borrowing the integer columns straight from the loaded
-//! buffer (via the shared envelope codec); the corpus body behind it is
-//! touched only by the consumer pass.
+//! **Summary-only admission.** A segment payload leads with a compact
+//! *summary section*: the shard's snapshot totals (validation stats,
+//! certificate IP count, AS set, HTTP-only IPs, banner quarantine
+//! counts), stored once, plus its §4.2 on-net names. Warm admission
+//! decodes only that section; the corpus body behind it is touched only
+//! by the consumer pass, which reads the totals back from the summary.
+//! Every integer list in a segment is a delta-varint run, the codec's one
+//! integer-list encoding.
 //!
 //! The consumer runs each shard through the in-memory path's per-corpus
 //! HG loop (`pipeline::run_hgs`), with the same per-HG panic isolation:
@@ -68,8 +69,8 @@
 //! observation health does.
 
 use crate::codec::{
-    self, dec_str_ref, dec_u32_col, decode_validation, enc_u32_col, encode_validation, hg_tag, mix,
-    mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue, U32Col,
+    self, dec_str_ref, decode_validation, encode_validation, hg_tag, mix, mix_world_engine,
+    ArtifactError, Dec, Enc, EnvelopeIssue,
 };
 use crate::confirm::{BannerIndex, BannerQuality};
 use crate::corpus::{
@@ -81,7 +82,7 @@ use crate::pipeline::{
     SnapshotResult,
 };
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
-use crate::validate::{ValidatedCert, ValidationStats};
+use crate::validate::ValidatedCert;
 use crate::wordhash::{DerKey, WordMap};
 use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::{HostSym, Interner, SymTable};
@@ -99,10 +100,11 @@ use x509::Certificate;
 
 /// Segment format version. Bumping it invalidates (and silently rebuilds)
 /// every on-disk segment. Version 2 added the summary section in front of
-/// the corpus body (zero-copy admission); version 3 dropped the chain
+/// the corpus body (summary-only admission); version 3 dropped the chain
 /// digest and per-HG evidence columns; version 4 extends the checksum over
-/// the envelope's fixed fields.
-pub const SEGMENT_VERSION: u32 = 4;
+/// the envelope's fixed fields; version 5 stores every integer list as a
+/// delta-varint run and the snapshot totals once, in the summary.
+pub const SEGMENT_VERSION: u32 = 5;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"OFFNSSEG";
 
@@ -280,7 +282,7 @@ pub fn segment_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
-// Segment envelope (shared codec) and v2 payload framing.
+// Segment envelope (shared codec) and payload framing.
 // ---------------------------------------------------------------------------
 
 fn write_segment(path: &Path, fingerprint: u64, payload: &[u8]) -> Result<(), ArtifactError> {
@@ -310,8 +312,7 @@ fn read_segment(path: &Path, fingerprint: u64) -> Result<Vec<u8>, ArtifactError>
     Ok(payload)
 }
 
-/// Payload framing: `u64 summary_len · summary · body`. The summary
-/// starts 8 bytes in, so its 8-aligned columns stay aligned in the file.
+/// Payload framing: `u64 summary_len · summary · body`.
 fn frame_segment(summary: &[u8], body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(8 + summary.len() + body.len());
     payload.extend_from_slice(&(summary.len() as u64).to_le_bytes());
@@ -429,16 +430,14 @@ fn dec_http(
 
 /// Serialize one shard's corpus into a segment body. The interner pools
 /// are the *corpus* pools (scanner pools plus SAN host interning), so the
-/// stored SAN/banner symbol indices resolve against them on load.
+/// stored SAN/banner symbol indices resolve against them on load. The
+/// snapshot totals are the summary's, not repeated here.
 fn encode_shard(
     c: &SnapshotCorpus,
-    endpoints: usize,
     http80: Option<&HttpScanSnapshot>,
     https443: Option<&HttpScanSnapshot>,
 ) -> Vec<u8> {
     let mut e = Enc::default();
-    e.usize(c.snapshot_idx);
-    e.usize(endpoints);
     enc_pool(&mut e, c.interner.hosts().raw_parts());
     enc_pool(&mut e, c.interner.header_names().raw_parts());
     enc_pool(&mut e, c.interner.header_values().raw_parts());
@@ -448,26 +447,20 @@ fn encode_shard(
         e.bool(vc.expiry_exempted);
         e.bytes(vc.leaf.der());
     }
-    encode_validation(&mut e, &c.validation);
-    e.u32s(&c.san_offsets);
-    let san_indices: Vec<u32> = c.san_syms.iter().map(|s| s.index()).collect();
-    e.u32s(&san_indices);
+    e.run(c.san_offsets.iter().copied());
+    e.run(c.san_syms.iter().map(|s| s.index()));
     enc_http(&mut e, http80);
     enc_http(&mut e, https443);
-    e.usize(c.total_ips_with_certs);
-    let ases: Vec<u32> = c.ases_with_certs.iter().map(|a| a.0).collect();
-    e.u32s(&ases);
-    e.u32s(&c.http_only_ips);
     e.buf
 }
 
-/// Rebuild a shard's corpus from a validated segment body. Everything cheap to
-/// recompute (Cloudflare flags, per-HG org indices, the banner index and
-/// its quality counters, memory stats) is rederived from the decoded
-/// tables rather than stored; chain verification is *not* redone — the
-/// stored valids are the §4.1 survivors. Callers overwrite
-/// `memory.segment_bytes` with the full payload length (the body slice
-/// excludes the summary section).
+/// Rebuild a shard's corpus from a validated segment payload (summary
+/// and body): the snapshot totals come from the summary, the tables from
+/// the body. Everything cheap to recompute (Cloudflare flags, per-HG org
+/// indices, the banner index and its quality counters, memory stats) is
+/// rederived from the decoded tables rather than stored; chain
+/// verification is *not* redone — the stored valids are the §4.1
+/// survivors.
 fn decode_shard(
     payload: &[u8],
     expected_idx: usize,
@@ -475,16 +468,13 @@ fn decode_shard(
     ip_to_as: Arc<IpToAsMap>,
     path: &Path,
 ) -> Result<SnapshotCorpus, ArtifactError> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-        path,
-    };
-    let snapshot_idx = d.usize()?;
+    let (summary, body) = split_segment_payload(payload, path)?;
+    let totals = decode_summary(summary, path)?.totals;
+    let snapshot_idx = totals.snapshot_idx;
     if snapshot_idx != expected_idx {
         return Err(ArtifactError::corrupt(path, "segment snapshot mismatch"));
     }
-    let _endpoints = d.usize()?;
+    let mut d = Dec::new(body, path);
     let (hosts_buf, hosts_spans) = dec_pool(&mut d)?;
     let (names_buf, names_spans) = dec_pool(&mut d)?;
     let (values_buf, values_spans) = dec_pool(&mut d)?;
@@ -517,13 +507,12 @@ fn decode_shard(
             expiry_exempted,
         });
     }
-    let validation = decode_validation(&mut d)?;
-    let san_offsets = d.u32s()?;
+    let san_offsets = d.run()?;
     if san_offsets.len() != valids.len() + 1 {
         return Err(ArtifactError::corrupt(path, "SAN offset table size"));
     }
     let san_syms: Vec<HostSym> = d
-        .u32s()?
+        .run()?
         .into_iter()
         .map(|i| {
             interner
@@ -543,9 +532,6 @@ fn decode_shard(
     }
     let http80 = dec_http(&mut d, &interner, engine, snapshot_idx, 80, path)?;
     let https443 = dec_http(&mut d, &interner, engine, snapshot_idx, 443, path)?;
-    let total_ips_with_certs = d.usize()?;
-    let ases_with_certs = d.u32s()?.into_iter().map(AsId).collect();
-    let http_only_ips = d.u32s()?;
     d.finish()?;
 
     // Rederive the corpus-build byproducts exactly as
@@ -565,14 +551,14 @@ fn decode_shard(
     Ok(SnapshotCorpus {
         snapshot_idx,
         interner: interner.freeze(),
-        validation,
+        validation: totals.validation,
         banners,
         by_hg_std,
         by_hg_all,
         ip_to_as,
-        total_ips_with_certs,
-        ases_with_certs,
-        http_only_ips,
+        total_ips_with_certs: totals.total_ips_with_certs,
+        ases_with_certs: totals.ases_with_certs,
+        http_only_ips: totals.http_only_ips,
         scan_health: Default::default(),
         memory,
         san_offsets,
@@ -594,25 +580,51 @@ struct HgSummaryEntry<'a> {
     names: Vec<&'a str>,
 }
 
-/// Borrowed decode of a segment's summary section: everything the
-/// producer's fold absorbs. Integer columns are aligned LE slices viewed
-/// in place — warm admission never re-materializes them.
-struct ShardSummaryRef<'a> {
-    snapshot_idx: usize,
+/// A decoded summary section: everything the producer's fold absorbs.
+/// The §4.2 names borrow from the summary bytes.
+struct ShardSummary<'a> {
+    totals: CorpusTotals,
     endpoints: usize,
-    total_ips_with_certs: usize,
     interned_bytes: usize,
     string_model_bytes: usize,
-    validation: ValidationStats,
-    banner_quality: BannerQuality,
-    as_set: U32Col<'a>,
-    http_only_ips: U32Col<'a>,
     hg_entries: Vec<HgSummaryEntry<'a>>,
 }
 
-/// Serialize a built shard's summary section: every cross-shard
-/// accumulator contribution, precomputed at build time so admission never
-/// touches the corpus body. `string_model_bytes` is the shard's
+/// A shard's snapshot totals, all but the scan health (the producer's
+/// streams account for it across the whole snapshot).
+fn encode_totals(e: &mut Enc, t: &CorpusTotals) {
+    e.usize(t.snapshot_idx);
+    e.usize(t.total_ips_with_certs);
+    e.run(t.ases_with_certs.iter().map(|a| a.0));
+    encode_validation(e, &t.validation);
+    let q = &t.banner_quality;
+    e.usize(q.records_seen);
+    e.usize(q.oversized);
+    e.usize(q.mojibake);
+    e.usize(q.duplicate_ip);
+    e.run(t.http_only_ips.iter().copied());
+}
+
+fn decode_totals(d: &mut Dec) -> Result<CorpusTotals, ArtifactError> {
+    Ok(CorpusTotals {
+        snapshot_idx: d.usize()?,
+        total_ips_with_certs: d.usize()?,
+        ases_with_certs: d.run()?.into_iter().map(AsId).collect(),
+        validation: decode_validation(d)?,
+        banner_quality: BannerQuality {
+            records_seen: d.usize()?,
+            oversized: d.usize()?,
+            mojibake: d.usize()?,
+            duplicate_ip: d.usize()?,
+        },
+        http_only_ips: d.run()?,
+        scan: ScanHealth::default(),
+    })
+}
+
+/// Serialize a built shard's summary section: its totals and every §4.2
+/// contribution, precomputed at build time so admission never touches
+/// the corpus body. `string_model_bytes` is the shard's
 /// [`string_model_bytes`] figure, which the ledger reports.
 fn encode_summary(
     c: &SnapshotCorpus,
@@ -621,27 +633,10 @@ fn encode_summary(
     ctx: &PipelineContext,
 ) -> Vec<u8> {
     let mut e = Enc::default();
-    e.usize(c.snapshot_idx);
+    encode_totals(&mut e, &CorpusTotals::of(c));
     e.usize(endpoints);
-    e.usize(c.total_ips_with_certs);
     e.usize(c.memory.interned_bytes);
     e.usize(string_model_bytes);
-    encode_validation(&mut e, &c.validation);
-    let q = &c.banners.quality;
-    e.usize(q.records_seen);
-    e.usize(q.oversized);
-    e.usize(q.mojibake);
-    e.usize(q.duplicate_ip);
-    enc_u32_col(
-        &mut e,
-        c.ases_with_certs.len(),
-        c.ases_with_certs.iter().map(|a| a.0),
-    );
-    enc_u32_col(
-        &mut e,
-        c.http_only_ips.len(),
-        c.http_only_ips.iter().copied(),
-    );
 
     // §4.2 contributions: shard-local on-net names and certificate
     // counts, resolved to strings so they bridge per-shard symbol spaces.
@@ -677,30 +672,13 @@ fn hg_from_tag(tag: u8, path: &Path) -> Result<Hg, ArtifactError> {
         .ok_or_else(|| ArtifactError::corrupt(path, "HG tag out of range"))
 }
 
-/// Decode a summary section, borrowing every column from `bytes`.
-fn decode_summary<'a>(
-    bytes: &'a [u8],
-    path: &'a Path,
-) -> Result<ShardSummaryRef<'a>, ArtifactError> {
-    let mut d = Dec {
-        buf: bytes,
-        pos: 0,
-        path,
-    };
-    let snapshot_idx = d.usize()?;
+/// Decode a summary section; the §4.2 names borrow from `bytes`.
+fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a>, ArtifactError> {
+    let mut d = Dec::new(bytes, path);
+    let totals = decode_totals(&mut d)?;
     let endpoints = d.usize()?;
-    let total_ips_with_certs = d.usize()?;
     let interned_bytes = d.usize()?;
     let string_model_bytes = d.usize()?;
-    let validation = decode_validation(&mut d)?;
-    let banner_quality = BannerQuality {
-        records_seen: d.usize()?,
-        oversized: d.usize()?,
-        mojibake: d.usize()?,
-        duplicate_ip: d.usize()?,
-    };
-    let as_set = dec_u32_col(&mut d)?;
-    let http_only_ips = dec_u32_col(&mut d)?;
     let n_entries = d.count(3)?;
     let mut hg_entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
@@ -718,16 +696,11 @@ fn decode_summary<'a>(
         });
     }
     d.finish()?;
-    Ok(ShardSummaryRef {
-        snapshot_idx,
+    Ok(ShardSummary {
+        totals,
         endpoints,
-        total_ips_with_certs,
         interned_bytes,
         string_model_bytes,
-        validation,
-        banner_quality,
-        as_set,
-        http_only_ips,
         hg_entries,
     })
 }
@@ -738,7 +711,7 @@ fn decode_summary<'a>(
 fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<Vec<u8>> {
     let (summary, _body) = split_segment_payload(payload, path).ok()?;
     let s = decode_summary(summary, path).ok()?;
-    (s.snapshot_idx == t).then(|| summary.to_vec())
+    (s.totals.snapshot_idx == t).then(|| summary.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -752,7 +725,6 @@ fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<Vec<u8>> {
 struct Produced {
     segments: Vec<(PathBuf, u64)>,
     totals: CorpusTotals,
-    as_union: BTreeSet<AsId>,
     /// Study-wide on-net dNSName sets, kept as strings so they bridge the
     /// per-shard symbol spaces.
     hg_names: HashMap<Hg, BTreeSet<String>>,
@@ -764,12 +736,8 @@ impl Produced {
     /// freshly built and admitted shards land here, through the same
     /// decoded representation — one absorption path, so rendered output
     /// cannot depend on which shards were reused.
-    fn absorb_summary(&mut self, s: &ShardSummaryRef<'_>) {
-        self.totals.validation.merge(&s.validation);
-        self.totals.banner_quality.merge(&s.banner_quality);
-        self.totals.total_ips_with_certs += s.total_ips_with_certs;
-        self.as_union.extend(s.as_set.iter().map(AsId));
-        self.totals.http_only_ips.extend(s.http_only_ips.iter());
+    fn absorb_summary(&mut self, s: ShardSummary<'_>) {
+        self.totals.merge(s.totals);
 
         // §4.2 contributions: the global on-net fingerprint is the union
         // of per-shard on-net name sets (each contributing certificate
@@ -989,12 +957,7 @@ fn produce(
                 let string_model =
                     string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
                 let summary = encode_summary(&corpus, endpoints, string_model, ctx);
-                let body = encode_shard(
-                    &corpus,
-                    endpoints,
-                    obs.http80.as_ref(),
-                    obs.https443.as_ref(),
-                );
+                let body = encode_shard(&corpus, obs.http80.as_ref(), obs.https443.as_ref());
                 let payload = frame_segment(&summary, &body);
                 write_segment(&path, fingerprint, &payload)?;
                 Ok(ShardDone {
@@ -1014,7 +977,7 @@ fn produce(
     let fold = |shard_idx: usize, done: ShardDone| -> Result<(), ArtifactError> {
         {
             let s = decode_summary(&done.summary, &done.path)?;
-            if s.snapshot_idx != t {
+            if s.totals.snapshot_idx != t {
                 return Err(ArtifactError::corrupt(
                     &done.path,
                     "segment snapshot mismatch",
@@ -1029,7 +992,7 @@ fn produce(
                 string_model_bytes: s.string_model_bytes,
                 reused: done.reused,
             });
-            acc.absorb_summary(&s);
+            acc.absorb_summary(s);
         }
         acc.segments.push((done.path, done.fingerprint));
         Ok(())
@@ -1038,7 +1001,6 @@ fn produce(
     bounded_pipeline(workers, pipeline_depth(workers), feed, work, fold)?;
 
     acc.totals.scan = streams_health.take().unwrap_or_default();
-    acc.totals.n_ases_with_certs = acc.as_union.len();
     Ok(acc)
 }
 
@@ -1070,9 +1032,7 @@ fn consume(
     let partials: Vec<Result<Partial, ArtifactError>> =
         parallel_map(&produced.segments, workers, |(path, fingerprint)| {
             let payload = read_segment(path, *fingerprint)?;
-            let (_summary, body) = split_segment_payload(&payload, path)?;
-            let mut corpus = decode_shard(body, t, engine.id, world.ip_to_as(t), path)?;
-            corpus.memory.segment_bytes = payload.len();
+            let corpus = decode_shard(&payload, t, engine.id, world.ip_to_as(t), path)?;
             let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
             Ok(run_hgs(&corpus, ctx, |hg| {
                 let mut syms: Vec<HostSym> = produced
@@ -1127,14 +1087,13 @@ pub fn admit_segments_for_bench(
         }
         let fingerprint = segment_fingerprint(world, engine, t, shard_size, admitted);
         let payload = read_segment(&path, fingerprint)?;
-        let (summary, body) = split_segment_payload(&payload, &path)?;
         if full_decode {
-            let mut corpus = decode_shard(body, t, engine.id, world.ip_to_as(t), &path)?;
-            corpus.memory.segment_bytes = payload.len();
+            let corpus = decode_shard(&payload, t, engine.id, world.ip_to_as(t), &path)?;
             std::hint::black_box(&corpus);
         } else {
+            let (summary, _body) = split_segment_payload(&payload, &path)?;
             let s = decode_summary(summary, &path)?;
-            if s.snapshot_idx != t {
+            if s.totals.snapshot_idx != t {
                 return Err(ArtifactError::corrupt(&path, "segment snapshot mismatch"));
             }
             std::hint::black_box(&s);
@@ -1170,22 +1129,44 @@ mod tests {
     use scanner::SnapshotObservations;
     use std::collections::HashSet;
 
+    /// A built shard's framed segment payload: summary, then body.
+    fn segment_payload(
+        corpus: &SnapshotCorpus,
+        obs: &SnapshotObservations,
+        ctx: &PipelineContext,
+    ) -> Vec<u8> {
+        frame_segment(
+            &encode_summary(corpus, 0, 0, ctx),
+            &encode_shard(corpus, obs.http80.as_ref(), obs.https443.as_ref()),
+        )
+    }
+
     #[test]
     fn decoded_shard_shares_one_leaf_per_distinct_der() {
         let world = HgWorld::generate(ScenarioConfig::small());
         let engine = ScanEngine::rapid7();
+        let ctx = PipelineContext::new(
+            world.pki().root_store().clone(),
+            world.org_db(),
+            Default::default(),
+        );
         let t = 30;
         let obs = scanner::observe_snapshot(&world, &engine, t).expect("snapshot in corpus");
-        let corpus = SnapshotCorpus::build(
-            &obs,
-            world.pki().root_store(),
-            &standard_validate_options(),
-            None,
-        );
-        let body = encode_shard(&corpus, 0, obs.http80.as_ref(), obs.https443.as_ref());
+        let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
+        let payload = segment_payload(&corpus, &obs, &ctx);
         let path = Path::new("in-memory segment");
-        let decoded = decode_shard(&body, t, engine.id, world.ip_to_as(t), path).unwrap();
+        let decoded = decode_shard(&payload, t, engine.id, world.ip_to_as(t), path).unwrap();
         let (built, decoded) = (&corpus, &decoded);
+        assert_eq!(decoded.memory.segment_bytes, payload.len());
+
+        // The totals the summary stores once come back on the corpus.
+        assert_eq!(built.total_ips_with_certs, decoded.total_ips_with_certs);
+        assert_eq!(built.ases_with_certs, decoded.ases_with_certs);
+        assert_eq!(built.http_only_ips, decoded.http_only_ips);
+        assert_eq!(built.validation.valid, decoded.validation.valid);
+        assert_eq!(built.validation.invalid, decoded.validation.invalid);
+        assert_eq!(built.san_offsets, decoded.san_offsets);
+        assert_eq!(built.san_syms, decoded.san_syms);
 
         assert_eq!(built.valids.len(), decoded.valids.len());
         for (b, d) in built.valids.iter().zip(&decoded.valids) {
@@ -1299,27 +1280,28 @@ mod tests {
         }
     }
 
-    /// The body decoder, like the summary's, reads bytes below the
-    /// checksum: every truncation is an error, and no byte flip panics or
-    /// sizes an allocation from an unchecked length — a span, offset or
-    /// symbol that points outside its table is `Corrupt`.
+    /// The corpus decoder, like the summary's, reads bytes below the
+    /// checksum: every truncation of a framed payload (summary and body)
+    /// is an error, and no byte flip panics or sizes an allocation from an
+    /// unchecked length — a span, offset or symbol that points outside its
+    /// table is `Corrupt`.
     #[test]
     fn body_decoder_survives_truncation_and_flips() {
-        let (world, _ctx, obs, corpus) = small_shard(3);
-        let body = encode_shard(&corpus, 6, obs.http80.as_ref(), obs.https443.as_ref());
+        let (world, ctx, obs, corpus) = small_shard(3);
+        let payload = segment_payload(&corpus, &obs, &ctx);
         let path = Path::new("in-memory segment");
         let engine = ScanEngine::rapid7().id;
         let ip_to_as = world.ip_to_as(30);
         let decode = |bytes: &[u8]| decode_shard(bytes, 30, engine, ip_to_as.clone(), path);
-        let decoded = decode(&body).unwrap();
+        let decoded = decode(&payload).unwrap();
         assert!(!decoded.valids.is_empty() && !decoded.san_syms.is_empty());
 
-        for cut in 0..body.len() {
-            assert!(decode(&body[..cut]).is_err(), "cut at {cut} decoded");
+        for cut in 0..payload.len() {
+            assert!(decode(&payload[..cut]).is_err(), "cut at {cut} decoded");
         }
-        for i in 0..body.len() {
+        for i in 0..payload.len() {
             for mask in [0x01, 0x80, 0xff] {
-                let mut flipped = body.clone();
+                let mut flipped = payload.clone();
                 flipped[i] ^= mask;
                 let _ = decode(&flipped);
             }

@@ -49,7 +49,7 @@ use parking_lot::RwLock;
 use scanner::CertScanRecord;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use timebase::Timestamp;
 use x509::{Certificate, ChainError, PublicKey, RootStore, MAX_CHAIN};
 
@@ -266,11 +266,14 @@ enum CachedChain {
 }
 
 /// Per-chain cache state: sighted once (no skeleton yet — see the module
-/// docs on deferred capture), or promoted to a replayable skeleton.
+/// docs on deferred capture), or promoted to a replayable skeleton. The
+/// promotion is claimed under the map's write lock and the skeleton built
+/// outside it, once: a lookup that reaches the cell first builds it, any
+/// other waits for it.
 #[derive(Debug)]
 enum Entry {
     SeenOnce,
-    Cached(Arc<CachedChain>),
+    Cached(Arc<OnceLock<CachedChain>>),
 }
 
 /// Lifetime reuse counters. `first_sightings + promotions` is the number
@@ -366,10 +369,9 @@ impl ValidationCache {
     /// chain already recurred, a fresh skeleton otherwise (stored on the
     /// second sighting).
     ///
-    /// Counters are exact under single-threaded use (the incremental
-    /// mode's sequential appends); concurrent snapshot workers can race two
-    /// promotions of the same chain, which double-counts a promotion but
-    /// stores identical skeletons — verdicts are unaffected.
+    /// Counters are exact under concurrent lookups too: one lookup claims
+    /// a chain's promotion, and every other lookup of the chain counts as
+    /// a hit, as it would have run after the promotion serially.
     pub(crate) fn verdict_cached(
         &self,
         rec: &CertScanRecord,
@@ -378,55 +380,39 @@ impl ValidationCache {
         needle: Option<&str>,
     ) -> Verdict {
         let key = chain_key(&rec.chain_der);
-        {
-            let guard = self.map.read();
-            if let Some(Entry::Cached(c)) = guard.get(&key) {
-                let c = Arc::clone(c);
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return cached_verdict(&c, at, needle);
-            }
-        }
-        enum Decision {
-            Replay(Arc<CachedChain>),
-            First,
-            Promote,
-        }
-        let decision = {
-            use std::collections::hash_map::Entry as MapEntry;
-            let mut map = self.map.write();
-            match map.entry(key) {
-                MapEntry::Occupied(e) => match e.get() {
-                    Entry::Cached(c) => Decision::Replay(Arc::clone(c)),
-                    Entry::SeenOnce => Decision::Promote,
-                },
-                MapEntry::Vacant(v) => {
-                    v.insert(Entry::SeenOnce);
-                    Decision::First
+        let cached = self.map.read().get(&key).and_then(|e| match e {
+            Entry::Cached(c) => Some(Arc::clone(c)),
+            Entry::SeenOnce => None,
+        });
+        let (cell, counter) = match cached {
+            Some(c) => (c, &self.hits),
+            None => {
+                use std::collections::hash_map::Entry as MapEntry;
+                let mut map = self.map.write();
+                match map.entry(key) {
+                    MapEntry::Occupied(mut e) => match e.get() {
+                        Entry::Cached(c) => (Arc::clone(c), &self.hits),
+                        Entry::SeenOnce => {
+                            // Claim the promotion; the skeleton is built
+                            // outside the lock.
+                            let cell = Arc::new(OnceLock::new());
+                            e.insert(Entry::Cached(Arc::clone(&cell)));
+                            (cell, &self.promotions)
+                        }
+                    },
+                    MapEntry::Vacant(v) => {
+                        v.insert(Entry::SeenOnce);
+                        drop(map);
+                        self.first_sightings.fetch_add(1, Ordering::Relaxed);
+                        let skeleton = self.skeleton(&rec.chain_der, roots);
+                        return cached_verdict(&skeleton, at, needle);
+                    }
                 }
             }
         };
-        match decision {
-            Decision::Replay(c) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cached_verdict(&c, at, needle)
-            }
-            Decision::First => {
-                self.first_sightings.fetch_add(1, Ordering::Relaxed);
-                let skeleton = self.skeleton(&rec.chain_der, roots);
-                cached_verdict(&skeleton, at, needle)
-            }
-            Decision::Promote => {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                // Build outside the lock; a racing promoter of the same
-                // chain produces an identical skeleton, so last-write-wins
-                // is fine.
-                let built = Arc::new(self.skeleton(&rec.chain_der, roots));
-                let verdict = cached_verdict(&built, at, needle);
-                self.map.write().insert(key, Entry::Cached(built));
-                verdict
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        let skeleton = cell.get_or_init(|| self.skeleton(&rec.chain_der, roots));
+        cached_verdict(skeleton, at, needle)
     }
 
     /// Build a chain's skeleton from one leaf parse, one leaf signature
@@ -763,7 +749,7 @@ mod tests {
         let issuers: Vec<&Arc<IssuerFacts>> = map
             .values()
             .map(|e| match e {
-                Entry::Cached(c) => match c.as_ref() {
+                Entry::Cached(c) => match c.get().expect("promoted skeleton built") {
                     CachedChain::Parsed(s) => &s.issuers,
                     CachedChain::Malformed => panic!("edge chain 0..3 parse"),
                 },
@@ -898,5 +884,35 @@ mod tests {
         assert_eq!(cache.len(), 16);
         assert_eq!(cache.skeleton_count(), 16, "every chain recurred");
         assert!(cache.stats().hits > 0);
+    }
+
+    /// Threads that look up one already-sighted chain at once promote it
+    /// exactly once: the others count as hits, as they would serially.
+    #[test]
+    fn racing_lookups_promote_a_chain_once() {
+        const THREADS: u64 = 4;
+        let pki = HgPki::new(7);
+        let sans = ["r.example".to_owned()];
+        let chain = pki.issue_chain("r", None, "a", &sans, t(2019, 1), t(2019, 12), 0);
+        let rec = record(chain, 1);
+        let roots = pki.root_store();
+        for round in 0..64 {
+            let cache = ValidationCache::new();
+            assert!(cache.verdict_cached(&rec, roots, t(2019, 6), None).is_ok());
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        assert!(cache.verdict_cached(&rec, roots, t(2019, 6), None).is_ok());
+                    });
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!(stats.first_sightings, 1, "round {round}");
+            assert_eq!(stats.promotions, 1, "round {round}: {stats:?}");
+            assert_eq!(stats.hits, THREADS - 1, "round {round}: {stats:?}");
+            assert_eq!(cache.skeleton_count(), 1);
+        }
     }
 }

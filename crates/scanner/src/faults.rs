@@ -10,12 +10,12 @@
 //!
 //! Plans compose with every [`ScanEngine`](crate::ScanEngine) via
 //! [`ScanEngine::with_faults`](crate::ScanEngine::with_faults); faults are
-//! applied to records on the way out of `scan_certificates` /
-//! `scan_http_headers`, before the pipeline ever sees them. A plan with
-//! all rates at zero is a byte-identical no-op.
+//! applied to each chunk's records on the way out of the scan streams
+//! (`CertScanStream`, `HttpScanStream`), before the pipeline ever sees
+//! them. A plan with all rates at zero is a byte-identical no-op.
 
 use crate::engine::mix;
-use crate::scan::{CertScanRecord, CertScanSnapshot, HttpRecord, HttpScanSnapshot};
+use crate::scan::{CertScanRecord, HttpRecord};
 use bytes::Bytes;
 use intern::Interner;
 use std::collections::BTreeMap;
@@ -235,31 +235,10 @@ impl FaultPlan {
         false
     }
 
-    /// Corrupt a certificate snapshot in place, recording exact counts.
-    /// One-chunk wrapper over [`FaultPlan::cert_session`], so the
-    /// monolithic and streaming paths share every decision.
-    pub(crate) fn apply_cert(&self, snap: &mut CertScanSnapshot) {
-        let mut session = self.cert_session(snap.snapshot_idx);
-        session.apply_chunk(&mut snap.records);
-        session.finish();
-    }
-
-    /// Corrupt a banner snapshot in place, recording exact counts.
-    ///
-    /// Corrupted header values are new strings, so they are interned into
-    /// the snapshot's (still append-only) interner. A zero-rate plan
-    /// interns nothing, keeping symbol assignment byte-identical to a
-    /// plan-free scan.
-    pub(crate) fn apply_http(&self, snap: &mut HttpScanSnapshot, interner: &mut Interner) {
-        let mut session = self.http_session(snap.snapshot_idx, snap.port);
-        session.apply_chunk(&mut snap.records, interner);
-        session.finish();
-    }
-
-    /// Start a chunked certificate fault pass (the streaming producer's
-    /// equivalent of [`FaultPlan::apply_cert`]). Coins are keyed per
-    /// record, so chunking cannot change any decision; counts accumulate
-    /// across chunks into the same single ledger entry.
+    /// Start a certificate fault pass over one scan's record chunks.
+    /// Coins are keyed per record, so chunking cannot change any
+    /// decision; counts accumulate across chunks into the same single
+    /// ledger entry, stored by [`CertFaultSession::finish`].
     pub(crate) fn cert_session(&self, t: usize) -> CertFaultSession<'_> {
         let mut stats = FaultStats::default();
         let empty = self.coin(FaultClass::EmptySnapshot, t, 0xe321);
@@ -274,8 +253,12 @@ impl FaultPlan {
         }
     }
 
-    /// Start a chunked banner fault pass (the streaming equivalent of
-    /// [`FaultPlan::apply_http`]).
+    /// Start a banner fault pass over one scan's record chunks.
+    ///
+    /// Corrupted header values are new strings, so they are interned into
+    /// the scan's (still append-only) interner. A zero-rate plan interns
+    /// nothing, keeping symbol assignment byte-identical to a plan-free
+    /// scan.
     pub(crate) fn http_session(&self, t: usize, port: u16) -> HttpFaultSession<'_> {
         HttpFaultSession {
             plan: self,
@@ -319,8 +302,8 @@ impl FaultPlan {
 /// Chunk-by-chunk certificate corruption with one accumulated ledger
 /// entry. Per-record coins are pure functions of (class, snapshot, IP),
 /// so feeding the record stream through chunks of any size corrupts
-/// exactly the records [`FaultPlan::apply_cert`] would — the monolithic
-/// path and the streaming path stay byte-identical. A resumed producer
+/// exactly the same records — a whole-snapshot scan (one chunk) and a
+/// sharded one stay byte-identical. A resumed producer
 /// that reuses on-disk segments skips rebuilt chunks, so its ledger entry
 /// covers only the chunks actually re-scanned (the quarantine counts
 /// inside the segments stay exact either way).
@@ -509,55 +492,55 @@ fn ensure_corruptible_header(rec: &mut HttpRecord, interner: &mut Interner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::CertScanRecord;
-    use timebase::Date;
 
-    fn cert_snap(n: usize) -> CertScanSnapshot {
-        CertScanSnapshot {
-            engine: crate::EngineId::Rapid7,
-            snapshot_idx: 5,
-            date: Date::new(2015, 1, 1),
-            records: (0..n as u32)
-                .map(|ip| CertScanRecord {
-                    ip,
-                    chain_der: vec![Bytes::copy_from_slice(&[
-                        0x30, 0x82, 0x01, 0x00, 0xaa, 0xbb,
-                    ])],
-                })
-                .collect(),
-            health: Default::default(),
-        }
+    /// `n` certificate records of snapshot 5, one per IP.
+    fn cert_records(n: usize) -> Vec<CertScanRecord> {
+        (0..n as u32)
+            .map(|ip| CertScanRecord {
+                ip,
+                chain_der: vec![Bytes::copy_from_slice(&[
+                    0x30, 0x82, 0x01, 0x00, 0xaa, 0xbb,
+                ])],
+            })
+            .collect()
     }
 
-    fn http_snap(n: usize, interner: &mut Interner) -> HttpScanSnapshot {
+    /// `n` port-80 banner records of snapshot 5, one per IP.
+    fn http_records(n: usize, interner: &mut Interner) -> Vec<HttpRecord> {
         let name = interner.header_names.intern("server");
         let value = interner.header_values.intern("sim");
-        HttpScanSnapshot {
-            engine: crate::EngineId::Rapid7,
-            snapshot_idx: 5,
-            port: 80,
-            records: (0..n as u32)
-                .map(|ip| HttpRecord {
-                    ip,
-                    headers: vec![(name, value)],
-                })
-                .collect(),
-            health: Default::default(),
-        }
+        (0..n as u32)
+            .map(|ip| HttpRecord {
+                ip,
+                headers: vec![(name, value)],
+            })
+            .collect()
+    }
+
+    /// One certificate fault pass over snapshot 5, as a single chunk.
+    fn corrupt_certs(plan: &FaultPlan, records: &mut Vec<CertScanRecord>) {
+        let mut session = plan.cert_session(5);
+        session.apply_chunk(records);
+        session.finish();
+    }
+
+    /// One port-80 banner fault pass over snapshot 5, as a single chunk.
+    fn corrupt_banners(plan: &FaultPlan, records: &mut Vec<HttpRecord>, interner: &mut Interner) {
+        let mut session = plan.http_session(5, 80);
+        session.apply_chunk(records, interner);
+        session.finish();
     }
 
     #[test]
     fn zero_rate_plan_is_identity() {
         let plan = FaultPlan::new(9);
-        let mut snap = cert_snap(100);
-        let before: Vec<(u32, Vec<Bytes>)> = snap
-            .records
+        let mut records = cert_records(100);
+        let before: Vec<(u32, Vec<Bytes>)> = records
             .iter()
             .map(|r| (r.ip, r.chain_der.clone()))
             .collect();
-        plan.apply_cert(&mut snap);
-        let after: Vec<(u32, Vec<Bytes>)> = snap
-            .records
+        corrupt_certs(&plan, &mut records);
+        let after: Vec<(u32, Vec<Bytes>)> = records
             .iter()
             .map(|r| (r.ip, r.chain_der.clone()))
             .collect();
@@ -570,14 +553,10 @@ mod tests {
     fn injection_is_deterministic() {
         let run = || {
             let plan = FaultPlan::uniform_record_faults(42, 0.2);
-            let mut snap = cert_snap(500);
-            plan.apply_cert(&mut snap);
+            let mut records = cert_records(500);
+            corrupt_certs(&plan, &mut records);
             let ledger = plan.injected_for(5);
-            let ders: Vec<Vec<u8>> = snap
-                .records
-                .iter()
-                .map(|r| r.chain_der[0].to_vec())
-                .collect();
+            let ders: Vec<Vec<u8>> = records.iter().map(|r| r.chain_der[0].to_vec()).collect();
             (ledger, ders)
         };
         assert_eq!(run(), run());
@@ -586,11 +565,10 @@ mod tests {
     #[test]
     fn ledger_counts_match_observable_corruption() {
         let plan = FaultPlan::uniform_record_faults(7, 0.1);
-        let mut snap = cert_snap(1000);
-        plan.apply_cert(&mut snap);
+        let mut records = cert_records(1000);
+        corrupt_certs(&plan, &mut records);
         let ledger = plan.injected_for(5);
-        let corrupt = snap
-            .records
+        let corrupt = records
             .iter()
             .filter(|r| r.chain_der[0].as_ref() != [0x30, 0x82, 0x01, 0x00, 0xaa, 0xbb])
             .count();
@@ -604,20 +582,15 @@ mod tests {
         // Duplicates clone the (possibly corrupted) record, so the corrupt
         // row count is injected_der plus corrupted duplicates.
         assert!(corrupt >= injected_der, "{corrupt} < {injected_der}");
-        assert_eq!(
-            snap.records.len(),
-            1000 + ledger.count(FaultClass::DuplicateIp)
-        );
+        assert_eq!(records.len(), 1000 + ledger.count(FaultClass::DuplicateIp));
     }
 
     #[test]
     fn ledger_is_idempotent_across_reobservation() {
         let plan = FaultPlan::uniform_record_faults(7, 0.1);
-        let mut a = cert_snap(200);
-        plan.apply_cert(&mut a);
+        corrupt_certs(&plan, &mut cert_records(200));
         let first = plan.injected_for(5);
-        let mut b = cert_snap(200);
-        plan.apply_cert(&mut b);
+        corrupt_certs(&plan, &mut cert_records(200));
         assert_eq!(first, plan.injected_for(5), "re-observation double-counted");
     }
 
@@ -627,11 +600,10 @@ mod tests {
         let plan = FaultPlan::new(3)
             .with_rate(FaultClass::MojibakeHeader, 0.15)
             .with_rate(FaultClass::OversizedHeader, 0.15);
-        let mut snap = http_snap(500, &mut interner);
-        plan.apply_http(&mut snap, &mut interner);
+        let mut records = http_records(500, &mut interner);
+        corrupt_banners(&plan, &mut records, &mut interner);
         let ledger = plan.injected_for(5);
-        let mojibake = snap
-            .records
+        let mojibake = records
             .iter()
             .filter(|r| {
                 r.headers.iter().any(|(_, v)| {
@@ -643,8 +615,7 @@ mod tests {
                 })
             })
             .count();
-        let oversized = snap
-            .records
+        let oversized = records
             .iter()
             .filter(|r| {
                 r.headers
@@ -663,16 +634,16 @@ mod tests {
         // plan must not mint symbols a plan-free scan would lack.
         let mut interner = Interner::default();
         let plan = FaultPlan::new(9);
-        let mut snap = http_snap(200, &mut interner);
+        let mut records = http_records(200, &mut interner);
         let before = (
             interner.header_names.len(),
             interner.header_values.len(),
-            snap.records.clone(),
+            records.clone(),
         );
-        plan.apply_http(&mut snap, &mut interner);
+        corrupt_banners(&plan, &mut records, &mut interner);
         assert_eq!(interner.header_names.len(), before.0);
         assert_eq!(interner.header_values.len(), before.1);
-        assert_eq!(snap.records, before.2);
+        assert_eq!(records, before.2);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Certificate and HTTP(S)-banner scans over an endpoint set.
+//!
+//! Each scan is a stream fed endpoint chunks ([`CertScanStream`],
+//! [`HttpScanStream`]). The whole-snapshot scans ([`scan_certificates`],
+//! [`scan_http_headers`]) feed their stream one chunk, the whole
+//! snapshot; the sharded corpus producer feeds it one chunk per shard.
 
 use crate::engine::ScanEngine;
 use crate::faults::{CertFaultSession, HttpFaultSession};
@@ -52,7 +57,8 @@ pub struct HttpScanSnapshot {
 /// Run a port-443 certificate scan: a real (simulated-wire) no-SNI TLS
 /// handshake against every reachable endpoint. IPs that refuse TLS or
 /// serve a null default certificate produce no record, exactly as in the
-/// Rapid7 corpus (§7 "SNI").
+/// Rapid7 corpus (§7 "SNI"). The whole snapshot is one
+/// [`CertScanStream`] chunk.
 pub fn scan_certificates(
     eps: &EndpointSet,
     engine: &ScanEngine,
@@ -60,40 +66,22 @@ pub fn scan_certificates(
     n_snapshots: usize,
 ) -> CertScanSnapshot {
     let t = eps.snapshot_idx;
-    let client = TlsClient::new([0x5cu8; 32]);
-    let mut session = ScanSession::new(engine, t, n_snapshots, STREAM_CERT);
-    let mut records = Vec::with_capacity(eps.len());
-    for ep in eps.endpoints() {
-        if !session.admit(ep.ip, ep.true_as) {
-            continue;
-        }
-        let endpoint = TlsEndpoint::new(ep.tls.clone());
-        match client.fetch_chain(&endpoint, None) {
-            Ok(chain) if !chain.is_empty() => records.push(CertScanRecord {
-                ip: ep.ip,
-                chain_der: chain,
-            }),
-            _ => {}
-        }
-    }
-    let mut snap = CertScanSnapshot {
+    let mut stream = CertScanStream::new(engine, t, n_snapshots);
+    let records = stream.scan_chunk(eps.endpoints());
+    CertScanSnapshot {
         engine: engine.id,
         snapshot_idx: t,
         date,
         records,
-        health: session.finish(),
-    };
-    if let Some(plan) = &engine.faults {
-        plan.apply_cert(&mut snap);
+        health: stream.finish(),
     }
-    snap
 }
 
-/// Run an HTTP (port 80) or HTTPS (port 443) banner scan. Returns `None`
-/// when the engine's corpus lacks that data at this snapshot (Rapid7 has
-/// HTTPS headers only from summer 2016; Censys from late 2019), and for
-/// any port other than 80/443 — no corpus carries other ports, and an
-/// empty `Some` snapshot here used to masquerade as a real scan.
+/// Run an HTTP (port 80) or HTTPS (port 443) banner scan as one
+/// [`HttpScanStream`] chunk. Returns `None` under the stream's gates: the
+/// engine's corpus lacks that data at this snapshot (Rapid7 has HTTPS
+/// headers only from summer 2016; Censys from late 2019), or the port is
+/// neither 80 nor 443.
 pub fn scan_http_headers(
     eps: &EndpointSet,
     engine: &ScanEngine,
@@ -101,73 +89,26 @@ pub fn scan_http_headers(
     n_snapshots: usize,
     interner: &mut Interner,
 ) -> Option<HttpScanSnapshot> {
-    if port != 80 && port != 443 {
-        return None;
-    }
     let t = eps.snapshot_idx;
-    if t < engine.active_since {
-        return None;
-    }
-    if port == 443 {
-        match engine.https_headers_since {
-            Some(since) if t >= since => {}
-            _ => return None,
-        }
-    }
-    let stream = if port == 80 {
-        STREAM_HTTP80
-    } else {
-        STREAM_HTTPS443
-    };
-    let mut session = ScanSession::new(engine, t, n_snapshots, stream);
-    let mut records = Vec::with_capacity(eps.len());
-    for ep in eps.endpoints() {
-        if !session.admit(ep.ip, ep.true_as) {
-            continue;
-        }
-        let headers = if port == 80 {
-            Some(&ep.http_headers)
-        } else {
-            ep.https_headers.as_ref()
-        };
-        if let Some(headers) = headers {
-            if !headers.is_empty() {
-                records.push(HttpRecord {
-                    ip: ep.ip,
-                    headers: headers
-                        .iter()
-                        .map(|(n, v)| {
-                            (
-                                intern_header_name(interner, n),
-                                interner.header_values.intern(v),
-                            )
-                        })
-                        .collect(),
-                });
-            }
-        }
-    }
-    let mut snap = HttpScanSnapshot {
+    let mut stream = HttpScanStream::new(engine, t, port, n_snapshots)?;
+    let records = stream.scan_chunk(eps.endpoints(), interner);
+    Some(HttpScanSnapshot {
         engine: engine.id,
         snapshot_idx: t,
         port,
         records,
-        health: session.finish(),
-    };
-    if let Some(plan) = &engine.faults {
-        plan.apply_http(&mut snap, interner);
-    }
-    Some(snap)
+        health: stream.finish(),
+    })
 }
 
-/// A certificate scan fed endpoint chunks instead of a whole snapshot:
-/// one TLS client, one [`ScanSession`] (health, retries, breakers) and
-/// one fault pass persist across chunks, so the concatenation of the
-/// per-chunk record vectors is byte-identical to the record stream of
-/// [`scan_certificates`] over the same endpoints in the same order, and
-/// [`CertScanStream::finish`] yields the identical [`ScanHealth`].
+/// A certificate scan fed endpoint chunks: one TLS client, one
+/// [`ScanSession`] (health, retries, breakers) and one fault pass persist
+/// across chunks. Fault coins are per record, so the concatenation of the
+/// per-chunk record vectors does not depend on where the chunks are cut,
+/// and [`CertScanStream::finish`] yields the same [`ScanHealth`] either
+/// way. [`scan_certificates`] is the one-chunk case.
 ///
-/// This is the scanner side of the sharded corpus producer: a chunk's
+/// The sharded corpus producer feeds it shard-sized chunks: a chunk's
 /// records can be validated, interned, frozen to a segment and dropped
 /// before the next chunk is generated.
 pub struct CertScanStream<'e> {
@@ -188,10 +129,10 @@ impl<'e> CertScanStream<'e> {
     /// Scan one endpoint chunk, returning its (fault-applied) records.
     pub fn scan_chunk(&mut self, eps: &[Endpoint]) -> Vec<CertScanRecord> {
         // When the EmptySnapshot fault fired, records are dropped but
-        // endpoints are still admitted so health matches the monolithic
-        // scan (which fetches first and clears afterwards).
+        // endpoints are still admitted, so the scan health counts every
+        // target.
         let fetch = !self.faults.as_ref().is_some_and(|f| f.empty_snapshot());
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(eps.len());
         for ep in eps {
             if !self.session.admit(ep.ip, ep.true_as) {
                 continue;
@@ -234,9 +175,11 @@ impl<'e> CertScanStream<'e> {
     }
 }
 
-/// The banner-scan counterpart of [`CertScanStream`]. `new` returns
-/// `None` under exactly the gates of [`scan_http_headers`] (bad port,
-/// engine not yet active, HTTPS headers not in the corpus yet).
+/// The banner-scan counterpart of [`CertScanStream`]; [`scan_http_headers`]
+/// is its one-chunk case. `new` returns `None` when no corpus carries the
+/// scan: a port other than 80/443 (an empty `Some` would masquerade as a
+/// real scan that found nothing), an engine not yet active, or HTTPS
+/// headers not in the corpus yet.
 pub struct HttpScanStream<'e> {
     session: ScanSession<'e>,
     port: u16,
@@ -272,7 +215,7 @@ impl<'e> HttpScanStream<'e> {
     /// Scan one endpoint chunk, interning headers into `interner` (the
     /// per-shard interner in the sharded pipeline).
     pub fn scan_chunk(&mut self, eps: &[Endpoint], interner: &mut Interner) -> Vec<HttpRecord> {
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(eps.len());
         for ep in eps {
             if !self.session.admit(ep.ip, ep.true_as) {
                 continue;

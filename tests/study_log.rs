@@ -23,13 +23,14 @@ use hgsim::{HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_bench::render_study;
 use offnet_core::{
     artifact_fingerprint, run_study, try_run_study, ArtifactError, DeltaStudyEngine,
-    ShardingConfig, StudyArtifact, StudyConfig, StudyError, StudyMode, StudyRun,
+    ShardingConfig, StudyArtifact, StudyConfig, StudyError, StudyMode, StudyRun, StudySeries,
 };
 use offnet_query::FrozenStudy;
 use scanner::{FaultPlan, ScanEngine, TransientPolicy};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 fn world() -> &'static HgWorld {
     static W: OnceLock<HgWorld> = OnceLock::new();
@@ -78,6 +79,56 @@ fn run(engine: &ScanEngine, config: &StudyConfig) -> Result<StudyRun, StudyError
     try_run_study(world(), engine, config)
 }
 
+/// An uninterrupted sequential study of one range with a clean Rapid7
+/// engine: its series, its render and, when it logged, its log's bytes.
+struct Reference {
+    series: StudySeries,
+    render: String,
+    log: Option<Vec<u8>>,
+}
+
+/// The unlogged [`Reference`] for `range`, run once per test binary:
+/// several tests compare against the same uninterrupted study, and a
+/// logged run that matches it shows the log changes no output.
+fn reference(range: (usize, usize)) -> &'static Reference {
+    study_once(range, false)
+}
+
+/// The logged [`Reference`] for `range`, run once per test binary, for
+/// the tests that need a complete log of it.
+fn logged_reference(range: (usize, usize)) -> &'static Reference {
+    study_once(range, true)
+}
+
+fn study_once(range: (usize, usize), logged: bool) -> &'static Reference {
+    type Cells = Mutex<HashMap<((usize, usize), bool), &'static OnceLock<Reference>>>;
+    static CELLS: OnceLock<Cells> = OnceLock::new();
+    let cell = *CELLS
+        .get_or_init(Default::default)
+        .lock()
+        .expect("reference cells")
+        .entry((range, logged))
+        .or_insert_with(|| Box::leak(Box::default()));
+    // Computed outside the map lock, so other references build
+    // concurrently.
+    cell.get_or_init(|| {
+        let dir = temp_dir();
+        let path = dir.join("reference.offna");
+        let config = StudyConfig {
+            artifact_out: logged.then(|| path.clone()),
+            ..config(range)
+        };
+        let series = run_study(world(), &ScanEngine::rapid7(), &config);
+        let log = logged.then(|| std::fs::read(&path).expect("reference log"));
+        let _ = std::fs::remove_dir_all(&dir);
+        Reference {
+            render: render_study(&series),
+            series,
+            log,
+        }
+    })
+}
+
 /// Render the log at `path` after a disk round trip.
 fn render_loaded(path: &Path) -> String {
     render_study(&StudyArtifact::load(path).expect("load log").to_series())
@@ -108,9 +159,8 @@ const BATCH_MODES: [StudyMode; 2] = [StudyMode::Sequential, StudyMode::Parallel 
 /// the log ends up with one record per snapshot in the range.
 #[test]
 fn sequential_kill_resume_is_byte_identical() {
-    let w = world();
     let engine = ScanEngine::rapid7();
-    let uninterrupted = run_study(w, &engine, &config((20, 30)));
+    let uninterrupted = &reference((20, 30)).render;
 
     for mode in BATCH_MODES {
         let log = temp_dir().join("study.offna");
@@ -122,7 +172,7 @@ fn sequential_kill_resume_is_byte_identical() {
         let full_cfg = logged((20, 30), &log, mode);
         let resumed = run(&engine, &full_cfg).expect("resumed run").series;
         assert_eq!(
-            render_study(&uninterrupted),
+            *uninterrupted,
             render_study(&resumed),
             "resumed {mode:?} study diverged from the uninterrupted run"
         );
@@ -133,7 +183,7 @@ fn sequential_kill_resume_is_byte_identical() {
         // renders identically — resume is idempotent.
         let len = file_len(&log);
         let again = run(&engine, &full_cfg).expect("idempotent run").series;
-        assert_eq!(render_study(&uninterrupted), render_study(&again));
+        assert_eq!(*uninterrupted, render_study(&again));
         assert_eq!(file_len(&log), len, "a fully adopted run appended");
         let _ = std::fs::remove_dir_all(log.parent().unwrap());
     }
@@ -144,9 +194,7 @@ fn sequential_kill_resume_is_byte_identical() {
 /// its records carry.
 #[test]
 fn incremental_kill_resume_stays_incremental() {
-    let w = world();
     let engine = ScanEngine::rapid7();
-    let uninterrupted = run_study(w, &engine, &config((20, 30)));
 
     let log = temp_dir().join("study.offna");
     let killed =
@@ -154,7 +202,7 @@ fn incremental_kill_resume_stays_incremental() {
 
     let resumed = run(&engine, &logged((20, 30), &log, StudyMode::Incremental)).expect("resumed");
     assert_eq!(
-        render_study(&uninterrupted),
+        reference((20, 30)).render,
         render_study(&resumed.series),
         "resumed incremental study diverged from the uninterrupted run"
     );
@@ -209,7 +257,6 @@ fn kill_resume_is_byte_identical_under_faults_and_transients() {
 /// incremental mode adopts a sequential run's log.
 #[test]
 fn mismatched_driver_checkpoints_are_rejected() {
-    let w = world();
     let engine = ScanEngine::rapid7();
     let log = temp_dir().join("study.offna");
     let sequential = logged((28, 30), &log, StudyMode::Sequential);
@@ -218,7 +265,7 @@ fn mismatched_driver_checkpoints_are_rejected() {
     let incremental = run(&engine, &logged((28, 30), &log, StudyMode::Incremental))
         .expect("incremental mode adopts a sequential log");
     assert_eq!(
-        render_study(&run_study(w, &engine, &config((28, 30)))),
+        reference((28, 30)).render,
         render_study(&incremental.series)
     );
     assert_eq!(
@@ -269,9 +316,7 @@ fn mismatched_driver_checkpoints_are_rejected() {
 /// the rerun succeeds and still matches the uninterrupted output.
 #[test]
 fn corrupt_checkpoint_is_rejected_then_recoverable() {
-    let w = world();
     let engine = ScanEngine::rapid7();
-    let uninterrupted = run_study(w, &engine, &config((27, 30)));
 
     let log = temp_dir().join("study.offna");
     let logged_cfg = logged((27, 30), &log, StudyMode::Sequential);
@@ -297,7 +342,7 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
     // `--no-resume`: the log is removed and the study writes a fresh one.
     std::fs::remove_file(&log).expect("reset the log");
     let rerun = run(&engine, &logged_cfg).expect("rerun after reset").series;
-    assert_eq!(render_study(&uninterrupted), render_study(&rerun));
+    assert_eq!(reference((27, 30)).render, render_study(&rerun));
     let _ = std::fs::remove_dir_all(log.parent().unwrap());
 }
 
@@ -307,10 +352,9 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
 /// rescanning, and a damaged segment is rebuilt in isolation.
 #[test]
 fn sharded_kill_resume_reuses_spilled_segments() {
-    let w = world();
     let engine = ScanEngine::rapid7();
     let full_range = (20, 27);
-    let uninterrupted = run_study(w, &engine, &config(full_range));
+    let uninterrupted = &reference(full_range).render;
 
     let log = temp_dir().join("study.offna");
     let spill_dir = temp_dir();
@@ -329,7 +373,7 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     let resume_cfg = sharded(full_range);
     let resumed = run(&engine, &resume_cfg).expect("resumed run").series;
     assert_eq!(
-        render_study(&uninterrupted),
+        *uninterrupted,
         render_study(&resumed),
         "sharded resume diverged from the uninterrupted in-memory run"
     );
@@ -357,7 +401,7 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     std::fs::remove_file(&victim).expect("lose one segment");
     let rerun_cfg = sharded(full_range);
     let rerun = run(&engine, &rerun_cfg).expect("second resume").series;
-    assert_eq!(render_study(&uninterrupted), render_study(&rerun));
+    assert_eq!(*uninterrupted, render_study(&rerun));
     let ledger = rerun_cfg.sharding.as_ref().unwrap().ledger.clone();
     assert_eq!(ledger.segments_built(), 1, "only the lost segment rebuilds");
     assert!(ledger.segments_reused() > 0);
@@ -389,7 +433,7 @@ fn start_shift_resume_adopts_fold_history() {
         artifact_fingerprint(w, &engine, &tail_cfg),
     );
     let resumed = run(&engine, &tail_cfg).expect("shifted resume").series;
-    let fresh = run_study(w, &engine, &config((18, 22)));
+    let fresh = &reference((18, 22)).series;
 
     // Per-snapshot processing is position-independent: identical rows.
     assert_eq!(resumed.snapshots.len(), fresh.snapshots.len());
@@ -439,7 +483,11 @@ fn every_driver_freezes_a_render_identical_artifact() {
         ..Default::default()
     };
 
-    let sequential = render_study(&run_study(w, &engine, &config("sequential")));
+    // The sequential driver's run is the shared logged whole-range study.
+    let full = logged_reference((0, 30));
+    let log = full.log.as_ref().expect("logged");
+    std::fs::write(dir.join("sequential.offna"), log).expect("write the reference log");
+    let sequential = full.render.clone();
     let parallel = render_study(&run_study(
         w,
         &engine,
@@ -572,13 +620,13 @@ fn incremental_append_to_existing_artifact_round_trips() {
     }
     let grown = second.finish();
 
-    let reference = run_study(w, &engine, &config);
+    let reference = &reference((14, 24)).render;
     assert_eq!(
-        render_study(&reference),
+        *reference,
         render_study(&grown.series),
         "grown-from-log series diverged from an uninterrupted run"
     );
-    assert_eq!(render_study(&reference), render_loaded(&path));
+    assert_eq!(*reference, render_loaded(&path));
     // The prefix engine's reuse reports survive the disk round trip.
     assert_eq!(grown.reports.len(), grown.series.snapshots.len());
     assert_eq!(
@@ -649,15 +697,12 @@ fn damaged_artifacts_fail_typed_not_loud() {
 /// runs alone took in v3 as an 8-byte count and 4-byte words.
 #[test]
 fn frozen_study_agrees_with_live_series() {
-    let w = world();
-    let engine = ScanEngine::rapid7();
     let dir = temp_dir();
     let path = dir.join("query.offna");
-    let config = StudyConfig {
-        artifact_out: Some(path.clone()),
-        ..Default::default()
-    };
-    let series = run_study(w, &engine, &config);
+    let full = logged_reference((0, 30));
+    let log = full.log.as_ref().expect("logged");
+    std::fs::write(&path, log).expect("write the reference log");
+    let series = &full.series;
     let frozen = FrozenStudy::load(&path).expect("load frozen");
 
     assert_eq!(frozen.n_rows(), series.snapshots.len());
@@ -814,7 +859,7 @@ fn torn_tails_recover_and_damage_is_typed() {
     let w = world();
     let engine = ScanEngine::rapid7();
     let range = (28, 30);
-    let uninterrupted = render_study(&run_study(w, &engine, &config(range)));
+    let uninterrupted = &reference(range).render;
     let dir = temp_dir();
     let log = dir.join("whole.offna");
 
@@ -844,8 +889,12 @@ fn torn_tails_recover_and_damage_is_typed() {
                     cut >= header,
                     "a log cut at {cut}, inside its header, resumed"
                 );
-                assert_eq!(uninterrupted, render_study(&resumed.series), "cut at {cut}");
-                assert_eq!(uninterrupted, render_loaded(&victim), "cut at {cut}: log");
+                assert_eq!(
+                    *uninterrupted,
+                    render_study(&resumed.series),
+                    "cut at {cut}"
+                );
+                assert_eq!(*uninterrupted, render_loaded(&victim), "cut at {cut}: log");
             }
             Err(e) => {
                 assert!(cut < header, "cut at {cut} did not resume: {e}");

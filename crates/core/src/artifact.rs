@@ -16,9 +16,14 @@
 //! snapshot also the §6.2 Netflix triple, the incremental mode's cache
 //! counters when present, and the full [`SnapshotResult`]. Its integer
 //! lists (the AS sets, the IP lists, the certificate groups and the
-//! HTTP-only IPs) are the codec's delta-varint runs; every other field is
-//! fixed-width. An append writes only its own record. The length's
-//! complement tells a damaged length from a record cut short.
+//! HTTP-only IPs) are the codec's delta-varint runs, and every count is a
+//! varint; only the framing and the median lifetime's `f64` bits are
+//! fixed-width. A cell's `confirmed_ips` is stored as the positions of
+//! its `candidate_ips` that §4.5 dropped, and its `confirmed_and_ases` as
+//! the positions of its `confirmed_ases` that the stricter variant
+//! dropped (the codec's subset form, which falls back to the explicit
+//! run). An append writes only its own record. The length's complement
+//! tells a damaged length from a record cut short.
 //!
 //! The §6.2 certificate-history IP set is not stored: it is the union of
 //! the Netflix `confirmed_ips ∪ with_expired_ips` over the records.
@@ -47,8 +52,10 @@ use std::path::{Path, PathBuf};
 
 /// Current study log format version. Bump on any layout change. Version
 /// 3 replaced the whole-file columnar artifact with the append-only log;
-/// version 4 stores a record's integer lists as delta-varint runs.
-pub const ARTIFACT_VERSION: u32 = 4;
+/// version 4 stores a record's integer lists as delta-varint runs;
+/// version 5 stores every count as a varint and the two confirmed
+/// subsets as the positions they drop.
+pub const ARTIFACT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
@@ -222,9 +229,9 @@ impl StudyArtifact {
 }
 
 /// Read a study log and check its header, returning the config
-/// fingerprint and the whole file, undecoded. Pair with
-/// [`ArtifactTables::parse`] for the borrowed-load path
-/// ([`StudyArtifact::load`] is the full decode).
+/// fingerprint and the whole file, undecoded. [`ArtifactTables::parse`]
+/// verifies the header again; [`ArtifactTables::load`] reads and
+/// verifies once ([`StudyArtifact::load`] is the full decode).
 pub fn read_artifact_payload(path: &Path) -> Result<(u64, Vec<u8>), ArtifactError> {
     let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
     let (fingerprint, _, _) = codec::split_envelope(&bytes, MAGIC, ARTIFACT_VERSION)
@@ -509,10 +516,11 @@ impl<'a> LogView<'a> {
         let mut first = 0u64;
         while rest.len() >= FRAME_HEAD {
             let k = records.len();
-            let mut d = Dec::new(rest, path);
-            let (len, check) = (d.u64()?, d.u64()?);
+            let corrupt = |detail: String| ArtifactError::corrupt(path, detail);
+            let word = |at: usize| u64::from_le_bytes(rest[at..at + 8].try_into().expect("8"));
+            let (len, check) = (word(0), word(8));
             if check != !len {
-                return Err(d.corrupt(format!("record {k}'s length field is damaged")));
+                return Err(corrupt(format!("record {k}'s length field is damaged")));
             }
             let body_len = usize::try_from(len).unwrap_or(usize::MAX);
             let framed = body_len.saturating_add(FRAME_HEAD + FRAME_TAIL);
@@ -521,13 +529,15 @@ impl<'a> LogView<'a> {
             }
             let (body, sum) = rest[FRAME_HEAD..framed].split_at(body_len);
             if Sha256::digest(body)[..] != *sum {
-                return Err(d.corrupt(format!("record {k} checksum mismatch")));
+                return Err(corrupt(format!("record {k} checksum mismatch")));
             }
             let t = Dec::new(body, path).u64()?;
             if k == 0 {
                 first = t;
             } else if t != first.saturating_add(k as u64) {
-                return Err(d.corrupt(format!("record {k} holds snapshot {t} out of order")));
+                return Err(corrupt(format!(
+                    "record {k} holds snapshot {t} out of order"
+                )));
             }
             records.push(body);
             rest = &rest[framed..];
@@ -578,13 +588,13 @@ fn header_bytes(engine: EngineId, fps: &HeaderFingerprints, fingerprint: u64) ->
 fn decode_header_fps(bytes: &[u8], path: &Path) -> Result<HeaderFingerprints, ArtifactError> {
     let mut d = Dec::new(bytes, path);
     let mut fps = HeaderFingerprints::default();
-    for _ in 0..d.count(24)? {
+    for _ in 0..d.count(4)? {
         let keyword = d.str()?;
         let support = d.usize()?;
-        let pairs = (0..d.count(16)?)
+        let pairs = (0..d.count(2)?)
             .map(|_| Ok((d.str()?, d.str()?)))
             .collect::<Result<_, ArtifactError>>()?;
-        let names = (0..d.count(8)?)
+        let names = (0..d.count(1)?)
             .map(|_| d.str())
             .collect::<Result<_, _>>()?;
         fps.insert(HeaderFingerprint {
@@ -696,9 +706,15 @@ fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
 fn encode_hg_result(e: &mut Enc, h: &HgSnapshotResult) {
     e.as_set(&h.candidate_ases);
     e.as_set(&h.confirmed_ases);
-    e.as_set(&h.confirmed_and_ases);
+    e.subseq(
+        as_values(&h.confirmed_ases),
+        as_values(&h.confirmed_and_ases),
+    );
     e.run(h.candidate_ips.iter().copied());
-    e.run(h.confirmed_ips.iter().copied());
+    e.subseq(
+        h.candidate_ips.iter().copied(),
+        h.confirmed_ips.iter().copied(),
+    );
     e.run(h.cert_ip_groups.iter().copied());
     e.usize(h.onnet_ip_count);
     e.bool(h.median_cert_lifetime_days.is_some());
@@ -709,13 +725,23 @@ fn encode_hg_result(e: &mut Enc, h: &HgSnapshotResult) {
     e.run(h.with_expired_ips.iter().copied());
 }
 
+fn as_values(set: &BTreeSet<AsId>) -> impl Iterator<Item = u32> + Clone + '_ {
+    set.iter().map(|a| a.0)
+}
+
 fn decode_hg_result(d: &mut Dec) -> Result<HgSnapshotResult, ArtifactError> {
+    let as_set = |v: Vec<u32>| v.into_iter().map(AsId).collect();
+    let candidate_ases = d.run()?;
+    let confirmed_ases = d.run()?;
+    let confirmed_and_ases = d.subseq(&confirmed_ases)?;
+    let candidate_ips = d.run()?;
+    let confirmed_ips = d.subseq(&candidate_ips)?;
     Ok(HgSnapshotResult {
-        candidate_ases: d.as_set()?,
-        confirmed_ases: d.as_set()?,
-        confirmed_and_ases: d.as_set()?,
-        candidate_ips: d.run()?,
-        confirmed_ips: d.run()?,
+        candidate_ases: as_set(candidate_ases),
+        confirmed_ases: as_set(confirmed_ases),
+        confirmed_and_ases: as_set(confirmed_and_ases),
+        candidate_ips,
+        confirmed_ips,
         cert_ip_groups: d.run()?,
         onnet_ip_count: d.usize()?,
         median_cert_lifetime_days: if d.bool()? { Some(d.f64()?) } else { None },
@@ -749,7 +775,7 @@ fn decode_quality(d: &mut Dec) -> Result<DataQualityReport, ArtifactError> {
     let cert_records_seen = d.usize()?;
     let banners_seen = d.usize()?;
     let mut quarantined = std::collections::BTreeMap::new();
-    for _ in 0..d.count(9)? {
+    for _ in 0..d.count(2)? {
         let tag = d.u8()?;
         let reason = *RECORD_ERRORS
             .get(tag as usize)
@@ -757,7 +783,7 @@ fn decode_quality(d: &mut Dec) -> Result<DataQualityReport, ArtifactError> {
         quarantined.insert(reason, d.usize()?);
     }
     let mut degraded_hgs = std::collections::BTreeMap::new();
-    for _ in 0..d.count(16)? {
+    for _ in 0..d.count(2)? {
         degraded_hgs.insert(d.str()?, d.str()?);
     }
     Ok(DataQualityReport {
@@ -797,7 +823,7 @@ fn decode_health(d: &mut Dec) -> Result<ScanHealth, ArtifactError> {
         ..Default::default()
     };
     for map in [&mut h.base_lost, &mut h.gave_up] {
-        for _ in 0..d.count(9)? {
+        for _ in 0..d.count(2)? {
             let tag = d.u8()?;
             let class = *TransientClass::ALL
                 .get(tag as usize)
@@ -815,10 +841,20 @@ fn decode_health(d: &mut Dec) -> Result<ScanHealth, ArtifactError> {
 // Query tables: the query layer's load path.
 // ---------------------------------------------------------------------------
 
+/// Step over `n` varint counts.
+fn skip_counts(d: &mut Dec, n: usize) -> Result<(), ArtifactError> {
+    for _ in 0..n {
+        d.u64()?;
+    }
+    Ok(())
+}
+
 fn skip_validation(d: &mut Dec) -> Result<(), ArtifactError> {
-    d.take(16)?; // total_records, valid
-    let n = d.count(9)?;
-    d.take(n * 9)?; // tag u8 + count u64 per entry
+    skip_counts(d, 2)?; // total_records, valid
+    for _ in 0..d.count(2)? {
+        d.u8()?; // reason tag
+        d.u64()?; // count
+    }
     Ok(())
 }
 
@@ -874,9 +910,16 @@ pub struct ArtifactTables {
 }
 
 impl ArtifactTables {
-    /// One validating pass over a log from [`read_artifact_payload`]:
-    /// the header and every record's framing and checksum are verified
-    /// (a torn tail is `Corrupt`), and only the query columns are decoded.
+    /// Read the log at `path` and [`Self::parse`] it: the one read and
+    /// the one verification of the query cold start.
+    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
+        let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
+        Self::parse(&bytes, path)
+    }
+
+    /// One validating pass over a log's bytes: the header and every
+    /// record's framing and checksum are verified (a torn tail is
+    /// `Corrupt`), and only the query columns are decoded.
     pub fn parse(bytes: &[u8], path: &Path) -> Result<Self, ArtifactError> {
         let view = LogView::split(bytes, path, true)?;
         let cells = view.records.len() * ALL_HGS.len();
@@ -900,18 +943,19 @@ impl ArtifactTables {
                 column.push(d.u64()?);
             }
             if d.bool()? {
-                d.take(16)?; // chains_replayed, chains_revalidated
+                skip_counts(&mut d, 2)?; // chains_replayed, chains_revalidated
             }
-            d.take(24)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
+            skip_counts(&mut d, 3)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
             skip_validation(&mut d)?;
             for _ in ALL_HGS {
                 if d.bool()? {
                     d.run_into(&mut tables.candidate.values)?;
                     d.run_into(&mut tables.confirmed.values)?;
-                    for _ in 0..4 {
-                        d.skip_run()?; // confirmed_and_ases, candidate/confirmed IPs, cert groups
-                    }
-                    d.take(8)?; // onnet_ip_count
+                    d.skip_subseq()?; // confirmed_and_ases
+                    d.skip_run()?; // candidate_ips
+                    d.skip_subseq()?; // confirmed_ips
+                    d.skip_run()?; // cert_ip_groups
+                    d.u64()?; // onnet_ip_count
                     if d.bool()? {
                         d.take(8)?; // median_cert_lifetime_days
                     }
@@ -966,6 +1010,7 @@ impl ArtifactTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{FORM_DROPPED, FORM_EXPLICIT};
     use crate::errors::RecordError;
     use crate::validate::InvalidReason;
     use proptest::prelude::*;
@@ -1013,8 +1058,8 @@ mod tests {
     }
 
     /// A log exercising every codec branch: present and absent HG cells,
-    /// every quality map, header fingerprints, and reuse reports, over
-    /// three consecutive snapshots.
+    /// both subset forms, every quality map, header fingerprints, and
+    /// reuse reports, over three consecutive snapshots.
     fn dense_artifact() -> StudyArtifact {
         let mut a = SnapshotResult {
             snapshot_idx: 3,
@@ -1072,6 +1117,11 @@ mod tests {
         let mut c = a.clone();
         c.snapshot_idx = 5;
         c.http_only_ips = vec![9, 11];
+        // Neither confirmed column is a subsequence of its superset here:
+        // both take the explicit form.
+        let google = c.per_hg.get_mut(&Hg::Google).expect("Google cell");
+        google.confirmed_ips = vec![2, 1, 7];
+        google.confirmed_and_ases = [AsId(10), AsId(99)].into_iter().collect();
 
         let mut header_fps = HeaderFingerprints::default();
         header_fps.insert(HeaderFingerprint {
@@ -1192,6 +1242,151 @@ mod tests {
         let err = StudyArtifact::load(&path).unwrap_err();
         assert!(matches!(err, ArtifactError::BadMagic { .. }), "{err}");
         assert!(err.to_string().ends_with(REMEDY), "{err}");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// The form tags a cell's two subset columns are written with:
+    /// `(confirmed_and_ases, confirmed_ips)`.
+    fn subset_forms(h: &HgSnapshotResult) -> (u8, u8) {
+        let mut e = Enc::default();
+        encode_hg_result(&mut e, h);
+        let mut d = Dec::new(&e.buf, Path::new("in-memory cell"));
+        d.skip_run().unwrap(); // candidate_ases
+        d.skip_run().unwrap(); // confirmed_ases
+        let and_form = d.u8().unwrap();
+        d.skip_run().unwrap();
+        d.skip_run().unwrap(); // candidate_ips
+        (and_form, d.u8().unwrap())
+    }
+
+    #[test]
+    fn subset_columns_round_trip_in_either_form() {
+        let full = dense_artifact();
+        let subset = &full.snapshots[0].per_hg[&Hg::Google];
+        let not_subset = &full.snapshots[2].per_hg[&Hg::Google];
+        assert_eq!(subset_forms(subset), (FORM_DROPPED, FORM_DROPPED));
+        assert_eq!(subset_forms(not_subset), (FORM_EXPLICIT, FORM_EXPLICIT));
+        // A subsequence whose dropped positions would outweigh its own
+        // values keeps the explicit form.
+        let sparse = HgSnapshotResult {
+            candidate_ips: (0..40).collect(),
+            confirmed_ips: vec![7],
+            confirmed_ases: (1..40).map(AsId).collect(),
+            confirmed_and_ases: [AsId(39)].into_iter().collect(),
+            ..Default::default()
+        };
+        assert_eq!(subset_forms(&sparse), (FORM_EXPLICIT, FORM_EXPLICIT));
+
+        let path = temp_artifact_path();
+        full.write(&path).unwrap();
+        let loaded = StudyArtifact::load(&path).unwrap();
+        assert_eq!(loaded.snapshots.len(), full.snapshots.len());
+        for (snap, back) in full.snapshots.iter().zip(&loaded.snapshots) {
+            assert_eq!(back.per_hg.len(), snap.per_hg.len());
+            for (hg, h) in &snap.per_hg {
+                let b = &back.per_hg[hg];
+                assert_eq!(b.candidate_ips, h.candidate_ips, "{hg}");
+                assert_eq!(b.confirmed_ips, h.confirmed_ips, "{hg}");
+                assert_eq!(b.confirmed_ases, h.confirmed_ases, "{hg}");
+                assert_eq!(b.confirmed_and_ases, h.confirmed_and_ases, "{hg}");
+            }
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// Dropped positions damaged below a valid checksum: the full decode
+    /// and resume refuse the record as `Corrupt`, never panic; the query
+    /// tables, which skip the column by its length, still load.
+    #[test]
+    fn damaged_dropped_positions_are_corrupt_not_a_panic() {
+        let candidate_ips = vec![100, 200, 300, 400, 500];
+        let confirmed_ips = vec![100, 300, 500];
+        let mut snap = SnapshotResult {
+            snapshot_idx: 3,
+            ..Default::default()
+        };
+        snap.per_hg.insert(
+            Hg::Google,
+            HgSnapshotResult {
+                candidate_ips: candidate_ips.clone(),
+                confirmed_ips: confirmed_ips.clone(),
+                ..Default::default()
+            },
+        );
+        let artifact = StudyArtifact {
+            snapshots: vec![snap],
+            netflix: NetflixVariants {
+                initial: vec![0],
+                with_expired: vec![0],
+                with_non_tls: vec![0],
+            },
+            reports: vec![],
+            ..dense_artifact()
+        };
+        let whole = log_bytes(&artifact);
+        let body = log_bytes(&prefix(&artifact, 0)).len() + FRAME_HEAD..whole.len() - FRAME_TAIL;
+        let mut e = Enc::default();
+        e.run(candidate_ips.iter().copied());
+        e.subseq(candidate_ips.iter().copied(), confirmed_ips.iter().copied());
+        // Positions 1 and 3: the form, count 2, byte length 2, then the
+        // zigzag deltas 2 and 4.
+        assert_eq!(e.buf[e.buf.len() - 5..], [FORM_DROPPED, 2, 2, 2, 4]);
+        let at = whole
+            .windows(e.buf.len())
+            .position(|w| w == e.buf)
+            .expect("the cell's columns in the log")
+            + e.buf.len()
+            - 2;
+
+        let path = temp_artifact_path();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        for (deltas, why) in [
+            ([6u8, 3], "strictly ascending"), // 3, then 1
+            ([2, 0], "strictly ascending"),   // 1, then 1
+            ([2, 12], "past its superset"),   // 1, then 7
+            ([10, 0], "past its superset"),   // 5, then 5
+        ] {
+            let mut bytes = whole.clone();
+            bytes[at..at + 2].copy_from_slice(&deltas);
+            let sum = Sha256::digest(&bytes[body.clone()]);
+            bytes[body.end..].copy_from_slice(&sum);
+            std::fs::write(&path, &bytes).unwrap();
+            let corrupt = |r: Result<(), ArtifactError>| matches!(&r, Err(ArtifactError::Corrupt { detail, .. }) if detail.contains(why));
+            assert!(corrupt(StudyArtifact::load(&path).map(drop)), "{deltas:?}");
+            let resumed = builder_for(&artifact).open_log(path.clone(), 3..=3);
+            assert!(corrupt(resumed.map(drop)), "{deltas:?}");
+            assert_eq!(ArtifactTables::load(&path).unwrap().n_rows(), 1);
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A log the previous format wrote is refused by every reader, typed,
+    /// and left as it is.
+    #[test]
+    fn a_v4_log_is_a_version_mismatch_for_every_reader() {
+        let artifact = dense_artifact();
+        let path = temp_artifact_path();
+        artifact.write(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let v4 = |r: Result<(), ArtifactError>| {
+            matches!(
+                r,
+                Err(ArtifactError::VersionMismatch {
+                    found: 4,
+                    expected: 5,
+                    ..
+                })
+            )
+        };
+        assert!(v4(StudyArtifact::load(&path).map(drop)));
+        assert!(v4(read_artifact_payload(&path).map(drop)));
+        assert!(v4(ArtifactTables::load(&path).map(drop)));
+        assert!(v4(builder_for(&artifact)
+            .open_log(path.clone(), 3..=5)
+            .map(drop)));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -1460,6 +1655,19 @@ mod tests {
                 .collect()
         }
 
+        /// Half the time a random subsequence of `sup`, else `other()`.
+        fn subset_or<T: Clone, C: FromIterator<T>>(
+            &mut self,
+            sup: impl IntoIterator<Item = T>,
+            other: impl FnOnce(&mut Self) -> C,
+        ) -> C {
+            if self.below(2) == 1 {
+                sup.into_iter().filter(|_| self.below(3) > 0).collect()
+            } else {
+                other(self)
+            }
+        }
+
         fn string(&mut self) -> String {
             const WORDS: [&str; 5] = ["google", "netflix", "boom", "worker panic", ""];
             WORDS[self.below(WORDS.len() as u64) as usize].to_owned()
@@ -1484,14 +1692,17 @@ mod tests {
                 }
                 for hg in [Hg::Google, Hg::Netflix, Hg::Akamai] {
                     if hg == Hg::Netflix || self.below(2) == 1 {
+                        let confirmed_ases = self.as_set();
+                        let candidate_ips = self.ips();
                         s.per_hg.insert(
                             hg,
                             HgSnapshotResult {
                                 candidate_ases: self.as_set(),
-                                confirmed_ases: self.as_set(),
-                                confirmed_and_ases: self.as_set(),
-                                candidate_ips: self.ips(),
-                                confirmed_ips: self.ips(),
+                                confirmed_and_ases: self
+                                    .subset_or(confirmed_ases.clone(), Self::as_set),
+                                confirmed_ases,
+                                confirmed_ips: self.subset_or(candidate_ips.clone(), Self::ips),
+                                candidate_ips,
                                 cert_ip_groups: self.ips(),
                                 onnet_ip_count: self.below(100) as usize,
                                 median_cert_lifetime_days: if self.below(2) == 1 {

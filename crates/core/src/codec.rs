@@ -12,19 +12,28 @@
 //! used, so a corrupt length can never drive a giant allocation. Every
 //! decode failure is an [`ArtifactError`].
 //!
+//! Every count and length is one LEB128 **varint** of up to 64 bits
+//! ([`Enc::u64`]); only the envelope's and the log's record framing,
+//! `u32` scan values in segments, and `f64` bits are fixed-width.
+//!
 //! An integer **run** is the one encoding of an integer list, in the
 //! study log and in corpus segments alike ([`Enc::run`]):
 //! `count · byte length · values`, all LEB128, each value the zigzag delta
 //! from the one before (the first from 0). Its count is checked against
-//! its byte length, a varint is at most 5 bytes, the values must fill the
+//! its byte length, a varint is at most 10 bytes, the values must fill the
 //! byte length exactly and stay in `u32`, and a reader that does not need
 //! a run skips it by its byte length.
+//!
+//! A list that is usually a **subsequence** of one stored before it (§4.5
+//! confirms only §4.3 candidates) is a one-byte form tag and one run
+//! ([`Enc::subseq`]): the ascending positions of the superset it drops,
+//! or, when it is no subsequence or that form is longer, its own values.
 
 use crate::errors::RecordError;
 use crate::validate::{InvalidReason, ValidationStats};
 use hgsim::{Hg, HgWorld, ALL_HGS};
 use netsim::AsId;
-use scanner::{EngineId, ScanEngine, TransientClass};
+use scanner::{EngineId, FaultClass, ScanEngine, TransientClass};
 use sha2sim::Sha256;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -227,6 +236,13 @@ pub(crate) fn transient_tag(c: TransientClass) -> u8 {
         .expect("transient class in tag table") as u8
 }
 
+pub(crate) fn fault_tag(c: FaultClass) -> u8 {
+    FaultClass::ALL
+        .iter()
+        .position(|&f| f == c)
+        .expect("fault class in tag table") as u8
+}
+
 pub(crate) fn hg_tag(hg: Hg) -> u8 {
     ALL_HGS
         .iter()
@@ -253,14 +269,20 @@ impl Enc {
     pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// A count or length: LEB128, up to 64 bits.
+    pub(crate) fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
     pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
+    /// The value's bits, fixed-width.
     pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     pub(crate) fn str(&mut self, s: &str) {
         self.usize(s.len());
@@ -270,29 +292,41 @@ impl Enc {
         self.usize(b.len());
         self.buf.extend_from_slice(b);
     }
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
-    }
     /// One integer run: LEB128 count, LEB128 byte length, then each value
     /// as the LEB128 zigzag delta from the previous one (the first from
     /// 0). Sorted runs cost about a byte per value.
     pub(crate) fn run<I: Iterator<Item = u32> + Clone>(&mut self, vals: I) {
-        let (mut n, mut len, mut prev) = (0u64, 0u64, 0u32);
-        for v in vals.clone() {
-            n += 1;
-            len += varint_len(zigzag(prev, v));
+        let (n, len) = run_size(vals.clone());
+        self.u64(n);
+        self.u64(len);
+        let mut prev = 0;
+        for v in vals {
+            self.u64(zigzag(prev, v));
             prev = v;
         }
-        self.varint(n);
-        self.varint(len);
-        prev = 0;
-        for v in vals {
-            self.varint(zigzag(prev, v));
-            prev = v;
+    }
+    /// `sub` against `sup`, behind a one-byte form tag: when `sub` is a
+    /// subsequence of `sup` and that is the shorter form,
+    /// [`FORM_DROPPED`] and the ascending run of the positions of `sup`
+    /// that `sub` leaves out; otherwise [`FORM_EXPLICIT`] and `sub`'s own
+    /// run. Any pair encodes, so the codec stays total.
+    pub(crate) fn subseq<S, T>(&mut self, sup: S, sub: T)
+    where
+        S: Iterator<Item = u32> + Clone,
+        T: Iterator<Item = u32> + Clone,
+    {
+        let dropped = dropped_positions(sup.clone(), sub.clone());
+        let (n_sub, sub_len) = run_size(sub.clone());
+        let (n_dropped, dropped_len) = run_size(dropped.clone());
+        // Every value of `sub` was matched when the kept positions
+        // number as many as its values.
+        let subsequence = sup.count() as u64 == n_sub + n_dropped;
+        if subsequence && dropped_len + varint_len(n_dropped) <= sub_len + varint_len(n_sub) {
+            self.u8(FORM_DROPPED);
+            self.run(dropped);
+        } else {
+            self.u8(FORM_EXPLICIT);
+            self.run(sub);
         }
     }
     pub(crate) fn as_set(&mut self, set: &BTreeSet<AsId>) {
@@ -300,9 +334,45 @@ impl Enc {
     }
 }
 
-/// The longest LEB128 the codec reads: 35 bits, enough for a `u32` count
-/// or length and for any zigzagged `u32` delta.
-const VARINT_MAX: usize = 5;
+/// The subset forms [`Enc::subseq`] writes: the subset's own run, or the
+/// positions of the superset it drops.
+pub(crate) const FORM_EXPLICIT: u8 = 0;
+pub(crate) const FORM_DROPPED: u8 = 1;
+
+/// The longest LEB128 the codec reads: 10 bytes, enough for any `u64`.
+/// A run's counts and zigzagged `u32` deltas are bounded again by range.
+const VARINT_MAX: usize = 10;
+
+/// A run's count and value bytes.
+fn run_size(vals: impl Iterator<Item = u32>) -> (u64, u64) {
+    let (mut n, mut len, mut prev) = (0u64, 0u64, 0u32);
+    for v in vals {
+        n += 1;
+        len += varint_len(zigzag(prev, v));
+        prev = v;
+    }
+    (n, len)
+}
+
+/// The positions of `sup` a greedy in-order match against `sub` leaves
+/// out. When `sub` is a subsequence of `sup`, keeping every other
+/// position rebuilds `sub` exactly; otherwise fewer than `sub`'s values
+/// are kept.
+fn dropped_positions<S, T>(sup: S, sub: T) -> impl Iterator<Item = u32> + Clone
+where
+    S: Iterator<Item = u32> + Clone,
+    T: Iterator<Item = u32> + Clone,
+{
+    let mut sub = sub.peekable();
+    sup.zip(0u32..).filter_map(move |(v, i)| {
+        if sub.peek() == Some(&v) {
+            sub.next();
+            None
+        } else {
+            Some(i)
+        }
+    })
+}
 
 fn zigzag(prev: u32, v: u32) -> u64 {
     let d = i64::from(v) - i64::from(prev);
@@ -313,37 +383,59 @@ fn varint_len(v: u64) -> u64 {
     u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
 }
 
-/// Read one LEB128 value at `*pos` in `bytes`, at most [`VARINT_MAX`]
-/// bytes long.
+/// Read one LEB128 value at `*pos` in `bytes`: at most [`VARINT_MAX`]
+/// bytes long, and inside `u64`.
 #[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
-    // Most deltas of a sorted run fit one byte.
-    if let Some(&b) = bytes.get(*pos).filter(|&&b| b < 0x80) {
-        *pos += 1;
-        return Ok(u64::from(b));
+    // Most counts and run deltas fit one or two bytes.
+    if let Some(&b0) = bytes.get(*pos) {
+        if b0 < 0x80 {
+            *pos += 1;
+            return Ok(u64::from(b0));
+        }
+        if let Some(&b1) = bytes.get(*pos + 1).filter(|&&b| b < 0x80) {
+            *pos += 2;
+            return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+        }
     }
+    read_long_varint(bytes, pos)
+}
+
+#[inline(never)]
+fn read_long_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
     let mut v = 0u64;
     for i in 0..VARINT_MAX {
         let &b = bytes.get(*pos).ok_or("varint runs past its bytes")?;
         *pos += 1;
         v |= u64::from(b & 0x7f) << (7 * i);
         if b < 0x80 {
-            return Ok(v);
+            // The tenth byte holds only bit 63.
+            return if i == VARINT_MAX - 1 && b > 1 {
+                Err("varint leaves the u64 range")
+            } else {
+                Ok(v)
+            };
         }
     }
-    Err("varint longer than 5 bytes")
+    Err("varint longer than 10 bytes")
 }
 
 /// Decode `n` zigzag-delta values that must fill `bytes` exactly,
-/// appending them to `out`.
-fn decode_run(bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), &'static str> {
-    out.reserve(n);
+/// handing each to `f` in order.
+#[inline]
+fn for_each_run_value(
+    bytes: &[u8],
+    n: usize,
+    mut f: impl FnMut(u32) -> Result<(), &'static str>,
+) -> Result<(), &'static str> {
     let (mut pos, mut prev) = (0usize, 0i64);
     for _ in 0..n {
         let z = read_varint(bytes, &mut pos)?;
-        let v = prev + ((z >> 1) as i64 ^ -((z & 1) as i64));
+        // `prev` is a u32, so a sum that wraps lands below 0 and fails
+        // the range check like any other.
+        let v = prev.wrapping_add((z >> 1) as i64 ^ -((z & 1) as i64));
         let v = u32::try_from(v).map_err(|_| "run value leaves the u32 range")?;
-        out.push(v);
+        f(v)?;
         prev = i64::from(v);
     }
     if pos == bytes.len() {
@@ -393,8 +485,10 @@ impl<'a> Dec<'a> {
     pub(crate) fn u32(&mut self) -> Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
+    /// A count or length ([`Enc::u64`]).
+    #[inline]
     pub(crate) fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        read_varint(self.buf, &mut self.pos).map_err(|e| self.corrupt(e))
     }
     pub(crate) fn usize(&mut self) -> Result<usize, ArtifactError> {
         let v = self.u64()?;
@@ -411,7 +505,8 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
     pub(crate) fn f64(&mut self) -> Result<f64, ArtifactError> {
-        Ok(f64::from_bits(self.u64()?))
+        let bits = u64::from_le_bytes(self.take(8)?.try_into().expect("8"));
+        Ok(f64::from_bits(bits))
     }
     pub(crate) fn str(&mut self) -> Result<String, ArtifactError> {
         dec_str_ref(self).map(str::to_owned)
@@ -420,17 +515,13 @@ impl<'a> Dec<'a> {
         let n = self.count(1)?;
         self.take(n)
     }
-    #[inline]
-    fn varint(&mut self) -> Result<u64, ArtifactError> {
-        read_varint(self.buf, &mut self.pos).map_err(|e| self.corrupt(e))
-    }
     /// One [`Enc::run`]'s count and value bytes. The count is checked
     /// against the byte length (every value takes at least a byte) and the
     /// byte length against the buffer, before anything is allocated.
     #[inline]
     fn run_head(&mut self) -> Result<(usize, &'a [u8]), ArtifactError> {
-        let n = self.varint()?;
-        let len = self.varint()?;
+        let n = self.u64()?;
+        let len = self.u64()?;
         if n > len {
             return Err(self.corrupt(format!("run count {n} exceeds its {len} bytes")));
         }
@@ -441,7 +532,49 @@ impl<'a> Dec<'a> {
     /// Decode one run onto the end of `out`.
     pub(crate) fn run_into(&mut self, out: &mut Vec<u32>) -> Result<(), ArtifactError> {
         let (n, bytes) = self.run_head()?;
-        decode_run(bytes, n, out).map_err(|e| self.corrupt(e))
+        out.reserve(n);
+        for_each_run_value(bytes, n, |v| {
+            out.push(v);
+            Ok(())
+        })
+        .map_err(|e| self.corrupt(e))
+    }
+    /// Decode one [`Enc::subseq`] against `sup`. Dropped positions must
+    /// be strictly ascending and inside `sup`.
+    pub(crate) fn subseq(&mut self, sup: &[u32]) -> Result<Vec<u32>, ArtifactError> {
+        let mut out = Vec::new();
+        match self.u8()? {
+            FORM_EXPLICIT => self.run_into(&mut out)?,
+            FORM_DROPPED => {
+                let (n, bytes) = self.run_head()?;
+                out.reserve(sup.len().saturating_sub(n));
+                let mut next = 0usize;
+                for_each_run_value(bytes, n, |p| {
+                    let p = p as usize;
+                    if p < next {
+                        return Err("dropped positions are not strictly ascending");
+                    }
+                    if p >= sup.len() {
+                        return Err("dropped position lies past its superset");
+                    }
+                    out.extend_from_slice(&sup[next..p]);
+                    next = p + 1;
+                    Ok(())
+                })
+                .map_err(|e| self.corrupt(e))?;
+                out.extend_from_slice(&sup[next..]);
+            }
+            tag => return Err(self.corrupt(format!("bad subset form {tag}"))),
+        }
+        Ok(out)
+    }
+    /// Skip one [`Enc::subseq`] by its form tag and byte length.
+    #[inline]
+    pub(crate) fn skip_subseq(&mut self) -> Result<(), ArtifactError> {
+        match self.u8()? {
+            FORM_EXPLICIT | FORM_DROPPED => self.skip_run(),
+            tag => Err(self.corrupt(format!("bad subset form {tag}"))),
+        }
     }
     /// Skip one run by its byte length.
     #[inline]
@@ -485,7 +618,7 @@ pub(crate) fn encode_validation(e: &mut Enc, v: &ValidationStats) {
 pub(crate) fn decode_validation(d: &mut Dec) -> Result<ValidationStats, ArtifactError> {
     let total_records = d.usize()?;
     let valid = d.usize()?;
-    let n = d.count(9)?;
+    let n = d.count(2)?;
     let mut invalid = std::collections::HashMap::with_capacity(n);
     for _ in 0..n {
         let tag = d.u8()?;
@@ -674,6 +807,9 @@ mod tests {
         for (i, &t) in TransientClass::ALL.iter().enumerate() {
             assert_eq!(transient_tag(t) as usize, i);
         }
+        for (i, &c) in FaultClass::ALL.iter().enumerate() {
+            assert_eq!(fault_tag(c) as usize, i);
+        }
         for (i, &id) in ENGINES.iter().enumerate() {
             assert_eq!(engine_tag(id) as usize, i + 1);
             assert_eq!(engine_from_tag(engine_tag(id)), Some(id));
@@ -726,17 +862,21 @@ mod tests {
 
     #[test]
     fn damaged_runs_are_typed_not_a_panic() {
-        // A varint longer than 5 bytes: in a count, a length, a value.
-        let long = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
-        assert!(is_corrupt(run_of(&long), "longer than 5 bytes"));
-        assert!(is_corrupt(
-            run_of(&[&[1][..], &long].concat()),
-            "longer than 5 bytes"
-        ));
-        assert!(is_corrupt(
-            run_of(&raw_run(1, 6, &long)),
-            "longer than 5 bytes"
-        ));
+        // A varint longer than 10 bytes, or one past u64: in a count, a
+        // length, a value.
+        let long = [0x80u8; 11];
+        let wide = [&[0xffu8; 9][..], &[0x02]].concat();
+        for (varint, why) in [(&long[..], "longer than 10 bytes"), (&wide, "u64 range")] {
+            assert!(is_corrupt(run_of(varint), why));
+            assert!(is_corrupt(run_of(&[&[1][..], varint].concat()), why));
+            assert!(is_corrupt(
+                run_of(&raw_run(1, varint.len() as u8, varint)),
+                why
+            ));
+        }
+        // A 6-byte value is a valid varint but no u32 delta.
+        let six = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
+        assert!(is_corrupt(run_of(&raw_run(1, 6, &six)), "u32 range"));
         // A count larger than the byte length is refused before anything
         // is allocated or read.
         assert!(is_corrupt(
@@ -768,6 +908,86 @@ mod tests {
         assert!(is_corrupt(run_of(&over), "u32 range"));
     }
 
+    /// Decode `bytes` as one subset of `sup`.
+    fn subseq_of(bytes: &[u8], sup: &[u32]) -> Result<Vec<u32>, ArtifactError> {
+        let mut d = Dec::new(bytes, Path::new("in-memory subset"));
+        let sub = d.subseq(sup)?;
+        d.finish()?;
+        Ok(sub)
+    }
+
+    #[test]
+    fn subsets_round_trip_in_the_shorter_form() {
+        let sup = [5u32, 9, 9, 14, 20, 31, 40];
+        let cases: [(&[u32], u8); 8] = [
+            (&sup, FORM_DROPPED), // nothing dropped
+            (&[], FORM_EXPLICIT), // an empty run beats seven positions
+            (&[5, 9, 14, 31, 40], FORM_DROPPED),
+            (&[5, 9, 9, 14, 31, 40], FORM_DROPPED), // a repeated value
+            (&[9, 5], FORM_EXPLICIT),               // out of order
+            (&[5, 6], FORM_EXPLICIT),               // a value `sup` lacks
+            (&[9, 9, 9], FORM_EXPLICIT),            // more repeats than `sup` has
+            (&[40], FORM_EXPLICIT),                 // six dropped positions outweigh one value
+        ];
+        for (sub, form) in cases {
+            let mut e = Enc::default();
+            e.subseq(sup.iter().copied(), sub.iter().copied());
+            assert_eq!(e.buf[0], form, "{sub:?}");
+            assert_eq!(subseq_of(&e.buf, &sup).unwrap(), sub);
+            let mut d = Dec::new(&e.buf, Path::new("in-memory subset"));
+            d.skip_subseq().unwrap();
+            d.finish().unwrap();
+        }
+        // The greedy walk drops positions 2 and 4: form, count, byte
+        // length, zigzag deltas.
+        let mut e = Enc::default();
+        e.subseq(sup.iter().copied(), [5, 9, 14, 31, 40].into_iter());
+        assert_eq!(e.buf, [FORM_DROPPED, 2, 2, 4, 4]);
+    }
+
+    #[test]
+    fn damaged_subsets_are_typed_not_a_panic() {
+        let sup = [5u32, 9, 14];
+        let dropped = |deltas: &[u8]| {
+            [
+                &[FORM_DROPPED, deltas.len() as u8, deltas.len() as u8][..],
+                deltas,
+            ]
+            .concat()
+        };
+        let corrupt = |bytes: &[u8], why: &str| matches!(subseq_of(bytes, &sup), Err(ArtifactError::Corrupt { ref detail, .. }) if detail.contains(why));
+        assert_eq!(subseq_of(&dropped(&[2, 2]), &sup).unwrap(), [5]);
+        assert!(corrupt(&dropped(&[4, 1]), "strictly ascending")); // 2, then 1
+        assert!(corrupt(&dropped(&[2, 0]), "strictly ascending")); // 1, then 1
+        assert!(corrupt(&dropped(&[6]), "past its superset")); // 3
+        assert!(corrupt(&[FORM_DROPPED, 1, 2, 2, 2], "end before"));
+        assert!(corrupt(&[FORM_DROPPED, 2, 2, 2, 0x80], "past its bytes"));
+        assert!(corrupt(&[7, 0, 0], "bad subset form 7"));
+        assert!(corrupt(&[FORM_DROPPED, 1, 9, 2], "overrun"));
+        let mut d = Dec::new(&[2u8, 0, 0], Path::new("in-memory subset"));
+        assert!(matches!(
+            d.skip_subseq(),
+            Err(ArtifactError::Corrupt { .. })
+        ));
+        // The explicit form is an ordinary run.
+        let mut e = Enc::default();
+        e.subseq(sup.iter().copied(), [u32::MAX].into_iter());
+        assert_eq!(subseq_of(&e.buf, &sup).unwrap(), [u32::MAX]);
+        assert!(corrupt(&e.buf[..e.buf.len() - 1], "overrun"));
+    }
+
+    #[test]
+    fn counts_are_varints_up_to_64_bits() {
+        for v in [0u64, 1, 127, 128, 300, 1 << 35, u64::MAX] {
+            let mut e = Enc::default();
+            e.u64(v);
+            assert_eq!(e.buf.len() as u64, varint_len(v));
+            let mut d = Dec::new(&e.buf, Path::new("in-memory count"));
+            assert_eq!(d.u64().unwrap(), v);
+            d.finish().unwrap();
+        }
+    }
+
     #[test]
     fn oversized_counts_cannot_trigger_huge_allocations() {
         // A payload whose first vector claims u64::MAX entries.
@@ -779,5 +999,13 @@ mod tests {
         assert!(matches!(d.as_set(), Err(ArtifactError::Corrupt { .. })));
         let mut d = Dec::new(&payload, path);
         assert!(matches!(d.str(), Err(ArtifactError::Corrupt { .. })));
+        // A well-formed varint count of u64::MAX.
+        let mut e = Enc::default();
+        e.u64(u64::MAX);
+        e.buf.extend_from_slice(b"tail");
+        let mut d = Dec::new(&e.buf, path);
+        assert!(matches!(d.bytes(), Err(ArtifactError::Corrupt { .. })));
+        let mut d = Dec::new(&e.buf, path);
+        assert!(matches!(d.count(1), Err(ArtifactError::Corrupt { .. })));
     }
 }

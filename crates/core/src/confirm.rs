@@ -8,10 +8,11 @@
 
 use crate::candidates::CandidateSet;
 use crate::headers::HeaderFingerprints;
-use crate::wordhash::{WordMap, WordSet};
+use crate::wordhash::WordMap;
 use intern::{FrozenInterner, HeaderNameSym, HeaderValueSym, Interner};
 use netsim::{AsId, IpToAsMap};
 use scanner::HttpScanSnapshot;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 /// Which banner corpuses must match for confirmation (Figure 4's series).
@@ -78,11 +79,16 @@ fn value_is_mojibake(v: &str) -> bool {
         .any(|c| c == '\u{fffd}' || (c.is_control() && c != '\t'))
 }
 
+/// The `ip_to_row` entry of an IP whose first record was quarantined:
+/// its later rows are still duplicates, but it has no row.
+const QUARANTINED: u32 = u32::MAX;
+
 /// One port's banners, laid out columnarly: a flat pair column plus a
 /// row-offset column, with an IP→row map on top. Rows are immutable once
 /// built, so the whole table is shared read-only across workers.
 #[derive(Debug)]
 struct PortTable {
+    /// Every IP the stream carried: its row, or [`QUARANTINED`].
     ip_to_row: WordMap<u32, u32>,
     /// `pairs[offsets[row] .. offsets[row + 1]]` is row `row`'s headers.
     offsets: Vec<u32>,
@@ -100,20 +106,13 @@ impl Default for PortTable {
 }
 
 impl PortTable {
-    fn push_row(&mut self, ip: u32, headers: &[(HeaderNameSym, HeaderValueSym)]) {
-        let row = (self.offsets.len() - 1) as u32;
-        self.ip_to_row.insert(ip, row);
-        self.pairs.extend_from_slice(headers);
-        self.offsets.push(self.pairs.len() as u32);
-    }
-
     fn get(&self, ip: u32) -> Option<&[(HeaderNameSym, HeaderValueSym)]> {
-        let row = *self.ip_to_row.get(&ip)? as usize;
+        let row = *self.ip_to_row.get(&ip).filter(|&&r| r != QUARANTINED)? as usize;
         Some(&self.pairs[self.offsets[row] as usize..self.offsets[row + 1] as usize])
     }
 
     fn is_empty(&self) -> bool {
-        self.ip_to_row.is_empty()
+        self.offsets.len() == 1
     }
 
     fn heap_bytes(&self) -> usize {
@@ -177,24 +176,28 @@ impl BannerIndex {
         oversized: &[bool],
         mojibake: &[bool],
     ) {
-        let mut seen: WordSet<u32> = WordSet::default();
+        // One hash operation per record: the IP's entry tells a duplicate
+        // and, when vacant, takes the new row or the quarantine mark.
+        table.ip_to_row.reserve(snap.records.len());
         for r in &snap.records {
             quality.records_seen += 1;
-            if !seen.insert(r.ip) {
+            let Entry::Vacant(entry) = table.ip_to_row.entry(r.ip) else {
                 quality.duplicate_ip += 1;
                 continue;
-            }
+            };
             // Per record, the first defect found decides the quarantine
             // reason (matching the injector's per-record exclusivity).
             if r.headers.iter().any(|(_, v)| oversized[v.index() as usize]) {
                 quality.oversized += 1;
-                continue;
-            }
-            if r.headers.iter().any(|(_, v)| mojibake[v.index() as usize]) {
+                entry.insert(QUARANTINED);
+            } else if r.headers.iter().any(|(_, v)| mojibake[v.index() as usize]) {
                 quality.mojibake += 1;
-                continue;
+                entry.insert(QUARANTINED);
+            } else {
+                entry.insert((table.offsets.len() - 1) as u32);
+                table.pairs.extend_from_slice(&r.headers);
+                table.offsets.push(table.pairs.len() as u32);
             }
-            table.push_row(r.ip, &r.headers);
         }
     }
 
@@ -635,6 +638,83 @@ mod tests {
             idx.get(Port::Http80, 4).is_some(),
             "tab is a legal header byte"
         );
+    }
+
+    /// An indexed banner row: the IP and its header pairs.
+    type Row = (u32, Vec<(HeaderNameSym, HeaderValueSym)>);
+
+    /// The indexer as it was with two hash structures: a per-port `seen`
+    /// set for duplicates, then an IP→row map for the surviving rows.
+    /// Returns the quality counters and the surviving rows.
+    fn two_structure_reference(
+        records: &[HttpRecord],
+        interner: &Interner,
+    ) -> (BannerQuality, Vec<Row>) {
+        let mut quality = BannerQuality::default();
+        let mut seen = std::collections::HashSet::new();
+        let mut rows = Vec::new();
+        for r in records {
+            quality.records_seen += 1;
+            if !seen.insert(r.ip) {
+                quality.duplicate_ip += 1;
+                continue;
+            }
+            let value = |v: &HeaderValueSym| interner.header_values.resolve(*v);
+            if r.headers
+                .iter()
+                .any(|(_, v)| value(v).len() > scanner::MAX_HEADER_VALUE_LEN)
+            {
+                quality.oversized += 1;
+                continue;
+            }
+            if r.headers.iter().any(|(_, v)| value_is_mojibake(value(v))) {
+                quality.mojibake += 1;
+                continue;
+            }
+            rows.push((r.ip, r.headers.clone()));
+        }
+        (quality, rows)
+    }
+
+    #[test]
+    fn one_map_indexing_matches_the_two_structure_reference() {
+        let mut interner = Interner::default();
+        let long = "A".repeat(scanner::MAX_HEADER_VALUE_LEN + 1);
+        let records = vec![
+            rec(&mut interner, 7, &[("Server", "gvs 1.0")]),
+            // Quarantined first rows, then clean duplicates of them: the
+            // duplicates stay quarantined as duplicates and never index.
+            rec(&mut interner, 2, &[("Server", "gvs\u{fffd}")]),
+            rec(&mut interner, 2, &[("Server", "clean")]),
+            rec(&mut interner, 3, &[("Server", &long)]),
+            rec(&mut interner, 3, &[("Server", "clean")]),
+            rec(&mut interner, 3, &[("Server", "gvs\u{0007}")]),
+            // A duplicate of a clean row, and a row with no headers.
+            rec(&mut interner, 7, &[("Server", "nginx")]),
+            rec(&mut interner, 9, &[]),
+            rec(&mut interner, 4, &[("Via", "a"), ("Server", "b")]),
+        ];
+        let idx = BannerIndex::build(Some(&snap(80, records.clone())), None, &interner);
+        let (quality, rows) = two_structure_reference(&records, &interner);
+        assert_eq!(idx.quality, quality);
+        assert_eq!(
+            (quality.duplicate_ip, quality.oversized, quality.mojibake),
+            (4, 1, 1)
+        );
+        for (ip, headers) in &rows {
+            assert_eq!(idx.get(Port::Http80, *ip), Some(&headers[..]), "ip {ip}");
+        }
+        for ip in [2, 3, 5] {
+            assert!(idx.get(Port::Http80, ip).is_none(), "ip {ip} indexed");
+        }
+        assert!(idx.get(Port::Https443, 7).is_none());
+        assert!(!idx.has_https());
+
+        // A port whose every row is quarantined holds no banners.
+        let quarantined = vec![rec(&mut interner, 5, &[("Server", &long)])];
+        let idx = BannerIndex::build(None, Some(&snap(443, quarantined)), &interner);
+        assert!(!idx.has_https());
+        assert_eq!(idx.quality.oversized, 1);
     }
 
     #[test]

@@ -49,11 +49,12 @@
 //! **Summary-only admission.** A segment payload leads with a compact
 //! *summary section*: the shard's snapshot totals (validation stats,
 //! certificate IP count, AS set, HTTP-only IPs, banner quarantine
-//! counts), stored once, plus its §4.2 on-net names. Warm admission
-//! decodes only that section; the corpus body behind it is touched only
-//! by the consumer pass, which reads the totals back from the summary.
-//! Every integer list in a segment is a delta-varint run, the codec's one
-//! integer-list encoding.
+//! counts), stored once, the faults the chunk's scan injected, plus its
+//! §4.2 on-net names. Warm admission decodes only that section and folds
+//! those faults back into the streams' fault ledger; the corpus body
+//! behind it is touched only by the consumer pass, which reads the totals
+//! back from the summary. Every integer list in a segment is a
+//! delta-varint run and every count a varint, the codec's encodings.
 //!
 //! The consumer runs each shard through the in-memory path's per-corpus
 //! HG loop (`pipeline::run_hgs`), with the same per-HG panic isolation:
@@ -69,8 +70,8 @@
 //! observation health does.
 
 use crate::codec::{
-    self, dec_str_ref, decode_validation, encode_validation, hg_tag, mix, mix_world_engine,
-    ArtifactError, Dec, Enc, EnvelopeIssue,
+    self, dec_str_ref, decode_validation, encode_validation, fault_tag, hg_tag, mix,
+    mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue,
 };
 use crate::confirm::{BannerIndex, BannerQuality};
 use crate::corpus::{
@@ -88,8 +89,8 @@ use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::{HostSym, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
 use scanner::{
-    covers_snapshot, CertScanSnapshot, CertScanStream, HttpRecord, HttpScanSnapshot,
-    HttpScanStream, ScanEngine, ScanHealth,
+    covers_snapshot, CertScanSnapshot, CertScanStream, FaultClass, FaultStats, HttpRecord,
+    HttpScanSnapshot, HttpScanStream, ScanEngine, ScanHealth,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -103,8 +104,10 @@ use x509::Certificate;
 /// the corpus body (summary-only admission); version 3 dropped the chain
 /// digest and per-HG evidence columns; version 4 extends the checksum over
 /// the envelope's fixed fields; version 5 stores every integer list as a
-/// delta-varint run and the snapshot totals once, in the summary.
-pub const SEGMENT_VERSION: u32 = 5;
+/// delta-varint run and the snapshot totals once, in the summary; version
+/// 6 stores every count as a varint and the faults injected into the
+/// shard's chunk in the summary.
+pub const SEGMENT_VERSION: u32 = 6;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"OFFNSSEG";
 
@@ -400,7 +403,7 @@ fn dec_http(
     if d.u8()? == 0 {
         return Ok(None);
     }
-    let n = d.count(12)?;
+    let n = d.count(5)?;
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
         let ip = d.u32()?;
@@ -484,7 +487,7 @@ fn decode_shard(
         header_values: SymTable::from_parts(values_buf, values_spans),
     };
 
-    let n_valids = d.count(13)?;
+    let n_valids = d.count(6)?;
     let mut valids = Vec::with_capacity(n_valids);
     // Valids serving the same leaf share one parse and one `Arc`, as
     // validation hands them out on the in-memory path.
@@ -580,6 +583,10 @@ struct HgSummaryEntry<'a> {
     names: Vec<&'a str>,
 }
 
+/// The faults injected into one shard's chunk, per scan stream:
+/// certificates, HTTP, HTTPS.
+type ChunkFaults = [FaultStats; 3];
+
 /// A decoded summary section: everything the producer's fold absorbs.
 /// The §4.2 names borrow from the summary bytes.
 struct ShardSummary<'a> {
@@ -587,6 +594,7 @@ struct ShardSummary<'a> {
     endpoints: usize,
     interned_bytes: usize,
     string_model_bytes: usize,
+    faults: ChunkFaults,
     hg_entries: Vec<HgSummaryEntry<'a>>,
 }
 
@@ -622,14 +630,40 @@ fn decode_totals(d: &mut Dec) -> Result<CorpusTotals, ArtifactError> {
     })
 }
 
-/// Serialize a built shard's summary section: its totals and every §4.2
-/// contribution, precomputed at build time so admission never touches
-/// the corpus body. `string_model_bytes` is the shard's
-/// [`string_model_bytes`] figure, which the ledger reports.
+fn encode_faults(e: &mut Enc, faults: &ChunkFaults) {
+    for stats in faults {
+        e.usize(stats.iter().count());
+        for (class, n) in stats.iter() {
+            e.u8(fault_tag(class));
+            e.usize(n);
+        }
+    }
+}
+
+fn decode_faults(d: &mut Dec) -> Result<ChunkFaults, ArtifactError> {
+    let mut faults = ChunkFaults::default();
+    for stats in &mut faults {
+        for _ in 0..d.count(2)? {
+            let tag = d.u8()?;
+            let class = *FaultClass::ALL
+                .get(tag as usize)
+                .ok_or_else(|| d.corrupt(format!("bad fault tag {tag}")))?;
+            stats.add(class, d.usize()?);
+        }
+    }
+    Ok(faults)
+}
+
+/// Serialize a built shard's summary section: its totals, the faults
+/// its scan injected, and every §4.2 contribution, precomputed at build
+/// time so admission never touches the corpus body. `string_model_bytes`
+/// is the shard's [`string_model_bytes`] figure, which the ledger
+/// reports.
 fn encode_summary(
     c: &SnapshotCorpus,
     endpoints: usize,
     string_model_bytes: usize,
+    faults: &ChunkFaults,
     ctx: &PipelineContext,
 ) -> Vec<u8> {
     let mut e = Enc::default();
@@ -637,6 +671,7 @@ fn encode_summary(
     e.usize(endpoints);
     e.usize(c.memory.interned_bytes);
     e.usize(string_model_bytes);
+    encode_faults(&mut e, faults);
 
     // §4.2 contributions: shard-local on-net names and certificate
     // counts, resolved to strings so they bridge per-shard symbol spaces.
@@ -679,12 +714,13 @@ fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a
     let endpoints = d.usize()?;
     let interned_bytes = d.usize()?;
     let string_model_bytes = d.usize()?;
+    let faults = decode_faults(&mut d)?;
     let n_entries = d.count(3)?;
     let mut hg_entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
         let hg = hg_from_tag(d.u8()?, path)?;
         let onnet_certs = d.usize()?;
-        let n_names = d.count(8)?;
+        let n_names = d.count(1)?;
         let mut names = Vec::with_capacity(n_names);
         for _ in 0..n_names {
             names.push(dec_str_ref(&mut d)?);
@@ -701,17 +737,19 @@ fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a
         endpoints,
         interned_bytes,
         string_model_bytes,
+        faults,
         hg_entries,
     })
 }
 
 /// Validate a payload's summary section for admission: it must decode
 /// cleanly and belong to snapshot `t`. Returns an owned copy of the
-/// summary bytes; the corpus body is never touched.
-fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<Vec<u8>> {
+/// summary bytes and the faults the shard's scan injected; the corpus
+/// body is never touched.
+fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<(Vec<u8>, ChunkFaults)> {
     let (summary, _body) = split_segment_payload(payload, path).ok()?;
     let s = decode_summary(summary, path).ok()?;
-    (s.totals.snapshot_idx == t).then(|| summary.to_vec())
+    (s.totals.snapshot_idx == t).then(|| (summary.to_vec(), s.faults))
 }
 
 // ---------------------------------------------------------------------------
@@ -760,6 +798,7 @@ enum ShardTask {
     Build {
         obs: Box<scanner::SnapshotObservations>,
         endpoints: usize,
+        faults: ChunkFaults,
         path: PathBuf,
         fingerprint: u64,
     },
@@ -828,13 +867,13 @@ fn produce(
             // truth. Only the summary section is decoded here; the corpus
             // body stays untouched until the consumer pass.
             if let Ok(payload) = read_segment(&path, fingerprint) {
-                if let Some(summary) = probe_summary(&payload, t, &path) {
-                    cert_stream.admit_chunk(chunk);
+                if let Some((summary, [cert, http, https])) = probe_summary(&payload, t, &path) {
+                    cert_stream.admit_chunk(chunk, &cert);
                     if let Some(s) = http80.as_mut() {
-                        s.admit_chunk(chunk);
+                        s.admit_chunk(chunk, &http);
                     }
                     if let Some(s) = https443.as_mut() {
-                        s.admit_chunk(chunk);
+                        s.admit_chunk(chunk, &https);
                     }
                     chunk.clear();
                     return push(ShardTask::Admit(ShardDone {
@@ -850,12 +889,21 @@ fn produce(
             // Build path: scan the chunk through the streaming sessions
             // (stateful — serial by construction), assemble a shard-sized
             // observation bundle, and let a worker freeze it.
-            let records = cert_stream.scan_chunk(chunk);
+            let (records, cert_faults) = cert_stream.scan_chunk(chunk);
             let mut interner = Interner::default();
-            let http80_records = http80.as_mut().map(|s| s.scan_chunk(chunk, &mut interner));
-            let https443_records = https443
+            let (http80_records, http80_faults) = http80
                 .as_mut()
-                .map(|s| s.scan_chunk(chunk, &mut interner));
+                .map(|s| s.scan_chunk(chunk, &mut interner))
+                .unzip();
+            let (https443_records, https443_faults) = https443
+                .as_mut()
+                .map(|s| s.scan_chunk(chunk, &mut interner))
+                .unzip();
+            let faults = [
+                cert_faults,
+                http80_faults.unwrap_or_default(),
+                https443_faults.unwrap_or_default(),
+            ];
             let obs = scanner::SnapshotObservations {
                 cert: CertScanSnapshot {
                     engine: engine.id,
@@ -887,6 +935,7 @@ fn produce(
             push(ShardTask::Build {
                 obs: Box::new(obs),
                 endpoints,
+                faults,
                 path,
                 fingerprint,
             })
@@ -943,6 +992,7 @@ fn produce(
             ShardTask::Build {
                 obs,
                 endpoints,
+                faults,
                 path,
                 fingerprint,
             } => {
@@ -956,7 +1006,7 @@ fn produce(
                 let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
                 let string_model =
                     string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
-                let summary = encode_summary(&corpus, endpoints, string_model, ctx);
+                let summary = encode_summary(&corpus, endpoints, string_model, &faults, ctx);
                 let body = encode_shard(&corpus, obs.http80.as_ref(), obs.https443.as_ref());
                 let payload = frame_segment(&summary, &body);
                 write_segment(&path, fingerprint, &payload)?;
@@ -1136,7 +1186,7 @@ mod tests {
         ctx: &PipelineContext,
     ) -> Vec<u8> {
         frame_segment(
-            &encode_summary(corpus, 0, 0, ctx),
+            &encode_summary(corpus, 0, 0, &ChunkFaults::default(), ctx),
             &encode_shard(corpus, obs.http80.as_ref(), obs.https443.as_ref()),
         )
     }
@@ -1259,7 +1309,12 @@ mod tests {
         let (_world, ctx, obs, corpus) = small_shard(12);
         let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
         let string_model = string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
-        let payload = frame_segment(&encode_summary(&corpus, 24, string_model, &ctx), &[]);
+        let mut faults = ChunkFaults::default();
+        faults[0].add(FaultClass::TruncatedDer, 3);
+        faults[0].add(FaultClass::DuplicateIp, 1);
+        faults[2].add(FaultClass::MojibakeHeader, 200);
+        let summary = encode_summary(&corpus, 24, string_model, &faults, &ctx);
+        let payload = frame_segment(&summary, &[]);
         let path = Path::new("in-memory segment");
         let decode = |bytes: &[u8]| -> Result<usize, ArtifactError> {
             let (summary, _body) = split_segment_payload(bytes, path)?;
@@ -1267,6 +1322,7 @@ mod tests {
             Ok(s.hg_entries.len())
         };
         assert!(decode(&payload).unwrap() > 0, "no §4.2 entry to damage");
+        assert_eq!(decode_summary(&summary, path).unwrap().faults, faults);
 
         for cut in 0..payload.len() {
             assert!(decode(&payload[..cut]).is_err(), "cut at {cut} decoded");

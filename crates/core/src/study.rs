@@ -281,7 +281,7 @@ fn learn_reference_fingerprints_chunked(
     let chunk_size = chunk.max(1);
     let mut chunk: Vec<Endpoint> = Vec::new();
     let mut absorb_chunk = |chunk: &mut Vec<Endpoint>| {
-        for r in stream.scan_chunk(chunk, &mut interner) {
+        for r in stream.scan_chunk(chunk, &mut interner).0 {
             global.absorb(&r);
             for ((_, ases), tally) in hg_ases.iter().zip(onnet.iter_mut()) {
                 if ip_to_as.lookup(r.ip).iter().any(|a| ases.contains(a)) {

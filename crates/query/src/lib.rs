@@ -14,7 +14,7 @@
 //! query end to end.
 
 use hgsim::{Hg, ALL_HGS};
-use offnet_core::{read_artifact_payload, ArtifactError, ArtifactTables};
+use offnet_core::{ArtifactError, ArtifactTables};
 use std::path::Path;
 use timebase::Snapshot;
 
@@ -38,16 +38,15 @@ impl FrozenStudy {
     /// Load a study log and freeze it. Any valid log is served, whatever
     /// config fingerprint it carries; a torn or damaged one is an error.
     ///
-    /// The file is read once, then [`ArtifactTables::parse`] verifies
-    /// each record's checksum and makes a single pass that decodes the
-    /// confirmed/candidate runs into two flat columns and skips the rest —
-    /// no `BTreeSet`s, no `SnapshotResult` materialization. The study
-    /// keeps those columns as they are. It answers as the full decode
-    /// ([`offnet_core::StudyArtifact::load`]) of the same log does, which
-    /// `tests` pin.
+    /// The file is read once, then [`ArtifactTables::parse`] verifies the
+    /// header and each record's checksum, once each, and makes a single
+    /// pass that decodes the confirmed/candidate runs into two flat
+    /// columns and skips the rest — no `BTreeSet`s, no `SnapshotResult`
+    /// materialization. The study keeps those columns as they are. It
+    /// answers as the full decode ([`offnet_core::StudyArtifact::load`])
+    /// of the same log does, which `tests` pin.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let (_fingerprint, payload) = read_artifact_payload(path)?;
-        let tables = ArtifactTables::parse(&payload, path)?;
+        let tables = ArtifactTables::load(path)?;
         let labels = tables
             .snapshot_idxs()
             .iter()

@@ -118,13 +118,13 @@ impl FaultStats {
         self.counts.iter().map(|(&c, &n)| (c, n))
     }
 
-    fn add(&mut self, class: FaultClass, n: usize) {
+    pub fn add(&mut self, class: FaultClass, n: usize) {
         if n > 0 {
             *self.counts.entry(class).or_insert(0) += n;
         }
     }
 
-    fn merge(&mut self, other: &FaultStats) {
+    pub fn merge(&mut self, other: &FaultStats) {
         for (class, n) in other.iter() {
             self.add(class, n);
         }
@@ -303,10 +303,10 @@ impl FaultPlan {
 /// entry. Per-record coins are pure functions of (class, snapshot, IP),
 /// so feeding the record stream through chunks of any size corrupts
 /// exactly the same records — a whole-snapshot scan (one chunk) and a
-/// sharded one stay byte-identical. A resumed producer
-/// that reuses on-disk segments skips rebuilt chunks, so its ledger entry
-/// covers only the chunks actually re-scanned (the quarantine counts
-/// inside the segments stay exact either way).
+/// sharded one stay byte-identical. A resumed producer that reuses an
+/// on-disk segment instead of re-scanning its chunk folds the counts the
+/// segment recorded back in ([`Self::admit`]), so the ledger entry is the
+/// same either way.
 pub(crate) struct CertFaultSession<'p> {
     plan: &'p FaultPlan,
     t: usize,
@@ -321,10 +321,13 @@ impl CertFaultSession<'_> {
         self.empty
     }
 
-    pub(crate) fn apply_chunk(&mut self, records: &mut Vec<CertScanRecord>) {
+    /// Corrupt one chunk's records, returning the faults injected into
+    /// them (also accumulated into the session's ledger entry).
+    pub(crate) fn apply_chunk(&mut self, records: &mut Vec<CertScanRecord>) -> FaultStats {
+        let mut stats = FaultStats::default();
         if self.empty {
             records.clear();
-            return;
+            return stats;
         }
         let t = self.t;
         let mut out = Vec::with_capacity(records.len());
@@ -335,27 +338,35 @@ impl CertFaultSession<'_> {
                     &mut rec.chain_der,
                     self.plan.draw(FaultClass::TruncatedDer, t, key),
                 );
-                self.stats.add(FaultClass::TruncatedDer, 1);
+                stats.add(FaultClass::TruncatedDer, 1);
             } else if self.plan.coin(FaultClass::GarbageDer, t, key) {
                 garbage_leaf(
                     &mut rec.chain_der,
                     self.plan.draw(FaultClass::GarbageDer, t, key),
                 );
-                self.stats.add(FaultClass::GarbageDer, 1);
+                stats.add(FaultClass::GarbageDer, 1);
             } else if self.plan.coin(FaultClass::BitFlippedDer, t, key) {
                 bit_flip_leaf(
                     &mut rec.chain_der,
                     self.plan.draw(FaultClass::BitFlippedDer, t, key),
                 );
-                self.stats.add(FaultClass::BitFlippedDer, 1);
+                stats.add(FaultClass::BitFlippedDer, 1);
             }
             if self.plan.coin(FaultClass::DuplicateIp, t, key) {
                 out.push(rec.clone());
-                self.stats.add(FaultClass::DuplicateIp, 1);
+                stats.add(FaultClass::DuplicateIp, 1);
             }
             out.push(rec);
         }
         *records = out;
+        self.stats.merge(&stats);
+        stats
+    }
+
+    /// Count a chunk's faults without re-scanning it: the chunk was
+    /// scanned before and `injected` is what that scan returned.
+    pub(crate) fn admit(&mut self, injected: &FaultStats) {
+        self.stats.merge(injected);
     }
 
     pub(crate) fn finish(self) {
@@ -373,7 +384,14 @@ pub(crate) struct HttpFaultSession<'p> {
 }
 
 impl HttpFaultSession<'_> {
-    pub(crate) fn apply_chunk(&mut self, records: &mut Vec<HttpRecord>, interner: &mut Interner) {
+    /// Corrupt one chunk's records, returning the faults injected into
+    /// them (also accumulated into the session's ledger entry).
+    pub(crate) fn apply_chunk(
+        &mut self,
+        records: &mut Vec<HttpRecord>,
+        interner: &mut Interner,
+    ) -> FaultStats {
+        let mut stats = FaultStats::default();
         let t = self.t;
         let salt = u64::from(self.port) << 40;
         let mut out = Vec::with_capacity(records.len());
@@ -385,22 +403,29 @@ impl HttpFaultSession<'_> {
                     self.plan.draw(FaultClass::MojibakeHeader, t, key),
                     interner,
                 );
-                self.stats.add(FaultClass::MojibakeHeader, 1);
+                stats.add(FaultClass::MojibakeHeader, 1);
             } else if self.plan.coin(FaultClass::OversizedHeader, t, key) {
                 oversize_header(
                     &mut rec,
                     self.plan.draw(FaultClass::OversizedHeader, t, key),
                     interner,
                 );
-                self.stats.add(FaultClass::OversizedHeader, 1);
+                stats.add(FaultClass::OversizedHeader, 1);
             }
             if self.plan.coin(FaultClass::DuplicateIp, t, key) {
                 out.push(rec.clone());
-                self.stats.add(FaultClass::DuplicateIp, 1);
+                stats.add(FaultClass::DuplicateIp, 1);
             }
             out.push(rec);
         }
         *records = out;
+        self.stats.merge(&stats);
+        stats
+    }
+
+    /// See [`CertFaultSession::admit`].
+    pub(crate) fn admit(&mut self, injected: &FaultStats) {
+        self.stats.merge(injected);
     }
 
     pub(crate) fn finish(self) {

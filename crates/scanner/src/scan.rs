@@ -6,7 +6,7 @@
 //! snapshot; the sharded corpus producer feeds it one chunk per shard.
 
 use crate::engine::ScanEngine;
-use crate::faults::{CertFaultSession, HttpFaultSession};
+use crate::faults::{CertFaultSession, FaultStats, HttpFaultSession};
 use crate::transient::{ScanHealth, ScanSession, STREAM_CERT, STREAM_HTTP80, STREAM_HTTPS443};
 use bytes::Bytes;
 use hgsim::{Endpoint, EndpointSet};
@@ -67,7 +67,7 @@ pub fn scan_certificates(
 ) -> CertScanSnapshot {
     let t = eps.snapshot_idx;
     let mut stream = CertScanStream::new(engine, t, n_snapshots);
-    let records = stream.scan_chunk(eps.endpoints());
+    let (records, _) = stream.scan_chunk(eps.endpoints());
     CertScanSnapshot {
         engine: engine.id,
         snapshot_idx: t,
@@ -91,7 +91,7 @@ pub fn scan_http_headers(
 ) -> Option<HttpScanSnapshot> {
     let t = eps.snapshot_idx;
     let mut stream = HttpScanStream::new(engine, t, port, n_snapshots)?;
-    let records = stream.scan_chunk(eps.endpoints(), interner);
+    let (records, _) = stream.scan_chunk(eps.endpoints(), interner);
     Some(HttpScanSnapshot {
         engine: engine.id,
         snapshot_idx: t,
@@ -126,8 +126,9 @@ impl<'e> CertScanStream<'e> {
         }
     }
 
-    /// Scan one endpoint chunk, returning its (fault-applied) records.
-    pub fn scan_chunk(&mut self, eps: &[Endpoint]) -> Vec<CertScanRecord> {
+    /// Scan one endpoint chunk, returning its (fault-applied) records and
+    /// the faults injected into them.
+    pub fn scan_chunk(&mut self, eps: &[Endpoint]) -> (Vec<CertScanRecord>, FaultStats) {
         // When the EmptySnapshot fault fired, records are dropped but
         // endpoints are still admitted, so the scan health counts every
         // target.
@@ -149,19 +150,24 @@ impl<'e> CertScanStream<'e> {
                 _ => {}
             }
         }
-        if let Some(f) = &mut self.faults {
-            f.apply_chunk(&mut records);
-        }
-        records
+        let injected = match &mut self.faults {
+            Some(f) => f.apply_chunk(&mut records),
+            None => FaultStats::default(),
+        };
+        (records, injected)
     }
 
     /// Admit a chunk's endpoints without fetching: the segment-reuse path
     /// of a resumed study, where the chunk's records already live in a
     /// valid on-disk segment but the scan health must still account for
-    /// every target.
-    pub fn admit_chunk(&mut self, eps: &[Endpoint]) {
+    /// every target. `injected` is what [`Self::scan_chunk`] returned for
+    /// the chunk, folded into the fault ledger as if it were re-scanned.
+    pub fn admit_chunk(&mut self, eps: &[Endpoint], injected: &FaultStats) {
         for ep in eps {
             self.session.admit(ep.ip, ep.true_as);
+        }
+        if let Some(f) = &mut self.faults {
+            f.admit(injected);
         }
     }
 
@@ -213,8 +219,13 @@ impl<'e> HttpScanStream<'e> {
     }
 
     /// Scan one endpoint chunk, interning headers into `interner` (the
-    /// per-shard interner in the sharded pipeline).
-    pub fn scan_chunk(&mut self, eps: &[Endpoint], interner: &mut Interner) -> Vec<HttpRecord> {
+    /// per-shard interner in the sharded pipeline). Returns the
+    /// (fault-applied) records and the faults injected into them.
+    pub fn scan_chunk(
+        &mut self,
+        eps: &[Endpoint],
+        interner: &mut Interner,
+    ) -> (Vec<HttpRecord>, FaultStats) {
         let mut records = Vec::with_capacity(eps.len());
         for ep in eps {
             if !self.session.admit(ep.ip, ep.true_as) {
@@ -242,16 +253,21 @@ impl<'e> HttpScanStream<'e> {
                 }
             }
         }
-        if let Some(f) = &mut self.faults {
-            f.apply_chunk(&mut records, interner);
-        }
-        records
+        let injected = match &mut self.faults {
+            Some(f) => f.apply_chunk(&mut records, interner),
+            None => FaultStats::default(),
+        };
+        (records, injected)
     }
 
-    /// Admit a chunk's endpoints without interning (segment-reuse path).
-    pub fn admit_chunk(&mut self, eps: &[Endpoint]) {
+    /// Admit a chunk's endpoints without interning (segment-reuse path;
+    /// see [`CertScanStream::admit_chunk`]).
+    pub fn admit_chunk(&mut self, eps: &[Endpoint], injected: &FaultStats) {
         for ep in eps {
             self.session.admit(ep.ip, ep.true_as);
+        }
+        if let Some(f) = &mut self.faults {
+            f.admit(injected);
         }
     }
 
@@ -397,9 +413,9 @@ mod tests {
         let mut http_records = Vec::new();
         let mut https_records = Vec::new();
         for chunk in eps.endpoints().chunks(777) {
-            cert_records.extend(cert.scan_chunk(chunk));
-            http_records.extend(http.scan_chunk(chunk, &mut stream_interner));
-            https_records.extend(https.scan_chunk(chunk, &mut stream_interner));
+            cert_records.extend(cert.scan_chunk(chunk).0);
+            http_records.extend(http.scan_chunk(chunk, &mut stream_interner).0);
+            https_records.extend(https.scan_chunk(chunk, &mut stream_interner).0);
         }
         assert_eq!(cert_records.len(), mono_cert.records.len());
         for (a, b) in cert_records.iter().zip(&mono_cert.records) {

@@ -155,6 +155,43 @@ fn faulted_partial_coverage_sharded_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `reproduce quality` prints the fault plan's injected total. A warm
+/// run admits every segment instead of re-scanning its chunk, so the
+/// faults its scan injected come back from the segment summary: the
+/// ledger, and the printed line, match the cold run's and the in-memory
+/// run's exactly.
+#[test]
+fn warm_segment_reuse_keeps_the_injected_fault_ledger() {
+    let w = world();
+    let base = StudyConfig {
+        snapshots: (18, 21),
+        ..Default::default()
+    };
+    let run = |config: &StudyConfig| {
+        let plan = Arc::new(FaultPlan::uniform_record_faults(23, 0.2));
+        let engine = ScanEngine::rapid7().with_faults(plan.clone());
+        let rendered = render_study(&run_study(w, &engine, config));
+        let injected = plan.injected_total();
+        let line = format!("injected faults: {}", injected.total());
+        (rendered, injected, line)
+    };
+    let mono = run(&base);
+    assert!(!mono.1.is_empty(), "the plan injected nothing");
+
+    let dir = temp_dir("fault-ledger");
+    let cold_cfg = sharded_config(&base, 97, &dir);
+    let cold = run(&cold_cfg);
+    let warm_cfg = sharded_config(&base, 97, &dir);
+    let warm = run(&warm_cfg);
+    let cold_ledger = cold_cfg.sharding.as_ref().unwrap().ledger.clone();
+    let warm_ledger = warm_cfg.sharding.as_ref().unwrap().ledger.clone();
+    assert!(cold_ledger.segments_built() > 0);
+    assert_eq!(warm_ledger.segments_built(), 0, "rebuilt despite cache");
+    assert_eq!(cold, mono, "cold sharded run diverged from in-memory");
+    assert_eq!(warm, cold, "warm run changed the render or fault ledger");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn parallel_driver_sharded_matches_sequential_in_memory() {
     let w = world();

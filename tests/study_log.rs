@@ -24,6 +24,7 @@ use offnet_bench::render_study;
 use offnet_core::{
     artifact_fingerprint, run_study, try_run_study, ArtifactError, DeltaStudyEngine,
     ShardingConfig, StudyArtifact, StudyConfig, StudyError, StudyMode, StudyRun, StudySeries,
+    ARTIFACT_VERSION,
 };
 use offnet_query::FrozenStudy;
 use scanner::{FaultPlan, ScanEngine, TransientPolicy};
@@ -297,7 +298,7 @@ fn mismatched_driver_checkpoints_are_rejected() {
             err,
             ArtifactError::VersionMismatch {
                 found: 1,
-                expected: 4,
+                expected: ARTIFACT_VERSION,
                 ..
             }
         ),
@@ -678,7 +679,7 @@ fn damaged_artifacts_fail_typed_not_loud() {
     match DeltaStudyEngine::try_new(w, engine, &config) {
         Err(ArtifactError::VersionMismatch {
             found: 1,
-            expected: 4,
+            expected: ARTIFACT_VERSION,
             ..
         }) => {}
         Err(e) => panic!("wrong error for a version-1 log: {e}"),
@@ -691,10 +692,12 @@ fn damaged_artifacts_fail_typed_not_loud() {
 /// frozen from: growth curves equal the per-snapshot confirmed counts,
 /// and point lookups match set membership.
 ///
-/// Log v4 stores a record's integer lists (AS sets, IP lists, certificate
-/// groups, HTTP-only IPs) as delta-varint runs: every record body of the
-/// log, fixed-width fields and all, takes at most 60% of the bytes its
-/// runs alone took in v3 as an 8-byte count and 4-byte words.
+/// Log v5 stores a record's integer lists (AS sets, IP lists, certificate
+/// groups, HTTP-only IPs) as delta-varint runs, its counts as varints,
+/// and each confirmed column as the positions its superset drops: every
+/// record body of the log takes at most 40% of the bytes its lists alone
+/// took in v3 as an 8-byte count and 4-byte words (v4 reached 54%, v5
+/// 34%).
 #[test]
 fn frozen_study_agrees_with_live_series() {
     let dir = temp_dir();
@@ -749,7 +752,7 @@ fn frozen_study_agrees_with_live_series() {
             .map(|n| 8 + 4 * n)
             .sum();
         assert!(
-            body * 10 <= as_words * 6,
+            body * 10 <= as_words * 4,
             "t={}: a {body}-byte body for runs of {as_words} bytes as words",
             snap.snapshot_idx
         );
@@ -920,8 +923,9 @@ fn torn_tails_recover_and_damage_is_typed() {
     assert!(corrupt(&run(&engine, &resume).unwrap_err()));
 
     // Logs of older versions: v2, the whole-file columnar artifact this
-    // log replaced, and v3, which wrote integer lists as 4-byte words.
-    for version in [2, 3] {
+    // log replaced, v3, which wrote integer lists as 4-byte words, and
+    // v4, which wrote counts fixed-width and confirmed columns in full.
+    for version in [2, 3, 4] {
         let mut old = whole.clone();
         old[8..12].copy_from_slice(&u32::to_le_bytes(version));
         std::fs::write(&log, &old).expect("write an older version");
@@ -930,7 +934,7 @@ fn torn_tails_recover_and_damage_is_typed() {
                 e,
                 ArtifactError::VersionMismatch {
                     found,
-                    expected: 4,
+                    expected: ARTIFACT_VERSION,
                     ..
                 } if found == version
             )

@@ -204,7 +204,7 @@ fn bench_intern(c: &mut Criterion) {
         "corpus memory @ snapshot 30: interned {} B vs string model {} B ({} hosts, {} header names, {} header values)",
         corpus.memory.interned_bytes,
         offnet_core::corpus::string_model_bytes(
-            [obs.http80.as_ref(), obs.https443.as_ref()],
+            obs.banner_records(),
             &corpus.valids,
             &corpus.interner,
         ),

@@ -615,7 +615,7 @@ fn corpus_stats(fx: &Fixtures) {
             snapshot_idx: t,
             stats: corpus.memory,
             string_model_bytes: offnet_core::corpus::string_model_bytes(
-                [obs.http80.as_ref(), obs.https443.as_ref()],
+                obs.banner_records(),
                 &corpus.valids,
                 &corpus.interner,
             ),

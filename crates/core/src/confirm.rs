@@ -3,15 +3,15 @@
 //! This stage runs entirely on interned symbols: banners are indexed
 //! into columnar per-port tables of `(HeaderNameSym, HeaderValueSym)`
 //! pairs, and the learned string fingerprints are compiled once per
-//! snapshot (against the frozen interner, before the parallel per-HG
-//! fan-out) into symbol sets so matching is integer comparisons.
+//! snapshot (against the frozen interner, before the per-HG stages)
+//! into symbol sets so matching is integer comparisons.
 
 use crate::candidates::CandidateSet;
 use crate::headers::HeaderFingerprints;
 use crate::wordhash::WordMap;
 use intern::{FrozenInterner, HeaderNameSym, HeaderValueSym, Interner};
 use netsim::{AsId, IpToAsMap};
-use scanner::HttpScanSnapshot;
+use scanner::HttpRecord;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
@@ -138,11 +138,9 @@ pub struct BannerIndex {
 }
 
 impl BannerIndex {
-    pub fn build(
-        http80: Option<&HttpScanSnapshot>,
-        https443: Option<&HttpScanSnapshot>,
-        interner: &Interner,
-    ) -> Self {
+    /// Index a snapshot's (or shard's) banner streams. The corpus
+    /// assembly is its one caller outside this module's tests.
+    pub(crate) fn build(banners: [&[HttpRecord]; 2], interner: &Interner) -> Self {
         // Classify each distinct header value once; records then check a
         // flag per symbol instead of re-scanning the bytes.
         let n_vals = interner.header_values.len();
@@ -155,31 +153,23 @@ impl BannerIndex {
         }
 
         let mut idx = Self::default();
-        for (port, snap) in [(Port::Http80, http80), (Port::Https443, https443)] {
-            if let Some(s) = snap {
-                Self::index_stream(
-                    &mut idx.tables[port.idx()],
-                    s,
-                    &mut idx.quality,
-                    &oversized,
-                    &mojibake,
-                );
-            }
+        for (table, records) in idx.tables.iter_mut().zip(banners) {
+            Self::index_stream(table, records, &mut idx.quality, &oversized, &mojibake);
         }
         idx
     }
 
     fn index_stream(
         table: &mut PortTable,
-        snap: &HttpScanSnapshot,
+        records: &[HttpRecord],
         quality: &mut BannerQuality,
         oversized: &[bool],
         mojibake: &[bool],
     ) {
         // One hash operation per record: the IP's entry tells a duplicate
         // and, when vacant, takes the new row or the quarantine mark.
-        table.ip_to_row.reserve(snap.records.len());
-        for r in &snap.records {
+        table.ip_to_row.reserve(records.len());
+        for r in records {
             quality.records_seen += 1;
             let Entry::Vacant(entry) = table.ip_to_row.entry(r.ip) else {
                 quality.duplicate_ip += 1;
@@ -398,7 +388,6 @@ mod tests {
     use super::*;
     use crate::headers::HeaderFingerprint;
     use netsim::{BgpNoiseConfig, MonthlyRib, Topology, TopologyConfig};
-    use scanner::HttpRecord;
     use x509::Fingerprint;
 
     fn tiny_map() -> (Topology, IpToAsMap) {
@@ -456,22 +445,12 @@ mod tests {
         }
     }
 
-    fn snap(port: u16, records: Vec<HttpRecord>) -> HttpScanSnapshot {
-        HttpScanSnapshot {
-            engine: scanner::EngineId::Rapid7,
-            snapshot_idx: 30,
-            port,
-            records,
-            health: Default::default(),
-        }
-    }
-
     fn banner_index(interner: &mut Interner, entries: &[(u32, &[(&str, &str)])]) -> BannerIndex {
-        let records = entries
+        let records: Vec<_> = entries
             .iter()
             .map(|(ip, hs)| rec(interner, *ip, hs))
             .collect();
-        BannerIndex::build(Some(&snap(80, records)), None, interner)
+        BannerIndex::build([&records, &[]], interner)
     }
 
     fn candidate(ips: &[u32]) -> CandidateSet {
@@ -573,9 +552,9 @@ mod tests {
         let (topo, map) = tiny_map();
         let ip = topo.ases()[100].prefixes[0].addr(1);
         let mut interner = Interner::default();
-        let http = snap(80, vec![rec(&mut interner, ip, &[("Server", "gvs 1.0")])]);
-        let https = snap(443, vec![rec(&mut interner, ip, &[("Server", "nginx")])]);
-        let banners = BannerIndex::build(Some(&http), Some(&https), &interner);
+        let http = [rec(&mut interner, ip, &[("Server", "gvs 1.0")])];
+        let https = [rec(&mut interner, ip, &[("Server", "nginx")])];
+        let banners = BannerIndex::build([&http, &https], &interner);
         let compiled = CompiledFingerprints::compile(&fps(), &interner.freeze());
         let or_mode = confirm_candidates(
             "google",
@@ -614,7 +593,7 @@ mod tests {
             ),
             rec(&mut interner, 4, &[("Server", "clean\tvalue")]),
         ];
-        let idx = BannerIndex::build(Some(&snap(80, records)), None, &interner);
+        let idx = BannerIndex::build([&records, &[]], &interner);
         assert_eq!(idx.quality.records_seen, 5);
         assert_eq!(idx.quality.duplicate_ip, 1);
         assert_eq!(idx.quality.mojibake, 1);
@@ -694,7 +673,7 @@ mod tests {
             rec(&mut interner, 9, &[]),
             rec(&mut interner, 4, &[("Via", "a"), ("Server", "b")]),
         ];
-        let idx = BannerIndex::build(Some(&snap(80, records.clone())), None, &interner);
+        let idx = BannerIndex::build([&records, &[]], &interner);
         let (quality, rows) = two_structure_reference(&records, &interner);
         assert_eq!(idx.quality, quality);
         assert_eq!(
@@ -712,7 +691,7 @@ mod tests {
 
         // A port whose every row is quarantined holds no banners.
         let quarantined = vec![rec(&mut interner, 5, &[("Server", &long)])];
-        let idx = BannerIndex::build(None, Some(&snap(443, quarantined)), &interner);
+        let idx = BannerIndex::build([&[], &quarantined], &interner);
         assert!(!idx.has_https());
         assert_eq!(idx.quality.oversized, 1);
     }

@@ -9,9 +9,15 @@
 //! banner streams columnarly, and pre-computes the per-HG certificate
 //! index lists. Work that depends only on the leaf runs once per distinct
 //! leaf and is copied to every record serving it. The interner is
-//! *frozen* at the end of `build` — the append-only observation phase is
-//! over, and a [`FrozenInterner`] has no `&mut` API, so `parallel_map`
-//! workers share the whole corpus by reference without locks.
+//! *frozen* at the end — the append-only observation phase is over, and a
+//! [`FrozenInterner`] has no `&mut` API, so every stage reads the corpus
+//! by shared reference.
+//!
+//! Both corpus sources end in one constructor, `SnapshotCorpus::assemble`:
+//! `build` hands it a bundle's validated tables, the sharded pipeline a
+//! decoded segment's. The bundles come from one
+//! [`scanner::ObservationStream`], fed the whole snapshot as one chunk or
+//! one chunk per shard.
 //!
 //! Quarantined records never reach the corpus tables: malformed DER is
 //! rejected by validation before SAN interning, and corrupt banner rows
@@ -22,13 +28,14 @@
 
 use crate::candidates::is_cloudflare_free_san;
 use crate::confirm::BannerIndex;
+use crate::pipeline::CorpusTotals;
 use crate::validate::{validate_snapshot, ValidateOptions, ValidatedCert, ValidationStats};
 use crate::validation_cache::ValidationCache;
 use crate::wordhash::{WordMap, WordSet};
 use hgsim::{Hg, ALL_HGS};
 use intern::{FrozenInterner, HostSym, Hosts, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
-use scanner::{HttpScanSnapshot, SnapshotObservations};
+use scanner::{HttpRecord, SnapshotObservations};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,7 +101,7 @@ pub struct SnapshotCorpus {
 impl SnapshotCorpus {
     /// Build the corpus for one observation bundle: validate (§4.1,
     /// optionally through the cross-snapshot `cache`), intern and sort
-    /// SAN spans, index banners, and freeze the interner.
+    /// SAN spans, then `Self::assemble`.
     pub fn build(
         obs: &SnapshotObservations,
         roots: &RootStore,
@@ -108,51 +115,68 @@ impl SnapshotCorpus {
             validate_snapshot(&obs.cert.records, roots, at, opts, cache);
 
         let mut interner = obs.interner.clone();
-        let (san_offsets, san_syms) = san_spans(&valids, &mut interner.hosts);
+        let san_spans = san_spans(&valids, &mut interner.hosts);
 
-        let cf_free_host = cloudflare_flags(&interner);
-        let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
-        let banners = BannerIndex::build(obs.http80.as_ref(), obs.https443.as_ref(), &interner);
-
-        // Corpus-level statistics (previously recomputed by the pipeline).
         let mut ases: WordSet<AsId> = WordSet::default();
         for r in &obs.cert.records {
             ases.extend(obs.ip_to_as.lookup(r.ip));
         }
         let mut ases_with_certs: Vec<AsId> = ases.into_iter().collect();
         ases_with_certs.sort_unstable();
-        let http_only_ips: Vec<u32> = obs
-            .http80
-            .as_ref()
-            .map(|s| {
-                s.records
-                    .iter()
-                    .map(|r| r.ip)
-                    .filter(|ip| !cert_ips.contains(ip))
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        let memory = measure_memory(
-            [obs.http80.as_ref(), obs.https443.as_ref()],
-            &interner,
-            &banners,
-            &san_syms,
-            &san_offsets,
-        );
-
-        Self {
+        let [http80, _] = obs.banner_records();
+        let http_ips = http80.iter().map(|r| r.ip);
+        let http_only_ips = http_ips.filter(|ip| !cert_ips.contains(ip)).collect();
+        let totals = CorpusTotals {
             snapshot_idx: obs.snapshot_idx,
-            interner: interner.freeze(),
+            total_ips_with_certs: obs.cert.records.len(),
+            ases_with_certs,
             validation,
+            banner_quality: Default::default(),
+            http_only_ips,
+            scan: obs.scan_health(),
+        };
+        Self::assemble(
+            totals,
+            interner,
+            valids,
+            san_spans,
+            obs.banner_records(),
+            obs.ip_to_as.clone(),
+        )
+    }
+
+    /// The constructor both corpus sources end in: [`Self::build`] hands
+    /// it what validation and SAN interning produced, a segment decode
+    /// what the segment stores. It derives what is cheap to recompute
+    /// from those tables — the Cloudflare flags, the per-HG organization
+    /// indices, the banner index and its quality counters, the memory
+    /// figures — and freezes the interner. `totals` gives the snapshot
+    /// figures; its banner counters are not read, the banner index counts
+    /// them again.
+    pub(crate) fn assemble(
+        totals: CorpusTotals,
+        interner: Interner,
+        valids: Vec<ValidatedCert>,
+        (san_offsets, san_syms): (Vec<u32>, Vec<HostSym>),
+        banner_records: [&[HttpRecord]; 2],
+        ip_to_as: Arc<IpToAsMap>,
+    ) -> Self {
+        let cf_free_host = cloudflare_flags(&interner);
+        let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
+        let banners = BannerIndex::build(banner_records, &interner);
+        let memory = measure_memory(banner_records, &interner, &banners, &san_syms, &san_offsets);
+        Self {
+            snapshot_idx: totals.snapshot_idx,
+            interner: interner.freeze(),
+            validation: totals.validation,
             banners,
             by_hg_std,
             by_hg_all,
-            ip_to_as: obs.ip_to_as.clone(),
-            total_ips_with_certs: obs.cert.records.len(),
-            ases_with_certs,
-            http_only_ips,
-            scan_health: obs.scan_health(),
+            ip_to_as,
+            total_ips_with_certs: totals.total_ips_with_certs,
+            ases_with_certs: totals.ases_with_certs,
+            http_only_ips: totals.http_only_ips,
+            scan_health: totals.scan,
             memory,
             san_offsets,
             san_syms,
@@ -194,7 +218,7 @@ impl SnapshotCorpus {
 /// Per-host-symbol Cloudflare universal-SSL marker flags. The marker is a
 /// property of the *name*, so each distinct host is classified once
 /// instead of per certificate.
-pub(crate) fn cloudflare_flags(interner: &intern::Interner) -> Vec<bool> {
+fn cloudflare_flags(interner: &Interner) -> Vec<bool> {
     interner
         .hosts
         .iter()
@@ -249,7 +273,7 @@ const _: () = assert!(ALL_HGS.len() <= u32::BITS as usize);
 /// matched against the 23 HG keywords once; every certificate serving
 /// that leaf (one shared `Arc`, from validation or segment decode) then
 /// reads its match bits. A leaf without an organization matches no HG.
-pub(crate) fn hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
+fn hg_org_indices(valids: &[ValidatedCert]) -> (HgIndex, HgIndex) {
     let mut by_hg_std = HgIndex::new();
     let mut by_hg_all = HgIndex::new();
     let keywords = KeywordMatcher::new();
@@ -331,8 +355,8 @@ const STRING_HEADER: usize = std::mem::size_of::<String>(); // 24
 
 /// Account the interned corpus model: the symbol pools, the symbolized
 /// banner records, the columnar banner tables and the SAN spans.
-pub(crate) fn measure_memory(
-    banner_scans: [Option<&HttpScanSnapshot>; 2],
+fn measure_memory(
+    banner_records: [&[HttpRecord]; 2],
     interner: &Interner,
     banners: &BannerIndex,
     san_syms: &[HostSym],
@@ -340,10 +364,9 @@ pub(crate) fn measure_memory(
 ) -> CorpusMemoryStats {
     const PAIR_SYMS: usize = 8; // (u32, u32)
 
-    let interned_records: usize = banner_scans
+    let interned_records: usize = banner_records
         .into_iter()
         .flatten()
-        .flat_map(|scan| &scan.records)
         .map(|r| STRING_HEADER + r.headers.len() * PAIR_SYMS)
         .sum();
     let interned = interner.heap_bytes()
@@ -371,19 +394,17 @@ pub(crate) fn measure_memory(
 /// build does not. Purely per-record additive: summed over a snapshot's
 /// shards it equals the figure over the whole snapshot.
 pub fn string_model_bytes(
-    banner_scans: [Option<&HttpScanSnapshot>; 2],
+    banner_records: [&[HttpRecord]; 2],
     valids: &[ValidatedCert],
     interner: &FrozenInterner,
 ) -> usize {
     let mut string_model = 0usize;
-    for scan in banner_scans.into_iter().flatten() {
-        for r in &scan.records {
-            string_model += STRING_HEADER; // the Vec header
-            for (n, v) in &r.headers {
-                string_model += 2 * STRING_HEADER
-                    + interner.header_names().resolve(*n).len()
-                    + interner.header_values().resolve(*v).len();
-            }
+    for r in banner_records.into_iter().flatten() {
+        string_model += STRING_HEADER; // the Vec header
+        for (n, v) in &r.headers {
+            string_model += 2 * STRING_HEADER
+                + interner.header_names().resolve(*n).len()
+                + interner.header_values().resolve(*v).len();
         }
     }
     // A leaf's `Vec<String>` SANs cost the same for every valid serving
@@ -633,11 +654,7 @@ mod tests {
         let obs = observe_snapshot(w, &ScanEngine::rapid7(), 30).unwrap();
         let c = SnapshotCorpus::build(&obs, w.pki().root_store(), &Default::default(), None);
         let m = c.memory;
-        let string_model = string_model_bytes(
-            [obs.http80.as_ref(), obs.https443.as_ref()],
-            &c.valids,
-            &c.interner,
-        );
+        let string_model = string_model_bytes(obs.banner_records(), &c.valids, &c.interner);
         assert!(m.hosts > 0 && m.header_names > 0 && m.header_values > 0);
         assert!(
             (m.interned_bytes as f64) < 0.7 * string_model as f64,

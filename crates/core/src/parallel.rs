@@ -1,15 +1,15 @@
 //! Scoped-thread fan-out used by the pipeline.
 //!
 //! The pipeline's unit of work is coarse (one corpus shard, or one whole
-//! snapshot), so a dependency-free worker pool over
-//! [`std::thread::scope`] is all that is needed: workers pull item indices
-//! from a shared atomic counter and results are reassembled in input
-//! order, so output is byte-identical to a sequential map regardless of
-//! scheduling.
+//! snapshot), so one dependency-free worker pool over
+//! [`std::thread::scope`] is all that is needed: [`bounded_pipeline`]
+//! feeds items from the calling thread, runs them on scoped workers, and
+//! folds the results in feed order, so output is byte-identical to a
+//! sequential loop regardless of scheduling.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
 /// Environment variable overriding the worker count (unset means one
@@ -75,46 +75,6 @@ fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Map `f` over `items` on up to `threads` scoped workers, returning
-/// results in input order.
-///
-/// Deterministic by construction: `f` sees each item exactly once and the
-/// output position of a result is the index of its input item, so any
-/// pure `f` yields the same `Vec` as `items.iter().map(f).collect()`.
-/// With `threads <= 1` (or one item) the sequential path runs directly.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    local.push((i, f(item)));
-                }
-                collected.lock().append(&mut local);
-            });
-        }
-    });
-
-    let mut indexed = collected.into_inner();
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), items.len());
-    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -343,38 +303,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 8, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn matches_sequential_for_any_thread_count() {
-        let items: Vec<String> = (0..97).map(|i| format!("item-{i}")).collect();
-        let expect: Vec<usize> = items.iter().map(|s| s.len()).collect();
-        for threads in [0, 1, 2, 3, 7, 64] {
-            assert_eq!(parallel_map(&items, threads, |s| s.len()), expect);
-        }
-    }
-
-    #[test]
-    fn visits_each_item_exactly_once() {
-        use std::sync::atomic::AtomicU32;
-        let calls: Vec<AtomicU32> = (0..256).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..256).collect();
-        parallel_map(&items, 4, |&i| calls[i].fetch_add(1, Ordering::SeqCst));
-        assert!(calls.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map(&empty, 8, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[42u8], 8, |&x| x + 1), vec![43]);
-    }
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn default_thread_count_is_positive() {

@@ -6,13 +6,13 @@
 //! holds every endpoint, record and corpus table of a snapshot resident at
 //! once. This module splits corpus *construction* from corpus
 //! *consumption*: a producer walks the endpoint stream in contiguous
-//! chunks of `shard_size`, scans each chunk through the scanner's
-//! streaming sessions, freezes the chunk's interned columnar corpus into a
-//! compact on-disk **segment**, extracts the small cross-shard
-//! accumulators (§4.1 stats, on-net fingerprint names, AS unions), and
-//! drops the shard before the next one is generated. A
-//! consumer pass then maps segments back to run the per-HG §4.3–§4.5
-//! stages, merging per-shard partial results.
+//! chunks of `shard_size` ([`for_each_chunk`]), scans each chunk through
+//! the same [`ObservationStream`] `observe_snapshot` runs as one chunk,
+//! freezes the chunk's interned columnar corpus into a compact on-disk
+//! **segment**, extracts the small cross-shard accumulators (§4.1 stats,
+//! on-net fingerprint names, AS unions), and drops the shard before the
+//! next one is generated. A consumer pass then streams segments back to
+//! run the per-HG §4.3–§4.5 stages, merging per-shard partial results.
 //!
 //! Peak memory is O(depth × shard) + O(merged summaries), never
 //! O(snapshot) — and because shards are contiguous chunks of the *same*
@@ -32,19 +32,20 @@
 //!
 //! **Pipelined produce.** The serial spine of the producer is only what
 //! is genuinely order-dependent: the endpoint walk, the stateful
-//! scan/admit sessions, and the reuse decision. Everything CPU-heavy
-//! about freezing a shard — §4.1 chain validation, interning, columnar
-//! encode, SHA-256, atomic persist — runs on a
-//! [`bounded_pipeline`] worker pool,
-//! and an ordered fold absorbs shard summaries strictly by shard index,
+//! observation stream (scan or admit), and the reuse decision. Everything
+//! CPU-heavy about freezing a shard — §4.1 chain validation, interning,
+//! columnar encode, SHA-256, atomic persist — runs on a
+//! [`bounded_pipeline`] worker pool, and an ordered fold absorbs shard
+//! summaries strictly by shard index,
 //! so rendered output is byte-identical at any `OFFNET_THREADS`. The
 //! pipeline admits at most `depth` = [`pipeline_depth`]`(workers)` shards
 //! between feed and fold, keeping peak memory at `depth × shard`
 //! ([`ShardLedger`] tracks the realized high-water mark). The consumer
-//! pass fans segments over [`parallel_map`] and merges per-shard
-//! accumulators in shard order for the same byte-identity guarantee. The
-//! shard pool is the only thread fan-out inside a snapshot: within one
-//! shard the per-HG stages run in sequence.
+//! pass runs on the same [`bounded_pipeline`]: workers load segments, and
+//! its ordered fold merges each shard's per-HG partials in shard order
+//! for the same byte-identity guarantee. The shard pool is the only
+//! thread fan-out inside a snapshot: within one shard the per-HG stages
+//! run in sequence.
 //!
 //! **Summary-only admission.** A segment payload leads with a compact
 //! *summary section*: the shard's snapshot totals (validation stats,
@@ -53,8 +54,10 @@
 //! §4.2 on-net names. Warm admission decodes only that section and folds
 //! those faults back into the streams' fault ledger; the corpus body
 //! behind it is touched only by the consumer pass, which reads the totals
-//! back from the summary. Every integer list in a segment is a
-//! delta-varint run and every count a varint, the codec's encodings.
+//! back from the summary and hands them with the decoded tables to the
+//! constructor `SnapshotCorpus::build` ends in. Every integer list in a
+//! segment is a delta-varint run and every count a varint, the codec's
+//! encodings.
 //!
 //! The consumer runs each shard through the in-memory path's per-corpus
 //! HG loop (`pipeline::run_hgs`), with the same per-HG panic isolation:
@@ -65,7 +68,7 @@
 //! assembly is shared too (`pipeline::finish_snapshot`).
 //!
 //! Per-shard corpora carry `Default` scan health; the true merged health
-//! comes from the producer's streaming sessions and lands in the
+//! comes from the producer's observation stream and lands in the
 //! snapshot-level quality report, exactly as the monolithic path's merged
 //! observation health does.
 
@@ -73,11 +76,9 @@ use crate::codec::{
     self, dec_str_ref, decode_validation, encode_validation, fault_tag, hg_tag, mix,
     mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue,
 };
-use crate::confirm::{BannerIndex, BannerQuality};
-use crate::corpus::{
-    cloudflare_flags, hg_org_indices, measure_memory, string_model_bytes, SnapshotCorpus,
-};
-use crate::parallel::{bounded_pipeline, parallel_map, pipeline_depth};
+use crate::confirm::BannerQuality;
+use crate::corpus::{string_model_bytes, SnapshotCorpus};
+use crate::parallel::{bounded_pipeline, pipeline_depth};
 use crate::pipeline::{
     finish_snapshot, run_hgs, standard_validate_options, CorpusTotals, HgAccum, PipelineContext,
     SnapshotResult,
@@ -85,12 +86,12 @@ use crate::pipeline::{
 use crate::tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 use crate::validate::ValidatedCert;
 use crate::wordhash::{DerKey, WordMap};
-use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
+use hgsim::{Hg, HgWorld, ALL_HGS};
 use intern::{HostSym, Interner, SymTable};
 use netsim::{AsId, IpToAsMap};
 use scanner::{
-    covers_snapshot, CertScanSnapshot, CertScanStream, FaultClass, FaultStats, HttpRecord,
-    HttpScanSnapshot, HttpScanStream, ScanEngine, ScanHealth,
+    for_each_chunk, ChunkFaults, FaultClass, HttpRecord, HttpScanSnapshot, ObservationStream,
+    ScanEngine, ScanHealth,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -255,11 +256,14 @@ impl Drop for ResidentGuard<'_> {
     }
 }
 
+/// Directory of one snapshot's segments.
+fn snapshot_dir(spill_dir: &Path, snapshot_idx: usize) -> PathBuf {
+    spill_dir.join(format!("t{snapshot_idx:04}"))
+}
+
 /// On-disk path of one segment.
 pub fn segment_path(spill_dir: &Path, snapshot_idx: usize, shard_idx: usize) -> PathBuf {
-    spill_dir
-        .join(format!("t{snapshot_idx:04}"))
-        .join(format!("shard_{shard_idx:04}.seg"))
+    snapshot_dir(spill_dir, snapshot_idx).join(format!("shard_{shard_idx:04}.seg"))
 }
 
 /// Fingerprint of everything that shapes one segment's contents: the
@@ -392,16 +396,15 @@ fn enc_http(e: &mut Enc, snap: Option<&HttpScanSnapshot>) {
     }
 }
 
+/// One port's banner records; a scan the shard's corpus did not carry
+/// decodes to none.
 fn dec_http(
     d: &mut Dec,
     interner: &Interner,
-    engine: scanner::EngineId,
-    snapshot_idx: usize,
-    port: u16,
     path: &Path,
-) -> Result<Option<HttpScanSnapshot>, ArtifactError> {
+) -> Result<Vec<HttpRecord>, ArtifactError> {
     if d.u8()? == 0 {
-        return Ok(None);
+        return Ok(Vec::new());
     }
     let n = d.count(5)?;
     let mut records = Vec::with_capacity(n);
@@ -422,13 +425,7 @@ fn dec_http(
         }
         records.push(HttpRecord { ip, headers });
     }
-    Ok(Some(HttpScanSnapshot {
-        engine,
-        snapshot_idx,
-        port,
-        records,
-        health: Default::default(),
-    }))
+    Ok(records)
 }
 
 /// Serialize one shard's corpus into a segment body. The interner pools
@@ -459,15 +456,12 @@ fn encode_shard(
 
 /// Rebuild a shard's corpus from a validated segment payload (summary
 /// and body): the snapshot totals come from the summary, the tables from
-/// the body. Everything cheap to recompute (Cloudflare flags, per-HG org
-/// indices, the banner index and its quality counters, memory stats) is
-/// rederived from the decoded tables rather than stored; chain
-/// verification is *not* redone — the stored valids are the §4.1
-/// survivors.
+/// the body, and the constructor `SnapshotCorpus::build` ends in derives
+/// the rest. Chain verification is *not* redone — the stored valids are
+/// the §4.1 survivors.
 fn decode_shard(
     payload: &[u8],
     expected_idx: usize,
-    engine: scanner::EngineId,
     ip_to_as: Arc<IpToAsMap>,
     path: &Path,
 ) -> Result<SnapshotCorpus, ArtifactError> {
@@ -533,42 +527,20 @@ fn decode_shard(
             "SAN offsets out of order or range",
         ));
     }
-    let http80 = dec_http(&mut d, &interner, engine, snapshot_idx, 80, path)?;
-    let https443 = dec_http(&mut d, &interner, engine, snapshot_idx, 443, path)?;
+    let http80 = dec_http(&mut d, &interner, path)?;
+    let https443 = dec_http(&mut d, &interner, path)?;
     d.finish()?;
 
-    // Rederive the corpus-build byproducts exactly as
-    // `SnapshotCorpus::build` computes them.
-    let cf_free_host = cloudflare_flags(&interner);
-    let (by_hg_std, by_hg_all) = hg_org_indices(&valids);
-    let banners = BannerIndex::build(http80.as_ref(), https443.as_ref(), &interner);
-    let mut memory = measure_memory(
-        [http80.as_ref(), https443.as_ref()],
-        &interner,
-        &banners,
-        &san_syms,
-        &san_offsets,
-    );
-    memory.segment_bytes = payload.len();
-
-    Ok(SnapshotCorpus {
-        snapshot_idx,
-        interner: interner.freeze(),
-        validation: totals.validation,
-        banners,
-        by_hg_std,
-        by_hg_all,
-        ip_to_as,
-        total_ips_with_certs: totals.total_ips_with_certs,
-        ases_with_certs: totals.ases_with_certs,
-        http_only_ips: totals.http_only_ips,
-        scan_health: Default::default(),
-        memory,
-        san_offsets,
-        san_syms,
-        cf_free_host,
+    let mut corpus = SnapshotCorpus::assemble(
+        totals,
+        interner,
         valids,
-    })
+        (san_offsets, san_syms),
+        [&http80, &https443],
+        ip_to_as,
+    );
+    corpus.memory.segment_bytes = payload.len();
+    Ok(corpus)
 }
 
 // ---------------------------------------------------------------------------
@@ -582,10 +554,6 @@ struct HgSummaryEntry<'a> {
     onnet_certs: usize,
     names: Vec<&'a str>,
 }
-
-/// The faults injected into one shard's chunk, per scan stream:
-/// certificates, HTTP, HTTPS.
-type ChunkFaults = [FaultStats; 3];
 
 /// A decoded summary section: everything the producer's fold absorbs.
 /// The §4.2 names borrow from the summary bytes.
@@ -746,10 +714,17 @@ fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a
 /// cleanly and belong to snapshot `t`. Returns an owned copy of the
 /// summary bytes and the faults the shard's scan injected; the corpus
 /// body is never touched.
-fn probe_summary(payload: &[u8], t: usize, path: &Path) -> Option<(Vec<u8>, ChunkFaults)> {
-    let (summary, _body) = split_segment_payload(payload, path).ok()?;
-    let s = decode_summary(summary, path).ok()?;
-    (s.totals.snapshot_idx == t).then(|| (summary.to_vec(), s.faults))
+fn probe_summary(
+    payload: &[u8],
+    t: usize,
+    path: &Path,
+) -> Result<(Vec<u8>, ChunkFaults), ArtifactError> {
+    let (summary, _body) = split_segment_payload(payload, path)?;
+    let s = decode_summary(summary, path)?;
+    if s.totals.snapshot_idx != t {
+        return Err(ArtifactError::corrupt(path, "segment snapshot mismatch"));
+    }
+    Ok((summary.to_vec(), s.faults))
 }
 
 // ---------------------------------------------------------------------------
@@ -814,20 +789,20 @@ struct ShardDone {
 }
 
 /// Producer pass: walk the endpoint stream in `shard_size` chunks; per
-/// chunk, either reuse a valid on-disk segment (admitting its endpoints
-/// into the streams for health parity) or scan it through the streaming
-/// sessions and hand the observation bundle to the worker pool to freeze.
+/// chunk, either reuse a valid on-disk segment (admitting the chunk into
+/// the observation stream for health parity) or scan it through the
+/// stream and hand the observation bundle to the worker pool to freeze.
 /// An ordered fold absorbs each shard's summary by shard index.
 fn produce(
+    mut stream: ObservationStream<'_>,
     world: &HgWorld,
     engine: &ScanEngine,
     t: usize,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
 ) -> Result<Produced, ArtifactError> {
-    let n = world.n_snapshots();
     let shard_size = sharding.shard_size.max(1);
-    let dir = sharding.spill_dir.join(format!("t{t:04}"));
+    let dir = snapshot_dir(&sharding.spill_dir, t);
     std::fs::create_dir_all(&dir).map_err(|e| ArtifactError::io(&dir, e))?;
 
     let workers = sharding.resolved_workers(ctx);
@@ -841,142 +816,51 @@ fn produce(
     };
     let mut streams_health: Option<ScanHealth> = None;
 
-    // Feeder (caller thread): the order-dependent spine. The streaming
-    // scan sessions and the reuse probes stay strictly serial; everything
-    // else is pushed through the pipeline.
+    // Feeder (caller thread): the order-dependent spine. The observation
+    // stream and the reuse probes stay strictly serial; everything else
+    // is pushed through the pipeline.
     let feed = |push: &mut dyn FnMut(ShardTask) -> bool| -> Result<(), ArtifactError> {
-        let mut cert_stream = CertScanStream::new(engine, t, n);
-        let mut http80 = HttpScanStream::new(engine, t, 80, n);
-        let mut https443 = HttpScanStream::new(engine, t, 443, n);
-        let mut chunk: Vec<Endpoint> = Vec::with_capacity(shard_size);
         let mut shard_idx = 0usize;
-        let mut stopped = false;
-
-        let flush = |chunk: &mut Vec<Endpoint>,
-                     shard_idx: usize,
-                     push: &mut dyn FnMut(ShardTask) -> bool,
-                     cert_stream: &mut CertScanStream,
-                     http80: &mut Option<HttpScanStream>,
-                     https443: &mut Option<HttpScanStream>|
-         -> bool {
-            let path = dir.join(format!("shard_{shard_idx:04}.seg"));
+        let walked = for_each_chunk(world, t, shard_size, |chunk| {
+            let path = segment_path(&sharding.spill_dir, t, shard_idx);
             let fingerprint = segment_fingerprint(world, engine, t, shard_size, shard_idx);
+            shard_idx += 1;
 
             // Reuse path: any read/validation/decode failure simply falls
             // through to a rebuild — segments are a cache, not a source of
             // truth. Only the summary section is decoded here; the corpus
             // body stays untouched until the consumer pass.
-            if let Ok(payload) = read_segment(&path, fingerprint) {
-                if let Some((summary, [cert, http, https])) = probe_summary(&payload, t, &path) {
-                    cert_stream.admit_chunk(chunk, &cert);
-                    if let Some(s) = http80.as_mut() {
-                        s.admit_chunk(chunk, &http);
-                    }
-                    if let Some(s) = https443.as_mut() {
-                        s.admit_chunk(chunk, &https);
-                    }
-                    chunk.clear();
-                    return push(ShardTask::Admit(ShardDone {
-                        summary,
-                        segment_bytes: payload.len(),
-                        reused: true,
-                        path,
-                        fingerprint,
-                    }));
-                }
+            let reuse = read_segment(&path, fingerprint).and_then(|payload| {
+                let (summary, faults) = probe_summary(&payload, t, &path)?;
+                Ok((summary, faults, payload.len()))
+            });
+            if let Ok((summary, faults, segment_bytes)) = reuse {
+                stream.admit_chunk(chunk, &faults);
+                return push(ShardTask::Admit(ShardDone {
+                    summary,
+                    segment_bytes,
+                    reused: true,
+                    path,
+                    fingerprint,
+                }));
             }
 
-            // Build path: scan the chunk through the streaming sessions
-            // (stateful — serial by construction), assemble a shard-sized
-            // observation bundle, and let a worker freeze it.
-            let (records, cert_faults) = cert_stream.scan_chunk(chunk);
-            let mut interner = Interner::default();
-            let (http80_records, http80_faults) = http80
-                .as_mut()
-                .map(|s| s.scan_chunk(chunk, &mut interner))
-                .unzip();
-            let (https443_records, https443_faults) = https443
-                .as_mut()
-                .map(|s| s.scan_chunk(chunk, &mut interner))
-                .unzip();
-            let faults = [
-                cert_faults,
-                http80_faults.unwrap_or_default(),
-                https443_faults.unwrap_or_default(),
-            ];
-            let obs = scanner::SnapshotObservations {
-                cert: CertScanSnapshot {
-                    engine: engine.id,
-                    snapshot_idx: t,
-                    date: world.snapshot_date(t),
-                    records,
-                    health: Default::default(),
-                },
-                http80: http80_records.map(|records| HttpScanSnapshot {
-                    engine: engine.id,
-                    snapshot_idx: t,
-                    port: 80,
-                    records,
-                    health: Default::default(),
-                }),
-                https443: https443_records.map(|records| HttpScanSnapshot {
-                    engine: engine.id,
-                    snapshot_idx: t,
-                    port: 443,
-                    records,
-                    health: Default::default(),
-                }),
-                interner,
-                ip_to_as: world.ip_to_as(t),
-                snapshot_idx: t,
-            };
-            let endpoints = chunk.len();
-            chunk.clear();
+            // Build path: scan the chunk (the stream is stateful, so this
+            // is serial by construction) and let a worker freeze its
+            // bundle.
+            let (obs, faults) = stream.observe_chunk(chunk);
             push(ShardTask::Build {
                 obs: Box::new(obs),
-                endpoints,
+                endpoints: chunk.len(),
                 faults,
                 path,
                 fingerprint,
             })
-        };
-
-        world.for_each_endpoint(t, |ep| {
-            if stopped {
-                return;
-            }
-            chunk.push(ep);
-            if chunk.len() == shard_size {
-                if !flush(
-                    &mut chunk,
-                    shard_idx,
-                    push,
-                    &mut cert_stream,
-                    &mut http80,
-                    &mut https443,
-                ) {
-                    stopped = true;
-                }
-                shard_idx += 1;
-            }
         });
-        if !stopped && !chunk.is_empty() {
-            stopped = !flush(
-                &mut chunk,
-                shard_idx,
-                push,
-                &mut cert_stream,
-                &mut http80,
-                &mut https443,
-            );
-        }
-        if !stopped {
-            let mut health = cert_stream.finish();
-            if let Some(s) = http80 {
-                health.merge(&s.finish());
-            }
-            if let Some(s) = https443 {
-                health.merge(&s.finish());
+        if walked {
+            let mut health = ScanHealth::default();
+            for stream_health in stream.finish() {
+                health.merge(&stream_health);
             }
             streams_health = Some(health);
         }
@@ -1003,9 +887,8 @@ fn produce(
                     ctx.validation_cache.as_deref(),
                 );
                 let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
-                let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
                 let string_model =
-                    string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
+                    string_model_bytes(obs.banner_records(), &corpus.valids, &corpus.interner);
                 let summary = encode_summary(&corpus, endpoints, string_model, &faults, ctx);
                 let body = encode_shard(&corpus, obs.http80.as_ref(), obs.https443.as_ref());
                 let payload = frame_segment(&summary, &body);
@@ -1026,13 +909,9 @@ fn produce(
     let ledger = &sharding.ledger;
     let fold = |shard_idx: usize, done: ShardDone| -> Result<(), ArtifactError> {
         {
+            // Both arms checked the summary: built from snapshot `t`'s
+            // chunk, or admitted by `probe_summary`.
             let s = decode_summary(&done.summary, &done.path)?;
-            if s.totals.snapshot_idx != t {
-                return Err(ArtifactError::corrupt(
-                    &done.path,
-                    "segment snapshot mismatch",
-                ));
-            }
             ledger.record(ShardStat {
                 snapshot_idx: t,
                 shard_idx,
@@ -1055,15 +934,17 @@ fn produce(
 }
 
 // ---------------------------------------------------------------------------
-// Consumer: map segments back across the worker pool, run §4.3–§4.5 per HG
-// per shard, merge the partials in shard order.
+// Consumer: stream segments back through the bounded pipeline, run
+// §4.3–§4.5 per HG per shard, merge the partials in shard order.
 // ---------------------------------------------------------------------------
 
-/// Consumer pass: fan segments across the worker pool — each loads once
-/// and runs the per-corpus HG loop ([`run_hgs`]) — then merge the
-/// per-shard partials in shard order (so IP vectors concatenate exactly
-/// as the serial loop appended them). An HG that panicked in any shard
-/// comes back as the first such panic message, in shard order.
+/// Consumer pass: stream segments through the worker pool — each loads
+/// once and runs the per-corpus HG loop ([`run_hgs`]) — and fold each
+/// shard's partials into the merged result in shard order (so IP vectors
+/// concatenate exactly as the serial loop appended them). A worker hands
+/// its load error to the fold, so the first error in shard order stops
+/// the pass. An HG that panicked in any shard comes back as the first
+/// such panic message, in shard order.
 ///
 /// Each shard re-bases the global §4.2 fingerprint into its own symbol
 /// space: global on-net names absent from the shard's host pool cannot
@@ -1073,47 +954,58 @@ fn consume(
     produced: &Produced,
     t: usize,
     world: &HgWorld,
-    engine: &ScanEngine,
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
 ) -> Result<Vec<Result<HgAccum, String>>, ArtifactError> {
-    type Partial = Vec<Result<HgAccum, String>>;
     let workers = sharding.resolved_workers(ctx);
-    let partials: Vec<Result<Partial, ArtifactError>> =
-        parallel_map(&produced.segments, workers, |(path, fingerprint)| {
-            let payload = read_segment(path, *fingerprint)?;
-            let corpus = decode_shard(&payload, t, engine.id, world.ip_to_as(t), path)?;
-            let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
-            Ok(run_hgs(&corpus, ctx, |hg| {
-                let mut syms: Vec<HostSym> = produced
-                    .hg_names
-                    .get(&hg)
-                    .map(|ns| {
-                        ns.iter()
-                            .filter_map(|n| corpus.interner.hosts().get(n))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                syms.sort_unstable();
-                TlsFingerprint::from_parts(
-                    hg.spec().keyword.to_ascii_lowercase(),
-                    syms,
-                    produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
-                )
-            }))
-        });
+    let shard_outcomes = |(path, fingerprint): &(PathBuf, u64)| {
+        let payload = read_segment(path, *fingerprint)?;
+        let corpus = decode_shard(&payload, t, world.ip_to_as(t), path)?;
+        let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
+        Ok(run_hgs(&corpus, ctx, |hg| {
+            let mut syms: Vec<HostSym> = produced
+                .hg_names
+                .get(&hg)
+                .map(|ns| {
+                    ns.iter()
+                        .filter_map(|n| corpus.interner.hosts().get(n))
+                        .collect()
+                })
+                .unwrap_or_default();
+            syms.sort_unstable();
+            TlsFingerprint::from_parts(
+                hg.spec().keyword.to_ascii_lowercase(),
+                syms,
+                produced.hg_onnet_certs.get(&hg).copied().unwrap_or(0),
+            )
+        }))
+    };
 
     let mut merged: Vec<Result<HgAccum, String>> =
         ALL_HGS.iter().map(|_| Ok(HgAccum::default())).collect();
-    for partial in partials {
-        for (into, from) in merged.iter_mut().zip(partial?) {
-            match (into.as_mut(), from) {
-                (Ok(into), Ok(from)) => into.merge(from),
-                (Ok(_), Err(message)) => *into = Err(message),
-                (Err(_), _) => {}
+    bounded_pipeline(
+        workers,
+        pipeline_depth(workers),
+        |push| {
+            for segment in &produced.segments {
+                if !push(segment) {
+                    break;
+                }
             }
-        }
-    }
+            Ok(())
+        },
+        |_, segment| Ok(shard_outcomes(segment)),
+        |_, outcomes: Result<Vec<Result<HgAccum, String>>, ArtifactError>| {
+            for (into, from) in merged.iter_mut().zip(outcomes?) {
+                match (into.as_mut(), from) {
+                    (Ok(into), Ok(from)) => into.merge(from),
+                    (Ok(_), Err(message)) => *into = Err(message),
+                    (Err(_), _) => {}
+                }
+            }
+            Ok(())
+        },
+    )?;
     Ok(merged)
 }
 
@@ -1138,15 +1030,10 @@ pub fn admit_segments_for_bench(
         let fingerprint = segment_fingerprint(world, engine, t, shard_size, admitted);
         let payload = read_segment(&path, fingerprint)?;
         if full_decode {
-            let corpus = decode_shard(&payload, t, engine.id, world.ip_to_as(t), &path)?;
+            let corpus = decode_shard(&payload, t, world.ip_to_as(t), &path)?;
             std::hint::black_box(&corpus);
         } else {
-            let (summary, _body) = split_segment_payload(&payload, &path)?;
-            let s = decode_summary(summary, &path)?;
-            if s.totals.snapshot_idx != t {
-                return Err(ArtifactError::corrupt(&path, "segment snapshot mismatch"));
-            }
-            std::hint::black_box(&s);
+            std::hint::black_box(probe_summary(&payload, t, &path)?);
         }
         admitted += 1;
     }
@@ -1164,17 +1051,18 @@ pub fn process_snapshot_sharded(
     ctx: &PipelineContext,
     sharding: &ShardingConfig,
 ) -> Result<Option<SnapshotResult>, ArtifactError> {
-    if !covers_snapshot(engine, t) {
+    let Some(stream) = ObservationStream::new(world, engine, t) else {
         return Ok(None);
-    }
-    let produced = produce(world, engine, t, ctx, sharding)?;
-    let outcomes = consume(&produced, t, world, engine, ctx, sharding)?;
+    };
+    let produced = produce(stream, world, engine, t, ctx, sharding)?;
+    let outcomes = consume(&produced, t, world, ctx, sharding)?;
     Ok(Some(finish_snapshot(produced.totals, outcomes)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confirm::Port;
     use hgsim::ScenarioConfig;
     use scanner::SnapshotObservations;
     use std::collections::HashSet;
@@ -1191,10 +1079,16 @@ mod tests {
         )
     }
 
+    /// A decoded segment gives back the corpus it was built from: the
+    /// stored tables, and everything assembly derives from them — one
+    /// shared leaf per distinct DER, the per-HG indices, the Cloudflare
+    /// flags, the banner index and its quarantine counters, and the
+    /// memory figures. Record faults make the quarantine counters nonzero.
     #[test]
     fn decoded_shard_shares_one_leaf_per_distinct_der() {
         let world = HgWorld::generate(ScenarioConfig::small());
-        let engine = ScanEngine::rapid7();
+        let plan = scanner::FaultPlan::uniform_record_faults(11, 0.1);
+        let engine = ScanEngine::rapid7().with_faults(Arc::new(plan));
         let ctx = PipelineContext::new(
             world.pki().root_store().clone(),
             world.org_db(),
@@ -1205,7 +1099,7 @@ mod tests {
         let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
         let payload = segment_payload(&corpus, &obs, &ctx);
         let path = Path::new("in-memory segment");
-        let decoded = decode_shard(&payload, t, engine.id, world.ip_to_as(t), path).unwrap();
+        let decoded = decode_shard(&payload, t, world.ip_to_as(t), path).unwrap();
         let (built, decoded) = (&corpus, &decoded);
         assert_eq!(decoded.memory.segment_bytes, payload.len());
 
@@ -1236,10 +1130,29 @@ mod tests {
         assert_eq!(distinct_arcs(built), distinct_der.len());
         assert_eq!(built.by_hg_std, decoded.by_hg_std);
         assert_eq!(built.by_hg_all, decoded.by_hg_all);
-        let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
+        assert_eq!(built.cf_free_host, decoded.cf_free_host);
+        assert!(built.cf_free_host.contains(&true), "no Cloudflare marker");
+
+        let quality = built.banners.quality;
+        assert_eq!(quality, decoded.banners.quality);
+        assert!(quality.oversized > 0 && quality.mojibake > 0 && quality.duplicate_ip > 0);
+        let banner_records = obs.banner_records();
+        let [http, https] = banner_records;
+        let valid_ips = built.valids.iter().map(|v| v.ip);
+        for ip in http.iter().chain(https).map(|r| r.ip).chain(valid_ips) {
+            for port in Port::ALL {
+                let (b, d) = (built.banners.get(port, ip), decoded.banners.get(port, ip));
+                assert_eq!(b, d, "{ip} {port:?}");
+            }
+        }
+        // The memory figures match but for the host pool's growth slack:
+        // built by doubling as SANs were interned, decoded to size.
+        let slack = |c: &SnapshotCorpus| c.memory.interned_bytes - c.interner.hosts().heap_bytes();
+        assert_eq!(slack(built), slack(decoded));
+        assert_eq!(built.memory.hosts, decoded.memory.hosts);
         assert_eq!(
-            string_model_bytes(banner_scans, &built.valids, &built.interner),
-            string_model_bytes(banner_scans, &decoded.valids, &decoded.interner)
+            string_model_bytes(banner_records, &built.valids, &built.interner),
+            string_model_bytes(banner_records, &decoded.valids, &decoded.interner)
         );
     }
 
@@ -1307,8 +1220,8 @@ mod tests {
     #[test]
     fn summary_decoder_survives_truncation_and_flips() {
         let (_world, ctx, obs, corpus) = small_shard(12);
-        let banner_scans = [obs.http80.as_ref(), obs.https443.as_ref()];
-        let string_model = string_model_bytes(banner_scans, &corpus.valids, &corpus.interner);
+        let string_model =
+            string_model_bytes(obs.banner_records(), &corpus.valids, &corpus.interner);
         let mut faults = ChunkFaults::default();
         faults[0].add(FaultClass::TruncatedDer, 3);
         faults[0].add(FaultClass::DuplicateIp, 1);
@@ -1346,9 +1259,8 @@ mod tests {
         let (world, ctx, obs, corpus) = small_shard(3);
         let payload = segment_payload(&corpus, &obs, &ctx);
         let path = Path::new("in-memory segment");
-        let engine = ScanEngine::rapid7().id;
         let ip_to_as = world.ip_to_as(30);
-        let decode = |bytes: &[u8]| decode_shard(bytes, 30, engine, ip_to_as.clone(), path);
+        let decode = |bytes: &[u8]| decode_shard(bytes, 30, ip_to_as.clone(), path);
         let decoded = decode(&payload).unwrap();
         assert!(!decoded.valids.is_empty() && !decoded.san_syms.is_empty());
 

@@ -19,10 +19,10 @@ use crate::parallel::{bounded_pipeline, isolate, pipeline_depth};
 use crate::pipeline::{process_snapshot, PipelineContext, SnapshotResult};
 use crate::shard::{process_snapshot_sharded, ShardingConfig};
 use crate::validation_cache::ValidationCache;
-use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
+use hgsim::{Hg, HgWorld, ALL_HGS};
 use intern::Interner;
 use netsim::AsId;
-use scanner::{covers_snapshot, observe_snapshot, HttpScanStream, ScanEngine};
+use scanner::{covers_snapshot, for_each_chunk, observe_snapshot, HttpScanStream, ScanEngine};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -278,28 +278,18 @@ fn learn_reference_fingerprints_chunked(
     let mut interner = Interner::default();
     let mut global = GlobalHeaderStats::default();
     let mut onnet: Vec<GlobalHeaderStats> = vec![GlobalHeaderStats::default(); hg_ases.len()];
-    let chunk_size = chunk.max(1);
-    let mut chunk: Vec<Endpoint> = Vec::new();
-    let mut absorb_chunk = |chunk: &mut Vec<Endpoint>| {
-        for r in stream.scan_chunk(chunk, &mut interner).0 {
+    for_each_chunk(world, t, chunk, |eps| {
+        for r in stream.scan_chunk(eps, &mut interner).0 {
             global.absorb(&r);
+            let origins = ip_to_as.lookup(r.ip);
             for ((_, ases), tally) in hg_ases.iter().zip(onnet.iter_mut()) {
-                if ip_to_as.lookup(r.ip).iter().any(|a| ases.contains(a)) {
+                if origins.iter().any(|a| ases.contains(a)) {
                     tally.absorb(&r);
                 }
             }
         }
-        chunk.clear();
-    };
-    world.for_each_endpoint(t, |ep| {
-        chunk.push(ep);
-        if chunk.len() == chunk_size {
-            absorb_chunk(&mut chunk);
-        }
+        true
     });
-    if !chunk.is_empty() {
-        absorb_chunk(&mut chunk);
-    }
     stream.finish();
 
     for ((hg, _), tally) in hg_ases.iter().zip(&onnet) {

@@ -17,10 +17,11 @@
 //! - **Typed symbols.** [`HostSym`], [`HeaderNameSym`] and
 //!   [`HeaderValueSym`] are distinct types over distinct pools; a header
 //!   name can never be compared against a hostname by accident.
-//! - **Freeze before fan-out.** An [`Interner`] is append-only while a
-//!   snapshot is being observed, then converted into a read-only
-//!   [`FrozenInterner`] before the parallel per-HG stages start, so
-//!   `parallel_map` workers share it by `&`-reference without locks.
+//! - **Freeze before the stages.** An [`Interner`] is append-only while
+//!   a snapshot — or one chunk of the scanner's `ObservationStream` — is
+//!   being observed, then converted into a read-only [`FrozenInterner`]
+//!   before the per-HG stages read it, so every stage reads it by
+//!   `&`-reference and none can add a symbol.
 
 use std::marker::PhantomData;
 
@@ -348,8 +349,8 @@ pub struct Interner {
 
 impl Interner {
     /// Seal the interner. From here on only shared read access exists, so
-    /// a `&FrozenInterner` can cross into `parallel_map` workers without
-    /// any synchronization.
+    /// a `&FrozenInterner` can cross into worker threads without any
+    /// synchronization.
     pub fn freeze(self) -> FrozenInterner {
         FrozenInterner(self)
     }
@@ -360,9 +361,9 @@ impl Interner {
     }
 }
 
-/// A read-only [`Interner`]: the freeze-before-fanout contract made into
-/// a type. There is no `&mut` API, so sharing one across the per-HG
-/// worker pool is lock-free by construction.
+/// A read-only [`Interner`]: the freeze-before-the-stages contract made
+/// into a type. There is no `&mut` API, so sharing one across threads is
+/// lock-free by construction.
 #[derive(Debug, Clone)]
 pub struct FrozenInterner(Interner);
 

@@ -16,7 +16,10 @@ mod zgrab;
 
 pub use engine::{EngineId, ScanEngine};
 pub use faults::{FaultClass, FaultPlan, FaultStats, MAX_HEADER_VALUE_LEN};
-pub use observe::{covers_snapshot, observe_snapshot, SnapshotObservations};
+pub use observe::{
+    covers_snapshot, for_each_chunk, observe_snapshot, ChunkFaults, ObservationStream,
+    SnapshotObservations,
+};
 pub use scan::{
     scan_certificates, scan_http_headers, CertScanRecord, CertScanSnapshot, CertScanStream,
     HttpRecord, HttpScanSnapshot, HttpScanStream,

@@ -1,9 +1,11 @@
 //! Certificate and HTTP(S)-banner scans over an endpoint set.
 //!
 //! Each scan is a stream fed endpoint chunks ([`CertScanStream`],
-//! [`HttpScanStream`]). The whole-snapshot scans ([`scan_certificates`],
-//! [`scan_http_headers`]) feed their stream one chunk, the whole
-//! snapshot; the sharded corpus producer feeds it one chunk per shard.
+//! [`HttpScanStream`]). [`ObservationStream`](crate::ObservationStream)
+//! runs one snapshot's three scans together: `observe_snapshot` feeds it
+//! the whole snapshot as one chunk, the sharded corpus producer one chunk
+//! per shard. [`scan_certificates`] and [`scan_http_headers`] run a single
+//! scan over a whole snapshot.
 
 use crate::engine::ScanEngine;
 use crate::faults::{CertFaultSession, FaultStats, HttpFaultSession};
@@ -106,11 +108,9 @@ pub fn scan_http_headers(
 /// across chunks. Fault coins are per record, so the concatenation of the
 /// per-chunk record vectors does not depend on where the chunks are cut,
 /// and [`CertScanStream::finish`] yields the same [`ScanHealth`] either
-/// way. [`scan_certificates`] is the one-chunk case.
-///
-/// The sharded corpus producer feeds it shard-sized chunks: a chunk's
-/// records can be validated, interned, frozen to a segment and dropped
-/// before the next chunk is generated.
+/// way. [`scan_certificates`] is the one-chunk case; the
+/// [`ObservationStream`](crate::ObservationStream) runs it with the two
+/// banner scans.
 pub struct CertScanStream<'e> {
     client: TlsClient,
     session: ScanSession<'e>,
@@ -157,11 +157,9 @@ impl<'e> CertScanStream<'e> {
         (records, injected)
     }
 
-    /// Admit a chunk's endpoints without fetching: the segment-reuse path
-    /// of a resumed study, where the chunk's records already live in a
-    /// valid on-disk segment but the scan health must still account for
-    /// every target. `injected` is what [`Self::scan_chunk`] returned for
-    /// the chunk, folded into the fault ledger as if it were re-scanned.
+    /// Admit a chunk's endpoints without fetching, for a chunk scanned
+    /// before: the health still counts every target, and `injected` —
+    /// what [`Self::scan_chunk`] returned for it — goes to the fault ledger.
     pub fn admit_chunk(&mut self, eps: &[Endpoint], injected: &FaultStats) {
         for ep in eps {
             self.session.admit(ep.ip, ep.true_as);
@@ -218,9 +216,8 @@ impl<'e> HttpScanStream<'e> {
         })
     }
 
-    /// Scan one endpoint chunk, interning headers into `interner` (the
-    /// per-shard interner in the sharded pipeline). Returns the
-    /// (fault-applied) records and the faults injected into them.
+    /// Scan one endpoint chunk, interning headers into `interner`. Returns
+    /// the (fault-applied) records and the faults injected into them.
     pub fn scan_chunk(
         &mut self,
         eps: &[Endpoint],
@@ -260,8 +257,7 @@ impl<'e> HttpScanStream<'e> {
         (records, injected)
     }
 
-    /// Admit a chunk's endpoints without interning (segment-reuse path;
-    /// see [`CertScanStream::admit_chunk`]).
+    /// See [`CertScanStream::admit_chunk`].
     pub fn admit_chunk(&mut self, eps: &[Endpoint], injected: &FaultStats) {
         for ep in eps {
             self.session.admit(ep.ip, ep.true_as);
@@ -385,83 +381,108 @@ mod tests {
         assert_eq!(snap.records, again.records);
     }
 
+    /// [`ObservationStream`](crate::ObservationStream) under record
+    /// faults and transients, at 777-endpoint chunks and as one
+    /// whole-snapshot chunk, matches `observe_snapshot` in resolved
+    /// records, per-stream health and fault ledger; so does a run that
+    /// admits every other chunk with the faults a scan of it reported.
     #[test]
     fn chunked_streams_match_monolithic_scans() {
         use crate::faults::{FaultClass, FaultPlan};
+        use crate::transient::TransientPolicy;
+        use crate::{for_each_chunk, observe_snapshot, ObservationStream, SnapshotObservations};
         use std::sync::Arc;
-        let w = world();
-        let eps = w.endpoints(30);
-        let date = w.snapshot_date(30);
-        // Exercise the fault path too: per-record coins must not change
-        // with chunking, and the accumulated ledger must match.
-        let plan = || Arc::new(FaultPlan::uniform_record_faults(11, 0.1));
-        let mono_engine = ScanEngine::rapid7().with_faults(plan());
-        let stream_engine = ScanEngine::rapid7().with_faults(plan());
 
-        let mono_cert = scan_certificates(&eps, &mono_engine, date, 31);
-        let mut mono_interner = Interner::default();
-        let mono_http = scan_http_headers(&eps, &mono_engine, 80, 31, &mut mono_interner).unwrap();
-        let mono_https =
-            scan_http_headers(&eps, &mono_engine, 443, 31, &mut mono_interner).unwrap();
+        /// Per stream, the records with banner symbols resolved, so
+        /// bundles with interners of their own compare.
+        type Records = (
+            Vec<(u32, Vec<Bytes>)>,
+            [Vec<(u32, Vec<(String, String)>)>; 2],
+        );
+        fn resolve(obs: &SnapshotObservations, into: &mut Records) {
+            let (names, values) = (&obs.interner.header_names, &obs.interner.header_values);
+            let certs = obs.cert.records.iter();
+            into.0.extend(certs.map(|r| (r.ip, r.chain_der.clone())));
+            for (snap, out) in [&obs.http80, &obs.https443].into_iter().zip(&mut into.1) {
+                for r in snap.iter().flat_map(|s| &s.records) {
+                    let resolved = r.headers.iter().map(|(n, v)| {
+                        (names.resolve(*n).to_owned(), values.resolve(*v).to_owned())
+                    });
+                    out.push((r.ip, resolved.collect()));
+                }
+            }
+        }
 
-        let mut cert = CertScanStream::new(&stream_engine, 30, 31);
-        let mut http = HttpScanStream::new(&stream_engine, 30, 80, 31).unwrap();
-        let mut https = HttpScanStream::new(&stream_engine, 30, 443, 31).unwrap();
-        assert!(HttpScanStream::new(&stream_engine, 5, 443, 31).is_none());
-        let mut stream_interner = Interner::default();
-        let mut cert_records = Vec::new();
-        let mut http_records = Vec::new();
-        let mut https_records = Vec::new();
-        for chunk in eps.endpoints().chunks(777) {
-            cert_records.extend(cert.scan_chunk(chunk).0);
-            http_records.extend(http.scan_chunk(chunk, &mut stream_interner).0);
-            https_records.extend(https.scan_chunk(chunk, &mut stream_interner).0);
-        }
-        assert_eq!(cert_records.len(), mono_cert.records.len());
-        for (a, b) in cert_records.iter().zip(&mono_cert.records) {
-            assert_eq!(a.ip, b.ip);
-            assert_eq!(a.chain_der, b.chain_der);
-        }
-        assert_eq!(cert.finish(), mono_cert.health);
-        assert_eq!(http.finish(), mono_http.health);
-        assert_eq!(https.finish(), mono_https.health);
-        // Banner symbols differ between the two interners only if the
-        // interleaving changed (http80 and https443 alternate per chunk
-        // in the stream); compare resolved strings instead.
-        let resolve = |records: &[HttpRecord], i: &Interner| -> Vec<(u32, Vec<(String, String)>)> {
-            records
-                .iter()
-                .map(|r| {
-                    (
-                        r.ip,
-                        r.headers
-                            .iter()
-                            .map(|(n, v)| {
-                                (
-                                    i.header_names.resolve(*n).to_owned(),
-                                    i.header_values.resolve(*v).to_owned(),
-                                )
-                            })
-                            .collect(),
-                    )
-                })
-                .collect()
+        let (w, t) = (world(), 30);
+        // Each run gets plans of its own, so each ledger stands alone.
+        let engine = || {
+            ScanEngine::rapid7()
+                .with_faults(Arc::new(FaultPlan::uniform_record_faults(11, 0.1)))
+                .with_transients(Arc::new(TransientPolicy::new(5, 0.1)))
         };
-        assert_eq!(
-            resolve(&http_records, &stream_interner),
-            resolve(&mono_http.records, &mono_interner)
-        );
-        assert_eq!(
-            resolve(&https_records, &stream_interner),
-            resolve(&mono_https.records, &mono_interner)
-        );
-        // Identical fault ledgers, including duplicate-IP injections.
-        let (mono_plan, stream_plan) = (
-            mono_engine.faults.as_ref().unwrap(),
-            stream_engine.faults.as_ref().unwrap(),
-        );
-        assert_eq!(mono_plan.injected_for(30), stream_plan.injected_for(30));
-        assert!(mono_plan.injected_for(30).count(FaultClass::DuplicateIp) > 0);
+        let ledger = |e: &ScanEngine| e.faults.as_ref().unwrap().injected_for(t);
+        let mono_engine = engine();
+        let mono = observe_snapshot(w, &mono_engine, t).unwrap();
+        let mut mono_records = Records::default();
+        resolve(&mono, &mut mono_records);
+        let health = |s: &Option<HttpScanSnapshot>| s.as_ref().unwrap().health.clone();
+        let mono_health = [
+            mono.cert.health.clone(),
+            health(&mono.http80),
+            health(&mono.https443),
+        ];
+        assert!(ledger(&mono_engine).count(FaultClass::DuplicateIp) > 0);
+        assert!(mono.scan_health().retries > 0, "no transient retried");
+
+        // One run in chunks of `size`, checking health and ledger: per
+        // chunk, its records and faults. With `known` (a scanned run's
+        // faults), every odd chunk is admitted instead, without records.
+        let run = |size: usize, known: Option<&[_]>| {
+            let e = engine();
+            let mut stream = ObservationStream::new(w, &e, t).unwrap();
+            let mut chunks = Vec::new();
+            for_each_chunk(w, t, size, |eps| {
+                let i = chunks.len();
+                chunks.push(match known {
+                    Some(known) if i % 2 == 1 => {
+                        stream.admit_chunk(eps, &known[i]);
+                        (None, known[i].clone())
+                    }
+                    _ => {
+                        let (obs, faults) = stream.observe_chunk(eps);
+                        let mut records = Records::default();
+                        resolve(&obs, &mut records);
+                        (Some(records), faults)
+                    }
+                });
+                true
+            });
+            assert_eq!(stream.finish(), mono_health, "chunk size {size}");
+            assert_eq!(ledger(&e), ledger(&mono_engine), "chunk size {size}");
+            chunks
+        };
+
+        let scanned = run(777, None);
+        let whole = run(usize::MAX, None);
+        assert!(scanned.len() > 2 && whole.len() == 1);
+        for chunks in [&scanned, &whole] {
+            let mut records = Records::default();
+            for (chunk, _) in chunks {
+                let (certs, [http, https]) = chunk.clone().unwrap();
+                records.0.extend(certs);
+                records.1[0].extend(http);
+                records.1[1].extend(https);
+            }
+            assert_eq!(records, mono_records, "{} chunks", chunks.len());
+        }
+        let faults: Vec<_> = scanned.iter().map(|(_, f)| f.clone()).collect();
+        for (i, (a, s)) in run(777, Some(&faults)).iter().zip(&scanned).enumerate() {
+            assert_eq!(
+                a.0.as_ref(),
+                s.0.as_ref().filter(|_| i % 2 == 0),
+                "chunk {i}"
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,26 @@ fn sharded_study_renders_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard size beyond memory is one shard of the whole snapshot: the
+/// chunk buffer grows with the endpoints instead of reserving the
+/// nominal size, and the snapshot renders as on the in-memory path.
+#[test]
+fn shard_size_beyond_memory_is_one_whole_snapshot_shard() {
+    let w = world();
+    let engine = ScanEngine::rapid7();
+    let base = StudyConfig {
+        snapshots: (30, 30),
+        ..Default::default()
+    };
+    let mono = render_study(&run_study(w, &engine, &base));
+    let dir = temp_dir("huge");
+    let config = sharded_config(&base, usize::MAX, &dir);
+    assert_eq!(mono, render_study(&run_study(w, &engine, &config)));
+    let ledger = &config.sharding.as_ref().unwrap().ledger;
+    assert_eq!((ledger.segments_built(), ledger.segments_reused()), (1, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn segment_reuse_is_byte_identical_and_skips_rebuilds() {
     let w = world();
@@ -399,11 +419,8 @@ fn shard_memory_accounting_invariants() {
     // The string model is per-record additive: shard sum reproduces the
     // monolithic figure exactly.
     let sum_string: usize = rows.iter().map(|r| r.string_model_bytes).sum();
-    let mono_string = offnet_core::corpus::string_model_bytes(
-        [obs.http80.as_ref(), obs.https443.as_ref()],
-        &mono.valids,
-        &mono.interner,
-    );
+    let mono_string =
+        offnet_core::corpus::string_model_bytes(obs.banner_records(), &mono.valids, &mono.interner);
     assert_eq!(sum_string, mono_string);
 
     // Bounded peak memory: every resident shard is strictly smaller than

@@ -153,22 +153,20 @@ pub fn memory_table(rows: &[MemoryRow]) -> String {
 
 /// Render the sharded pipeline's spill ledger (the `shard-stats`
 /// experiment): one row per segment with endpoint count, on-disk payload
-/// size, resident interned footprint, the string-model figure the shard
-/// replaces, and build/reuse provenance; a total row sums the study and a
-/// peak row states the bounded-memory high-water mark.
+/// size, resident interned footprint, and build/reuse provenance; a
+/// total row sums the study and a peak row states the bounded-memory
+/// high-water mark.
 pub fn shard_stats_table(rows: &[offnet_core::ShardStat]) -> String {
     let mut body = Vec::with_capacity(rows.len() + 2);
     let mut total_endpoints = 0usize;
     let mut total_segment = 0usize;
     let mut total_interned = 0usize;
-    let mut total_string = 0usize;
     let mut reused = 0usize;
     let mut peak = 0usize;
     for r in rows {
         total_endpoints += r.endpoints;
         total_segment += r.segment_bytes;
         total_interned += r.interned_bytes;
-        total_string += r.string_model_bytes;
         reused += usize::from(r.reused);
         peak = peak.max(r.interned_bytes);
         body.push(vec![
@@ -177,7 +175,6 @@ pub fn shard_stats_table(rows: &[offnet_core::ShardStat]) -> String {
             r.endpoints.to_string(),
             humanize_bytes(r.segment_bytes),
             humanize_bytes(r.interned_bytes),
-            humanize_bytes(r.string_model_bytes),
             if r.reused { "reused" } else { "built" }.to_owned(),
         ]);
     }
@@ -187,7 +184,6 @@ pub fn shard_stats_table(rows: &[offnet_core::ShardStat]) -> String {
         total_endpoints.to_string(),
         humanize_bytes(total_segment),
         humanize_bytes(total_interned),
-        humanize_bytes(total_string),
         format!("{reused} reused"),
     ]);
     body.push(vec![
@@ -197,7 +193,6 @@ pub fn shard_stats_table(rows: &[offnet_core::ShardStat]) -> String {
         String::new(),
         humanize_bytes(peak),
         String::new(),
-        String::new(),
     ]);
     crate::render::table(
         &[
@@ -206,7 +201,6 @@ pub fn shard_stats_table(rows: &[offnet_core::ShardStat]) -> String {
             "endpoints",
             "segment",
             "interned",
-            "string-model",
             "provenance",
         ],
         &body,

@@ -205,20 +205,6 @@ pub fn scan_health_table(series: &offnet_core::StudySeries) -> String {
     )
 }
 
-/// [`quality_table`] followed by the incremental mode's reuse accounting
-/// for the same snapshots. The quality rows are rendered by the unchanged
-/// [`quality_table`] so incremental runs stay diffable against full ones;
-/// only this combined view appends the extra section.
-pub fn quality_table_with_reuse(
-    series: &offnet_core::StudySeries,
-    reports: &[offnet_core::DeltaReport],
-) -> String {
-    let mut out = quality_table(series);
-    out.push('\n');
-    out.push_str(&reuse_table(reports));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

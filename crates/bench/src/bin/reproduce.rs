@@ -18,10 +18,11 @@
 //!
 //! `--incremental` selects the incremental mode instead: snapshots are
 //! appended one at a time, each through the same per-snapshot step, with
-//! one validation cache shared across them. The rendered artifacts are
-//! byte-identical in every mode (pinned by `tests/incremental.rs` and
-//! `tests/parallel.rs`); the `quality` experiment additionally prints the
-//! per-snapshot chain-reuse accounting.
+//! one validation cache shared across them. The mode changes only speed
+//! and memory: stdout and the study logs are byte-identical in every mode
+//! (pinned by `tests/incremental.rs`, `tests/parallel.rs` and
+//! `tests/study_log.rs`), and `cache-stats` prints the chain-reuse
+//! accounting.
 //!
 //! `--fault-rate R` corrupts the study scans with every record-level fault
 //! class at rate R (seeded by `--fault-seed`, default 1); the `quality`
@@ -249,10 +250,6 @@ struct Fixtures {
     /// was given.
     artifact_dir: Option<std::path::PathBuf>,
     r7: OnceLock<StudySeries>,
-    /// Reuse accounting for the Rapid7 study; populated only
-    /// under `--incremental` (kept beside the series so rendered study
-    /// artifacts stay identical across modes).
-    r7_reports: OnceLock<Vec<offnet_core::DeltaReport>>,
     cs: OnceLock<StudySeries>,
     ctx: OnceLock<PipelineContext>,
 }
@@ -309,7 +306,6 @@ impl Fixtures {
             sharding,
             artifact_dir: cli.artifact_out.clone(),
             r7: OnceLock::new(),
-            r7_reports: OnceLock::new(),
             cs: OnceLock::new(),
             ctx: OnceLock::new(),
         }
@@ -328,12 +324,7 @@ impl Fixtures {
         }
     }
 
-    fn study(
-        &self,
-        engine: ScanEngine,
-        config: &StudyConfig,
-        label: &str,
-    ) -> (StudySeries, Vec<offnet_core::DeltaReport>) {
+    fn study(&self, engine: ScanEngine, config: &StudyConfig, label: &str) -> StudySeries {
         let engine_name = engine.id.name().to_lowercase();
         let artifact_out = self
             .artifact_dir
@@ -370,28 +361,18 @@ impl Fixtures {
         if let Some(path) = &artifact_out {
             eprintln!("[reproduce] study log {}", path.display());
         }
-        (run.series, run.reports)
+        run.series
     }
 
     fn r7(&self) -> &StudySeries {
         self.r7.get_or_init(|| {
             eprintln!("[reproduce] running Rapid7 longitudinal study (31 snapshots)...");
-            let (series, reports) = self.study(
+            self.study(
                 self.engine(ScanEngine::rapid7()),
                 &StudyConfig::default(),
                 "rapid7",
-            );
-            if self.mode == StudyMode::Incremental {
-                let _ = self.r7_reports.set(reports);
-            }
-            series
+            )
         })
-    }
-
-    /// Rapid7 reuse reports (only under `--incremental`).
-    fn r7_reports(&self) -> Option<&[offnet_core::DeltaReport]> {
-        self.r7();
-        self.r7_reports.get().map(Vec::as_slice)
     }
 
     fn cs(&self) -> &StudySeries {
@@ -405,7 +386,6 @@ impl Fixtures {
                 },
                 "censys",
             )
-            .0
         })
     }
 
@@ -567,8 +547,8 @@ fn shard_stats(fx: &Fixtures) {
 
 /// Validation-cache reuse accounting: runs the Rapid7 study through
 /// [`DeltaStudyEngine`] regardless of `--incremental`, then prints the
-/// per-snapshot quality + reuse tables and the cache's lifetime
-/// counters. Run explicitly with `reproduce cache-stats`.
+/// per-snapshot reuse table and the cache's lifetime counters. Run
+/// explicitly with `reproduce cache-stats`.
 fn cache_stats(fx: &Fixtures) {
     heading("Validation cache reuse (Rapid7 incremental study)");
     let config = StudyConfig::default();
@@ -585,10 +565,9 @@ fn cache_stats(fx: &Fixtures) {
     let (hits, misses) = driver.cache().hit_stats();
     let tracked = driver.cache().len();
     let skeletons = driver.cache().skeleton_count();
-    let study = driver.finish();
     print!(
         "{}",
-        analysis::render::quality_table_with_reuse(&study.series, &study.reports)
+        analysis::render::reuse_table(&driver.finish().reports)
     );
     println!(
         "validation cache: {hits} hits / {misses} misses ({} first sightings, {} promotions); {tracked} chains tracked, {skeletons} skeletons",
@@ -630,13 +609,7 @@ fn corpus_stats(fx: &Fixtures) {
 /// every row is all-zeros, which is itself the robustness claim.
 fn quality(fx: &Fixtures) {
     heading("Data quality: quarantine and degradation accounting (Rapid7)");
-    match fx.r7_reports() {
-        Some(reports) => print!(
-            "{}",
-            analysis::render::quality_table_with_reuse(fx.r7(), reports)
-        ),
-        None => print!("{}", analysis::render::quality_table(fx.r7())),
-    }
+    print!("{}", analysis::render::quality_table(fx.r7()));
     println!();
     print!("{}", analysis::render::scan_health_table(fx.r7()));
     if let Some(plan) = &fx.faults {

@@ -13,12 +13,13 @@
 //! The header (the codec's envelope, created once by temp + rename)
 //! holds the engine and the learned header fingerprints. A record holds
 //! the snapshot index and whether the engine covered it; for a covered
-//! snapshot also the §6.2 Netflix triple, the incremental mode's cache
-//! counters when present, and the full [`SnapshotResult`]. Its integer
-//! lists (the AS sets, the IP lists, the certificate groups and the
-//! HTTP-only IPs) are the codec's delta-varint runs, and every count is a
-//! varint; only the framing and the median lifetime's `f64` bits are
-//! fixed-width. A cell's `confirmed_ips` is stored as the positions of
+//! snapshot also the §6.2 Netflix triple and the full [`SnapshotResult`].
+//! It holds results only: which mode wrote it, and that mode's run
+//! diagnostics, leave no trace, so every mode writes the same bytes. Its
+//! integer lists (the AS sets, the IP lists, the certificate groups and
+//! the HTTP-only IPs) are the codec's delta-varint runs, and every count
+//! is a varint; only the framing and the median lifetime's `f64` bits
+//! are fixed-width. A cell's `confirmed_ips` is stored as the positions of
 //! its `candidate_ips` that §4.5 dropped, and its `confirmed_and_ases` as
 //! the positions of its `confirmed_ases` that the stricter variant
 //! dropped (the codec's subset form, which falls back to the explicit
@@ -54,8 +55,9 @@ use std::path::{Path, PathBuf};
 /// 3 replaced the whole-file columnar artifact with the append-only log;
 /// version 4 stores a record's integer lists as delta-varint runs;
 /// version 5 stores every count as a varint and the two confirmed
-/// subsets as the positions they drop.
-pub const ARTIFACT_VERSION: u32 = 5;
+/// subsets as the positions they drop; version 6 drops the incremental
+/// mode's cache counters from the record.
+pub const ARTIFACT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
@@ -139,8 +141,7 @@ impl NetflixFold {
     }
 }
 
-/// A loaded study log: everything the rendered study is a function of,
-/// plus the reuse counters the incremental mode recorded.
+/// A loaded study log: everything the rendered study is a function of.
 #[derive(Debug, Clone)]
 pub struct StudyArtifact {
     pub engine: EngineId,
@@ -151,9 +152,6 @@ pub struct StudyArtifact {
     pub snapshots: Vec<SnapshotResult>,
     pub netflix: NetflixVariants,
     pub header_fps: HeaderFingerprints,
-    /// The reuse counters of the records that carry them (the incremental
-    /// mode writes them). Never rendered into the canonical study output.
-    pub reports: Vec<DeltaReport>,
 }
 
 impl StudyArtifact {
@@ -172,7 +170,7 @@ impl StudyArtifact {
     /// Atomically write these results as a complete log (temp file +
     /// rename; parent directories are created). Gaps between snapshot
     /// indices become skip markers; the i-th snapshot carries the i-th
-    /// Netflix variant values and the report with its index, if any.
+    /// Netflix variant values.
     pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
         let mut bytes = header_bytes(self.engine, &self.header_fps, self.fingerprint);
         let mut next = None;
@@ -191,8 +189,7 @@ impl StudyArtifact {
                 nf(&self.netflix.with_expired),
                 nf(&self.netflix.with_non_tls),
             );
-            let report = self.reports.iter().find(|r| r.snapshot_idx == t).copied();
-            bytes.extend(encode_record(t, Some((snap, triple, report))));
+            bytes.extend(encode_record(t, Some((snap, triple))));
             next = Some(t + 1);
         }
         codec::write_atomic(path, &bytes)
@@ -210,10 +207,9 @@ impl StudyArtifact {
             snapshots: Vec::new(),
             netflix: NetflixVariants::default(),
             header_fps: decode_header_fps(view.header_fps, path)?,
-            reports: Vec::new(),
         };
         for body in view.records {
-            let (_, Some((result, (initial, with_expired, with_non_tls), report))) =
+            let (_, Some((result, (initial, with_expired, with_non_tls)))) =
                 decode_record(body, path)?
             else {
                 continue;
@@ -221,7 +217,6 @@ impl StudyArtifact {
             artifact.netflix.initial.push(initial);
             artifact.netflix.with_expired.push(with_expired);
             artifact.netflix.with_non_tls.push(with_non_tls);
-            artifact.reports.extend(report);
             artifact.snapshots.push(result);
         }
         Ok(artifact)
@@ -261,13 +256,12 @@ pub struct Adopted {
     pub snapshot_idx: usize,
     /// False for a snapshot the engine's corpus did not cover.
     pub processed: bool,
-    /// The reuse counters the record carries, if any.
-    pub report: Option<DeltaReport>,
 }
 
 /// The shared accumulator behind every study mode: snapshot results,
-/// the §6.2 Netflix fold, the incremental reuse reports, and the study
-/// log they are appended to, so a study cannot drift from its log.
+/// the §6.2 Netflix fold, the incremental reuse reports (kept beside the
+/// results, never logged), and the study log the results are appended
+/// to, so a study cannot drift from its log.
 #[derive(Debug, Clone)]
 pub struct ArtifactBuilder {
     engine: EngineId,
@@ -350,20 +344,18 @@ impl ArtifactBuilder {
         let mut adopted = Vec::new();
         for (t, recorded) in records {
             match recorded {
-                Some((result, _, _)) if t < *range.start() => self.fold.remember(&result),
+                Some((result, _)) if t < *range.start() => self.fold.remember(&result),
                 _ if !range.contains(&t) => {}
                 None => adopted.push(Adopted {
                     snapshot_idx: t,
                     processed: false,
-                    report: None,
                 }),
-                Some((result, netflix, report)) => {
+                Some((result, netflix)) => {
                     self.fold.adopt(netflix, &result);
                     self.snapshots.push(result);
                     adopted.push(Adopted {
                         snapshot_idx: t,
                         processed: true,
-                        report,
                     });
                 }
             }
@@ -388,8 +380,9 @@ impl ArtifactBuilder {
         triple
     }
 
-    /// The record path: push snapshot `t`'s result and reuse report, and
-    /// append its record to the log when one is open.
+    /// The record path: push snapshot `t`'s result and keep its reuse
+    /// report beside the series, and append its record (the result
+    /// alone) to the log when one is open.
     pub fn record(
         &mut self,
         t: usize,
@@ -403,7 +396,7 @@ impl ArtifactBuilder {
             return Ok(());
         };
         let result = self.snapshots.last().expect("pushed above");
-        log.append(t, &encode_record(t, Some((result, netflix, report))))
+        log.append(t, &encode_record(t, Some((result, netflix))))
     }
 
     /// Append a marker for snapshot `t`, which the engine's corpus does
@@ -413,11 +406,6 @@ impl ArtifactBuilder {
             Some(log) => log.append(t, &encode_record(t, None)),
             None => Ok(()),
         }
-    }
-
-    /// Record an adopted snapshot's reuse report.
-    pub(crate) fn push_report(&mut self, report: DeltaReport) {
-        self.reports.push(report);
     }
 
     pub fn reports(&self) -> &[DeltaReport] {
@@ -611,28 +599,19 @@ fn decode_header_fps(bytes: &[u8], path: &Path) -> Result<HeaderFingerprints, Ar
 /// The §6.2 Netflix `(initial, with_expired, with_non_tls)` triple.
 type NetflixTriple = (usize, usize, usize);
 
-/// A covered snapshot's record: its result, Netflix triple, and reuse
-/// counters when present.
-type Recorded = (SnapshotResult, NetflixTriple, Option<DeltaReport>);
+/// A covered snapshot's record: its result and Netflix triple.
+type Recorded = (SnapshotResult, NetflixTriple);
 
 /// One framed record: length, complement, body, checksum.
-fn encode_record(
-    t: usize,
-    recorded: Option<(&SnapshotResult, NetflixTriple, Option<DeltaReport>)>,
-) -> Vec<u8> {
+fn encode_record(t: usize, recorded: Option<(&SnapshotResult, NetflixTriple)>) -> Vec<u8> {
     let mut e = Enc::default();
     e.buf.resize(FRAME_HEAD, 0);
     e.usize(t);
     e.bool(recorded.is_some());
-    if let Some((result, (initial, with_expired, with_non_tls), report)) = recorded {
+    if let Some((result, (initial, with_expired, with_non_tls))) = recorded {
         e.usize(initial);
         e.usize(with_expired);
         e.usize(with_non_tls);
-        e.bool(report.is_some());
-        if let Some(r) = report {
-            e.u64(r.chains_replayed);
-            e.u64(r.chains_revalidated);
-        }
         encode_result(&mut e, result);
     }
     let len = (e.buf.len() - FRAME_HEAD) as u64;
@@ -650,12 +629,7 @@ fn decode_record(body: &[u8], path: &Path) -> Result<(usize, Option<Recorded>), 
     let t = d.usize()?;
     let recorded = if d.bool()? {
         let netflix = (d.usize()?, d.usize()?, d.usize()?);
-        let report = if d.bool()? {
-            Some(DeltaReport::new(t, d.u64()?, d.u64()?))
-        } else {
-            None
-        };
-        Some((decode_result(&mut d)?, netflix, report))
+        Some((decode_result(&mut d)?, netflix))
     } else {
         None
     };
@@ -942,9 +916,6 @@ impl ArtifactTables {
             for column in tables.netflix.iter_mut() {
                 column.push(d.u64()?);
             }
-            if d.bool()? {
-                skip_counts(&mut d, 2)?; // chains_replayed, chains_revalidated
-            }
             skip_counts(&mut d, 3)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
             skip_validation(&mut d)?;
             for _ in ALL_HGS {
@@ -1048,7 +1019,6 @@ mod tests {
                 with_expired: a.netflix.with_expired[..k].to_vec(),
                 with_non_tls: a.netflix.with_non_tls[..k].to_vec(),
             },
-            reports: a.reports[..k].to_vec(),
             ..a.clone()
         }
     }
@@ -1058,8 +1028,8 @@ mod tests {
     }
 
     /// A log exercising every codec branch: present and absent HG cells,
-    /// both subset forms, every quality map, header fingerprints, and
-    /// reuse reports, over three consecutive snapshots.
+    /// both subset forms, every quality map, and header fingerprints,
+    /// over three consecutive snapshots.
     fn dense_artifact() -> StudyArtifact {
         let mut a = SnapshotResult {
             snapshot_idx: 3,
@@ -1147,11 +1117,6 @@ mod tests {
                 with_non_tls: vec![5, 7, 4],
             },
             header_fps,
-            reports: vec![
-                DeltaReport::new(3, 0, 800),
-                DeltaReport::new(4, 700, 100),
-                DeltaReport::new(5, 750, 50),
-            ],
         }
     }
 
@@ -1171,7 +1136,6 @@ mod tests {
         );
         assert!(!loaded.snapshots[1].per_hg.contains_key(&Hg::Google));
         assert_eq!(loaded.netflix.with_non_tls, vec![5, 7, 4]);
-        assert_eq!(loaded.reports, artifact.reports);
         assert_eq!(
             loaded.header_fps.get("google").unwrap().pairs,
             vec![("server".to_owned(), "gws".to_owned())]
@@ -1320,7 +1284,6 @@ mod tests {
                 with_expired: vec![0],
                 with_non_tls: vec![0],
             },
-            reports: vec![],
             ..dense_artifact()
         };
         let whole = log_bytes(&artifact);
@@ -1363,27 +1326,27 @@ mod tests {
     /// A log the previous format wrote is refused by every reader, typed,
     /// and left as it is.
     #[test]
-    fn a_v4_log_is_a_version_mismatch_for_every_reader() {
+    fn a_v5_log_is_a_version_mismatch_for_every_reader() {
         let artifact = dense_artifact();
         let path = temp_artifact_path();
         artifact.write(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&5u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let v4 = |r: Result<(), ArtifactError>| {
+        let v5 = |r: Result<(), ArtifactError>| {
             matches!(
                 r,
                 Err(ArtifactError::VersionMismatch {
-                    found: 4,
-                    expected: 5,
+                    found: 5,
+                    expected: 6,
                     ..
                 })
             )
         };
-        assert!(v4(StudyArtifact::load(&path).map(drop)));
-        assert!(v4(read_artifact_payload(&path).map(drop)));
-        assert!(v4(ArtifactTables::load(&path).map(drop)));
-        assert!(v4(builder_for(&artifact)
+        assert!(v5(StudyArtifact::load(&path).map(drop)));
+        assert!(v5(read_artifact_payload(&path).map(drop)));
+        assert!(v5(ArtifactTables::load(&path).map(drop)));
+        assert!(v5(builder_for(&artifact)
             .open_log(path.clone(), 3..=5)
             .map(drop)));
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
@@ -1501,9 +1464,7 @@ mod tests {
         let mut builder = builder_for(&artifact);
         builder.push_snapshot(artifact.snapshots[0].clone(), |_| Vec::new());
         let adopted = builder.open_log(path.clone(), 3..=5).unwrap();
-        let reports: Vec<DeltaReport> = adopted.iter().filter_map(|a| a.report).collect();
         assert!(adopted.iter().all(|a| a.processed));
-        assert_eq!(reports, artifact.reports);
         let (series, _) = builder.finish();
         let adopted_artifact = StudyArtifact {
             snapshots: series.snapshots,
@@ -1538,7 +1499,6 @@ mod tests {
         artifact.netflix.initial.remove(1);
         artifact.netflix.with_expired.remove(1);
         artifact.netflix.with_non_tls.remove(1);
-        artifact.reports.remove(1);
         artifact.write(&path).unwrap();
 
         let loaded = StudyArtifact::load(&path).unwrap();
@@ -1751,13 +1711,6 @@ mod tests {
                     support: self.below(200) as usize,
                 });
             }
-            let reports = if self.below(2) == 1 {
-                (0..n)
-                    .map(|t| DeltaReport::new(t, self.below(1000), self.below(1000)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
             StudyArtifact {
                 engine: EngineId::Censys,
                 fingerprint: self.next(),
@@ -1768,7 +1721,6 @@ mod tests {
                     with_non_tls: (0..n).map(|_| self.below(99) as usize).collect(),
                 },
                 header_fps,
-                reports,
             }
         }
     }

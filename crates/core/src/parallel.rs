@@ -8,7 +8,9 @@
 //! sequential loop regardless of scheduling.
 
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
@@ -77,7 +79,7 @@ fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -93,7 +95,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) fn isolate<R>(retries: usize, f: impl Fn() -> R) -> Result<R, String> {
     let mut last = String::new();
     for _ in 0..=retries {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
+        match std::panic::catch_unwind(AssertUnwindSafe(&f)) {
             Ok(r) => return Ok(r),
             Err(payload) => last = panic_message(payload.as_ref()),
         }
@@ -160,9 +162,9 @@ impl Gate {
 /// `workers` scoped threads run `work(index, item)` concurrently, and a
 /// dedicated fold thread applies `fold(index, result)` **in push order**
 /// (a reorder buffer holds early finishers). The gate bounds the number
-/// of items that have been fed but not yet folded to `depth`, so with
-/// item-sized payloads peak memory is `depth × item`, independent of the
-/// input length.
+/// of items that have been fed but not yet folded to
+/// [`pipeline_depth`]`(workers)`, so with item-sized payloads peak memory
+/// is `depth × item`, independent of the input length.
 ///
 /// Determinism: because the fold observes results in push order, any pure
 /// `work` yields a fold sequence identical to the serial
@@ -170,12 +172,13 @@ impl Gate {
 /// what runs inline (no threads at all) when `workers <= 1`.
 ///
 /// The push closure returns `false` once the pipeline has aborted (some
-/// `work` or `fold` returned an error); the feeder should stop then. The
-/// first error observed is returned; `feed`'s own error is returned only
-/// when the pipeline itself saw none.
+/// `work` or `fold` returned an error or panicked); the feeder should
+/// stop then. The first error observed is returned; `feed`'s own error is
+/// returned only when the pipeline itself saw none. A panic in `work` or
+/// `fold` is resumed on the caller once every thread has joined, at any
+/// worker count.
 pub fn bounded_pipeline<T, R, E, Feed, Work, Fold>(
     workers: usize,
-    depth: usize,
     feed: Feed,
     work: Work,
     mut fold: Fold,
@@ -211,10 +214,10 @@ where
         };
     }
 
-    let depth = depth.max(1);
-    let gate = Gate::new(depth);
+    let gate = Gate::new(pipeline_depth(workers));
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<E>> = Mutex::new(None);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let (task_tx, task_rx) = mpsc::channel::<(usize, T)>();
     let task_rx = Mutex::new(task_rx);
     let (res_tx, res_rx) = mpsc::channel::<(usize, Result<R, E>)>();
@@ -225,17 +228,33 @@ where
         let first_err = &first_err;
         let task_rx = &task_rx;
         let work = &work;
+        let first_panic = &first_panic;
+        // Stop the pipeline: the feeder returns from the gate, workers
+        // drain the queue, the fold drains the results.
+        let stop = move || {
+            abort.store(true, Ordering::Release);
+            gate.wake_all();
+        };
+        // Keep a panicking thread's payload for the caller and stop.
+        let caught = move |body: &mut dyn FnMut()| {
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(body)) {
+                first_panic.lock().get_or_insert(payload);
+                stop();
+            }
+        };
         for _ in 0..workers {
             let res_tx = res_tx.clone();
-            scope.spawn(move || loop {
-                let msg = task_rx.lock().recv();
-                let Ok((i, item)) = msg else { break };
-                if abort.load(Ordering::Acquire) {
-                    continue; // drain the queue without computing
-                }
-                if res_tx.send((i, work(i, item))).is_err() {
-                    break;
-                }
+            scope.spawn(move || {
+                caught(&mut || loop {
+                    let msg = task_rx.lock().recv();
+                    let Ok((i, item)) = msg else { break };
+                    if abort.load(Ordering::Acquire) {
+                        continue; // drain the queue without computing
+                    }
+                    if res_tx.send((i, work(i, item))).is_err() {
+                        break;
+                    }
+                })
             });
         }
         drop(res_tx); // workers hold the remaining clones
@@ -245,38 +264,36 @@ where
             let mut next = 0usize;
             let mut pending: BTreeMap<usize, R> = BTreeMap::new();
             let fail = |e: E| {
-                let mut slot = first_err.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                abort.store(true, Ordering::Release);
-                gate.wake_all();
+                first_err.lock().get_or_insert(e);
+                stop();
             };
-            for (i, r) in res_rx.iter() {
-                if abort.load(Ordering::Acquire) {
-                    continue; // drain so workers never block on send
-                }
-                match r {
-                    Err(e) => fail(e),
-                    Ok(r) => {
-                        pending.insert(i, r);
-                        // Fold every newly contiguous result, releasing
-                        // one permit per item actually retired.
-                        while let Some(r) = pending.remove(&next) {
-                            match fold(next, r) {
-                                Ok(()) => {
-                                    next += 1;
-                                    gate.release();
-                                }
-                                Err(e) => {
-                                    fail(e);
-                                    break;
+            caught(&mut || {
+                for (i, r) in res_rx.iter() {
+                    if abort.load(Ordering::Acquire) {
+                        continue; // drain so workers never block on send
+                    }
+                    match r {
+                        Err(e) => fail(e),
+                        Ok(r) => {
+                            pending.insert(i, r);
+                            // Fold every newly contiguous result, releasing
+                            // one permit per item actually retired.
+                            while let Some(r) = pending.remove(&next) {
+                                match fold(next, r) {
+                                    Ok(()) => {
+                                        next += 1;
+                                        gate.release();
+                                    }
+                                    Err(e) => {
+                                        fail(e);
+                                        break;
+                                    }
                                 }
                             }
                         }
                     }
                 }
-            }
+            })
         });
 
         let mut pushed = 0usize;
@@ -294,6 +311,9 @@ where
         feed_res
     });
 
+    if let Some(payload) = first_panic.into_inner() {
+        std::panic::resume_unwind(payload);
+    }
     match first_err.into_inner() {
         Some(e) => Err(e),
         None => feed_res,
@@ -304,6 +324,8 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     #[test]
     fn default_thread_count_is_positive() {
@@ -335,15 +357,10 @@ mod tests {
         );
     }
 
-    fn run_pipeline(
-        workers: usize,
-        depth: usize,
-        n: u64,
-    ) -> Result<Vec<(usize, u64)>, &'static str> {
+    fn run_pipeline(workers: usize, n: u64) -> Result<Vec<(usize, u64)>, &'static str> {
         let mut folded = Vec::new();
         bounded_pipeline(
             workers,
-            depth,
             |push| {
                 for i in 0..n {
                     if !push(i) {
@@ -370,26 +387,26 @@ mod tests {
     #[test]
     fn bounded_pipeline_folds_in_push_order_at_any_width() {
         let expect: Vec<(usize, u64)> = (0..200u64).map(|i| (i as usize, i * 3)).collect();
-        for (workers, depth) in [(1, 1), (2, 3), (4, 6), (8, 2)] {
+        for workers in [1, 2, 4, 8] {
             assert_eq!(
-                run_pipeline(workers, depth, 200).unwrap(),
+                run_pipeline(workers, 200).unwrap(),
                 expect,
-                "workers={workers} depth={depth}"
+                "workers={workers}"
             );
         }
     }
 
     #[test]
     fn bounded_pipeline_bounds_in_flight_items() {
-        // fed - folded can never exceed depth: sample the gauge from the
-        // workers, where every in-flight item passes through.
+        // fed - folded can never exceed the depth: sample the gauge from
+        // the workers, where every in-flight item passes through.
         let fed = AtomicUsize::new(0);
         let folded_n = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let depth = 3usize;
+        let workers = 4;
+        let depth = pipeline_depth(workers);
         bounded_pipeline::<_, _, (), _, _, _>(
-            4,
-            depth,
+            workers,
             |push| {
                 for i in 0..300u32 {
                     if !push(i) {
@@ -423,7 +440,6 @@ mod tests {
             let mut folded = 0usize;
             let res = bounded_pipeline(
                 workers,
-                2,
                 |push| {
                     for i in 0..10_000u32 {
                         if !push(i) {
@@ -451,7 +467,6 @@ mod tests {
         // Fold errors surface the same way.
         let res = bounded_pipeline(
             4,
-            4,
             |push| {
                 for i in 0..100u32 {
                     if !push(i) {
@@ -470,6 +485,56 @@ mod tests {
             },
         );
         assert_eq!(res, Err("fold failed at 7"));
+    }
+
+    /// Run a 100-item pipeline on its own thread whose `work` (or, with
+    /// `in_fold`, whose `fold`) panics at item 3. Returns the panic message
+    /// the call raised, `None` if it returned without panicking, or a
+    /// timeout error if it had not returned after 10 s.
+    fn pipeline_panic(workers: usize, in_fold: bool) -> Result<Option<String>, RecvTimeoutError> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                bounded_pipeline::<_, _, (), _, _, _>(
+                    workers,
+                    |push| {
+                        for i in 0..100u32 {
+                            if !push(i) {
+                                break;
+                            }
+                        }
+                        Ok(())
+                    },
+                    |_, item| {
+                        assert!(in_fold || item != 3, "work panicked at 3");
+                        Ok(item)
+                    },
+                    |i, _| {
+                        assert!(!in_fold || i != 3, "fold panicked at 3");
+                        Ok(())
+                    },
+                )
+            });
+            let _ = tx.send(outcome.err().map(|p| panic_message(p.as_ref())));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+    }
+
+    /// A panic in `work` or `fold` stops the pipeline and is raised on the
+    /// caller with its own payload, at any worker count — never a hang
+    /// on a permit the panicked item never returns.
+    #[test]
+    fn bounded_pipeline_raises_a_panic_on_the_caller() {
+        for workers in [1, 2] {
+            for (in_fold, message) in [(false, "work panicked at 3"), (true, "fold panicked at 3")]
+            {
+                assert_eq!(
+                    pipeline_panic(workers, in_fold),
+                    Ok(Some(message.to_owned())),
+                    "workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,10 +36,10 @@
 //! CPU-heavy about freezing a shard — §4.1 chain validation, interning,
 //! columnar encode, SHA-256, atomic persist — runs on a
 //! [`bounded_pipeline`] worker pool, and an ordered fold absorbs shard
-//! summaries strictly by shard index,
-//! so rendered output is byte-identical at any `OFFNET_THREADS`. The
-//! pipeline admits at most `depth` = [`pipeline_depth`]`(workers)` shards
-//! between feed and fold, keeping peak memory at `depth × shard`
+//! summaries strictly by shard index, so rendered output is
+//! byte-identical at any `OFFNET_THREADS`. The pipeline admits at most
+//! `depth` = [`pipeline_depth`](crate::parallel::pipeline_depth)`(workers)`
+//! shards between feed and fold, keeping peak memory at `depth × shard`
 //! ([`ShardLedger`] tracks the realized high-water mark). The consumer
 //! pass runs on the same [`bounded_pipeline`]: workers load segments, and
 //! its ordered fold merges each shard's per-HG partials in shard order
@@ -77,8 +77,8 @@ use crate::codec::{
     mix_world_engine, ArtifactError, Dec, Enc, EnvelopeIssue,
 };
 use crate::confirm::BannerQuality;
-use crate::corpus::{string_model_bytes, SnapshotCorpus};
-use crate::parallel::{bounded_pipeline, pipeline_depth};
+use crate::corpus::SnapshotCorpus;
+use crate::parallel::bounded_pipeline;
 use crate::pipeline::{
     finish_snapshot, run_hgs, standard_validate_options, CorpusTotals, HgAccum, PipelineContext,
     SnapshotResult,
@@ -107,8 +107,9 @@ use x509::Certificate;
 /// the envelope's fixed fields; version 5 stores every integer list as a
 /// delta-varint run and the snapshot totals once, in the summary; version
 /// 6 stores every count as a varint and the faults injected into the
-/// shard's chunk in the summary.
-pub const SEGMENT_VERSION: u32 = 6;
+/// shard's chunk in the summary; version 7 drops the string-model size
+/// from the summary.
+pub const SEGMENT_VERSION: u32 = 7;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"OFFNSSEG";
 
@@ -126,7 +127,8 @@ pub struct ShardingConfig {
     /// Shard-freeze / segment-consume worker count. `None` defers to the
     /// pipeline context's `threads` (i.e. `OFFNET_THREADS`); `1` runs
     /// thread-free. The produce pipeline holds at most
-    /// [`pipeline_depth`]`(workers)` shards fed but not yet folded.
+    /// [`pipeline_depth`](crate::parallel::pipeline_depth)`(workers)`
+    /// shards fed but not yet folded.
     pub workers: Option<usize>,
 }
 
@@ -160,12 +162,9 @@ pub struct ShardStat {
     pub endpoints: usize,
     /// Serialized segment payload size on disk.
     pub segment_bytes: usize,
-    /// In-memory interned corpus size of the shard while resident.
+    /// In-memory interned corpus size of the shard as built: the figure
+    /// its segment summary stores, which the resident gauge charges.
     pub interned_bytes: usize,
-    /// What the shard's records would cost under the replaced per-record
-    /// string model. Purely per-record additive, so summing it across a
-    /// snapshot's shards reproduces the monolithic corpus figure exactly.
-    pub string_model_bytes: usize,
     /// Whether the shard was loaded from a valid on-disk segment instead
     /// of being rescanned and rebuilt.
     pub reused: bool,
@@ -458,15 +457,20 @@ fn encode_shard(
 /// and body): the snapshot totals come from the summary, the tables from
 /// the body, and the constructor `SnapshotCorpus::build` ends in derives
 /// the rest. Chain verification is *not* redone — the stored valids are
-/// the §4.1 survivors.
+/// the §4.1 survivors. Also returns the built shard's interned size the
+/// summary stores, which the resident gauge charges on both passes.
 fn decode_shard(
     payload: &[u8],
     expected_idx: usize,
     ip_to_as: Arc<IpToAsMap>,
     path: &Path,
-) -> Result<SnapshotCorpus, ArtifactError> {
+) -> Result<(SnapshotCorpus, usize), ArtifactError> {
     let (summary, body) = split_segment_payload(payload, path)?;
-    let totals = decode_summary(summary, path)?.totals;
+    let ShardSummary {
+        totals,
+        interned_bytes,
+        ..
+    } = decode_summary(summary, path)?;
     let snapshot_idx = totals.snapshot_idx;
     if snapshot_idx != expected_idx {
         return Err(ArtifactError::corrupt(path, "segment snapshot mismatch"));
@@ -540,7 +544,7 @@ fn decode_shard(
         ip_to_as,
     );
     corpus.memory.segment_bytes = payload.len();
-    Ok(corpus)
+    Ok((corpus, interned_bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +565,6 @@ struct ShardSummary<'a> {
     totals: CorpusTotals,
     endpoints: usize,
     interned_bytes: usize,
-    string_model_bytes: usize,
     faults: ChunkFaults,
     hg_entries: Vec<HgSummaryEntry<'a>>,
 }
@@ -624,13 +627,10 @@ fn decode_faults(d: &mut Dec) -> Result<ChunkFaults, ArtifactError> {
 
 /// Serialize a built shard's summary section: its totals, the faults
 /// its scan injected, and every §4.2 contribution, precomputed at build
-/// time so admission never touches the corpus body. `string_model_bytes`
-/// is the shard's [`string_model_bytes`] figure, which the ledger
-/// reports.
+/// time so admission never touches the corpus body.
 fn encode_summary(
     c: &SnapshotCorpus,
     endpoints: usize,
-    string_model_bytes: usize,
     faults: &ChunkFaults,
     ctx: &PipelineContext,
 ) -> Vec<u8> {
@@ -638,7 +638,6 @@ fn encode_summary(
     encode_totals(&mut e, &CorpusTotals::of(c));
     e.usize(endpoints);
     e.usize(c.memory.interned_bytes);
-    e.usize(string_model_bytes);
     encode_faults(&mut e, faults);
 
     // §4.2 contributions: shard-local on-net names and certificate
@@ -681,7 +680,6 @@ fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a
     let totals = decode_totals(&mut d)?;
     let endpoints = d.usize()?;
     let interned_bytes = d.usize()?;
-    let string_model_bytes = d.usize()?;
     let faults = decode_faults(&mut d)?;
     let n_entries = d.count(3)?;
     let mut hg_entries = Vec::with_capacity(n_entries);
@@ -704,7 +702,6 @@ fn decode_summary<'a>(bytes: &'a [u8], path: &'a Path) -> Result<ShardSummary<'a
         totals,
         endpoints,
         interned_bytes,
-        string_model_bytes,
         faults,
         hg_entries,
     })
@@ -886,10 +883,9 @@ fn produce(
                     &standard_validate_options(),
                     ctx.validation_cache.as_deref(),
                 );
+                // The figure the summary stores, as `consume` charges it.
                 let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
-                let string_model =
-                    string_model_bytes(obs.banner_records(), &corpus.valids, &corpus.interner);
-                let summary = encode_summary(&corpus, endpoints, string_model, &faults, ctx);
+                let summary = encode_summary(&corpus, endpoints, &faults, ctx);
                 let body = encode_shard(&corpus, obs.http80.as_ref(), obs.https443.as_ref());
                 let payload = frame_segment(&summary, &body);
                 write_segment(&path, fingerprint, &payload)?;
@@ -918,7 +914,6 @@ fn produce(
                 endpoints: s.endpoints,
                 segment_bytes: done.segment_bytes,
                 interned_bytes: s.interned_bytes,
-                string_model_bytes: s.string_model_bytes,
                 reused: done.reused,
             });
             acc.absorb_summary(s);
@@ -927,7 +922,7 @@ fn produce(
         Ok(())
     };
 
-    bounded_pipeline(workers, pipeline_depth(workers), feed, work, fold)?;
+    bounded_pipeline(workers, feed, work, fold)?;
 
     acc.totals.scan = streams_health.take().unwrap_or_default();
     Ok(acc)
@@ -960,8 +955,8 @@ fn consume(
     let workers = sharding.resolved_workers(ctx);
     let shard_outcomes = |(path, fingerprint): &(PathBuf, u64)| {
         let payload = read_segment(path, *fingerprint)?;
-        let corpus = decode_shard(&payload, t, world.ip_to_as(t), path)?;
-        let _resident = sharding.ledger.resident_guard(corpus.memory.interned_bytes);
+        let (corpus, interned_bytes) = decode_shard(&payload, t, world.ip_to_as(t), path)?;
+        let _resident = sharding.ledger.resident_guard(interned_bytes);
         Ok(run_hgs(&corpus, ctx, |hg| {
             let mut syms: Vec<HostSym> = produced
                 .hg_names
@@ -985,7 +980,6 @@ fn consume(
         ALL_HGS.iter().map(|_| Ok(HgAccum::default())).collect();
     bounded_pipeline(
         workers,
-        pipeline_depth(workers),
         |push| {
             for segment in &produced.segments {
                 if !push(segment) {
@@ -1030,8 +1024,7 @@ pub fn admit_segments_for_bench(
         let fingerprint = segment_fingerprint(world, engine, t, shard_size, admitted);
         let payload = read_segment(&path, fingerprint)?;
         if full_decode {
-            let corpus = decode_shard(&payload, t, world.ip_to_as(t), &path)?;
-            std::hint::black_box(&corpus);
+            std::hint::black_box(decode_shard(&payload, t, world.ip_to_as(t), &path)?);
         } else {
             std::hint::black_box(probe_summary(&payload, t, &path)?);
         }
@@ -1063,6 +1056,7 @@ pub fn process_snapshot_sharded(
 mod tests {
     use super::*;
     use crate::confirm::Port;
+    use crate::corpus::string_model_bytes;
     use hgsim::ScenarioConfig;
     use scanner::SnapshotObservations;
     use std::collections::HashSet;
@@ -1074,7 +1068,7 @@ mod tests {
         ctx: &PipelineContext,
     ) -> Vec<u8> {
         frame_segment(
-            &encode_summary(corpus, 0, 0, &ChunkFaults::default(), ctx),
+            &encode_summary(corpus, 0, &ChunkFaults::default(), ctx),
             &encode_shard(corpus, obs.http80.as_ref(), obs.https443.as_ref()),
         )
     }
@@ -1099,8 +1093,9 @@ mod tests {
         let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
         let payload = segment_payload(&corpus, &obs, &ctx);
         let path = Path::new("in-memory segment");
-        let decoded = decode_shard(&payload, t, world.ip_to_as(t), path).unwrap();
+        let (decoded, interned_bytes) = decode_shard(&payload, t, world.ip_to_as(t), path).unwrap();
         let (built, decoded) = (&corpus, &decoded);
+        assert_eq!(interned_bytes, built.memory.interned_bytes);
         assert_eq!(decoded.memory.segment_bytes, payload.len());
 
         // The totals the summary stores once come back on the corpus.
@@ -1219,14 +1214,12 @@ mod tests {
     /// allocation from an unchecked count.
     #[test]
     fn summary_decoder_survives_truncation_and_flips() {
-        let (_world, ctx, obs, corpus) = small_shard(12);
-        let string_model =
-            string_model_bytes(obs.banner_records(), &corpus.valids, &corpus.interner);
+        let (_world, ctx, _obs, corpus) = small_shard(12);
         let mut faults = ChunkFaults::default();
         faults[0].add(FaultClass::TruncatedDer, 3);
         faults[0].add(FaultClass::DuplicateIp, 1);
         faults[2].add(FaultClass::MojibakeHeader, 200);
-        let summary = encode_summary(&corpus, 24, string_model, &faults, &ctx);
+        let summary = encode_summary(&corpus, 24, &faults, &ctx);
         let payload = frame_segment(&summary, &[]);
         let path = Path::new("in-memory segment");
         let decode = |bytes: &[u8]| -> Result<usize, ArtifactError> {
@@ -1261,7 +1254,7 @@ mod tests {
         let path = Path::new("in-memory segment");
         let ip_to_as = world.ip_to_as(30);
         let decode = |bytes: &[u8]| decode_shard(bytes, 30, ip_to_as.clone(), path);
-        let decoded = decode(&payload).unwrap();
+        let (decoded, _) = decode(&payload).unwrap();
         assert!(!decoded.valids.is_empty() && !decoded.san_syms.is_empty());
 
         for cut in 0..payload.len() {

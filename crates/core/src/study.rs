@@ -15,7 +15,7 @@ use crate::errors::DataQualityReport;
 use crate::headers::{
     learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
-use crate::parallel::{bounded_pipeline, isolate, pipeline_depth};
+use crate::parallel::{bounded_pipeline, isolate};
 use crate::pipeline::{process_snapshot, PipelineContext, SnapshotResult};
 use crate::shard::{process_snapshot_sharded, ShardingConfig};
 use crate::validation_cache::ValidationCache;
@@ -28,7 +28,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How a study schedules its snapshots. Every mode renders
-/// byte-identically; they trade memory for time.
+/// byte-identically and writes the same study log bytes; they trade
+/// memory for time. In every mode a snapshot whose computation panics
+/// twice degrades to an empty placeholder instead of aborting the study.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StudyMode {
     /// One snapshot at a time with no cross-snapshot state: the smallest
@@ -36,12 +38,11 @@ pub enum StudyMode {
     #[default]
     Sequential,
     /// Snapshots fan out across `workers` threads sharing one
-    /// [`ValidationCache`]; a snapshot whose worker panics degrades to an
-    /// empty placeholder instead of aborting the study.
+    /// [`ValidationCache`].
     Parallel { workers: usize },
     /// One snapshot at a time through one shared [`ValidationCache`],
     /// whose skeleton replay is the cross-snapshot reuse; a
-    /// [`DeltaReport`] per snapshot comes back beside the series.
+    /// [`DeltaReport`] per computed snapshot comes back beside the series.
     Incremental,
 }
 
@@ -61,9 +62,10 @@ pub struct StudyConfig {
     /// pipeline ([`crate::shard`]): bounded peak memory, spilled segments,
     /// byte-identical rendered output. Shard freezing fans out over the
     /// config's `workers` (default: the context's thread count) with at
-    /// most `depth` = [`pipeline_depth`]`(workers)` shards in flight, so
-    /// peak memory stays at `depth × shard` and the output is
-    /// byte-identical at any worker count.
+    /// most `depth` =
+    /// [`pipeline_depth`](crate::parallel::pipeline_depth)`(workers)`
+    /// shards in flight, so peak memory stays at `depth × shard` and the
+    /// output is byte-identical at any worker count.
     pub sharding: Option<ShardingConfig>,
     /// When set, the study log at this path ([`crate::artifact`]): every
     /// mode appends one record per snapshot as it completes, and a
@@ -156,12 +158,14 @@ impl StudySeries {
 
 /// A study's output: the [`StudySeries`], plus per-snapshot reuse
 /// accounting ([`StudyMode::Incremental`] only; empty otherwise). The
-/// reuse counters live *beside* the series, never inside it, so every
-/// rendered study artifact stays byte-identical across modes.
+/// reuse counters live *beside* the series, never inside it or the study
+/// log, so every rendered study artifact stays byte-identical across
+/// modes.
 #[derive(Debug)]
 pub struct StudyRun {
     pub series: StudySeries,
-    /// One report per processed snapshot, aligned with `series.snapshots`.
+    /// One report per snapshot this run computed and the corpus covered,
+    /// in snapshot order; snapshots adopted from the study log have none.
     pub reports: Vec<DeltaReport>,
 }
 
@@ -315,62 +319,55 @@ pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> 
 
 /// Run the longitudinal study for `engine` over `world` in the config's
 /// [`StudyMode`], returning the series and (incremental mode only) the
-/// per-snapshot reuse reports. With `artifact_out` set, the records
-/// already in the study log there are adopted and only the rest is
-/// computed and appended; the series is byte-identical to an
+/// reuse reports of the snapshots this run computed. With `artifact_out`
+/// set, the records already in the study log there are adopted and only
+/// the rest is computed and appended; the series is byte-identical to an
 /// uninterrupted run. Study log and segment failures come back as a
 /// typed [`StudyError`].
+///
+/// Every mode runs one loop: the pending snapshots go through one
+/// [`bounded_pipeline`] (one worker, its inline case, unless the mode is
+/// [`StudyMode::Parallel`]), each one computed by the panic-isolated
+/// per-snapshot step, and the record path takes each in snapshot order
+/// as soon as its predecessors are recorded. A killed run keeps every
+/// record made so far, and a failure is raised in snapshot order after
+/// every earlier snapshot was recorded.
 pub fn try_run_study(
     world: &HgWorld,
     engine: &ScanEngine,
     config: &StudyConfig,
 ) -> Result<StudyRun, StudyError> {
     let mut driver = Driver::new(world, engine.clone(), config)?;
-    match config.mode {
-        StudyMode::Parallel { workers } => {
-            // Observe + process the pending snapshots on the workers, with
-            // per-snapshot panic isolation; the record path (the §6.2
-            // fold and the log) takes each in snapshot order as soon as
-            // its predecessors are recorded, so a killed run keeps every
-            // record made so far.
-            let Driver {
-                step,
-                recorder,
-                adopted,
-                range,
-            } = &mut driver;
-            bounded_pipeline(
-                workers,
-                pipeline_depth(workers),
-                |push| {
-                    for t in range.clone().filter(|t| !adopted.contains_key(t)) {
-                        if !push(t) {
-                            break;
-                        }
-                    }
-                    Ok(())
-                },
-                |_, t| Ok((t, isolate(1, || step.compute(t)))),
-                |_, (t, outcome)| {
-                    let result = match outcome {
-                        Ok(result) => result?,
-                        Err(message) => Some(SnapshotResult::degraded(t, message)),
-                    };
-                    recorder.record(step, t, result).map(drop)
-                },
-            )?;
-        }
-        StudyMode::Sequential | StudyMode::Incremental => {
-            for t in driver.range.clone() {
-                driver.append(t)?;
+    let workers = match config.mode {
+        StudyMode::Parallel { workers } => workers,
+        StudyMode::Sequential | StudyMode::Incremental => 1,
+    };
+    let Driver {
+        step,
+        recorder,
+        adopted,
+        range,
+    } = &mut driver;
+    bounded_pipeline(
+        workers,
+        |push| {
+            for t in range.clone().filter(|t| !adopted.contains_key(t)) {
+                if !push(t) {
+                    break;
+                }
             }
-        }
-    }
+            Ok(())
+        },
+        // The step's error waits for the fold, so that it is raised in
+        // snapshot order.
+        |_, t| Ok((t, step.run(t))),
+        |_, (t, result)| recorder.record(step, t, result?).map(drop),
+    )?;
     Ok(driver.finish())
 }
 
 /// The one study driver behind [`try_run_study`] and
-/// [`DeltaStudyEngine`]: per-snapshot computation ([`Step::compute`]) and
+/// [`DeltaStudyEngine`]: per-snapshot computation ([`Step::run`]) and
 /// the record path ([`Recorder::record`]) every mode shares.
 #[derive(Clone)]
 struct Driver<'w> {
@@ -458,19 +455,13 @@ impl<'w> Driver<'w> {
     }
 
     /// Open the study log at `path` and adopt its records for this run's
-    /// range: results, fold state and, incremental, reuse reports (zero
-    /// counters for a record another mode wrote).
+    /// range: results and fold state.
     fn open_log(&mut self, path: PathBuf) -> Result<(), StudyError> {
-        self.adopted.clear();
-        let recorder = &mut self.recorder;
-        for a in recorder.builder.open_log(path, self.range.clone())? {
-            self.adopted.insert(a.snapshot_idx, a.processed);
-            if a.processed && recorder.incremental {
-                recorder
-                    .builder
-                    .push_report(a.report.unwrap_or(DeltaReport::new(a.snapshot_idx, 0, 0)));
-            }
-        }
+        let adopted = self.recorder.builder.open_log(path, self.range.clone())?;
+        self.adopted = adopted
+            .into_iter()
+            .map(|a| (a.snapshot_idx, a.processed))
+            .collect();
         Ok(())
     }
 
@@ -480,7 +471,7 @@ impl<'w> Driver<'w> {
         if let Some(&processed) = self.adopted.get(&t) {
             return Ok(processed);
         }
-        let result = self.step.compute(t)?;
+        let result = self.step.run(t)?;
         self.recorder.record(&self.step, t, result)
     }
 
@@ -492,22 +483,35 @@ impl<'w> Driver<'w> {
 
 impl Step<'_> {
     /// The per-snapshot step every mode runs: the §4 pipeline over
-    /// snapshot `t`, in memory or sharded. `None` when the corpus misses
-    /// `t`.
-    fn compute(&self, t: usize) -> Result<Option<SnapshotResult>, StudyError> {
-        if let Some(sharding) = &self.sharding {
-            return process_snapshot_sharded(self.world, &self.engine, t, &self.ctx, sharding);
-        }
-        Ok(observe_snapshot(self.world, &self.engine, t)
-            .map(|obs| process_snapshot(&obs, &self.ctx)))
+    /// snapshot `t`, in memory or sharded, with panic isolation (see
+    /// [`isolated`]). `None` when the corpus misses `t`.
+    fn run(&self, t: usize) -> Result<Option<SnapshotResult>, StudyError> {
+        isolated(t, || {
+            if let Some(sharding) = &self.sharding {
+                return process_snapshot_sharded(self.world, &self.engine, t, &self.ctx, sharding);
+            }
+            Ok(observe_snapshot(self.world, &self.engine, t)
+                .map(|obs| process_snapshot(&obs, &self.ctx)))
+        })
     }
+}
+
+/// Run snapshot `t`'s `compute` with panic isolation: a panic is retried
+/// once, and a second one degrades the snapshot to an empty placeholder
+/// carrying the panic message instead of ending the study.
+fn isolated(
+    t: usize,
+    compute: impl Fn() -> Result<Option<SnapshotResult>, StudyError>,
+) -> Result<Option<SnapshotResult>, StudyError> {
+    isolate(1, compute).unwrap_or_else(|message| Ok(Some(SnapshotResult::degraded(t, message))))
 }
 
 impl Recorder {
     /// The record path every mode shares: the §6.2 fold, the reuse
-    /// report (incremental), and one appended log record — a skip marker
-    /// for an uncovered snapshot, keeping the log's snapshots
-    /// consecutive. Returns whether the corpus covered `t`.
+    /// report (incremental; kept beside the series, never in the log),
+    /// and one appended log record — a skip marker for an uncovered
+    /// snapshot, keeping the log's snapshots consecutive. Returns whether
+    /// the corpus covered `t`.
     fn record(
         &mut self,
         step: &Step,
@@ -597,7 +601,8 @@ impl<'w> DeltaStudyEngine<'w> {
         self.0.append(t)
     }
 
-    /// Per-snapshot reuse reports so far.
+    /// Reuse reports so far: one per covered snapshot this engine
+    /// computed, none for the snapshots it adopted.
     pub fn reports(&self) -> &[DeltaReport] {
         self.0.recorder.builder.reports()
     }
@@ -622,6 +627,7 @@ impl<'w> DeltaStudyEngine<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::pipeline_depth;
     use hgsim::ScenarioConfig;
     use std::sync::OnceLock;
 
@@ -651,43 +657,65 @@ mod tests {
         assert_eq!(sorted(usize::MAX), reference, "one whole snapshot");
     }
 
-    /// A parallel run records as it goes: when snapshot 5's segment
-    /// directory cannot be made, the run fails typed, the log holds
-    /// exactly the records of snapshots 0..=4, and no worker ran further
-    /// ahead of the record path than the pipeline depth.
+    /// Every mode records as the parallel one always did: when snapshot
+    /// 5's segment directory cannot be made, the run fails typed, the log
+    /// holds exactly the records of snapshots 0..=4, and no worker ran
+    /// further ahead of the record path than the pipeline depth (the
+    /// one-worker modes, not at all).
     #[test]
     fn parallel_mode_records_until_the_first_failure() {
         let world = HgWorld::generate(ScenarioConfig::small());
-        let dir = std::env::temp_dir().join(format!("offnet-study-par-{}", std::process::id()));
-        let spill = dir.join("spill");
-        std::fs::create_dir_all(&spill).unwrap();
-        std::fs::write(spill.join("t0005"), b"a file where a segment dir goes").unwrap();
-        let log = dir.join("study.offna");
-        let workers = 2;
-        let config = StudyConfig {
-            mode: StudyMode::Parallel { workers },
-            sharding: Some(ShardingConfig::new(400, &spill)),
-            artifact_out: Some(log.clone()),
-            ..Default::default()
-        };
-        let err = match try_run_study(&world, &ScanEngine::rapid7(), &config) {
-            Ok(_) => panic!("a study whose segment dir is a file succeeded"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
-        let recorded: Vec<usize> = crate::artifact::StudyArtifact::load(&log)
-            .unwrap()
-            .snapshots
-            .iter()
-            .map(|s| s.snapshot_idx)
-            .collect();
-        assert_eq!(recorded, (0..5).collect::<Vec<_>>());
-        for entry in std::fs::read_dir(&spill).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            let t: usize = name.trim_start_matches('t').parse().unwrap();
-            assert!(t <= 5 + pipeline_depth(workers), "{name} computed");
+        for (mode, ahead) in [
+            (StudyMode::Parallel { workers: 2 }, pipeline_depth(2)),
+            (StudyMode::Sequential, 0),
+            (StudyMode::Incremental, 0),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("offnet-study-fail-{}-{mode:?}", std::process::id()));
+            let spill = dir.join("spill");
+            std::fs::create_dir_all(&spill).unwrap();
+            std::fs::write(spill.join("t0005"), b"a file where a segment dir goes").unwrap();
+            let log = dir.join("study.offna");
+            let config = StudyConfig {
+                mode,
+                snapshots: (0, 12),
+                sharding: Some(ShardingConfig::new(400, &spill)),
+                artifact_out: Some(log.clone()),
+                ..Default::default()
+            };
+            let err = match try_run_study(&world, &ScanEngine::rapid7(), &config) {
+                Ok(_) => panic!("a study whose segment dir is a file succeeded"),
+                Err(e) => e,
+            };
+            assert!(matches!(err, ArtifactError::Io { .. }), "{mode:?}: {err}");
+            let recorded: Vec<usize> = crate::artifact::StudyArtifact::load(&log)
+                .unwrap()
+                .snapshots
+                .iter()
+                .map(|s| s.snapshot_idx)
+                .collect();
+            assert_eq!(recorded, (0..5).collect::<Vec<_>>(), "{mode:?}");
+            for entry in std::fs::read_dir(&spill).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                let t: usize = name.trim_start_matches('t').parse().unwrap();
+                assert!(t <= 5 + ahead, "{mode:?}: {name} computed");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot whose step panics on both attempts degrades to a
+    /// placeholder that carries the message, whichever mode runs it.
+    #[test]
+    fn a_panicking_snapshot_degrades_instead_of_ending_the_study() {
+        let degraded = isolated(7, || panic!("shard worker panicked"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(degraded.snapshot_idx, 7);
+        assert_eq!(
+            degraded.quality.degraded_snapshot.as_deref(),
+            Some("shard worker panicked")
+        );
     }
 
     #[test]

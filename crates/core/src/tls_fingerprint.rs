@@ -62,10 +62,6 @@ impl TlsFingerprint {
         &self.dns_syms
     }
 
-    pub fn dns_name_count(&self) -> usize {
-        self.dns_syms.len()
-    }
-
     /// String-side probe: is `name` in the on-net set? (Test/report
     /// convenience — the hot path never resolves.)
     pub fn contains_name(&self, interner: &FrozenInterner, name: &str) -> bool {

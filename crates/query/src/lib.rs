@@ -245,7 +245,6 @@ mod tests {
                 with_non_tls: vec![2, 2, 3],
             },
             header_fps: Default::default(),
-            reports: vec![],
         }
     }
 

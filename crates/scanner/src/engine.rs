@@ -125,14 +125,6 @@ impl ScanEngine {
         }
     }
 
-    pub fn by_id(id: EngineId) -> Self {
-        match id {
-            EngineId::Rapid7 => Self::rapid7(),
-            EngineId::Censys => Self::censys(),
-            EngineId::Certigo => Self::certigo(),
-        }
-    }
-
     /// Attach a deterministic fault-injection plan: every snapshot this
     /// engine scans is corrupted per the plan's per-class rates, and the
     /// plan's ledger records exactly what was injected.

@@ -21,8 +21,8 @@ pub use observe::{
     SnapshotObservations,
 };
 pub use scan::{
-    scan_certificates, scan_http_headers, CertScanRecord, CertScanSnapshot, CertScanStream,
-    HttpRecord, HttpScanSnapshot, HttpScanStream,
+    scan_certificates, scan_http_headers, CertScanRecord, CertScanSnapshot, HttpRecord,
+    HttpScanSnapshot, HttpScanStream,
 };
 pub use transient::{
     RetryConfig, ScanHealth, ScanSession, TransientClass, TransientPolicy, STREAM_CERT,

@@ -59,8 +59,8 @@ pub struct HttpScanSnapshot {
 /// Run a port-443 certificate scan: a real (simulated-wire) no-SNI TLS
 /// handshake against every reachable endpoint. IPs that refuse TLS or
 /// serve a null default certificate produce no record, exactly as in the
-/// Rapid7 corpus (§7 "SNI"). The whole snapshot is one
-/// [`CertScanStream`] chunk.
+/// Rapid7 corpus (§7 "SNI"). The whole snapshot is one chunk of the
+/// certificate scan stream.
 pub fn scan_certificates(
     eps: &EndpointSet,
     engine: &ScanEngine,
@@ -179,8 +179,8 @@ impl<'e> CertScanStream<'e> {
     }
 }
 
-/// The banner-scan counterpart of [`CertScanStream`]; [`scan_http_headers`]
-/// is its one-chunk case. `new` returns `None` when no corpus carries the
+/// The banner-scan counterpart of the certificate scan stream;
+/// [`scan_http_headers`] is its one-chunk case. `new` returns `None` when no corpus carries the
 /// scan: a port other than 80/443 (an empty `Some` would masquerade as a
 /// real scan that found nothing), an engine not yet active, or HTTPS
 /// headers not in the corpus yet.
@@ -257,7 +257,9 @@ impl<'e> HttpScanStream<'e> {
         (records, injected)
     }
 
-    /// See [`CertScanStream::admit_chunk`].
+    /// Admit a chunk's endpoints without fetching, for a chunk scanned
+    /// before: the health still counts every target, and `injected` —
+    /// what [`Self::scan_chunk`] returned for it — goes to the fault ledger.
     pub fn admit_chunk(&mut self, eps: &[Endpoint], injected: &FaultStats) {
         for ep in eps {
             self.session.admit(ep.ip, ep.true_as);

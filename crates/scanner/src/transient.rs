@@ -266,11 +266,6 @@ impl ScanHealth {
     pub fn connected(&self) -> usize {
         self.targets - self.base_lost_total() - self.gave_up_total()
     }
-
-    /// Everything the scan failed to observe, for whatever reason.
-    pub fn lost_total(&self) -> usize {
-        self.base_lost_total() + self.gave_up_total() + self.unreachable
-    }
 }
 
 #[derive(Default)]

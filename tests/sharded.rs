@@ -416,13 +416,6 @@ fn shard_memory_accounting_invariants() {
     let rows = cfg.sharding.as_ref().unwrap().ledger.rows();
     assert!(rows.len() > 3, "want several shards, got {}", rows.len());
 
-    // The string model is per-record additive: shard sum reproduces the
-    // monolithic figure exactly.
-    let sum_string: usize = rows.iter().map(|r| r.string_model_bytes).sum();
-    let mono_string =
-        offnet_core::corpus::string_model_bytes(obs.banner_records(), &mono.valids, &mono.interner);
-    assert_eq!(sum_string, mono_string);
-
     // Bounded peak memory: every resident shard is strictly smaller than
     // the monolithic interned corpus, by a margin that scales with the
     // shard count.
@@ -446,6 +439,37 @@ fn shard_memory_accounting_invariants() {
     w.for_each_endpoint(t, |_| expected_endpoints += 1);
     let total: usize = rows.iter().map(|r| r.endpoints).sum();
     assert_eq!(total, expected_endpoints);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The resident gauge charges one figure per shard, the built size its
+/// segment summary stores, whether the shard is being frozen or consumed:
+/// with one worker a shard is resident alone, so a cold run and a warm
+/// run over its segments (which only consumes) peak at the largest
+/// shard.
+#[test]
+fn warm_and_cold_runs_charge_the_same_resident_bytes() {
+    let w = world();
+    let engine = ScanEngine::rapid7();
+    let dir = temp_dir("gauge");
+    let run = || {
+        let cfg = StudyConfig {
+            snapshots: (21, 22),
+            sharding: Some(ShardingConfig::new(300, &dir).with_workers(1)),
+            ..Default::default()
+        };
+        let _ = run_study(w, &engine, &cfg);
+        cfg.sharding.unwrap().ledger
+    };
+    let cold = run();
+    let warm = run();
+    assert_eq!(cold.segments_reused(), 0);
+    assert_eq!(warm.segments_built(), 0, "the warm run rebuilt segments");
+    let peak = cold.peak_resident_interned_bytes();
+    assert!(peak > 0);
+    assert_eq!(warm.peak_resident_interned_bytes(), peak);
+    assert_eq!(cold.peak_shard_interned_bytes(), peak);
+    assert_eq!(warm.peak_shard_interned_bytes(), peak);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

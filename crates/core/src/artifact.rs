@@ -8,23 +8,33 @@
 //!          · body length u64 · body · SHA-256(every header byte before it)
 //! record   body length u64 · !body length u64 · body · SHA-256(body)
 //!          … one per snapshot, in snapshot order
+//! body     snapshot index · covered flag
+//!          [covered: Netflix triple · query prefix · the rest]
+//! query prefix   per HG in ALL_HGS order: present flag
+//!                [present: candidate_ases · confirmed_ases against them]
+//! the rest       snapshot totals · validation · each present HG's other
+//!                fields · HTTP-only IPs · quality report
 //! ```
 //!
 //! The header (the codec's envelope, created once by temp + rename)
 //! holds the engine and the learned header fingerprints. A record holds
 //! the snapshot index and whether the engine covered it; for a covered
 //! snapshot also the §6.2 Netflix triple and the full [`SnapshotResult`].
-//! It holds results only: which mode wrote it, and that mode's run
-//! diagnostics, leave no trace, so every mode writes the same bytes. Its
-//! integer lists (the AS sets, the IP lists, the certificate groups and
-//! the HTTP-only IPs) are the codec's delta-varint runs, and every count
-//! is a varint; only the framing and the median lifetime's `f64` bits
-//! are fixed-width. A cell's `confirmed_ips` is stored as the positions of
-//! its `candidate_ips` that §4.5 dropped, and its `confirmed_and_ases` as
-//! the positions of its `confirmed_ases` that the stricter variant
-//! dropped (the codec's subset form, which falls back to the explicit
-//! run). An append writes only its own record. The length's complement
-//! tells a damaged length from a record cut short.
+//! The result's query columns lead, so the query load
+//! ([`ArtifactTables::parse`]) decodes that prefix and stops; the
+//! record's checksum vouches for the rest. It holds results only: which
+//! mode wrote it, and that mode's run diagnostics, leave no trace, so
+//! every mode writes the same bytes. Its integer lists (the AS sets, the
+//! IP lists, the certificate groups and the HTTP-only IPs) are the
+//! codec's delta-varint runs, and every count is a varint; only the
+//! framing and the median lifetime's `f64` bits are fixed-width. A cell's
+//! `confirmed_ases` is stored as the positions of its `candidate_ases`
+//! that §4.5 dropped, its `confirmed_ips` likewise against its
+//! `candidate_ips`, and its `confirmed_and_ases` as the positions of its
+//! `confirmed_ases` that the stricter variant dropped (the codec's subset
+//! form, which falls back to the explicit run). An append writes only its
+//! own record. The length's complement tells a damaged length from a
+//! record cut short.
 //!
 //! The §6.2 certificate-history IP set is not stored: it is the union of
 //! the Netflix `confirmed_ips ∪ with_expired_ips` over the records.
@@ -56,8 +66,10 @@ use std::path::{Path, PathBuf};
 /// version 4 stores a record's integer lists as delta-varint runs;
 /// version 5 stores every count as a varint and the two confirmed
 /// subsets as the positions they drop; version 6 drops the incremental
-/// mode's cache counters from the record.
-pub const ARTIFACT_VERSION: u32 = 6;
+/// mode's cache counters from the record; version 7 leads each covered
+/// record with the query prefix and stores `confirmed_ases` against
+/// `candidate_ases`.
+pub const ARTIFACT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
@@ -638,33 +650,65 @@ fn decode_record(body: &[u8], path: &Path) -> Result<(usize, Option<Recorded>), 
 }
 
 fn encode_result(e: &mut Enc, r: &SnapshotResult) {
+    // `per_hg` is a HashMap: canonicalize to ALL_HGS order with a
+    // presence flag per HG. The query prefix leads.
+    let cells = ALL_HGS.map(|hg| r.per_hg.get(&hg));
+    for cell in cells {
+        encode_query_cell(e, cell);
+    }
     e.usize(r.snapshot_idx);
     e.usize(r.total_ips_with_certs);
     e.usize(r.n_ases_with_certs);
     encode_validation(e, &r.validation);
-    // `per_hg` is a HashMap: canonicalize to ALL_HGS order with a
-    // presence flag per HG.
-    for hg in ALL_HGS {
-        let cell = r.per_hg.get(&hg);
-        e.bool(cell.is_some());
-        if let Some(h) = cell {
-            encode_hg_result(e, h);
-        }
+    for h in cells.into_iter().flatten() {
+        encode_hg_result(e, h);
     }
     e.run(r.http_only_ips.iter().copied());
     encode_quality(e, &r.quality);
 }
 
+/// One cell of a record's query prefix: its presence flag, then, when
+/// present, its candidate ASes and its confirmed ASes against them.
+fn encode_query_cell(e: &mut Enc, cell: Option<&HgSnapshotResult>) {
+    e.bool(cell.is_some());
+    if let Some(h) = cell {
+        e.as_set(&h.candidate_ases);
+        e.subseq(as_values(&h.candidate_ases), as_values(&h.confirmed_ases));
+    }
+}
+
+/// Decode one [`encode_query_cell`]: its presence flag, then, when
+/// present, its candidate ASes appended to `candidate` and its confirmed
+/// ASes to `confirmed`. Returns the flag.
+fn decode_query_cell(
+    d: &mut Dec,
+    candidate: &mut Vec<u32>,
+    confirmed: &mut Vec<u32>,
+) -> Result<bool, ArtifactError> {
+    if !d.bool()? {
+        return Ok(false);
+    }
+    let start = candidate.len();
+    d.run_into(candidate)?;
+    d.subseq_into(&candidate[start..], confirmed)?;
+    Ok(true)
+}
+
 fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
+    let mut prefix = Vec::new();
+    for hg in ALL_HGS {
+        let (mut candidate, mut confirmed) = (Vec::new(), Vec::new());
+        if decode_query_cell(d, &mut candidate, &mut confirmed)? {
+            prefix.push((hg, candidate, confirmed));
+        }
+    }
     let snapshot_idx = d.usize()?;
     let total_ips_with_certs = d.usize()?;
     let n_ases_with_certs = d.usize()?;
     let validation = decode_validation(d)?;
     let mut per_hg = std::collections::HashMap::new();
-    for hg in ALL_HGS {
-        if d.bool()? {
-            per_hg.insert(hg, decode_hg_result(d)?);
-        }
+    for (hg, candidate, confirmed) in prefix {
+        per_hg.insert(hg, decode_hg_result(d, candidate, confirmed)?);
     }
     Ok(SnapshotResult {
         snapshot_idx,
@@ -677,9 +721,8 @@ fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
     })
 }
 
+/// A present cell's fields after the query prefix.
 fn encode_hg_result(e: &mut Enc, h: &HgSnapshotResult) {
-    e.as_set(&h.candidate_ases);
-    e.as_set(&h.confirmed_ases);
     e.subseq(
         as_values(&h.confirmed_ases),
         as_values(&h.confirmed_and_ases),
@@ -703,10 +746,14 @@ fn as_values(set: &BTreeSet<AsId>) -> impl Iterator<Item = u32> + Clone + '_ {
     set.iter().map(|a| a.0)
 }
 
-fn decode_hg_result(d: &mut Dec) -> Result<HgSnapshotResult, ArtifactError> {
+/// A present cell from its two query-prefix runs and the fields
+/// [`encode_hg_result`] wrote.
+fn decode_hg_result(
+    d: &mut Dec,
+    candidate_ases: Vec<u32>,
+    confirmed_ases: Vec<u32>,
+) -> Result<HgSnapshotResult, ArtifactError> {
     let as_set = |v: Vec<u32>| v.into_iter().map(AsId).collect();
-    let candidate_ases = d.run()?;
-    let confirmed_ases = d.run()?;
     let confirmed_and_ases = d.subseq(&confirmed_ases)?;
     let candidate_ips = d.run()?;
     let confirmed_ips = d.subseq(&candidate_ips)?;
@@ -815,26 +862,9 @@ fn decode_health(d: &mut Dec) -> Result<ScanHealth, ArtifactError> {
 // Query tables: the query layer's load path.
 // ---------------------------------------------------------------------------
 
-/// Step over `n` varint counts.
-fn skip_counts(d: &mut Dec, n: usize) -> Result<(), ArtifactError> {
-    for _ in 0..n {
-        d.u64()?;
-    }
-    Ok(())
-}
-
-fn skip_validation(d: &mut Dec) -> Result<(), ArtifactError> {
-    skip_counts(d, 2)?; // total_records, valid
-    for _ in 0..d.count(2)? {
-        d.u8()?; // reason tag
-        d.u64()?; // count
-    }
-    Ok(())
-}
-
 /// Integer runs laid end to end: cell `c` is
 /// `values[offsets[c]..offsets[c + 1]]`, one allocation per column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RunColumn {
     /// `cells + 1` entries, non-decreasing.
     offsets: Vec<usize>,
@@ -864,8 +894,8 @@ impl RunColumn {
 /// Exactly the columns the query layer serves: per-cell confirmed and
 /// candidate AS runs decoded into two flat columns, the processed-snapshot
 /// index column, and the §6.2 Netflix variant series. [`Self::parse`]
-/// makes one forward pass over a log's records, decodes those two runs
-/// and *skips* every other run by its byte length — no `BTreeSet` or
+/// makes one forward pass over a log's records and, in each, decodes the
+/// Netflix triple and the query prefix and stops — no `BTreeSet` or
 /// [`SnapshotResult`] construction — which is what makes a query cold
 /// start cheap (perfbench's `query` workload times it as
 /// `query.load_ms`).
@@ -873,7 +903,7 @@ impl RunColumn {
 /// Cells are snapshot-major, `row * ALL_HGS.len() + hg_position`; a cell
 /// absent from the log is empty. Each cell is ascending: it was written
 /// from a `BTreeSet`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactTables {
     engine: EngineId,
     snapshot_idxs: Vec<u32>,
@@ -893,7 +923,8 @@ impl ArtifactTables {
 
     /// One validating pass over a log's bytes: the header and every
     /// record's framing and checksum are verified (a torn tail is
-    /// `Corrupt`), and only the query columns are decoded.
+    /// `Corrupt`), and of each record only the Netflix triple and the
+    /// query prefix are decoded.
     pub fn parse(bytes: &[u8], path: &Path) -> Result<Self, ArtifactError> {
         let view = LogView::split(bytes, path, true)?;
         let cells = view.records.len() * ALL_HGS.len();
@@ -916,28 +947,17 @@ impl ArtifactTables {
             for column in tables.netflix.iter_mut() {
                 column.push(d.u64()?);
             }
-            skip_counts(&mut d, 3)?; // snapshot_idx, total_ips_with_certs, n_ases_with_certs
-            skip_validation(&mut d)?;
             for _ in ALL_HGS {
-                if d.bool()? {
-                    d.run_into(&mut tables.candidate.values)?;
-                    d.run_into(&mut tables.confirmed.values)?;
-                    d.skip_subseq()?; // confirmed_and_ases
-                    d.skip_run()?; // candidate_ips
-                    d.skip_subseq()?; // confirmed_ips
-                    d.skip_run()?; // cert_ip_groups
-                    d.u64()?; // onnet_ip_count
-                    if d.bool()? {
-                        d.take(8)?; // median_cert_lifetime_days
-                    }
-                    d.skip_run()?; // with_expired_ases
-                    d.skip_run()?; // with_expired_ips
-                }
+                decode_query_cell(
+                    &mut d,
+                    &mut tables.candidate.values,
+                    &mut tables.confirmed.values,
+                )?;
                 tables.candidate.close_cell();
                 tables.confirmed.close_cell();
             }
-            // The HTTP-only IPs and the quality report that follow are not
-            // queried; the record's checksum already vouched for them.
+            // The rest of the record is not queried; its checksum already
+            // vouched for it.
         }
         Ok(tables)
     }
@@ -1087,9 +1107,10 @@ mod tests {
         let mut c = a.clone();
         c.snapshot_idx = 5;
         c.http_only_ips = vec![9, 11];
-        // Neither confirmed column is a subsequence of its superset here:
-        // both take the explicit form.
+        // No confirmed column is a subsequence of its superset here: all
+        // three take the explicit form.
         let google = c.per_hg.get_mut(&Hg::Google).expect("Google cell");
+        google.candidate_ases = [AsId(10), AsId(30)].into_iter().collect();
         google.confirmed_ips = vec![2, 1, 7];
         google.confirmed_and_ases = [AsId(10), AsId(99)].into_iter().collect();
 
@@ -1209,18 +1230,21 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
-    /// The form tags a cell's two subset columns are written with:
-    /// `(confirmed_and_ases, confirmed_ips)`.
-    fn subset_forms(h: &HgSnapshotResult) -> (u8, u8) {
+    /// The form tags a cell's three subset columns are written with:
+    /// `(confirmed_ases, confirmed_and_ases, confirmed_ips)`.
+    fn subset_forms(h: &HgSnapshotResult) -> (u8, u8, u8) {
         let mut e = Enc::default();
+        encode_query_cell(&mut e, Some(h));
         encode_hg_result(&mut e, h);
         let mut d = Dec::new(&e.buf, Path::new("in-memory cell"));
-        d.skip_run().unwrap(); // candidate_ases
-        d.skip_run().unwrap(); // confirmed_ases
+        assert!(d.bool().unwrap());
+        d.run().unwrap(); // candidate_ases
+        let ases_form = d.u8().unwrap();
+        d.run().unwrap();
         let and_form = d.u8().unwrap();
-        d.skip_run().unwrap();
-        d.skip_run().unwrap(); // candidate_ips
-        (and_form, d.u8().unwrap())
+        d.run().unwrap();
+        d.run().unwrap(); // candidate_ips
+        (ases_form, and_form, d.u8().unwrap())
     }
 
     #[test]
@@ -1228,18 +1252,21 @@ mod tests {
         let full = dense_artifact();
         let subset = &full.snapshots[0].per_hg[&Hg::Google];
         let not_subset = &full.snapshots[2].per_hg[&Hg::Google];
-        assert_eq!(subset_forms(subset), (FORM_DROPPED, FORM_DROPPED));
-        assert_eq!(subset_forms(not_subset), (FORM_EXPLICIT, FORM_EXPLICIT));
+        let dropped = (FORM_DROPPED, FORM_DROPPED, FORM_DROPPED);
+        let explicit = (FORM_EXPLICIT, FORM_EXPLICIT, FORM_EXPLICIT);
+        assert_eq!(subset_forms(subset), dropped);
+        assert_eq!(subset_forms(not_subset), explicit);
         // A subsequence whose dropped positions would outweigh its own
         // values keeps the explicit form.
         let sparse = HgSnapshotResult {
             candidate_ips: (0..40).collect(),
             confirmed_ips: vec![7],
+            candidate_ases: (0..100).map(AsId).collect(),
             confirmed_ases: (1..40).map(AsId).collect(),
             confirmed_and_ases: [AsId(39)].into_iter().collect(),
             ..Default::default()
         };
-        assert_eq!(subset_forms(&sparse), (FORM_EXPLICIT, FORM_EXPLICIT));
+        assert_eq!(subset_forms(&sparse), explicit);
 
         let path = temp_artifact_path();
         full.write(&path).unwrap();
@@ -1249,6 +1276,7 @@ mod tests {
             assert_eq!(back.per_hg.len(), snap.per_hg.len());
             for (hg, h) in &snap.per_hg {
                 let b = &back.per_hg[hg];
+                assert_eq!(b.candidate_ases, h.candidate_ases, "{hg}");
                 assert_eq!(b.candidate_ips, h.candidate_ips, "{hg}");
                 assert_eq!(b.confirmed_ips, h.confirmed_ips, "{hg}");
                 assert_eq!(b.confirmed_ases, h.confirmed_ases, "{hg}");
@@ -1258,13 +1286,17 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
-    /// Dropped positions damaged below a valid checksum: the full decode
-    /// and resume refuse the record as `Corrupt`, never panic; the query
-    /// tables, which skip the column by its length, still load.
+    /// Dropped positions and form tags damaged below a valid checksum:
+    /// the full decode and resume refuse the record as `Corrupt`, never
+    /// panic. The query tables decode `confirmed_ases` in the query prefix
+    /// and refuse its damage too; `confirmed_ips` lies past the prefix,
+    /// so they still load.
     #[test]
     fn damaged_dropped_positions_are_corrupt_not_a_panic() {
         let candidate_ips = vec![100, 200, 300, 400, 500];
         let confirmed_ips = vec![100, 300, 500];
+        let candidate_ases = [10, 20, 30, 40, 50];
+        let confirmed_ases = [10, 30, 50];
         let mut snap = SnapshotResult {
             snapshot_idx: 3,
             ..Default::default()
@@ -1272,6 +1304,8 @@ mod tests {
         snap.per_hg.insert(
             Hg::Google,
             HgSnapshotResult {
+                candidate_ases: candidate_ases.into_iter().map(AsId).collect(),
+                confirmed_ases: confirmed_ases.into_iter().map(AsId).collect(),
                 candidate_ips: candidate_ips.clone(),
                 confirmed_ips: confirmed_ips.clone(),
                 ..Default::default()
@@ -1288,37 +1322,53 @@ mod tests {
         };
         let whole = log_bytes(&artifact);
         let body = log_bytes(&prefix(&artifact, 0)).len() + FRAME_HEAD..whole.len() - FRAME_TAIL;
-        let mut e = Enc::default();
-        e.run(candidate_ips.iter().copied());
-        e.subseq(candidate_ips.iter().copied(), confirmed_ips.iter().copied());
-        // Positions 1 and 3: the form, count 2, byte length 2, then the
-        // zigzag deltas 2 and 4.
-        assert_eq!(e.buf[e.buf.len() - 5..], [FORM_DROPPED, 2, 2, 2, 4]);
-        let at = whole
-            .windows(e.buf.len())
-            .position(|w| w == e.buf)
-            .expect("the cell's columns in the log")
-            + e.buf.len()
-            - 2;
+        // Where a column's subset form starts in the log: after its
+        // superset's run. Both take the dropped form, positions 1 and 3:
+        // the form, count 2, byte length 2, then the zigzag deltas 2 and 4.
+        let subset_at = |sup: &[u32], sub: &[u32]| {
+            let mut e = Enc::default();
+            e.run(sup.iter().copied());
+            e.subseq(sup.iter().copied(), sub.iter().copied());
+            assert_eq!(e.buf[e.buf.len() - 5..], [FORM_DROPPED, 2, 2, 2, 4]);
+            whole
+                .windows(e.buf.len())
+                .position(|w| w == e.buf)
+                .expect("the cell's columns in the log")
+                + e.buf.len()
+                - 5
+        };
+        let columns = [
+            (subset_at(&candidate_ases, &confirmed_ases), false),
+            (subset_at(&candidate_ips, &confirmed_ips), true),
+        ];
 
         let path = temp_artifact_path();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        for (deltas, why) in [
-            ([6u8, 3], "strictly ascending"), // 3, then 1
-            ([2, 0], "strictly ascending"),   // 1, then 1
-            ([2, 12], "past its superset"),   // 1, then 7
-            ([10, 0], "past its superset"),   // 5, then 5
-        ] {
-            let mut bytes = whole.clone();
-            bytes[at..at + 2].copy_from_slice(&deltas);
-            let sum = Sha256::digest(&bytes[body.clone()]);
-            bytes[body.end..].copy_from_slice(&sum);
-            std::fs::write(&path, &bytes).unwrap();
-            let corrupt = |r: Result<(), ArtifactError>| matches!(&r, Err(ArtifactError::Corrupt { detail, .. }) if detail.contains(why));
-            assert!(corrupt(StudyArtifact::load(&path).map(drop)), "{deltas:?}");
-            let resumed = builder_for(&artifact).open_log(path.clone(), 3..=3);
-            assert!(corrupt(resumed.map(drop)), "{deltas:?}");
-            assert_eq!(ArtifactTables::load(&path).unwrap().n_rows(), 1);
+        for (form_at, past_prefix) in columns {
+            for (offset, damage, why) in [
+                (3, [6u8, 3], "strictly ascending"), // 3, then 1
+                (3, [2, 0], "strictly ascending"),   // 1, then 1
+                (3, [2, 12], "past its superset"),   // 1, then 7
+                (3, [10, 0], "past its superset"),   // 5, then 5
+                (0, [7, 2], "bad subset form 7"),
+            ] {
+                let at = form_at + offset;
+                let mut bytes = whole.clone();
+                bytes[at..at + 2].copy_from_slice(&damage);
+                let sum = Sha256::digest(&bytes[body.clone()]);
+                bytes[body.end..].copy_from_slice(&sum);
+                std::fs::write(&path, &bytes).unwrap();
+                let corrupt = |r: Result<(), ArtifactError>| matches!(&r, Err(ArtifactError::Corrupt { detail, .. }) if detail.contains(why));
+                assert!(corrupt(StudyArtifact::load(&path).map(drop)), "{damage:?}");
+                let resumed = builder_for(&artifact).open_log(path.clone(), 3..=3);
+                assert!(corrupt(resumed.map(drop)), "{damage:?}");
+                let tables = ArtifactTables::load(&path);
+                if past_prefix {
+                    assert_eq!(tables.unwrap().n_rows(), 1);
+                } else {
+                    assert!(corrupt(tables.map(drop)), "{damage:?}");
+                }
+            }
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1326,27 +1376,27 @@ mod tests {
     /// A log the previous format wrote is refused by every reader, typed,
     /// and left as it is.
     #[test]
-    fn a_v5_log_is_a_version_mismatch_for_every_reader() {
+    fn a_v6_log_is_a_version_mismatch_for_every_reader() {
         let artifact = dense_artifact();
         let path = temp_artifact_path();
         artifact.write(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&5u32.to_le_bytes());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&6u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let v5 = |r: Result<(), ArtifactError>| {
+        let v6 = |r: Result<(), ArtifactError>| {
             matches!(
                 r,
                 Err(ArtifactError::VersionMismatch {
-                    found: 5,
-                    expected: 6,
+                    found: 6,
+                    expected: 7,
                     ..
                 })
             )
         };
-        assert!(v5(StudyArtifact::load(&path).map(drop)));
-        assert!(v5(read_artifact_payload(&path).map(drop)));
-        assert!(v5(ArtifactTables::load(&path).map(drop)));
-        assert!(v5(builder_for(&artifact)
+        assert!(v6(StudyArtifact::load(&path).map(drop)));
+        assert!(v6(read_artifact_payload(&path).map(drop)));
+        assert!(v6(ArtifactTables::load(&path).map(drop)));
+        assert!(v6(builder_for(&artifact)
             .open_log(path.clone(), 3..=5)
             .map(drop)));
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
@@ -1529,6 +1579,58 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// The query load reads each record's Netflix triple and query prefix
+    /// and stops; the record's checksum vouches for the rest. So a log
+    /// whose bytes past every prefix are garbage under a recomputed
+    /// checksum gives the query tables the same answers, while the full
+    /// decode and resume, which read the whole record, refuse it.
+    #[test]
+    fn query_tables_read_only_the_prefix() {
+        let artifact = dense_artifact();
+        let clean = log_bytes(&artifact);
+        let header = log_bytes(&prefix(&artifact, 0)).len();
+        let path = temp_artifact_path();
+        let want = ArtifactTables::parse(&clean, &path).unwrap();
+
+        let mut garbled = clean.clone();
+        let mut start = header;
+        while start < garbled.len() {
+            let len = u64::from_le_bytes(garbled[start..start + 8].try_into().unwrap()) as usize;
+            let body = start + FRAME_HEAD..start + FRAME_HEAD + len;
+            let prefix_len = {
+                let mut d = Dec::new(&garbled[body.clone()], &path);
+                d.u64().unwrap();
+                if d.bool().unwrap() {
+                    let _netflix = (d.u64().unwrap(), d.u64().unwrap(), d.u64().unwrap());
+                    for _ in ALL_HGS {
+                        decode_query_cell(&mut d, &mut Vec::new(), &mut Vec::new()).unwrap();
+                    }
+                }
+                d.pos
+            };
+            assert!(prefix_len < len, "every record has bytes past its prefix");
+            garbled[body.start + prefix_len..body.end].fill(0xff);
+            let sum = Sha256::digest(&garbled[body.clone()]);
+            garbled[body.end..body.end + FRAME_TAIL].copy_from_slice(&sum);
+            start = body.end + FRAME_TAIL;
+        }
+        assert_ne!(garbled, clean);
+
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &garbled).unwrap();
+        let tables = ArtifactTables::load(&path).unwrap();
+        assert_eq!(tables, want);
+        let corrupt =
+            |r: Result<(), ArtifactError>| matches!(r, Err(ArtifactError::Corrupt { .. }));
+        assert!(corrupt(StudyArtifact::load(&path).map(drop)));
+        assert!(corrupt(
+            builder_for(&artifact)
+                .open_log(path.clone(), 3..=5)
+                .map(drop)
+        ));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
     /// Cut a small dense log at every byte offset, and flip every byte:
     /// the strict readers (`StudyArtifact::load`, and
     /// `read_artifact_payload` with `ArtifactTables::parse`) return the
@@ -1652,12 +1754,14 @@ mod tests {
                 }
                 for hg in [Hg::Google, Hg::Netflix, Hg::Akamai] {
                     if hg == Hg::Netflix || self.below(2) == 1 {
-                        let confirmed_ases = self.as_set();
+                        let candidate_ases = self.as_set();
+                        let confirmed_ases: BTreeSet<AsId> =
+                            self.subset_or(candidate_ases.clone(), Self::as_set);
                         let candidate_ips = self.ips();
                         s.per_hg.insert(
                             hg,
                             HgSnapshotResult {
-                                candidate_ases: self.as_set(),
+                                candidate_ases,
                                 confirmed_and_ases: self
                                     .subset_or(confirmed_ases.clone(), Self::as_set),
                                 confirmed_ases,

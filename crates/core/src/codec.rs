@@ -21,8 +21,7 @@
 //! `count · byte length · values`, all LEB128, each value the zigzag delta
 //! from the one before (the first from 0). Its count is checked against
 //! its byte length, a varint is at most 10 bytes, the values must fill the
-//! byte length exactly and stay in `u32`, and a reader that does not need
-//! a run skips it by its byte length.
+//! byte length exactly and stay in `u32`.
 //!
 //! A list that is usually a **subsequence** of one stored before it (§4.5
 //! confirms only §4.3 candidates) is a one-byte form tag and one run
@@ -543,8 +542,17 @@ impl<'a> Dec<'a> {
     /// be strictly ascending and inside `sup`.
     pub(crate) fn subseq(&mut self, sup: &[u32]) -> Result<Vec<u32>, ArtifactError> {
         let mut out = Vec::new();
+        self.subseq_into(sup, &mut out)?;
+        Ok(out)
+    }
+    /// Decode one [`Enc::subseq`] against `sup` onto the end of `out`.
+    pub(crate) fn subseq_into(
+        &mut self,
+        sup: &[u32],
+        out: &mut Vec<u32>,
+    ) -> Result<(), ArtifactError> {
         match self.u8()? {
-            FORM_EXPLICIT => self.run_into(&mut out)?,
+            FORM_EXPLICIT => self.run_into(out),
             FORM_DROPPED => {
                 let (n, bytes) = self.run_head()?;
                 out.reserve(sup.len().saturating_sub(n));
@@ -563,23 +571,10 @@ impl<'a> Dec<'a> {
                 })
                 .map_err(|e| self.corrupt(e))?;
                 out.extend_from_slice(&sup[next..]);
+                Ok(())
             }
-            tag => return Err(self.corrupt(format!("bad subset form {tag}"))),
-        }
-        Ok(out)
-    }
-    /// Skip one [`Enc::subseq`] by its form tag and byte length.
-    #[inline]
-    pub(crate) fn skip_subseq(&mut self) -> Result<(), ArtifactError> {
-        match self.u8()? {
-            FORM_EXPLICIT | FORM_DROPPED => self.skip_run(),
             tag => Err(self.corrupt(format!("bad subset form {tag}"))),
         }
-    }
-    /// Skip one run by its byte length.
-    #[inline]
-    pub(crate) fn skip_run(&mut self) -> Result<(), ArtifactError> {
-        self.run_head().map(drop)
     }
     pub(crate) fn run(&mut self) -> Result<Vec<u32>, ArtifactError> {
         let mut out = Vec::new();
@@ -848,10 +843,6 @@ mod tests {
             let mut e = Enc::default();
             e.run(vals.iter().copied());
             assert_eq!(run_of(&e.buf).unwrap(), vals);
-            // The byte length lets a reader step over the run.
-            let mut d = Dec::new(&e.buf, Path::new("in-memory run"));
-            d.skip_run().unwrap();
-            d.finish().unwrap();
         }
         // Count, byte length, then zigzag deltas: 100 takes two bytes,
         // each small gap after it one.
@@ -934,9 +925,6 @@ mod tests {
             e.subseq(sup.iter().copied(), sub.iter().copied());
             assert_eq!(e.buf[0], form, "{sub:?}");
             assert_eq!(subseq_of(&e.buf, &sup).unwrap(), sub);
-            let mut d = Dec::new(&e.buf, Path::new("in-memory subset"));
-            d.skip_subseq().unwrap();
-            d.finish().unwrap();
         }
         // The greedy walk drops positions 2 and 4: form, count, byte
         // length, zigzag deltas.
@@ -964,11 +952,6 @@ mod tests {
         assert!(corrupt(&[FORM_DROPPED, 2, 2, 2, 0x80], "past its bytes"));
         assert!(corrupt(&[7, 0, 0], "bad subset form 7"));
         assert!(corrupt(&[FORM_DROPPED, 1, 9, 2], "overrun"));
-        let mut d = Dec::new(&[2u8, 0, 0], Path::new("in-memory subset"));
-        assert!(matches!(
-            d.skip_subseq(),
-            Err(ArtifactError::Corrupt { .. })
-        ));
         // The explicit form is an ordinary run.
         let mut e = Enc::default();
         e.subseq(sup.iter().copied(), [u32::MAX].into_iter());

@@ -4,10 +4,11 @@
 //! A production deployment serves footprint queries — "which ASes host HG
 //! X in month Y?", "growth curve for AS Z", "coverage of population P" —
 //! to many users at interactive latency. [`FrozenStudy::load`] makes one
-//! pass over the log's records and decodes the per-HG confirmed/candidate
-//! AS runs into two flat sorted-integer columns with offset tables
-//! ([`ArtifactTables`]), so every query is an O(1) slice or an O(log n)
-//! binary search — no hashing, no allocation, no locks. `cargo bench
+//! pass over the log's records and decodes only the query prefix each
+//! record leads with (the per-HG confirmed/candidate AS runs) into two
+//! flat sorted-integer columns with offset tables ([`ArtifactTables`]).
+//! Every query is then an O(1) slice or an O(log n) binary search — no
+//! hashing, no allocation, no locks. `cargo bench
 //! --bench query` in `offnet-bench` drives the point-query path with a
 //! load generator and prints p50/p99 latency and sustained queries/sec;
 //! perfbench's `query` workload (`--workload query`) times load plus one
@@ -27,8 +28,6 @@ use timebase::Snapshot;
 #[derive(Debug, Clone)]
 pub struct FrozenStudy {
     tables: ArtifactTables,
-    /// `2013-10`-style month label per row.
-    labels: Vec<String>,
 }
 
 /// A population of users to measure coverage over: `(AS number, users)`.
@@ -40,19 +39,16 @@ impl FrozenStudy {
     ///
     /// The file is read once, then [`ArtifactTables::parse`] verifies the
     /// header and each record's checksum, once each, and makes a single
-    /// pass that decodes the confirmed/candidate runs into two flat
-    /// columns and skips the rest — no `BTreeSet`s, no `SnapshotResult`
-    /// materialization. The study keeps those columns as they are. It
-    /// answers as the full decode ([`offnet_core::StudyArtifact::load`])
-    /// of the same log does, which `tests` pin.
+    /// pass that decodes each record's query prefix (the
+    /// candidate/confirmed AS runs that lead it) into two flat columns and
+    /// stops — no `BTreeSet`s, no `SnapshotResult` materialization. The
+    /// study keeps those columns as they are. It answers as the full
+    /// decode ([`offnet_core::StudyArtifact::load`]) of the same log does,
+    /// which `tests` pin.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let tables = ArtifactTables::load(path)?;
-        let labels = tables
-            .snapshot_idxs()
-            .iter()
-            .map(|&idx| month_label(idx as usize))
-            .collect();
-        Ok(FrozenStudy { tables, labels })
+        Ok(FrozenStudy {
+            tables: ArtifactTables::load(path)?,
+        })
     }
 
     /// Body length of each record [`Self::load`] verified (skip markers
@@ -71,8 +67,8 @@ impl FrozenStudy {
     }
 
     /// Month label for a row (`2013-10` style).
-    pub fn label(&self, row: usize) -> &str {
-        &self.labels[row]
+    pub fn label(&self, row: usize) -> String {
+        month_label(self.snapshot_idx(row))
     }
 
     /// Raw snapshot index for a row.
@@ -90,7 +86,7 @@ impl FrozenStudy {
 
     /// Row for a `2013-10`-style month label.
     pub fn row_for_month(&self, label: &str) -> Option<usize> {
-        self.labels.iter().position(|l| l == label)
+        (0..self.n_rows()).find(|&row| self.label(row) == label)
     }
 
     fn cell(&self, hg: Hg, row: usize) -> usize {

@@ -858,8 +858,8 @@ fn an_append_writes_only_its_own_record() {
 /// each record boundary: every resume either renders byte-identically to
 /// an uninterrupted run (cutting the torn tail off and appending the
 /// rest) or, inside the header, fails with a typed error. A checksum flip
-/// in a complete record and a version-2 or version-3 log are typed on load
-/// and on resume alike.
+/// in a complete record and a log of any older version (2 to 6) are typed
+/// on load and on resume alike.
 #[test]
 fn torn_tails_recover_and_damage_is_typed() {
     let w = world();
@@ -927,9 +927,10 @@ fn torn_tails_recover_and_damage_is_typed() {
 
     // Logs of older versions: v2, the whole-file columnar artifact this
     // log replaced, v3, which wrote integer lists as 4-byte words, and
-    // v4, which wrote counts fixed-width and confirmed columns in full, and
-    // v5, which stored the incremental mode's cache counters in a record.
-    for version in [2, 3, 4, 5] {
+    // v4, which wrote counts fixed-width and confirmed columns in full,
+    // v5, which stored the incremental mode's cache counters in a record,
+    // and v6, whose records did not lead with the query prefix.
+    for version in [2, 3, 4, 5, 6] {
         let mut old = whole.clone();
         old[8..12].copy_from_slice(&u32::to_le_bytes(version));
         std::fs::write(&log, &old).expect("write an older version");

@@ -125,7 +125,7 @@ pub fn quality_table(series: &offnet_core::StudySeries) -> String {
     )
 }
 
-/// Render the incremental mode's per-snapshot reuse accounting: how many
+/// Render a `DeltaStudyEngine`'s per-snapshot reuse accounting: how many
 /// chains the shared validation cache replayed from a skeleton and how
 /// many it verified in full, with a study-wide total row.
 pub fn reuse_table(reports: &[offnet_core::DeltaReport]) -> String {

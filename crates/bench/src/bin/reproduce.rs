@@ -3,23 +3,20 @@
 //!
 //! Usage:
 //!   reproduce [--scale small|paper|large] [--seed N] [--csv DIR]
-//!             [--threads N] [--sequential] [--incremental]
+//!             [--threads N] [--sequential]
 //!             [--fault-rate R] [--fault-seed N] [--transient-rate R]
 //!             [--shard-size N] [--spill-dir DIR] [--artifact-out DIR]
 //!             [--no-resume] <experiment|all>
 //!
 //! With `--csv DIR`, figure series are additionally written as CSV files
-//! for external plotting. `--sequential`, `--threads N` and
-//! `--incremental` choose the study mode (the last one given wins).
-//! Studies run in the snapshot-parallel mode with a shared
-//! certificate-validation cache by default; `--threads N` pins its worker
-//! count (default: available parallelism, or `OFFNET_THREADS`) and
-//! `--sequential` selects the one-snapshot-at-a-time uncached mode.
-//!
-//! `--incremental` selects the incremental mode instead: snapshots are
-//! appended one at a time, each through the same per-snapshot step, with
-//! one validation cache shared across them. The mode changes only speed
-//! and memory: stdout and the study logs are byte-identical in every mode
+//! for external plotting. `--sequential` and `--threads N` choose the
+//! study mode (the last one given wins). Studies run in the
+//! snapshot-parallel mode with a shared certificate-validation cache by
+//! default; `--threads N` pins its worker count (default: available
+//! parallelism, or `OFFNET_THREADS`; `--threads 1` runs the snapshots in
+//! order through the cache) and `--sequential` selects the
+//! one-snapshot-at-a-time uncached mode. The mode changes only speed and
+//! memory: stdout and the study logs are byte-identical in every mode
 //! (pinned by `tests/incremental.rs`, `tests/parallel.rs` and
 //! `tests/study_log.rs`), and `cache-stats` prints the chain-reuse
 //! accounting.
@@ -73,8 +70,8 @@ use hgsim::{Hg, HgWorld, ScenarioConfig, TOP4};
 use offnet_core::candidates::CandidateOptions;
 use offnet_core::study::learn_reference_fingerprints;
 use offnet_core::{
-    default_thread_count, run_study, try_run_study, DeltaStudyEngine, PipelineContext, StudyConfig,
-    StudyMode, StudySeries,
+    default_thread_count, run_study, try_run_study, PipelineContext, StudyConfig, StudyMode,
+    StudySeries,
 };
 use scanner::ScanEngine;
 use std::collections::BTreeSet;
@@ -149,7 +146,6 @@ fn parse_args() -> Cli {
                 };
             }
             "--sequential" => mode = StudyMode::Sequential,
-            "--incremental" => mode = StudyMode::Incremental,
             "--fault-rate" => {
                 fault_rate = args
                     .next()
@@ -201,10 +197,13 @@ fn parse_args() -> Cli {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--no-resume] <experiment...|all>"
+                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--no-resume] <experiment...|all>"
                 );
                 std::process::exit(0);
             }
+            // A removed flag such as `--incremental` must not pass for an
+            // experiment name, which would be ignored.
+            other if other.starts_with("--") => panic!("unknown flag {other:?} (see --help)"),
             other => experiments.push(other.to_owned()),
         }
     }
@@ -345,11 +344,10 @@ impl Fixtures {
             }
         }
         let start = Instant::now();
-        let run = or_die(try_run_study(&self.world, &engine, config));
+        let series = or_die(try_run_study(&self.world, &engine, config));
         let mut mode = match self.mode {
             StudyMode::Sequential => "sequential".to_owned(),
             StudyMode::Parallel { workers } => format!("{workers} threads + validation cache"),
-            StudyMode::Incremental => "incremental + validation cache".to_owned(),
         };
         if let Some(s) = &self.sharding {
             mode.push_str(&format!(", sharded ({} endpoints/shard)", s.shard_size));
@@ -361,7 +359,7 @@ impl Fixtures {
         if let Some(path) = &artifact_out {
             eprintln!("[reproduce] study log {}", path.display());
         }
-        run.series
+        series
     }
 
     fn r7(&self) -> &StudySeries {
@@ -546,29 +544,26 @@ fn shard_stats(fx: &Fixtures) {
 }
 
 /// Validation-cache reuse accounting: runs the Rapid7 study through
-/// [`DeltaStudyEngine`] regardless of `--incremental`, then prints the
-/// per-snapshot reuse table and the cache's lifetime counters. Run
-/// explicitly with `reproduce cache-stats`.
+/// [`offnet_core::DeltaStudyEngine`] whatever the study mode, then
+/// prints the per-snapshot reuse table and the cache's lifetime
+/// counters. Run explicitly with `reproduce cache-stats`.
 fn cache_stats(fx: &Fixtures) {
     heading("Validation cache reuse (Rapid7 incremental study)");
-    let config = StudyConfig::default();
-    let mut driver = DeltaStudyEngine::new(&fx.world, fx.engine(ScanEngine::rapid7()), &config);
     let start = Instant::now();
-    for t in config.snapshots.0..=config.snapshots.1.min(fx.world.n_snapshots() - 1) {
-        driver.append_snapshot(t);
-    }
+    let driver = offnet_bench::append_study(
+        &fx.world,
+        &fx.engine(ScanEngine::rapid7()),
+        &StudyConfig::default(),
+    );
     eprintln!(
-        "[reproduce] cache-stats study: {:.2}s (incremental + validation cache)",
+        "[reproduce] cache-stats study: {:.2}s (appended, 1 thread + validation cache)",
         start.elapsed().as_secs_f64()
     );
     let stats = driver.cache().stats();
     let (hits, misses) = driver.cache().hit_stats();
     let tracked = driver.cache().len();
     let skeletons = driver.cache().skeleton_count();
-    print!(
-        "{}",
-        analysis::render::reuse_table(&driver.finish().reports)
-    );
+    print!("{}", analysis::render::reuse_table(driver.reports()));
     println!(
         "validation cache: {hits} hits / {misses} misses ({} first sightings, {} promotions); {tracked} chains tracked, {skeletons} skeletons",
         stats.first_sightings, stats.promotions

@@ -4,7 +4,7 @@
 
 use hgsim::{HgWorld, ScenarioConfig};
 use offnet_core::study::learn_reference_fingerprints;
-use offnet_core::{run_study, PipelineContext, StudyConfig, StudySeries};
+use offnet_core::{run_study, DeltaStudyEngine, PipelineContext, StudyConfig, StudySeries};
 use scanner::ScanEngine;
 use std::sync::OnceLock;
 
@@ -26,13 +26,27 @@ pub fn small_study() -> &'static StudySeries {
     })
 }
 
+/// A [`DeltaStudyEngine`] over `config` that appended every snapshot of
+/// its range, in order: the snapshot-at-a-time form of [`run_study`].
+pub fn append_study<'w>(
+    world: &'w HgWorld,
+    engine: &ScanEngine,
+    config: &StudyConfig,
+) -> DeltaStudyEngine<'w> {
+    let mut driver = DeltaStudyEngine::new(world, engine.clone(), config);
+    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
+        driver.append_snapshot(t);
+    }
+    driver
+}
+
 /// Render everything a study produces into one deterministic string:
 /// per-snapshot scalars, sorted validation stats, every per-HG result in
 /// `ALL_HGS` order, the Netflix restoration series, the learned header
 /// fingerprints, and the study-wide quality table. The equivalence tests
 /// (`tests/incremental.rs`, `tests/transient.rs`, `tests/study_log.rs`)
 /// all pin byte-identity through this one renderer, so any divergence
-/// between study modes — full vs incremental, clean vs zero-rate transients,
+/// between study modes — full vs appended, clean vs zero-rate transients,
 /// uninterrupted vs killed-and-resumed — must surface here.
 pub fn render_study(series: &StudySeries) -> String {
     use std::fmt::Write as _;

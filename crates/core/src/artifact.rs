@@ -19,7 +19,8 @@
 //! The header (the codec's envelope, created once by temp + rename)
 //! holds the engine and the learned header fingerprints. A record holds
 //! the snapshot index and whether the engine covered it; for a covered
-//! snapshot also the §6.2 Netflix triple and the full [`SnapshotResult`].
+//! snapshot also the §6.2 Netflix triple and the full [`SnapshotResult`],
+//! whose `snapshot_idx` is the record's index and is not stored again.
 //! The result's query columns lead, so the query load
 //! ([`ArtifactTables::parse`]) decodes that prefix and stops; the
 //! record's checksum vouches for the rest. It holds results only: which
@@ -68,8 +69,9 @@ use std::path::{Path, PathBuf};
 /// subsets as the positions they drop; version 6 drops the incremental
 /// mode's cache counters from the record; version 7 leads each covered
 /// record with the query prefix and stores `confirmed_ases` against
-/// `candidate_ases`.
-pub const ARTIFACT_VERSION: u32 = 7;
+/// `candidate_ases`; version 8 stores a record's snapshot index once, as
+/// its leading field.
+pub const ARTIFACT_VERSION: u32 = 8;
 
 const MAGIC: &[u8; 8] = b"OFFNARTF";
 
@@ -271,7 +273,8 @@ pub struct Adopted {
 }
 
 /// The shared accumulator behind every study mode: snapshot results,
-/// the §6.2 Netflix fold, the incremental reuse reports (kept beside the
+/// the §6.2 Netflix fold, the reuse reports of a
+/// [`DeltaStudyEngine`](crate::DeltaStudyEngine) (kept beside the
 /// results, never logged), and the study log the results are appended
 /// to, so a study cannot drift from its log.
 #[derive(Debug, Clone)]
@@ -425,7 +428,8 @@ impl ArtifactBuilder {
     }
 
     /// Consume the builder into the series every mode returns, plus the
-    /// incremental reuse reports (empty for the other modes).
+    /// reuse reports recorded with it (empty unless a
+    /// [`DeltaStudyEngine`](crate::DeltaStudyEngine) recorded).
     pub fn finish(self) -> (StudySeries, Vec<DeltaReport>) {
         (
             StudySeries {
@@ -621,6 +625,10 @@ fn encode_record(t: usize, recorded: Option<(&SnapshotResult, NetflixTriple)>) -
     e.usize(t);
     e.bool(recorded.is_some());
     if let Some((result, (initial, with_expired, with_non_tls))) = recorded {
+        debug_assert_eq!(
+            result.snapshot_idx, t,
+            "a result logged under another index"
+        );
         e.usize(initial);
         e.usize(with_expired);
         e.usize(with_non_tls);
@@ -641,7 +649,7 @@ fn decode_record(body: &[u8], path: &Path) -> Result<(usize, Option<Recorded>), 
     let t = d.usize()?;
     let recorded = if d.bool()? {
         let netflix = (d.usize()?, d.usize()?, d.usize()?);
-        Some((decode_result(&mut d)?, netflix))
+        Some((decode_result(&mut d, t)?, netflix))
     } else {
         None
     };
@@ -656,7 +664,6 @@ fn encode_result(e: &mut Enc, r: &SnapshotResult) {
     for cell in cells {
         encode_query_cell(e, cell);
     }
-    e.usize(r.snapshot_idx);
     e.usize(r.total_ips_with_certs);
     e.usize(r.n_ases_with_certs);
     encode_validation(e, &r.validation);
@@ -694,7 +701,9 @@ fn decode_query_cell(
     Ok(true)
 }
 
-fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
+/// Decode one [`encode_result`] of snapshot `snapshot_idx`, which the
+/// record leads with.
+fn decode_result(d: &mut Dec, snapshot_idx: usize) -> Result<SnapshotResult, ArtifactError> {
     let mut prefix = Vec::new();
     for hg in ALL_HGS {
         let (mut candidate, mut confirmed) = (Vec::new(), Vec::new());
@@ -702,7 +711,6 @@ fn decode_result(d: &mut Dec) -> Result<SnapshotResult, ArtifactError> {
             prefix.push((hg, candidate, confirmed));
         }
     }
-    let snapshot_idx = d.usize()?;
     let total_ips_with_certs = d.usize()?;
     let n_ases_with_certs = d.usize()?;
     let validation = decode_validation(d)?;
@@ -1376,27 +1384,27 @@ mod tests {
     /// A log the previous format wrote is refused by every reader, typed,
     /// and left as it is.
     #[test]
-    fn a_v6_log_is_a_version_mismatch_for_every_reader() {
+    fn a_v7_log_is_a_version_mismatch_for_every_reader() {
         let artifact = dense_artifact();
         let path = temp_artifact_path();
         artifact.write(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&6u32.to_le_bytes());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&7u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let v6 = |r: Result<(), ArtifactError>| {
+        let v7 = |r: Result<(), ArtifactError>| {
             matches!(
                 r,
                 Err(ArtifactError::VersionMismatch {
-                    found: 6,
-                    expected: 7,
+                    found: 7,
+                    expected: 8,
                     ..
                 })
             )
         };
-        assert!(v6(StudyArtifact::load(&path).map(drop)));
-        assert!(v6(read_artifact_payload(&path).map(drop)));
-        assert!(v6(ArtifactTables::load(&path).map(drop)));
-        assert!(v6(builder_for(&artifact)
+        assert!(v7(StudyArtifact::load(&path).map(drop)));
+        assert!(v7(read_artifact_payload(&path).map(drop)));
+        assert!(v7(ArtifactTables::load(&path).map(drop)));
+        assert!(v7(builder_for(&artifact)
             .open_log(path.clone(), 3..=5)
             .map(drop)));
         assert_eq!(std::fs::read(&path).unwrap(), bytes);

@@ -19,9 +19,11 @@
 //! corpus, or [`shard`]'s spilled segments — and [`study`] runs a full
 //! longitudinal series (including the Netflix restoration analyses of
 //! §6.2) against a simulated world: one driver, whose [`StudyMode`]
-//! (sequential, parallel, or incremental), sharding, and study log
-//! ([`artifact`]) are independent options on [`StudyConfig`]. `codec`
-//! is the one on-disk codec the study log and [`shard`]'s segments share.
+//! (sequential, or parallel over a shared validation cache), sharding,
+//! and study log ([`artifact`]) are independent options on
+//! [`StudyConfig`]; [`DeltaStudyEngine`] appends one snapshot at a time
+//! through the same driver. `codec` is the one on-disk codec the study
+//! log and [`shard`]'s segments share.
 //!
 //! ```no_run
 //! use hgsim::{Hg, HgWorld, ScenarioConfig};
@@ -80,7 +82,7 @@ pub use shard::{
 };
 pub use study::{
     run_study, try_run_study, DeltaReport, DeltaStudyEngine, NetflixVariants, StudyConfig,
-    StudyError, StudyMode, StudyRun, StudySeries,
+    StudyError, StudyMode, StudySeries,
 };
 pub use tls_fingerprint::{learn_tls_fingerprints, TlsFingerprint};
 pub use validate::{validate_records, InvalidReason, ValidatedCert, ValidationStats};

@@ -7,8 +7,8 @@
 //! fingerprints against that frozen interner once, then runs the 23 HG
 //! stages in sequence, each isolated, over the shared read-only tables.
 //! Parallelism lives a level up: across snapshots
-//! ([`StudyMode::Parallel`](crate::StudyMode)) and across shards
-//! ([`crate::shard`]).
+//! ([`StudyMode::Parallel`](crate::StudyMode::Parallel)) and across
+//! shards ([`crate::shard`]).
 
 use crate::candidates::{find_candidates, CandidateOptions, CandidateSet};
 use crate::confirm::{confirm_candidates, BannerQuality, CompiledFingerprints, ConfirmMode};

@@ -27,9 +27,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// How a study schedules its snapshots. Every mode renders
-/// byte-identically and writes the same study log bytes; they trade
-/// memory for time. In every mode a snapshot whose computation panics
+/// How a study schedules its snapshots. Both modes render
+/// byte-identically and write the same study log bytes; they trade
+/// memory for time. In either mode a snapshot whose computation panics
 /// twice degrades to an empty placeholder instead of aborting the study.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StudyMode {
@@ -38,12 +38,10 @@ pub enum StudyMode {
     #[default]
     Sequential,
     /// Snapshots fan out across `workers` threads sharing one
-    /// [`ValidationCache`].
+    /// [`ValidationCache`], whose skeleton replay is the cross-snapshot
+    /// reuse. With one worker the snapshots run in order and the shard
+    /// pool keeps its own width.
     Parallel { workers: usize },
-    /// One snapshot at a time through one shared [`ValidationCache`],
-    /// whose skeleton replay is the cross-snapshot reuse; a
-    /// [`DeltaReport`] per computed snapshot comes back beside the series.
-    Incremental,
 }
 
 /// Study parameters.
@@ -156,23 +154,11 @@ impl StudySeries {
     }
 }
 
-/// A study's output: the [`StudySeries`], plus per-snapshot reuse
-/// accounting ([`StudyMode::Incremental`] only; empty otherwise). The
-/// reuse counters live *beside* the series, never inside it or the study
-/// log, so every rendered study artifact stays byte-identical across
-/// modes.
-#[derive(Debug)]
-pub struct StudyRun {
-    pub series: StudySeries,
-    /// One report per snapshot this run computed and the corpus covered,
-    /// in snapshot order; snapshots adopted from the study log have none.
-    pub reports: Vec<DeltaReport>,
-}
-
-/// One incremental snapshot's reuse accounting: its §4.1 work split
-/// from the shared [`ValidationCache`]. Every snapshot runs every HG's
-/// §4.2–§4.5 stages, so the cache's skeleton replay is the only
-/// cross-snapshot reuse.
+/// One [`DeltaStudyEngine`] append's reuse accounting: its §4.1 work
+/// split from the shared [`ValidationCache`]. Every snapshot runs every
+/// HG's §4.2–§4.5 stages, so the cache's skeleton replay is the only
+/// cross-snapshot reuse. Reports live *beside* the series, never inside
+/// it or the study log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaReport {
     pub snapshot_idx: usize,
@@ -312,39 +298,35 @@ fn learn_reference_fingerprints_chunked(
 /// Infallible form of [`try_run_study`], for configurations that touch no
 /// disk; panics on a study log or segment failure.
 pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudySeries {
-    try_run_study(world, engine, config)
-        .expect("study failed")
-        .series
+    try_run_study(world, engine, config).expect("study failed")
 }
 
 /// Run the longitudinal study for `engine` over `world` in the config's
-/// [`StudyMode`], returning the series and (incremental mode only) the
-/// reuse reports of the snapshots this run computed. With `artifact_out`
-/// set, the records already in the study log there are adopted and only
-/// the rest is computed and appended; the series is byte-identical to an
-/// uninterrupted run. Study log and segment failures come back as a
-/// typed [`StudyError`].
+/// [`StudyMode`]. With `artifact_out` set, the records already in the
+/// study log there are adopted and only the rest is computed and
+/// appended; the series is byte-identical to an uninterrupted run. Study
+/// log and segment failures come back as a typed [`StudyError`].
 ///
-/// Every mode runs one loop: the pending snapshots go through one
+/// Both modes run one loop: the pending snapshots go through one
 /// [`bounded_pipeline`] (one worker, its inline case, unless the mode is
-/// [`StudyMode::Parallel`]), each one computed by the panic-isolated
-/// per-snapshot step, and the record path takes each in snapshot order
-/// as soon as its predecessors are recorded. A killed run keeps every
-/// record made so far, and a failure is raised in snapshot order after
-/// every earlier snapshot was recorded.
+/// [`StudyMode::Parallel`] with more), each one computed by the
+/// panic-isolated per-snapshot step, and the record path takes each in
+/// snapshot order as soon as its predecessors are recorded. A killed run
+/// keeps every record made so far, and a failure is raised in snapshot
+/// order after every earlier snapshot was recorded.
 pub fn try_run_study(
     world: &HgWorld,
     engine: &ScanEngine,
     config: &StudyConfig,
-) -> Result<StudyRun, StudyError> {
+) -> Result<StudySeries, StudyError> {
     let mut driver = Driver::new(world, engine.clone(), config)?;
     let workers = match config.mode {
         StudyMode::Parallel { workers } => workers,
-        StudyMode::Sequential | StudyMode::Incremental => 1,
+        StudyMode::Sequential => 1,
     };
     let Driver {
         step,
-        recorder,
+        builder,
         adopted,
         range,
     } = &mut driver;
@@ -361,18 +343,19 @@ pub fn try_run_study(
         // The step's error waits for the fold, so that it is raised in
         // snapshot order.
         |_, t| Ok((t, step.run(t))),
-        |_, (t, result)| recorder.record(step, t, result?).map(drop),
+        |_, (t, result)| step.record(builder, t, result?, None).map(drop),
     )?;
     Ok(driver.finish())
 }
 
 /// The one study driver behind [`try_run_study`] and
 /// [`DeltaStudyEngine`]: per-snapshot computation ([`Step::run`]) and
-/// the record path ([`Recorder::record`]) every mode shares.
+/// the record path ([`Step::record`]) both modes share.
 #[derive(Clone)]
 struct Driver<'w> {
     step: Step<'w>,
-    recorder: Recorder,
+    /// Results, fold state, reuse reports, and the open study log.
+    builder: ArtifactBuilder,
     /// Snapshots adopted from the study log, with whether each was
     /// processed; never recomputed.
     adopted: BTreeMap<usize, bool>,
@@ -384,21 +367,10 @@ struct Driver<'w> {
 struct Step<'w> {
     world: &'w HgWorld,
     engine: ScanEngine,
-    /// The per-snapshot context (a one-worker shard pool under `Parallel`,
-    /// whose workers are the snapshots).
+    /// The per-snapshot context (a one-worker shard pool under a
+    /// several-worker `Parallel`, whose workers are the snapshots).
     ctx: PipelineContext,
     sharding: Option<ShardingConfig>,
-}
-
-/// The record path's state, written in snapshot order.
-#[derive(Clone)]
-struct Recorder {
-    incremental: bool,
-    /// Results, fold state, reuse reports, and the open study log.
-    builder: ArtifactBuilder,
-    /// Cache (hits, misses) after the previous snapshot, so each reuse
-    /// report carries per-snapshot deltas.
-    cache_mark: (u64, u64),
 }
 
 impl<'w> Driver<'w> {
@@ -416,34 +388,24 @@ impl<'w> Driver<'w> {
         );
         ctx.candidate_options = config.candidate_options.clone();
         ctx.confirm_mode = config.confirm_mode;
-        match config.mode {
-            StudyMode::Sequential => {}
-            StudyMode::Parallel { .. } => {
-                ctx = ctx
-                    .with_threads(1)
-                    .with_validation_cache(Arc::new(ValidationCache::new()));
+        if let StudyMode::Parallel { workers } = config.mode {
+            if workers > 1 {
+                ctx = ctx.with_threads(1);
             }
-            StudyMode::Incremental => {
-                ctx = ctx.with_validation_cache(Arc::new(ValidationCache::new()));
-            }
+            ctx = ctx.with_validation_cache(Arc::new(ValidationCache::new()));
         }
 
-        let builder = ArtifactBuilder::new(
-            engine.id,
-            header_fps,
-            artifact_fingerprint(world, &engine, config),
-        );
         let mut driver = Self {
+            builder: ArtifactBuilder::new(
+                engine.id,
+                header_fps,
+                artifact_fingerprint(world, &engine, config),
+            ),
             step: Step {
                 world,
                 engine,
                 ctx,
                 sharding: config.sharding.clone(),
-            },
-            recorder: Recorder {
-                incremental: config.mode == StudyMode::Incremental,
-                builder,
-                cache_mark: (0, 0),
             },
             adopted: BTreeMap::new(),
             range: config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1),
@@ -457,7 +419,7 @@ impl<'w> Driver<'w> {
     /// Open the study log at `path` and adopt its records for this run's
     /// range: results and fold state.
     fn open_log(&mut self, path: PathBuf) -> Result<(), StudyError> {
-        let adopted = self.recorder.builder.open_log(path, self.range.clone())?;
+        let adopted = self.builder.open_log(path, self.range.clone())?;
         self.adopted = adopted
             .into_iter()
             .map(|a| (a.snapshot_idx, a.processed))
@@ -465,19 +427,8 @@ impl<'w> Driver<'w> {
         Ok(())
     }
 
-    /// Compute and record snapshot `t` unless it was adopted; whether the
-    /// engine's corpus covered it.
-    fn append(&mut self, t: usize) -> Result<bool, StudyError> {
-        if let Some(&processed) = self.adopted.get(&t) {
-            return Ok(processed);
-        }
-        let result = self.step.run(t)?;
-        self.recorder.record(&self.step, t, result)
-    }
-
-    fn finish(self) -> StudyRun {
-        let (series, reports) = self.recorder.builder.finish();
-        StudyRun { series, reports }
+    fn finish(self) -> StudySeries {
+        self.builder.finish().0
     }
 }
 
@@ -494,6 +445,27 @@ impl Step<'_> {
                 .map(|obs| process_snapshot(&obs, &self.ctx)))
         })
     }
+
+    /// The record path both modes share: the §6.2 fold, the reuse
+    /// report (kept beside the series, never in the log), and one
+    /// appended log record — a skip marker for an uncovered snapshot,
+    /// keeping the log's snapshots consecutive. Returns whether the
+    /// corpus covered `t`.
+    fn record(
+        &self,
+        builder: &mut ArtifactBuilder,
+        t: usize,
+        result: Option<SnapshotResult>,
+        report: Option<DeltaReport>,
+    ) -> Result<bool, StudyError> {
+        let Some(result) = result else {
+            builder.record_skip(t)?;
+            return Ok(false);
+        };
+        let ip_to_as = self.world.ip_to_as(t);
+        builder.record(t, result, report, |ip| ip_to_as.lookup(ip).to_vec())?;
+        Ok(true)
+    }
 }
 
 /// Run snapshot `t`'s `compute` with panic isolation: a panic is retried
@@ -506,44 +478,12 @@ fn isolated(
     isolate(1, compute).unwrap_or_else(|message| Ok(Some(SnapshotResult::degraded(t, message))))
 }
 
-impl Recorder {
-    /// The record path every mode shares: the §6.2 fold, the reuse
-    /// report (incremental; kept beside the series, never in the log),
-    /// and one appended log record — a skip marker for an uncovered
-    /// snapshot, keeping the log's snapshots consecutive. Returns whether
-    /// the corpus covered `t`.
-    fn record(
-        &mut self,
-        step: &Step,
-        t: usize,
-        result: Option<SnapshotResult>,
-    ) -> Result<bool, StudyError> {
-        let Some(result) = result else {
-            self.builder.record_skip(t)?;
-            return Ok(false);
-        };
-        let report = match &step.ctx.validation_cache {
-            Some(cache) if self.incremental => {
-                let (hits, misses) = cache.hit_stats();
-                let (replayed, revalidated) =
-                    (hits - self.cache_mark.0, misses - self.cache_mark.1);
-                self.cache_mark = (hits, misses);
-                Some(DeltaReport::new(t, replayed, revalidated))
-            }
-            _ => None,
-        };
-        let ip_to_as = step.world.ip_to_as(t);
-        self.builder
-            .record(t, result, report, |ip| ip_to_as.lookup(ip).to_vec())?;
-        Ok(true)
-    }
-}
-
-/// The snapshot-at-a-time form of [`StudyMode::Incremental`]: each
-/// append observes one snapshot, runs the per-snapshot step every mode
-/// runs, folds the result in, and appends its record to the study log
-/// when one is open. The shared [`ValidationCache`] carries verdicts from
-/// one append to the next. The config's `mode` is ignored; everything
+/// The snapshot-at-a-time form of `StudyMode::Parallel { workers: 1 }`:
+/// each append observes one snapshot, runs the per-snapshot step both
+/// modes run, folds the result in, and appends its record to the study
+/// log when one is open. The shared [`ValidationCache`] carries verdicts
+/// from one append to the next, and each computed covered snapshot
+/// leaves a [`DeltaReport`]. The config's `mode` is ignored; everything
 /// else applies as in [`try_run_study`].
 #[derive(Clone)]
 pub struct DeltaStudyEngine<'w>(Driver<'w>);
@@ -563,7 +503,7 @@ impl<'w> DeltaStudyEngine<'w> {
         config: &StudyConfig,
     ) -> Result<Self, StudyError> {
         let config = StudyConfig {
-            mode: StudyMode::Incremental,
+            mode: StudyMode::Parallel { workers: 1 },
             ..config.clone()
         };
         Driver::new(world, engine, &config).map(Self)
@@ -596,15 +536,25 @@ impl<'w> DeltaStudyEngine<'w> {
     /// [`Self::append_snapshot`] with persistence failures surfaced. The
     /// snapshot's record is appended to the open study log, if any;
     /// appends for snapshots adopted from the log return their recorded
-    /// outcome without recomputing.
+    /// outcome without recomputing. A computed covered snapshot's reuse
+    /// report, the cache counters' change across its step, joins
+    /// [`Self::reports`].
     pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, StudyError> {
-        self.0.append(t)
+        if let Some(&processed) = self.0.adopted.get(&t) {
+            return Ok(processed);
+        }
+        let (hits, misses) = self.cache().hit_stats();
+        let result = self.0.step.run(t)?;
+        let (hits_after, misses_after) = self.cache().hit_stats();
+        let report = DeltaReport::new(t, hits_after - hits, misses_after - misses);
+        let Driver { step, builder, .. } = &mut self.0;
+        step.record(builder, t, result, Some(report))
     }
 
     /// Reuse reports so far: one per covered snapshot this engine
     /// computed, none for the snapshots it adopted.
     pub fn reports(&self) -> &[DeltaReport] {
-        self.0.recorder.builder.reports()
+        self.0.builder.reports()
     }
 
     /// The shared §4.1 validation cache (for its lifetime counters).
@@ -614,12 +564,12 @@ impl<'w> DeltaStudyEngine<'w> {
             .ctx
             .validation_cache
             .as_deref()
-            .expect("the incremental mode always validates through a cache")
+            .expect("the engine's `Parallel` driver always validates through a cache")
     }
 
     /// The study so far. Every append already reached the log, so nothing
     /// is written here.
-    pub fn finish(self) -> StudyRun {
+    pub fn finish(self) -> StudySeries {
         self.0.finish()
     }
 }
@@ -657,18 +607,18 @@ mod tests {
         assert_eq!(sorted(usize::MAX), reference, "one whole snapshot");
     }
 
-    /// Every mode records as the parallel one always did: when snapshot
-    /// 5's segment directory cannot be made, the run fails typed, the log
-    /// holds exactly the records of snapshots 0..=4, and no worker ran
-    /// further ahead of the record path than the pipeline depth (the
-    /// one-worker modes, not at all).
+    /// Every schedule records as the parallel one always did: when
+    /// snapshot 5's segment directory cannot be made, the run fails typed,
+    /// the log holds exactly the records of snapshots 0..=4, and no worker
+    /// ran further ahead of the record path than the pipeline depth (one
+    /// worker, not at all).
     #[test]
     fn parallel_mode_records_until_the_first_failure() {
         let world = HgWorld::generate(ScenarioConfig::small());
         for (mode, ahead) in [
             (StudyMode::Parallel { workers: 2 }, pipeline_depth(2)),
             (StudyMode::Sequential, 0),
-            (StudyMode::Incremental, 0),
+            (StudyMode::Parallel { workers: 1 }, 0),
         ] {
             let dir = std::env::temp_dir()
                 .join(format!("offnet-study-fail-{}-{mode:?}", std::process::id()));

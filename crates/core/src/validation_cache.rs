@@ -32,7 +32,7 @@
 //! **Deferred capture.** Storing a skeleton for every chain would keep a
 //! parsed leaf resident for chains seen exactly once, and ~71% of distinct
 //! chains never recur between adjacent snapshots (certificates rotate),
-//! so a long-lived cache (the incremental mode's 31 appends) would grow with
+//! so a long-lived cache (a study's 31 snapshots) would grow with
 //! every rotation. A chain's first sighting therefore builds a skeleton,
 //! replays it once and drops it, remembering only that the chain was
 //! seen; its second sighting — proof it recurs — builds and stores the

@@ -12,10 +12,12 @@
 //!
 //! Months are accepted as `2013-10`-style labels or raw snapshot indices.
 //! `--stats` prints what the load read (log bytes, records verified, rows)
-//! and its wall time to stderr.
+//! and its wall time to stderr. A reader that closes stdout early (`| head`)
+//! ends the run quietly, with exit status 0.
 
 use hgsim::ALL_HGS;
 use offnet_query::{parse_hg, FrozenStudy};
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -33,23 +35,30 @@ commands:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("offnet-query: {msg}");
+        // The reader closed stdout: it has all it wanted.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("offnet-query: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let (stats, args) = match args {
         [flag, rest @ ..] if flag == "--stats" => (true, rest),
         _ => (false, args),
     };
     let (path, cmd, rest) = match args {
         [path, cmd, rest @ ..] => (PathBuf::from(path), cmd.as_str(), rest),
-        _ => return Err(USAGE.to_owned()),
+        _ => return Err(USAGE.to_owned().into()),
     };
     let start = Instant::now();
     let study = FrozenStudy::load(&path).map_err(|e| e.to_string())?;
@@ -64,44 +73,46 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     match (cmd, rest) {
         ("info", []) => {
-            println!("engine: {}", study.engine());
-            println!("rows: {}", study.n_rows());
+            writeln!(out, "engine: {}", study.engine())?;
+            writeln!(out, "rows: {}", study.n_rows())?;
             if study.n_rows() > 0 {
-                println!(
+                writeln!(
+                    out,
                     "months: {} .. {}",
                     study.label(0),
                     study.label(study.n_rows() - 1)
-                );
+                )?;
             }
             for hg in ALL_HGS {
                 let curve = study.growth_curve(hg);
-                println!(
+                writeln!(
+                    out,
                     "{hg}: start {} end {}",
                     curve.first().copied().unwrap_or(0),
                     curve.last().copied().unwrap_or(0)
-                );
+                )?;
             }
         }
         ("ases", [hg, month]) => {
             let (hg, row) = (hg_arg(hg)?, row_arg(&study, month)?);
             for asn in study.ases_hosting(hg, row) {
-                println!("{asn}");
+                writeln!(out, "{asn}")?;
             }
         }
         ("hosts", [hg, month, asn]) => {
             let (hg, row) = (hg_arg(hg)?, row_arg(&study, month)?);
-            println!("{}", study.hosts(hg, row, asn_arg(asn)?));
+            writeln!(out, "{}", study.hosts(hg, row, asn_arg(asn)?))?;
         }
         ("growth", [hg]) => {
             let hg = hg_arg(hg)?;
             for (row, n) in study.growth_curve(hg).into_iter().enumerate() {
-                println!("{} {n}", study.label(row));
+                writeln!(out, "{} {n}", study.label(row))?;
             }
         }
         ("as-curve", [asn]) => {
             let asn = asn_arg(asn)?;
             for (row, n) in study.as_curve(asn).into_iter().enumerate() {
-                println!("{} {n}", study.label(row));
+                writeln!(out, "{} {n}", study.label(row))?;
             }
         }
         ("coverage", [hg, month, population @ ..]) if !population.is_empty() => {
@@ -121,13 +132,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             let (covered, total) = study.coverage(hg, row, &population);
-            println!(
+            writeln!(
+                out,
                 "{covered}/{total} users ({:.1}%)",
                 100.0 * covered as f64 / total.max(1) as f64
-            );
+            )?;
         }
-        _ => return Err(USAGE.to_owned()),
+        _ => return Err(USAGE.to_owned().into()),
     }
+    out.flush()?;
     Ok(())
 }
 

@@ -1,13 +1,15 @@
 //! Streaming sharded pipeline equivalence: at `--scale small`, a study
 //! processed through bounded-memory spilled segments must render
-//! **byte-identically** to the in-memory path — in the sequential,
-//! parallel and incremental (delta) study modes, with
-//! faults injected, and when segments are reused from a previous run.
+//! **byte-identically** to the in-memory path — in the sequential and
+//! parallel study modes and through the append engine, with faults
+//! injected, and when segments are reused from a previous run.
 
 use hgsim::{HgWorld, ScenarioConfig};
-use offnet_bench::render_study;
+use offnet_bench::{append_study, render_study};
 use offnet_core::parallel::pipeline_depth;
-use offnet_core::{run_study, try_run_study, ShardingConfig, StudyConfig, StudyError, StudyMode};
+use offnet_core::{
+    run_study, try_run_study, DeltaStudyEngine, ShardingConfig, StudyConfig, StudyError, StudyMode,
+};
 use scanner::{FaultPlan, ScanEngine};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -237,19 +239,21 @@ fn incremental_driver_sharded_matches() {
     let engine = ScanEngine::rapid7();
     let base = StudyConfig {
         snapshots: (16, 22),
-        mode: StudyMode::Incremental,
         ..Default::default()
     };
-    let mono = try_run_study(w, &engine, &base).expect("in-memory run");
+    let mono = append_study(w, &engine, &base);
     let dir = temp_dir("inc");
-    let cfg = sharded_config(&base, 512, &dir);
-    let sharded = try_run_study(w, &engine, &cfg).expect("sharded run");
+    let sharded = append_study(w, &engine, &sharded_config(&base, 512, &dir));
+    let reported = |driver: &DeltaStudyEngine| -> Vec<usize> {
+        driver.reports().iter().map(|r| r.snapshot_idx).collect()
+    };
+    assert_eq!(reported(&mono), (16..=22).collect::<Vec<_>>());
+    assert_eq!(reported(&mono), reported(&sharded));
     assert_eq!(
-        render_study(&mono.series),
-        render_study(&sharded.series),
+        render_study(&mono.finish()),
+        render_study(&sharded.finish()),
         "sharded delta study diverged"
     );
-    assert_eq!(mono.reports.len(), sharded.reports.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -473,9 +477,9 @@ fn warm_and_cold_runs_charge_the_same_resident_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A segment I/O failure is one typed error in every mode — never a
-/// panic in the sequential mode or a silently degraded snapshot in the
-/// parallel one.
+/// A segment I/O failure is one typed error in every mode and in the
+/// append engine — never a panic in the sequential mode or a silently
+/// degraded snapshot in the parallel one.
 #[test]
 fn segment_io_failure_is_a_typed_error_in_every_mode() {
     let w = world();
@@ -487,7 +491,7 @@ fn segment_io_failure_is_a_typed_error_in_every_mode() {
     for mode in [
         StudyMode::Sequential,
         StudyMode::Parallel { workers: 2 },
-        StudyMode::Incremental,
+        StudyMode::Parallel { workers: 1 },
     ] {
         let cfg = StudyConfig {
             snapshots: (28, 29),
@@ -501,5 +505,13 @@ fn segment_io_failure_is_a_typed_error_in_every_mode() {
             "{mode:?}: wrong error {err}"
         );
     }
+    let cfg = sharded_config(&StudyConfig::default(), 400, &blocker);
+    let err = DeltaStudyEngine::new(w, ScanEngine::rapid7(), &cfg)
+        .try_append_snapshot(28)
+        .expect_err("segment directory under a file must fail");
+    assert!(
+        matches!(err, StudyError::Io { .. }),
+        "append engine: wrong error {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

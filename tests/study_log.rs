@@ -8,8 +8,8 @@
 //!   faults/transients alike, and with a shifted start that adopts the
 //!   §6.2 fold history the earlier records carry.
 //! - **Across modes.** A loaded log renders byte-identical to the live
-//!   series, whichever mode wrote it, and the incremental engine extends
-//!   an existing log in place.
+//!   series, whichever mode or [`DeltaStudyEngine`] wrote it, and the
+//!   engine extends an existing log in place.
 //! - **Appends and damage.** An append writes only its own record; a
 //!   torn tail recovers; corruption, a foreign configuration or format
 //!   version surface as typed errors with a remedy, never as a panic or a
@@ -20,10 +20,10 @@
 //! (default 0.1).
 
 use hgsim::{HgWorld, ScenarioConfig, ALL_HGS};
-use offnet_bench::render_study;
+use offnet_bench::{append_study, render_study};
 use offnet_core::{
     artifact_fingerprint, run_study, try_run_study, ArtifactError, DeltaStudyEngine,
-    ShardingConfig, StudyArtifact, StudyConfig, StudyError, StudyMode, StudyRun, StudySeries,
+    ShardingConfig, StudyArtifact, StudyConfig, StudyError, StudyMode, StudySeries,
     ARTIFACT_VERSION,
 };
 use offnet_query::FrozenStudy;
@@ -76,7 +76,7 @@ fn logged(range: (usize, usize), log: &Path, mode: StudyMode) -> StudyConfig {
     }
 }
 
-fn run(engine: &ScanEngine, config: &StudyConfig) -> Result<StudyRun, StudyError> {
+fn run(engine: &ScanEngine, config: &StudyConfig) -> Result<StudySeries, StudyError> {
     try_run_study(world(), engine, config)
 }
 
@@ -130,9 +130,9 @@ fn study_once(range: (usize, usize), logged: bool) -> &'static Reference {
     })
 }
 
-/// The snapshots a run's reuse reports cover, in order.
-fn reported(run: &StudyRun) -> Vec<usize> {
-    run.reports.iter().map(|r| r.snapshot_idx).collect()
+/// The snapshots an engine's reuse reports cover, in order.
+fn reported(engine: &DeltaStudyEngine) -> Vec<usize> {
+    engine.reports().iter().map(|r| r.snapshot_idx).collect()
 }
 
 /// Render the log at `path` after a disk round trip.
@@ -176,7 +176,7 @@ fn sequential_kill_resume_is_byte_identical() {
         run(&engine, &logged((20, 25), &log, mode)).expect("killed prefix run");
 
         let full_cfg = logged((20, 30), &log, mode);
-        let resumed = run(&engine, &full_cfg).expect("resumed run").series;
+        let resumed = run(&engine, &full_cfg).expect("resumed run");
         assert_eq!(
             *uninterrupted,
             render_study(&resumed),
@@ -188,32 +188,33 @@ fn sequential_kill_resume_is_byte_identical() {
         // Re-running over the complete log adopts everything and still
         // renders identically — resume is idempotent.
         let len = file_len(&log);
-        let again = run(&engine, &full_cfg).expect("idempotent run").series;
+        let again = run(&engine, &full_cfg).expect("idempotent run");
         assert_eq!(*uninterrupted, render_study(&again));
         assert_eq!(file_len(&log), len, "a fully adopted run appended");
         let _ = std::fs::remove_dir_all(log.parent().unwrap());
     }
 }
 
-/// Incremental driver, killed and relaunched: byte-identical output, and
-/// each run reports reuse for exactly the snapshots it computed. The log
-/// holds results only, so the adopted prefix brings no reports back.
+/// The append engine, killed and relaunched: byte-identical output, and
+/// each engine reports reuse for exactly the snapshots it computed. The
+/// log holds results only, so the adopted prefix brings no reports back.
 #[test]
 fn incremental_kill_resume_stays_incremental() {
     let engine = ScanEngine::rapid7();
 
     let log = temp_dir().join("study.offna");
-    let killed =
-        run(&engine, &logged((20, 25), &log, StudyMode::Incremental)).expect("killed prefix run");
+    let mode = StudyMode::Sequential;
+    let killed = append_study(world(), &engine, &logged((20, 25), &log, mode));
+    assert_eq!(reported(&killed), (20..=25).collect::<Vec<_>>());
+    drop(killed);
 
-    let resumed = run(&engine, &logged((20, 30), &log, StudyMode::Incremental)).expect("resumed");
+    let resumed = append_study(world(), &engine, &logged((20, 30), &log, mode));
+    assert_eq!(reported(&resumed), (26..=30).collect::<Vec<_>>());
     assert_eq!(
         reference((20, 30)).render,
-        render_study(&resumed.series),
-        "resumed incremental study diverged from the uninterrupted run"
+        render_study(&resumed.finish()),
+        "resumed engine diverged from the uninterrupted run"
     );
-    assert_eq!(reported(&killed), (20..=25).collect::<Vec<_>>());
-    assert_eq!(reported(&resumed), (26..=30).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(log.parent().unwrap());
 }
 
@@ -235,9 +236,7 @@ fn kill_resume_is_byte_identical_under_faults_and_transients() {
         let log = temp_dir().join("study.offna");
         run(&engine(), &logged((22, 26), &log, mode)).expect("killed prefix run");
 
-        let resumed = run(&engine(), &logged((22, 30), &log, mode))
-            .expect("resumed run")
-            .series;
+        let resumed = run(&engine(), &logged((22, 30), &log, mode)).expect("resumed run");
         assert_eq!(
             render_study(&uninterrupted),
             render_study(&resumed),
@@ -251,8 +250,8 @@ fn kill_resume_is_byte_identical_under_faults_and_transients() {
 /// version is never adopted: a changed pipeline knob dies with a typed
 /// `ConfigMismatch`, and a version-1 log with a typed `VersionMismatch`,
 /// each carrying the remedy. The study mode is not part of the
-/// configuration — every mode writes the same records — so the
-/// incremental mode adopts a sequential run's log.
+/// configuration — every mode writes the same records — so the append
+/// engine adopts a sequential run's log.
 #[test]
 fn mismatched_driver_checkpoints_are_rejected() {
     let engine = ScanEngine::rapid7();
@@ -260,14 +259,10 @@ fn mismatched_driver_checkpoints_are_rejected() {
     let sequential = logged((28, 30), &log, StudyMode::Sequential);
     run(&engine, &sequential).expect("seed the log");
 
-    let incremental = run(&engine, &logged((28, 30), &log, StudyMode::Incremental))
-        .expect("incremental mode adopts a sequential log");
-    assert_eq!(
-        reference((28, 30)).render,
-        render_study(&incremental.series)
-    );
+    let adopter = append_study(world(), &engine, &sequential);
     // Every snapshot was adopted, so none was computed or reported.
-    assert_eq!(reported(&incremental), Vec::<usize>::new());
+    assert_eq!(reported(&adopter), Vec::<usize>::new());
+    assert_eq!(reference((28, 30)).render, render_study(&adopter.finish()));
 
     let other_knob = StudyConfig {
         header_reference_snapshot: 27,
@@ -337,7 +332,7 @@ fn corrupt_checkpoint_is_rejected_then_recoverable() {
 
     // `--no-resume`: the log is removed and the study writes a fresh one.
     std::fs::remove_file(&log).expect("reset the log");
-    let rerun = run(&engine, &logged_cfg).expect("rerun after reset").series;
+    let rerun = run(&engine, &logged_cfg).expect("rerun after reset");
     assert_eq!(reference((27, 30)).render, render_study(&rerun));
     let _ = std::fs::remove_dir_all(log.parent().unwrap());
 }
@@ -367,7 +362,7 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     tear(&log, through_24 - 1);
 
     let resume_cfg = sharded(full_range);
-    let resumed = run(&engine, &resume_cfg).expect("resumed run").series;
+    let resumed = run(&engine, &resume_cfg).expect("resumed run");
     assert_eq!(
         *uninterrupted,
         render_study(&resumed),
@@ -396,7 +391,7 @@ fn sharded_kill_resume_reuses_spilled_segments() {
     let victim = spill_dir.join("t0024").join("shard_0001.seg");
     std::fs::remove_file(&victim).expect("lose one segment");
     let rerun_cfg = sharded(full_range);
-    let rerun = run(&engine, &rerun_cfg).expect("second resume").series;
+    let rerun = run(&engine, &rerun_cfg).expect("second resume");
     assert_eq!(*uninterrupted, render_study(&rerun));
     let ledger = rerun_cfg.sharding.as_ref().unwrap().ledger.clone();
     assert_eq!(ledger.segments_built(), 1, "only the lost segment rebuilds");
@@ -420,7 +415,7 @@ fn start_shift_resume_adopts_fold_history() {
     // pre-shift snapshots contribute history the shifted tail consults.
     let log = temp_dir().join("study.offna");
     let full_cfg = logged((14, 22), &log, StudyMode::Sequential);
-    let full = run(&engine, &full_cfg).expect("seed the log").series;
+    let full = run(&engine, &full_cfg).expect("seed the log");
 
     let tail_cfg = logged((18, 22), &log, StudyMode::Sequential);
     // Same fingerprint despite the shifted range — documented behavior.
@@ -428,7 +423,7 @@ fn start_shift_resume_adopts_fold_history() {
         artifact_fingerprint(w, &engine, &full_cfg),
         artifact_fingerprint(w, &engine, &tail_cfg),
     );
-    let resumed = run(&engine, &tail_cfg).expect("shifted resume").series;
+    let resumed = run(&engine, &tail_cfg).expect("shifted resume");
     let fresh = &reference((18, 22)).series;
 
     // Per-snapshot processing is position-independent: identical rows.
@@ -469,8 +464,9 @@ fn start_shift_resume_adopts_fold_history() {
 // Across modes.
 // ---------------------------------------------------------------------------
 
-/// Every mode, and a resumed run, freezes a log that renders like the
-/// live study and holds the very bytes the sequential mode writes.
+/// Every mode, the append engine, and a resumed run freeze a log that
+/// renders like the live study and holds the very bytes the sequential
+/// mode writes.
 #[test]
 fn every_driver_freezes_a_render_identical_artifact() {
     let w = world();
@@ -494,18 +490,7 @@ fn every_driver_freezes_a_render_identical_artifact() {
             ..config("parallel")
         },
     ));
-    let incremental = render_study(
-        &try_run_study(
-            w,
-            &engine,
-            &StudyConfig {
-                mode: StudyMode::Incremental,
-                ..config("incremental")
-            },
-        )
-        .expect("incremental run")
-        .series,
-    );
+    let appended = render_study(&append_study(world(), &engine, &config("appended")).finish());
     // A run that resumes a log another run left half written.
     let resumed_config = config("resumed");
     try_run_study(
@@ -517,16 +502,12 @@ fn every_driver_freezes_a_render_identical_artifact() {
         },
     )
     .expect("prefix run");
-    let resumed = render_study(
-        &try_run_study(w, &engine, &resumed_config)
-            .expect("resumed run")
-            .series,
-    );
+    let resumed = render_study(&try_run_study(w, &engine, &resumed_config).expect("resumed run"));
 
     for (name, direct) in [
         ("sequential", &sequential),
         ("parallel", &parallel),
-        ("incremental", &incremental),
+        ("appended", &appended),
         ("resumed", &resumed),
     ] {
         assert_eq!(
@@ -573,20 +554,12 @@ fn faulted_artifacts_round_trip_across_drivers() {
         !plan.injected_total().is_empty(),
         "plan injected nothing at rate {rate}; the faulted comparison is vacuous"
     );
-    let inc = try_run_study(
-        w,
-        &engine(),
-        &StudyConfig {
-            mode: StudyMode::Incremental,
-            ..config("incremental")
-        },
-    )
-    .expect("incremental run");
+    let appended = append_study(world(), &engine(), &config("appended")).finish();
 
     let full_render = render_study(&full);
-    assert_eq!(full_render, render_study(&inc.series));
+    assert_eq!(full_render, render_study(&appended));
     assert_eq!(full_render, render_loaded(&dir.join("full.offna")));
-    assert_eq!(full_render, render_loaded(&dir.join("incremental.offna")));
+    assert_eq!(full_render, render_loaded(&dir.join("appended.offna")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -610,8 +583,7 @@ fn incremental_append_to_existing_artifact_round_trips() {
     for t in 14..=18 {
         first.append_snapshot(t);
     }
-    let first_reported: Vec<usize> = first.reports().iter().map(|r| r.snapshot_idx).collect();
-    assert_eq!(first_reported, (14..=18).collect::<Vec<_>>());
+    assert_eq!(reported(&first), (14..=18).collect::<Vec<_>>());
     drop(first);
     let prefix_rows = StudyArtifact::load(&path).expect("prefix").snapshots.len();
     assert!(prefix_rows > 0, "prefix persisted nothing");
@@ -623,21 +595,21 @@ fn incremental_append_to_existing_artifact_round_trips() {
     for t in 14..=24 {
         second.append_snapshot(t);
     }
+    // The second engine reports the snapshots it computed, not the ones
+    // it adopted.
+    assert_eq!(
+        reported(&second),
+        (14 + prefix_rows..=24).collect::<Vec<_>>()
+    );
     let grown = second.finish();
 
     let reference = &reference((14, 24)).render;
     assert_eq!(
         *reference,
-        render_study(&grown.series),
+        render_study(&grown),
         "grown-from-log series diverged from an uninterrupted run"
     );
     assert_eq!(*reference, render_loaded(&path));
-    // The second engine reports the snapshots it computed, not the ones
-    // it adopted.
-    assert_eq!(
-        reported(&grown),
-        (14 + prefix_rows..=24).collect::<Vec<_>>()
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -781,10 +753,6 @@ fn fingerprints_ignore_mode_sharding_and_log_path() {
             ..base.clone()
         },
         StudyConfig {
-            mode: StudyMode::Incremental,
-            ..base.clone()
-        },
-        StudyConfig {
             sharding: Some(ShardingConfig::new(400, "spill-a")),
             ..base.clone()
         },
@@ -858,7 +826,7 @@ fn an_append_writes_only_its_own_record() {
 /// each record boundary: every resume either renders byte-identically to
 /// an uninterrupted run (cutting the torn tail off and appending the
 /// rest) or, inside the header, fails with a typed error. A checksum flip
-/// in a complete record and a log of any older version (2 to 6) are typed
+/// in a complete record and a log of any older version (2 to 7) are typed
 /// on load and on resume alike.
 #[test]
 fn torn_tails_recover_and_damage_is_typed() {
@@ -895,11 +863,7 @@ fn torn_tails_recover_and_damage_is_typed() {
                     cut >= header,
                     "a log cut at {cut}, inside its header, resumed"
                 );
-                assert_eq!(
-                    *uninterrupted,
-                    render_study(&resumed.series),
-                    "cut at {cut}"
-                );
+                assert_eq!(*uninterrupted, render_study(&resumed), "cut at {cut}");
                 assert_eq!(*uninterrupted, render_loaded(&victim), "cut at {cut}: log");
             }
             Err(e) => {
@@ -929,8 +893,9 @@ fn torn_tails_recover_and_damage_is_typed() {
     // log replaced, v3, which wrote integer lists as 4-byte words, and
     // v4, which wrote counts fixed-width and confirmed columns in full,
     // v5, which stored the incremental mode's cache counters in a record,
-    // and v6, whose records did not lead with the query prefix.
-    for version in [2, 3, 4, 5, 6] {
+    // v6, whose records did not lead with the query prefix, and v7, which
+    // stored each result's snapshot index a second time.
+    for version in 2..=7 {
         let mut old = whole.clone();
         old[8..12].copy_from_slice(&u32::to_le_bytes(version));
         std::fs::write(&log, &old).expect("write an older version");

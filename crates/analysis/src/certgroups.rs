@@ -33,11 +33,6 @@ pub fn top_group_share(series: &StudySeries, hg: Hg, idx: usize) -> f64 {
     fig11(series, hg, 1)[idx].first().copied().unwrap_or(0.0)
 }
 
-/// Combined share of the top 10 groups at a snapshot.
-pub fn top10_share(series: &StudySeries, hg: Hg, idx: usize) -> f64 {
-    fig11(series, hg, 10)[idx].iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

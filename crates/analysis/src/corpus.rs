@@ -84,14 +84,12 @@ pub fn table2(world: &HgWorld, ctx: &PipelineContext, t: usize) -> Vec<Table2Row
 }
 
 /// One row of the interned-corpus memory report (the `corpus-stats`
-/// experiment): per-snapshot byte accounting for the symbol-table data
-/// model against the replaced per-record string model.
+/// experiment): one snapshot's byte accounting for the symbol-table data
+/// model.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryRow {
     pub snapshot_idx: usize,
     pub stats: offnet_core::CorpusMemoryStats,
-    /// The snapshot's `offnet_core::corpus::string_model_bytes` figure.
-    pub string_model_bytes: usize,
 }
 
 /// Human-readable byte count (`1.2 MiB`-style, exact below 1 KiB).
@@ -109,44 +107,31 @@ pub fn humanize_bytes(bytes: usize) -> String {
     format!("{v:.1} {}", UNITS[unit])
 }
 
-/// Render the interned-vs-string corpus memory comparison as a table,
-/// with a total row summing every snapshot.
+/// Render the interned corpus memory accounting as a table, with a total
+/// row summing every snapshot.
 pub fn memory_table(rows: &[MemoryRow]) -> String {
     let mut out_rows = Vec::with_capacity(rows.len() + 1);
-    let fmt = |label: String, s: &offnet_core::CorpusMemoryStats, string_model: usize| {
-        let saved = 1.0 - s.interned_bytes as f64 / (string_model.max(1)) as f64;
+    let fmt = |label: String, s: &offnet_core::CorpusMemoryStats| {
         vec![
             label,
             s.hosts.to_string(),
             s.header_names.to_string(),
             s.header_values.to_string(),
             humanize_bytes(s.interned_bytes),
-            humanize_bytes(string_model),
-            crate::render::pct(saved),
         ]
     };
     let mut total = offnet_core::CorpusMemoryStats::default();
-    let mut total_string_model = 0;
     for r in rows {
         total.interned_bytes += r.stats.interned_bytes;
-        total_string_model += r.string_model_bytes;
         total.hosts += r.stats.hosts;
         total.header_names += r.stats.header_names;
         total.header_values += r.stats.header_values;
         let label = crate::render::snapshot_label(r.snapshot_idx);
-        out_rows.push(fmt(label, &r.stats, r.string_model_bytes));
+        out_rows.push(fmt(label, &r.stats));
     }
-    out_rows.push(fmt("total".to_owned(), &total, total_string_model));
+    out_rows.push(fmt("total".to_owned(), &total));
     crate::render::table(
-        &[
-            "snapshot",
-            "hosts",
-            "hdr-names",
-            "hdr-values",
-            "interned",
-            "string-model",
-            "saved",
-        ],
+        &["snapshot", "hosts", "hdr-names", "hdr-values", "interned"],
         &out_rows,
     )
 }
@@ -297,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_table_totals_and_savings() {
+    fn memory_table_totals() {
         let stats = offnet_core::CorpusMemoryStats {
             interned_bytes: 600,
             hosts: 10,
@@ -309,20 +294,18 @@ mod tests {
             MemoryRow {
                 snapshot_idx: 0,
                 stats,
-                string_model_bytes: 1000,
             },
             MemoryRow {
                 snapshot_idx: 1,
                 stats,
-                string_model_bytes: 1000,
             },
         ];
         let out = memory_table(&rows);
         assert!(out.contains("2013-10"), "{out}");
-        assert!(out.contains("total"), "{out}");
-        // 600/1000 interned → 40% saved, per row and in total.
-        assert_eq!(out.matches("40.0%").count(), 3, "{out}");
-        assert!(out.contains("1.2 KiB"), "{out}");
+        // The total row sums every column across snapshots.
+        let total = out.lines().find(|l| l.contains("total")).expect(&out);
+        let cells: Vec<&str> = total.split_whitespace().collect();
+        assert_eq!(cells, ["total", "20", "8", "14", "1.2", "KiB"], "{out}");
     }
 
     #[test]

@@ -35,15 +35,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render a labelled numeric series with snapshot labels every `step`.
-pub fn series_block(label: &str, snapshot_idxs: &[usize], values: &[usize]) -> String {
-    let mut out = format!("{label}:\n");
-    for (idx, value) in snapshot_idxs.iter().zip(values) {
-        out.push_str(&format!("  {}  {:>6}\n", snapshot_label(*idx), value));
-    }
-    out
-}
-
 /// Compact one-line series.
 pub fn series_line(label: &str, values: &[usize]) -> String {
     let cells: Vec<String> = values.iter().map(|v| v.to_string()).collect();

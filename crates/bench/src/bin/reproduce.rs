@@ -104,6 +104,43 @@ fn parse_scale(scale: &str, seed: u64) -> ScenarioConfig {
     }
 }
 
+/// One experiment: renders its table or figure from the shared fixtures.
+type Experiment = fn(&Fixtures, &Cli);
+
+/// The paper's artifacts, in the order `all` prints them.
+const PAPER: &[(&str, Experiment)] = &[
+    ("table2", |fx, _| table2(fx)),
+    ("table3", |fx, _| table3(fx)),
+    ("table4", |fx, _| table4(fx)),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", |fx, _| fig4(fx)),
+    ("fig5", |fx, _| fig5(fx)),
+    ("fig6", |fx, _| fig6(fx)),
+    ("fig7", |fx, _| fig7(fx)),
+    ("fig8", |fx, _| fig8(fx)),
+    ("fig9", |fx, _| fig9(fx)),
+    ("fig10", fig10),
+    ("fig11", |fx, _| fig11(fx)),
+    ("fig12", |fx, _| fig12(fx)),
+    ("fig13", |fx, _| fig13(fx)),
+    ("fig14", |fx, _| fig14(fx)),
+    ("certlifetimes", |fx, _| certlifetimes(fx)),
+    ("validate", |fx, _| validate(fx)),
+    ("ablation", |fx, _| ablation(fx)),
+    ("baselines", |fx, _| baselines(fx)),
+    ("quality", |fx, _| quality(fx)),
+    ("hideandseek", |_, cli| hide_and_seek(cli)),
+];
+
+/// Diagnostics of the pipeline itself, not paper artifacts: deliberately
+/// outside `all`, so the canonical `all` report stays stable.
+const DIAGNOSTICS: &[(&str, Experiment)] = &[
+    ("corpus-stats", |fx, _| corpus_stats(fx)),
+    ("cache-stats", |fx, _| cache_stats(fx)),
+    ("shard-stats", |fx, _| shard_stats(fx)),
+];
+
 fn parse_args() -> Cli {
     let mut scale = "paper".to_owned();
     let mut seed = 7u64;
@@ -197,14 +234,24 @@ fn parse_args() -> Cli {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--no-resume] <experiment...|all>"
+                    "usage: reproduce [--scale small|paper|large] [--seed N] [--csv DIR] [--threads N] [--sequential] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--no-resume] <experiment...|all>"
                 );
                 std::process::exit(0);
             }
-            // A removed flag such as `--incremental` must not pass for an
-            // experiment name, which would be ignored.
+            // A removed flag such as `--incremental` is refused as a flag,
+            // not as an experiment name.
             other if other.starts_with("--") => panic!("unknown flag {other:?} (see --help)"),
-            other => experiments.push(other.to_owned()),
+            other if other == "all" || PAPER.iter().chain(DIAGNOSTICS).any(|e| e.0 == other) => {
+                experiments.push(other.to_owned())
+            }
+            // A misspelt name would otherwise run nothing and exit 0.
+            other => {
+                let names: Vec<&str> = PAPER.iter().chain(DIAGNOSTICS).map(|e| e.0).collect();
+                panic!(
+                    "unknown experiment {other:?} (one of: all {})",
+                    names.join(" ")
+                )
+            }
         }
     }
     if experiments.is_empty() {
@@ -423,85 +470,17 @@ fn main() {
     };
     eprintln!("[reproduce] sha256 kernel: {kernel}");
     let fx = Fixtures::new(&cli);
-    let all = cli.experiments.iter().any(|e| e == "all");
-    let want = |name: &str| all || cli.experiments.iter().any(|e| e == name);
-
-    if want("table2") {
-        table2(&fx);
+    let named = |name: &str| cli.experiments.iter().any(|e| e == name);
+    let all = named("all");
+    for (name, run) in PAPER {
+        if all || named(name) {
+            run(&fx, &cli);
+        }
     }
-    if want("table3") {
-        table3(&fx);
-    }
-    if want("table4") {
-        table4(&fx);
-    }
-    if want("fig2") {
-        fig2(&fx, &cli);
-    }
-    if want("fig3") {
-        fig3(&fx, &cli);
-    }
-    if want("fig4") {
-        fig4(&fx);
-    }
-    if want("fig5") {
-        fig5(&fx);
-    }
-    if want("fig6") {
-        fig6(&fx);
-    }
-    if want("fig7") {
-        fig7(&fx);
-    }
-    if want("fig8") {
-        fig8(&fx);
-    }
-    if want("fig9") {
-        fig9(&fx);
-    }
-    if want("fig10") {
-        fig10(&fx, &cli);
-    }
-    if want("fig11") {
-        fig11(&fx);
-    }
-    if want("fig12") {
-        fig12(&fx);
-    }
-    if want("fig13") {
-        fig13(&fx);
-    }
-    if want("fig14") {
-        fig14(&fx);
-    }
-    if want("certlifetimes") {
-        certlifetimes(&fx);
-    }
-    if want("validate") {
-        validate(&fx);
-    }
-    if want("ablation") {
-        ablation(&fx);
-    }
-    if want("baselines") {
-        baselines(&fx);
-    }
-    if want("quality") {
-        quality(&fx);
-    }
-    if want("hideandseek") {
-        hide_and_seek(&cli);
-    }
-    // Deliberately outside `all`: diagnostics of the pipeline itself,
-    // not paper artifacts, so the canonical `all` report stays stable.
-    if cli.experiments.iter().any(|e| e == "corpus-stats") {
-        corpus_stats(&fx);
-    }
-    if cli.experiments.iter().any(|e| e == "cache-stats") {
-        cache_stats(&fx);
-    }
-    if cli.experiments.iter().any(|e| e == "shard-stats") {
-        shard_stats(&fx);
+    for (name, run) in DIAGNOSTICS {
+        if named(name) {
+            run(&fx, &cli);
+        }
     }
 }
 
@@ -570,11 +549,11 @@ fn cache_stats(fx: &Fixtures) {
     );
 }
 
-/// Memory accounting for the interned columnar corpus model against the
-/// per-record string model it replaced. Run explicitly with
-/// `reproduce corpus-stats`; `cargo bench --bench intern` times the two.
+/// Memory accounting for the interned columnar corpus model: per pool
+/// distinct strings and the bytes the model holds. Run explicitly with
+/// `reproduce corpus-stats`.
 fn corpus_stats(fx: &Fixtures) {
-    heading("Corpus data model: interned vs string-model memory");
+    heading("Corpus data model: interned memory");
     let engine = fx.engine(ScanEngine::rapid7());
     let mut rows = Vec::new();
     for t in [0usize, 10, 20, 30] {
@@ -588,11 +567,6 @@ fn corpus_stats(fx: &Fixtures) {
         rows.push(analysis::MemoryRow {
             snapshot_idx: t,
             stats: corpus.memory,
-            string_model_bytes: offnet_core::corpus::string_model_bytes(
-                obs.banner_records(),
-                &corpus.valids,
-                &corpus.interner,
-            ),
         });
     }
     print!("{}", analysis::memory_table(&rows));

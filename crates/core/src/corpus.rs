@@ -42,9 +42,7 @@ use std::sync::Arc;
 use timebase::Timestamp;
 use x509::{Certificate, RootStore};
 
-/// Memory accounting for one snapshot's corpus. The string model the
-/// interned model replaced is estimated only on request, by
-/// [`string_model_bytes`].
+/// Memory accounting for one snapshot's corpus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CorpusMemoryStats {
     /// Bytes held by the interned model: the three symbol pools, the
@@ -384,41 +382,6 @@ fn measure_memory(
     }
 }
 
-/// Estimated bytes of the string model the interned corpus replaced:
-/// per-record owned `Vec<(String, String)>` headers plus per-certificate
-/// `Vec<String>` SANs (24 bytes per `String`/`Vec` header plus contents;
-/// map overheads excluded, which favors the string model). Sizes are
-/// reconstructed by resolving every banner symbol back to its string, so
-/// this walks every header of every record; `reproduce corpus-stats`, the
-/// shard ledger and `cargo bench --bench intern` ask for it, the corpus
-/// build does not. Purely per-record additive: summed over a snapshot's
-/// shards it equals the figure over the whole snapshot.
-pub fn string_model_bytes(
-    banner_records: [&[HttpRecord]; 2],
-    valids: &[ValidatedCert],
-    interner: &FrozenInterner,
-) -> usize {
-    let mut string_model = 0usize;
-    for r in banner_records.into_iter().flatten() {
-        string_model += STRING_HEADER; // the Vec header
-        for (n, v) in &r.headers {
-            string_model += 2 * STRING_HEADER
-                + interner.header_names().resolve(*n).len()
-                + interner.header_values().resolve(*v).len();
-        }
-    }
-    // A leaf's `Vec<String>` SANs cost the same for every valid serving
-    // it; account each distinct leaf once.
-    let mut san_bytes: WordMap<*const Certificate, usize> = WordMap::default();
-    for vc in valids {
-        string_model += *san_bytes.entry(Arc::as_ptr(&vc.leaf)).or_insert_with(|| {
-            let names = vc.leaf.dns_names();
-            STRING_HEADER * (1 + names.len()) + names.iter().map(str::len).sum::<usize>()
-        });
-    }
-    string_model
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,21 +609,5 @@ mod tests {
                 c.valids.iter().map(|v| Arc::as_ptr(&v.leaf)).collect();
             assert!(leaves.len() < c.valids.len(), "no leaf is shared");
         }
-    }
-
-    #[test]
-    fn interned_model_beats_string_model() {
-        let w = world();
-        let obs = observe_snapshot(w, &ScanEngine::rapid7(), 30).unwrap();
-        let c = SnapshotCorpus::build(&obs, w.pki().root_store(), &Default::default(), None);
-        let m = c.memory;
-        let string_model = string_model_bytes(obs.banner_records(), &c.valids, &c.interner);
-        assert!(m.hosts > 0 && m.header_names > 0 && m.header_values > 0);
-        assert!(
-            (m.interned_bytes as f64) < 0.7 * string_model as f64,
-            "interned {} vs string {}",
-            m.interned_bytes,
-            string_model
-        );
     }
 }

@@ -73,32 +73,12 @@ pub struct HeaderFingerprint {
 }
 
 impl HeaderFingerprint {
-    /// Whether a banner matches this fingerprint (string model; the hot
-    /// path uses [`crate::confirm::CompiledFingerprint::matches`]).
-    pub fn matches(&self, headers: &[(String, String)]) -> bool {
-        for (name, value) in headers {
-            let name_lc = name.to_ascii_lowercase();
-            if self.names.contains(&name_lc) {
-                return true;
-            }
-            if self
-                .pairs
-                .iter()
-                .any(|(n, v)| *n == name_lc && value.starts_with(v.as_str()))
-            {
-                return true;
-            }
-        }
-        false
-    }
-
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty() && self.names.is_empty()
     }
 }
 
-/// Learned fingerprints for all HGs, plus the global statistics they were
-/// judged against.
+/// Learned fingerprints for all HGs, keyed by lowercased keyword.
 #[derive(Debug, Clone, Default)]
 pub struct HeaderFingerprints {
     by_keyword: HashMap<String, HeaderFingerprint>,
@@ -116,18 +96,6 @@ impl HeaderFingerprints {
     pub fn iter(&self) -> impl Iterator<Item = &HeaderFingerprint> {
         self.by_keyword.values()
     }
-
-    /// All HG keywords whose fingerprint matches the banner.
-    pub fn matching_keywords(&self, headers: &[(String, String)]) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .by_keyword
-            .values()
-            .filter(|fp| fp.matches(headers))
-            .map(|fp| fp.keyword.as_str())
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 /// Global header-frequency baseline over a banner corpus, keyed by the
@@ -141,17 +109,8 @@ pub struct GlobalHeaderStats {
 }
 
 impl GlobalHeaderStats {
-    pub fn build(records: &[HttpRecord]) -> Self {
-        let mut s = Self::default();
-        for r in records {
-            s.absorb(r);
-        }
-        s
-    }
-
-    /// Fold one banner into the tally — the streaming building block
-    /// behind [`Self::build`]. Counts *everything*, standard headers
-    /// included; the standard filter happens at selection time
+    /// Fold one banner into the tally. Counts *everything*, standard
+    /// headers included; the standard filter happens at selection time
     /// ([`learn_header_fingerprints_from_tallies`]), which is equivalent
     /// because standard entries are excluded before the top-pairs cutoff
     /// and can never be selected.
@@ -164,11 +123,6 @@ impl GlobalHeaderStats {
             }
             *self.pair_counts.entry((name, value)).or_insert(0) += 1;
         }
-    }
-
-    /// Banners folded in so far.
-    pub fn banners(&self) -> usize {
-        self.total_banners
     }
 
     fn name_freq(&self, name: HeaderNameSym) -> f64 {
@@ -195,30 +149,12 @@ impl GlobalHeaderStats {
     }
 }
 
-/// Learn one HG's header fingerprint from its on-net banners, judged
-/// against the global baseline. `interner` resolves symbols for the
-/// standard-header filter, the string tie-break, and the (string-typed)
-/// output fingerprint.
-pub fn learn_header_fingerprints(
-    keyword: &str,
-    onnet_banners: &[&HttpRecord],
-    global: &GlobalHeaderStats,
-    interner: &Interner,
-) -> HeaderFingerprint {
-    let mut onnet = GlobalHeaderStats::default();
-    for r in onnet_banners {
-        onnet.absorb(r);
-    }
-    learn_header_fingerprints_from_tallies(keyword, &onnet, global, interner)
-}
-
-/// Tally-based form of [`learn_header_fingerprints`]: the on-net side
-/// arrives as a pre-accumulated [`GlobalHeaderStats`], so the sharded
-/// reference-learning pass can stream banners chunk by chunk and never
-/// hold them. Produces exactly the fingerprint the record-slice form
-/// would (the standard filter moves from count time to selection time;
-/// standard entries are discarded *before* the top-pairs cutoff, so
-/// selection sees the same ranked list either way).
+/// Learn one HG's header fingerprint from the tally of its on-net
+/// banners, judged against the global baseline. Both sides arrive as
+/// [`GlobalHeaderStats`] tallies, so the reference-learning pass streams
+/// banners chunk by chunk and never holds them. `interner` resolves
+/// symbols for the standard-header filter, the string tie-break, and the
+/// (string-typed) output fingerprint.
 pub fn learn_header_fingerprints_from_tallies(
     keyword: &str,
     onnet: &GlobalHeaderStats,
@@ -320,6 +256,7 @@ fn apply_manual_overrides(fp: &mut HeaderFingerprint) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confirm::CompiledFingerprints;
 
     /// Intern a test banner, lowercasing names as the scanner does.
     pub(super) fn rec(interner: &mut Interner, headers: &[(&str, &str)]) -> HttpRecord {
@@ -337,6 +274,15 @@ mod tests {
         }
     }
 
+    /// Fold banners into one tally, in order.
+    pub(super) fn tally(records: &[HttpRecord]) -> GlobalHeaderStats {
+        let mut s = GlobalHeaderStats::default();
+        for r in records {
+            s.absorb(r);
+        }
+        s
+    }
+
     fn global(interner: &mut Interner) -> GlobalHeaderStats {
         // 1000 generic banners: nginx/apache everywhere.
         let mut records = Vec::new();
@@ -351,7 +297,33 @@ mod tests {
                 ],
             ));
         }
-        GlobalHeaderStats::build(&records)
+        tally(&records)
+    }
+
+    /// Learn `keyword`'s fingerprint from the tally of its on-net banners.
+    fn learn(
+        keyword: &str,
+        onnet: &[HttpRecord],
+        global: &GlobalHeaderStats,
+        interner: &Interner,
+    ) -> HeaderFingerprint {
+        learn_header_fingerprints_from_tallies(keyword, &tally(onnet), global, interner)
+    }
+
+    /// Which of `banners` match `fp`, through the production matcher: the
+    /// banners are interned, the interner frozen, and `fp` compiled
+    /// against it.
+    fn matches(
+        fp: &HeaderFingerprint,
+        mut interner: Interner,
+        banners: &[&[(&str, &str)]],
+    ) -> Vec<bool> {
+        let rows: Vec<HttpRecord> = banners.iter().map(|b| rec(&mut interner, b)).collect();
+        let mut fps = HeaderFingerprints::default();
+        fps.insert(fp.clone());
+        let compiled = CompiledFingerprints::compile(&fps, &interner.freeze());
+        let fp = compiled.get(&fp.keyword).expect("compiled keyword");
+        rows.iter().map(|r| fp.matches(&r.headers)).collect()
     }
 
     #[test]
@@ -366,13 +338,18 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&HttpRecord> = banners.iter().collect();
-        let fp = learn_header_fingerprints("akamai", &refs, &g, &interner);
+        let fp = learn("akamai", &banners, &g, &interner);
         assert!(fp
             .pairs
             .contains(&("server".to_owned(), "AkamaiGHost".to_owned())));
-        assert!(fp.matches(&[("Server".to_owned(), "AkamaiGHost".to_owned())]));
-        assert!(!fp.matches(&[("Server".to_owned(), "nginx".to_owned())]));
+        assert_eq!(
+            matches(
+                &fp,
+                interner,
+                &[&[("Server", "AkamaiGHost")], &[("Server", "nginx")]]
+            ),
+            [true, false]
+        );
     }
 
     #[test]
@@ -390,13 +367,15 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&HttpRecord> = banners.iter().collect();
-        let fp = learn_header_fingerprints("facebook", &refs, &g, &interner);
+        let fp = learn("facebook", &banners, &g, &interner);
         assert!(fp.names.contains(&"x-fb-debug".to_owned()), "{fp:?}");
         assert!(fp
             .pairs
             .contains(&("server".to_owned(), "proxygen-bolt".to_owned())));
-        assert!(fp.matches(&[("X-FB-DEBUG".to_owned(), "whatever".to_owned())]));
+        assert_eq!(
+            matches(&fp, interner, &[&[("X-FB-DEBUG", "whatever")]]),
+            [true]
+        );
     }
 
     #[test]
@@ -407,8 +386,7 @@ mod tests {
         let banners: Vec<HttpRecord> = (0..100)
             .map(|_| rec(&mut interner, &[("Server", "nginx")]))
             .collect();
-        let refs: Vec<&HttpRecord> = banners.iter().collect();
-        let fp = learn_header_fingerprints("hulu", &refs, &g, &interner);
+        let fp = learn("hulu", &banners, &g, &interner);
         assert!(fp.is_empty(), "{fp:?}");
     }
 
@@ -424,8 +402,7 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&HttpRecord> = banners.iter().collect();
-        let fp = learn_header_fingerprints("disney", &refs, &g, &interner);
+        let fp = learn("disney", &banners, &g, &interner);
         assert!(fp.is_empty());
     }
 
@@ -433,8 +410,8 @@ mod tests {
     fn netflix_manual_nginx_rule() {
         let mut interner = Interner::default();
         let g = global(&mut interner);
-        let fp = learn_header_fingerprints("netflix", &[], &g, &interner);
-        assert!(fp.matches(&[("Server".to_owned(), "nginx".to_owned())]));
+        let fp = learn("netflix", &[], &g, &interner);
+        assert_eq!(matches(&fp, interner, &[&[("Server", "nginx")]]), [true]);
     }
 
     #[test]
@@ -445,30 +422,14 @@ mod tests {
             names: vec![],
             support: 10,
         };
-        assert!(fp.matches(&[("Server".to_owned(), "gvs 1.0".to_owned())]));
-        assert!(!fp.matches(&[("Server".to_owned(), "g".to_owned())]));
-    }
-
-    #[test]
-    fn matching_keywords_sorted() {
-        let mut fps = HeaderFingerprints::default();
-        fps.insert(HeaderFingerprint {
-            keyword: "akamai".into(),
-            pairs: vec![("server".into(), "AkamaiGHost".into())],
-            names: vec![],
-            support: 1,
-        });
-        fps.insert(HeaderFingerprint {
-            keyword: "amazon".into(),
-            pairs: vec![],
-            names: vec!["x-amz-request-id".into()],
-            support: 1,
-        });
-        let banner = vec![
-            ("Server".to_owned(), "AkamaiGHost".to_owned()),
-            ("x-amz-request-id".to_owned(), "abc".to_owned()),
-        ];
-        assert_eq!(fps.matching_keywords(&banner), vec!["akamai", "amazon"]);
+        assert_eq!(
+            matches(
+                &fp,
+                Interner::default(),
+                &[&[("Server", "gvs 1.0")], &[("Server", "g")]]
+            ),
+            [true, false]
+        );
     }
 
     #[test]
@@ -481,14 +442,14 @@ mod tests {
             .map(|_| rec(&mut interner, &[("Server", "nginx")]))
             .collect();
         banners.push(rec(&mut interner, &[("X-Oddball", "1")]));
-        let refs: Vec<&HttpRecord> = banners.iter().collect();
-        let fp = learn_header_fingerprints("yahoo", &refs, &g, &interner);
+        let fp = learn("yahoo", &banners, &g, &interner);
         assert!(fp.is_empty(), "{fp:?}");
     }
 }
 
 #[cfg(test)]
 mod permutation_props {
+    use super::tests::{rec, tally};
     use super::*;
     use proptest::prelude::*;
 
@@ -521,15 +482,16 @@ mod permutation_props {
                     .iter()
                     .map(|(a, c)| (a.as_str(), c.as_str()))
                     .collect();
-                super::tests::rec(interner, &pairs)
+                rec(interner, &pairs)
             })
             .collect()
     }
 
     proptest! {
         /// Learning (including top-50 selection and the name-only
-        /// demotion) must be invariant under permuting both the banner
-        /// insertion order and each banner's header-pair order.
+        /// demotion) must be invariant under permuting both the order in
+        /// which banners are folded into the tallies and each banner's
+        /// header-pair order.
         #[test]
         fn learning_invariant_under_permutation(seed in any::<u64>()) {
             let mut interner = Interner::default();
@@ -537,17 +499,16 @@ mod permutation_props {
                 let mut v = Vec::new();
                 for i in 0..1000u32 {
                     let server = if i % 2 == 0 { "nginx" } else { "Apache" };
-                    v.push(super::tests::rec(&mut interner, &[("Server", server)]));
+                    v.push(rec(&mut interner, &[("Server", server)]));
                 }
                 v
             };
             let onnet = onnet_corpus(&mut interner);
 
-            let refs: Vec<&HttpRecord> = onnet.iter().collect();
-            let baseline = learn_header_fingerprints(
+            let baseline = learn_header_fingerprints_from_tallies(
                 "permhg",
-                &refs,
-                &GlobalHeaderStats::build(&global_records),
+                &tally(&onnet),
+                &tally(&global_records),
                 &interner,
             );
             // The corpus must actually exercise both selection paths.
@@ -562,11 +523,10 @@ mod permutation_props {
             let mut global_p = global_records.clone();
             shuffle(&mut global_p, seed ^ 0x5eed);
 
-            let refs_p: Vec<&HttpRecord> = onnet_p.iter().collect();
-            let permuted = learn_header_fingerprints(
+            let permuted = learn_header_fingerprints_from_tallies(
                 "permhg",
-                &refs_p,
-                &GlobalHeaderStats::build(&global_p),
+                &tally(&onnet_p),
+                &tally(&global_p),
                 &interner,
             );
             prop_assert_eq!(baseline, permuted);

@@ -70,7 +70,7 @@ pub use confirm::{
 };
 pub use corpus::{CorpusMemoryStats, SnapshotCorpus};
 pub use errors::{DataQualityReport, RecordError};
-pub use headers::{learn_header_fingerprints, HeaderFingerprint, HeaderFingerprints};
+pub use headers::{learn_header_fingerprints_from_tallies, HeaderFingerprint, HeaderFingerprints};
 pub use parallel::default_thread_count;
 pub use pipeline::{
     process_corpus, process_snapshot, standard_validate_options, HgSnapshotResult, PipelineContext,

@@ -1,10 +1,9 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// AS size categories by customer-cone size, following §6.3: Stub ASes have
 /// no customer cone other than themselves; Small ≤ 10; Medium ≤ 100;
 /// Large ≤ 1000; XLarge > 1000.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SizeCategory {
     Stub = 0,
     Small = 1,

@@ -1,16 +1,13 @@
 use crate::Region;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Index into [`World::countries`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CountryId(pub u16);
 
 /// A synthetic country with an Internet-user population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Country {
     pub id: CountryId,
     /// Synthetic ISO-like code, e.g. `EU07`.
@@ -24,7 +21,7 @@ pub struct Country {
 /// geography. Country populations within a region follow a Zipf
 /// distribution, mirroring how a few countries dominate each region's
 /// Internet population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     countries: Vec<Country>,
 }

@@ -1,11 +1,8 @@
 use crate::types::AsId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of an organization in the registry.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OrgId(pub u32);
 
 /// The App. A.2 AS-organization registry (CAIDA AS-org stand-in): maps

@@ -1,10 +1,7 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AsId(pub u32);
 
 impl fmt::Display for AsId {
@@ -14,7 +11,7 @@ impl fmt::Display for AsId {
 }
 
 /// Continental regions used for the §6.4 growth analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Region {
     Asia,
     Europe,

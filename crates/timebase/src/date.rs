@@ -1,9 +1,8 @@
 use crate::{days_in_month, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A civil calendar date (proleptic Gregorian, UTC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     year: i32,
     month: u8,

@@ -1,11 +1,10 @@
 use crate::Date;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One quarterly measurement snapshot, identified by the first day of its
 /// month. The paper uses Rapid7 scans "once every three months" from
 /// 2013-10 through 2021-04, i.e. 31 snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Snapshot(Date);
 
 impl Snapshot {
@@ -67,7 +66,7 @@ impl fmt::Display for Snapshot {
 }
 
 /// An inclusive, ordered run of quarterly snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotSeries {
     start: Snapshot,
     end: Snapshot,
